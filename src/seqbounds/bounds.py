@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,11 @@ def concentration_tail(kind: str, c_or_ranges, epsilon: float, n: int = None) ->
 
 def exact_binomial_mean_tail(n: int, p: float, epsilon: float,
                              strict: bool = True) -> float:
-    """P(S/n - p > eps) (or >= eps) for S ~ Bin(n, p), by exact summation."""
+    """P(S/n - p > eps) (or >= eps) for S ~ Bin(n, p), by exact summation.
+
+    Once C(n, k) no longer converts to float (n above about 1,030), each
+    term is formed in log space instead.
+    """
     cut = n * (p + epsilon)
     r = round(cut)
     if abs(cut - r) < 1e-9:
@@ -99,8 +104,15 @@ def exact_binomial_mean_tail(n: int, p: float, epsilon: float,
         return 0.0
     k0 = max(k0, 0)
     q = 1.0 - p
-    return float(sum(math.comb(n, k) * p ** k * q ** (n - k)
-                     for k in range(k0, n + 1)))
+    try:
+        return float(sum(math.comb(n, k) * p ** k * q ** (n - k)
+                         for k in range(k0, n + 1)))
+    except OverflowError:
+        ks = np.arange(k0, n + 1)
+        log_terms = (special.gammaln(n + 1) - special.gammaln(ks + 1)
+                     - special.gammaln(n - ks + 1)
+                     + special.xlogy(ks, p) + special.xlog1py(n - ks, -p))
+        return float(np.sum(np.exp(log_terms)))
 
 
 def binomial_quarter_lemma_holds(m: int, p: float) -> bool:

@@ -168,6 +168,7 @@ class PseudoMetricSample:
 
     def evaluate(self, f):
         """Vector of f over the sample points (cached per function object)."""
+        # the entry keeps f alive, so its id cannot pass to another function
         key = id(f)
         if key not in self._cache:
             try:
@@ -178,8 +179,8 @@ class PseudoMetricSample:
                 vals = np.array([float(f(t)) for t in self.points])
             if not np.all(np.isfinite(vals)):
                 raise ValueError("function evaluations must be finite")
-            self._cache[key] = vals
-        return self._cache[key]
+            self._cache[key] = (f, vals)
+        return self._cache[key][1]
 
 
 def pseudo_metric(f, f_prime, sample: PseudoMetricSample) -> float:

@@ -12,6 +12,7 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -288,13 +289,13 @@ def _plain(obj):
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _plain(obj.tolist())
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
-    if isinstance(obj, float) and obj == float("inf"):
-        return "inf"
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)     # "inf", "-inf" or "nan": strict JSON has no such numbers
     return obj
 
 
@@ -344,16 +345,17 @@ def emit_plot_data(records, sweep: str, path):
 def _read_records_csv(path):
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        rows = []
-        for row in reader:
-            parsed = {}
-            for k, v in row.items():
-                try:
-                    parsed[k] = float(v) if "." in v or "e" in v.lower() else int(v)
-                except (ValueError, TypeError):
-                    parsed[k] = v
-            rows.append(parsed)
-        return rows
+        return [{k: _parse_cell(v) for k, v in row.items()} for row in reader]
+
+
+def _parse_cell(v):
+    # int first, so "3" stays an int; float also reads "inf", "-inf", "nan"
+    for cast in (int, float):
+        try:
+            return cast(v)
+        except (ValueError, TypeError):
+            pass
+    return v
 
 
 def main(argv=None) -> int:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from seqbounds.bounds import (binomial_quarter_lemma_holds,
                               chaining_rad_upper, chaining_rad_upper_best,
@@ -50,6 +51,15 @@ class TestBinomialQuarterLemma:
         assert exact_binomial_mean_tail(3, 0.9, 0.0, strict=False) == \
             pytest.approx(0.729)
         assert binomial_quarter_lemma_holds(3, 0.9)
+
+    def test_large_n_matches_binomial_survival(self):
+        # C(n, n/2) exceeds the float range from n = 1030 on
+        for n in range(1030, 1101):
+            k0 = math.floor(n * 0.51) + 1
+            assert exact_binomial_mean_tail(n, 0.5, 0.01) == pytest.approx(
+                stats.binom.sf(k0 - 1, n, 0.5), rel=1e-9)
+        assert exact_binomial_mean_tail(2000, 1.0, 0.0, strict=False) == 1.0
+        assert exact_binomial_mean_tail(2000, 0.0, -0.5) == 1.0
 
     def test_hypothesis_violation(self):
         with pytest.raises(ValueError, match="1/m"):

@@ -115,6 +115,14 @@ class TestPseudoMetric:
             assert d01 == pytest.approx(d10, abs=1e-12)
             assert d02 <= d01 + d12 + 1e-12
 
+    def test_transient_functions_never_get_stale_values(self):
+        # a function built and dropped in each round may reuse the id of an
+        # earlier, garbage-collected one; each must see its own values
+        sample = PseudoMetricSample(np.array([0.0, 1.0]))
+        for c in range(200):
+            got = sample.evaluate(lambda t, c=c: np.full(2, float(c)))
+            assert got.tolist() == [float(c), float(c)]
+
     def test_nonfinite_rejected(self):
         sample = PseudoMetricSample(np.array([0.0, 1.0]))
         bad = lambda t: np.full(2, np.nan)

@@ -1,12 +1,17 @@
 import csv
 import json
+import math
 
+import numpy as np
 import pytest
 
 from seqbounds import cli
 from seqbounds.cli import (ConfigError, emit_plot_data, main, run,
                            validate_config)
-from seqbounds.experiments import bound_vs_n_records
+from seqbounds.experiments import (bound_vs_n_records, default_ar1,
+                                   default_scenario_program)
+from seqbounds.processes import sample_marginal, simulate_sequence
+from seqbounds.scenario import plan_n_margin
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -145,6 +150,77 @@ class TestRun:
             (tmp_path / "b" / "summary.json").read_bytes()
         assert (tmp_path / "a" / "records.csv").read_bytes() == \
             (tmp_path / "b" / "records.csv").read_bytes()
+
+
+class TestScenarioAcceptanceConfig:
+    """At the acceptance config the 1-D program's optimum is max x + margin
+    (plus the solver's 1e-9 tightening) on every path."""
+
+    PROCESS = {"kind": "ar1_threshold_labels", "a": 0.8, "sigma": 0.6,
+               "flip_p": 0.1}
+
+    def setup_method(self):
+        self.program = default_scenario_program()
+        self.spec = default_ar1()
+        self.n = plan_n_margin(0.15, 0.1, 1.0, 10.0)
+
+    def optimum(self, seed, replication=0):
+        path = simulate_sequence(self.spec, self.n, seed,
+                                 replication=replication)
+        return float(np.max(path.x)) + self.program.margin + 1e-9
+
+    def test_scenario_command(self, tmp_path):
+        config = {"command": "scenario", "seed": 888, "epsilon": 0.15,
+                  "delta": 0.1, "method": "margin",
+                  "program": self.program.to_dict(), "process": self.PROCESS}
+        assert run(config, tmp_path / "out") == 0
+        cert = read_summary(tmp_path / "out")["summary"]["certificate"]
+        assert cert["n_used"] == self.n == 20_578
+        assert cert["theta_hat"][0] == pytest.approx(self.optimum(888),
+                                                     abs=1e-9)
+
+    def test_validate_scenario_coverage(self, tmp_path):
+        config = {"command": "validate", "experiment": "scenario_coverage",
+                  "program": self.program.to_dict(), "process": self.PROCESS,
+                  "epsilon": 0.15, "delta": 0.1, "replications": 200,
+                  "seed": 888}
+        assert run(config, tmp_path / "out") == 0
+        with open(tmp_path / "out" / "records.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 200
+        for r, row in enumerate(rows):
+            ghost = sample_marginal(self.spec, 10_000, 888, replication=r)
+            theta = self.optimum(888, replication=r)
+            assert float(row["statistic"]) == np.mean(ghost.x > theta)
+
+
+class TestNonFiniteOutputs:
+    def test_summary_is_strict_json(self, tmp_path):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        payload = {"a": -math.inf, "b": math.nan, "c": math.inf,
+                   "d": np.float64(-np.inf), "e": np.array([np.nan, 1.0]),
+                   "f": 0.5}
+        cli._write_json(tmp_path / "summary.json", payload)
+        back = json.loads((tmp_path / "summary.json").read_text(),
+                          parse_constant=reject)
+        assert back == {"a": "-inf", "b": "nan", "c": "inf", "d": "-inf",
+                        "e": ["nan", 1.0], "f": 0.5}
+
+    def test_records_round_trip(self, tmp_path):
+        records = [{"replication": 0, "seed": 1, "statistic": -math.inf,
+                    "bound": math.inf, "holds": True},
+                   {"replication": 1, "seed": 1, "statistic": math.nan,
+                    "bound": 0.25, "holds": False}]
+        cli.write_records_csv(records, tmp_path / "records.csv")
+        back = cli._read_records_csv(tmp_path / "records.csv")
+        assert back[0]["statistic"] == -math.inf
+        assert back[0]["bound"] == math.inf
+        assert math.isnan(back[1]["statistic"])
+        assert back[1]["bound"] == 0.25
+        assert back[1]["replication"] == 1
+        assert back[1]["holds"] == "False"
 
 
 class TestEmitPlotData:

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize
 
 from seqbounds.estimators import violation_rate
 from seqbounds.processes import ar1_process, sample_marginal, simulate_sequence
-from seqbounds.scenario import (AffineMap, Ball, Box, ConstraintPiece,
-                                ScenarioProgramSpec, certify,
+from seqbounds.scenario import (_HULL_MAX_DIM, AffineMap, Ball, Box,
+                                ConstraintPiece, ScenarioProgramSpec, certify,
                                 one_dim_threshold_program, plan_n_margin,
                                 plan_n_vc, solve_margin_program, tau_lambda,
                                 violation_bound)
@@ -172,6 +175,112 @@ class TestSolver:
     def test_empty_scenarios_rejected(self):
         with pytest.raises(ValueError):
             solve_margin_program(one_dim_threshold_program(), np.array([]))
+
+
+def random_box_program(rng, dim_x, pieces, x_dependent):
+    """Random program over a box of theta, with 1 to 3 theta coordinates."""
+    p = int(rng.integers(1, 4))
+    made = []
+    for _ in range(pieces):
+        psi_matrix = (rng.normal(size=(p, dim_x)) if x_dependent
+                      else np.zeros((p, dim_x)))
+        made.append(ConstraintPiece(
+            psi=AffineMap(psi_matrix, rng.normal(size=p)),
+            eta=AffineMap(rng.normal(size=(1, dim_x)), rng.normal(size=1))))
+    half = rng.uniform(0.5, 4.0, size=p)
+    return ScenarioProgramSpec(objective=rng.normal(size=p), pieces=made,
+                               theta_set=Box(-half, half),
+                               margin=float(rng.uniform(0.01, 2.0)))
+
+
+def random_cloud(rng, n, dim_x, kind):
+    if kind == "duplicates":
+        pool = rng.normal(size=(int(rng.integers(1, 4)), dim_x))
+        return pool[rng.integers(0, pool.shape[0], size=n)]
+    if kind == "collinear":
+        return rng.normal(size=dim_x) + np.outer(rng.normal(size=n),
+                                                 rng.normal(size=dim_x))
+    return rng.normal(size=(n, dim_x)) * rng.uniform(0.1, 3.0)
+
+
+def full_row_solve(program, xs, mode):
+    """Every scenario row handed to HiGHS, as before the hull reduction:
+    (used_fallback, objective, max_violation, feasible)."""
+    tables = program.piece_tables(xs)
+    psi = np.vstack([t[0] for t in tables])
+    h = np.concatenate([t[1] for t in tables])
+    gamma, p = program.margin, program.dim_theta
+    bounds = list(zip(program.theta_set.lo, program.theta_set.hi))
+    res = None
+    if mode == "optimize":
+        res = optimize.linprog(program.objective, A_ub=psi,
+                               b_ub=-gamma - h - 1e-9, bounds=bounds,
+                               method="highs")
+    used_fallback = res is None or res.status != 0
+    if used_fallback:
+        res = optimize.linprog(
+            np.eye(p + 1)[-1], A_ub=np.hstack([psi, -np.ones((len(h), 1))]),
+            b_ub=-gamma - h, bounds=bounds + [(None, None)], method="highs")
+        assert res.status == 0
+    theta = res.x[:p]
+    resid = float(np.max(program.constraint_values(xs, theta)) + gamma)
+    feasible = resid <= 0.0 and program.theta_set.contains(theta)
+    return used_fallback, float(program.objective @ theta), resid, feasible
+
+
+class TestHullReduction:
+    def test_acceptance_program_solves_two_rows(self):
+        prog = one_dim_threshold_program(theta_lo=-10, theta_hi=10, margin=1.0)
+        n = plan_n_margin(0.15, 0.1, 1.0, 10.0)
+        path = simulate_sequence(ar1_process(0.8, 0.6, flip_p=0.1), n, 888)
+        res = solve_margin_program(prog, path.x)
+        assert n == 20_578
+        assert res.rows_solved == 2
+        assert not res.used_fallback
+        assert res.feasible
+        assert res.theta[0] == pytest.approx(np.max(path.x) + 1.0 + 1e-9,
+                                             abs=1e-9)
+
+    def test_square_cloud_keeps_its_corners(self):
+        corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+        inner = np.random.default_rng(0).uniform(-0.9, 0.9, size=(50, 2))
+        prog = random_box_program(np.random.default_rng(1), 2, 2, True)
+        res = solve_margin_program(prog, np.vstack([inner, corners]))
+        assert res.rows_solved == 4 * 2
+
+    @pytest.mark.parametrize("xs", [
+        np.outer(np.arange(10.0), [1.0, 2.0]),        # collinear: Qhull fails
+        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),  # n <= d + 1
+        np.random.default_rng(2).normal(size=(30, _HULL_MAX_DIM + 1)),
+    ])
+    def test_degenerate_clouds_solve_every_row(self, xs):
+        prog = random_box_program(np.random.default_rng(3), xs.shape[1], 1,
+                                  True)
+        assert solve_margin_program(prog, xs).rows_solved == xs.shape[0]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           dim_x=st.sampled_from([1, 2, 3, _HULL_MAX_DIM + 1]),
+           n=st.integers(1, 40), pieces=st.integers(1, 3),
+           x_dependent=st.booleans(),
+           mode=st.sampled_from(["optimize", "feasibility"]),
+           cloud=st.sampled_from(["general", "duplicates", "collinear"]))
+    def test_matches_full_row_solve(self, seed, dim_x, n, pieces, x_dependent,
+                                    mode, cloud):
+        rng = np.random.default_rng(seed)
+        prog = random_box_program(rng, dim_x, pieces, x_dependent)
+        xs = random_cloud(rng, n, dim_x, cloud)
+        res = solve_margin_program(prog, xs, mode=mode)
+        used_fallback, objective, resid, feasible = full_row_solve(prog, xs,
+                                                                   mode)
+        assert res.rows_solved <= n * pieces
+        assert res.used_fallback == used_fallback
+        assert res.feasible == feasible
+        if used_fallback:
+            # the min-slack value is unique, its point need not be
+            assert res.max_violation == pytest.approx(resid, abs=1e-7)
+        else:
+            assert res.objective == pytest.approx(objective, abs=1e-7)
 
 
 class TestCertify:
