@@ -150,6 +150,11 @@ def _check_delta(delta, *, allow_one=False):
         raise ValueError(f"delta must lie in (0, 1{']' if allow_one else ')'}), got {delta}")
 
 
+def _check_emp_risk(emp_risk):
+    if not (math.isfinite(emp_risk) and emp_risk >= 0):
+        raise ValueError(f"emp_risk must be finite and >= 0, got {emp_risk}")
+
+
 def vc_bound(emp_risk: float, n: int, delta: float, *, d_vc: int = None,
              growth_2n: float = None) -> RiskBoundReport:
     """Additive VC risk bound: emp + 2 sqrt(2 (log cap + log(2/delta)) / n).
@@ -159,8 +164,7 @@ def vc_bound(emp_risk: float, n: int, delta: float, *, d_vc: int = None,
     at 2n.
     """
     _check_delta(delta)
-    if emp_risk < 0:
-        raise ValueError("empirical risk must be >= 0")
+    _check_emp_risk(emp_risk)
     cap = _log_capacity(n, d_vc, growth_2n)
     joint = 2.0 * math.sqrt(2.0 * (cap + math.log(2.0 / delta)) / n)
     conc = 2.0 * math.sqrt(2.0 * math.log(2.0 / delta) / n)
@@ -182,8 +186,7 @@ def vc_relative_bound(emp_risk: float, n: int, delta: float, *,
             "pass stationary=True only when that holds"
         )
     _check_delta(delta)
-    if emp_risk < 0:
-        raise ValueError("empirical risk must be >= 0")
+    _check_emp_risk(emp_risk)
     cap = _log_capacity(n, d_vc, growth_2n)
     c = (cap + math.log(4.0 / delta)) / n
     c0 = math.log(4.0 / delta) / n
@@ -207,8 +210,7 @@ def regression_vc_bound(emp_risk: float, n: int, d_vc_induced: int,
     _check_delta(delta)
     if b <= 0:
         raise ValueError("loss range B must be > 0")
-    if emp_risk < 0:
-        raise ValueError("empirical risk must be >= 0")
+    _check_emp_risk(emp_risk)
     cap = _log_capacity(n, d_vc_induced, None)
     joint = 2.0 * b * math.sqrt(2.0 * (cap + math.log(2.0 / delta)) / n)
     conc = 2.0 * b * math.sqrt(2.0 * math.log(2.0 / delta) / n)
@@ -234,8 +236,7 @@ def rademacher_risk_bound(variant: str, emp_risk: float, rad_terms, b: float,
     if variant not in RAD_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     _check_delta(delta, allow_one=True)
-    if emp_risk < 0:
-        raise ValueError("empirical risk must be >= 0")
+    _check_emp_risk(emp_risk)
     terms = np.atleast_1d(np.asarray(rad_terms, dtype=float))
     if np.any(terms < 0):
         raise ValueError("Rademacher terms must be >= 0")
@@ -365,8 +366,7 @@ def mixing_reference_bound(emp_risk: float, rad_mu: float, b: float, mu: int,
         raise ValueError("rad_mu and beta_a must be >= 0")
     if mu < 1 or a < 1:
         raise ValueError("mu and a must be positive integers")
-    if emp_risk < 0:
-        raise ValueError("empirical risk must be >= 0")
+    _check_emp_risk(emp_risk)
     slack = delta - 4.0 * (mu - 1) * beta_a
     if slack <= 0:
         return None

@@ -132,6 +132,28 @@ def margin_linear_risk(w, sigma_x: float, flip_p: float, gamma: float):
     return (1.0 - flip_p) * t_of(w) + flip_p * t_of(-w)
 
 
+def _margin_empirical_risks(s, w, gamma):
+    """Empirical margin risks mean_i phi(w_j s_i) for every model w_j, with
+    phi(u) = min(1, max(0, (1 - u) / gamma)) and s_i = y_i x_i.
+
+    For w > 0 the loss is 1 for s <= (1 - gamma) / w, 0 for s >= 1 / w and
+    linear in between, so one sort of s and its prefix sums give every
+    model's risk from two ``searchsorted`` lookups; w < 0 is the same sweep
+    over -s.  phi is continuous, so points on a zone edge may fall either way.
+    """
+    w = np.asarray(w, dtype=float)
+    n = s.size
+    out = np.full(w.shape, min(1.0, 1.0 / gamma))
+    ascending = np.sort(s)
+    for t, on in ((ascending, w > 0), (-ascending[::-1], w < 0)):
+        cum = np.concatenate(([0.0], np.cumsum(t)))
+        v = np.abs(w[on])
+        lo = np.searchsorted(t, (1.0 - gamma) / v, side="right")
+        hi = np.searchsorted(t, 1.0 / v, side="left")
+        out[on] = (lo + (hi - lo - v * (cum[hi] - cum[lo])) / gamma) / n
+    return out
+
+
 def margin_rad_coverage(spec: ProcessSpec, gamma: float, radius: float,
                         n: int, replications: int, delta: float, seed: int,
                         grid_size: int = 401, threads: int = 1) -> ExperimentResult:
@@ -149,8 +171,7 @@ def margin_rad_coverage(spec: ProcessSpec, gamma: float, radius: float,
 
     def one(r):
         path = simulate_sequence(spec, n, seed, replication=r)
-        u = np.outer(grid, path.y * path.x)
-        emp = np.mean(np.minimum(1.0, np.maximum(0.0, (1.0 - u) / gamma)), axis=1)
+        emp = _margin_empirical_risks(path.y * path.x, grid, gamma)
         return float(np.max(risks - emp))
 
     stats_ = _pmap(one, range(replications), threads)
@@ -198,16 +219,52 @@ def clipped_linear_risk(w_rows, cov, theta, noise_sigma, m_clip):
 
 
 def _linear_model_grid(dim, radius, resolution=25):
+    """Model grid of the coefficient ball as the origin plus rays: unit
+    directions (one row each) and the shared radii, ascending."""
+    radii = np.linspace(0.0, radius, resolution + 1)[1:]
     if dim == 1:
-        return np.linspace(-radius, radius, 2 * resolution + 1)[:, None]
+        return np.array([[1.0], [-1.0]]), radii
     if dim == 2:
-        radii = np.linspace(0.0, radius, resolution + 1)[1:]
         angles = np.linspace(0.0, 2 * np.pi, 2 * resolution, endpoint=False)
-        rr, aa = np.meshgrid(radii, angles)
-        grid = np.column_stack([(rr * np.cos(aa)).ravel(),
-                                (rr * np.sin(aa)).ravel()])
-        return np.vstack([[0.0, 0.0], grid])
+        return np.column_stack([np.cos(angles), np.sin(angles)]), radii
     raise ValueError("model grid implemented for 1- and 2-D systems")
+
+
+def _clipped_ray_risks(x, y, directions, radii, m_clip):
+    """Empirical risks mean_i (y_i - clip(r x_i.e, +-M))^2 for every direction
+    e (row of ``directions``) and radius r (ascending ``radii``), shape
+    (directions, radii).
+
+    With p = x.e a point is unclipped at radius r exactly when r |p| <= M,
+    so binning the points by how many radii leave them unclipped and
+    summing 1, y p, p^2 and y sign(p) per bin gives every model's risk as
+    (sum y^2 - 2 r S_in(y p) + r^2 S_in(p^2) - 2 M S_out(y sign p)
+    + M^2 n_out) / n.  The clip is continuous, so a point with r |p| = M may
+    count as either.
+    """
+    k, m = directions.shape[0], radii.size
+    p = x @ directions.T                                    # (n, k)
+    with np.errstate(divide="ignore"):
+        reach = np.searchsorted(radii, m_clip / np.abs(p), side="right")
+    bins = (reach + (m + 1) * np.arange(k)).ravel()
+
+    def per_bin(weights=None):
+        return np.bincount(bins, weights=weights,
+                           minlength=k * (m + 1)).reshape(k, m + 1)
+
+    def inside(c):      # points still unclipped at each radius
+        return np.cumsum(c[:, ::-1], axis=1)[:, ::-1][:, 1:]
+
+    def outside(c):     # points clipped at each radius
+        return np.cumsum(c, axis=1)[:, :-1]
+
+    s_yp = inside(per_bin((y[:, None] * p).ravel()))
+    s_pp = inside(per_bin((p * p).ravel()))
+    s_ys = outside(per_bin((y[:, None] * np.sign(p)).ravel()))
+    n_out = outside(per_bin())
+    total = (float(y @ y) - 2.0 * radii * s_yp + radii ** 2 * s_pp
+             - 2.0 * m_clip * s_ys + m_clip ** 2 * n_out)
+    return total / len(y)
 
 
 def regression_coverage(spec: ProcessSpec, m_clip: float, radius: float,
@@ -222,18 +279,21 @@ def regression_coverage(spec: ProcessSpec, m_clip: float, radius: float,
         )
     d = spec.order
     cov = stationary_params(spec).covariance
-    w_grid = _linear_model_grid(d, radius)
-    risks = clipped_linear_risk(w_grid, cov, spec.coefficients, spec.sigma,
-                                m_clip)
+    directions, radii = _linear_model_grid(d, radius)
+    rays = (directions[:, None, :] * radii[None, :, None]).reshape(-1, d)
+    risks = clipped_linear_risk(rays, cov, spec.coefficients, spec.sigma,
+                                m_clip).reshape(len(directions), radii.size)
+    risk_origin = clipped_linear_risk(np.zeros((1, d)), cov, spec.coefficients,
+                                      spec.sigma, m_clip)[0]
     b = 4.0 * m_clip ** 2
     d_ind = bnd.linear_system_induced_vc_dim(d)
     slack = bnd.regression_vc_bound(0.0, n, d_ind, delta, b).bound_value
 
     def one(r):
         path = simulate_sequence(spec, n, seed, replication=r)
-        preds = np.clip(path.x @ w_grid.T, -m_clip, m_clip)
-        emp = np.mean((path.y[:, None] - preds) ** 2, axis=0)
-        return float(np.max(risks - emp))
+        emp = _clipped_ray_risks(path.x, path.y, directions, radii, m_clip)
+        return max(float(risk_origin - np.mean(path.y ** 2)),
+                   float(np.max(risks - emp)))
 
     stats_ = _pmap(one, range(replications), threads)
     records = [

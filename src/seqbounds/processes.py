@@ -2,12 +2,11 @@
 and closed-form marginal (ghost) samplers."""
 from __future__ import annotations
 
-import csv
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
+from scipy import linalg, signal
 
 PROCESS_KINDS = (
     "ar1_threshold_labels",
@@ -88,14 +87,19 @@ def _check_flip(p):
         raise ValueError("flip_p must lie in [0, 1)")
 
 
-def _companion_spectral_radius(coefficients):
+def _companion(coefficients):
+    """Companion matrix of the autoregression: the state (y_t, ..., y_{t-d+1})
+    advances as state' = C state + (noise, 0, ..., 0)."""
     theta = np.asarray(coefficients, dtype=float)
     d = theta.size
     comp = np.zeros((d, d))
     comp[0, :] = theta
-    if d > 1:
-        comp[1:, :-1] = np.eye(d - 1)
-    return float(np.max(np.abs(np.linalg.eigvals(comp))))
+    comp[1:, :-1] = np.eye(d - 1)
+    return comp
+
+
+def _companion_spectral_radius(coefficients):
+    return float(np.max(np.abs(np.linalg.eigvals(_companion(coefficients)))))
 
 
 def ar1_process(a, sigma, b_star=0.0, flip_p=0.0):
@@ -167,23 +171,13 @@ def stationary_params(spec: ProcessSpec) -> MarginalLaw:
     raise ValueError(f"no stationary law for kind {spec.kind!r}")
 
 
-def _lyapunov_covariance(spec: ProcessSpec, tol=1e-12, max_iter=100_000):
-    """Fixed point of S = A S A' + Q for the companion-form state."""
-    theta = np.asarray(spec.coefficients, dtype=float)
-    d = theta.size
-    comp = np.zeros((d, d))
-    comp[0, :] = theta
-    if d > 1:
-        comp[1:, :-1] = np.eye(d - 1)
+def _lyapunov_covariance(spec: ProcessSpec):
+    """Stationary state covariance: the solution S of S = C S C' + Q for the
+    companion matrix C and innovation covariance Q = sigma^2 e_1 e_1'."""
+    d = len(spec.coefficients)
     q = np.zeros((d, d))
     q[0, 0] = spec.sigma ** 2
-    s = q.copy()
-    for _ in range(max_iter):
-        s_next = comp @ s @ comp.T + q
-        if np.max(np.abs(s_next - s)) < tol:
-            return s_next
-        s = s_next
-    raise RuntimeError("Lyapunov iteration did not converge")
+    return linalg.solve_discrete_lyapunov(_companion(spec.coefficients), q)
 
 
 def _threshold_labels(x, b_star, flip_p, rng):
@@ -286,17 +280,27 @@ def sample_marginal(spec: ProcessSpec, m: int, seed: int,
                           process=spec.kind + ":ghost")
 
 
+_CSV_CHUNK_ROWS = 8192
+
+
 def sequence_to_csv(sample: SequenceSample, path):
-    """Write the sample as CSV with columns index, x components, y."""
+    """Write the sample as CSV with columns index, x components, y.
+
+    The text is what ``csv.writer`` writes for the same rows (float repr,
+    ``\\r\\n`` line ends), formatted a column at a time and written in chunks
+    of rows so that the whole file is never held in memory.
+    """
     x = np.atleast_2d(sample.x.T).T
-    k = x.shape[1] if x.ndim > 1 else 1
-    header = ["index"] + [f"x{j}" for j in range(k)] + ["y"]
+    header = ["index"] + [f"x{j}" for j in range(x.shape[1])] + ["y"]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(sample)):
-            row = [i] + list(np.atleast_1d(x[i])) + [sample.y[i]]
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(sample), _CSV_CHUNK_ROWS):
+            stop = min(start + _CSV_CHUNK_ROWS, len(sample))
+            columns = [map(str, range(start, stop))]
+            columns += [map(repr, x[start:stop, j].tolist())
+                        for j in range(x.shape[1])]
+            columns.append(map(repr, sample.y[start:stop].tolist()))
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def process_from_dict(d: dict) -> ProcessSpec:

@@ -110,6 +110,24 @@ class TestVcBound:
             vc_bound(0.0, 3, 0.05, d_vc=5)  # n < d
 
 
+EMP_RISK_CALCULATORS = {
+    "vc": lambda e: vc_bound(e, 100, 0.05, d_vc=2),
+    "vc_relative": lambda e: vc_relative_bound(e, 100, 0.05, d_vc=2,
+                                               stationary=True),
+    "regression": lambda e: regression_vc_bound(e, 100, 8, 0.05, 4.0),
+    "rademacher": lambda e: rademacher_risk_bound("marginal", e, [0.01], 1.0,
+                                                  100, 0.05),
+    "mixing": lambda e: mixing_reference_bound(e, 0.01, 1.0, 50, 1, 0.0, 0.05),
+}
+
+
+@pytest.mark.parametrize("calculator", sorted(EMP_RISK_CALCULATORS))
+@pytest.mark.parametrize("emp_risk", [math.nan, math.inf, -math.inf, -0.1])
+def test_rejects_bad_emp_risk(calculator, emp_risk):
+    with pytest.raises(ValueError, match="emp_risk"):
+        EMP_RISK_CALCULATORS[calculator](emp_risk)
+
+
 class TestVcRelativeBound:
     def test_frozen_zero_error_value(self):
         rep = vc_relative_bound(0.0, 10 ** 5, 0.05, d_vc=4, stationary=True)

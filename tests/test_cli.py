@@ -64,6 +64,13 @@ class TestRun:
         assert rep["theorem_tag"] == "vc-basic-dependent"
         assert rep["bound_value"] == pytest.approx(0.06385483072830438)
 
+    def test_nan_emp_risk_is_config_error(self, tmp_path, capsys):
+        config = {"command": "bound", "bound": "vc", "emp_risk": math.nan,
+                  "n": 100, "delta": 0.05, "d_vc": 4, "seed": 3}
+        assert run(config, tmp_path / "out") == cli.EXIT_CONFIG
+        assert "emp_risk" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
     def test_mixing_bound_inapplicable(self, tmp_path):
         config = {"command": "bound", "bound": "mixing", "emp_risk": 0.0,
                   "rad_mu": 0.0, "b": 1.0, "mu": 100, "a": 1,

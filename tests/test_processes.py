@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from seqbounds.processes import (ar1_process, ar_process, iid_process,
-                                 markov_binary_process, process_from_dict,
-                                 sample_marginal, sequence_to_csv,
-                                 simulate_sequence, stationary_params, stream)
+from seqbounds.processes import (SequenceSample, ar1_process, ar_process,
+                                 iid_process, markov_binary_process,
+                                 process_from_dict, sample_marginal,
+                                 sequence_to_csv, simulate_sequence,
+                                 stationary_params, stream)
+
+# longer than one chunk of rows of the CSV writer
+LONG_PATH = simulate_sequence(ar_process([0.5, 0.2], 1.0), 20_000, 4)
 
 
 class TestSeeding:
@@ -87,6 +91,14 @@ class TestStationaryParams:
         q[0, 0] = spec.sigma ** 2
         resid = comp @ cov @ comp.T + q - cov
         assert np.max(np.abs(resid)) < 1e-10
+
+    def test_ar_d_near_unit_root(self):
+        # fixed-point iteration of the Lyapunov equation stalls here
+        spec = ar_process([0.9999], 1.0)
+        path = simulate_sequence(spec, 10, 1)
+        assert np.all(np.isfinite(path.x)) and np.all(np.isfinite(path.y))
+        cov = stationary_params(spec).covariance
+        assert cov[0, 0] == pytest.approx(1.0 / (1.0 - 0.9999 ** 2), rel=1e-9)
 
     def test_ar_d_reduces_to_ar1(self):
         cov = stationary_params(ar_process([0.8], 0.6)).covariance
@@ -170,6 +182,32 @@ class TestValidationAndExport:
             rows = list(csv.reader(fh))
         assert rows[0] == ["index", "x0", "x1", "y"]
         assert len(rows) == 11
+
+    @pytest.mark.parametrize("x, y", [
+        (np.array([-0.0, 1e-05, 1e16, 0.1 + 0.2, -3.0]),
+         np.array([1.0, -1.0, -0.0, 1e-05, 1e16])),
+        (np.array([[-0.0, 1e-05], [1e16, -2.5e-300], [0.5, 7.0]]),
+         np.array([1e16, -0.0, 1e-05])),
+        (np.array([[1e-05, -0.0]]), np.array([-0.0])),        # n = 1
+        (np.array([2.0]), np.array([1e-05])),
+        (LONG_PATH.x, LONG_PATH.y),
+    ])
+    def test_csv_matches_csv_writer(self, tmp_path, x, y):
+        def reference(sample, path):
+            # the row-at-a-time csv.writer export the fast writer replaced
+            xs = np.atleast_2d(sample.x.T).T
+            header = ["index"] + [f"x{j}" for j in range(xs.shape[1])] + ["y"]
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                for i in range(len(sample)):
+                    writer.writerow([i] + list(xs[i]) + [sample.y[i]])
+
+        sample = SequenceSample(x=x, y=y, seed=0, replication=0, process="t")
+        sequence_to_csv(sample, tmp_path / "fast.csv")
+        reference(sample, tmp_path / "ref.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError):
