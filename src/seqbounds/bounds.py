@@ -68,18 +68,20 @@ def concentration_tail(kind: str, c_or_ranges, epsilon: float, n: int = None) ->
 
     A scalar ``c_or_ranges`` is replicated n times.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     if np.isscalar(c_or_ranges):
-        if n is None:
-            raise ValueError("scalar ranges need n")
+        if n is None or n < 1:
+            raise ValueError(f"n must be >= 1 for scalar ranges, got {n}")
         cs = np.full(int(n), float(c_or_ranges))
     else:
         cs = np.asarray(c_or_ranges, dtype=float)
+        if cs.size < 1:
+            raise ValueError("c_or_ranges must be non-empty")
         if n is not None and cs.size != n:
             raise ValueError("len(c_or_ranges) must equal n")
-    if np.any(cs <= 0):
-        raise ValueError("ranges/sensitivities must be positive")
+    if not np.all(cs > 0):
+        raise ValueError("c_or_ranges must be positive (ranges/sensitivities)")
     ssq = float(np.sum(cs ** 2))
     if kind == "hoeffding":
         return min(1.0, math.exp(-2.0 * cs.size ** 2 * epsilon ** 2 / ssq))
@@ -95,6 +97,12 @@ def exact_binomial_mean_tail(n: int, p: float, epsilon: float,
     Once C(n, k) no longer converts to float (n above about 1,030), each
     term is formed in log space instead.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     cut = n * (p + epsilon)
     r = round(cut)
     if abs(cut - r) < 1e-9:
@@ -309,17 +317,21 @@ def chaining_rad_upper(diameter: float, depth: int, log_covering, n: int,
                        lipschitz: float = 1.0) -> float:
     """Multi-scale (dyadic) covering-number bound on the Rademacher
     complexity: L * (D/2^N + 6 D sum_j 2^-j sqrt(log N(D 2^-j) / n))."""
-    if diameter < 0:
-        raise ValueError("diameter must be >= 0")
+    if not (math.isfinite(diameter) and diameter >= 0):
+        raise ValueError(f"diameter must be finite and >= 0, got {diameter}")
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not (math.isfinite(lipschitz) and lipschitz >= 0):
+        raise ValueError(f"lipschitz must be finite and >= 0, got {lipschitz}")
     if diameter == 0.0:
         return 0.0
     total = diameter / 2.0 ** depth
     for j in range(1, depth + 1):
         lognj = float(log_covering(diameter * 2.0 ** -j))
-        if lognj < 0:
-            raise ValueError("log covering numbers must be >= 0")
+        if not lognj >= 0:
+            raise ValueError(f"log_covering values must be >= 0, got {lognj}")
         total += 6.0 * diameter * 2.0 ** -j * math.sqrt(lognj / n)
     return lipschitz * total
 
@@ -330,6 +342,8 @@ def chaining_rad_upper_best(diameter: float, log_covering, n: int,
 
     Returns (value, depth); sound because the bound holds at every depth.
     """
+    if max_depth < 1:
+        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     best_val, best_depth = math.inf, 1
     for depth in range(1, max_depth + 1):
         val = chaining_rad_upper(diameter, depth, log_covering, n, lipschitz)

@@ -2,7 +2,7 @@
 
 Growth functions for enumerable classes, the Sauer cap, the empirical
 L2 pseudo-metric, and covering numbers of finite evaluated function sets
-(greedy estimator plus an exhaustive reference search for small sets).
+(exact subset search for small sets, greedy estimator beyond).
 """
 from __future__ import annotations
 
@@ -230,24 +230,21 @@ def _greedy_net_size(dm: np.ndarray, epsilon: float) -> int:
     return best
 
 
-def _exhaustive_net_size(dm: np.ndarray, epsilon: float, cap: int = None) -> int:
+def _exhaustive_net_size(dm: np.ndarray, epsilon: float) -> int:
+    """Smallest number of rows whose open epsilon-balls cover every row.
+
+    Exact: a table over all 2^m subsets, built one row at a time, holds each
+    subset's covered rows (as a bitmask) and its size.
+    """
     m = dm.shape[0]
-    masks = []
-    for c in range(m):
-        mask = 0
-        for j in range(m):
-            if dm[c, j] < epsilon:
-                mask |= 1 << j
-        masks.append(mask)
-    full = (1 << m) - 1
-    for k in range(1, (cap or m) + 1):
-        for combo in itertools.combinations(range(m), k):
-            acc = 0
-            for c in combo:
-                acc |= masks[c]
-            if acc == full:
-                return k
-    return m
+    balls = (dm < epsilon) @ (1 << np.arange(m, dtype=np.int64))
+    cover = np.zeros(1 << m, dtype=np.int64)
+    size = np.zeros(1 << m, dtype=np.int64)
+    for i, ball in enumerate(balls):
+        # the subsets that contain row i are those without it, plus row i
+        cover[1 << i:2 << i] = cover[:1 << i] | ball
+        size[1 << i:2 << i] = size[:1 << i] + 1
+    return int(size[cover == (1 << m) - 1].min())
 
 
 _EXACT_CUTOFF = 12
@@ -258,30 +255,26 @@ def covering_number_greedy(functions, epsilon: float,
     """Size of a proper epsilon-net (a function counts as covered when its
     distance to the net is strictly below epsilon).
 
-    Greedy farthest-point sweep (repeated from every start, smallest net
-    kept), cross-checked against the exhaustive subset search for sets of
-    at most 12 functions, where the returned value is exact.  Beyond that
-    it is an upper bound on the true covering number, which is all the
-    chaining bound needs.
+    Sets of at most 12 functions get the exact value of the exhaustive
+    subset search.  Larger sets get the greedy farthest-point sweep
+    (repeated from every start, smallest net kept), an upper bound on the
+    true covering number, which is all the chaining bound needs.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
     values = evaluation_matrix(functions, sample)
     dm = pseudo_metric_matrix(values)
-    greedy = _greedy_net_size(dm, epsilon)
     if dm.shape[0] <= _EXACT_CUTOFF:
-        # the greedy sweep can overshoot the optimum; small sets are cheap
-        # to solve exactly with the greedy size capping the subset search
-        return _exhaustive_net_size(dm, epsilon, cap=greedy)
-    return greedy
+        return _exhaustive_net_size(dm, epsilon)
+    return _greedy_net_size(dm, epsilon)
 
 
 def covering_number_exhaustive(functions, epsilon: float,
                                sample: PseudoMetricSample = None) -> int:
     """Minimal proper epsilon-net size by exhaustive subset search
     (limited to 16 functions)."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
     values = evaluation_matrix(functions, sample)
     dm = pseudo_metric_matrix(values)
     if dm.shape[0] > 16:

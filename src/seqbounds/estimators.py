@@ -81,9 +81,19 @@ def risk_mc(model, loss: LossSpec, spec: ProcessSpec, n: int,
 # ---------------------------------------------------------------------------
 # Rademacher complexity
 
-def _sup_routine(cls: FunctionClassDescriptor, points):
-    """Return sup_{f in class} (1/n) sum_i sigma_i f(t_i) as a function of sigma."""
+_SIGN_BLOCK = 4096
+
+
+def _check_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
+    if pts.ndim == 0 or pts.size == 0 or not np.all(np.isfinite(pts)):
+        raise ValueError("points must be a non-empty array of finite values")
+    return pts
+
+
+def _sup_rows(cls: FunctionClassDescriptor, pts: np.ndarray):
+    """Return S -> the k suprema sup_{f in class} (1/n) sum_i S[r, i] f(t_i),
+    one per row r of a (k, n) matrix S of signs."""
     n = pts.shape[0]
     if cls.kind in ("finite", "threshold1d"):
         if cls.kind == "finite":
@@ -91,19 +101,20 @@ def _sup_routine(cls: FunctionClassDescriptor, points):
             values = evaluation_matrix(cls, sample)
         else:
             _, values = threshold_dichotomies(pts)
-        return lambda sg: float(np.max(values @ sg) / n)
+        return lambda s: np.max(s @ values.T, axis=1) / n
     if cls.kind == "linear_ball":
         x = pts if pts.ndim == 2 else pts[:, None]
         if cls.with_offset:
             x = np.hstack([x, np.ones((n, 1))])
         lam = cls.radius
-        return lambda sg: float(lam * np.linalg.norm(x.T @ sg) / n)
+        return lambda s: lam * np.linalg.norm(s @ x, axis=1) / n
     if cls.kind == "kernel_ball":
         x = pts if pts.ndim == 2 else pts[:, None]
         sq = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
         gram = np.exp(-sq / (2.0 * cls.bandwidth ** 2))
         lam = cls.radius
-        return lambda sg: float(lam * np.sqrt(max(sg @ gram @ sg, 0.0)) / n)
+        return lambda s: lam * np.sqrt(
+            np.maximum(np.einsum("ki,ki->k", s @ gram, s), 0.0)) / n
     raise UnsupportedClassError(
         f"no supremum routine for class kind {cls.kind!r}"
     )
@@ -119,28 +130,31 @@ def empirical_rademacher(cls: FunctionClassDescriptor, points, sign_draws: int,
     """
     if sign_draws < 1:
         raise ValueError("need at least one sign draw")
-    sup = _sup_routine(cls, points)
-    n = np.asarray(points).shape[0]
+    pts = _check_points(points)
+    sup = _sup_rows(cls, pts)
     rng = stream(seed, 0, "signs")
-    vals = np.empty(sign_draws)
-    for s in range(sign_draws):
-        sg = rng.integers(0, 2, n) * 2.0 - 1.0
-        vals[s] = 0.5 * (sup(sg) + sup(-sg))
+    # one (draws, n) call yields the same signs as one n-vector call per draw
+    signs = rng.integers(0, 2, (sign_draws, pts.shape[0])) * 2.0 - 1.0
+    vals = 0.5 * (sup(signs) + sup(-signs))
     se = float(np.std(vals, ddof=1) / np.sqrt(sign_draws)) if sign_draws > 1 else 0.0
     return MonteCarloEstimate(value=float(np.mean(vals)), std_error=se,
                               replications=sign_draws, seed=int(seed))
 
 
 def empirical_rademacher_exact(cls: FunctionClassDescriptor, points) -> float:
-    """Exact sign expectation by enumerating all 2^n sign vectors (n <= 20)."""
-    n = np.asarray(points).shape[0]
+    """Exact sign expectation by enumerating all 2^n sign vectors (n <= 20),
+    in blocks of rows; bit i of mask k gives the sign of point i."""
+    pts = _check_points(points)
+    n = pts.shape[0]
     if n > 20:
         raise ValueError("exact enumeration is limited to 20 points")
-    sup = _sup_routine(cls, points)
+    sup = _sup_rows(cls, pts)
     total = 0.0
-    for mask in range(1 << n):
-        sg = np.array([1.0 if mask >> i & 1 else -1.0 for i in range(n)])
-        total += sup(sg)
+    for lo in range(0, 1 << n, _SIGN_BLOCK):
+        masks = np.arange(lo, min(lo + _SIGN_BLOCK, 1 << n))
+        signs = ((masks[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
+        for v in sup(signs).tolist():   # summed left to right, mask by mask
+            total += v
     return total / (1 << n)
 
 

@@ -12,6 +12,8 @@ from seqbounds.bounds import (binomial_quarter_lemma_holds,
                               mixing_reference_bound, rademacher_risk_bound,
                               regression_vc_bound, spectral_log_covering,
                               vc_bound, vc_relative_bound)
+from seqbounds.classes import (covering_number_exhaustive,
+                               covering_number_greedy)
 
 
 class TestConcentrationTail:
@@ -298,3 +300,44 @@ class TestMixingReference:
                     marg = rademacher_risk_bound("marginal", 0.0, [rad_n],
                                                  1.0, n, delta)
                     assert marg.bound_value < mix.bound_value
+
+
+_VALUES = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+_LOG2 = lambda e: math.log(2.0)
+
+
+@pytest.mark.parametrize("name, call", [
+    pytest.param("epsilon", lambda: concentration_tail(
+        "hoeffding", 1.0, math.nan, 10), id="tail-epsilon-nan"),
+    pytest.param("n", lambda: concentration_tail(
+        "hoeffding", 1.0, 0.1, 0), id="tail-n-0"),
+    pytest.param("c_or_ranges", lambda: concentration_tail(
+        "bounded_difference", [math.nan, 1.0], 0.1), id="tail-ranges-nan"),
+    pytest.param("p", lambda: exact_binomial_mean_tail(10, 1.5, 0.1),
+                 id="binomial-p-1.5"),
+    pytest.param("p", lambda: exact_binomial_mean_tail(10, math.nan, 0.1),
+                 id="binomial-p-nan"),
+    pytest.param("n", lambda: exact_binomial_mean_tail(0, 0.5, 0.1),
+                 id="binomial-n-0"),
+    pytest.param("epsilon", lambda: exact_binomial_mean_tail(10, 0.5, math.nan),
+                 id="binomial-epsilon-nan"),
+    pytest.param("n", lambda: chaining_rad_upper(1.0, 3, _LOG2, 0),
+                 id="chaining-n-0"),
+    pytest.param("diameter", lambda: chaining_rad_upper(math.nan, 3, _LOG2, 100),
+                 id="chaining-diameter-nan"),
+    pytest.param("diameter", lambda: chaining_rad_upper(math.inf, 3, _LOG2, 100),
+                 id="chaining-diameter-inf"),
+    pytest.param("lipschitz", lambda: chaining_rad_upper(
+        1.0, 3, _LOG2, 100, lipschitz=math.nan), id="chaining-lipschitz-nan"),
+    pytest.param("log_covering", lambda: chaining_rad_upper(
+        1.0, 3, lambda e: math.nan, 100), id="chaining-log-covering-nan"),
+    pytest.param("max_depth", lambda: chaining_rad_upper_best(
+        1.0, _LOG2, 100, max_depth=0), id="chaining-best-max-depth-0"),
+    pytest.param("epsilon", lambda: covering_number_greedy(_VALUES, math.nan),
+                 id="greedy-epsilon-nan"),
+    pytest.param("epsilon", lambda: covering_number_exhaustive(
+        _VALUES, math.nan), id="exhaustive-epsilon-nan"),
+])
+def test_numeric_arguments_rejected_by_name(name, call):
+    with pytest.raises(ValueError, match=rf"^{name}\b"):
+        call()

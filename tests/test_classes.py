@@ -2,15 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqbounds.classes import (FunctionClassDescriptor, PseudoMetricSample,
-                               UnsupportedClassError,
+                               UnsupportedClassError, _exhaustive_net_size,
                                covering_number_exhaustive,
                                covering_number_greedy, finite_class,
                                growth_function_exact, kernel_ball_class,
                                linear_ball_class, pseudo_metric,
-                               sauer_growth_bound, threshold_class,
-                               threshold_dichotomies, vc_dimension_exact)
+                               pseudo_metric_matrix, sauer_growth_bound,
+                               threshold_class, threshold_dichotomies,
+                               vc_dimension_exact)
 
 
 def all_sign_functions(n_points):
@@ -187,6 +190,70 @@ class TestCoveringNumbers:
     def test_epsilon_positive(self):
         with pytest.raises(ValueError):
             covering_number_greedy(np.zeros((2, 2)), 0.0)
+
+
+def brute_force_net_size(dm, eps):
+    """Smallest k such that some k rows have every row strictly within eps."""
+    m = dm.shape[0]
+    within = dm < eps
+    for k in range(1, m + 1):
+        for combo in itertools.combinations(range(m), k):
+            if within[list(combo)].any(axis=0).all():
+                return k
+
+
+@st.composite
+def net_instances(draw, m):
+    d = draw(st.integers(1, 3))
+    coarse = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    fine = st.floats(-2.0, 2.0, allow_nan=False)
+    entry = draw(st.sampled_from([coarse, fine]))  # coarse values tie distances
+    values = np.array(draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                                    min_size=m, max_size=m)))
+    for a, b in draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                        st.integers(0, m - 1)), max_size=3)):
+        values[a] = values[b]                           # duplicate rows
+    dm = pseudo_metric_matrix(values)
+    positive = sorted(set(dm[dm > 0].tolist()))
+    how = draw(st.sampled_from(["pairwise", "below", "above", "any"]))
+    if how == "pairwise" and positive:
+        eps = draw(st.sampled_from(positive))           # a distance exactly
+    elif how == "below":
+        eps = positive[0] / 2 if positive else 0.5
+    elif how == "above":
+        eps = float(dm.max()) + 1.0
+    else:
+        eps = draw(st.floats(1e-3, 5.0))
+    return values, dm, eps, how
+
+
+class TestExhaustiveNetSize:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 12).flatmap(net_instances))
+    def test_matches_brute_force(self, instance):
+        values, dm, eps, how = instance
+        size = _exhaustive_net_size(dm, eps)
+        assert size == brute_force_net_size(dm, eps)
+        if how == "below":
+            assert size == len(np.unique(values, axis=0))
+        if how == "above":
+            assert size == 1
+
+    @pytest.mark.parametrize("how", ["pairwise", "below", "above"])
+    def test_sixteen_functions(self, how):
+        rng = np.random.default_rng(16)
+        values = rng.normal(size=(16, 4)).round(1)
+        values[5], values[11] = values[0], values[3]
+        dm = pseudo_metric_matrix(values)
+        positive = np.sort(dm[dm > 0])
+        eps = {"pairwise": float(positive[positive.size // 2]),
+               "below": float(positive[0]) / 2,
+               "above": float(dm.max()) + 1.0}[how]
+        size = _exhaustive_net_size(dm, eps)
+        assert size == brute_force_net_size(dm, eps)
+        assert covering_number_exhaustive(values, eps) == size
+        if how == "below":
+            assert size == 14
 
 
 class TestDescriptors:

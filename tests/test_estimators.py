@@ -13,7 +13,7 @@ from seqbounds.estimators import (empirical_rademacher,
                                   verify_symmetrization, violation_rate)
 from seqbounds.losses import zero_one_loss
 from seqbounds.processes import (SequenceSample, ar1_process, iid_process,
-                                 sample_marginal, simulate_sequence)
+                                 sample_marginal, simulate_sequence, stream)
 from seqbounds.scenario import one_dim_threshold_program
 
 
@@ -133,6 +133,87 @@ class TestEmpiricalRademacher:
         from seqbounds.classes import codebook_class
         with pytest.raises(ValueError):
             empirical_rademacher(codebook_class(2, 1.0), np.zeros((3, 1)), 8, 1)
+
+
+def _sign_case(kind, n, seed):
+    """A class, its points and sup(sigma) for one sign vector, written
+    directly from the definition of each class's supremum."""
+    rng = np.random.default_rng(seed)
+    if kind == "finite":
+        values = rng.normal(size=(5, n))
+        pts = np.arange(n, dtype=float)
+        fns = [(lambda row: (lambda x: row[np.asarray(x, int)]))(values[j])
+               for j in range(5)]
+        return finite_class(fns), pts, lambda sg: max(values @ sg) / n
+    if kind == "threshold1d":
+        pts = rng.normal(size=n)
+        pts[n // 2] = pts[0]                    # duplicate points
+        pts[-1] = pts[1]
+        labels = [np.where(pts >= u, 1.0, -1.0) for u in np.unique(pts)]
+        labels.append(-np.ones(n))
+        return threshold_class(), pts, lambda sg: max(r @ sg for r in labels) / n
+    if kind in ("linear_ball", "linear_ball_offset"):
+        pts = rng.normal(size=(n, 2))
+        offset = kind == "linear_ball_offset"
+        x = np.hstack([pts, np.ones((n, 1))]) if offset else pts
+        cls = linear_ball_class(2, 1.7, with_offset=offset)
+        return cls, pts, lambda sg: 1.7 * np.sqrt(np.sum((sg @ x) ** 2)) / n
+    pts = rng.normal(size=(n, 2))
+    gram = np.array([[np.exp(-np.sum((a - b) ** 2) / (2 * 0.8 ** 2))
+                      for b in pts] for a in pts])
+    return (kernel_ball_class(1.3, bandwidth=0.8), pts,
+            lambda sg: 1.3 * np.sqrt(max(sg @ gram @ sg, 0.0)) / n)
+
+
+SIGN_KINDS = ("finite", "threshold1d", "linear_ball", "linear_ball_offset",
+              "kernel_ball")
+
+
+class TestSignScoring:
+    @pytest.mark.parametrize("kind", SIGN_KINDS)
+    def test_exact_matches_per_sign_loop(self, kind):
+        n = 9
+        cls, pts, sup = _sign_case(kind, n, 21)
+        total = 0.0
+        for signs in itertools.product((-1.0, 1.0), repeat=n):
+            total += sup(np.array(signs))
+        assert empirical_rademacher_exact(cls, pts) == pytest.approx(
+            total / 2 ** n, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", SIGN_KINDS)
+    @pytest.mark.parametrize("n", [7, 16])
+    def test_monte_carlo_matches_per_draw_loop(self, kind, n):
+        cls, pts, sup = _sign_case(kind, n, 22)
+        draws, seed = 40, 9
+        rng = stream(seed, 0, "signs")
+        vals = []
+        for _ in range(draws):
+            sg = rng.integers(0, 2, n) * 2.0 - 1.0
+            vals.append(0.5 * (sup(sg) + sup(-sg)))
+        est = empirical_rademacher(cls, pts, draws, seed)
+        assert est.value == pytest.approx(np.mean(vals), abs=1e-15)
+        assert est.std_error == pytest.approx(
+            np.std(vals, ddof=1) / np.sqrt(draws), abs=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 15, 16, 17, 33])
+    def test_sign_matrix_is_the_per_draw_stream(self, n):
+        for draws in (1, 2, 5, 300):
+            block, per_draw = stream(4, 0, "signs"), stream(4, 0, "signs")
+            rows = [per_draw.integers(0, 2, n) for _ in range(draws)]
+            assert np.array_equal(block.integers(0, 2, (draws, n)),
+                                  np.array(rows))
+
+    @pytest.mark.parametrize("points", [np.zeros((0, 2)), np.zeros(0),
+                                        np.array([[0.0, np.nan], [1.0, 2.0]]),
+                                        np.array([[np.inf, 0.0]])],
+                             ids=["empty", "empty-1d", "nan", "inf"])
+    @pytest.mark.parametrize("estimate", [
+        lambda cls, pts: empirical_rademacher(cls, pts, 8, 1),
+        lambda cls, pts: empirical_rademacher_exact(cls, pts),
+    ], ids=["monte-carlo", "exact"])
+    def test_points_rejected(self, estimate, points):
+        with pytest.raises(ValueError, match="^points"):
+            estimate(linear_ball_class(2, 1.0), points)
 
 
 class TestThresholdMachinery:
