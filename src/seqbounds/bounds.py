@@ -275,10 +275,13 @@ def class_rad_upper(family: str, n: int, *, m_clip: float = None,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    for name, v in (("sum_sq_norm", sum_sq_norm), ("sup_norm", sup_norm),
-                    ("sum_kernel_diag", sum_kernel_diag)):
-        if v is not None and v < 0:
-            raise ValueError(f"{name} must be >= 0")
+    for name, v in (("m_clip", m_clip), ("radius", radius),
+                    ("n_codepoints", n_codepoints), ("sum_sq_norm", sum_sq_norm),
+                    ("sup_norm", sup_norm), ("sum_kernel_diag", sum_kernel_diag)):
+        if v is not None and not v >= 0:
+            raise ValueError(f"{name} must be >= 0, got {v}")
+    if gamma is not None and not gamma > 0:
+        raise ValueError(f"gamma must be > 0, got {gamma}")
     if family == "linear":
         _need(m_clip=m_clip, radius=radius)
         if sum_sq_norm is not None:
@@ -355,8 +358,9 @@ def chaining_rad_upper_best(diameter: float, log_covering, n: int,
 def spectral_log_covering(coefficient: float, sum_sq_norm: float):
     """Log covering numbers of the spectrally-regularized network form
     A * sum ||x_i||^2 / eps^2, as a function of the scale."""
-    if coefficient < 0 or sum_sq_norm < 0:
-        raise ValueError("coefficient and sum_sq_norm must be >= 0")
+    for name, v in (("coefficient", coefficient), ("sum_sq_norm", sum_sq_norm)):
+        if not v >= 0:
+            raise ValueError(f"{name} must be >= 0, got {v}")
 
     def log_cov(eps):
         return coefficient * sum_sq_norm / eps ** 2

@@ -38,6 +38,29 @@ COMMANDS = ("bound", "plan", "simulate", "rad", "validate", "scenario")
 
 _COMMON_KEYS = {"command", "seed", "threads"}
 
+# validate experiment -> (function name in ``experiments``, whether it takes
+# ``threads``, config keys passed positionally); the function is looked up at
+# call time, so a patched ``experiments`` attribute is the one that runs
+_EXPERIMENTS = {
+    "vc_coverage": ("vc_coverage", True,
+                    "process n replications delta seed relative"),
+    "relative_coverage": ("vc_coverage", True,
+                          "process n replications delta seed relative"),
+    "margin_rad_coverage": ("margin_rad_coverage", True,
+                            "process gamma radius n replications delta seed"),
+    "regression_coverage": ("regression_coverage", True,
+                            "process m_clip radius n replications delta seed"),
+    "symmetrization": ("symmetrization", True,
+                       "process n epsilon replications seed"),
+    "scenario_coverage": ("scenario_pac_coverage", True,
+                          "program process epsilon delta replications seed"),
+    "kernel_rad_bound": ("kernel_rad_bound", True,
+                         "instances n radius m_clip seed"),
+    "chaining_dominance": ("chaining_dominance", True, "instances seed"),
+    "concentration_exactness": ("concentration_exactness", False, ""),
+    "quarter_lemma": ("quarter_lemma_grid", False, ""),
+}
+
 _ALLOWED = {
     "bound": _COMMON_KEYS | {"bound", "emp_risk", "n", "delta", "d_vc",
                              "growth_2n", "b", "variant", "rad_terms",
@@ -46,9 +69,8 @@ _ALLOWED = {
                             "tau_lambda_sum"},
     "simulate": _COMMON_KEYS | {"process", "n"},
     "rad": _COMMON_KEYS | {"class", "points", "process", "n", "sign_draws"},
-    "validate": _COMMON_KEYS | {"experiment", "process", "n", "replications",
-                                "delta", "epsilon", "program", "instances",
-                                "gamma", "radius", "m_clip", "relative"},
+    "validate": _COMMON_KEYS | {"experiment"} | {
+        key for _, _, keys in _EXPERIMENTS.values() for key in keys.split()},
     "scenario": _COMMON_KEYS | {"program", "process", "epsilon", "delta",
                                 "method"},
 }
@@ -173,51 +195,19 @@ def _run_rad(config):
 
 def _run_validate(config, threads):
     name = config["experiment"]
-    seed = config["seed"]
-    if name in ("vc_coverage", "relative_coverage"):
-        spec = process_from_dict(config["process"])
-        result = xp.vc_coverage(spec, config["n"], config["replications"],
-                                config["delta"], seed,
-                                relative=(name == "relative_coverage"
-                                          or config.get("relative", False)),
-                                threads=threads)
-    elif name == "margin_rad_coverage":
-        spec = process_from_dict(config["process"])
-        result = xp.margin_rad_coverage(spec, config["gamma"],
-                                        config["radius"], config["n"],
-                                        config["replications"],
-                                        config["delta"], seed, threads=threads)
-    elif name == "regression_coverage":
-        spec = process_from_dict(config["process"])
-        result = xp.regression_coverage(spec, config["m_clip"],
-                                        config["radius"], config["n"],
-                                        config["replications"],
-                                        config["delta"], seed, threads=threads)
-    elif name == "symmetrization":
-        spec = process_from_dict(config["process"])
-        result = xp.symmetrization(spec, config["n"], config["epsilon"],
-                                   config["replications"], seed,
-                                   threads=threads)
-    elif name == "scenario_coverage":
-        program = scn.ScenarioProgramSpec.from_dict(config["program"])
-        spec = process_from_dict(config["process"])
-        result = xp.scenario_pac_coverage(program, spec, config["epsilon"],
-                                          config["delta"],
-                                          config["replications"], seed,
-                                          threads=threads)
-    elif name == "kernel_rad_bound":
-        result = xp.kernel_rad_bound(config["instances"], config["n"],
-                                     config["radius"], config["m_clip"],
-                                     seed, threads=threads)
-    elif name == "chaining_dominance":
-        result = xp.chaining_dominance(config["instances"], seed,
-                                       threads=threads)
-    elif name == "concentration_exactness":
-        result = xp.concentration_exactness()
-    elif name == "quarter_lemma":
-        result = xp.quarter_lemma_grid()
-    else:
+    if name not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}")
+    attr, threaded, keys = _EXPERIMENTS[name]
+    parse = {
+        "process": lambda: process_from_dict(config["process"]),
+        "program": lambda: scn.ScenarioProgramSpec.from_dict(config["program"]),
+        "relative": lambda: (name == "relative_coverage"
+                             or config.get("relative", False)),
+    }
+    args = [parse[key]() if key in parse else config[key]
+            for key in keys.split()]
+    kwargs = {"threads": threads} if threaded else {}
+    result = getattr(xp, attr)(*args, **kwargs)
     summary = {"experiment": result.name, "holds": result.holds,
                **result.summary}
     return summary, result.records, result.holds

@@ -4,6 +4,7 @@ empirical check of the ghost-sample symmetrization inequality."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -166,6 +167,16 @@ class SupDeviation(NamedTuple):
     value: float
 
 
+def _threshold_errors(xs, ys):
+    """Sorted points and the zero-one error counts of sign(x - b) when the
+    first k sorted points fall below b, for k = 0..n (whole numbers, exact
+    as floats)."""
+    order = np.argsort(xs, kind="stable")
+    errors0 = float(np.sum(ys == -1.0))
+    steps = np.where(ys[order] == 1.0, 1.0, -1.0)
+    return xs[order], np.concatenate(([errors0], errors0 + np.cumsum(steps)))
+
+
 def threshold_empirical_risks(xs, ys):
     """Zero-one empirical risk of sign(x - b) at the n+1 canonical dichotomies.
 
@@ -173,12 +184,8 @@ def threshold_empirical_risks(xs, ys):
     represented by -inf and +inf (predict all +1 / all -1).
     """
     xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    order = np.argsort(xs, kind="stable")
-    xs_sorted = xs[order]
-    errors0 = float(np.sum(ys == -1.0))
-    deltas = np.where(ys[order] == 1.0, 1.0, -1.0)
-    errors = np.concatenate(([errors0], errors0 + np.cumsum(deltas))) / xs.size
+    xs_sorted, errors = _threshold_errors(xs, np.asarray(ys, dtype=float))
+    errors = errors / xs.size
     mids = (xs_sorted[:-1] + xs_sorted[1:]) / 2.0
     thresholds = np.concatenate(([-np.inf], mids, [np.inf]))
     # duplicate points make some interior dichotomies unrealizable; mask them
@@ -264,19 +271,6 @@ class SymmetrizationResult:
     replications: int
 
 
-def _threshold_risk_curve(xs, ys, eval_points):
-    """Empirical zero-one risk of sign(x - b) evaluated at given thresholds."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    order = np.argsort(xs, kind="stable")
-    xs_sorted, ys_sorted = xs[order], ys[order]
-    pos_prefix = np.concatenate(([0.0], np.cumsum(ys_sorted == 1.0)))
-    neg_total = float(np.sum(ys == -1.0))
-    k = np.searchsorted(xs_sorted, eval_points, side="left")
-    # errors(b) = #{x >= b, y=-1} + #{x < b, y=+1}
-    return (neg_total - (k - pos_prefix[k]) + pos_prefix[k]) / xs.size
-
-
 def threshold_ghost_gap(train: SequenceSample, ghost: SequenceSample) -> float:
     """sup over all thresholds of Lhat_ghost(b) - Lhat_train(b).
 
@@ -287,9 +281,65 @@ def threshold_ghost_gap(train: SequenceSample, ghost: SequenceSample) -> float:
     pooled = np.unique(pooled)
     mids = (pooled[:-1] + pooled[1:]) / 2.0
     cand = np.concatenate(([-np.inf], mids, [np.inf]))
-    gap = (_threshold_risk_curve(ghost.x, ghost.y, cand)
-           - _threshold_risk_curve(train.x, train.y, cand))
-    return float(np.max(gap))
+
+    def risks(sample):     # errors(b) = #{x >= b, y=-1} + #{x < b, y=+1}
+        xs = np.asarray(sample.x, dtype=float)
+        xs_sorted, errors = _threshold_errors(xs, np.asarray(sample.y, float))
+        return errors[np.searchsorted(xs_sorted, cand, side="left")] / xs.size
+
+    return float(np.max(risks(ghost) - risks(train)))
+
+
+def _symmetrization(cls: FunctionClassDescriptor, loss: LossSpec,
+                    spec: ProcessSpec, n: int, epsilon: float,
+                    replications: int, seed: int, risk_oracle: Callable = None,
+                    pmap=map):
+    """The symmetrization check: the per-replication pairs (sup L - Lhat,
+    sup Lhat_ghost - Lhat), computed with ``pmap(fn, replications)``, and
+    the SymmetrizationResult of their event frequencies."""
+    if loss.kind != "zero_one":
+        raise ValueError("symmetrization check uses the zero-one loss")
+    if cls.kind not in ("threshold1d", "finite"):
+        raise UnsupportedClassError("symmetrization check needs an enumerable class")
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
+    b = loss.range_b
+    if n * epsilon ** 2 < 2.0 * b ** 2:
+        raise ValueError(
+            f"symmetrization requires n*eps^2 >= 2*B^2 "
+            f"(got n*eps^2 = {n * epsilon ** 2:g} < {2 * b ** 2:g})"
+        )
+    if cls.kind == "threshold1d":
+        oracle = threshold_risk_oracle(spec)
+    elif risk_oracle is None:
+        raise ValueError("finite classes need an explicit risk_oracle")
+    else:
+        oracle = risk_oracle
+
+    def one(r):
+        train = simulate_sequence(spec, n, seed, replication=r)
+        ghost = sample_marginal(spec, n, seed, replication=r)
+        if cls.kind == "threshold1d":
+            return (sup_deviation(cls, loss, train, oracle).value,
+                    threshold_ghost_gap(train, ghost))
+        emp = np.array([empirical_risk(f, loss, train) for f in cls.functions])
+        emp_ghost = np.array([empirical_risk(f, loss, ghost)
+                              for f in cls.functions])
+        risks = np.array([float(oracle(f)) for f in cls.functions])
+        return float(np.max(risks - emp)), float(np.max(emp_ghost - emp))
+
+    sups = list(pmap(one, range(replications)))
+    lhs = sum(d >= epsilon for d, _ in sups) / replications
+    rhs = sum(g >= epsilon / 2.0 for _, g in sups) / replications
+    lhs_se = math.sqrt(lhs * (1 - lhs) / replications)
+    rhs_se = math.sqrt(rhs * (1 - rhs) / replications)
+    combined = math.sqrt(lhs_se ** 2 + 4.0 * rhs_se ** 2)
+    return sups, SymmetrizationResult(
+        lhs_freq=lhs, rhs_freq=rhs,
+        holds=lhs <= 2.0 * rhs + 3.0 * combined,
+        lhs_se=lhs_se, rhs_se=rhs_se, combined_se=combined,
+        replications=replications,
+    )
 
 
 def verify_symmetrization(cls: FunctionClassDescriptor, loss: LossSpec,
@@ -304,48 +354,5 @@ def verify_symmetrization(cls: FunctionClassDescriptor, loss: LossSpec,
     marginal.  The check passes when lhs <= 2*rhs + 3 combined standard
     errors.
     """
-    if loss.kind != "zero_one":
-        raise ValueError("symmetrization check uses the zero-one loss")
-    if cls.kind not in ("threshold1d", "finite"):
-        raise UnsupportedClassError("symmetrization check needs an enumerable class")
-    b = loss.range_b
-    if n * epsilon ** 2 < 2.0 * b ** 2:
-        raise ValueError(
-            f"symmetrization requires n*eps^2 >= 2*B^2 "
-            f"(got n*eps^2 = {n * epsilon ** 2:g} < {2 * b ** 2:g})"
-        )
-    if cls.kind == "threshold1d":
-        oracle = threshold_risk_oracle(spec)
-    elif risk_oracle is None:
-        raise ValueError("finite classes need an explicit risk_oracle")
-    else:
-        oracle = risk_oracle
-    lhs_hits = 0
-    rhs_hits = 0
-    for r in range(replications):
-        train = simulate_sequence(spec, n, seed, replication=r)
-        ghost = sample_marginal(spec, n, seed, replication=r)
-        if cls.kind == "threshold1d":
-            sup_dev = sup_deviation(cls, loss, train, oracle).value
-            sup_gap = threshold_ghost_gap(train, ghost)
-        else:
-            emp = np.array([empirical_risk(f, loss, train)
-                            for f in cls.functions])
-            emp_ghost = np.array([empirical_risk(f, loss, ghost)
-                                  for f in cls.functions])
-            risks = np.array([float(oracle(f)) for f in cls.functions])
-            sup_dev = float(np.max(risks - emp))
-            sup_gap = float(np.max(emp_ghost - emp))
-        lhs_hits += sup_dev >= epsilon
-        rhs_hits += sup_gap >= epsilon / 2.0
-    lhs = lhs_hits / replications
-    rhs = rhs_hits / replications
-    lhs_se = float(np.sqrt(lhs * (1 - lhs) / replications))
-    rhs_se = float(np.sqrt(rhs * (1 - rhs) / replications))
-    combined = float(np.sqrt(lhs_se ** 2 + 4.0 * rhs_se ** 2))
-    return SymmetrizationResult(
-        lhs_freq=lhs, rhs_freq=rhs,
-        holds=bool(lhs <= 2.0 * rhs + 3.0 * combined),
-        lhs_se=lhs_se, rhs_se=rhs_se, combined_se=combined,
-        replications=replications,
-    )
+    return _symmetrization(cls, loss, spec, n, epsilon, replications, seed,
+                           risk_oracle)[1]

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import stats
@@ -15,9 +16,9 @@ from . import scenario as scn
 from .classes import (covering_number_exhaustive, finite_class,
                       kernel_ball_class, pseudo_metric_matrix,
                       threshold_class)
-from .estimators import (empirical_rademacher, sup_deviation,
-                         threshold_empirical_risks, threshold_ghost_gap,
-                         threshold_risk_oracle, violation_rate)
+from .estimators import (_symmetrization, empirical_rademacher,
+                         threshold_empirical_risks, threshold_risk_oracle,
+                         violation_rate)
 from .losses import zero_one_loss
 from .processes import (ProcessSpec, ar1_process, sample_marginal,
                         simulate_sequence, stationary_params, stream)
@@ -38,6 +39,19 @@ def _pmap(fn, items, threads=1):
         return list(pool.map(fn, items))
 
 
+def _replicate(one, count, seed, threads, what="replications"):
+    """Run ``one(r) -> (statistic, bound)`` for r < count into records that
+    hold when statistic <= bound; returns (records, holds fraction)."""
+    if count < 1:
+        raise ValueError(f"{what} must be >= 1, got {count}")
+    records = [
+        {"replication": r, "seed": seed, "statistic": s, "bound": b,
+         "holds": s <= b}
+        for r, (s, b) in enumerate(_pmap(one, range(count), threads))
+    ]
+    return records, float(np.mean([rec["holds"] for rec in records]))
+
+
 # ---------------------------------------------------------------------------
 # VC coverage on the threshold class
 
@@ -48,11 +62,11 @@ def vc_coverage(spec: ProcessSpec, n: int, replications: int, delta: float,
     stays below its fast-rate term."""
     oracle = threshold_risk_oracle(spec)
     if relative:
-        c = (math.log(2.0 * math.e * n) + math.log(4.0 / delta)) / n
-        slack = 4.0 * c
+        slack = bnd.vc_relative_bound(0.0, n, delta, d_vc=1,
+                                      stationary=True).bound_value
+        c = slack / 4.0     # the bound at zero empirical risk is 4c
     else:
-        report = bnd.vc_bound(0.0, n, delta, d_vc=1)
-        slack = report.bound_value
+        slack = bnd.vc_bound(0.0, n, delta, d_vc=1).bound_value
 
     def one(r):
         path = simulate_sequence(spec, n, seed, replication=r)
@@ -62,15 +76,9 @@ def vc_coverage(spec: ProcessSpec, n: int, replications: int, delta: float,
             stat = float(np.max(risks - emps - 2.0 * np.sqrt(emps * c)))
         else:
             stat = float(np.max(risks - emps))
-        return stat
+        return stat, slack
 
-    stats_ = _pmap(one, range(replications), threads)
-    records = [
-        {"replication": r, "seed": seed, "statistic": s, "bound": slack,
-         "holds": s <= slack}
-        for r, s in enumerate(stats_)
-    ]
-    frac = float(np.mean([rec["holds"] for rec in records]))
+    records, frac = _replicate(one, replications, seed, threads)
     name = "relative_coverage" if relative else "vc_coverage"
     return ExperimentResult(
         name=name, records=records,
@@ -83,7 +91,8 @@ def vc_coverage(spec: ProcessSpec, n: int, replications: int, delta: float,
 def relative_rate_scaling(ns, delta: float, tolerance: float = 0.2) -> ExperimentResult:
     """Zero-error fast-rate bound follows the log(n)/n law across sample
     sizes: pairwise bound ratios within ``tolerance`` of the law ratios."""
-    slack = {n: 4.0 * (math.log(2.0 * math.e * n) + math.log(4.0 / delta)) / n
+    slack = {n: bnd.vc_relative_bound(0.0, n, delta, d_vc=1,
+                                      stationary=True).bound_value
              for n in ns}
     law = {n: math.log(n) / n for n in ns}
     records = []
@@ -172,15 +181,9 @@ def margin_rad_coverage(spec: ProcessSpec, gamma: float, radius: float,
     def one(r):
         path = simulate_sequence(spec, n, seed, replication=r)
         emp = _margin_empirical_risks(path.y * path.x, grid, gamma)
-        return float(np.max(risks - emp))
+        return float(np.max(risks - emp)), slack
 
-    stats_ = _pmap(one, range(replications), threads)
-    records = [
-        {"replication": r, "seed": seed, "statistic": s, "bound": slack,
-         "holds": s <= slack}
-        for r, s in enumerate(stats_)
-    ]
-    frac = float(np.mean([rec["holds"] for rec in records]))
+    records, frac = _replicate(one, replications, seed, threads)
     return ExperimentResult(
         name="margin_rad_coverage", records=records,
         summary={"holds_fraction": frac, "target": 1.0 - delta,
@@ -293,15 +296,9 @@ def regression_coverage(spec: ProcessSpec, m_clip: float, radius: float,
         path = simulate_sequence(spec, n, seed, replication=r)
         emp = _clipped_ray_risks(path.x, path.y, directions, radii, m_clip)
         return max(float(risk_origin - np.mean(path.y ** 2)),
-                   float(np.max(risks - emp)))
+                   float(np.max(risks - emp))), slack
 
-    stats_ = _pmap(one, range(replications), threads)
-    records = [
-        {"replication": r, "seed": seed, "statistic": s, "bound": slack,
-         "holds": s <= slack}
-        for r, s in enumerate(stats_)
-    ]
-    frac = float(np.mean([rec["holds"] for rec in records]))
+    records, frac = _replicate(one, replications, seed, threads)
     return ExperimentResult(
         name="regression_coverage", records=records,
         summary={"holds_fraction": frac, "target": 1.0 - delta,
@@ -317,26 +314,9 @@ def symmetrization(spec: ProcessSpec, n: int, epsilon: float,
                    replications: int, seed: int, threads: int = 1) -> ExperimentResult:
     """Empirical check of the ghost-sample symmetrization inequality for
     the threshold class, with per-replication supremum records."""
-    cls = threshold_class()
-    loss = zero_one_loss()
-    if n * epsilon ** 2 < 2.0 * loss.range_b ** 2:
-        raise ValueError("symmetrization requires n*eps^2 >= 2*B^2")
-    oracle = threshold_risk_oracle(spec)
-
-    def one(r):
-        train = simulate_sequence(spec, n, seed, replication=r)
-        ghost = sample_marginal(spec, n, seed, replication=r)
-        dev = sup_deviation(cls, loss, train, oracle).value
-        gap = threshold_ghost_gap(train, ghost)
-        return dev, gap
-
-    sups = _pmap(one, range(replications), threads)
-    lhs = float(np.mean([d >= epsilon for d, _ in sups]))
-    rhs = float(np.mean([g >= epsilon / 2.0 for _, g in sups]))
-    lhs_se = math.sqrt(lhs * (1 - lhs) / replications)
-    rhs_se = math.sqrt(rhs * (1 - rhs) / replications)
-    combined = math.sqrt(lhs_se ** 2 + 4.0 * rhs_se ** 2)
-    holds = lhs <= 2.0 * rhs + 3.0 * combined
+    sups, verdict = _symmetrization(threshold_class(), zero_one_loss(), spec,
+                                    n, epsilon, replications, seed,
+                                    pmap=partial(_pmap, threads=threads))
     records = [
         # a replication only counts against the inequality when the training
         # deviation event fires without the ghost-gap event
@@ -346,9 +326,10 @@ def symmetrization(spec: ProcessSpec, n: int, epsilon: float,
     ]
     return ExperimentResult(
         name="symmetrization", records=records,
-        summary={"lhs_freq": lhs, "rhs_freq": rhs, "combined_se": combined,
-                 "epsilon": epsilon, "n": n},
-        holds=bool(holds),
+        summary={"lhs_freq": verdict.lhs_freq, "rhs_freq": verdict.rhs_freq,
+                 "combined_se": verdict.combined_se, "epsilon": epsilon,
+                 "n": n},
+        holds=verdict.holds,
     )
 
 
@@ -362,6 +343,8 @@ def scenario_pac_coverage(program: scn.ScenarioProgramSpec, spec: ProcessSpec,
     """Frequency of replications whose certified solution violates a fresh
     marginal draw with probability above epsilon; should not exceed delta
     (plus Monte-Carlo slack)."""
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
 
     def one(r):
         cert = scn.certify(program, spec, epsilon, delta, "margin", seed,
@@ -372,21 +355,13 @@ def scenario_pac_coverage(program: scn.ScenarioProgramSpec, spec: ProcessSpec,
         return violation_rate(np.asarray(cert.theta_hat), program, ghost)
 
     rates = _pmap(one, range(replications), threads)
-    records = []
-    exceed = 0
-    infeasible = 0
-    for r, vr in enumerate(rates):
-        if vr is None:
-            infeasible += 1
-            records.append({"replication": r, "seed": seed, "statistic": -1.0,
-                            "bound": epsilon, "holds": False})
-            exceed += 1  # an infeasible replication carries no guarantee
-            continue
-        hit = vr > epsilon
-        exceed += hit
-        records.append({"replication": r, "seed": seed, "statistic": vr,
-                        "bound": epsilon, "holds": not hit})
-    freq = exceed / replications
+    # an infeasible replication (rate None) carries no guarantee
+    records = [{"replication": r, "seed": seed,
+                "statistic": -1.0 if vr is None else vr, "bound": epsilon,
+                "holds": vr is not None and not vr > epsilon}
+               for r, vr in enumerate(rates)]
+    infeasible = rates.count(None)
+    freq = sum(not rec["holds"] for rec in records) / replications
     threshold = delta + 3.0 * math.sqrt(delta * (1 - delta) / replications)
     return ExperimentResult(
         name="scenario_coverage", records=records,
@@ -411,16 +386,14 @@ def kernel_rad_bound(instances: int, n: int, radius: float, m_clip: float,
         rng = stream(seed, i, "points")
         pts = rng.standard_normal((n, dim))
         est = empirical_rademacher(cls, pts, sign_draws, seed + i)
-        return est.value
+        return est.value, cap
 
-    vals = _pmap(one, range(instances), threads)
-    records = [{"replication": i, "seed": seed, "statistic": v, "bound": cap,
-                "holds": v <= cap} for i, v in enumerate(vals)]
-    ok = all(rec["holds"] for rec in records)
+    records, frac = _replicate(one, instances, seed, threads, "instances")
+    top = max(rec["statistic"] for rec in records)
     return ExperimentResult(
         name="kernel_rad_bound", records=records,
-        summary={"bound": cap, "max_estimate": float(np.max(vals)), "n": n},
-        holds=ok,
+        summary={"bound": cap, "max_estimate": top, "n": n},
+        holds=frac == 1.0,
     )
 
 
@@ -454,13 +427,11 @@ def chaining_dominance(instances: int, seed: int, n_points: int = 16,
         est = empirical_rademacher(finite_class(fns), pts, sign_draws, seed + i)
         return est.value - 3.0 * est.std_error, chain
 
-    pairs = _pmap(one, range(instances), threads)
-    records = [{"replication": i, "seed": seed, "statistic": lo, "bound": ch,
-                "holds": ch >= lo} for i, (lo, ch) in enumerate(pairs)]
-    ok = all(rec["holds"] for rec in records)
+    records, frac = _replicate(one, instances, seed, threads, "instances")
     return ExperimentResult(
         name="chaining_dominance", records=records,
-        summary={"instances": instances, "n_points": n_points}, holds=ok,
+        summary={"instances": instances, "n_points": n_points},
+        holds=frac == 1.0,
     )
 
 

@@ -1,5 +1,6 @@
 """Print the SHA-256 of every output file of the CLI ``validate`` runs at the
-acceptance configs of ``tests/test_acceptance.py``.
+acceptance configs of ``tests/test_acceptance.py``, plus ``regression_coverage``
+on an AR(2) system.
 
 Two trees give the same outputs when this prints the same lines for both:
 
@@ -21,6 +22,8 @@ from seqbounds.experiments import default_scenario_program
 AR1 = {"kind": "ar1_threshold_labels", "a": 0.8, "sigma": 0.6,
        "b_star": 0.0, "flip_p": 0.1}
 AR1_NOISELESS = dict(AR1, flip_p=0.0)
+AR2_SYSTEM = {"kind": "ar_d_linear_system", "coefficients": [0.5, 0.2],
+              "sigma": 1.0}
 
 CONFIGS = {
     "vc_coverage": {"process": AR1, "n": 2000, "replications": 200,
@@ -40,6 +43,9 @@ CONFIGS = {
                           "process": AR1, "epsilon": 0.15, "delta": 0.1,
                           "replications": 200, "seed": 888},
     "chaining_dominance": {"instances": 50, "seed": 17},
+    "regression_coverage": {"process": AR2_SYSTEM, "m_clip": 4.0,
+                            "radius": 2.0, "n": 2000, "replications": 200,
+                            "delta": 0.05, "seed": 909},
 }
 
 

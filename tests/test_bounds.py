@@ -337,6 +337,40 @@ _LOG2 = lambda e: math.log(2.0)
                  id="greedy-epsilon-nan"),
     pytest.param("epsilon", lambda: covering_number_exhaustive(
         _VALUES, math.nan), id="exhaustive-epsilon-nan"),
+    pytest.param("m_clip", lambda: class_rad_upper(
+        "linear", 100, m_clip=math.nan, radius=1.0, sup_norm=1.0),
+        id="rad-upper-m-clip-nan"),
+    pytest.param("m_clip", lambda: class_rad_upper(
+        "linear", 100, m_clip=-1.0, radius=1.0, sup_norm=1.0),
+        id="rad-upper-m-clip-negative"),
+    pytest.param("radius", lambda: class_rad_upper(
+        "kernel_gaussian", 100, m_clip=1.0, radius=math.nan),
+        id="rad-upper-radius-nan"),
+    pytest.param("radius", lambda: class_rad_upper(
+        "margin_linear", 100, radius=-1.0, gamma=0.5, sup_norm=1.0),
+        id="rad-upper-radius-negative"),
+    pytest.param("gamma", lambda: class_rad_upper(
+        "margin_linear", 100, radius=1.0, gamma=math.nan, sup_norm=1.0),
+        id="rad-upper-gamma-nan"),
+    pytest.param("gamma", lambda: class_rad_upper(
+        "margin_linear", 100, radius=1.0, gamma=-0.5, sup_norm=1.0),
+        id="rad-upper-gamma-negative"),
+    pytest.param("n_codepoints", lambda: class_rad_upper(
+        "vq", 100, n_codepoints=-2, radius=1.0, sum_sq_norm=10.0),
+        id="rad-upper-codepoints-negative"),
+    pytest.param("sum_sq_norm", lambda: class_rad_upper(
+        "linear", 100, m_clip=1.0, radius=1.0, sum_sq_norm=math.nan),
+        id="rad-upper-sum-sq-norm-nan"),
+    pytest.param("sup_norm", lambda: class_rad_upper(
+        "linear", 100, m_clip=1.0, radius=1.0, sup_norm=math.nan),
+        id="rad-upper-sup-norm-nan"),
+    pytest.param("sum_kernel_diag", lambda: class_rad_upper(
+        "kernel_gaussian", 100, m_clip=1.0, radius=1.0,
+        sum_kernel_diag=math.nan), id="rad-upper-kernel-diag-nan"),
+    pytest.param("coefficient", lambda: spectral_log_covering(math.nan, 1.0),
+                 id="spectral-coefficient-nan"),
+    pytest.param("sum_sq_norm", lambda: spectral_log_covering(1.0, math.nan),
+                 id="spectral-sum-sq-norm-nan"),
 ])
 def test_numeric_arguments_rejected_by_name(name, call):
     with pytest.raises(ValueError, match=rf"^{name}\b"):

@@ -159,6 +159,82 @@ class TestRun:
             (tmp_path / "b" / "records.csv").read_bytes()
 
 
+AR1 = {"kind": "ar1_threshold_labels", "a": 0.8, "sigma": 0.6, "flip_p": 0.1}
+
+
+class TestValidateRegistry:
+    def test_accepted_keys(self):
+        assert cli._ALLOWED["validate"] == {
+            "command", "seed", "threads", "experiment", "process", "n",
+            "replications", "delta", "epsilon", "program", "instances",
+            "gamma", "radius", "m_clip", "relative"}
+
+    def test_unknown_experiment_exit_2(self, tmp_path, capsys):
+        config = {"command": "validate", "experiment": "vc_coverag",
+                  "seed": 1}
+        assert run(config, tmp_path / "out") == cli.EXIT_CONFIG
+        assert "'vc_coverag'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, relative", [
+        ("vc_coverage", False), ("relative_coverage", True)])
+    def test_calls_patched_experiment(self, tmp_path, monkeypatch,
+                                      experiment, relative):
+        # the tracer of perfbench patches module attributes, so the CLI must
+        # look the function up in ``experiments`` at call time
+        from seqbounds import experiments
+        calls = []
+
+        def patched(spec, n, replications, delta, seed, relative, threads):
+            calls.append((spec.kind, n, replications, delta, seed, relative,
+                          threads))
+            return experiments.ExperimentResult(name=experiment)
+
+        monkeypatch.setattr(experiments, "vc_coverage", patched)
+        config = {"command": "validate", "experiment": experiment,
+                  "process": AR1, "n": 100, "replications": 5, "delta": 0.05,
+                  "seed": 4}
+        assert run(config, tmp_path / "out", threads=2) == 0
+        assert calls == [("ar1_threshold_labels", 100, 5, 0.05, 4, relative,
+                          2)]
+
+
+_EMPTY_RUNS = [
+    ("vc_coverage", "replications", 0,
+     {"process": AR1, "n": 200, "delta": 0.05}),
+    ("vc_coverage", "replications", -3,
+     {"process": AR1, "n": 200, "delta": 0.05}),
+    ("relative_coverage", "replications", 0,
+     {"process": dict(AR1, flip_p=0.0), "n": 200, "delta": 0.05}),
+    ("margin_rad_coverage", "replications", 0,
+     {"process": AR1, "gamma": 0.5, "radius": 1.0, "n": 200, "delta": 0.05}),
+    ("margin_rad_coverage", "replications", -3,
+     {"process": AR1, "gamma": 0.5, "radius": 1.0, "n": 200, "delta": 0.05}),
+    ("regression_coverage", "replications", 0,
+     {"process": {"kind": "ar_d_linear_system", "coefficients": [0.5],
+                  "sigma": 1.0}, "m_clip": 2.0, "radius": 1.0, "n": 200,
+      "delta": 0.05}),
+    ("symmetrization", "replications", 0,
+     {"process": AR1, "n": 200, "epsilon": 0.2}),
+    ("scenario_coverage", "replications", 0,
+     {"program": default_scenario_program().to_dict(), "process": AR1,
+      "epsilon": 0.15, "delta": 0.1}),
+    ("kernel_rad_bound", "instances", 0,
+     {"n": 16, "radius": 2.0, "m_clip": 1.0}),
+    ("chaining_dominance", "instances", 0, {}),
+]
+
+
+@pytest.mark.parametrize("experiment, argument, count, config", _EMPTY_RUNS,
+                         ids=[f"{e}-{c}" for e, _, c, _ in _EMPTY_RUNS])
+def test_empty_run_rejected(tmp_path, capsys, experiment, argument, count,
+                            config):
+    config = {"command": "validate", "experiment": experiment, "seed": 1,
+              argument: count, **config}
+    assert run(config, tmp_path / "out") == cli.EXIT_CONFIG
+    assert argument in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 class TestScenarioAcceptanceConfig:
     """At the acceptance config the 1-D program's optimum is max x + margin
     (plus the solver's 1e-9 tightening) on every path."""
