@@ -11,10 +11,37 @@ and the complexity term is the capacity increment on top of it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+
+# Largest accepted scale (noise level, radius, clip level): products of four
+# scales, summed over any path numpy can hold, stay finite in double precision.
+_SCALE_MAX = 1e50
+
+
+def _check(name, value, lo=-math.inf, hi=math.inf, *, lo_open=False,
+           hi_open=False, integer=False):
+    """Raise a ValueError that starts with ``name`` unless lo <= value <= hi,
+    strictly at an open end.  NaN lies in no interval, so an open infinite
+    end rejects that infinity and NaN alike; ``None`` is reported as
+    missing.  ``integer`` also requires an int or a numpy integer, so that
+    no float (1e308, say) ever sizes an array."""
+    if value is None:
+        raise ValueError(f"{name} is missing")
+    try:
+        if integer:
+            operator.index(value)
+        if ((lo < value) if lo_open else (lo <= value)) and \
+                ((value < hi) if hi_open else (value <= hi)):
+            return
+    except TypeError:
+        pass
+    interval = f"{'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
+    kind = "an integer " if integer else ""
+    raise ValueError(f"{name} must be {kind}in {interval}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -30,8 +57,9 @@ class RiskBoundReport:
     def __post_init__(self):
         terms = (self.empirical_risk_term, self.complexity_term,
                  self.concentration_term)
-        if any(t < 0 for t in terms):
-            raise ValueError("bound terms must be nonnegative")
+        for name, t in zip(("empirical_risk_term", "complexity_term",
+                            "concentration_term"), terms):
+            _check(name, t, 0, hi_open=True)
         if abs(self.bound_value - sum(terms)) > 1e-9 * max(1.0, self.bound_value):
             raise ValueError("bound value must equal the sum of its terms")
 
@@ -68,11 +96,9 @@ def concentration_tail(kind: str, c_or_ranges, epsilon: float, n: int = None) ->
 
     A scalar ``c_or_ranges`` is replicated n times.
     """
-    if not epsilon >= 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    _check("epsilon", epsilon, 0)
     if np.isscalar(c_or_ranges):
-        if n is None or n < 1:
-            raise ValueError(f"n must be >= 1 for scalar ranges, got {n}")
+        _check("n", n, 1, integer=True)
         cs = np.full(int(n), float(c_or_ranges))
     else:
         cs = np.asarray(c_or_ranges, dtype=float)
@@ -97,12 +123,9 @@ def exact_binomial_mean_tail(n: int, p: float, epsilon: float,
     Once C(n, k) no longer converts to float (n above about 1,030), each
     term is formed in log space instead.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if not math.isfinite(epsilon):
-        raise ValueError(f"epsilon must be finite, got {epsilon}")
+    _check("n", n, 1, integer=True)
+    _check("p", p, 0, 1)
+    _check("epsilon", epsilon, lo_open=True, hi_open=True)
     cut = n * (p + epsilon)
     r = round(cut)
     if abs(cut - r) < 1e-9:
@@ -125,10 +148,8 @@ def exact_binomial_mean_tail(n: int, p: float, epsilon: float,
 
 def binomial_quarter_lemma_holds(m: int, p: float) -> bool:
     """Exact check that P(X >= E X) > 1/4 for X ~ Bin(m, p) with p > 1/m."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not (0 < p <= 1):
-        raise ValueError("p must lie in (0, 1]")
+    _check("m", m, 1, integer=True)
+    _check("p", p, 0, 1, lo_open=True)
     if p <= 1.0 / m:
         raise ValueError(f"hypothesis violated: need p > 1/m = {1.0 / m:g}")
     tail = exact_binomial_mean_tail(m, p, 0.0, strict=False)
@@ -142,25 +163,12 @@ def _log_capacity(n, d_vc=None, growth_2n=None):
     if (d_vc is None) == (growth_2n is None):
         raise ValueError("give exactly one of d_vc or growth_2n")
     if growth_2n is not None:
-        if growth_2n < 1:
-            raise ValueError("growth value must be >= 1")
+        _check("n", n, 1, integer=True)
+        _check("growth_2n", growth_2n, 1, hi_open=True)
         return math.log(growth_2n)
-    if d_vc < 1:
-        raise ValueError("d_vc must be >= 1")
-    if n < d_vc:
-        raise ValueError(f"need n >= d_vc (got n={n}, d_vc={d_vc})")
+    _check("d_vc", d_vc, 1, integer=True)
+    _check("n", n, d_vc, integer=True)
     return d_vc * math.log(2.0 * math.e * n / d_vc)
-
-
-def _check_delta(delta, *, allow_one=False):
-    hi_ok = delta <= 1 if allow_one else delta < 1
-    if not (0 < delta and hi_ok):
-        raise ValueError(f"delta must lie in (0, 1{']' if allow_one else ')'}), got {delta}")
-
-
-def _check_emp_risk(emp_risk):
-    if not (math.isfinite(emp_risk) and emp_risk >= 0):
-        raise ValueError(f"emp_risk must be finite and >= 0, got {emp_risk}")
 
 
 def vc_bound(emp_risk: float, n: int, delta: float, *, d_vc: int = None,
@@ -171,8 +179,8 @@ def vc_bound(emp_risk: float, n: int, delta: float, *, d_vc: int = None,
     VC dimension (Sauer form d log(2en/d)) or as an explicit growth value
     at 2n.
     """
-    _check_delta(delta)
-    _check_emp_risk(emp_risk)
+    _check("delta", delta, 0, 1, lo_open=True, hi_open=True)
+    _check("emp_risk", emp_risk, 0, hi_open=True)
     cap = _log_capacity(n, d_vc, growth_2n)
     joint = 2.0 * math.sqrt(2.0 * (cap + math.log(2.0 / delta)) / n)
     conc = 2.0 * math.sqrt(2.0 * math.log(2.0 / delta) / n)
@@ -193,8 +201,8 @@ def vc_relative_bound(emp_risk: float, n: int, delta: float, *,
             "the relative-deviation bound assumes a stationary sequence; "
             "pass stationary=True only when that holds"
         )
-    _check_delta(delta)
-    _check_emp_risk(emp_risk)
+    _check("delta", delta, 0, 1, lo_open=True, hi_open=True)
+    _check("emp_risk", emp_risk, 0, hi_open=True)
     cap = _log_capacity(n, d_vc, growth_2n)
     c = (cap + math.log(4.0 / delta)) / n
     c0 = math.log(4.0 / delta) / n
@@ -206,8 +214,7 @@ def vc_relative_bound(emp_risk: float, n: int, delta: float, *,
 def linear_system_induced_vc_dim(d: int) -> int:
     """VC dimension cap of the level sets of squared residuals of linear
     models in d variables: d^2 + d + 2."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _check("d", d, 1, integer=True)
     return d * d + d + 2
 
 
@@ -215,10 +222,9 @@ def regression_vc_bound(emp_risk: float, n: int, d_vc_induced: int,
                         delta: float, b: float) -> RiskBoundReport:
     """Bounded-regression bound emp + 2B sqrt(2 (d log(2en/d) + log(2/delta)) / n)
     using the VC dimension of the induced level-set classifiers."""
-    _check_delta(delta)
-    if b <= 0:
-        raise ValueError("loss range B must be > 0")
-    _check_emp_risk(emp_risk)
+    _check("delta", delta, 0, 1, lo_open=True, hi_open=True)
+    _check("b", b, 0, lo_open=True, hi_open=True)
+    _check("emp_risk", emp_risk, 0, hi_open=True)
     cap = _log_capacity(n, d_vc_induced, None)
     joint = 2.0 * b * math.sqrt(2.0 * (cap + math.log(2.0 / delta)) / n)
     conc = 2.0 * b * math.sqrt(2.0 * math.log(2.0 / delta) / n)
@@ -230,6 +236,12 @@ def regression_vc_bound(emp_risk: float, n: int, d_vc_induced: int,
 # Rademacher-based bounds
 
 RAD_VARIANTS = ("two_sided", "worstcase", "marginal")
+
+# the parameters each class_rad_upper family cannot do without
+_FAMILY_NEEDS = {"linear": ("m_clip", "radius"),
+                 "kernel_gaussian": ("m_clip", "radius"),
+                 "margin_linear": ("radius", "gamma"),
+                 "vq": ("n_codepoints", "radius", "sum_sq_norm")}
 
 
 def rademacher_risk_bound(variant: str, emp_risk: float, rad_terms, b: float,
@@ -243,11 +255,13 @@ def rademacher_risk_bound(variant: str, emp_risk: float, rad_terms, b: float,
     """
     if variant not in RAD_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    _check_delta(delta, allow_one=True)
-    _check_emp_risk(emp_risk)
+    _check("delta", delta, 0, 1, lo_open=True)
+    _check("emp_risk", emp_risk, 0, hi_open=True)
+    _check("b", b, 0, lo_open=True, hi_open=True)
+    _check("n", n, 1, integer=True)
     terms = np.atleast_1d(np.asarray(rad_terms, dtype=float))
-    if np.any(terms < 0):
-        raise ValueError("Rademacher terms must be >= 0")
+    for t in terms:
+        _check("rad_terms", t, 0, hi_open=True)
     if variant == "two_sided":
         if terms.size != 2:
             raise ValueError("two_sided needs (R, R') for training and ghost")
@@ -273,44 +287,36 @@ def class_rad_upper(family: str, n: int, *, m_clip: float = None,
     sup-norm, or the summed kernel diagonal (worst case 1 per point for
     the Gaussian kernel).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    for name, v in (("m_clip", m_clip), ("radius", radius),
-                    ("n_codepoints", n_codepoints), ("sum_sq_norm", sum_sq_norm),
-                    ("sup_norm", sup_norm), ("sum_kernel_diag", sum_kernel_diag)):
-        if v is not None and not v >= 0:
-            raise ValueError(f"{name} must be >= 0, got {v}")
-    if gamma is not None and not gamma > 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
+    if family not in _FAMILY_NEEDS:
+        raise ValueError(f"unknown family {family!r}")
+    _check("n", n, 1, integer=True)
+    need = _FAMILY_NEEDS[family]
+    for name, v, hi in (("m_clip", m_clip, _SCALE_MAX), ("radius", radius, _SCALE_MAX),
+                        ("n_codepoints", n_codepoints, math.inf),
+                        ("sum_sq_norm", sum_sq_norm, math.inf),
+                        ("sup_norm", sup_norm, math.inf),
+                        ("sum_kernel_diag", sum_kernel_diag, math.inf)):
+        if v is not None or name in need:
+            _check(name, v, 0, hi, hi_open=hi == math.inf)
+    if gamma is not None or "gamma" in need:
+        _check("gamma", gamma, 0, _SCALE_MAX, lo_open=True)
     if family == "linear":
-        _need(m_clip=m_clip, radius=radius)
         if sum_sq_norm is not None:
             return 4.0 * m_clip * radius * math.sqrt(sum_sq_norm) / n
         if sup_norm is not None:
             return 4.0 * m_clip * radius * sup_norm / math.sqrt(n)
         raise ValueError("linear family needs sum_sq_norm or sup_norm")
     if family == "kernel_gaussian":
-        _need(m_clip=m_clip, radius=radius)
         diag = float(n) if sum_kernel_diag is None else sum_kernel_diag
         return 4.0 * m_clip * radius * math.sqrt(diag) / n
     if family == "margin_linear":
-        _need(radius=radius, gamma=gamma)
         if sum_sq_norm is not None:
             return radius * math.sqrt(sum_sq_norm) / (gamma * n)
         if sup_norm is not None:
             return radius * sup_norm / (gamma * math.sqrt(n))
         raise ValueError("margin_linear family needs sum_sq_norm or sup_norm")
-    if family == "vq":
-        _need(n_codepoints=n_codepoints, radius=radius, sum_sq_norm=sum_sq_norm)
-        c, lam = n_codepoints, radius
-        return 2.0 * c * lam * math.sqrt(sum_sq_norm) / n + c * lam * lam / math.sqrt(n)
-    raise ValueError(f"unknown family {family!r}")
-
-
-def _need(**kwargs):
-    missing = [k for k, v in kwargs.items() if v is None]
-    if missing:
-        raise ValueError(f"missing family parameters: {', '.join(missing)}")
+    c, lam = n_codepoints, radius       # vq, the one family left
+    return 2.0 * c * lam * math.sqrt(sum_sq_norm) / n + c * lam * lam / math.sqrt(n)
 
 
 # ---------------------------------------------------------------------------
@@ -320,21 +326,16 @@ def chaining_rad_upper(diameter: float, depth: int, log_covering, n: int,
                        lipschitz: float = 1.0) -> float:
     """Multi-scale (dyadic) covering-number bound on the Rademacher
     complexity: L * (D/2^N + 6 D sum_j 2^-j sqrt(log N(D 2^-j) / n))."""
-    if not (math.isfinite(diameter) and diameter >= 0):
-        raise ValueError(f"diameter must be finite and >= 0, got {diameter}")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not (math.isfinite(lipschitz) and lipschitz >= 0):
-        raise ValueError(f"lipschitz must be finite and >= 0, got {lipschitz}")
+    _check("diameter", diameter, 0, hi_open=True)
+    _check("depth", depth, 1, integer=True)
+    _check("n", n, 1, integer=True)
+    _check("lipschitz", lipschitz, 0, hi_open=True)
     if diameter == 0.0:
         return 0.0
     total = diameter / 2.0 ** depth
     for j in range(1, depth + 1):
         lognj = float(log_covering(diameter * 2.0 ** -j))
-        if not lognj >= 0:
-            raise ValueError(f"log_covering values must be >= 0, got {lognj}")
+        _check("log_covering", lognj, 0)
         total += 6.0 * diameter * 2.0 ** -j * math.sqrt(lognj / n)
     return lipschitz * total
 
@@ -345,8 +346,7 @@ def chaining_rad_upper_best(diameter: float, log_covering, n: int,
 
     Returns (value, depth); sound because the bound holds at every depth.
     """
-    if max_depth < 1:
-        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
+    _check("max_depth", max_depth, 1, integer=True)
     best_val, best_depth = math.inf, 1
     for depth in range(1, max_depth + 1):
         val = chaining_rad_upper(diameter, depth, log_covering, n, lipschitz)
@@ -358,9 +358,8 @@ def chaining_rad_upper_best(diameter: float, log_covering, n: int,
 def spectral_log_covering(coefficient: float, sum_sq_norm: float):
     """Log covering numbers of the spectrally-regularized network form
     A * sum ||x_i||^2 / eps^2, as a function of the scale."""
-    for name, v in (("coefficient", coefficient), ("sum_sq_norm", sum_sq_norm)):
-        if not v >= 0:
-            raise ValueError(f"{name} must be >= 0, got {v}")
+    _check("coefficient", coefficient, 0, hi_open=True)
+    _check("sum_sq_norm", sum_sq_norm, 0, hi_open=True)
 
     def log_cov(eps):
         return coefficient * sum_sq_norm / eps ** 2
@@ -379,12 +378,13 @@ def mixing_reference_bound(emp_risk: float, rad_mu: float, b: float, mu: int,
     Returns None (inapplicable) when delta <= 4 (mu-1) beta(a); the bound
     only exists for confidence levels above that floor.
     """
-    _check_delta(delta)
-    if rad_mu < 0 or beta_a < 0:
-        raise ValueError("rad_mu and beta_a must be >= 0")
-    if mu < 1 or a < 1:
-        raise ValueError("mu and a must be positive integers")
-    _check_emp_risk(emp_risk)
+    _check("delta", delta, 0, 1, lo_open=True, hi_open=True)
+    _check("emp_risk", emp_risk, 0, hi_open=True)
+    _check("rad_mu", rad_mu, 0, hi_open=True)
+    _check("b", b, 0, lo_open=True, hi_open=True)
+    _check("mu", mu, 1, integer=True)
+    _check("a", a, 1, integer=True)
+    _check("beta_a", beta_a, 0, 1)
     slack = delta - 4.0 * (mu - 1) * beta_a
     if slack <= 0:
         return None

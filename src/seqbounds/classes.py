@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import _SCALE_MAX, _check
+
 KINDS = ("finite", "threshold1d", "linear_ball", "kernel_ball", "codebook")
 
 
@@ -47,23 +49,17 @@ class FunctionClassDescriptor:
         elif self.kind == "threshold1d":
             object.__setattr__(self, "vc_dim", 1)
         elif self.kind == "linear_ball":
-            if self.dim is None or self.dim < 1:
-                raise ValueError("linear_ball needs dim >= 1")
-            if self.radius is None or self.radius <= 0:
-                raise ValueError("linear_ball needs radius > 0")
+            _check("dim", self.dim, 1, integer=True)
+            _check("radius", self.radius, 0, _SCALE_MAX, lo_open=True)
             object.__setattr__(
                 self, "vc_dim", self.dim + 1 if self.with_offset else self.dim
             )
         elif self.kind == "kernel_ball":
-            if self.radius is None or self.radius <= 0:
-                raise ValueError("kernel_ball needs radius > 0")
-            if self.bandwidth is None or self.bandwidth <= 0:
-                raise ValueError("kernel_ball needs bandwidth > 0")
+            _check("radius", self.radius, 0, _SCALE_MAX, lo_open=True)
+            _check("bandwidth", self.bandwidth, 0, lo_open=True, hi_open=True)
         elif self.kind == "codebook":
-            if self.n_codepoints is None or self.n_codepoints < 1:
-                raise ValueError("codebook needs n_codepoints >= 1")
-            if self.radius is None or self.radius <= 0:
-                raise ValueError("codebook needs radius > 0")
+            _check("n_codepoints", self.n_codepoints, 1, integer=True)
+            _check("radius", self.radius, 0, _SCALE_MAX, lo_open=True)
 
 
 def finite_class(functions, vc_dim=None, output_range=None):
@@ -138,8 +134,8 @@ def growth_function_exact(cls: FunctionClassDescriptor, points) -> int:
 
 def sauer_growth_bound(d_vc: int, n: int) -> float:
     """Growth-function cap min(2^n, (e*n/d)^d) for n >= d, and 2^n below d."""
-    if d_vc < 1 or n < 1:
-        raise ValueError("need d_vc >= 1 and n >= 1")
+    _check("d_vc", d_vc, 1, integer=True)
+    _check("n", n, 1, integer=True)
     two_n = float(2 ** n) if n < 1024 else math.inf
     if n < d_vc:
         return two_n
@@ -260,8 +256,7 @@ def covering_number_greedy(functions, epsilon: float,
     (repeated from every start, smallest net kept), an upper bound on the
     true covering number, which is all the chaining bound needs.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    _check("epsilon", epsilon, 0, lo_open=True)
     values = evaluation_matrix(functions, sample)
     dm = pseudo_metric_matrix(values)
     if dm.shape[0] <= _EXACT_CUTOFF:
@@ -273,8 +268,7 @@ def covering_number_exhaustive(functions, epsilon: float,
                                sample: PseudoMetricSample = None) -> int:
     """Minimal proper epsilon-net size by exhaustive subset search
     (limited to 16 functions)."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    _check("epsilon", epsilon, 0, lo_open=True)
     values = evaluation_matrix(functions, sample)
     dm = pseudo_metric_matrix(values)
     if dm.shape[0] > 16:

@@ -22,6 +22,7 @@ import numpy as np
 from . import bounds as bnd
 from . import experiments as xp
 from . import scenario as scn
+from .bounds import _check
 from .classes import (FunctionClassDescriptor, kernel_ball_class,
                       linear_ball_class, threshold_class)
 from .estimators import empirical_rademacher
@@ -97,6 +98,8 @@ def validate_config(config: dict) -> dict:
         raise ConfigError(f"unknown config fields {sorted(unknown)}")
     if "seed" not in config:
         raise ConfigError("config needs a seed")
+    _check("seed", config["seed"], integer=True)
+    _check("threads", config.get("threads", 1), 1, integer=True)
     return config
 
 

@@ -11,6 +11,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import stats
 
+from .bounds import _check
 from .classes import (FunctionClassDescriptor, UnsupportedClassError,
                       evaluation_matrix, threshold_dichotomies,
                       PseudoMetricSample)
@@ -66,8 +67,7 @@ def risk_mc(model, loss: LossSpec, spec: ProcessSpec, n: int,
     of the risk as an average over sample paths rather than a time
     average along a single one.
     """
-    if replications < 2:
-        raise ValueError("need at least 2 replications")
+    _check("replications", replications, 2, integer=True)
     vals = np.empty(replications)
     for r in range(replications):
         sample = simulate_sequence(spec, n, seed, replication=r)
@@ -85,16 +85,13 @@ def risk_mc(model, loss: LossSpec, spec: ProcessSpec, n: int,
 _SIGN_BLOCK = 4096
 
 
-def _check_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 0 or pts.size == 0 or not np.all(np.isfinite(pts)):
-        raise ValueError("points must be a non-empty array of finite values")
-    return pts
-
-
 def _sup_rows(cls: FunctionClassDescriptor, pts: np.ndarray):
     """Return S -> the k suprema sup_{f in class} (1/n) sum_i S[r, i] f(t_i),
     one per row r of a (k, n) matrix S of signs."""
+    # an empty or 0-d point set counts as missing; a NaN or inf entry
+    # makes the largest magnitude non-finite
+    _check("points", np.max(np.abs(pts)) if pts.ndim and pts.size else None,
+           hi_open=True)
     n = pts.shape[0]
     if cls.kind in ("finite", "threshold1d"):
         if cls.kind == "finite":
@@ -129,9 +126,8 @@ def empirical_rademacher(cls: FunctionClassDescriptor, points, sign_draws: int,
     unbiased estimate of the sign expectation and is exactly zero for
     symmetric cases such as singleton classes.
     """
-    if sign_draws < 1:
-        raise ValueError("need at least one sign draw")
-    pts = _check_points(points)
+    _check("sign_draws", sign_draws, 1, integer=True)
+    pts = np.asarray(points, dtype=float)
     sup = _sup_rows(cls, pts)
     rng = stream(seed, 0, "signs")
     # one (draws, n) call yields the same signs as one n-vector call per draw
@@ -145,11 +141,11 @@ def empirical_rademacher(cls: FunctionClassDescriptor, points, sign_draws: int,
 def empirical_rademacher_exact(cls: FunctionClassDescriptor, points) -> float:
     """Exact sign expectation by enumerating all 2^n sign vectors (n <= 20),
     in blocks of rows; bit i of mask k gives the sign of point i."""
-    pts = _check_points(points)
-    n = pts.shape[0]
-    if n > 20:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim and pts.shape[0] > 20:
         raise ValueError("exact enumeration is limited to 20 points")
     sup = _sup_rows(cls, pts)
+    n = pts.shape[0]
     total = 0.0
     for lo in range(0, 1 << n, _SIGN_BLOCK):
         masks = np.arange(lo, min(lo + _SIGN_BLOCK, 1 << n))
@@ -301,9 +297,11 @@ def _symmetrization(cls: FunctionClassDescriptor, loss: LossSpec,
         raise ValueError("symmetrization check uses the zero-one loss")
     if cls.kind not in ("threshold1d", "finite"):
         raise UnsupportedClassError("symmetrization check needs an enumerable class")
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
+    _check("replications", replications, 1, integer=True)
+    _check("n", n, 1, integer=True)
     b = loss.range_b
+    # a deviation of the loss never exceeds its range B
+    _check("epsilon", epsilon, 0, b, lo_open=True)
     if n * epsilon ** 2 < 2.0 * b ** 2:
         raise ValueError(
             f"symmetrization requires n*eps^2 >= 2*B^2 "

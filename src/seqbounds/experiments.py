@@ -12,6 +12,7 @@ import numpy as np
 from scipy import stats
 
 from . import bounds as bnd
+from .bounds import _SCALE_MAX, _check
 from . import scenario as scn
 from .classes import (covering_number_exhaustive, finite_class,
                       kernel_ball_class, pseudo_metric_matrix,
@@ -33,7 +34,8 @@ class ExperimentResult:
 
 
 def _pmap(fn, items, threads=1):
-    if threads <= 1:
+    _check("threads", threads, 1, integer=True)
+    if threads == 1:
         return [fn(i) for i in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
@@ -42,8 +44,7 @@ def _pmap(fn, items, threads=1):
 def _replicate(one, count, seed, threads, what="replications"):
     """Run ``one(r) -> (statistic, bound)`` for r < count into records that
     hold when statistic <= bound; returns (records, holds fraction)."""
-    if count < 1:
-        raise ValueError(f"{what} must be >= 1, got {count}")
+    _check(what, count, 1, integer=True)
     records = [
         {"replication": r, "seed": seed, "statistic": s, "bound": b,
          "holds": s <= b}
@@ -168,13 +169,15 @@ def margin_rad_coverage(spec: ProcessSpec, gamma: float, radius: float,
                         grid_size: int = 401, threads: int = 1) -> ExperimentResult:
     """Marginal Rademacher risk-bound coverage for the linear margin class
     {x -> w x, |w| <= radius} on 1-D threshold-labelled data."""
-    if spec.kind != "ar1_threshold_labels" or spec.b_star != 0.0:
-        raise ValueError("margin coverage needs an ar1 process with b_star = 0")
+    if spec.kind != "ar1_threshold_labels":
+        raise ValueError("margin coverage needs an ar1 process")
+    _check("b_star", spec.b_star, 0, 0)
     law = stationary_params(spec)
     sigma_x = math.sqrt(law.variance)
     rbar = bnd.class_rad_upper("margin_linear", n, radius=radius, gamma=gamma,
                                sum_sq_norm=n * law.variance)
-    slack = 2.0 * rbar + math.sqrt(math.log(1.0 / delta) / (2.0 * n))
+    slack = bnd.rademacher_risk_bound("marginal", 0.0, rbar, 1.0, n,
+                                      delta).bound_value
     grid = np.linspace(-radius, radius, grid_size)
     risks = margin_linear_risk(grid, sigma_x, spec.flip_p, gamma)
 
@@ -280,6 +283,8 @@ def regression_coverage(spec: ProcessSpec, m_clip: float, radius: float,
             "regression coverage needs an unclipped ar_d_linear_system "
             "(the analytic risk assumes Gaussian regressors)"
         )
+    _check("m_clip", m_clip, 0, _SCALE_MAX, lo_open=True)
+    _check("radius", radius, 0, _SCALE_MAX, lo_open=True)
     d = spec.order
     cov = stationary_params(spec).covariance
     directions, radii = _linear_model_grid(d, radius)
@@ -343,8 +348,7 @@ def scenario_pac_coverage(program: scn.ScenarioProgramSpec, spec: ProcessSpec,
     """Frequency of replications whose certified solution violates a fresh
     marginal draw with probability above epsilon; should not exceed delta
     (plus Monte-Carlo slack)."""
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
+    _check("replications", replications, 1, integer=True)
 
     def one(r):
         cert = scn.certify(program, spec, epsilon, delta, "margin", seed,

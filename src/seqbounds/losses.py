@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _SCALE_MAX, _check
+
 LOSS_KINDS = ("zero_one", "margin", "clipped_squared", "vq_nearest")
 
 
@@ -31,15 +33,13 @@ def zero_one_loss():
 
 
 def margin_loss(gamma):
-    if gamma <= 0:
-        raise ValueError("margin gamma must be > 0")
+    _check("gamma", gamma, 0, _SCALE_MAX, lo_open=True)
     return LossSpec(kind="margin", gamma=float(gamma), range_b=1.0,
                     lipschitz_link=1.0 / float(gamma))
 
 
 def clipped_squared_loss(clip):
-    if clip <= 0:
-        raise ValueError("clip level M must be > 0")
+    _check("clip", clip, 0, _SCALE_MAX, lo_open=True)
     m = float(clip)
     # range 4M^2; the squared residual of a clipped prediction is 4M-Lipschitz
     return LossSpec(kind="clipped_squared", clip=m, range_b=4.0 * m * m,
@@ -47,10 +47,8 @@ def clipped_squared_loss(clip):
 
 
 def vq_loss(n_codepoints, ball_radius):
-    if n_codepoints < 1:
-        raise ValueError("need at least one codepoint")
-    if ball_radius <= 0:
-        raise ValueError("ball radius must be > 0")
+    _check("n_codepoints", n_codepoints, 1, integer=True)
+    _check("ball_radius", ball_radius, 0, _SCALE_MAX, lo_open=True)
     lam = float(ball_radius)
     return LossSpec(kind="vq_nearest", n_codepoints=int(n_codepoints),
                     ball_radius=lam, range_b=4.0 * lam * lam,

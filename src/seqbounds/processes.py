@@ -8,6 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg, signal
 
+from .bounds import _SCALE_MAX, _check
+
 PROCESS_KINDS = (
     "ar1_threshold_labels",
     "ar_d_linear_system",
@@ -25,6 +27,7 @@ def stream(seed: int, replication: int = 0, role: str = "path") -> np.random.Gen
     independent, so replicated experiments can draw paths, ghost samples
     and sign vectors without sharing state.
     """
+    _check("seed", seed, integer=True)
     key = (int(replication), zlib.crc32(role.encode("utf-8")))
     ss = np.random.SeedSequence(entropy=int(seed) & _MASK64, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
@@ -50,41 +53,36 @@ class ProcessSpec:
     def __post_init__(self):
         if self.kind not in PROCESS_KINDS:
             raise ValueError(f"unknown process kind {self.kind!r}")
-        if self.kind == "ar1_threshold_labels":
-            if self.a is None or abs(self.a) >= 1:
-                raise ValueError("ar1 needs |a| < 1")
-            if self.sigma is None or self.sigma <= 0:
-                raise ValueError("ar1 needs sigma > 0")
-            _check_flip(self.flip_p)
-        elif self.kind == "ar_d_linear_system":
+        if self.kind == "iid_baseline" and self.dist not in ("normal", "uniform"):
+            raise ValueError("iid_baseline dist must be 'normal' or 'uniform'")
+        if self.kind == "ar_d_linear_system":
             if not self.coefficients:
                 raise ValueError("ar_d needs at least one coefficient")
-            if self.sigma is None or self.sigma <= 0:
-                raise ValueError("ar_d needs sigma > 0")
+            for c in self.coefficients:
+                _check("coefficients", c, lo_open=True, hi_open=True)
+            if self.clip_radius is not None:
+                _check("clip_radius", self.clip_radius, 0, lo_open=True, hi_open=True)
             if _companion_spectral_radius(self.coefficients) >= 1 - 1e-9:
-                raise ValueError("ar_d coefficients must define a stable system")
-        elif self.kind == "markov_binary":
-            if self.rho is None or not (0 <= self.rho < 1):
-                raise ValueError("markov_binary needs 0 <= rho < 1")
-        elif self.kind == "iid_baseline":
-            if self.dist == "normal":
-                if self.sigma is None or self.sigma <= 0:
-                    raise ValueError("iid normal needs sigma > 0")
-            elif self.dist == "uniform":
-                if self.low is None or self.high is None or self.low >= self.high:
-                    raise ValueError("iid uniform needs low < high")
-            else:
-                raise ValueError("iid_baseline dist must be 'normal' or 'uniform'")
-            _check_flip(self.flip_p)
+                raise ValueError("coefficients must define a stable system")
+        if self.kind == "ar1_threshold_labels":
+            _check("a", self.a, -1, 1, lo_open=True, hi_open=True)
+        # the spread of the marginal: rho for the binary chain, the support
+        # for the uniform baseline and the noise level sigma otherwise
+        if self.kind == "markov_binary":
+            _check("rho", self.rho, 0, 1, hi_open=True)
+        elif self.dist == "uniform":
+            _check("low", self.low, lo_open=True, hi_open=True)
+            _check("high", self.high, self.low, lo_open=True, hi_open=True)
+        else:
+            _check("sigma", self.sigma, 0, _SCALE_MAX, lo_open=True)
+        if self.kind in ("ar1_threshold_labels", "iid_baseline"):
+            _check("mean", self.mean, lo_open=True, hi_open=True)
+            _check("b_star", self.b_star, lo_open=True, hi_open=True)
+            _check("flip_p", self.flip_p, 0, 1, hi_open=True)
 
     @property
     def order(self):
         return len(self.coefficients) if self.coefficients else 1
-
-
-def _check_flip(p):
-    if not (0 <= p < 1):
-        raise ValueError("flip_p must lie in [0, 1)")
 
 
 def _companion(coefficients):
@@ -191,8 +189,7 @@ def _threshold_labels(x, b_star, flip_p, rng):
 def simulate_sequence(spec: ProcessSpec, n: int, seed: int,
                       replication: int = 0) -> SequenceSample:
     """Length-n path started from the stationary law (bit-reproducible)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check("n", n, 1, integer=True)
     rng = stream(seed, replication, "path")
     if spec.kind == "ar1_threshold_labels":
         v = spec.sigma ** 2 / (1.0 - spec.a ** 2)
@@ -252,8 +249,7 @@ def sample_marginal(spec: ProcessSpec, m: int, seed: int,
     This is the ghost sample: entry i is distributed like z_i of a path
     but the draws are independent of each other and of every path stream.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    _check("m", m, 0, integer=True)
     rng = stream(seed, replication, "ghost")
     law = stationary_params(spec)
     if spec.kind == "ar1_threshold_labels" or (

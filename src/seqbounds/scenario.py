@@ -12,6 +12,7 @@ import numpy as np
 from scipy import optimize
 from scipy.spatial import ConvexHull, QhullError
 
+from .bounds import _SCALE_MAX, _check
 from .processes import ProcessSpec, simulate_sequence
 
 _CEIL_GUARD = 1e-9
@@ -20,11 +21,6 @@ _CEIL_GUARD = 1e-9
 def _ceil_int(value: float) -> int:
     # guard against float slop pushing an exact integer up by one
     return int(math.ceil(value - _CEIL_GUARD * max(1.0, abs(value))))
-
-
-def _check_unit(name, value):
-    if not (0 < value < 1):
-        raise ValueError(f"{name} must lie in (0, 1), got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +65,7 @@ class Box:
     def __post_init__(self):
         object.__setattr__(self, "lo", np.asarray(self.lo, float).ravel())
         object.__setattr__(self, "hi", np.asarray(self.hi, float).ravel())
-        if self.lo.shape != self.hi.shape or np.any(self.lo > self.hi):
+        if self.lo.shape != self.hi.shape or not np.all(self.lo <= self.hi):
             raise ValueError("box needs lo <= hi componentwise")
 
     @property
@@ -95,8 +91,7 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("ball radius must be > 0")
+        _check("radius", self.radius, 0, _SCALE_MAX, lo_open=True)
 
     def sup_norm(self):
         return float(self.radius)
@@ -163,8 +158,7 @@ class ScenarioProgramSpec:
         object.__setattr__(self, "pieces", tuple(self.pieces))
         if not self.pieces:
             raise ValueError("program needs at least one constraint piece")
-        if self.margin <= 0:
-            raise ValueError("margin must be > 0")
+        _check("margin", self.margin, 0, _SCALE_MAX, lo_open=True)
         p = self.objective.size
         for piece in self.pieces:
             if piece.psi.matrix.shape[0] != p:
@@ -239,10 +233,9 @@ def one_dim_threshold_program(theta_lo=-5.0, theta_hi=5.0, margin=1.0,
 
 def plan_n_vc(epsilon: float, delta: float, d_vc: int) -> int:
     """Smallest planned scenario count (5/eps)(d log(40/eps) + log(4/delta))."""
-    _check_unit("epsilon", epsilon)
-    _check_unit("delta", delta)
-    if d_vc < 1:
-        raise ValueError("d_vc must be >= 1")
+    _check("epsilon", epsilon, 0, 1, lo_open=True, hi_open=True)
+    _check("delta", delta, 0, 1, lo_open=True, hi_open=True)
+    _check("d_vc", d_vc, 1, integer=True)
     val = (5.0 / epsilon) * (d_vc * math.log(40.0 / epsilon)
                              + math.log(4.0 / delta))
     return _ceil_int(val)
@@ -252,12 +245,10 @@ def plan_n_margin(epsilon: float, delta: float, gamma: float,
                   tau_lambda_sum: float) -> int:
     """Margin-method scenario count (1/eps^2)((2/gamma) sum tau_k Lambda_k
     + sqrt(log(1/delta)))^2."""
-    _check_unit("epsilon", epsilon)
-    _check_unit("delta", delta)
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
-    if tau_lambda_sum <= 0:
-        raise ValueError("tau-lambda sum must be > 0")
+    _check("epsilon", epsilon, 0, 1, lo_open=True, hi_open=True)
+    _check("delta", delta, 0, 1, lo_open=True, hi_open=True)
+    _check("gamma", gamma, 0, _SCALE_MAX, lo_open=True)
+    _check("tau_lambda_sum", tau_lambda_sum, 0, lo_open=True, hi_open=True)
     val = ((2.0 / gamma) * tau_lambda_sum + math.sqrt(math.log(1.0 / delta))) ** 2
     return _ceil_int(val / epsilon ** 2)
 
@@ -270,17 +261,15 @@ def violation_bound(method: str, n: int, delta: float, *, d_vc: int = None,
     (2/gamma) sum tau_k Lambda_k / sqrt(n) + sqrt(log(1/delta) / 2n).
     The caller asserts feasibility (with margin, where required).
     """
-    _check_unit("delta", delta)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check("delta", delta, 0, 1, lo_open=True, hi_open=True)
+    _check("n", n, 1, integer=True)
     if method == "vc":
-        if d_vc is None or d_vc < 1:
-            raise ValueError("vc method needs d_vc >= 1")
+        _check("d_vc", d_vc, 1, integer=True)
         return (4.0 * d_vc * math.log(2.0 * math.e * n / d_vc)
                 + math.log(4.0 / delta)) / n
     if method == "margin":
-        if gamma is None or gamma <= 0 or tau_lambda_sum is None or tau_lambda_sum <= 0:
-            raise ValueError("margin method needs gamma > 0 and tau-lambda sum > 0")
+        _check("gamma", gamma, 0, _SCALE_MAX, lo_open=True)
+        _check("tau_lambda_sum", tau_lambda_sum, 0, lo_open=True, hi_open=True)
         return ((2.0 / gamma) * tau_lambda_sum / math.sqrt(n)
                 + math.sqrt(math.log(1.0 / delta) / (2.0 * n)))
     raise ValueError(f"unknown method {method!r}")
@@ -514,8 +503,8 @@ def certify(program: ScenarioProgramSpec, spec: ProcessSpec, epsilon: float,
     An infeasible solve yields a certificate with feasible=False and no
     violation claim.
     """
-    _check_unit("epsilon", epsilon)
-    _check_unit("delta", delta)
+    _check("epsilon", epsilon, 0, 1, lo_open=True, hi_open=True)
+    _check("delta", delta, 0, 1, lo_open=True, hi_open=True)
     if method == "vc":
         if program.indicator_vc_dim is None:
             raise ValueError(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from seqbounds.bounds import (binomial_quarter_lemma_holds,
+from seqbounds.bounds import (_check, binomial_quarter_lemma_holds,
                               chaining_rad_upper, chaining_rad_upper_best,
                               class_rad_upper, concentration_tail,
                               exact_binomial_mean_tail,
@@ -14,6 +14,11 @@ from seqbounds.bounds import (binomial_quarter_lemma_holds,
                               vc_bound, vc_relative_bound)
 from seqbounds.classes import (covering_number_exhaustive,
                                covering_number_greedy)
+from seqbounds.losses import clipped_squared_loss, margin_loss, vq_loss
+from seqbounds.processes import (ar1_process, ar_process, iid_process,
+                                 markov_binary_process, sample_marginal,
+                                 simulate_sequence)
+from seqbounds.scenario import plan_n_margin, violation_bound
 
 
 class TestConcentrationTail:
@@ -371,7 +376,79 @@ _LOG2 = lambda e: math.log(2.0)
                  id="spectral-coefficient-nan"),
     pytest.param("sum_sq_norm", lambda: spectral_log_covering(1.0, math.nan),
                  id="spectral-sum-sq-norm-nan"),
+    pytest.param("b", lambda: regression_vc_bound(0.0, 100, 4, 0.05, math.nan),
+                 id="regression-b-nan"),
+    pytest.param("b", lambda: mixing_reference_bound(
+        0.0, 0.1, math.nan, 100, 1, 1e-4, 0.1), id="mixing-b-nan"),
+    pytest.param("rad_mu", lambda: mixing_reference_bound(
+        0.0, math.nan, 1.0, 100, 1, 1e-4, 0.1), id="mixing-rad-mu-nan"),
+    pytest.param("beta_a", lambda: mixing_reference_bound(
+        0.0, 0.1, 1.0, 100, 1, math.nan, 0.1), id="mixing-beta-nan"),
+    pytest.param("rad_terms", lambda: rademacher_risk_bound(
+        "marginal", 0.0, [math.nan], 1.0, 100, 0.1), id="rad-terms-nan"),
+    pytest.param("gamma", lambda: margin_loss(math.nan), id="margin-loss"),
+    pytest.param("clip", lambda: clipped_squared_loss(math.nan),
+                 id="clipped-squared-loss"),
+    pytest.param("ball_radius", lambda: vq_loss(2, math.nan), id="vq-loss"),
+    pytest.param("gamma", lambda: plan_n_margin(0.1, 0.1, math.nan, 1.0),
+                 id="plan-gamma-nan"),
+    pytest.param("tau_lambda_sum", lambda: plan_n_margin(
+        0.1, 0.1, 1.0, math.nan), id="plan-tau-lambda-nan"),
+    pytest.param("gamma", lambda: violation_bound(
+        "margin", 100, 0.1, tau_lambda_sum=1.0), id="violation-gamma-missing"),
+    pytest.param("m", lambda: sample_marginal(ar1_process(0.5, 1.0), math.nan, 1),
+                 id="sample-marginal-m-nan"),
+    pytest.param("n", lambda: simulate_sequence(ar1_process(0.5, 1.0), 1e308, 1),
+                 id="simulate-n-float"),
+    pytest.param("seed", lambda: simulate_sequence(ar1_process(0.5, 1.0), 10,
+                                                   math.inf), id="simulate-seed-inf"),
+    pytest.param("a", lambda: ar1_process(math.nan, 1.0), id="ar1-a-nan"),
+    pytest.param("sigma", lambda: ar1_process(0.5, math.inf), id="ar1-sigma-inf"),
+    pytest.param("b_star", lambda: ar1_process(0.5, 1.0, b_star=math.nan),
+                 id="ar1-b-star-nan"),
+    pytest.param("flip_p", lambda: ar1_process(0.5, 1.0, flip_p=math.nan),
+                 id="ar1-flip-nan"),
+    pytest.param("sigma", lambda: ar_process([0.5], math.nan), id="ar-d-sigma-nan"),
+    pytest.param("coefficients", lambda: ar_process([0.5, math.nan], 1.0),
+                 id="ar-d-coefficient-nan"),
+    pytest.param("rho", lambda: markov_binary_process(math.nan), id="markov-rho-nan"),
+    pytest.param("high", lambda: iid_process("uniform", low=0.0, high=math.nan),
+                 id="iid-high-nan"),
+    pytest.param("low", lambda: iid_process("uniform", low=math.nan, high=1.0),
+                 id="iid-low-nan"),
 ])
 def test_numeric_arguments_rejected_by_name(name, call):
     with pytest.raises(ValueError, match=rf"^{name}\b"):
         call()
+
+
+class TestCheck:
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"lo": 0}, {"hi": 1}, {"lo": 0, "hi": 1, "lo_open": True},
+        {"lo": -1, "hi": 1, "hi_open": True}])
+    def test_nan_fails_every_range(self, kwargs):
+        with pytest.raises(ValueError, match="^x must be"):
+            _check("x", math.nan, **kwargs)
+
+    def test_open_ends(self):
+        _check("x", 0.0, 0, 1)
+        _check("x", math.inf, 0)
+        with pytest.raises(ValueError, match=r"^x must be in \(0, 1\), got 0$"):
+            _check("x", 0, 0, 1, lo_open=True, hi_open=True)
+        with pytest.raises(ValueError, match=r"^x must be in \[0, inf\), got inf$"):
+            _check("x", math.inf, 0, hi_open=True)
+        with pytest.raises(ValueError, match=r"^x must be in \(-inf, inf\)"):
+            _check("x", -math.inf, lo_open=True, hi_open=True)
+
+    def test_missing(self):
+        with pytest.raises(ValueError, match="^x is missing$"):
+            _check("x", None, 0)
+
+    @pytest.mark.parametrize("value", [1e308, 3.0, np.float64(2.0), "3"])
+    def test_integer_rejects_floats_and_strings(self, value):
+        with pytest.raises(ValueError, match=r"^n must be an integer in \[1, inf\]"):
+            _check("n", value, 1, integer=True)
+
+    def test_integer_accepts_numpy_integers(self):
+        _check("n", np.int64(5), 1, integer=True)
+        _check("n", True, 1, integer=True)

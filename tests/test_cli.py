@@ -1,10 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from digest_outputs import CONFIGS
 from seqbounds import cli
 from seqbounds.cli import (ConfigError, emit_plot_data, main, run,
                            validate_config)
@@ -395,3 +402,68 @@ class TestMain:
         config = {"command": "plan", "method": "vc", "epsilon": 0.1,
                   "delta": 1e-6, "d_vc": 5, "seed": 1}
         assert run(config, blocker / "out") == 4
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: one numeric key of a validate config replaced by an out-of-range value
+
+_SHRUNK = {"n": 200, "replications": 3, "instances": 3}
+
+
+def _numeric_keys(config):
+    """Paths of the numeric config values, process fields included; threads
+    is left out so that no drawn value can ask for many threads."""
+    for key, value in config.items():
+        if key == "process":
+            yield from ((key, field) for field, v in value.items()
+                        if isinstance(v, (int, float)) and not isinstance(v, bool))
+        elif (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and key != "threads"):
+            yield (key,)
+
+
+_FUZZ_CASES = [(name, path) for name in CONFIGS
+               for path in _numeric_keys(CONFIGS[name])]
+
+
+def _all_finite(obj):
+    if isinstance(obj, dict):
+        return all(_all_finite(v) for v in obj.values())
+    if isinstance(obj, list):
+        return all(_all_finite(v) for v in obj)
+    if isinstance(obj, float):
+        return math.isfinite(obj)
+    # the writer spells a non-finite float as one of these strings
+    return obj not in ("nan", "inf", "-inf")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=st.sampled_from(_FUZZ_CASES),
+       value=st.sampled_from([math.nan, math.inf, -math.inf, 0, -1, 1e308]))
+def test_out_of_range_value_named_or_finite(case, value):
+    """Every numeric config value is range-checked: the run either stops
+    with exit 2 and a message that starts with the key, or writes a strict
+    JSON summary with only finite numbers in it."""
+    name, path = case
+    config = json.loads(json.dumps(
+        {"command": "validate", "experiment": name,
+         **{k: min(v, _SHRUNK[k]) if k in _SHRUNK else v
+            for k, v in CONFIGS[name].items()}}))
+    target = config
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        code = run(config, Path(tmp) / "out")
+        summary = (Path(tmp) / "out" / "summary.json")
+        text = summary.read_text() if summary.exists() else None
+    if code == cli.EXIT_CONFIG:
+        assert re.match(rf"config error: {re.escape(path[-1])}\b", err.getvalue())
+    else:
+        assert code in (cli.EXIT_OK, cli.EXIT_PROPERTY)
+
+        def reject(constant):
+            raise AssertionError(f"summary.json holds {constant}")
+
+        assert _all_finite(json.loads(text, parse_constant=reject))

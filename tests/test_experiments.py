@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from seqbounds import bounds as bnd
 from seqbounds.estimators import verify_symmetrization
 from seqbounds.classes import threshold_class
 from seqbounds.losses import zero_one_loss
@@ -161,6 +164,27 @@ class TestCoverageExperiments:
         records = bound_vs_n_records(4, 0.05, [1000, 100])
         assert {r["n"] for r in records} == {100, 1000}
         assert all(r["delta"] == 0.05 for r in records)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "near the unit root the correlation time (about 1,000 steps) is half "
+    "the path, and the VC bound misses its 0.95 target (holds-fraction "
+    "0.515); a fix or any change of behaviour shows up as a pass"))
+def test_vc_coverage_near_unit_root():
+    spec = ar1_process(0.999, 0.6, b_star=0.0, flip_p=0.1)
+    assert vc_coverage(spec, n=2000, replications=200, delta=0.05,
+                       seed=12345).holds
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 10**7), delta=st.floats(1e-12, 1.0),
+       rbar=st.floats(0.0, 1e6))
+def test_margin_slack_is_the_marginal_rademacher_bound(n, delta, rbar):
+    # the slack margin_rad_coverage takes from the calculator is the
+    # hand-written 2 Rbar + sqrt(log(1/delta) / 2n), float for float
+    slack = bnd.rademacher_risk_bound("marginal", 0.0, rbar, 1.0, n,
+                                      delta).bound_value
+    assert slack == 2.0 * rbar + math.sqrt(math.log(1.0 / delta) / (2.0 * n))
 
 
 # ---------------------------------------------------------------------------
