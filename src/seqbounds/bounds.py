@@ -10,6 +10,7 @@ and the complexity term is the capacity increment on top of it.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -20,6 +21,9 @@ from scipy import special
 # Largest accepted scale (noise level, radius, clip level): products of four
 # scales, summed over any path numpy can hold, stay finite in double precision.
 _SCALE_MAX = 1e50
+# Largest accepted loss range, and Rademacher term of a loss class: the range
+# of the squared loss clipped at the largest scale.
+_RANGE_MAX = 4.0 * _SCALE_MAX ** 2
 
 
 def _check(name, value, lo=-math.inf, hi=math.inf, *, lo_open=False,
@@ -42,6 +46,14 @@ def _check(name, value, lo=-math.inf, hi=math.inf, *, lo_open=False,
     interval = f"{'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
     kind = "an integer " if integer else ""
     raise ValueError(f"{name} must be {kind}in {interval}, got {value}")
+
+
+def _check_entries(name, values):
+    """_check on the largest magnitude of an array: an entry that is NaN or
+    beyond +-_SCALE_MAX fails, and an empty or 0-d array is missing."""
+    a = np.asarray(values, dtype=float)
+    _check(name, float(np.max(np.abs(a))) if a.ndim and a.size else None,
+           -_SCALE_MAX, _SCALE_MAX)
 
 
 @dataclass(frozen=True)
@@ -94,23 +106,25 @@ def concentration_tail(kind: str, c_or_ranges, epsilon: float, n: int = None) ->
     bounded_difference: exp(-2 eps^2 / sum c_i^2) for a function of a
     dependent sequence with coordinate-wise sensitivities c_i.
 
-    A scalar ``c_or_ranges`` is replicated n times.
+    A scalar ``c_or_ranges`` stands for n equal entries.
     """
     _check("epsilon", epsilon, 0)
     if np.isscalar(c_or_ranges):
         _check("n", n, 1, integer=True)
-        cs = np.full(int(n), float(c_or_ranges))
+        c = float(c_or_ranges)
+        # c * c is inf where c ** 2 would raise
+        size, ssq, positive = n, n * (c * c), c > 0
     else:
         cs = np.asarray(c_or_ranges, dtype=float)
         if cs.size < 1:
             raise ValueError("c_or_ranges must be non-empty")
         if n is not None and cs.size != n:
             raise ValueError("len(c_or_ranges) must equal n")
-    if not np.all(cs > 0):
+        size, ssq, positive = cs.size, float(np.sum(cs ** 2)), np.all(cs > 0)
+    if not positive:
         raise ValueError("c_or_ranges must be positive (ranges/sensitivities)")
-    ssq = float(np.sum(cs ** 2))
     if kind == "hoeffding":
-        return min(1.0, math.exp(-2.0 * cs.size ** 2 * epsilon ** 2 / ssq))
+        return min(1.0, math.exp(-2.0 * size ** 2 * epsilon ** 2 / ssq))
     if kind == "bounded_difference":
         return min(1.0, math.exp(-2.0 * epsilon ** 2 / ssq))
     raise ValueError(f"unknown concentration kind {kind!r}")
@@ -118,32 +132,25 @@ def concentration_tail(kind: str, c_or_ranges, epsilon: float, n: int = None) ->
 
 def exact_binomial_mean_tail(n: int, p: float, epsilon: float,
                              strict: bool = True) -> float:
-    """P(S/n - p > eps) (or >= eps) for S ~ Bin(n, p), by exact summation.
+    """P(S/n - p > eps) (or >= eps) for S ~ Bin(n, p).
 
-    Once C(n, k) no longer converts to float (n above about 1,030), each
-    term is formed in log space instead.
+    The tail P(S >= k0) is the regularized incomplete beta function
+    I_p(k0, n - k0 + 1), evaluated by ``scipy.special.bdtrc``: accurate to
+    a few ulps relative, for every n, with no overflow.  A cut n (p + eps)
+    within 1e-9 of an integer is taken as that integer.
     """
     _check("n", n, 1, integer=True)
     _check("p", p, 0, 1)
     _check("epsilon", epsilon, lo_open=True, hi_open=True)
-    cut = n * (p + epsilon)
+    # |S/n - p| <= 1, so clamping changes no tail and keeps the cut finite
+    cut = n * (p + min(max(epsilon, -1.0), 1.0))
     r = round(cut)
     if abs(cut - r) < 1e-9:
         cut = r
     k0 = (math.floor(cut) + 1) if strict else math.ceil(cut)
     if k0 > n:
         return 0.0
-    k0 = max(k0, 0)
-    q = 1.0 - p
-    try:
-        return float(sum(math.comb(n, k) * p ** k * q ** (n - k)
-                         for k in range(k0, n + 1)))
-    except OverflowError:
-        ks = np.arange(k0, n + 1)
-        log_terms = (special.gammaln(n + 1) - special.gammaln(ks + 1)
-                     - special.gammaln(n - ks + 1)
-                     + special.xlogy(ks, p) + special.xlog1py(n - ks, -p))
-        return float(np.sum(np.exp(log_terms)))
+    return float(special.bdtrc(k0 - 1, n, p))
 
 
 def binomial_quarter_lemma_holds(m: int, p: float) -> bool:
@@ -223,7 +230,7 @@ def regression_vc_bound(emp_risk: float, n: int, d_vc_induced: int,
     """Bounded-regression bound emp + 2B sqrt(2 (d log(2en/d) + log(2/delta)) / n)
     using the VC dimension of the induced level-set classifiers."""
     _check("delta", delta, 0, 1, lo_open=True, hi_open=True)
-    _check("b", b, 0, lo_open=True, hi_open=True)
+    _check("b", b, 0, _RANGE_MAX, lo_open=True)
     _check("emp_risk", emp_risk, 0, hi_open=True)
     cap = _log_capacity(n, d_vc_induced, None)
     joint = 2.0 * b * math.sqrt(2.0 * (cap + math.log(2.0 / delta)) / n)
@@ -257,11 +264,11 @@ def rademacher_risk_bound(variant: str, emp_risk: float, rad_terms, b: float,
         raise ValueError(f"unknown variant {variant!r}")
     _check("delta", delta, 0, 1, lo_open=True)
     _check("emp_risk", emp_risk, 0, hi_open=True)
-    _check("b", b, 0, lo_open=True, hi_open=True)
+    _check("b", b, 0, _RANGE_MAX, lo_open=True)
     _check("n", n, 1, integer=True)
     terms = np.atleast_1d(np.asarray(rad_terms, dtype=float))
     for t in terms:
-        _check("rad_terms", t, 0, hi_open=True)
+        _check("rad_terms", t, 0, _RANGE_MAX)
     if variant == "two_sided":
         if terms.size != 2:
             raise ValueError("two_sided needs (R, R') for training and ghost")
@@ -347,6 +354,7 @@ def chaining_rad_upper_best(diameter: float, log_covering, n: int,
     Returns (value, depth); sound because the bound holds at every depth.
     """
     _check("max_depth", max_depth, 1, integer=True)
+    log_covering = functools.cache(log_covering)    # each scale once
     best_val, best_depth = math.inf, 1
     for depth in range(1, max_depth + 1):
         val = chaining_rad_upper(diameter, depth, log_covering, n, lipschitz)
@@ -380,8 +388,8 @@ def mixing_reference_bound(emp_risk: float, rad_mu: float, b: float, mu: int,
     """
     _check("delta", delta, 0, 1, lo_open=True, hi_open=True)
     _check("emp_risk", emp_risk, 0, hi_open=True)
-    _check("rad_mu", rad_mu, 0, hi_open=True)
-    _check("b", b, 0, lo_open=True, hi_open=True)
+    _check("rad_mu", rad_mu, 0, _RANGE_MAX)
+    _check("b", b, 0, _RANGE_MAX, lo_open=True)
     _check("mu", mu, 1, integer=True)
     _check("a", a, 1, integer=True)
     _check("beta_a", beta_a, 0, 1)

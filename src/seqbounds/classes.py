@@ -56,7 +56,7 @@ class FunctionClassDescriptor:
             )
         elif self.kind == "kernel_ball":
             _check("radius", self.radius, 0, _SCALE_MAX, lo_open=True)
-            _check("bandwidth", self.bandwidth, 0, lo_open=True, hi_open=True)
+            _check("bandwidth", self.bandwidth, 0, _SCALE_MAX, lo_open=True)
         elif self.kind == "codebook":
             _check("n_codepoints", self.n_codepoints, 1, integer=True)
             _check("radius", self.radius, 0, _SCALE_MAX, lo_open=True)

@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import stats
 
-from .bounds import _check
+from .bounds import _check, _check_entries
 from .classes import (FunctionClassDescriptor, UnsupportedClassError,
                       evaluation_matrix, threshold_dichotomies,
                       PseudoMetricSample)
@@ -88,10 +88,7 @@ _SIGN_BLOCK = 4096
 def _sup_rows(cls: FunctionClassDescriptor, pts: np.ndarray):
     """Return S -> the k suprema sup_{f in class} (1/n) sum_i S[r, i] f(t_i),
     one per row r of a (k, n) matrix S of signs."""
-    # an empty or 0-d point set counts as missing; a NaN or inf entry
-    # makes the largest magnitude non-finite
-    _check("points", np.max(np.abs(pts)) if pts.ndim and pts.size else None,
-           hi_open=True)
+    _check_entries("points", pts)
     n = pts.shape[0]
     if cls.kind in ("finite", "threshold1d"):
         if cls.kind == "finite":

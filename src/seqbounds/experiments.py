@@ -60,7 +60,14 @@ def vc_coverage(spec: ProcessSpec, n: int, replications: int, delta: float,
                 seed: int, relative: bool = False, threads: int = 1) -> ExperimentResult:
     """Fraction of replications where the deviation supremum stays below
     the VC bound slack (additive bound) or the relative-deviation residual
-    stays below its fast-rate term."""
+    stays below its fast-rate term.
+
+    Risk: the stationary marginal risk of each threshold
+    (``threshold_risk_oracle``).  The bound's risk is the mean of the
+    marginal risks of the n points; paths start in the stationary law, so
+    the two coincide.  Hypothesis: a stationary sequence, with no mixing
+    rate; the relative bound is only proved under stationarity.
+    """
     oracle = threshold_risk_oracle(spec)
     if relative:
         slack = bnd.vc_relative_bound(0.0, n, delta, d_vc=1,
@@ -166,9 +173,17 @@ def _margin_empirical_risks(s, w, gamma):
 
 def margin_rad_coverage(spec: ProcessSpec, gamma: float, radius: float,
                         n: int, replications: int, delta: float, seed: int,
-                        grid_size: int = 401, threads: int = 1) -> ExperimentResult:
+                        threads: int = 1) -> ExperimentResult:
     """Marginal Rademacher risk-bound coverage for the linear margin class
-    {x -> w x, |w| <= radius} on 1-D threshold-labelled data."""
+    {x -> w x, |w| <= radius} on 1-D threshold-labelled data, over 401
+    models evenly spaced in [-radius, radius].
+
+    Risk: the exact margin risk under the stationary marginal
+    (``margin_linear_risk``), the mean of the n marginal risks for a path
+    started in the stationary law.  Hypothesis: a stationary sequence, so
+    that one closed-form complexity of the marginal law bounds the
+    training and the ghost sample alike; no mixing rate.
+    """
     if spec.kind != "ar1_threshold_labels":
         raise ValueError("margin coverage needs an ar1 process")
     _check("b_star", spec.b_star, 0, 0)
@@ -178,7 +193,7 @@ def margin_rad_coverage(spec: ProcessSpec, gamma: float, radius: float,
                                sum_sq_norm=n * law.variance)
     slack = bnd.rademacher_risk_bound("marginal", 0.0, rbar, 1.0, n,
                                       delta).bound_value
-    grid = np.linspace(-radius, radius, grid_size)
+    grid = np.linspace(-radius, radius, 401)
     risks = margin_linear_risk(grid, sigma_x, spec.flip_p, gamma)
 
     def one(r):
@@ -277,7 +292,14 @@ def regression_coverage(spec: ProcessSpec, m_clip: float, radius: float,
                         n: int, replications: int, delta: float, seed: int,
                         threads: int = 1) -> ExperimentResult:
     """Coverage of the bounded-regression VC bound for linear models of the
-    autoregressive system, checked over a grid of the coefficient ball."""
+    autoregressive system, checked over a grid of the coefficient ball.
+
+    Risk: the exact clipped squared risk under the stationary Gaussian law
+    of (x, y) (``clipped_linear_risk``), the mean of the n marginal risks
+    for a path started at the Lyapunov fixed point.  Hypothesis: a
+    stationary sequence and a loss bounded by 4 M^2, which the clip at M
+    gives; no mixing rate.
+    """
     if spec.kind != "ar_d_linear_system" or spec.clip_radius is not None:
         raise ValueError(
             "regression coverage needs an unclipped ar_d_linear_system "
@@ -318,7 +340,13 @@ def regression_coverage(spec: ProcessSpec, m_clip: float, radius: float,
 def symmetrization(spec: ProcessSpec, n: int, epsilon: float,
                    replications: int, seed: int, threads: int = 1) -> ExperimentResult:
     """Empirical check of the ghost-sample symmetrization inequality for
-    the threshold class, with per-replication supremum records."""
+    the threshold class, with per-replication supremum records.
+
+    Risk: the stationary marginal risk (``threshold_risk_oracle``); the
+    ghost sample is n independent draws from the stationary marginal.
+    Hypothesis: a stationary sequence and n eps^2 >= 2 B^2, the condition
+    of the ghost-sample step; no mixing rate.
+    """
     sups, verdict = _symmetrization(threshold_class(), zero_one_loss(), spec,
                                     n, epsilon, replications, seed,
                                     pmap=partial(_pmap, threads=threads))
@@ -347,7 +375,13 @@ def scenario_pac_coverage(program: scn.ScenarioProgramSpec, spec: ProcessSpec,
                           threads: int = 1) -> ExperimentResult:
     """Frequency of replications whose certified solution violates a fresh
     marginal draw with probability above epsilon; should not exceed delta
-    (plus Monte-Carlo slack)."""
+    (plus Monte-Carlo slack).
+
+    Risk: the violation probability under the stationary marginal,
+    estimated on ``ghost_draws`` independent draws from it.  Hypothesis: a
+    stationary scenario sequence, with the margin-method sample size
+    planned from tau and Lambda; no mixing rate.
+    """
     _check("replications", replications, 1, integer=True)
 
     def one(r):
@@ -379,17 +413,17 @@ def scenario_pac_coverage(program: scn.ScenarioProgramSpec, spec: ProcessSpec,
 # Kernel-ball Rademacher bound
 
 def kernel_rad_bound(instances: int, n: int, radius: float, m_clip: float,
-                     seed: int, sign_draws: int = 128, dim: int = 2,
-                     bandwidth: float = 1.0, threads: int = 1) -> ExperimentResult:
-    """Monte-Carlo kernel-ball Rademacher estimates stay below the
-    worst-case closed form 4 M radius / sqrt(n) on random point sets."""
-    cls = kernel_ball_class(radius=radius, bandwidth=bandwidth)
+                     seed: int, threads: int = 1) -> ExperimentResult:
+    """Monte-Carlo kernel-ball Rademacher estimates (bandwidth 1, 128
+    antithetic sign draws) stay below the worst-case closed form
+    4 M radius / sqrt(n) on random standard normal 2-D point sets."""
+    cls = kernel_ball_class(radius=radius)
     cap = bnd.class_rad_upper("kernel_gaussian", n, m_clip=m_clip, radius=radius)
 
     def one(i):
         rng = stream(seed, i, "points")
-        pts = rng.standard_normal((n, dim))
-        est = empirical_rademacher(cls, pts, sign_draws, seed + i)
+        pts = rng.standard_normal((n, 2))
+        est = empirical_rademacher(cls, pts, 128, seed + i)
         return est.value, cap
 
     records, frac = _replicate(one, instances, seed, threads, "instances")
@@ -404,31 +438,25 @@ def kernel_rad_bound(instances: int, n: int, radius: float, m_clip: float,
 # ---------------------------------------------------------------------------
 # Chaining dominance on small finite classes
 
-def chaining_dominance(instances: int, seed: int, n_points: int = 16,
-                       max_functions: int = 12, sign_draws: int = 300,
+def chaining_dominance(instances: int, seed: int,
                        threads: int = 1) -> ExperimentResult:
     """Chaining with exhaustive covering numbers dominates the Monte-Carlo
-    Rademacher estimate (minus 3 standard errors) on random finite classes."""
+    Rademacher estimate (minus 3 standard errors) on random finite classes
+    of 2 to 12 functions on 16 points."""
+    n_points = 16
 
     def one(i):
         rng = stream(seed, i, "points")
-        m = int(rng.integers(2, max_functions + 1))
+        m = int(rng.integers(2, 13))
         values = rng.standard_normal((m, n_points))
-        dm = pseudo_metric_matrix(values)
-        diameter = float(np.max(dm))
-        memo = {}
-
-        def log_cov(eps):
-            if eps not in memo:
-                memo[eps] = math.log(covering_number_exhaustive(values, eps))
-            return memo[eps]
-
-        chain, _ = bnd.chaining_rad_upper_best(diameter, log_cov, n_points,
-                                               max_depth=12)
+        diameter = float(np.max(pseudo_metric_matrix(values)))
+        chain, _ = bnd.chaining_rad_upper_best(
+            diameter, lambda eps: math.log(covering_number_exhaustive(values, eps)),
+            n_points, max_depth=12)
         pts = np.arange(n_points, dtype=float)
         fns = [(lambda row: (lambda x: row[np.asarray(x, int)]))(values[j])
                for j in range(m)]
-        est = empirical_rademacher(finite_class(fns), pts, sign_draws, seed + i)
+        est = empirical_rademacher(finite_class(fns), pts, 300, seed + i)
         return est.value - 3.0 * est.std_error, chain
 
     records, frac = _replicate(one, instances, seed, threads, "instances")
@@ -442,12 +470,12 @@ def chaining_dominance(instances: int, seed: int, n_points: int = 16,
 # ---------------------------------------------------------------------------
 # Mixing-bound comparison grid
 
-def mixing_tightness(mus, deltas, betas, a_values, seed: int = 0,
-                     radius: float = 1.0, m_clip: float = 1.0,
-                     variance: float = 1.0) -> ExperimentResult:
+def mixing_tightness(mus, deltas, betas, a_values) -> ExperimentResult:
     """Wherever the mixing reference bound applies, the marginal bound on
     the full sample is strictly smaller; at delta = 1e-9 the mixing bound
-    is inapplicable on the whole grid."""
+    is inapplicable on the whole grid.  Both bounds use the closed-form
+    complexity of the linear class with clip level 1, radius 1 and unit
+    second moment, and a loss range of 1."""
     records = []
     ok = True
     tiny_delta_applicable = 0
@@ -457,12 +485,10 @@ def mixing_tightness(mus, deltas, betas, a_values, seed: int = 0,
             n = 2 * a * mu
             for delta in deltas:
                 for beta in betas:
-                    rad_n = bnd.class_rad_upper("linear", n, m_clip=m_clip,
-                                                radius=radius,
-                                                sum_sq_norm=n * variance)
-                    rad_mu = bnd.class_rad_upper("linear", mu, m_clip=m_clip,
-                                                 radius=radius,
-                                                 sum_sq_norm=mu * variance)
+                    rad_n = bnd.class_rad_upper("linear", n, m_clip=1.0,
+                                                radius=1.0, sum_sq_norm=float(n))
+                    rad_mu = bnd.class_rad_upper("linear", mu, m_clip=1.0,
+                                                 radius=1.0, sum_sq_norm=float(mu))
                     marginal = bnd.rademacher_risk_bound(
                         "marginal", 0.0, [rad_n], 1.0, n, delta).bound_value
                     mix = bnd.mixing_reference_bound(0.0, rad_mu, 1.0, mu, a,
@@ -478,7 +504,7 @@ def mixing_tightness(mus, deltas, betas, a_values, seed: int = 0,
                     if tiny is not None:
                         tiny_delta_applicable += 1
                     ok &= holds
-                    records.append({"replication": i, "seed": seed,
+                    records.append({"replication": i, "seed": 0,
                                     "statistic": marginal, "bound": mix_val,
                                     "holds": holds})
                     i += 1

@@ -12,14 +12,18 @@ import numpy as np
 from scipy import optimize
 from scipy.spatial import ConvexHull, QhullError
 
-from .bounds import _SCALE_MAX, _check
+from .bounds import _SCALE_MAX, _check, _check_entries
 from .processes import ProcessSpec, simulate_sequence
 
 _CEIL_GUARD = 1e-9
 
 
-def _ceil_int(value: float) -> int:
-    # guard against float slop pushing an exact integer up by one
+def _planned(value: float, arguments: str) -> int:
+    """ceil(value) as a planned scenario count, guarded against float slop
+    pushing an exact integer up by one.  More than 1e300 scenarios is
+    reported against the planner ``arguments``."""
+    if not value <= 1e300:
+        raise ValueError(f"{arguments} plan more than 1e300 scenarios")
     return int(math.ceil(value - _CEIL_GUARD * max(1.0, abs(value))))
 
 
@@ -36,6 +40,8 @@ class AffineMap:
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.atleast_2d(np.asarray(self.matrix, float)))
         object.__setattr__(self, "offset", np.asarray(self.offset, float).ravel())
+        _check_entries("matrix", self.matrix)
+        _check_entries("offset", self.offset)
         if self.matrix.shape[0] != self.offset.shape[0]:
             raise ValueError("matrix rows must match offset length")
 
@@ -65,6 +71,8 @@ class Box:
     def __post_init__(self):
         object.__setattr__(self, "lo", np.asarray(self.lo, float).ravel())
         object.__setattr__(self, "hi", np.asarray(self.hi, float).ravel())
+        _check_entries("lo", self.lo)
+        _check_entries("hi", self.hi)
         if self.lo.shape != self.hi.shape or not np.all(self.lo <= self.hi):
             raise ValueError("box needs lo <= hi componentwise")
 
@@ -158,7 +166,12 @@ class ScenarioProgramSpec:
         object.__setattr__(self, "pieces", tuple(self.pieces))
         if not self.pieces:
             raise ValueError("program needs at least one constraint piece")
+        _check_entries("objective", self.objective)
         _check("margin", self.margin, 0, _SCALE_MAX, lo_open=True)
+        if self.x_domain is not None and not isinstance(self.x_domain, Box):
+            raise ValueError("x_domain must be a box")
+        if self.indicator_vc_dim is not None:
+            _check("indicator_vc_dim", self.indicator_vc_dim, 1, integer=True)
         p = self.objective.size
         for piece in self.pieces:
             if piece.psi.matrix.shape[0] != p:
@@ -238,7 +251,7 @@ def plan_n_vc(epsilon: float, delta: float, d_vc: int) -> int:
     _check("d_vc", d_vc, 1, integer=True)
     val = (5.0 / epsilon) * (d_vc * math.log(40.0 / epsilon)
                              + math.log(4.0 / delta))
-    return _ceil_int(val)
+    return _planned(val, f"epsilon = {epsilon:g} and d_vc = {d_vc}")
 
 
 def plan_n_margin(epsilon: float, delta: float, gamma: float,
@@ -249,8 +262,11 @@ def plan_n_margin(epsilon: float, delta: float, gamma: float,
     _check("delta", delta, 0, 1, lo_open=True, hi_open=True)
     _check("gamma", gamma, 0, _SCALE_MAX, lo_open=True)
     _check("tau_lambda_sum", tau_lambda_sum, 0, lo_open=True, hi_open=True)
-    val = ((2.0 / gamma) * tau_lambda_sum + math.sqrt(math.log(1.0 / delta))) ** 2
-    return _ceil_int(val / epsilon ** 2)
+    root = (2.0 / gamma) * tau_lambda_sum + math.sqrt(math.log(1.0 / delta))
+    # beyond 1e150 the float squares below would overflow or divide by zero
+    val = root ** 2 / epsilon ** 2 if root / epsilon <= 1e150 else math.inf
+    return _planned(val, f"tau_lambda_sum = {tau_lambda_sum:g}, gamma = "
+                         f"{gamma:g} and epsilon = {epsilon:g}")
 
 
 def violation_bound(method: str, n: int, delta: float, *, d_vc: int = None,
@@ -282,8 +298,7 @@ def violation_bound(method: str, n: int, delta: float, *, d_vc: int = None,
 class TauLambdaReport:
     taus: tuple
     lambdas: tuple
-    method: str              # "closed_form" or "grid"
-    grid_resolution: int = None
+    method: str              # "closed_form"
 
     @property
     def sum(self):
@@ -306,10 +321,8 @@ def tau_lambda(program: ScenarioProgramSpec) -> TauLambdaReport:
             taus.append(float(np.linalg.norm(piece.psi.offset)))
             continue
         if program.x_domain is None:
-            raise ValueError(
-                "tau needs a bounded x domain (set x_domain or a process "
-                "clipping radius)"
-            )
+            raise ValueError("matrix of a psi map is non-zero, so tau needs "
+                             "a bounded x_domain")
         dom = program.x_domain
         if dom.dim > 16:
             raise ValueError("vertex enumeration is limited to 16 dimensions")
@@ -354,8 +367,7 @@ def _extreme_scenarios(xs):
 
 
 def solve_margin_program(program: ScenarioProgramSpec, scenarios,
-                         mode: str = "optimize", margin: float = None,
-                         slack_target: float = 0.0) -> SolveResult:
+                         mode: str = "optimize", margin: float = None) -> SolveResult:
     """Solve min c.theta s.t. f(x_i, theta) <= -margin over the theta set.
 
     The program is linear in theta, so box theta sets are solved as an LP
@@ -367,8 +379,7 @@ def solve_margin_program(program: ScenarioProgramSpec, scenarios,
     set unchanged (Calafiore & Campi, IEEE TAC 2006).  The feasible flag
     always comes from an exact post-hoc evaluation of the constraints at
     the returned point over all scenarios, never from solver status.  In
-    feasibility mode the minimal worst-case slack point is returned and
-    checked against ``slack_target``.
+    feasibility mode the minimal worst-case slack point is returned.
     """
     if mode not in ("optimize", "feasibility"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -390,8 +401,7 @@ def solve_margin_program(program: ScenarioProgramSpec, scenarios,
 
     theta = np.asarray(theta, dtype=float)
     resid = float(np.max(program.constraint_values(xs, theta)) + gamma)
-    target = -slack_target if mode == "feasibility" else 0.0
-    feasible = resid <= target and program.theta_set.contains(theta)
+    feasible = resid <= 0 and program.theta_set.contains(theta)
     return SolveResult(theta=theta, feasible=bool(feasible),
                        objective=float(program.objective @ theta),
                        max_violation=resid, rows_solved=psi_all.shape[0],
@@ -514,6 +524,9 @@ def certify(program: ScenarioProgramSpec, spec: ProcessSpec, epsilon: float,
         gamma_solve = 0.0
     elif method == "margin":
         tl = tau_lambda(program)
+        if tl.sum == 0:
+            raise ValueError("offset and matrix of every psi map are zero, or "
+                             "theta_set is {0}: tau_lambda_sum is 0")
         n = plan_n_margin(epsilon, delta, program.margin, tl.sum)
         gamma_solve = program.margin
     else:

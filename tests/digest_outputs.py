@@ -1,6 +1,8 @@
 """Print the SHA-256 of every output file of the CLI ``validate`` runs at the
 acceptance configs of ``tests/test_acceptance.py``, plus ``regression_coverage``
-on an AR(2) system.
+on an AR(2) system, and of the ``scenario`` runs on the acceptance 1-D box
+program and on the same program over a ball, one ``plan`` and one ``bound``
+run: every command whose output is deterministic.
 
 Two trees give the same outputs when this prints the same lines for both:
 
@@ -8,8 +10,8 @@ Two trees give the same outputs when this prints the same lines for both:
     git stash; PYTHONPATH=src python tests/digest_outputs.py > before.txt
     git stash pop; diff before.txt after.txt
 
-Only ``summary.json`` and ``records.csv`` are digested: ``meta.json`` holds
-the time of the run.  Not collected by pytest (no ``test_`` prefix).
+Only ``summary.json`` and ``records.csv`` (where the command writes one) are
+digested: ``meta.json`` holds the time of the run.  Not collected by pytest (no ``test_`` prefix).
 """
 import hashlib
 import sys
@@ -48,18 +50,36 @@ CONFIGS = {
                             "delta": 0.05, "seed": 909},
 }
 
+# full configs of the other deterministic commands
+BOX_PROGRAM = default_scenario_program().to_dict()
+BALL_PROGRAM = dict(BOX_PROGRAM, theta_set={"kind": "ball", "radius": 10.0})
+COMMAND_CONFIGS = {
+    "scenario_box": {"command": "scenario", "method": "margin",
+                     "epsilon": 0.15, "delta": 0.1, "program": BOX_PROGRAM,
+                     "process": AR1, "seed": 888},
+    "scenario_ball": {"command": "scenario", "method": "margin",
+                      "epsilon": 0.15, "delta": 0.1, "program": BALL_PROGRAM,
+                      "process": AR1, "seed": 888},
+    "plan": {"command": "plan", "method": "margin", "epsilon": 0.1,
+             "delta": 0.05, "gamma": 1.0, "tau_lambda_sum": 1.0, "seed": 1},
+    "bound": {"command": "bound", "bound": "vc", "emp_risk": 0.02,
+              "n": 100000, "delta": 0.05, "d_vc": 4, "seed": 1},
+}
+
 
 def main():
+    runs = {**{name: {"command": "validate", "experiment": name, **config}
+               for name, config in CONFIGS.items()}, **COMMAND_CONFIGS}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, config in CONFIGS.items():
+        for name, config in runs.items():
             out = Path(tmp) / name
-            code = cli.run({"command": "validate", "experiment": name,
-                            **config}, out)
+            code = cli.run(config, out)
             if code != cli.EXIT_OK:
                 sys.exit(f"{name}: exit code {code}")
             for fname in ("summary.json", "records.csv"):
-                digest = hashlib.sha256((out / fname).read_bytes()).hexdigest()
-                print(f"{digest}  {name}/{fname}")
+                if (out / fname).exists():
+                    digest = hashlib.sha256((out / fname).read_bytes()).hexdigest()
+                    print(f"{digest}  {name}/{fname}")
 
 
 if __name__ == "__main__":

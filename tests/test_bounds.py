@@ -1,7 +1,10 @@
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from seqbounds.bounds import (_check, binomial_quarter_lemma_holds,
@@ -13,12 +16,12 @@ from seqbounds.bounds import (_check, binomial_quarter_lemma_holds,
                               regression_vc_bound, spectral_log_covering,
                               vc_bound, vc_relative_bound)
 from seqbounds.classes import (covering_number_exhaustive,
-                               covering_number_greedy)
+                               covering_number_greedy, kernel_ball_class)
 from seqbounds.losses import clipped_squared_loss, margin_loss, vq_loss
 from seqbounds.processes import (ar1_process, ar_process, iid_process,
                                  markov_binary_process, sample_marginal,
                                  simulate_sequence)
-from seqbounds.scenario import plan_n_margin, violation_bound
+from seqbounds.scenario import plan_n_margin, plan_n_vc, violation_bound
 
 
 class TestConcentrationTail:
@@ -71,6 +74,62 @@ class TestBinomialQuarterLemma:
     def test_hypothesis_violation(self):
         with pytest.raises(ValueError, match="1/m"):
             binomial_quarter_lemma_holds(5, 0.1)
+
+
+class TestOracleProperties:
+    """The single-path oracles: the incomplete-beta binomial tail, the
+    array-free scalar Hoeffding form and the once-per-scale chaining."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 80), j=st.integers(0, 20), k=st.integers(-3, 83),
+           shift=st.sampled_from([Fraction(-1, 2), Fraction(0), Fraction(1, 2)]),
+           at_mean=st.booleans(), strict=st.booleans())
+    def test_binomial_tail_matches_exact_sum(self, n, j, k, shift, at_mean,
+                                             strict):
+        # p = j/20 includes 0 and 1; the cut n (p + eps) is either n p
+        # (eps = 0) or k + shift, so eps is negative, zero or exactly on a cut
+        p = j / 20
+        cut = n * Fraction(j, 20) if at_mean else k + shift
+        eps = 0.0 if at_mean else float(cut / n - Fraction(j, 20))
+        k0 = math.floor(cut) + 1 if strict else math.ceil(cut)
+        q = Fraction(p)
+        exact = sum(math.comb(n, s) * q ** s * (1 - q) ** (n - s)
+                    for s in range(max(k0, 0), n + 1))
+        got = exact_binomial_mean_tail(n, p, eps, strict=strict)
+        assert abs(Fraction(got) - exact) <= Fraction(1, 10 ** 13) * exact
+
+    def test_binomial_tail_far_epsilon(self):
+        # n (p + eps) overflowed to inf before the cut was clamped
+        assert exact_binomial_mean_tail(2, 1.0, 1e308) == 0.0
+        assert exact_binomial_mean_tail(2, 0.5, -1e308) == 1.0
+        assert exact_binomial_mean_tail(3, 1.0, -1e308, strict=False) == 1.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["hoeffding", "bounded_difference"]),
+           c=st.floats(1e-3, 1e3), eps=st.floats(0.0, 10.0),
+           n=st.integers(1, 500))
+    def test_scalar_and_array_hoeffding_agree(self, kind, c, eps, n):
+        assert concentration_tail(kind, c, eps, n) == pytest.approx(
+            concentration_tail(kind, np.full(n, c), eps), rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, -math.inf])
+    def test_scalar_and_array_reject_alike(self, c):
+        for ranges in (c, [c] * 4):
+            with pytest.raises(ValueError, match="^c_or_ranges must be positive"):
+                concentration_tail("hoeffding", ranges, 0.1, 4)
+
+    def test_chaining_best_evaluates_each_scale_once(self):
+        calls = Counter()
+
+        def log_cov(eps):
+            calls[eps] += 1
+            return math.log1p(1.0 / eps)
+
+        got = chaining_rad_upper_best(2.0, log_cov, 50, max_depth=12)
+        assert len(calls) == 12 and set(calls.values()) == {1}
+        loop = [(chaining_rad_upper(2.0, depth, log_cov, 50), depth)
+                for depth in range(1, 13)]
+        assert got == min(loop, key=lambda vd: vd[0])
 
 
 class TestVcBound:
@@ -386,6 +445,16 @@ _LOG2 = lambda e: math.log(2.0)
         0.0, 0.1, 1.0, 100, 1, math.nan, 0.1), id="mixing-beta-nan"),
     pytest.param("rad_terms", lambda: rademacher_risk_bound(
         "marginal", 0.0, [math.nan], 1.0, 100, 0.1), id="rad-terms-nan"),
+    pytest.param("rad_terms", lambda: rademacher_risk_bound(
+        "marginal", 0.0, [1e308], 1.0, 100, 0.1), id="rad-terms-huge"),
+    pytest.param("rad_mu", lambda: mixing_reference_bound(
+        0.0, 1e308, 1.0, 100, 1, 1e-4, 0.1), id="mixing-rad-mu-huge"),
+    pytest.param("tau_lambda_sum", lambda: plan_n_margin(0.1, 0.05, 1.0, 1e308),
+                 id="plan-margin-count-overflow"),
+    pytest.param("epsilon", lambda: plan_n_vc(1e-320, 0.1, 3),
+                 id="plan-vc-count-overflow"),
+    pytest.param("bandwidth", lambda: kernel_ball_class(1.0, bandwidth=1e308),
+                 id="kernel-bandwidth-huge"),
     pytest.param("gamma", lambda: margin_loss(math.nan), id="margin-loss"),
     pytest.param("clip", lambda: clipped_squared_loss(math.nan),
                  id="clipped-squared-loss"),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from digest_outputs import CONFIGS
+from digest_outputs import AR1, AR2_SYSTEM, COMMAND_CONFIGS, CONFIGS
 from seqbounds import cli
 from seqbounds.cli import (ConfigError, emit_plot_data, main, run,
                            validate_config)
@@ -405,25 +405,28 @@ class TestMain:
 
 
 # ---------------------------------------------------------------------------
-# Fuzz: one numeric key of a validate config replaced by an out-of-range value
+# Fuzz: one numeric value of a config replaced by an out-of-range value
 
 _SHRUNK = {"n": 200, "replications": 3, "instances": 3}
 
 
-def _numeric_keys(config):
-    """Paths of the numeric config values, process fields included; threads
-    is left out so that no drawn value can ask for many threads."""
-    for key, value in config.items():
-        if key == "process":
-            yield from ((key, field) for field, v in value.items()
-                        if isinstance(v, (int, float)) and not isinstance(v, bool))
-        elif (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and key != "threads"):
-            yield (key,)
+def _numeric_paths(value, path=()):
+    """Paths of the numeric leaves of a config, through nested objects and
+    lists; threads is left out so that no drawn value can ask for many
+    threads."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            if key != "threads":
+                yield from _numeric_paths(v, path + (key,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _numeric_paths(v, path + (i,))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path
 
 
 _FUZZ_CASES = [(name, path) for name in CONFIGS
-               for path in _numeric_keys(CONFIGS[name])]
+               for path in _numeric_paths(CONFIGS[name])]
 
 
 def _all_finite(obj):
@@ -437,29 +440,26 @@ def _all_finite(obj):
     return obj not in ("nan", "inf", "-inf")
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(case=st.sampled_from(_FUZZ_CASES),
-       value=st.sampled_from([math.nan, math.inf, -math.inf, 0, -1, 1e308]))
-def test_out_of_range_value_named_or_finite(case, value):
-    """Every numeric config value is range-checked: the run either stops
-    with exit 2 and a message that starts with the key, or writes a strict
-    JSON summary with only finite numbers in it."""
-    name, path = case
-    config = json.loads(json.dumps(
-        {"command": "validate", "experiment": name,
-         **{k: min(v, _SHRUNK[k]) if k in _SHRUNK else v
-            for k, v in CONFIGS[name].items()}}))
+_FUZZ_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 1e308]
+
+
+def _check_case(config, path, value):
+    """Run ``config`` with the value at ``path`` replaced: the run either
+    stops with exit 2 and a message that starts with the innermost key of
+    the path, or writes a strict JSON summary with only finite numbers."""
+    config = json.loads(json.dumps(config))
     target = config
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
+    name = [key for key in path if isinstance(key, str)][-1]
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
         code = run(config, Path(tmp) / "out")
         summary = (Path(tmp) / "out" / "summary.json")
         text = summary.read_text() if summary.exists() else None
     if code == cli.EXIT_CONFIG:
-        assert re.match(rf"config error: {re.escape(path[-1])}\b", err.getvalue())
+        assert re.match(rf"config error: {re.escape(name)}\b", err.getvalue())
     else:
         assert code in (cli.EXIT_OK, cli.EXIT_PROPERTY)
 
@@ -467,3 +467,89 @@ def test_out_of_range_value_named_or_finite(case, value):
             raise AssertionError(f"summary.json holds {constant}")
 
         assert _all_finite(json.loads(text, parse_constant=reject))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=st.sampled_from(_FUZZ_CASES), value=st.sampled_from(_FUZZ_VALUES))
+def test_out_of_range_value_named_or_finite(case, value):
+    """Every numeric config value is range-checked: the run either stops
+    with exit 2 and a message that starts with the key, or writes a strict
+    JSON summary with only finite numbers in it."""
+    name, path = case
+    _check_case({"command": "validate", "experiment": name,
+                 **{k: min(v, _SHRUNK[k]) if k in _SHRUNK else v
+                    for k, v in CONFIGS[name].items()}}, path, value)
+
+
+# The other commands: every bound kind, both planners, simulate, rad on
+# points and on a process, and scenario on box and ball programs (epsilon
+# 0.5 keeps the planned path short).  No size is drawn as a huge Python
+# int: n = 10**12 would allocate terabytes before any check could apply.
+_COMMAND_BASES = {
+    "bound_vc": COMMAND_CONFIGS["bound"],
+    "bound_vc_growth": {"command": "bound", "bound": "vc", "emp_risk": 0.1,
+                        "n": 1000, "delta": 0.05, "growth_2n": 100.0,
+                        "seed": 1},
+    "bound_vc_relative": {"command": "bound", "bound": "vc_relative",
+                          "emp_risk": 0.1, "n": 1000, "delta": 0.05,
+                          "d_vc": 3, "stationary": True, "seed": 1},
+    "bound_regression": {"command": "bound", "bound": "regression",
+                         "emp_risk": 0.1, "n": 1000, "delta": 0.05,
+                         "d_vc": 6, "b": 4.0, "seed": 1},
+    "bound_rademacher_two_sided": {"command": "bound", "bound": "rademacher",
+                                   "variant": "two_sided", "emp_risk": 0.1,
+                                   "rad_terms": [0.1, 0.2], "b": 1.0,
+                                   "n": 1000, "delta": 0.05, "seed": 1},
+    "bound_rademacher_marginal": {"command": "bound", "bound": "rademacher",
+                                  "variant": "marginal", "emp_risk": 0.1,
+                                  "rad_terms": 0.1, "b": 1.0, "n": 1000,
+                                  "delta": 0.05, "seed": 1},
+    "bound_mixing": {"command": "bound", "bound": "mixing", "emp_risk": 0.1,
+                     "rad_mu": 0.05, "b": 1.0, "mu": 100, "a": 2,
+                     "beta_a": 1e-4, "delta": 0.1, "seed": 1},
+    "plan_vc": {"command": "plan", "method": "vc", "epsilon": 0.1,
+                "delta": 1e-6, "d_vc": 5, "seed": 1},
+    "plan_margin": COMMAND_CONFIGS["plan"],
+    "simulate_ar1": {"command": "simulate", "process": AR1, "n": 200,
+                     "seed": 3},
+    "simulate_ar2": {"command": "simulate", "process": AR2_SYSTEM, "n": 200,
+                     "seed": 3},
+    "rad_points": {"command": "rad", "sign_draws": 32, "seed": 7,
+                   "class": {"kind": "linear_ball", "dim": 2, "radius": 1.5},
+                   "points": [[3.0, 4.0], [1.0, -2.0], [0.5, 0.1]]},
+    "rad_process": {"command": "rad", "sign_draws": 32, "seed": 7,
+                    "class": {"kind": "kernel_ball", "radius": 2.0,
+                              "bandwidth": 0.8},
+                    "process": AR1, "n": 200},
+    "scenario_box": dict(COMMAND_CONFIGS["scenario_box"], epsilon=0.5),
+    "scenario_ball": dict(COMMAND_CONFIGS["scenario_ball"], epsilon=0.5),
+    "scenario_box_vc": dict(COMMAND_CONFIGS["scenario_box"], epsilon=0.5,
+                            method="vc"),
+}
+
+
+_COMMAND_CASES = [(name, path) for name, config in _COMMAND_BASES.items()
+                  for path in _numeric_paths(config)]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(case=st.sampled_from(_COMMAND_CASES), value=st.sampled_from(_FUZZ_VALUES))
+def test_command_out_of_range_value_named_or_finite(case, value):
+    """The validate fuzz above for every other command, nested program,
+    process, class, point and rad_terms numbers included."""
+    name, path = case
+    _check_case(_COMMAND_BASES[name], path, value)
+
+
+@pytest.mark.parametrize("config, name", [
+    ({"command": "scenario", "method": "margin", "epsilon": 0.5,
+      "delta": 0.1, "process": AR1, "seed": 1,
+      "program": dict(COMMAND_CONFIGS["scenario_box"]["program"],
+                      x_domain={"kind": "ball", "radius": 3.0})}, "x_domain"),
+    ({"command": "rad", "sign_draws": 8, "seed": 7,
+      "class": {"kind": "linear_ball", "dim": 1, "radius": 1.0},
+      "points": [1.0, 1e308]}, "points"),
+])
+def test_exit_2_names_the_value(tmp_path, capsys, config, name):
+    assert run(config, tmp_path / "out") == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {name}")

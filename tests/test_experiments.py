@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -12,7 +13,8 @@ from seqbounds.classes import threshold_class
 from seqbounds.losses import zero_one_loss
 from seqbounds.experiments import (_clipped_ray_risks, _linear_model_grid,
                                    _margin_empirical_risks,
-                                   bound_vs_n_records, clipped_linear_risk,
+                                   bound_vs_n_records, chaining_dominance,
+                                   clipped_linear_risk, kernel_rad_bound,
                                    margin_linear_risk, margin_rad_coverage,
                                    mixing_tightness, regression_coverage,
                                    relative_rate_scaling,
@@ -20,7 +22,8 @@ from seqbounds.experiments import (_clipped_ray_risks, _linear_model_grid,
                                    vc_coverage)
 from seqbounds.processes import (ar1_process, ar_process, simulate_sequence,
                                  stationary_params, stream)
-from seqbounds.scenario import one_dim_threshold_program
+from seqbounds.scenario import (TauLambdaReport, one_dim_threshold_program,
+                                solve_margin_program)
 
 
 class TestMarginRiskOracle:
@@ -301,3 +304,16 @@ class TestGridSweeps:
             emp = np.mean((path.y[:, None] - preds) ** 2, axis=0)
             assert rec["statistic"] == pytest.approx(np.max(risks - emp),
                                                      abs=1e-12)
+
+
+@pytest.mark.parametrize("call, removed", [
+    (margin_rad_coverage, {"grid_size"}),
+    (kernel_rad_bound, {"sign_draws", "dim", "bandwidth"}),
+    (chaining_dominance, {"n_points", "max_functions", "sign_draws"}),
+    (mixing_tightness, {"seed", "radius", "m_clip", "variance"}),
+    (solve_margin_program, {"slack_target"}),
+    (TauLambdaReport, {"grid_resolution"}),
+])
+def test_options_no_caller_sets_are_gone(call, removed):
+    # each took one value from every caller; its literal is in the body now
+    assert not removed & set(inspect.signature(call).parameters)

@@ -355,3 +355,47 @@ class TestSerialization:
         assert payload["feasible"] is True
         assert payload["method"] == "margin"
         assert payload["n_used"] == cert.n_used
+
+
+class TestProgramNumbersRejectedByName:
+    """Each malformed program number fails when the program is built (or,
+    for tau, when it is certified) with a ValueError naming it."""
+
+    @staticmethod
+    def program(**changes):
+        d = one_dim_threshold_program(theta_lo=-10.0, theta_hi=10.0).to_dict()
+        for path, value in changes.items():
+            target = d
+            keys = path.split(".")
+            for key in keys[:-1]:
+                target = target[int(key) if key.isdigit() else key]
+            target[keys[-1]] = value
+        return ScenarioProgramSpec.from_dict(d)
+
+    @pytest.mark.parametrize("path, value, name", [
+        ("objective", [math.nan], "objective"),
+        ("objective", [math.inf], "objective"),
+        ("objective", [1e308], "objective"),
+        ("pieces.0.psi.matrix", [[math.nan]], "matrix"),
+        ("pieces.0.eta.offset", [math.nan], "offset"),
+        ("pieces.0.eta.matrix", [[1e308]], "matrix"),
+        ("theta_set", {"kind": "box", "lo": [-1e308], "hi": [10.0]}, "lo"),
+        ("theta_set", {"kind": "box", "lo": [-10.0], "hi": [math.inf]}, "hi"),
+        ("x_domain", {"kind": "ball", "radius": 3.0}, "x_domain"),
+        ("indicator_vc_dim", math.nan, "indicator_vc_dim"),
+        ("indicator_vc_dim", 0, "indicator_vc_dim"),
+    ])
+    def test_spec(self, path, value, name):
+        with pytest.raises(ValueError, match=rf"^{name}\b"):
+            self.program(**{path: value})
+
+    @pytest.mark.parametrize("path, value, name", [
+        # psi = 0: the constraint does not depend on theta
+        ("pieces.0.psi.offset", [0.0], "offset"),
+        # psi depends on x, and there is no x domain to bound tau over
+        ("pieces.0.psi.matrix", [[-1.0]], "matrix"),
+    ])
+    def test_tau(self, path, value, name):
+        prog = self.program(**{path: value})
+        with pytest.raises(ValueError, match=rf"^{name}\b"):
+            certify(prog, ar1_process(0.8, 0.6), 0.3, 0.1, "margin", seed=1)
