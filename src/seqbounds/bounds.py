@@ -31,17 +31,18 @@ def _check(name, value, lo=-math.inf, hi=math.inf, *, lo_open=False,
     """Raise a ValueError that starts with ``name`` unless lo <= value <= hi,
     strictly at an open end.  NaN lies in no interval, so an open infinite
     end rejects that infinity and NaN alike; ``None`` is reported as
-    missing.  ``integer`` also requires an int or a numpy integer, so that
-    no float (1e308, say) ever sizes an array."""
+    missing.  ``integer`` also requires an int or a numpy integer that a
+    float can hold, so that no float (1e308, say) ever sizes an array and
+    no calculator overflows converting one."""
     if value is None:
         raise ValueError(f"{name} is missing")
     try:
         if integer:
-            operator.index(value)
+            float(operator.index(value))
         if ((lo < value) if lo_open else (lo <= value)) and \
                 ((value < hi) if hi_open else (value <= hi)):
             return
-    except TypeError:
+    except (TypeError, OverflowError):
         pass
     interval = f"{'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
     kind = "an integer " if integer else ""

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .bounds import _check, _check_entries
 from .classes import (FunctionClassDescriptor, UnsupportedClassError,
@@ -106,7 +106,11 @@ def _sup_rows(cls: FunctionClassDescriptor, pts: np.ndarray):
     if cls.kind == "kernel_ball":
         x = pts if pts.ndim == 2 else pts[:, None]
         sq = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
-        gram = np.exp(-sq / (2.0 * cls.bandwidth ** 2))
+        bw = cls.bandwidth
+        # bw ** 2 underflows for a tiny width; the overflow of sq / bw / bw
+        # gives the identity Gram that the limit bw -> 0 has
+        with np.errstate(over="ignore"):
+            gram = np.exp(-sq / bw / bw / 2.0)
         lam = cls.radius
         return lambda s: lam * np.sqrt(
             np.maximum(np.einsum("ki,ki->k", s @ gram, s), 0.0)) / n
@@ -231,8 +235,8 @@ def threshold_risk_oracle(spec: ProcessSpec) -> Callable:
 
     def oracle(b):
         b = np.asarray(b, dtype=float)
-        hi = stats.norm.cdf((np.maximum(b, bs) - mu) / scale)
-        lo = stats.norm.cdf((np.minimum(b, bs) - mu) / scale)
+        hi = special.ndtr((np.maximum(b, bs) - mu) / scale)
+        lo = special.ndtr((np.minimum(b, bs) - mu) / scale)
         return p + (1.0 - 2.0 * p) * (hi - lo)
 
     return oracle

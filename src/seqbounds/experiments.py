@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from . import bounds as bnd
 from .bounds import _SCALE_MAX, _check
@@ -139,7 +139,7 @@ def margin_linear_risk(w, sigma_x: float, flip_p: float, gamma: float):
         sp = s[pos]
         a = np.maximum((1.0 - gamma) / sp, 0.0)
         b = 1.0 / sp
-        cdf = lambda t: 2.0 * stats.norm.cdf(t / sigma_x) - 1.0
+        cdf = lambda t: 2.0 * special.ndtr(t / sigma_x) - 1.0
         ehalf = lambda lo, hi: sigma_x * math.sqrt(2.0 / math.pi) * (
             np.exp(-lo ** 2 / (2 * sigma_x ** 2))
             - np.exp(-hi ** 2 / (2 * sigma_x ** 2)))
@@ -231,7 +231,7 @@ def clipped_linear_risk(w_rows, cov, theta, noise_sigma, m_clip):
     pos = s2 > 0
     s = np.sqrt(s2[pos])
     a = m_clip / s
-    cdf, pdf = stats.norm.cdf(a), stats.norm.pdf(a)
+    cdf, pdf = special.ndtr(a), stats.norm.pdf(a)
     e_cu = s2[pos] * (2 * cdf - 1)
     e_c2 = (s2[pos] * (2 * cdf - 1 - 2 * a * pdf)
             + 2 * m_clip ** 2 * (1 - cdf))
@@ -267,7 +267,8 @@ def _clipped_ray_risks(x, y, directions, radii, m_clip):
     p = x @ directions.T                                    # (n, k)
     with np.errstate(divide="ignore"):
         reach = np.searchsorted(radii, m_clip / np.abs(p), side="right")
-    bins = (reach + (m + 1) * np.arange(k)).ravel()
+    reach += (m + 1) * np.arange(k)
+    bins = reach.ravel()
 
     def per_bin(weights=None):
         return np.bincount(bins, weights=weights,
@@ -281,7 +282,9 @@ def _clipped_ray_risks(x, y, directions, radii, m_clip):
 
     s_yp = inside(per_bin((y[:, None] * p).ravel()))
     s_pp = inside(per_bin((p * p).ravel()))
-    s_ys = outside(per_bin((y[:, None] * np.sign(p)).ravel()))
+    # y sign(p) without the multiply: a point with p = 0 is never clipped,
+    # so its weight lands in the last bin, which no outside() sum reads
+    s_ys = outside(per_bin(np.where(p < 0, -y[:, None], y[:, None]).ravel()))
     n_out = outside(per_bin())
     total = (float(y @ y) - 2.0 * radii * s_yp + radii ** 2 * s_pp
              - 2.0 * m_clip * s_ys + m_clip ** 2 * n_out)

@@ -2,6 +2,7 @@
 and closed-form marginal (ghost) samplers."""
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
 
@@ -158,8 +159,8 @@ def stationary_params(spec: ProcessSpec) -> MarginalLaw:
     if spec.kind == "markov_binary":
         return MarginalLaw(kind="binary_uniform")
     if spec.kind == "ar_d_linear_system":
-        return MarginalLaw(kind="multivariate_normal",
-                           covariance=_lyapunov_covariance(spec))
+        cov = _lyapunov_covariance(spec.coefficients, spec.sigma)
+        return MarginalLaw(kind="multivariate_normal", covariance=cov)
     if spec.kind == "iid_baseline":
         if spec.dist == "normal":
             return MarginalLaw(kind="normal", mean=spec.mean,
@@ -169,13 +170,23 @@ def stationary_params(spec: ProcessSpec) -> MarginalLaw:
     raise ValueError(f"no stationary law for kind {spec.kind!r}")
 
 
-def _lyapunov_covariance(spec: ProcessSpec):
+def _lyapunov_covariance(coefficients, sigma):
     """Stationary state covariance: the solution S of S = C S C' + Q for the
     companion matrix C and innovation covariance Q = sigma^2 e_1 e_1'."""
-    d = len(spec.coefficients)
+    d = len(coefficients)
     q = np.zeros((d, d))
-    q[0, 0] = spec.sigma ** 2
-    return linalg.solve_discrete_lyapunov(_companion(spec.coefficients), q)
+    q[0, 0] = sigma ** 2
+    return linalg.solve_discrete_lyapunov(_companion(coefficients), q)
+
+
+@functools.lru_cache(maxsize=64)
+def _ar_cholesky(coefficients, sigma):
+    """Read-only Cholesky factor of the stationary state covariance of the
+    autoregression, shared by every path and ghost draw of that system."""
+    cov = _lyapunov_covariance(coefficients, sigma)
+    chol = np.linalg.cholesky(cov + 1e-15 * np.eye(len(coefficients)))
+    chol.flags.writeable = False
+    return chol
 
 
 def _threshold_labels(x, b_star, flip_p, rng):
@@ -220,8 +231,7 @@ def simulate_sequence(spec: ProcessSpec, n: int, seed: int,
 def _simulate_ar_d(spec, n, rng):
     theta = np.asarray(spec.coefficients, dtype=float)
     d = theta.size
-    cov = _lyapunov_covariance(spec)
-    chol = np.linalg.cholesky(cov + 1e-15 * np.eye(d))
+    chol = _ar_cholesky(spec.coefficients, spec.sigma)
     state0 = chol @ rng.standard_normal(d)          # (y_0, y_-1, ..., y_{-d+1})
     noise = rng.normal(0.0, spec.sigma, n)
     a_poly = np.concatenate(([1.0], -theta))
@@ -251,10 +261,10 @@ def sample_marginal(spec: ProcessSpec, m: int, seed: int,
     """
     _check("m", m, 0, integer=True)
     rng = stream(seed, replication, "ghost")
-    law = stationary_params(spec)
     if spec.kind == "ar1_threshold_labels" or (
         spec.kind == "iid_baseline" and spec.dist == "normal"
     ):
+        law = stationary_params(spec)
         x = rng.normal(law.mean, np.sqrt(law.variance), m)
         y = _threshold_labels(x, spec.b_star, spec.flip_p, rng)
     elif spec.kind == "iid_baseline":
@@ -265,9 +275,8 @@ def sample_marginal(spec: ProcessSpec, m: int, seed: int,
         y = x.copy()
     elif spec.kind == "ar_d_linear_system":
         theta = np.asarray(spec.coefficients, dtype=float)
-        d = theta.size
-        chol = np.linalg.cholesky(law.covariance + 1e-15 * np.eye(d))
-        g = rng.standard_normal((m, d)) @ chol.T
+        chol = _ar_cholesky(spec.coefficients, spec.sigma)
+        g = rng.standard_normal((m, theta.size)) @ chol.T
         y = g @ theta + rng.normal(0.0, spec.sigma, m)
         x = _clip_rows(g, spec.clip_radius)
     else:
@@ -276,15 +285,20 @@ def sample_marginal(spec: ProcessSpec, m: int, seed: int,
                           process=spec.kind + ":ghost")
 
 
-_CSV_CHUNK_ROWS = 8192
+# rows per write: a chunk's text, the repr of each of its distinct floats
+# included, is held at once
+_CSV_CHUNK_ROWS = 2048
 
 
 def sequence_to_csv(sample: SequenceSample, path):
     """Write the sample as CSV with columns index, x components, y.
 
     The text is what ``csv.writer`` writes for the same rows (float repr,
-    ``\\r\\n`` line ends), formatted a column at a time and written in chunks
-    of rows so that the whole file is never held in memory.
+    ``\\r\\n`` line ends), written in chunks of rows so that the whole file
+    is never held in memory.  Each distinct float of a chunk is formatted
+    once (distinct by bit pattern, so -0.0 keeps its sign) and the cells
+    are filled by index: the regressors of an autoregression are lags of y,
+    so most values appear in several columns.
     """
     x = np.atleast_2d(sample.x.T).T
     header = ["index"] + [f"x{j}" for j in range(x.shape[1])] + ["y"]
@@ -292,11 +306,14 @@ def sequence_to_csv(sample: SequenceSample, path):
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(sample), _CSV_CHUNK_ROWS):
             stop = min(start + _CSV_CHUNK_ROWS, len(sample))
-            columns = [map(str, range(start, stop))]
-            columns += [map(repr, x[start:stop, j].tolist())
-                        for j in range(x.shape[1])]
-            columns.append(map(repr, sample.y[start:stop].tolist()))
-            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+            block = np.column_stack((x[start:stop], sample.y[start:stop]))
+            block = block.astype(float, copy=False)
+            bits, index = np.unique(block.view(np.int64), return_inverse=True)
+            text = np.array(list(map(repr, bits.view(float).tolist())),
+                            dtype=object)
+            columns = text[index.reshape(block.shape)].T.tolist()
+            rows = zip(map(str, range(start, stop)), *columns)
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def process_from_dict(d: dict) -> ProcessSpec:

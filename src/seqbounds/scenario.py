@@ -413,8 +413,12 @@ def _solve_box(program, psi_all, h_all, gamma, mode):
     p = program.dim_theta
     bounds = list(zip(box.lo, box.hi))
     if mode == "optimize":
+        # HiGHS reads a cost of 1e20 or more as infinite; scaling c by its
+        # largest magnitude keeps the argmin
+        scale = np.max(np.abs(program.objective))
+        c = program.objective / scale if scale > 0 else program.objective
         res = optimize.linprog(
-            c=program.objective, A_ub=psi_all,
+            c=c, A_ub=psi_all,
             b_ub=-gamma - h_all - _TIGHTEN, bounds=bounds, method="highs",
         )
         if res.status == 0:

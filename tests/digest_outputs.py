@@ -1,8 +1,10 @@
 """Print the SHA-256 of every output file of the CLI ``validate`` runs at the
 acceptance configs of ``tests/test_acceptance.py``, plus ``regression_coverage``
 on an AR(2) system, and of the ``scenario`` runs on the acceptance 1-D box
-program and on the same program over a ball, one ``plan`` and one ``bound``
-run: every command whose output is deterministic.
+program and on the same program over a ball, one ``plan``, one ``bound`` and
+one ``simulate`` run (an AR(2) path of 100,000 rows, as the benchmark's
+coverage_mc workload writes it): every command whose output is
+deterministic.
 
 Two trees give the same outputs when this prints the same lines for both:
 
@@ -10,8 +12,8 @@ Two trees give the same outputs when this prints the same lines for both:
     git stash; PYTHONPATH=src python tests/digest_outputs.py > before.txt
     git stash pop; diff before.txt after.txt
 
-Only ``summary.json`` and ``records.csv`` (where the command writes one) are
-digested: ``meta.json`` holds the time of the run.  Not collected by pytest (no ``test_`` prefix).
+Only ``summary.json``, ``records.csv`` and ``sequence.csv`` (where the command
+writes them) are digested: ``meta.json`` holds the time of the run.  Not collected by pytest (no ``test_`` prefix).
 """
 import hashlib
 import sys
@@ -64,6 +66,8 @@ COMMAND_CONFIGS = {
              "delta": 0.05, "gamma": 1.0, "tau_lambda_sum": 1.0, "seed": 1},
     "bound": {"command": "bound", "bound": "vc", "emp_risk": 0.02,
               "n": 100000, "delta": 0.05, "d_vc": 4, "seed": 1},
+    "simulate": {"command": "simulate", "process": AR2_SYSTEM, "n": 100_000,
+                 "seed": 1},
 }
 
 
@@ -76,7 +80,7 @@ def main():
             code = cli.run(config, out)
             if code != cli.EXIT_OK:
                 sys.exit(f"{name}: exit code {code}")
-            for fname in ("summary.json", "records.csv"):
+            for fname in ("summary.json", "records.csv", "sequence.csv"):
                 if (out / fname).exists():
                     digest = hashlib.sha256((out / fname).read_bytes()).hexdigest()
                     print(f"{digest}  {name}/{fname}")

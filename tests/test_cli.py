@@ -549,6 +549,9 @@ def test_command_out_of_range_value_named_or_finite(case, value):
     ({"command": "rad", "sign_draws": 8, "seed": 7,
       "class": {"kind": "linear_ball", "dim": 1, "radius": 1.0},
       "points": [1.0, 1e308]}, "points"),
+    # integers past the float range; no array is sized before the check
+    (dict(_COMMAND_BASES["plan_vc"], d_vc=10 ** 400), "d_vc"),
+    (dict(COMMAND_CONFIGS["bound"], n=10 ** 400), "n"),
 ])
 def test_exit_2_names_the_value(tmp_path, capsys, config, name):
     assert run(config, tmp_path / "out") == cli.EXIT_CONFIG

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from seqbounds.classes import (finite_class, kernel_ball_class,
                                linear_ball_class, threshold_class)
@@ -13,7 +14,8 @@ from seqbounds.estimators import (empirical_rademacher,
                                   verify_symmetrization, violation_rate)
 from seqbounds.losses import zero_one_loss
 from seqbounds.processes import (SequenceSample, ar1_process, iid_process,
-                                 sample_marginal, simulate_sequence, stream)
+                                 sample_marginal, simulate_sequence,
+                                 stationary_params, stream)
 from seqbounds.scenario import one_dim_threshold_program
 
 
@@ -128,6 +130,14 @@ class TestEmpiricalRademacher:
         pts = rng.normal(size=(32, 2))
         est = empirical_rademacher(kernel_ball_class(1.5), pts, 64, 7)
         assert 0.0 <= est.value <= 1.5
+
+    def test_kernel_ball_tiny_bandwidth_gives_identity_gram(self):
+        # bandwidth ** 2 underflows; the limit is the identity Gram, whose
+        # supremum is radius * sqrt(n) / n for every sign vector
+        pts = np.arange(5.0)
+        est = empirical_rademacher(kernel_ball_class(1.0, bandwidth=1e-200),
+                                   pts, 8, 1)
+        assert est.value == pytest.approx(1.0 / np.sqrt(5.0), rel=1e-15)
 
     def test_codebook_unsupported(self):
         from seqbounds.classes import codebook_class
@@ -289,6 +299,23 @@ class TestSupDeviation:
         path = simulate_sequence(ar1_process(0.5, 1.0), 10, 1)
         with pytest.raises(ValueError):
             sup_deviation(threshold_class(), margin_loss(0.5), path, lambda b: b)
+
+
+class TestThresholdRiskOracle:
+    @pytest.mark.parametrize("spec", [
+        ar1_process(0.8, 0.6, flip_p=0.1),
+        ar1_process(-0.5, 2.0, b_star=0.7, flip_p=0.3),
+        iid_process(mean=1.5, sigma=0.4, b_star=-0.2, flip_p=0.05),
+    ])
+    def test_matches_norm_cdf_reference(self, spec):
+        law = stationary_params(spec)
+        mu, scale, bs, p = (law.mean, np.sqrt(law.variance), spec.b_star,
+                            spec.flip_p)
+        b = np.concatenate(([-np.inf, np.inf, bs], np.linspace(-8, 8, 2001)))
+        hi = stats.norm.cdf((np.maximum(b, bs) - mu) / scale)
+        lo = stats.norm.cdf((np.minimum(b, bs) - mu) / scale)
+        assert np.array_equal(threshold_risk_oracle(spec)(b),
+                              p + (1.0 - 2.0 * p) * (hi - lo))
 
 
 class TestViolationRate:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from seqbounds.processes import (SequenceSample, ar1_process, ar_process,
+from seqbounds.processes import (_CSV_CHUNK_ROWS, SequenceSample,
+                                 _ar_cholesky, ar1_process, ar_process,
                                  iid_process, markov_binary_process,
                                  process_from_dict, sample_marginal,
                                  sequence_to_csv, simulate_sequence,
@@ -12,6 +13,11 @@ from seqbounds.processes import (SequenceSample, ar1_process, ar_process,
 
 # longer than one chunk of rows of the CSV writer
 LONG_PATH = simulate_sequence(ar_process([0.5, 0.2], 1.0), 20_000, 4)
+# one row past a chunk edge, so the last chunk holds a single row
+EDGE_PATH = simulate_sequence(ar_process([0.5, 0.2], 1.0),
+                              _CSV_CHUNK_ROWS + 1, 6)
+# 0.0 and -0.0 repeated in every column on both sides of the chunk edge
+SIGNED_ZEROS = np.where(np.arange(_CSV_CHUNK_ROWS + 10) % 3 == 0, -0.0, 0.0)
 
 
 class TestSeeding:
@@ -158,6 +164,34 @@ class TestMarginalSampler:
         assert np.max(np.linalg.norm(ghost.x, axis=1)) <= 1.5 + 1e-12
 
 
+class TestArCholeskyCache:
+    SPECS = (ar_process([0.5, 0.2], 1.0), ar_process([0.3, -0.1, 0.2], 0.7))
+
+    def test_factor_is_read_only(self):
+        spec = self.SPECS[0]
+        chol = _ar_cholesky(spec.coefficients, spec.sigma)
+        cov = stationary_params(spec).covariance
+        assert np.array_equal(chol, np.linalg.cholesky(cov + 1e-15 * np.eye(2)))
+        assert not chol.flags.writeable
+        with pytest.raises(ValueError):
+            chol[0, 0] = 0.0
+
+    def test_alternating_specs_match_fresh_calls(self):
+        def draw(spec, r):
+            return (simulate_sequence(spec, 50, 9, replication=r),
+                    sample_marginal(spec, 50, 9, replication=r))
+
+        fresh = []
+        for r in range(4):
+            _ar_cholesky.cache_clear()
+            fresh.append(draw(self.SPECS[r % 2], r))
+        _ar_cholesky.cache_clear()
+        for r in range(4):
+            for got, want in zip(draw(self.SPECS[r % 2], r), fresh[r]):
+                assert np.array_equal(got.x, want.x)
+                assert np.array_equal(got.y, want.y)
+
+
 class TestValidationAndExport:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -191,6 +225,9 @@ class TestValidationAndExport:
         (np.array([[1e-05, -0.0]]), np.array([-0.0])),        # n = 1
         (np.array([2.0]), np.array([1e-05])),
         (LONG_PATH.x, LONG_PATH.y),
+        (EDGE_PATH.x, EDGE_PATH.y),
+        (np.column_stack((SIGNED_ZEROS, SIGNED_ZEROS[::-1])),
+         np.roll(SIGNED_ZEROS, 1)),
     ])
     def test_csv_matches_csv_writer(self, tmp_path, x, y):
         def reference(sample, path):

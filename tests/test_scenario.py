@@ -176,6 +176,17 @@ class TestSolver:
         with pytest.raises(ValueError):
             solve_margin_program(one_dim_threshold_program(), np.array([]))
 
+    @pytest.mark.parametrize("cost", [1e20, 1e50])
+    def test_huge_objective_is_still_minimized(self, cost):
+        # HiGHS reads a cost of 1e20 or more as infinite
+        xs = np.random.default_rng(0).standard_normal(100)
+        prog = ScenarioProgramSpec(
+            objective=[cost], pieces=one_dim_threshold_program().pieces,
+            theta_set=Box([-10.0], [10.0]), margin=1.0)
+        res = solve_margin_program(prog, xs)
+        assert res.feasible and not res.used_fallback
+        assert res.theta[0] == pytest.approx(np.max(xs) + 1.0, abs=1e-6)
+
 
 def random_box_program(rng, dim_x, pieces, x_dependent):
     """Random program over a box of theta, with 1 to 3 theta coordinates."""
