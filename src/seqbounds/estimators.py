@@ -250,6 +250,7 @@ def violation_rate(theta, program, draws) -> float:
     xs = draws.x if isinstance(draws, SequenceSample) else np.asarray(draws, float)
     if np.asarray(xs).shape[0] == 0:
         raise ValueError("violation rate of an empty draw set is undefined")
+    _check_entries("draws", xs)
     vals = program.constraint_values(xs, np.asarray(theta, dtype=float))
     return float(np.mean(vals > 0.0))
 

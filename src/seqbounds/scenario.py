@@ -343,6 +343,7 @@ class SolveResult:
     max_violation: float      # max_i f(x_i, theta) + margin at the returned point
     rows_solved: int          # scenario constraint rows handed to the solver
     used_fallback: bool       # whether the min-slack program ran
+    solver: str               # what gave theta: closed_form, highs or slsqp
 
 
 _TIGHTEN = 1e-9
@@ -370,34 +371,46 @@ def solve_margin_program(program: ScenarioProgramSpec, scenarios,
                          mode: str = "optimize", margin: float = None) -> SolveResult:
     """Solve min c.theta s.t. f(x_i, theta) <= -margin over the theta set.
 
-    The program is linear in theta, so box theta sets are solved as an LP
-    and ball sets by SLSQP on the smooth epigraph form.  Every piece
-    psi_k(x).theta + eta_k(x) is affine in x for fixed theta, so its
-    maximum over the scenarios falls on an extreme point of their convex
-    hull: the solver only gets the rows of those scenarios (min and max
-    for 1-D x, the Qhull vertices otherwise), which leaves the feasible
-    set unchanged (Calafiore & Campi, IEEE TAC 2006).  The feasible flag
-    always comes from an exact post-hoc evaluation of the constraints at
-    the returned point over all scenarios, never from solver status.  In
-    feasibility mode the minimal worst-case slack point is returned.
+    The program is linear in theta.  Every piece psi_k(x).theta + eta_k(x)
+    is affine in x for fixed theta, so its maximum over the scenarios falls
+    on an extreme point of their convex hull: the solver only gets the rows
+    of those scenarios (min and max for 1-D x, the Qhull vertices
+    otherwise), which leaves the feasible set unchanged (Calafiore & Campi,
+    IEEE TAC 2006).  A 1-D ball is the interval [-r, r] and is solved as
+    that box.  On a box, when every row bounds at most one theta
+    coordinate, the rows only narrow the box and the optimum is read off
+    in closed form; a row that couples coordinates sends the LP to HiGHS.
+    Balls in two or more dimensions are solved by SLSQP on the smooth
+    epigraph form.  The feasible flag always comes from an exact post-hoc
+    evaluation of the constraints at the returned point over all scenarios
+    and from the theta set's own membership test, never from solver
+    status.  In feasibility mode, or when the program is infeasible, the
+    minimal worst-case slack point is returned.
     """
     if mode not in ("optimize", "feasibility"):
         raise ValueError(f"unknown mode {mode!r}")
-    xs = getattr(scenarios, "x", scenarios)
-    xs = np.asarray(xs, dtype=float)
+    gamma = program.margin if margin is None else margin
+    _check("margin", gamma, 0, _SCALE_MAX)
+    gamma = float(gamma)
+    xs = np.asarray(getattr(scenarios, "x", scenarios), dtype=float)
     if xs.shape[0] == 0:
         raise ValueError("need at least one scenario")
+    _check_entries("scenarios", xs)
     if xs.ndim == 1:
         xs = xs[:, None]
-    gamma = program.margin if margin is None else float(margin)
     tables = program.piece_tables(xs[_extreme_scenarios(xs)])
     psi_all = np.vstack([t[0] for t in tables])
     h_all = np.concatenate([t[1] for t in tables])
 
-    if isinstance(program.theta_set, Box):
-        theta, used_fallback = _solve_box(program, psi_all, h_all, gamma, mode)
+    theta_set = program.theta_set
+    if isinstance(theta_set, Ball) and program.dim_theta == 1:
+        theta_set = Box([-theta_set.radius], [theta_set.radius])
+    if isinstance(theta_set, Box):
+        theta, used_fallback, solver = _solve_box(
+            theta_set, program.objective, psi_all, h_all, gamma, mode)
     else:
-        theta, used_fallback = _solve_ball(program, psi_all, h_all, gamma, mode)
+        theta, used_fallback, solver = _solve_ball(program, psi_all, h_all,
+                                                   gamma, mode)
 
     theta = np.asarray(theta, dtype=float)
     resid = float(np.max(program.constraint_values(xs, theta)) + gamma)
@@ -405,36 +418,66 @@ def solve_margin_program(program: ScenarioProgramSpec, scenarios,
     return SolveResult(theta=theta, feasible=bool(feasible),
                        objective=float(program.objective @ theta),
                        max_violation=resid, rows_solved=psi_all.shape[0],
-                       used_fallback=used_fallback)
+                       used_fallback=used_fallback, solver=solver)
 
 
-def _solve_box(program, psi_all, h_all, gamma, mode):
-    box = program.theta_set
-    p = program.dim_theta
+def _solve_box(box, objective, psi_all, h_all, gamma, mode):
     bounds = list(zip(box.lo, box.hi))
+    b = -gamma - h_all - _TIGHTEN
     if mode == "optimize":
-        # HiGHS reads a cost of 1e20 or more as infinite; scaling c by its
-        # largest magnitude keeps the argmin
-        scale = np.max(np.abs(program.objective))
-        c = program.objective / scale if scale > 0 else program.objective
-        res = optimize.linprog(
-            c=c, A_ub=psi_all,
-            b_ub=-gamma - h_all - _TIGHTEN, bounds=bounds, method="highs",
-        )
-        if res.status == 0:
-            return res.x, False
+        if np.all(np.count_nonzero(psi_all, axis=1) <= 1):
+            theta = _bound_rows_optimum(box, objective, psi_all, b)
+            if theta is not None:
+                return theta, False, "closed_form"
+        else:
+            # HiGHS reads a cost of 1e20 or more as infinite; scaling c by
+            # its largest magnitude keeps the argmin
+            scale = np.max(np.abs(objective))
+            c = objective / scale if scale > 0 else objective
+            res = optimize.linprog(c=c, A_ub=psi_all, b_ub=b, bounds=bounds,
+                                   method="highs")
+            if res.status == 0:
+                return res.x, False, "highs"
         # infeasible (or numerically stuck): fall through to the min-slack
         # point so the result can report the best residual
+    # min s s.t. psi.theta + h + gamma <= s, with s shifted by gamma + max h
+    # so that no right-hand side reaches 1e20, which HiGHS reads as infinite
+    p = box.dim
     c = np.zeros(p + 1)
     c[-1] = 1.0
     a = np.hstack([psi_all, -np.ones((psi_all.shape[0], 1))])
     res = optimize.linprog(
-        c=c, A_ub=a, b_ub=-gamma - h_all, bounds=bounds + [(None, None)],
-        method="highs",
+        c=c, A_ub=a, b_ub=np.max(h_all) - h_all,
+        bounds=bounds + [(None, None)], method="highs",
     )
     if res.status != 0:
         raise RuntimeError(f"LP solver failed with status {res.status}")
-    return res.x[:p], True
+    return res.x[:p], True, "highs"
+
+
+def _bound_rows_optimum(box, objective, psi_all, b):
+    """argmin of objective.theta over the box cut by the rows psi.theta <= b,
+    each with at most one non-zero coefficient, or None when the cut box is
+    empty.  Each row a.theta_j <= b moves one end of [lo_j, hi_j] to b/a, so
+    the LP separates by coordinate: theta_j sits at the end its cost points
+    to, and a zero cost takes the vertex HiGHS returns: the end of smaller
+    magnitude (the lower one on a tie), or the lower end when no row has a
+    non-zero coefficient."""
+    rows, cols = np.nonzero(psi_all)
+    constant = np.ones(b.size, dtype=bool)
+    constant[rows] = False
+    if np.any(b[constant] < 0):
+        return None
+    a = psi_all[rows, cols]
+    with np.errstate(over="ignore"):
+        cut = b[rows] / a
+    lo, hi = box.lo.copy(), box.hi.copy()
+    np.maximum.at(lo, cols[a < 0], cut[a < 0])
+    np.minimum.at(hi, cols[a > 0], cut[a > 0])
+    if not np.all(lo <= hi):
+        return None
+    nearer = np.where(np.abs(lo) <= np.abs(hi), lo, hi) if rows.size else lo
+    return np.where(objective > 0, lo, np.where(objective < 0, hi, nearer))
 
 
 def _solve_ball(program, psi_all, h_all, gamma, mode):
@@ -455,7 +498,7 @@ def _solve_ball(program, psi_all, h_all, gamma, mode):
             method="SLSQP", options={"maxiter": 500, "ftol": 1e-12},
         )
         if res.success:
-            return res.x, False
+            return res.x, False, "slsqp"
     # min-slack epigraph: variables (theta, s)
     def obj(z):
         return z[-1]
@@ -475,7 +518,7 @@ def _solve_ball(program, psi_all, h_all, gamma, mode):
                             options={"maxiter": 500, "ftol": 1e-12})
     if not res.success:
         raise RuntimeError(f"SLSQP failed: {res.message}")
-    return res.x[:p], True
+    return res.x[:p], True, "slsqp"
 
 
 # ---------------------------------------------------------------------------

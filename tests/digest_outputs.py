@@ -1,10 +1,10 @@
 """Print the SHA-256 of every output file of the CLI ``validate`` runs at the
 acceptance configs of ``tests/test_acceptance.py``, plus ``regression_coverage``
 on an AR(2) system, and of the ``scenario`` runs on the acceptance 1-D box
-program and on the same program over a ball, one ``plan``, one ``bound`` and
-one ``simulate`` run (an AR(2) path of 100,000 rows, as the benchmark's
-coverage_mc workload writes it): every command whose output is
-deterministic.
+program, on the same program over a ball and on a two-piece 2-D box program
+on the AR(2) system, one ``plan``, one ``bound`` and one ``simulate`` run
+(an AR(2) path of 100,000 rows, as the benchmark's coverage_mc workload
+writes it): every command whose output is deterministic.
 
 Two trees give the same outputs when this prints the same lines for both:
 
@@ -55,6 +55,15 @@ CONFIGS = {
 # full configs of the other deterministic commands
 BOX_PROGRAM = default_scenario_program().to_dict()
 BALL_PROGRAM = dict(BOX_PROGRAM, theta_set={"kind": "ball", "radius": 10.0})
+# x_k - theta_k <= -1 for k = 1, 2 over theta in [-10, 10]^2
+BOX_2D_PROGRAM = {
+    "objective": [1.0, 1.0], "margin": 1.0,
+    "theta_set": {"kind": "box", "lo": [-10.0, -10.0], "hi": [10.0, 10.0]},
+    "pieces": [{"psi": {"matrix": [[0.0, 0.0], [0.0, 0.0]],
+                        "offset": [-float(j == k) for j in range(2)]},
+                "eta": {"matrix": [[float(j == k) for j in range(2)]],
+                        "offset": [0.0]}} for k in range(2)],
+}
 COMMAND_CONFIGS = {
     "scenario_box": {"command": "scenario", "method": "margin",
                      "epsilon": 0.15, "delta": 0.1, "program": BOX_PROGRAM,
@@ -62,6 +71,10 @@ COMMAND_CONFIGS = {
     "scenario_ball": {"command": "scenario", "method": "margin",
                       "epsilon": 0.15, "delta": 0.1, "program": BALL_PROGRAM,
                       "process": AR1, "seed": 888},
+    "scenario_box_2d": {"command": "scenario", "method": "margin",
+                        "epsilon": 0.3, "delta": 0.1,
+                        "program": BOX_2D_PROGRAM, "process": AR2_SYSTEM,
+                        "seed": 888},
     "plan": {"command": "plan", "method": "margin", "epsilon": 0.1,
              "delta": 0.05, "gamma": 1.0, "tau_lambda_sum": 1.0, "seed": 1},
     "bound": {"command": "bound", "bound": "vc", "emp_risk": 0.02,

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from seqbounds.estimators import violation_rate
-from seqbounds.processes import ar1_process, sample_marginal, simulate_sequence
+from seqbounds.processes import (ar1_process, ar_process, sample_marginal,
+                                 simulate_sequence)
 from seqbounds.scenario import (_HULL_MAX_DIM, AffineMap, Ball, Box,
                                 ConstraintPiece, ScenarioProgramSpec, certify,
                                 one_dim_threshold_program, plan_n_margin,
@@ -187,6 +188,44 @@ class TestSolver:
         assert res.feasible and not res.used_fallback
         assert res.theta[0] == pytest.approx(np.max(xs) + 1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("value", [1e20, 1e30, 1e50])
+    def test_huge_scenario_reports_its_residual(self, value):
+        # HiGHS reads a right-hand side of 1e20 or more as infinite
+        prog = one_dim_threshold_program(theta_lo=-10, theta_hi=10, margin=0.1)
+        res = solve_margin_program(prog, [value, 0.0])
+        assert res.used_fallback and not res.feasible
+        assert res.theta[0] == 10.0
+        assert res.max_violation == value
+
+    @pytest.mark.parametrize("scenarios, margin, name", [
+        ([0.0, 1.0], math.nan, "margin"),
+        ([0.0, 1.0], math.inf, "margin"),
+        ([0.0, 1.0], -0.1, "margin"),
+        ([math.nan, 1.0], None, "scenarios"),
+        ([math.inf, 1.0], None, "scenarios"),
+        ([0.0, -math.inf], None, "scenarios"),
+    ])
+    def test_inputs_rejected_by_name(self, scenarios, margin, name):
+        prog = one_dim_threshold_program(theta_lo=-10, theta_hi=10, margin=0.1)
+        with pytest.raises(ValueError, match=rf"^{name}\b"):
+            solve_margin_program(prog, scenarios, margin=margin)
+
+    @pytest.mark.parametrize("draw", [math.nan, math.inf, -math.inf])
+    def test_violation_rate_draws_rejected_by_name(self, draw):
+        prog = one_dim_threshold_program(theta_lo=-10, theta_hi=10)
+        with pytest.raises(ValueError, match=r"^draws\b"):
+            violation_rate(np.array([0.0]), prog, np.array([draw, 1.0]))
+
+    def test_coupled_rows_go_to_highs(self):
+        res = solve_margin_program(two_dim_program(), np.array([1.0, -1.0]))
+        assert res.solver == "highs" and not res.used_fallback
+
+    def test_two_dim_ball_goes_to_slsqp(self):
+        prog = ScenarioProgramSpec(objective=[1.0, 1.0],
+                                   pieces=two_dim_program().pieces,
+                                   theta_set=Ball(3.0), margin=0.5)
+        assert solve_margin_program(prog, np.array([0.5])).solver == "slsqp"
+
 
 def random_box_program(rng, dim_x, pieces, x_dependent):
     """Random program over a box of theta, with 1 to 3 theta coordinates."""
@@ -217,6 +256,15 @@ def random_cloud(rng, n, dim_x, kind):
 def full_row_solve(program, xs, mode):
     """Every scenario row handed to HiGHS, as before the hull reduction:
     (used_fallback, objective, max_violation, feasible)."""
+    used_fallback, theta = full_row_theta(program, xs, mode)
+    gamma = program.margin
+    resid = float(np.max(program.constraint_values(xs, theta)) + gamma)
+    feasible = resid <= 0.0 and program.theta_set.contains(theta)
+    return used_fallback, float(program.objective @ theta), resid, feasible
+
+
+def full_row_theta(program, xs, mode):
+    """(used_fallback, theta) of HiGHS on every scenario row."""
     tables = program.piece_tables(xs)
     psi = np.vstack([t[0] for t in tables])
     h = np.concatenate([t[1] for t in tables])
@@ -233,10 +281,7 @@ def full_row_solve(program, xs, mode):
             np.eye(p + 1)[-1], A_ub=np.hstack([psi, -np.ones((len(h), 1))]),
             b_ub=-gamma - h, bounds=bounds + [(None, None)], method="highs")
         assert res.status == 0
-    theta = res.x[:p]
-    resid = float(np.max(program.constraint_values(xs, theta)) + gamma)
-    feasible = resid <= 0.0 and program.theta_set.contains(theta)
-    return used_fallback, float(program.objective @ theta), resid, feasible
+    return used_fallback, res.x[:p]
 
 
 class TestHullReduction:
@@ -292,6 +337,120 @@ class TestHullReduction:
             assert res.max_violation == pytest.approx(resid, abs=1e-7)
         else:
             assert res.objective == pytest.approx(objective, abs=1e-7)
+
+
+def x_bounds_program(theta_set, dim):
+    """x_k - theta_k <= -1 for each coordinate k, as in the benchmark."""
+    pieces = tuple(ConstraintPiece(psi=AffineMap(np.zeros((dim, dim)),
+                                                 -np.eye(dim)[k]),
+                                   eta=AffineMap(np.eye(dim)[k:k + 1], [0.0]))
+                   for k in range(dim))
+    return ScenarioProgramSpec(objective=np.ones(dim), pieces=pieces,
+                               theta_set=theta_set, margin=1.0)
+
+
+def no_scipy_solver(*args, **kwargs):
+    raise AssertionError("a scipy solver was called")
+
+
+def random_bound_program(rng):
+    """Random program whose constant psi rows each bound at most one of 1
+    to 3 theta coordinates, with exact zeros in the objective.  eta and the
+    margin scale with the coefficients, so that the bounds b/a land near
+    the box; about half of the programs are infeasible on a normal cloud."""
+    p = int(rng.integers(1, 4))
+    pieces, sizes = [], []
+    for _ in range(int(rng.integers(1, 4))):
+        size = 10.0 ** rng.uniform(-3.0, 3.0)
+        offset = np.zeros(p)
+        # one piece in eight is all-zero: it holds or fails for every theta
+        offset[rng.integers(p)] = rng.choice([-1.0, 1.0]) * size * (
+            rng.random() >= 0.125)
+        pieces.append(ConstraintPiece(
+            psi=AffineMap(np.zeros((p, 1)), offset),
+            eta=AffineMap(size * rng.normal(0.0, 0.2, size=(1, 1)),
+                          size * rng.normal(0.0, 0.5, size=1))))
+        sizes.append(size)
+    lo = rng.uniform(-5.0, 1.0, size=p)
+    objective = rng.normal(size=p) * (rng.random(size=p) < 0.7)
+    return ScenarioProgramSpec(
+        objective=objective, pieces=pieces,
+        theta_set=Box(lo, lo + rng.uniform(0.0, 8.0, p)),
+        margin=float(rng.uniform(0.01, 0.5) * min(sizes)))
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("kind", ["1d", "2d", "ball"])
+    def test_acceptance_programs_skip_scipy(self, kind, monkeypatch):
+        monkeypatch.setattr(optimize, "linprog", no_scipy_solver)
+        monkeypatch.setattr(optimize, "minimize", no_scipy_solver)
+        prog, spec, eps = {
+            "1d": (x_bounds_program(Box([-10.0], [10.0]), 1),
+                   ar1_process(0.8, 0.6, flip_p=0.1), 0.15),
+            "2d": (x_bounds_program(Box([-10.0] * 2, [10.0] * 2), 2),
+                   ar_process([0.5, 0.2], 1.0), 0.3),
+            "ball": (x_bounds_program(Ball(10.0), 1),
+                     ar1_process(0.8, 0.6, flip_p=0.1), 0.15),
+        }[kind]
+        n = plan_n_margin(eps, 0.1, 1.0, tau_lambda(prog).sum)
+        xs = simulate_sequence(spec, n, 888).x.reshape(n, -1)
+        res = solve_margin_program(prog, xs)
+        assert res.solver == "closed_form"
+        assert res.feasible and not res.used_fallback
+        assert np.array_equal(res.theta, np.max(xs, axis=0) + 1.0 + 1e-9)
+
+    @pytest.mark.parametrize("xs, feasible, theta", [
+        ([0.2, 0.5], True, 0.5 + 0.1 + 1e-9),
+        ([-2.0, 2.5], True, 2.5 + 0.1 + 1e-9),
+        # no feasible point: the min-slack point is the ball's right end
+        ([5.0], False, 3.0),
+    ])
+    def test_one_dim_ball_is_an_interval(self, xs, feasible, theta,
+                                         monkeypatch):
+        monkeypatch.setattr(optimize, "minimize", no_scipy_solver)
+        prog = ScenarioProgramSpec(
+            objective=[1.0], pieces=one_dim_threshold_program().pieces,
+            theta_set=Ball(3.0), margin=0.1)
+        res = solve_margin_program(prog, np.array(xs))
+        assert res.feasible == feasible
+        assert res.theta[0] == theta
+        if not feasible:
+            assert res.max_violation == 2.1
+
+    @pytest.mark.parametrize("lo, hi", [(-4.0, 4.0), (-4.0, 3.0), (-3.0, 4.0)])
+    @pytest.mark.parametrize("psi", [0.0, -1.0])
+    def test_zero_cost_takes_the_highs_vertex(self, lo, hi, psi):
+        # x - 10 - psi.theta <= -gamma holds on the whole box, so only the
+        # tie-break decides theta
+        piece = ConstraintPiece(psi=AffineMap([[0.0]], [psi]),
+                                eta=AffineMap([[1.0]], [-10.0]))
+        prog = ScenarioProgramSpec(objective=[0.0], pieces=(piece,),
+                                   theta_set=Box([lo], [hi]), margin=0.1)
+        xs = np.array([-1.0, 1.0])
+        res = solve_margin_program(prog, xs)
+        assert res.solver == "closed_form"
+        assert np.array_equal(res.theta,
+                              full_row_theta(prog, xs[:, None], "optimize")[1])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40))
+    def test_matches_linprog(self, seed, n):
+        rng = np.random.default_rng(seed)
+        prog = random_bound_program(rng)
+        xs = rng.normal(size=n)
+        res = solve_margin_program(prog, xs)
+        used_fallback, objective, resid, feasible = full_row_solve(
+            prog, xs[:, None], "optimize")
+        assert res.used_fallback == used_fallback
+        assert res.feasible == feasible
+        if used_fallback:
+            assert res.max_violation == pytest.approx(resid, abs=1e-9)
+        else:
+            # a zero cost leaves theta_j free: HiGHS's vertex is matched too
+            _, theta = full_row_theta(prog, xs[:, None], "optimize")
+            assert res.solver == "closed_form"
+            assert res.objective == pytest.approx(objective, abs=1e-9)
+            assert res.theta == pytest.approx(theta, abs=1e-9)
 
 
 class TestCertify:
