@@ -131,27 +131,32 @@ def concentration_tail(kind: str, c_or_ranges, epsilon: float, n: int = None) ->
     raise ValueError(f"unknown concentration kind {kind!r}")
 
 
+def _binomial_tail(n, p, epsilon, strict):
+    """exact_binomial_mean_tail on broadcast arrays, unchecked: n an
+    integer array, p in [0, 1], epsilon not NaN."""
+    # |S/n - p| <= 1, so clamping changes no tail and keeps the cut finite
+    cut = n * (p + np.clip(epsilon, -1.0, 1.0))
+    r = np.round(cut)
+    cut = np.where(np.abs(cut - r) < 1e-9, r, cut)
+    k0 = np.where(strict, np.floor(cut) + 1, np.ceil(cut))
+    return np.where(k0 > n, 0.0, special.bdtrc(k0 - 1, n, p))
+
+
 def exact_binomial_mean_tail(n: int, p: float, epsilon: float,
                              strict: bool = True) -> float:
     """P(S/n - p > eps) (or >= eps) for S ~ Bin(n, p).
 
     The tail P(S >= k0) is the regularized incomplete beta function
-    I_p(k0, n - k0 + 1), evaluated by ``scipy.special.bdtrc``: accurate to
-    a few ulps relative, for every n, with no overflow.  A cut n (p + eps)
-    within 1e-9 of an integer is taken as that integer.
+    I_p(k0, n - k0 + 1), evaluated by ``scipy.special.bdtrc`` with no
+    overflow: accurate to a few ulps relative for small n, but its error
+    grows with n (2e-10 relative at n = 10^5, p = 1/2), and n >= 2^31
+    gives NaN.  A cut n (p + eps) within 1e-9 of an integer is taken as
+    that integer.
     """
     _check("n", n, 1, integer=True)
     _check("p", p, 0, 1)
     _check("epsilon", epsilon, lo_open=True, hi_open=True)
-    # |S/n - p| <= 1, so clamping changes no tail and keeps the cut finite
-    cut = n * (p + min(max(epsilon, -1.0), 1.0))
-    r = round(cut)
-    if abs(cut - r) < 1e-9:
-        cut = r
-    k0 = (math.floor(cut) + 1) if strict else math.ceil(cut)
-    if k0 > n:
-        return 0.0
-    return float(special.bdtrc(k0 - 1, n, p))
+    return float(_binomial_tail(n, p, epsilon, strict))
 
 
 def binomial_quarter_lemma_holds(m: int, p: float) -> bool:

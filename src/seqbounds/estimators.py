@@ -131,9 +131,13 @@ def empirical_rademacher(cls: FunctionClassDescriptor, points, sign_draws: int,
     pts = np.asarray(points, dtype=float)
     sup = _sup_rows(cls, pts)
     rng = stream(seed, 0, "signs")
-    # one (draws, n) call yields the same signs as one n-vector call per draw
-    signs = rng.integers(0, 2, (sign_draws, pts.shape[0])) * 2.0 - 1.0
-    vals = 0.5 * (sup(signs) + sup(-signs))
+    # a (k, n) call yields the same signs as one n-vector call per draw, so
+    # drawing in blocks of rows keeps the stream and bounds the memory
+    vals = np.empty(sign_draws)
+    for lo in range(0, sign_draws, _SIGN_BLOCK):
+        rows = min(_SIGN_BLOCK, sign_draws - lo)
+        signs = rng.integers(0, 2, (rows, pts.shape[0])) * 2.0 - 1.0
+        vals[lo:lo + rows] = 0.5 * (sup(signs) + sup(-signs))
     se = float(np.std(vals, ddof=1) / np.sqrt(sign_draws)) if sign_draws > 1 else 0.0
     return MonteCarloEstimate(value=float(np.mean(vals)), std_error=se,
                               replications=sign_draws, seed=int(seed))

@@ -525,49 +525,64 @@ def mixing_tightness(mus, deltas, betas, a_values) -> ExperimentResult:
 def concentration_exactness(n_max: int = 30, eps_step: float = 0.01,
                             ps=(0.1, 0.3, 0.5, 0.7, 0.9)) -> ExperimentResult:
     """Hoeffding tail bound dominates the exact binomial tail on the whole
-    (n, epsilon, p) grid."""
-    records = []
-    ok = True
-    i = 0
+    (n, p, epsilon) grid, evaluated as one array.  Cell i is the flat index
+    in (n, p, epsilon) order; records keep the two end epsilons of each
+    (n, p) row and every cell that fails."""
+    _check("n_max", n_max, 1, integer=True)
+    _check("eps_step", eps_step, 0, 1, lo_open=True, hi_open=True)
+    p_grid = np.asarray(ps, dtype=float).ravel()
+    if not p_grid.size:
+        raise ValueError("ps must hold at least one p")
+    for p in p_grid:
+        _check("ps", p, 0, 1)
     eps_grid = np.arange(eps_step, 1.0, eps_step)
-    for n in range(1, n_max + 1):
-        for p in ps:
-            for eps in eps_grid:
-                bound = bnd.concentration_tail("hoeffding", 1.0, eps, n)
-                tail = bnd.exact_binomial_mean_tail(n, p, eps, strict=True)
-                holds = bound >= tail - 1e-15
-                ok &= holds
-                if not holds or eps in (eps_grid[0], eps_grid[-1]):
-                    records.append({"replication": i, "seed": 0,
-                                    "statistic": tail, "bound": bound,
-                                    "holds": holds})
-                i += 1
+    ns = np.arange(1, n_max + 1)
+    # the bound does not depend on p; math.exp, not np.exp, keeps its bits
+    bound = np.array([[bnd.concentration_tail("hoeffding", 1.0, eps, n)
+                       for eps in eps_grid] for n in range(1, n_max + 1)])
+    tail = bnd._binomial_tail(ns[:, None, None], p_grid[None, :, None],
+                              eps_grid, True)
+    bound = np.broadcast_to(bound[:, None, :], tail.shape)
+    holds = bound >= tail - 1e-15
+    keep = ~holds
+    keep[..., [0, -1]] = True
+    cells = np.flatnonzero(keep)
+    records = [
+        {"replication": i, "seed": 0, "statistic": t, "bound": b, "holds": h}
+        for i, t, b, h in zip(cells.tolist(), tail.ravel()[cells].tolist(),
+                              bound.ravel()[cells].tolist(),
+                              holds.ravel()[cells].tolist())
+    ]
     return ExperimentResult(
         name="concentration_exactness", records=records,
-        summary={"cells": i, "n_max": n_max}, holds=ok,
+        summary={"cells": tail.size, "n_max": n_max}, holds=bool(holds.all()),
     )
 
 
 def quarter_lemma_grid(m_max: int = 50, p_step: float = 0.01) -> ExperimentResult:
     """The exact binomial upper tail at the mean exceeds 1/4 whenever
-    p > 1/m, over the whole grid."""
-    records = []
-    ok = True
-    i = 0
-    for m in range(1, m_max + 1):
-        for k in range(1, int(round(1.0 / p_step))):
-            p = k * p_step
-            if p <= 1.0 / m:
-                continue
-            holds = bnd.binomial_quarter_lemma_holds(m, p)
-            ok &= holds
-            if not holds:
-                records.append({"replication": i, "seed": 0, "statistic": p,
-                                "bound": 0.25, "holds": holds})
-            i += 1
+    p > 1/m, over the whole grid, evaluated as one array.  Cell i is the
+    i-th (m, p) pair with p > 1/m in (m, p) order; records keep every cell
+    that fails."""
+    _check("m_max", m_max, 1, integer=True)
+    _check("p_step", p_step, 0, 1, lo_open=True, hi_open=True)
+    ms = np.arange(1, m_max + 1)
+    p_grid = np.arange(1, int(round(1.0 / p_step))) * p_step
+    rows, cols = np.nonzero(p_grid[None, :] > 1.0 / ms[:, None])
+    if not rows.size:
+        raise ValueError(f"m_max={m_max} and p_step={p_step} leave no cell "
+                         "with p > 1/m")
+    ps = p_grid[cols]
+    holds = bnd._binomial_tail(ms[rows], ps, 0.0, False) > 0.25
+    cells = np.flatnonzero(~holds)
+    records = [
+        {"replication": i, "seed": 0, "statistic": p, "bound": 0.25,
+         "holds": False}
+        for i, p in zip(cells.tolist(), ps[cells].tolist())
+    ]
     return ExperimentResult(
         name="quarter_lemma_grid", records=records,
-        summary={"cells": i, "m_max": m_max}, holds=ok,
+        summary={"cells": rows.size, "m_max": m_max}, holds=bool(holds.all()),
     )
 
 

@@ -446,13 +446,27 @@ def _solve_box(box, objective, psi_all, h_all, gamma, mode):
     c = np.zeros(p + 1)
     c[-1] = 1.0
     a = np.hstack([psi_all, -np.ones((psi_all.shape[0], 1))])
-    res = optimize.linprog(
-        c=c, A_ub=a, b_ub=np.max(h_all) - h_all,
-        bounds=bounds + [(None, None)], method="highs",
-    )
+
+    def min_slack(unit):
+        return optimize.linprog(
+            c=c, A_ub=a, b_ub=(np.max(h_all) - h_all) / unit,
+            bounds=list(zip(box.lo / unit, box.hi / unit)) + [(None, None)],
+            method="highs",
+        )
+
+    unit = 1.0
+    res = min_slack(unit)
+    excess = math.frexp(box.sup_norm())[1] - 66
+    if res.status != 0 and excess > 0:
+        # HiGHS also reads a theta bound of 1e20 or more as infinite, which
+        # can leave s unbounded below or a side of the box empty; the least
+        # slack then lies at the scale of the box, so theta and s are taken
+        # in the power-of-two unit that brings the box within 2**66, exactly
+        unit = math.ldexp(1.0, excess)
+        res = min_slack(unit)
     if res.status != 0:
         raise RuntimeError(f"LP solver failed with status {res.status}")
-    return res.x[:p], True, "highs"
+    return res.x[:p] * unit, True, "highs"
 
 
 def _bound_rows_optimum(box, objective, psi_all, b):

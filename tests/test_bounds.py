@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from seqbounds.bounds import (_check, binomial_quarter_lemma_holds,
+from seqbounds.bounds import (_binomial_tail, _check,
+                              binomial_quarter_lemma_holds,
                               chaining_rad_upper, chaining_rad_upper_best,
                               class_rad_upper, concentration_tail,
                               exact_binomial_mean_tail,
@@ -103,6 +104,29 @@ class TestOracleProperties:
         assert exact_binomial_mean_tail(2, 1.0, 1e308) == 0.0
         assert exact_binomial_mean_tail(2, 0.5, -1e308) == 1.0
         assert exact_binomial_mean_tail(3, 1.0, -1e308, strict=False) == 1.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 40),
+           strict=st.booleans())
+    def test_binomial_tail_array_matches_scalar_calls(self, seed, size,
+                                                      strict):
+        # each eps is normal, on an integer cut k/n - p, +-1e308, zero, or
+        # past the top cut (k0 > n); p = 0 and p = 1 appear often
+        rng = np.random.default_rng(seed)
+        n = rng.integers(1, 120, size)
+        p = np.where(rng.random(size) < 0.3, rng.integers(0, 2, size) * 1.0,
+                     rng.random(size))
+        on_cut = rng.integers(-1, n + 2) / n - p
+        eps = np.choose(rng.integers(0, 5, size), [
+            rng.normal(0.0, 0.5, size), on_cut,
+            rng.choice([-1e308, 1e308], size), np.zeros(size),
+            1.0 - p + rng.random(size) / 10])
+        got = _binomial_tail(n, p, eps, strict)
+        want = np.array([exact_binomial_mean_tail(int(k), float(q), float(e),
+                                                  strict=strict)
+                         for k, q, e in zip(n, p, eps)])
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(kind=st.sampled_from(["hoeffding", "bounded_difference"]),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from seqbounds import estimators
 from seqbounds.classes import (finite_class, kernel_ball_class,
                                linear_ball_class, threshold_class)
 from seqbounds.estimators import (empirical_rademacher,
@@ -204,6 +205,28 @@ class TestSignScoring:
         assert est.value == pytest.approx(np.mean(vals), abs=1e-15)
         assert est.std_error == pytest.approx(
             np.std(vals, ddof=1) / np.sqrt(draws), abs=1e-15)
+
+    @pytest.mark.parametrize("kind", SIGN_KINDS)
+    def test_monte_carlo_scores_signs_in_row_blocks(self, kind, monkeypatch):
+        # 23 draws in blocks of 5 give the bits of one (23, n) sign matrix
+        cls, pts, _ = _sign_case(kind, 7, 23)
+        draws, seed = 23, 9
+        signs = stream(seed, 0, "signs").integers(0, 2, (draws, 7)) * 2.0 - 1.0
+        sup_rows = estimators._sup_rows
+        sup = sup_rows(cls, np.asarray(pts, dtype=float))
+        vals = 0.5 * (sup(signs) + sup(-signs))
+        rows = []
+
+        def recording_sup_rows(*args):
+            inner = sup_rows(*args)
+            return lambda s: (rows.append(s.shape[0]), inner(s))[1]
+
+        monkeypatch.setattr(estimators, "_SIGN_BLOCK", 5)
+        monkeypatch.setattr(estimators, "_sup_rows", recording_sup_rows)
+        est = empirical_rademacher(cls, pts, draws, seed)
+        assert max(rows) == 5 and sum(rows) == 2 * draws
+        assert est.value == float(np.mean(vals))
+        assert est.std_error == float(np.std(vals, ddof=1) / np.sqrt(draws))
 
     @pytest.mark.parametrize("n", [1, 3, 7, 15, 16, 17, 33])
     def test_sign_matrix_is_the_per_draw_stream(self, n):

@@ -1,11 +1,12 @@
 import inspect
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from seqbounds import bounds as bnd
 from seqbounds.estimators import verify_symmetrization
@@ -14,10 +15,11 @@ from seqbounds.losses import zero_one_loss
 from seqbounds.experiments import (_clipped_ray_risks, _linear_model_grid,
                                    _margin_empirical_risks,
                                    bound_vs_n_records, chaining_dominance,
-                                   clipped_linear_risk, kernel_rad_bound,
+                                   clipped_linear_risk,
+                                   concentration_exactness, kernel_rad_bound,
                                    margin_linear_risk, margin_rad_coverage,
-                                   mixing_tightness, regression_coverage,
-                                   relative_rate_scaling,
+                                   mixing_tightness, quarter_lemma_grid,
+                                   regression_coverage, relative_rate_scaling,
                                    scenario_pac_coverage, symmetrization,
                                    vc_coverage)
 from seqbounds.processes import (ar1_process, ar_process, simulate_sequence,
@@ -304,6 +306,92 @@ class TestGridSweeps:
             emp = np.mean((path.y[:, None] - preds) ** 2, axis=0)
             assert rec["statistic"] == pytest.approx(np.max(risks - emp),
                                                      abs=1e-12)
+
+
+def per_cell_concentration_exactness(n_max=30, eps_step=0.01,
+                                     ps=(0.1, 0.3, 0.5, 0.7, 0.9)):
+    """The grid as one checked scalar call per cell, in cell order."""
+    records = []
+    ok = True
+    i = 0
+    eps_grid = np.arange(eps_step, 1.0, eps_step)
+    for n in range(1, n_max + 1):
+        for p in ps:
+            for eps in eps_grid:
+                bound = bnd.concentration_tail("hoeffding", 1.0, eps, n)
+                tail = bnd.exact_binomial_mean_tail(n, p, eps, strict=True)
+                holds = bound >= tail - 1e-15
+                ok &= holds
+                if not holds or eps in (eps_grid[0], eps_grid[-1]):
+                    records.append({"replication": i, "seed": 0,
+                                    "statistic": tail, "bound": bound,
+                                    "holds": holds})
+                i += 1
+    return records, {"cells": i, "n_max": n_max}, ok
+
+
+def per_cell_quarter_lemma_grid(m_max=50, p_step=0.01):
+    records = []
+    ok = True
+    i = 0
+    for m in range(1, m_max + 1):
+        for k in range(1, int(round(1.0 / p_step))):
+            p = k * p_step
+            if p <= 1.0 / m:
+                continue
+            holds = bnd.binomial_quarter_lemma_holds(m, p)
+            ok &= holds
+            if not holds:
+                records.append({"replication": i, "seed": 0, "statistic": p,
+                                "bound": 0.25, "holds": holds})
+            i += 1
+    return records, {"cells": i, "m_max": m_max}, ok
+
+
+class TestConcentrationGrids:
+    """The array grids against the per-cell loops: the same records, in
+    the same order, with the same Python types and float bits."""
+
+    @pytest.mark.parametrize("failing", [False, True])
+    @pytest.mark.parametrize("grid, per_cell, kwargs, failing_scale", [
+        (concentration_exactness, per_cell_concentration_exactness, {}, 40.0),
+        (concentration_exactness, per_cell_concentration_exactness,
+         {"n_max": 7, "eps_step": 0.037, "ps": (0.0, 0.25, 1.0)}, 40.0),
+        (quarter_lemma_grid, per_cell_quarter_lemma_grid, {}, 0.6),
+        (quarter_lemma_grid, per_cell_quarter_lemma_grid,
+         {"m_max": 13, "p_step": 0.07}, 0.6),
+    ])
+    def test_matches_per_cell_loop(self, grid, per_cell, kwargs,
+                                   failing_scale, failing, monkeypatch):
+        # scaling every binomial tail makes cells fail in both versions,
+        # which exercises the failure records
+        scale = failing_scale if failing else 1.0
+        monkeypatch.setattr(bnd, "special", SimpleNamespace(
+            bdtrc=lambda k, n, p: special.bdtrc(k, n, p) * scale))
+        result = grid(**kwargs)
+        records, summary, holds = per_cell(**kwargs)
+        assert repr(result.records) == repr(records)
+        assert repr(result.summary) == repr(summary)
+        assert result.holds is holds
+        assert holds is not failing
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: concentration_exactness(eps_step=1.5), "eps_step"),
+        (lambda: concentration_exactness(eps_step=0.0), "eps_step"),
+        (lambda: concentration_exactness(n_max=0), "n_max"),
+        (lambda: concentration_exactness(n_max=2.5), "n_max"),
+        (lambda: concentration_exactness(ps=()), "ps"),
+        (lambda: concentration_exactness(ps=(0.5, 1.5)), "ps"),
+        (lambda: concentration_exactness(ps=(math.nan,)), "ps"),
+        (lambda: quarter_lemma_grid(p_step=1.0), "p_step"),
+        (lambda: quarter_lemma_grid(p_step=math.nan), "p_step"),
+        (lambda: quarter_lemma_grid(m_max=0), "m_max"),
+        (lambda: quarter_lemma_grid(m_max=1), "m_max"),
+        (lambda: quarter_lemma_grid(p_step=0.7), "m_max=50 and p_step=0.7"),
+    ])
+    def test_empty_grid_fails_by_name(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name}"):
+            call()
 
 
 @pytest.mark.parametrize("call, removed", [

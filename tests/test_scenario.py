@@ -197,6 +197,36 @@ class TestSolver:
         assert res.theta[0] == 10.0
         assert res.max_violation == value
 
+    @pytest.mark.parametrize("lo, hi", [(-1e20, 1e20), (-1e30, 1e30),
+                                        (-1e50, 1e50), (1e30, 1e50)])
+    def test_feasibility_mode_in_a_huge_box(self, lo, hi):
+        # HiGHS reads a theta bound of 1e20 or more as infinite, which left
+        # the min-slack LP unbounded
+        prog = one_dim_threshold_program(margin=0.1, theta_lo=lo, theta_hi=hi)
+        res = solve_margin_program(prog, [0.0, 1.0], mode="feasibility")
+        assert res.feasible and res.used_fallback
+        assert np.all(np.isfinite(res.theta)) and lo <= res.theta[0] <= hi
+        optimum = solve_margin_program(prog, [0.0, 1.0])
+        assert optimum.solver == "closed_form"
+        assert optimum.theta[0] == max(lo, 1.0 + 0.1 + 1e-9)
+
+    @pytest.mark.parametrize("bound", [10.0, 1e20, 1e30, 1e50])
+    def test_min_slack_point_in_a_huge_box_keeps_its_value(self, bound):
+        # theta >= 1.1 and theta <= 0.9 cannot both hold; the least
+        # worst-case slack is 0.1, at theta = 1
+        up = ConstraintPiece(psi=AffineMap([[0.0]], [-1.0]),
+                             eta=AffineMap([[1.0]], [0.0]))
+        down = ConstraintPiece(psi=AffineMap([[0.0]], [1.0]),
+                               eta=AffineMap([[-1.0]], [0.0]))
+        prog = ScenarioProgramSpec(objective=[1.0], pieces=(up, down),
+                                   theta_set=Box([-bound], [bound]),
+                                   margin=0.1)
+        for mode in ("optimize", "feasibility"):
+            res = solve_margin_program(prog, np.array([1.0]), mode=mode)
+            assert not res.feasible and res.used_fallback
+            assert res.theta[0] == pytest.approx(1.0, abs=1e-9)
+            assert res.max_violation == pytest.approx(0.1, abs=1e-9)
+
     @pytest.mark.parametrize("scenarios, margin, name", [
         ([0.0, 1.0], math.nan, "margin"),
         ([0.0, 1.0], math.inf, "margin"),
