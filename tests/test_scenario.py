@@ -314,6 +314,133 @@ def full_row_theta(program, xs, mode):
     return used_fallback, res.x[:p]
 
 
+def coupled_row_program(rng):
+    """Random program over the box [-B, B]^p, B from 10 to 1e50, whose
+    constant psi rows each couple theta_1 and theta_2 and whose rows hold
+    with room at the scale of the box: either A phi <= beta for a phi0 with
+    slack 0.05 to 1, or a cone A phi <= 0 that holds at phi0 with slack 0.1.
+    eta = x - B beta, so the scenarios and the margin add offsets of order
+    1.  Returns the program, A, beta and B."""
+    p, k = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+    a = rng.normal(size=(k, p))
+    if rng.random() < 0.5:
+        a = np.round(2.0 * a)           # small integers, with exact ties
+    a[:, :2] = np.where(a[:, :2] == 0.0, 1.0, a[:, :2])
+    phi0 = rng.uniform(0.2, 0.5, p) * rng.choice([-1.0, 1.0], p)
+    if rng.random() < 0.5:
+        beta = a @ phi0 + rng.uniform(0.05, 1.0, k)
+    else:
+        a = a - np.outer(a @ phi0 + 0.1, phi0) / (phi0 @ phi0)
+        beta = np.zeros(k)
+    big = 10.0 ** rng.uniform(1.0, 50.0)
+    objective = rng.normal(size=p)
+    objective[rng.integers(p)] *= rng.random() >= 0.3
+    pieces = [ConstraintPiece(psi=AffineMap(np.zeros((p, 1)), row),
+                              eta=AffineMap([[1.0]], [-big * b]))
+              for row, b in zip(a, beta)]
+    program = ScenarioProgramSpec(objective=objective, pieces=pieces,
+                                  theta_set=Box(-big * np.ones(p),
+                                                big * np.ones(p)),
+                                  margin=1.0)
+    return program, a, beta, big
+
+
+class TestCoupledRowsInAHugeBox:
+    """Box programs whose rows couple theta coordinates go to HiGHS, which
+    stalls (or reads the box as infinite) when the box is far larger than
+    the right-hand sides."""
+
+    @staticmethod
+    def program(bound):
+        # x - theta_1 - theta_2 <= -1 with margin 1: theta_1 + theta_2 >= 2
+        # at x = 1; minimize theta_1
+        piece = ConstraintPiece(psi=AffineMap([[0.0], [0.0]], [-1.0, -1.0]),
+                                eta=AffineMap([[1.0]], [0.0]))
+        return ScenarioProgramSpec(objective=[1.0, 0.0], pieces=(piece,),
+                                   theta_set=Box([-bound, -bound],
+                                                 [bound, bound]),
+                                   margin=1.0)
+
+    @pytest.mark.parametrize("bound", [10.0, 1e17, 1e19, 1e30, 1e50])
+    def test_optimum_not_the_min_slack_point(self, bound):
+        # at 1e19 the optimize LP stalled and theta was the min-slack point
+        # (1e19, 1e19)
+        res = solve_margin_program(self.program(bound), [0.0, 1.0])
+        assert res.solver == "highs" and not res.used_fallback
+        assert res.theta[1] == pytest.approx(bound, rel=1e-9)
+        assert res.objective == pytest.approx(2.0 + 1e-9 - bound, rel=1e-9)
+
+    @pytest.mark.parametrize("bound", [10.0, 1e17, 1e19, 1e30, 1e50])
+    def test_infeasible_rows_give_the_min_slack_point(self, bound):
+        # theta_1 + theta_2 >= 1.1 and <= 0.9 cannot both hold; at 1e17 and
+        # 1e19 the min-slack LP stalled and raised
+        up = ConstraintPiece(psi=AffineMap([[0.0], [0.0]], [-1.0, -1.0]),
+                             eta=AffineMap([[1.0]], [0.0]))
+        down = ConstraintPiece(psi=AffineMap([[0.0], [0.0]], [1.0, 1.0]),
+                               eta=AffineMap([[-1.0]], [0.0]))
+        prog = ScenarioProgramSpec(objective=[1.0, 0.0], pieces=(up, down),
+                                   theta_set=Box([-bound, -bound],
+                                                 [bound, bound]),
+                                   margin=0.1)
+        for mode in ("optimize", "feasibility"):
+            res = solve_margin_program(prog, np.array([1.0]), mode=mode)
+            assert res.used_fallback and not res.feasible
+            assert prog.theta_set.contains(res.theta, tol=0.0)
+            assert res.max_violation <= 0.1 + 1e-7 * bound
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           sides=st.sampled_from(["both", "positive", "negative"]))
+    def test_theta_stays_in_a_wide_box(self, seed, sides):
+        # each coordinate has its own box, with ends from 10 to 1e50 apart,
+        # so one unit cannot resolve every coordinate; rows and offsets are
+        # random, so most programs are infeasible
+        rng = np.random.default_rng(seed)
+        p, k = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+        ends = np.sort(10.0 ** rng.uniform(1.0, 50.0, (p, 2)), axis=1)
+        lo, hi = {"both": (-ends[:, 1], ends[:, 1]),
+                  "positive": (ends[:, 0], ends[:, 1]),
+                  "negative": (-ends[:, 1], -ends[:, 0])}[sides]
+        rows = rng.normal(size=(k, p))
+        rows[:, :2] = np.where(rows[:, :2] == 0.0, 1.0, rows[:, :2])
+        offsets = rng.normal(size=k) * 10.0 ** rng.uniform(0.0, 49.0, k)
+        pieces = [ConstraintPiece(psi=AffineMap(np.zeros((p, 1)), row),
+                                  eta=AffineMap([[1.0]], [offset]))
+                  for row, offset in zip(rows, offsets)]
+        prog = ScenarioProgramSpec(objective=rng.normal(size=p),
+                                   pieces=pieces, theta_set=Box(lo, hi),
+                                   margin=1.0)
+        for mode in ("optimize", "feasibility"):
+            res = solve_margin_program(prog, rng.uniform(0.0, 2.0, 3),
+                                       mode=mode)
+            assert prog.theta_set.contains(res.theta, tol=0.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_rescaled_reference(self, seed):
+        # the reference solves the same LP in the unit B, where the box is
+        # [-1, 1]^p, and scales back; values are compared at the box scale
+        rng = np.random.default_rng(seed)
+        program, a, beta, big = coupled_row_program(rng)
+        xs = rng.uniform(0.0, 2.0, 3)
+        c = program.objective
+        reference = optimize.linprog(
+            c / np.max(np.abs(c)), A_ub=a,
+            b_ub=beta - (np.max(xs) + 1.0 + 1e-9) / big,
+            bounds=[(-1.0, 1.0)] * len(c), method="highs")
+        assert reference.status == 0
+        tol = 1e-7 * big
+        for mode in ("optimize", "feasibility"):
+            res = solve_margin_program(program, xs, mode=mode)
+            assert res.used_fallback is (mode == "feasibility")
+            assert np.all(np.abs(res.theta) <= big)
+            assert np.all(a @ res.theta - big * beta
+                          <= tol * np.sum(np.abs(a), axis=1))
+        res = solve_margin_program(program, xs)
+        assert abs(res.objective - big * (c @ reference.x)) <= \
+            tol * np.sum(np.abs(c))
+
+
 class TestHullReduction:
     def test_acceptance_program_solves_two_rows(self):
         prog = one_dim_threshold_program(theta_lo=-10, theta_hi=10, margin=1.0)
