@@ -49,6 +49,13 @@ def _check(name, value, lo=-math.inf, hi=math.inf, *, lo_open=False,
     raise ValueError(f"{name} must be {kind}in {interval}, got {value}")
 
 
+def _reject_unknown(d, allowed, what):
+    """Raise a ValueError naming the keys of ``d`` outside ``allowed``."""
+    unknown = set(d) - allowed
+    if unknown:
+        raise ValueError(f"unknown {what} fields {sorted(unknown)}")
+
+
 def _check_entries(name, values):
     """_check on the largest magnitude of an array: an entry that is NaN or
     beyond +-_SCALE_MAX fails, and an empty or 0-d array is missing."""

@@ -181,9 +181,8 @@ class PseudoMetricSample:
 
 def pseudo_metric(f, f_prime, sample: PseudoMetricSample) -> float:
     """Empirical L2 pseudo-distance sqrt(mean (f - f')^2) on the sample."""
-    a = sample.evaluate(f)
-    b = sample.evaluate(f_prime)
-    return float(np.sqrt(np.mean((a - b) ** 2)))
+    rows = np.vstack([sample.evaluate(f), sample.evaluate(f_prime)])
+    return float(pseudo_metric_matrix(rows)[0, 1])
 
 
 def evaluation_matrix(functions, sample: PseudoMetricSample = None) -> np.ndarray:
@@ -203,9 +202,23 @@ def evaluation_matrix(functions, sample: PseudoMetricSample = None) -> np.ndarra
 
 
 def pseudo_metric_matrix(values: np.ndarray) -> np.ndarray:
-    """Pairwise empirical L2 pseudo-distances between rows of ``values``."""
-    diffs = values[:, None, :] - values[None, :, :]
-    return np.sqrt(np.mean(diffs ** 2, axis=2))
+    """Pairwise empirical L2 pseudo-distances between rows of ``values``.
+
+    A square overflows, or underflows, where a pair's largest difference
+    leaves [1e-150, 1e150]; such a pair is measured in the power-of-two
+    unit of that difference."""
+    with np.errstate(over="ignore"):
+        diffs = values[:, None, :] - values[None, :, :]
+        # np.mean sums and divides by the count just so, at a third of its cost
+        dm = np.sqrt(np.add.reduce(diffs ** 2, axis=2) / values.shape[1])
+    # pairs within [1e-150, 1e140] need no unit (the diagonal is always 0)
+    if np.count_nonzero((dm < 1e-150) | (dm > 1e140)) > dm.shape[0]:
+        peak = np.max(np.abs(diffs), axis=2)
+        odd = (peak > 1e150) | ((peak > 0) & (peak < 1e-150))
+        unit = np.ldexp(1.0, np.frexp(peak[odd])[1] - 1)
+        dm[odd] = unit * np.sqrt(np.mean((diffs[odd] / unit[:, None]) ** 2,
+                                         axis=1))
+    return dm
 
 
 def _greedy_net_size(dm: np.ndarray, epsilon: float) -> int:
@@ -226,21 +239,25 @@ def _greedy_net_size(dm: np.ndarray, epsilon: float) -> int:
     return best
 
 
+# the size of each subset of up to 16 rows, indexed by its bitmask
+_SUBSET_SIZE = np.zeros(1 << 16, dtype=np.int8)
+for _i in range(16):
+    _SUBSET_SIZE[1 << _i:2 << _i] = _SUBSET_SIZE[:1 << _i] + 1
+
+
 def _exhaustive_net_size(dm: np.ndarray, epsilon: float) -> int:
     """Smallest number of rows whose open epsilon-balls cover every row.
 
     Exact: a table over all 2^m subsets, built one row at a time, holds each
-    subset's covered rows (as a bitmask) and its size.
+    subset's covered rows (as a bitmask); _SUBSET_SIZE gives its size.
     """
     m = dm.shape[0]
     balls = (dm < epsilon) @ (1 << np.arange(m, dtype=np.int64))
     cover = np.zeros(1 << m, dtype=np.int64)
-    size = np.zeros(1 << m, dtype=np.int64)
     for i, ball in enumerate(balls):
         # the subsets that contain row i are those without it, plus row i
         cover[1 << i:2 << i] = cover[:1 << i] | ball
-        size[1 << i:2 << i] = size[:1 << i] + 1
-    return int(size[cover == (1 << m) - 1].min())
+    return int(_SUBSET_SIZE[:1 << m][cover == (1 << m) - 1].min())
 
 
 _EXACT_CUTOFF = 12

@@ -22,7 +22,7 @@ import numpy as np
 from . import bounds as bnd
 from . import experiments as xp
 from . import scenario as scn
-from .bounds import _check
+from .bounds import _check, _reject_unknown
 from .classes import (FunctionClassDescriptor, kernel_ball_class,
                       linear_ball_class, threshold_class)
 from .estimators import empirical_rademacher
@@ -107,9 +107,7 @@ def _class_from_dict(d: dict) -> FunctionClassDescriptor:
     kind = d.get("kind")
     if kind not in _CLASS_KEYS:
         raise ConfigError(f"unsupported class kind {kind!r} in config")
-    unknown = set(d) - _CLASS_KEYS[kind]
-    if unknown:
-        raise ConfigError(f"unknown class fields {sorted(unknown)}")
+    _reject_unknown(d, _CLASS_KEYS[kind], "class")
     if kind == "threshold1d":
         return threshold_class()
     if kind == "linear_ball":

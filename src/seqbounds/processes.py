@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg, signal
 
-from .bounds import _SCALE_MAX, _check
+from .bounds import _SCALE_MAX, _check, _reject_unknown
 
 PROCESS_KINDS = (
     "ar1_threshold_labels",
@@ -328,9 +328,7 @@ def process_from_dict(d: dict) -> ProcessSpec:
     kind = d.get("kind")
     if kind not in allowed:
         raise ValueError(f"unknown process kind {kind!r}")
-    unknown = set(d) - allowed[kind]
-    if unknown:
-        raise ValueError(f"unknown process fields {sorted(unknown)}")
+    _reject_unknown(d, allowed[kind], "process")
     params = {k: v for k, v in d.items() if k != "kind"}
     if kind == "ar1_threshold_labels":
         return ar1_process(**params)

@@ -12,7 +12,7 @@ import numpy as np
 from scipy import optimize
 from scipy.spatial import ConvexHull, QhullError
 
-from .bounds import _SCALE_MAX, _check, _check_entries
+from .bounds import _SCALE_MAX, _check, _check_entries, _reject_unknown
 from .processes import ProcessSpec, simulate_sequence
 
 _CEIL_GUARD = 1e-9
@@ -105,7 +105,10 @@ class Ball:
         return float(self.radius)
 
     def contains(self, theta, tol=1e-9):
-        return bool(np.linalg.norm(theta) <= self.radius + tol)
+        # tol is relative beyond radius 1: a point put on the sphere of a
+        # large ball has a norm rounded by far more than 1e-9
+        return bool(np.linalg.norm(theta)
+                    <= self.radius + tol * max(1.0, self.radius))
 
     def to_dict(self):
         return {"kind": "ball", "radius": self.radius}
@@ -120,12 +123,6 @@ def _set_from_dict(d):
         _reject_unknown(d, {"kind", "radius"}, "ball")
         return Ball(radius=float(d["radius"]))
     raise ValueError(f"unknown set kind {kind!r}")
-
-
-def _reject_unknown(d, allowed, what):
-    unknown = set(d) - allowed
-    if unknown:
-        raise ValueError(f"unknown {what} fields {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -343,10 +340,17 @@ class SolveResult:
     max_violation: float      # max_i f(x_i, theta) + margin at the returned point
     rows_solved: int          # scenario constraint rows handed to the solver
     used_fallback: bool       # whether the min-slack program ran
-    solver: str               # what gave theta: closed_form, highs or slsqp
+    solver: str               # what gave theta: closed_form or highs
 
 
 _TIGHTEN = 1e-9
+# A ball's cut LP point within this relative distance of the sphere is put
+# on it, after at most _MAX_CUTS cuts, by the rows that bind there within
+# _BIND_TOL of their scale: an LP vertex holds its rows to rounding (see
+# _solve_ball)
+_SPHERE_TOL = 1e-7
+_MAX_CUTS = 100
+_BIND_TOL = 1e-9
 # A box LP that fails is solved again in a unit that brings the box within
 # 2**_UNIT_BITS (see _box_linprog)
 _UNIT_BITS = 30
@@ -379,12 +383,13 @@ def solve_margin_program(program: ScenarioProgramSpec, scenarios,
     on an extreme point of their convex hull: the solver only gets the rows
     of those scenarios (min and max for 1-D x, the Qhull vertices
     otherwise), which leaves the feasible set unchanged (Calafiore & Campi,
-    IEEE TAC 2006).  A 1-D ball is the interval [-r, r] and is solved as
-    that box.  On a box, when every row bounds at most one theta
+    IEEE TAC 2006).  On a box, when every row bounds at most one theta
     coordinate, the rows only narrow the box and the optimum is read off
     in closed form; a row that couples coordinates sends the LP to HiGHS.
-    Balls in two or more dimensions are solved by SLSQP on the smooth
-    epigraph form.  The feasible flag always comes from an exact post-hoc
+    A ball of radius r is the box [-r, r]^p cut by tangent planes, one per
+    LP point outside the ball; an optimum on the sphere is put there in
+    closed form from the rows that bind (see _solve_ball), and a 1-D ball
+    is just the box.  The feasible flag always comes from an exact post-hoc
     evaluation of the constraints at the returned point over all scenarios
     and from the theta set's own membership test, never from solver
     status.  In feasibility mode, or when the program is infeasible, the
@@ -405,15 +410,13 @@ def solve_margin_program(program: ScenarioProgramSpec, scenarios,
     psi_all = np.vstack([t[0] for t in tables])
     h_all = np.concatenate([t[1] for t in tables])
 
-    theta_set = program.theta_set
-    if isinstance(theta_set, Ball) and program.dim_theta == 1:
-        theta_set = Box([-theta_set.radius], [theta_set.radius])
-    if isinstance(theta_set, Box):
+    if isinstance(program.theta_set, Box):
         theta, used_fallback, solver = _solve_box(
-            theta_set, program.objective, psi_all, h_all, gamma, mode)
+            program.theta_set, program.objective, psi_all, h_all, gamma, mode)
     else:
-        theta, used_fallback, solver = _solve_ball(program, psi_all, h_all,
-                                                   gamma, mode)
+        theta, used_fallback, solver = _solve_ball(
+            program.theta_set.radius, program.objective, psi_all, h_all,
+            gamma, mode)
 
     theta = np.asarray(theta, dtype=float)
     resid = float(np.max(program.constraint_values(xs, theta)) + gamma)
@@ -424,11 +427,17 @@ def solve_margin_program(program: ScenarioProgramSpec, scenarios,
                        used_fallback=used_fallback, solver=solver)
 
 
-def _solve_box(box, objective, psi_all, h_all, gamma, mode):
+def _solve_box(box, objective, psi_all, h_all, gamma, mode, cuts=None):
+    """theta, whether the min-slack program ran, and the engine that gave
+    theta, over the box cut by the hard rows cuts[:, :-1].theta <=
+    cuts[:, -1] (no slack in the min-slack program)."""
+    cuts = np.empty((0, box.dim + 1)) if cuts is None else cuts
     b = -gamma - h_all - _TIGHTEN
     if mode == "optimize":
-        if np.all(np.count_nonzero(psi_all, axis=1) <= 1):
-            theta = _bound_rows_optimum(box, objective, psi_all, b)
+        rows = np.vstack([psi_all, cuts[:, :-1]])
+        b = np.concatenate([b, cuts[:, -1]])
+        if np.all(np.count_nonzero(rows, axis=1) <= 1):
+            theta = _bound_rows_optimum(box, objective, rows, b)
             if theta is not None:
                 return theta, False, "closed_form"
         else:
@@ -436,7 +445,7 @@ def _solve_box(box, objective, psi_all, h_all, gamma, mode):
             # its largest magnitude keeps the argmin
             scale = np.max(np.abs(objective))
             c = objective / scale if scale > 0 else objective
-            status, theta = _box_linprog(box, c, psi_all, b)
+            status, theta = _box_linprog(box, c, rows, b)
             if status == 0:
                 return theta, False, "highs"
         # infeasible (or numerically stuck): fall through to the min-slack
@@ -445,8 +454,10 @@ def _solve_box(box, objective, psi_all, h_all, gamma, mode):
     # so that no right-hand side reaches 1e20, which HiGHS reads as infinite
     c = np.zeros(box.dim + 1)
     c[-1] = 1.0
-    a = np.hstack([psi_all, -np.ones((psi_all.shape[0], 1))])
-    status, theta = _box_linprog(box, c, a, np.max(h_all) - h_all, free=1)
+    a = np.block([[psi_all, -np.ones((psi_all.shape[0], 1))],
+                  [cuts[:, :-1], np.zeros((cuts.shape[0], 1))]])
+    status, theta = _box_linprog(box, c, a, np.concatenate(
+        [np.max(h_all) - h_all, cuts[:, -1]]), free=1)
     if status != 0:
         raise RuntimeError(f"LP solver failed with status {status}")
     return theta, True, "highs"
@@ -519,45 +530,59 @@ def _bound_rows_optimum(box, objective, psi_all, b):
     return np.where(objective > 0, lo, np.where(objective < 0, hi, nearer))
 
 
-def _solve_ball(program, psi_all, h_all, gamma, mode):
-    ball = program.theta_set
-    p = program.dim_theta
-    if mode == "optimize":
-        cons = [
-            {"type": "ineq",
-             "fun": lambda th: -gamma - _TIGHTEN - h_all - psi_all @ th,
-             "jac": lambda th: -psi_all},
-            {"type": "ineq",
-             "fun": lambda th: ball.radius ** 2 - th @ th,
-             "jac": lambda th: -2.0 * th},
-        ]
-        res = optimize.minimize(
-            lambda th: program.objective @ th, np.zeros(p),
-            jac=lambda th: program.objective, constraints=cons,
-            method="SLSQP", options={"maxiter": 500, "ftol": 1e-12},
-        )
-        if res.success:
-            return res.x, False, "slsqp"
-    # min-slack epigraph: variables (theta, s)
-    def obj(z):
-        return z[-1]
-
-    cons = [
-        {"type": "ineq",
-         "fun": lambda z: z[-1] - gamma - h_all - psi_all @ z[:p],
-         "jac": lambda z: np.hstack([-psi_all, np.ones((psi_all.shape[0], 1))])},
-        {"type": "ineq",
-         "fun": lambda z: ball.radius ** 2 - z[:p] @ z[:p],
-         "jac": lambda z: np.concatenate([-2.0 * z[:p], [0.0]])},
-    ]
-    z0 = np.zeros(p + 1)
-    z0[-1] = float(np.max(h_all) + gamma + 1.0)
-    res = optimize.minimize(obj, z0, jac=lambda z: np.eye(p + 1)[-1],
-                            constraints=cons, method="SLSQP",
-                            options={"maxiter": 500, "ftol": 1e-12})
-    if not res.success:
-        raise RuntimeError(f"SLSQP failed: {res.message}")
-    return res.x[:p], True, "slsqp"
+def _solve_ball(radius, objective, psi_all, h_all, gamma, mode):
+    """Kelley's cutting planes (J. SIAM 1960) on the box [-r, r]^p: each LP
+    point theta outside the ball adds the hard row u.theta <= r, u = theta /
+    |theta|, until theta lies in the ball (the optimum), within _SPHERE_TOL
+    of the sphere, or where a cut no longer moves it (HiGHS's tolerance
+    stalls the cuts near 2e-8 relative).  Then theta goes on the sphere.
+    The rows that bind at theta (within tolerance of -gamma, with cost c;
+    in min-slack mode, the rows tied at the largest value, each tie with
+    row j an equality (a_i - a_j).theta = h_j - h_i, with cost a_j) have
+    an affine set with least-norm point theta0 and null-space projector P,
+    whose least cost on the ball is at theta0 - sqrt(r^2 - |theta0|^2) Pc /
+    |Pc|.  The LP's cost bounds the optimum from below, and along that set
+    it rises from theta to the sphere by at most |c| sqrt(|theta|^2 - r^2):
+    the point is kept when its cost is within that and every row holds at
+    it, else theta is scaled onto the sphere."""
+    p = objective.size
+    box = Box(-radius * np.ones(p), radius * np.ones(p))
+    cuts, last = np.empty((0, p + 1)), None
+    while True:
+        theta, slack, solver = _solve_box(box, objective, psi_all, h_all,
+                                          gamma, mode, cuts)
+        norm = np.linalg.norm(theta)
+        if norm <= radius:
+            return theta, slack, solver
+        if (norm <= radius * (1.0 + _SPHERE_TOL) or len(cuts) == _MAX_CUTS
+                or np.array_equal(theta, last)):
+            break
+        # the cuts only shrink the LP: once infeasible, it stays so
+        mode = "feasibility" if slack else mode
+        cuts, last = np.vstack([cuts, np.append(theta / norm, radius)]), theta
+    values = psi_all @ theta + h_all
+    tol = _BIND_TOL * (radius * np.abs(psi_all).sum(axis=1)
+                       + np.abs(h_all) + gamma)
+    j = np.argmax(values)
+    if slack:
+        tied = values >= values[j] - tol
+        rows, rhs = psi_all[tied] - psi_all[j], h_all[j] - h_all[tied]
+        cost, bound = psi_all[j], values[j]
+    else:
+        tied = values >= -gamma - _TIGHTEN - tol
+        rows, rhs = psi_all[tied], -gamma - _TIGHTEN - h_all[tied]
+        cost, bound = objective, objective @ theta
+    pinv = np.linalg.pinv(rows)
+    theta0, pc = pinv @ rhs, cost - pinv @ (rows @ cost)
+    n0 = np.linalg.norm(theta0)
+    point = theta0 - (np.sqrt(max((radius - n0) * (radius + n0), 0.0)) * pc
+                      / max(np.linalg.norm(pc), np.finfo(float).tiny))
+    reach = bound + np.linalg.norm(cost) * np.sqrt((norm - radius)
+                                                   * (norm + radius))
+    at = psi_all @ point + h_all
+    holds = (np.max(at) <= reach if slack else objective @ point <= reach
+             and np.all(at <= -gamma - _TIGHTEN + tol))
+    return (point if holds else theta * (radius / norm)), slack, solver
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Print the SHA-256 of every output file of the CLI ``validate`` runs at the
 acceptance configs of ``tests/test_acceptance.py``, plus ``regression_coverage``
 on an AR(2) system, and of the ``scenario`` runs on the acceptance 1-D box
-program, on the same program over a ball and on a two-piece 2-D box program
-on the AR(2) system, one ``plan``, one ``bound`` and one ``simulate`` run
-(an AR(2) path of 100,000 rows, as the benchmark's coverage_mc workload
-writes it): every command whose output is deterministic.
+program, on the same program over a ball, on a two-piece 2-D box program on
+the AR(2) system and on that program over a 2-D ball of radius 10, one
+``plan``, one ``bound`` and one ``simulate`` run (an AR(2) path of 100,000
+rows, as the benchmark's coverage_mc workload writes it): every command whose
+output is deterministic.
 
 Two trees give the same outputs when this prints the same lines for both:
 
@@ -64,6 +65,8 @@ BOX_2D_PROGRAM = {
                 "eta": {"matrix": [[float(j == k) for j in range(2)]],
                         "offset": [0.0]}} for k in range(2)],
 }
+BALL_2D_PROGRAM = dict(BOX_2D_PROGRAM,
+                       theta_set={"kind": "ball", "radius": 10.0})
 COMMAND_CONFIGS = {
     "scenario_box": {"command": "scenario", "method": "margin",
                      "epsilon": 0.15, "delta": 0.1, "program": BOX_PROGRAM,
@@ -75,6 +78,10 @@ COMMAND_CONFIGS = {
                         "epsilon": 0.3, "delta": 0.1,
                         "program": BOX_2D_PROGRAM, "process": AR2_SYSTEM,
                         "seed": 888},
+    "scenario_ball_2d": {"command": "scenario", "method": "margin",
+                         "epsilon": 0.3, "delta": 0.1,
+                         "program": BALL_2D_PROGRAM, "process": AR2_SYSTEM,
+                         "seed": 888},
     "plan": {"command": "plan", "method": "margin", "epsilon": 0.1,
              "delta": 0.05, "gamma": 1.0, "tau_lambda_sum": 1.0, "seed": 1},
     "bound": {"command": "bound", "bound": "vc", "emp_risk": 0.02,

@@ -132,6 +132,26 @@ class TestPseudoMetric:
         with pytest.raises(ValueError):
             pseudo_metric(bad, bad, sample)
 
+    def test_tiny_difference_does_not_underflow(self):
+        # (1e-170)^2 underflows to 0, which made the two rows one
+        values = np.array([[0.0], [1e-170]])
+        assert pseudo_metric_matrix(values)[0, 1] == 1e-170
+        assert covering_number_exhaustive(values, 1e-171) == 2
+        sample = PseudoMetricSample(np.array([0.0, 1.0]))
+        f = lambda t: np.full(2, 1e-170)
+        g = lambda t: np.zeros(2)
+        assert pseudo_metric(f, g, sample) == 1e-170
+
+    def test_huge_difference_does_not_overflow(self):
+        # (2e200)^2 overflowed to inf, with a RuntimeWarning
+        values = np.array([[1e200], [-1e200], [0.0]])
+        assert pseudo_metric_matrix(values) == pytest.approx(
+            np.array([[0.0, 2e200, 1e200], [2e200, 0.0, 1e200],
+                      [1e200, 1e200, 0.0]]), rel=1e-15)
+        assert covering_number_exhaustive(values, 1e300) == 1
+        # open balls: a distance of exactly 1e200 is not below 1e200
+        assert covering_number_exhaustive(values, 1e200) == 3
+
 
 class TestCoveringNumbers:
     def test_singleton(self):

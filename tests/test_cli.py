@@ -556,3 +556,16 @@ def test_command_out_of_range_value_named_or_finite(case, value):
 def test_exit_2_names_the_value(tmp_path, capsys, config, name):
     assert run(config, tmp_path / "out") == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: {name}")
+
+
+@pytest.mark.parametrize("config, what", [
+    ({"command": "rad", "sign_draws": 8, "seed": 7, "points": [1.0, 2.0],
+      "class": {"kind": "linear_ball", "dim": 1, "radius": 1.0,
+                "bandwidth": 2.0}}, "class"),
+    (dict(COMMAND_CONFIGS["simulate"], process=dict(AR1, drift=0.1)),
+     "process"),
+])
+def test_unknown_fields_exit_2(tmp_path, capsys, config, what):
+    assert run(config, tmp_path / "out") == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"config error: unknown {what} fields [")

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -250,11 +250,25 @@ class TestSolver:
         res = solve_margin_program(two_dim_program(), np.array([1.0, -1.0]))
         assert res.solver == "highs" and not res.used_fallback
 
-    def test_two_dim_ball_goes_to_slsqp(self):
+    def test_interior_ball_optimum_is_closed_form(self):
+        # x_k - theta_k <= -1: the cut box's optimum max(x) + 1 lies inside
+        # the ball, so the first box solve is kept
+        xs = np.array([[0.5, -0.2], [0.1, 0.3]])
+        res = solve_margin_program(x_bounds_program(Ball(10.0), 2), xs)
+        assert res.solver == "closed_form" and res.feasible
+        assert np.array_equal(res.theta, np.max(xs, axis=0) + 1.0 + 1e-9)
+
+    def test_ball_optimum_on_the_sphere_needs_cuts(self):
+        # 0.5 theta_1 + theta_2 <= -0.5 does not bind at -3 (1, 1) / sqrt 2,
+        # the least c.theta over the ball of radius 3
         prog = ScenarioProgramSpec(objective=[1.0, 1.0],
                                    pieces=two_dim_program().pieces,
                                    theta_set=Ball(3.0), margin=0.5)
-        assert solve_margin_program(prog, np.array([0.5])).solver == "slsqp"
+        res = solve_margin_program(prog, np.array([0.5]))
+        assert res.solver == "highs" and res.feasible
+        assert not res.used_fallback
+        assert res.theta == pytest.approx(-3.0 / math.sqrt(2.0) * np.ones(2),
+                                          rel=1e-12)
 
 
 def random_box_program(rng, dim_x, pieces, x_dependent):
@@ -608,6 +622,80 @@ class TestClosedForm:
             assert res.solver == "closed_form"
             assert res.objective == pytest.approx(objective, abs=1e-9)
             assert res.theta == pytest.approx(theta, abs=1e-9)
+
+
+def ball_kkt_residual(program, xs, res):
+    """Residual of the KKT certificate of res.theta, found by nnls over
+    every scenario row: c + A_S^T lam + mu theta = 0 in optimize mode, with
+    S the rows within tolerance of -margin; sum lam = 1 and A_S^T lam +
+    mu theta = 0 in min-slack mode, with S the rows tied at the largest
+    value; lam, mu >= 0, and mu = 0 unless theta is on the sphere.  The
+    residual is relative to the size of c (optimize) or of the rows."""
+    tables = program.piece_tables(xs)
+    a = np.vstack([t[0] for t in tables])
+    h = np.concatenate([t[1] for t in tables])
+    theta, radius = res.theta, program.theta_set.radius
+    values = a @ theta + h
+    tol = 1e-9 * (radius * np.abs(a).sum(axis=1) + np.abs(h) + program.margin)
+    norm = np.linalg.norm(theta)
+    sphere = (theta / norm if norm >= radius * (1.0 - 1e-9)
+              else np.zeros_like(theta))[:, None]
+    if res.used_fallback:
+        rows = a[values >= np.max(values) - tol]
+        m = np.vstack([np.hstack([rows.T, sphere]),
+                       np.append(np.ones(rows.shape[0]), 0.0)])
+        rhs, size = np.append(np.zeros(theta.size), 1.0), np.max(np.abs(rows))
+    else:
+        rows = a[values >= -program.margin - 1e-9 - tol]
+        m = np.hstack([rows.T, sphere])
+        rhs, size = -program.objective, np.linalg.norm(program.objective)
+    return optimize.nnls(m, rhs)[1] / max(size, 1.0)
+
+
+class TestBallPrograms:
+    """Balls of dim theta >= 2: the box [-r, r]^p cut by tangent planes,
+    with the optimum put on the sphere in closed form."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim_x=st.sampled_from([1, 2, 3]),
+           n=st.integers(1, 40), pieces=st.integers(1, 3),
+           x_dependent=st.booleans(), log_radius=st.floats(-6.0, 50.0),
+           mode=st.sampled_from(["optimize", "feasibility"]),
+           cloud=st.sampled_from(["general", "duplicates", "collinear"]))
+    def test_kkt_certificate(self, seed, dim_x, n, pieces, x_dependent,
+                             log_radius, mode, cloud):
+        rng = np.random.default_rng(seed)
+        boxed = random_box_program(rng, dim_x, pieces, x_dependent)
+        assume(boxed.dim_theta >= 2)
+        radius = 10.0 ** log_radius
+        prog = ScenarioProgramSpec(objective=boxed.objective,
+                                   pieces=boxed.pieces,
+                                   theta_set=Ball(radius),
+                                   margin=boxed.margin)
+        xs = random_cloud(rng, n, dim_x, cloud)
+        res = solve_margin_program(prog, xs, mode=mode)
+        assert res.solver in ("closed_form", "highs")
+        assert np.linalg.norm(res.theta) <= radius * (1.0 + 1e-12)
+        assert ball_kkt_residual(prog, xs, res) <= 1e-9
+
+    @pytest.mark.parametrize("seed", [161, 266, 390])
+    def test_feasible_programs_found_feasible(self, seed):
+        # the box generator over a ball of radius 0.5 to 4 and a cloud of 5
+        # to 200 points; the optimize programs of these seeds are feasible,
+        # so the solve must reach their optimum, not the min-slack point
+        rng = np.random.default_rng(seed)
+        dim_x = int(rng.integers(1, 4))
+        boxed = random_box_program(rng, dim_x, int(rng.integers(1, 4)),
+                                   bool(rng.integers(0, 2)))
+        prog = ScenarioProgramSpec(objective=boxed.objective,
+                                   pieces=boxed.pieces,
+                                   theta_set=Ball(float(rng.uniform(0.5, 4.0))),
+                                   margin=boxed.margin)
+        xs = random_cloud(rng, int(rng.integers(5, 201)), dim_x, "general")
+        res = solve_margin_program(prog, xs)
+        assert prog.dim_theta >= 2
+        assert res.feasible and not res.used_fallback
+        assert ball_kkt_residual(prog, xs, res) <= 1e-9
 
 
 class TestCertify:
