@@ -9,14 +9,13 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from . import bounds as bnd
 from .bounds import _SCALE_MAX, _check
 from . import scenario as scn
-from .classes import (covering_number_exhaustive, finite_class,
-                      kernel_ball_class, pseudo_metric_matrix,
-                      threshold_class)
+from .classes import (_exhaustive_net_size, finite_class, kernel_ball_class,
+                      pseudo_metric_matrix, threshold_class)
 from .estimators import (_symmetrization, empirical_rademacher,
                          threshold_empirical_risks, threshold_risk_oracle,
                          violation_rate)
@@ -213,6 +212,15 @@ def margin_rad_coverage(spec: ProcessSpec, gamma: float, radius: float,
 # ---------------------------------------------------------------------------
 # Regression coverage on the autoregressive linear system
 
+_NORM_PDF_C = np.sqrt(2 * np.pi)
+
+
+def _norm_pdf(a):
+    """Standard normal density, computed as ``scipy.stats.norm.pdf`` does
+    (bit for bit)."""
+    return np.exp(-a ** 2 / 2.0) / _NORM_PDF_C
+
+
 def clipped_linear_risk(w_rows, cov, theta, noise_sigma, m_clip):
     """Exact risk E (y - clip(w.x))^2 for jointly Gaussian (x, y).
 
@@ -231,7 +239,7 @@ def clipped_linear_risk(w_rows, cov, theta, noise_sigma, m_clip):
     pos = s2 > 0
     s = np.sqrt(s2[pos])
     a = m_clip / s
-    cdf, pdf = special.ndtr(a), stats.norm.pdf(a)
+    cdf, pdf = special.ndtr(a), _norm_pdf(a)
     e_cu = s2[pos] * (2 * cdf - 1)
     e_c2 = (s2[pos] * (2 * cdf - 1 - 2 * a * pdf)
             + 2 * m_clip ** 2 * (1 - cdf))
@@ -460,9 +468,9 @@ def chaining_dominance(instances: int, seed: int,
         rng = stream(seed, i, "points")
         m = int(rng.integers(2, 13))
         values = rng.standard_normal((m, n_points))
-        diameter = float(np.max(pseudo_metric_matrix(values)))
+        dm = pseudo_metric_matrix(values)      # one matrix for every scale
         chain, _ = bnd.chaining_rad_upper_best(
-            diameter, lambda eps: math.log(covering_number_exhaustive(values, eps)),
+            float(np.max(dm)), lambda eps: math.log(_exhaustive_net_size(dm, eps)),
             n_points, max_depth=12)
         pts = np.arange(n_points, dtype=float)
         fns = [(lambda row: (lambda x: row[np.asarray(x, int)]))(values[j])

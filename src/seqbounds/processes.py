@@ -1,5 +1,9 @@
 """Stationary dependent data generators with seeded, splittable streams
-and closed-form marginal (ghost) samplers."""
+and closed-form marginal (ghost) samplers.
+
+``scipy.signal`` and ``scipy.linalg`` are imported in the functions that
+call them (the path simulators and the AR(d) stationary covariance), so
+importing this module loads neither."""
 from __future__ import annotations
 
 import functools
@@ -7,7 +11,6 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, signal
 
 from .bounds import _SCALE_MAX, _check, _reject_unknown
 
@@ -176,6 +179,7 @@ def _lyapunov_covariance(coefficients, sigma):
     d = len(coefficients)
     q = np.zeros((d, d))
     q[0, 0] = sigma ** 2
+    from scipy import linalg
     return linalg.solve_discrete_lyapunov(_companion(coefficients), q)
 
 
@@ -203,6 +207,7 @@ def simulate_sequence(spec: ProcessSpec, n: int, seed: int,
     _check("n", n, 1, integer=True)
     rng = stream(seed, replication, "path")
     if spec.kind == "ar1_threshold_labels":
+        from scipy import signal
         v = spec.sigma ** 2 / (1.0 - spec.a ** 2)
         x0 = rng.normal(0.0, np.sqrt(v))
         eps = rng.normal(0.0, spec.sigma, n)
@@ -235,6 +240,7 @@ def _simulate_ar_d(spec, n, rng):
     state0 = chol @ rng.standard_normal(d)          # (y_0, y_-1, ..., y_{-d+1})
     noise = rng.normal(0.0, spec.sigma, n)
     a_poly = np.concatenate(([1.0], -theta))
+    from scipy import signal
     zi = signal.lfiltic([1.0], a_poly, state0)
     ys, _ = signal.lfilter([1.0], a_poly, noise, zi=zi)
     full = np.concatenate((state0[::-1], ys))       # y_{-d+1} .. y_n

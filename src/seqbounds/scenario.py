@@ -1,16 +1,21 @@
 """Pseudo-linear random programs with margin: sample-size planners,
 violation bounds, a feasibility/optimization solver and PAC certificates.
+
+``scipy.optimize`` and ``scipy.spatial`` are imported on first use: the
+LP solve of a coupled-row box or ball program loads ``optimize`` (the
+module attribute ``optimize``, which a caller may replace), and the hull
+of a scenario cloud in 2 to 4 dimensions loads ``spatial``.  Importing this
+module and the planners load neither.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
-from scipy.spatial import ConvexHull, QhullError
 
 from .bounds import _SCALE_MAX, _check, _check_entries, _reject_unknown
 from .processes import ProcessSpec, simulate_sequence
@@ -368,6 +373,7 @@ def _extreme_scenarios(xs):
         return np.unique([np.argmin(xs[:, 0]), np.argmax(xs[:, 0])])
     if n <= d + 1 or d > _HULL_MAX_DIM:
         return np.arange(n)
+    from scipy.spatial import ConvexHull, QhullError
     try:
         return np.sort(ConvexHull(xs).vertices)
     except QhullError:
@@ -463,6 +469,16 @@ def _solve_box(box, objective, psi_all, h_all, gamma, mode, cuts=None):
     return theta, True, "highs"
 
 
+def __getattr__(name):
+    """``optimize`` is ``scipy.optimize``, imported on first access and then
+    bound as a module global (PEP 562)."""
+    global optimize
+    if name != "optimize":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy import optimize
+    return optimize
+
+
 def _box_linprog(box, c, a_ub, b_ub, free=0):
     """HiGHS on min c.z s.t. a_ub z <= b_ub over z = (theta in the box,
     ``free`` unbounded variables): the solver status and theta (None unless
@@ -479,11 +495,13 @@ def _box_linprog(box, c, a_ub, b_ub, free=0):
     that the rows are infeasible: in the unit, right-hand sides far below
     the box fall within the solver's tolerance, so the proof would be
     lost."""
+    # the module attribute, as a caller sees it (see __getattr__)
+    linprog = sys.modules[__name__].optimize.linprog
+
     def solve(unit):
         bounds = list(zip(box.lo / unit, box.hi / unit))
-        return optimize.linprog(c=c, A_ub=a_ub, b_ub=b_ub / unit,
-                                bounds=bounds + [(None, None)] * free,
-                                method="highs")
+        return linprog(c=c, A_ub=a_ub, b_ub=b_ub / unit,
+                       bounds=bounds + [(None, None)] * free, method="highs")
 
     p = box.dim
     res = solve(1.0)

@@ -3,8 +3,13 @@ import csv
 import io
 import json
 import math
+import os
+import pickle
 import re
+import subprocess
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +22,9 @@ from seqbounds.cli import (ConfigError, emit_plot_data, main, run,
                            validate_config)
 from seqbounds.experiments import (bound_vs_n_records, default_ar1,
                                    default_scenario_program)
-from seqbounds.processes import sample_marginal, simulate_sequence
+from seqbounds import experiments as xp
+from seqbounds.processes import (process_from_dict, sample_marginal,
+                                 simulate_sequence)
 from seqbounds.scenario import plan_n_margin
 
 
@@ -569,3 +576,55 @@ def test_unknown_fields_exit_2(tmp_path, capsys, config, what):
     assert run(config, tmp_path / "out") == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith(
         f"config error: unknown {what} fields [")
+
+
+# ---------------------------------------------------------------------------
+# Deferred scipy imports, each checked in a fresh interpreter
+
+SRC = Path(cli.__file__).resolve().parents[1]
+HEAVY_SCIPY = ("scipy.signal", "scipy.stats", "scipy.optimize",
+               "scipy.spatial", "scipy.linalg")
+
+
+def fresh_python(code, *args):
+    """Standard output (bytes) of ``code`` run in a new interpreter that
+    imports seqbounds from this tree."""
+    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(
+        os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code),
+                           *map(str, args)],
+                          env=env, check=True, capture_output=True).stdout
+
+
+def test_import_and_grid_validates_load_no_heavy_scipy(tmp_path):
+    loaded = json.loads(fresh_python("""
+        import json, sys
+        heavy = sys.argv[2:]
+        import seqbounds, seqbounds.cli
+        loaded = {"import": [m for m in heavy if m in sys.modules]}
+        for name in ("concentration_exactness", "quarter_lemma"):
+            config = {"command": "validate", "experiment": name, "seed": 0}
+            code = seqbounds.cli.run(config, sys.argv[1] + "/" + name)
+            loaded[name] = [code] + [m for m in heavy if m in sys.modules]
+        print(json.dumps(loaded))
+        """, tmp_path, *HEAVY_SCIPY))
+    assert loaded == {"import": [], "concentration_exactness": [cli.EXIT_OK],
+                      "quarter_lemma": [cli.EXIT_OK]}
+
+
+def test_first_import_in_two_worker_threads():
+    # scipy.signal is first imported by the path simulations of both
+    # workers at once; the records match those of one thread
+    records = pickle.loads(fresh_python("""
+        import json, pickle, sys
+        from seqbounds.experiments import vc_coverage
+        from seqbounds.processes import process_from_dict
+        assert "scipy.signal" not in sys.modules
+        spec = process_from_dict(json.loads(sys.argv[1]))
+        result = vc_coverage(spec, 500, 16, 0.05, 12345, threads=2)
+        sys.stdout.buffer.write(pickle.dumps(result.records))
+        """, json.dumps(AR1)))
+    one = xp.vc_coverage(process_from_dict(AR1), 500, 16, 0.05, 12345,
+                         threads=1)
+    assert records == one.records

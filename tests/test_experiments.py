@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from seqbounds import bounds as bnd
+from seqbounds import classes
+from seqbounds import experiments as xp
 from seqbounds.estimators import verify_symmetrization
 from seqbounds.classes import threshold_class
 from seqbounds.losses import zero_one_loss
@@ -97,6 +99,13 @@ class TestClippedLinearRiskOracle:
         # huge clip level recovers the unclipped quadratic risk at theta
         wide = clipped_linear_risk([theta], cov, theta, 1.0, 1e6)[0]
         assert wide == pytest.approx(1.0, rel=1e-9)  # noise variance only
+
+    def test_normal_density_is_scipy_norm_pdf(self):
+        # bit for bit, including subnormal, underflowing and infinite points
+        a = np.concatenate(([0.0, 1e-300, -1e-300, 5e-324, np.inf, -np.inf],
+                            np.linspace(-40.0, 40.0, 8001),
+                            np.geomspace(1.0, 40.0, 2001)))
+        assert np.array_equal(xp._norm_pdf(a), stats.norm.pdf(a))
 
     def test_regression_coverage_holds(self):
         result = regression_coverage(self.spec, m_clip=self.m_clip,
@@ -479,6 +488,30 @@ class TestConcentrationGrids:
     def test_empty_grid_fails_by_name(self, call, name):
         with pytest.raises(ValueError, match=f"^{name}"):
             call()
+
+
+def test_chaining_dominance_one_distance_matrix_per_instance(monkeypatch):
+    calls = []
+    original = classes.pseudo_metric_matrix
+
+    def counted(values):
+        calls.append(values.shape)
+        return original(values)
+
+    monkeypatch.setattr(classes, "pseudo_metric_matrix", counted)
+    monkeypatch.setattr(xp, "pseudo_metric_matrix", counted)
+    result = chaining_dominance(6, 17)
+    assert len(calls) == 6
+    monkeypatch.undo()
+    for i, rec in enumerate(result.records):
+        rng = stream(17, i, "points")
+        values = rng.standard_normal((int(rng.integers(2, 13)), 16))
+        diameter = float(np.max(classes.pseudo_metric_matrix(values)))
+        chain, _ = bnd.chaining_rad_upper_best(
+            diameter, lambda eps: math.log(
+                classes.covering_number_exhaustive(values, eps)),
+            16, max_depth=12)
+        assert rec["bound"] == chain
 
 
 @pytest.mark.parametrize("call, removed", [

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
+from seqbounds import scenario
 from seqbounds.estimators import violation_rate
 from seqbounds.processes import (ar1_process, ar_process, sample_marginal,
                                  simulate_sequence)
@@ -374,6 +375,30 @@ class TestCoupledRowsInAHugeBox:
                                    theta_set=Box([-bound, -bound],
                                                  [bound, bound]),
                                    margin=1.0)
+
+    def test_linprog_resolved_through_the_module_attribute(self,
+                                                           monkeypatch):
+        # a proxy put in for scenario.optimize (as a tracer does) gets the
+        # LP call; the module attribute is scipy.optimize, imported on use
+        assert scenario.optimize is optimize
+
+        class Recording:
+            calls = 0
+
+            def __getattr__(self, name):
+                return getattr(optimize, name)
+
+            def linprog(self, *args, **kwargs):
+                Recording.calls += 1
+                return optimize.linprog(*args, **kwargs)
+
+        expected = solve_margin_program(self.program(10.0), [0.0, 1.0])
+        monkeypatch.setattr(scenario, "optimize", Recording())
+        res = solve_margin_program(self.program(10.0), [0.0, 1.0])
+        assert Recording.calls == 1 and res.solver == "highs"
+        assert np.array_equal(res.theta, expected.theta)
+        with pytest.raises(AttributeError, match="linprog"):
+            scenario.linprog
 
     @pytest.mark.parametrize("bound", [10.0, 1e17, 1e19, 1e30, 1e50])
     def test_optimum_not_the_min_slack_point(self, bound):
