@@ -9,9 +9,9 @@ from .bounds import (RiskBoundReport, binomial_quarter_lemma_holds,
                      regression_vc_bound, spectral_log_covering, vc_bound,
                      vc_relative_bound)
 from .classes import (FunctionClassDescriptor, PseudoMetricSample,
-                      UnsupportedClassError, codebook_class,
-                      covering_number_exhaustive, covering_number_greedy,
-                      finite_class, growth_function_exact, kernel_ball_class,
+                      UnsupportedClassError, covering_number_exhaustive,
+                      covering_number_greedy, finite_class,
+                      growth_function_exact, kernel_ball_class,
                       linear_ball_class, pseudo_metric, sauer_growth_bound,
                       threshold_class, vc_dimension_exact)
 from .estimators import (MonteCarloEstimate, empirical_rademacher,

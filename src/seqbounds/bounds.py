@@ -11,6 +11,7 @@ and the complexity term is the capacity increment on top of it.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import operator
 from dataclasses import dataclass
@@ -49,11 +50,43 @@ def _check(name, value, lo=-math.inf, hi=math.inf, *, lo_open=False,
     raise ValueError(f"{name} must be {kind}in {interval}, got {value}")
 
 
-def _reject_unknown(d, allowed, what):
-    """Raise a ValueError naming the keys of ``d`` outside ``allowed``."""
-    unknown = set(d) - allowed
+@functools.lru_cache(maxsize=None)
+def _parameters(build):
+    """The parameter names of ``build``, and those without a default (the
+    builders are a fixed set of module-level constructors)."""
+    params = inspect.signature(build).parameters.values()
+    return (frozenset(p.name for p in params),
+            tuple(p.name for p in params if p.default is p.empty))
+
+
+def _from_dict(build, d, what, **convert):
+    """``build(**d)`` for the config object ``d``, the value at each key of
+    ``convert`` read first as ``convert[key](value, key)`` so that a nested
+    object is reported by its key.  A ``d`` that is not an object fails with
+    a ValueError that starts with ``what``; a key that is not a parameter of
+    ``build``, or a required one that is missing, with one naming it."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be an object")
+    names, required = _parameters(build)
+    unknown = d.keys() - names
     if unknown:
         raise ValueError(f"unknown {what} fields {sorted(unknown)}")
+    for name in required:
+        if name not in d:
+            raise ValueError(f"{name} is missing")
+    return build(**{k: convert[k](v, k) if k in convert else v
+                    for k, v in d.items()})
+
+
+def _from_kind_dict(builders, d, what):
+    """_from_dict with ``builders[d["kind"]]``, which is not passed the kind."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be an object")
+    kind = d.get("kind")
+    if not isinstance(kind, str) or kind not in builders:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    return _from_dict(builders[kind],
+                      {k: v for k, v in d.items() if k != "kind"}, what)
 
 
 def _check_entries(name, values):

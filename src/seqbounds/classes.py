@@ -14,7 +14,7 @@ import numpy as np
 
 from .bounds import _SCALE_MAX, _check
 
-KINDS = ("finite", "threshold1d", "linear_ball", "kernel_ball", "codebook")
+KINDS = ("finite", "threshold1d", "linear_ball", "kernel_ball")
 
 
 class UnsupportedClassError(ValueError):
@@ -33,10 +33,9 @@ class FunctionClassDescriptor:
     kind: str
     functions: tuple = None        # finite: callables on the evaluation grid
     dim: int = None                # linear_ball: input dimension
-    radius: float = None           # linear_ball / kernel_ball / codebook ball
+    radius: float = None           # linear_ball / kernel_ball
     with_offset: bool = False      # linear_ball: include an intercept term
     bandwidth: float = None        # kernel_ball: gaussian kernel width
-    n_codepoints: int = None       # codebook: number of codepoints
     vc_dim: int = None
     output_range: tuple = None
 
@@ -57,9 +56,6 @@ class FunctionClassDescriptor:
         elif self.kind == "kernel_ball":
             _check("radius", self.radius, 0, _SCALE_MAX, lo_open=True)
             _check("bandwidth", self.bandwidth, 0, _SCALE_MAX, lo_open=True)
-        elif self.kind == "codebook":
-            _check("n_codepoints", self.n_codepoints, 1, integer=True)
-            _check("radius", self.radius, 0, _SCALE_MAX, lo_open=True)
 
 
 def finite_class(functions, vc_dim=None, output_range=None):
@@ -83,12 +79,6 @@ def linear_ball_class(dim, radius, with_offset=False):
 def kernel_ball_class(radius, bandwidth=1.0):
     return FunctionClassDescriptor(
         kind="kernel_ball", radius=float(radius), bandwidth=float(bandwidth)
-    )
-
-
-def codebook_class(n_codepoints, radius):
-    return FunctionClassDescriptor(
-        kind="codebook", n_codepoints=int(n_codepoints), radius=float(radius)
     )
 
 

@@ -22,9 +22,8 @@ import numpy as np
 from . import bounds as bnd
 from . import experiments as xp
 from . import scenario as scn
-from .bounds import _check, _reject_unknown
-from .classes import (FunctionClassDescriptor, kernel_ball_class,
-                      linear_ball_class, threshold_class)
+from .bounds import _check, _from_kind_dict
+from .classes import kernel_ball_class, linear_ball_class, threshold_class
 from .estimators import empirical_rademacher
 from .processes import (process_from_dict, sequence_to_csv, simulate_sequence)
 
@@ -76,11 +75,8 @@ _ALLOWED = {
                                 "method"},
 }
 
-_CLASS_KEYS = {
-    "threshold1d": {"kind"},
-    "linear_ball": {"kind", "dim", "radius", "with_offset"},
-    "kernel_ball": {"kind", "radius", "bandwidth"},
-}
+_CLASSES = {"threshold1d": threshold_class, "linear_ball": linear_ball_class,
+            "kernel_ball": kernel_ball_class}
 
 
 class ConfigError(ValueError):
@@ -101,19 +97,6 @@ def validate_config(config: dict) -> dict:
     _check("seed", config["seed"], integer=True)
     _check("threads", config.get("threads", 1), 1, integer=True)
     return config
-
-
-def _class_from_dict(d: dict) -> FunctionClassDescriptor:
-    kind = d.get("kind")
-    if kind not in _CLASS_KEYS:
-        raise ConfigError(f"unsupported class kind {kind!r} in config")
-    _reject_unknown(d, _CLASS_KEYS[kind], "class")
-    if kind == "threshold1d":
-        return threshold_class()
-    if kind == "linear_ball":
-        return linear_ball_class(d["dim"], d["radius"],
-                                 with_offset=d.get("with_offset", False))
-    return kernel_ball_class(d["radius"], bandwidth=d.get("bandwidth", 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +164,7 @@ def _run_simulate(config, out_dir):
 
 
 def _run_rad(config):
-    cls = _class_from_dict(config["class"])
+    cls = _from_kind_dict(_CLASSES, config["class"], "class")
     if "points" in config:
         points = np.asarray(config["points"], dtype=float)
     elif "process" in config:
@@ -310,8 +293,9 @@ def emit_plot_data(records, sweep: str, path):
     """Plot-ready CSV: the input rows stably sorted by the sweep column.
 
     Column layout: the sweep column first, then the remaining columns in
-    their original order.  Malformed records (missing the sweep column or
-    inconsistent keys) raise ConfigError.
+    their original order.  Malformed records (missing the sweep column,
+    inconsistent keys, or sweep values that do not order, such as text and
+    numbers mixed) raise ConfigError.
     """
     records = list(records)
     if not records:
@@ -325,7 +309,11 @@ def emit_plot_data(records, sweep: str, path):
     if sweep not in keys:
         raise ConfigError(f"records lack the sweep column {sweep!r}")
     columns = [sweep] + [k for k in keys if k != sweep]
-    ordered = sorted(records, key=lambda r: r[sweep])
+    try:
+        ordered = sorted(records, key=lambda r: r[sweep])
+    except TypeError:
+        raise ConfigError(f"sweep column {sweep!r} mixes values that do not "
+                          f"order") from None
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
@@ -334,9 +322,18 @@ def emit_plot_data(records, sweep: str, path):
 
 
 def _read_records_csv(path):
+    """The rows of a records CSV; a row with more or fewer cells than the
+    header raises ConfigError (the reader files them under key or value
+    None)."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        return [{k: _parse_cell(v) for k, v in row.items()} for row in reader]
+        records = []
+        for row in reader:
+            if None in row or None in row.values():
+                raise ConfigError(f"record on line {reader.line_num} does "
+                                  f"not have {len(reader.fieldnames)} cells")
+            records.append({k: _parse_cell(v) for k, v in row.items()})
+        return records
 
 
 def _parse_cell(v):

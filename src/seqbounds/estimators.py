@@ -90,6 +90,11 @@ def _sup_rows(cls: FunctionClassDescriptor, pts: np.ndarray):
     one per row r of a (k, n) matrix S of signs."""
     _check_entries("points", pts)
     n = pts.shape[0]
+    x = pts if pts.ndim == 2 else pts[:, None]
+    dim = {"threshold1d": 1, "linear_ball": cls.dim}.get(cls.kind)
+    if dim is not None and x.shape[1:] != (dim,):
+        raise ValueError(f"points must lie in R^{dim} for a {cls.kind} "
+                         f"class, got shape {pts.shape}")
     if cls.kind in ("finite", "threshold1d"):
         if cls.kind == "finite":
             sample = PseudoMetricSample(pts)
@@ -98,13 +103,11 @@ def _sup_rows(cls: FunctionClassDescriptor, pts: np.ndarray):
             _, values = threshold_dichotomies(pts)
         return lambda s: np.max(s @ values.T, axis=1) / n
     if cls.kind == "linear_ball":
-        x = pts if pts.ndim == 2 else pts[:, None]
         if cls.with_offset:
             x = np.hstack([x, np.ones((n, 1))])
         lam = cls.radius
         return lambda s: lam * np.linalg.norm(s @ x, axis=1) / n
     if cls.kind == "kernel_ball":
-        x = pts if pts.ndim == 2 else pts[:, None]
         sq = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
         bw = cls.bandwidth
         # bw ** 2 underflows for a tiny width; the overflow of sq / bw / bw

@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _SCALE_MAX, _check, _reject_unknown
-
-PROCESS_KINDS = (
-    "ar1_threshold_labels",
-    "ar_d_linear_system",
-    "markov_binary",
-    "iid_baseline",
-)
+from .bounds import _SCALE_MAX, _check, _from_kind_dict
 
 _MASK64 = (1 << 64) - 1
 
@@ -55,7 +48,7 @@ class ProcessSpec:
     high: float = None
 
     def __post_init__(self):
-        if self.kind not in PROCESS_KINDS:
+        if self.kind not in _BUILDERS:
             raise ValueError(f"unknown process kind {self.kind!r}")
         if self.kind == "iid_baseline" and self.dist not in ("normal", "uniform"):
             raise ValueError("iid_baseline dist must be 'normal' or 'uniform'")
@@ -126,6 +119,12 @@ def iid_process(dist="normal", mean=0.0, sigma=1.0, low=None, high=None,
                        sigma=None if dist != "normal" else float(sigma),
                        low=low, high=high, b_star=float(b_star),
                        flip_p=float(flip_p))
+
+
+_BUILDERS = {"ar1_threshold_labels": ar1_process,
+             "ar_d_linear_system": ar_process,
+             "markov_binary": markov_binary_process,
+             "iid_baseline": iid_process}
 
 
 @dataclass(frozen=True)
@@ -323,23 +322,6 @@ def sequence_to_csv(sample: SequenceSample, path):
 
 
 def process_from_dict(d: dict) -> ProcessSpec:
-    """Build a ProcessSpec from a JSON-style dict, rejecting unknown keys."""
-    allowed = {
-        "ar1_threshold_labels": {"kind", "a", "sigma", "b_star", "flip_p"},
-        "ar_d_linear_system": {"kind", "coefficients", "sigma", "clip_radius"},
-        "markov_binary": {"kind", "rho"},
-        "iid_baseline": {"kind", "dist", "mean", "sigma", "low", "high",
-                         "b_star", "flip_p"},
-    }
-    kind = d.get("kind")
-    if kind not in allowed:
-        raise ValueError(f"unknown process kind {kind!r}")
-    _reject_unknown(d, allowed[kind], "process")
-    params = {k: v for k, v in d.items() if k != "kind"}
-    if kind == "ar1_threshold_labels":
-        return ar1_process(**params)
-    if kind == "ar_d_linear_system":
-        return ar_process(**params)
-    if kind == "markov_binary":
-        return markov_binary_process(**params)
-    return iid_process(**params)
+    """Build a ProcessSpec from a JSON-style dict: its kind names the
+    constructor above, and the other keys are that constructor's arguments."""
+    return _from_kind_dict(_BUILDERS, d, "process")

@@ -9,6 +9,7 @@ module and the planners load neither.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _SCALE_MAX, _check, _check_entries, _reject_unknown
+from .bounds import (_SCALE_MAX, _check, _check_entries, _from_dict,
+                     _from_kind_dict)
 from .processes import ProcessSpec, simulate_sequence
 
 _CEIL_GUARD = 1e-9
@@ -63,9 +65,7 @@ class AffineMap:
 
     @classmethod
     def from_dict(cls, d):
-        _reject_unknown(d, {"matrix", "offset"}, "affine map")
-        return cls(matrix=np.asarray(d["matrix"], float),
-                   offset=np.asarray(d["offset"], float))
+        return _from_dict(cls, d, "affine map")
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,10 @@ class Ball:
 
     def __post_init__(self):
         _check("radius", self.radius, 0, _SCALE_MAX, lo_open=True)
+        object.__setattr__(self, "radius", float(self.radius))
 
     def sup_norm(self):
-        return float(self.radius)
+        return self.radius
 
     def contains(self, theta, tol=1e-9):
         # tol is relative beyond radius 1: a point put on the sphere of a
@@ -119,15 +120,9 @@ class Ball:
         return {"kind": "ball", "radius": self.radius}
 
 
-def _set_from_dict(d):
-    kind = d.get("kind")
-    if kind == "box":
-        _reject_unknown(d, {"kind", "lo", "hi"}, "box")
-        return Box(lo=d["lo"], hi=d["hi"])
-    if kind == "ball":
-        _reject_unknown(d, {"kind", "radius"}, "ball")
-        return Ball(radius=float(d["radius"]))
-    raise ValueError(f"unknown set kind {kind!r}")
+# readers of nested program objects, called as reader(d, key)
+_set_from_dict = functools.partial(_from_kind_dict, {"box": Box, "ball": Ball})
+_affine_from_dict = functools.partial(_from_dict, AffineMap)
 
 
 @dataclass(frozen=True)
@@ -147,9 +142,11 @@ class ConstraintPiece:
 
     @classmethod
     def from_dict(cls, d):
-        _reject_unknown(d, {"psi", "eta"}, "constraint piece")
-        return cls(psi=AffineMap.from_dict(d["psi"]),
-                   eta=AffineMap.from_dict(d["eta"]))
+        return _piece_from_dict(d, "constraint piece")
+
+
+_piece_from_dict = functools.partial(
+    _from_dict, ConstraintPiece, psi=_affine_from_dict, eta=_affine_from_dict)
 
 
 @dataclass(frozen=True)
@@ -170,6 +167,7 @@ class ScenarioProgramSpec:
             raise ValueError("program needs at least one constraint piece")
         _check_entries("objective", self.objective)
         _check("margin", self.margin, 0, _SCALE_MAX, lo_open=True)
+        object.__setattr__(self, "margin", float(self.margin))
         if self.x_domain is not None and not isinstance(self.x_domain, Box):
             raise ValueError("x_domain must be a box")
         if self.indicator_vc_dim is not None:
@@ -212,16 +210,10 @@ class ScenarioProgramSpec:
 
     @classmethod
     def from_dict(cls, d):
-        _reject_unknown(d, {"objective", "pieces", "theta_set", "margin",
-                            "x_domain", "indicator_vc_dim"}, "program")
-        return cls(
-            objective=np.asarray(d["objective"], float),
-            pieces=tuple(ConstraintPiece.from_dict(p) for p in d["pieces"]),
-            theta_set=_set_from_dict(d["theta_set"]),
-            margin=float(d["margin"]),
-            x_domain=None if d.get("x_domain") is None else _set_from_dict(d["x_domain"]),
-            indicator_vc_dim=d.get("indicator_vc_dim"),
-        )
+        return _from_dict(
+            cls, d, "program", theta_set=_set_from_dict,
+            pieces=lambda ps, key: [_piece_from_dict(p, key) for p in ps],
+            x_domain=lambda x, key: x if x is None else _set_from_dict(x, key))
 
     @classmethod
     def from_json(cls, text):

@@ -1,17 +1,21 @@
 """Print the SHA-256 of every output file of the CLI ``validate`` runs at the
 acceptance configs of ``tests/test_acceptance.py``, plus ``regression_coverage``
 on an AR(2) system, and of the ``scenario`` runs on the acceptance 1-D box
-program, on the same program over a ball, on a two-piece 2-D box program on
-the AR(2) system and on that program over a 2-D ball of radius 10, one
-``plan``, one ``bound`` and one ``simulate`` run (an AR(2) path of 100,000
-rows, as the benchmark's coverage_mc workload writes it): every command whose
-output is deterministic.
+program, on a variant whose psi depends on x over an x domain box, on the 1-D
+program over a ball, on a two-piece 2-D box program on the AR(2) system and on
+that program over a 2-D ball of radius 10, one ``plan``, one ``bound``,
+``rad`` on a threshold, a linear-ball and a kernel-ball class (the last on a
+simulated path), and ``simulate`` runs of every process kind (an AR(2) path of
+100,000 rows, as the benchmark's coverage_mc workload writes it): every
+command whose output is deterministic, through every config object reader.
 
-Two trees give the same outputs when this prints the same lines for both:
+Two trees give the same outputs when this script prints the same lines with
+either tree's ``src`` on the path (``parent`` being, say, a ``git archive``
+of the parent commit):
 
     PYTHONPATH=src python tests/digest_outputs.py > after.txt
-    git stash; PYTHONPATH=src python tests/digest_outputs.py > before.txt
-    git stash pop; diff before.txt after.txt
+    PYTHONPATH=parent/src python tests/digest_outputs.py > before.txt
+    diff before.txt after.txt
 
 Only ``summary.json``, ``records.csv`` and ``sequence.csv`` (where the command
 writes them) are digested: ``meta.json`` holds the time of the run.  Not collected by pytest (no ``test_`` prefix).
@@ -56,6 +60,12 @@ CONFIGS = {
 # full configs of the other deterministic commands
 BOX_PROGRAM = default_scenario_program().to_dict()
 BALL_PROGRAM = dict(BOX_PROGRAM, theta_set={"kind": "ball", "radius": 10.0})
+# (0.05 x - 1) theta + x <= 0: psi depends on x, so tau is bounded over the
+# x domain box
+DOMAIN_PROGRAM = dict(
+    BOX_PROGRAM, x_domain={"kind": "box", "lo": [-8.0], "hi": [8.0]},
+    pieces=[{"psi": {"matrix": [[0.05]], "offset": [-1.0]},
+             "eta": {"matrix": [[1.0]], "offset": [0.0]}}])
 # x_k - theta_k <= -1 for k = 1, 2 over theta in [-10, 10]^2
 BOX_2D_PROGRAM = {
     "objective": [1.0, 1.0], "margin": 1.0,
@@ -71,6 +81,10 @@ COMMAND_CONFIGS = {
     "scenario_box": {"command": "scenario", "method": "margin",
                      "epsilon": 0.15, "delta": 0.1, "program": BOX_PROGRAM,
                      "process": AR1, "seed": 888},
+    "scenario_box_domain": {"command": "scenario", "method": "margin",
+                            "epsilon": 0.15, "delta": 0.1,
+                            "program": DOMAIN_PROGRAM, "process": AR1,
+                            "seed": 888},
     "scenario_ball": {"command": "scenario", "method": "margin",
                       "epsilon": 0.15, "delta": 0.1, "program": BALL_PROGRAM,
                       "process": AR1, "seed": 888},
@@ -88,6 +102,27 @@ COMMAND_CONFIGS = {
               "n": 100000, "delta": 0.05, "d_vc": 4, "seed": 1},
     "simulate": {"command": "simulate", "process": AR2_SYSTEM, "n": 100_000,
                  "seed": 1},
+    "simulate_markov": {"command": "simulate", "n": 1000, "seed": 2,
+                        "process": {"kind": "markov_binary", "rho": 0.6}},
+    "simulate_iid_normal": {"command": "simulate", "n": 1000, "seed": 3,
+                            "process": {"kind": "iid_baseline",
+                                        "dist": "normal", "mean": 0.5,
+                                        "sigma": 2.0, "flip_p": 0.1}},
+    "simulate_iid_uniform": {"command": "simulate", "n": 1000, "seed": 4,
+                             "process": {"kind": "iid_baseline",
+                                         "dist": "uniform", "low": -1.0,
+                                         "high": 3.0, "b_star": 0.5}},
+    "rad_threshold": {"command": "rad", "sign_draws": 512, "seed": 5,
+                      "class": {"kind": "threshold1d"},
+                      "points": [0.3, -1.2, 2.5, 0.0, 0.7, -0.4]},
+    "rad_linear_ball": {"command": "rad", "sign_draws": 512, "seed": 6,
+                        "class": {"kind": "linear_ball", "dim": 2,
+                                  "radius": 1.5, "with_offset": True},
+                        "points": [[3.0, 4.0], [1.0, -2.0], [0.5, 0.1]]},
+    "rad_kernel_ball": {"command": "rad", "sign_draws": 256, "seed": 7,
+                        "class": {"kind": "kernel_ball", "radius": 2.0,
+                                  "bandwidth": 0.8},
+                        "process": AR1, "n": 300},
 }
 
 

@@ -395,6 +395,21 @@ class TestMain:
         assert main(["--plot-data", str(src), "--sweep", "n",
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("n,bound\n1,0.5\nabc,0.2\n", "sweep column 'n'"),
+        ("n,bound\n1,0.5\n2\n", "record on line 3"),
+        ("n,bound\n1,0.5,7\n", "record on line 2"),
+    ], ids=["mixed-sweep", "short-row", "long-row"])
+    def test_main_plot_data_malformed_record(self, tmp_path, capsys, text,
+                                             message):
+        src = tmp_path / "records.csv"
+        src.write_text(text)
+        out = tmp_path / "o"
+        assert main(["--plot-data", str(src), "--sweep", "n",
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (out / "plot.csv").exists()
+
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEQBOUNDS_OUT", str(tmp_path / "envout"))
         cfg = write_config(tmp_path, {"command": "plan", "method": "vc",
@@ -450,16 +465,29 @@ def _all_finite(obj):
 _FUZZ_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 1e308]
 
 
-def _check_case(config, path, value):
-    """Run ``config`` with the value at ``path`` replaced: the run either
-    stops with exit 2 and a message that starts with the innermost key of
-    the path, or writes a strict JSON summary with only finite numbers."""
+def _validate_base(name):
+    """The validate config of ``name`` with its sizes shrunk."""
+    return {"command": "validate", "experiment": name,
+            **{k: min(v, _SHRUNK[k]) if k in _SHRUNK else v
+               for k, v in CONFIGS[name].items()}}
+
+
+def _replaced(config, path, value):
+    """A copy of ``config`` with the value at ``path`` replaced, and the
+    innermost key of the path."""
     config = json.loads(json.dumps(config))
     target = config
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
-    name = [key for key in path if isinstance(key, str)][-1]
+    return config, [key for key in path if isinstance(key, str)][-1]
+
+
+def _check_case(config, path, value):
+    """Run ``config`` with the value at ``path`` replaced: the run either
+    stops with exit 2 and a message that starts with the innermost key of
+    the path, or writes a strict JSON summary with only finite numbers."""
+    config, name = _replaced(config, path, value)
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
         code = run(config, Path(tmp) / "out")
@@ -483,9 +511,7 @@ def test_out_of_range_value_named_or_finite(case, value):
     with exit 2 and a message that starts with the key, or writes a strict
     JSON summary with only finite numbers in it."""
     name, path = case
-    _check_case({"command": "validate", "experiment": name,
-                 **{k: min(v, _SHRUNK[k]) if k in _SHRUNK else v
-                    for k, v in CONFIGS[name].items()}}, path, value)
+    _check_case(_validate_base(name), path, value)
 
 
 # The other commands: every bound kind, both planners, simulate, rad on
@@ -532,6 +558,8 @@ _COMMAND_BASES = {
     "scenario_ball": dict(COMMAND_CONFIGS["scenario_ball"], epsilon=0.5),
     "scenario_box_vc": dict(COMMAND_CONFIGS["scenario_box"], epsilon=0.5,
                             method="vc"),
+    "scenario_box_domain": dict(COMMAND_CONFIGS["scenario_box_domain"],
+                                epsilon=0.5),
 }
 
 
@@ -548,6 +576,43 @@ def test_command_out_of_range_value_named_or_finite(case, value):
     _check_case(_COMMAND_BASES[name], path, value)
 
 
+# ---------------------------------------------------------------------------
+# Fuzz: one config object replaced by a value that is not an object
+
+def _object_paths(value, path=()):
+    """Paths of the objects nested in a config, at keys and in lists."""
+    items = (value.items() if isinstance(value, dict) else
+             enumerate(value) if isinstance(value, list) else ())
+    for key, v in items:
+        if isinstance(v, dict):
+            yield path + (key,)
+        yield from _object_paths(v, path + (key,))
+
+
+_SHAPE_CASES = [
+    pytest.param(config, path, value,
+                 id=f"{name}-{'.'.join(map(str, path))}-{value!r}")
+    for name, config in [*((name, _validate_base(name)) for name in CONFIGS),
+                         *_COMMAND_BASES.items()]
+    for path in _object_paths(config)
+    for value in ([], "x", 1, None)
+    # a null x domain is valid: the program has none
+    if value is not None or path[-1] != "x_domain"
+]
+
+
+@pytest.mark.parametrize("config, path, value", _SHAPE_CASES)
+def test_non_object_exit_2_names_the_key(config, path, value):
+    """Every object of a config (process, class, program, theta_set,
+    x_domain, each of the pieces, psi, eta) given as a list, a string, a
+    number or null stops the run with exit 2 and a message naming its key."""
+    config, name = _replaced(config, path, value)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        assert run(config, Path(tmp) / "out") == cli.EXIT_CONFIG
+    assert err.getvalue().startswith(f"config error: {name} must be an object")
+
+
 @pytest.mark.parametrize("config, name", [
     ({"command": "scenario", "method": "margin", "epsilon": 0.5,
       "delta": 0.1, "process": AR1, "seed": 1,
@@ -559,6 +624,23 @@ def test_command_out_of_range_value_named_or_finite(case, value):
     # integers past the float range; no array is sized before the check
     (dict(_COMMAND_BASES["plan_vc"], d_vc=10 ** 400), "d_vc"),
     (dict(COMMAND_CONFIGS["bound"], n=10 ** 400), "n"),
+    # a missing required key, and a number given as a string
+    (dict(_COMMAND_BASES["rad_points"],
+          **{"class": {"kind": "linear_ball", "radius": 1.5}}), "dim"),
+    (dict(COMMAND_CONFIGS["simulate"], process={"kind": "markov_binary"}),
+     "rho"),
+    (dict(COMMAND_CONFIGS["scenario_ball"],
+          program=dict(COMMAND_CONFIGS["scenario_ball"]["program"],
+                       theta_set={"kind": "ball", "radius": "10"})), "radius"),
+    (dict(COMMAND_CONFIGS["scenario_box"],
+          program=dict(COMMAND_CONFIGS["scenario_box"]["program"],
+                       margin="1.0")), "margin"),
+    # points of another dimension than the class's
+    (dict(_COMMAND_BASES["rad_points"],
+          **{"class": {"kind": "linear_ball", "dim": 3, "radius": 1.5}}),
+     "points"),
+    (dict(_COMMAND_BASES["rad_points"], **{"class": {"kind": "threshold1d"}}),
+     "points"),
 ])
 def test_exit_2_names_the_value(tmp_path, capsys, config, name):
     assert run(config, tmp_path / "out") == cli.EXIT_CONFIG

@@ -140,10 +140,29 @@ class TestEmpiricalRademacher:
                                    pts, 8, 1)
         assert est.value == pytest.approx(1.0 / np.sqrt(5.0), rel=1e-15)
 
-    def test_codebook_unsupported(self):
-        from seqbounds.classes import codebook_class
-        with pytest.raises(ValueError):
-            empirical_rademacher(codebook_class(2, 1.0), np.zeros((3, 1)), 8, 1)
+    @pytest.mark.parametrize("cls, points", [
+        (linear_ball_class(1, 1.0), np.ones((4, 2))),
+        (linear_ball_class(3, 1.0), np.ones((4, 2))),
+        # the offset column is the class's, not the points'
+        (linear_ball_class(2, 1.0, with_offset=True), np.ones((4, 3))),
+        (linear_ball_class(2, 1.0), np.ones(4)),
+        (threshold_class(), np.ones((4, 2))),
+        (threshold_class(), np.ones((4, 1, 1))),
+    ], ids=["ball1-2d", "ball3-2d", "ball2-offset-3d", "ball2-1d",
+            "threshold-2d", "threshold-3-axes"])
+    def test_points_of_another_dimension_rejected(self, cls, points):
+        with pytest.raises(ValueError, match="^points"):
+            empirical_rademacher(cls, points, 8, 1)
+        with pytest.raises(ValueError, match="^points"):
+            empirical_rademacher_exact(cls, points)
+
+    @pytest.mark.parametrize("cls", [linear_ball_class(1, 1.0),
+                                     threshold_class()],
+                             ids=["ball1", "threshold"])
+    def test_one_column_points_read_as_one_dimensional(self, cls):
+        pts = np.array([0.3, -1.2, 2.5, 0.7])
+        assert empirical_rademacher_exact(cls, pts[:, None]) == \
+            empirical_rademacher_exact(cls, pts)
 
 
 def _sign_case(kind, n, seed):

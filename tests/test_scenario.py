@@ -788,6 +788,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             ScenarioProgramSpec.from_dict(d)
 
+    def test_integer_margin_and_radius_read_as_floats(self):
+        d = one_dim_threshold_program().to_dict()
+        d.update(margin=2, theta_set={"kind": "ball", "radius": 10})
+        prog = ScenarioProgramSpec.from_dict(d)
+        assert type(prog.margin) is float and prog.margin == 2.0
+        assert type(prog.theta_set.radius) is float
+        assert prog.theta_set.to_dict() == {"kind": "ball", "radius": 10.0}
+
     def test_certificate_json(self):
         prog = one_dim_threshold_program(margin=1.0)
         cert = certify(prog, ar1_process(0.8, 0.6), 0.3, 0.2, "margin", seed=2)
