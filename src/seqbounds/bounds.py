@@ -14,7 +14,7 @@ import functools
 import inspect
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import special
@@ -34,16 +34,17 @@ def _check(name, value, lo=-math.inf, hi=math.inf, *, lo_open=False,
     end rejects that infinity and NaN alike; ``None`` is reported as
     missing.  ``integer`` also requires an int or a numpy integer that a
     float can hold, so that no float (1e308, say) ever sizes an array and
-    no calculator overflows converting one."""
+    no calculator overflows converting one.  Any value must be a real
+    number that a float can hold, even where an end of the interval is
+    infinite."""
     if value is None:
         raise ValueError(f"{name} is missing")
     try:
-        if integer:
-            float(operator.index(value))
+        float(operator.index(value) if integer else value)
         if ((lo < value) if lo_open else (lo <= value)) and \
                 ((value < hi) if hi_open else (value <= hi)):
             return
-    except (TypeError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         pass
     interval = f"{'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
     kind = "an integer " if integer else ""
@@ -89,12 +90,35 @@ def _from_kind_dict(builders, d, what):
                       {k: v for k, v in d.items() if k != "kind"}, what)
 
 
+def _as_floats(name, values):
+    """``values`` as a float array; anything but numbers that a float can
+    hold (text, a ragged list, an int past 1.8e308) fails with a ValueError
+    that starts with ``name``."""
+    try:
+        a = np.asarray(values)
+        if a.dtype.kind in "biuf":
+            return a.astype(float, copy=False)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} must be an array of float-range numbers")
+
+
 def _check_entries(name, values):
     """_check on the largest magnitude of an array: an entry that is NaN or
     beyond +-_SCALE_MAX fails, and an empty or 0-d array is missing."""
-    a = np.asarray(values, dtype=float)
+    a = _as_floats(name, values)
     _check(name, float(np.max(np.abs(a))) if a.ndim and a.size else None,
            -_SCALE_MAX, _SCALE_MAX)
+
+
+def _set_floats(obj):
+    """Store each field of the frozen dataclass ``obj`` that is annotated
+    ``float`` and set as a float: called once the fields are checked, so
+    that a builder never converts a value before its check names it."""
+    for field in fields(obj):
+        value = getattr(obj, field.name)
+        if field.type == "float" and value is not None:
+            object.__setattr__(obj, field.name, float(value))
 
 
 @dataclass(frozen=True)
@@ -273,14 +297,14 @@ def linear_system_induced_vc_dim(d: int) -> int:
     return d * d + d + 2
 
 
-def regression_vc_bound(emp_risk: float, n: int, d_vc_induced: int,
+def regression_vc_bound(emp_risk: float, n: int, d_vc: int,
                         delta: float, b: float) -> RiskBoundReport:
     """Bounded-regression bound emp + 2B sqrt(2 (d log(2en/d) + log(2/delta)) / n)
     using the VC dimension of the induced level-set classifiers."""
     _check("delta", delta, 0, 1, lo_open=True, hi_open=True)
     _check("b", b, 0, _RANGE_MAX, lo_open=True)
     _check("emp_risk", emp_risk, 0, hi_open=True)
-    cap = _log_capacity(n, d_vc_induced, None)
+    cap = _log_capacity(n, d_vc, None)
     joint = 2.0 * b * math.sqrt(2.0 * (cap + math.log(2.0 / delta)) / n)
     conc = 2.0 * b * math.sqrt(2.0 * math.log(2.0 / delta) / n)
     return _report(emp_risk, joint - conc, conc, delta,
@@ -314,7 +338,7 @@ def rademacher_risk_bound(variant: str, emp_risk: float, rad_terms, b: float,
     _check("emp_risk", emp_risk, 0, hi_open=True)
     _check("b", b, 0, _RANGE_MAX, lo_open=True)
     _check("n", n, 1, integer=True)
-    terms = np.atleast_1d(np.asarray(rad_terms, dtype=float))
+    terms = np.atleast_1d(_as_floats("rad_terms", rad_terms))
     for t in terms:
         _check("rad_terms", t, 0, _RANGE_MAX)
     if variant == "two_sided":

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import _SCALE_MAX, _check
+from .bounds import _SCALE_MAX, _check, _set_floats
 
 KINDS = ("finite", "threshold1d", "linear_ball", "kernel_ball")
 
@@ -56,6 +56,7 @@ class FunctionClassDescriptor:
         elif self.kind == "kernel_ball":
             _check("radius", self.radius, 0, _SCALE_MAX, lo_open=True)
             _check("bandwidth", self.bandwidth, 0, _SCALE_MAX, lo_open=True)
+        _set_floats(self)
 
 
 def finite_class(functions, vc_dim=None, output_range=None):
@@ -72,13 +73,13 @@ def threshold_class():
 
 def linear_ball_class(dim, radius, with_offset=False):
     return FunctionClassDescriptor(
-        kind="linear_ball", dim=dim, radius=float(radius), with_offset=with_offset
+        kind="linear_ball", dim=dim, radius=radius, with_offset=with_offset
     )
 
 
 def kernel_ball_class(radius, bandwidth=1.0):
     return FunctionClassDescriptor(
-        kind="kernel_ball", radius=float(radius), bandwidth=float(bandwidth)
+        kind="kernel_ball", radius=radius, bandwidth=bandwidth
     )
 
 

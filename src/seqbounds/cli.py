@@ -22,7 +22,7 @@ import numpy as np
 from . import bounds as bnd
 from . import experiments as xp
 from . import scenario as scn
-from .bounds import _check, _from_kind_dict
+from .bounds import _check, _from_dict, _from_kind_dict, _parameters
 from .classes import kernel_ball_class, linear_ball_class, threshold_class
 from .estimators import empirical_rademacher
 from .processes import (process_from_dict, sequence_to_csv, simulate_sequence)
@@ -34,45 +34,37 @@ EXIT_IO = 4
 
 ENV_OUT = "SEQBOUNDS_OUT"
 
-COMMANDS = ("bound", "plan", "simulate", "rad", "validate", "scenario")
-
+# every command reads these
 _COMMON_KEYS = {"command", "seed", "threads"}
 
-# validate experiment -> (function name in ``experiments``, whether it takes
-# ``threads``, config keys passed positionally); the function is looked up at
-# call time, so a patched ``experiments`` attribute is the one that runs
-_EXPERIMENTS = {
-    "vc_coverage": ("vc_coverage", True,
-                    "process n replications delta seed relative"),
-    "relative_coverage": ("vc_coverage", True,
-                          "process n replications delta seed relative"),
-    "margin_rad_coverage": ("margin_rad_coverage", True,
-                            "process gamma radius n replications delta seed"),
-    "regression_coverage": ("regression_coverage", True,
-                            "process m_clip radius n replications delta seed"),
-    "symmetrization": ("symmetrization", True,
-                       "process n epsilon replications seed"),
-    "scenario_coverage": ("scenario_pac_coverage", True,
-                          "program process epsilon delta replications seed"),
-    "kernel_rad_bound": ("kernel_rad_bound", True,
-                         "instances n radius m_clip seed"),
-    "chaining_dominance": ("chaining_dominance", True, "instances seed"),
-    "concentration_exactness": ("concentration_exactness", False, ""),
-    "quarter_lemma": ("quarter_lemma_grid", False, ""),
-}
+# bound kind -> function in ``bounds``, plan method -> planner in
+# ``scenario``: the config keys of either are its function's parameters.
+# Every function is looked up by name at call time, so a patched module
+# attribute is the one that runs.
+_BOUNDS = {"vc": "vc_bound", "vc_relative": "vc_relative_bound",
+           "regression": "regression_vc_bound",
+           "rademacher": "rademacher_risk_bound",
+           "mixing": "mixing_reference_bound"}
+_PLANNERS = {"vc": "plan_n_vc", "margin": "plan_n_margin"}
 
-_ALLOWED = {
-    "bound": _COMMON_KEYS | {"bound", "emp_risk", "n", "delta", "d_vc",
-                             "growth_2n", "b", "variant", "rad_terms",
-                             "stationary", "rad_mu", "mu", "a", "beta_a"},
-    "plan": _COMMON_KEYS | {"method", "epsilon", "delta", "d_vc", "gamma",
-                            "tau_lambda_sum"},
-    "simulate": _COMMON_KEYS | {"process", "n"},
-    "rad": _COMMON_KEYS | {"class", "points", "process", "n", "sign_draws"},
-    "validate": _COMMON_KEYS | {"experiment"} | {
-        key for _, _, keys in _EXPERIMENTS.values() for key in keys.split()},
-    "scenario": _COMMON_KEYS | {"program", "process", "epsilon", "delta",
-                                "method"},
+# validate experiment -> (function in ``experiments``, the config keys it
+# reads, passed positionally, then any fixed arguments)
+_COVERAGE_KEYS = "process n replications delta seed"
+_EXPERIMENTS = {
+    "vc_coverage": ("vc_coverage", _COVERAGE_KEYS, False),
+    "relative_coverage": ("vc_coverage", _COVERAGE_KEYS, True),
+    "margin_rad_coverage": ("margin_rad_coverage",
+                            "process gamma radius n replications delta seed"),
+    "regression_coverage": ("regression_coverage",
+                            "process m_clip radius n replications delta seed"),
+    "symmetrization": ("symmetrization",
+                       "process n epsilon replications seed"),
+    "scenario_coverage": ("scenario_pac_coverage",
+                          "program process epsilon delta replications seed"),
+    "kernel_rad_bound": ("kernel_rad_bound", "instances n radius m_clip seed"),
+    "chaining_dominance": ("chaining_dominance", "instances seed"),
+    "concentration_exactness": ("concentration_exactness", ""),
+    "quarter_lemma": ("quarter_lemma_grid", ""),
 }
 
 _CLASSES = {"threshold1d": threshold_class, "linear_ball": linear_ball_class,
@@ -83,72 +75,58 @@ class ConfigError(ValueError):
     pass
 
 
-def validate_config(config: dict) -> dict:
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
-    command = config.get("command")
-    if command not in COMMANDS:
-        raise ConfigError(f"unknown command {command!r}")
-    unknown = set(config) - _ALLOWED[command]
-    if unknown:
-        raise ConfigError(f"unknown config fields {sorted(unknown)}")
-    if "seed" not in config:
-        raise ConfigError("config needs a seed")
-    _check("seed", config["seed"], integer=True)
-    _check("threads", config.get("threads", 1), 1, integer=True)
-    return config
+def _choice(table, config, key, what):
+    """The entry of ``table`` that ``config[key]`` names."""
+    choice = config.get(key)
+    if choice is None:
+        raise ConfigError(f"{key} is missing")
+    if not isinstance(choice, str) or choice not in table:
+        raise ConfigError(f"unknown {what} {choice!r}")
+    return table[choice]
+
+
+def _bound_function(config):
+    return getattr(bnd, _choice(_BOUNDS, config, "bound", "bound kind"))
+
+
+def _planner(config):
+    return getattr(scn, _choice(_PLANNERS, config, "method",
+                                "planning method"))
+
+
+def _experiment(config):
+    return _choice(_EXPERIMENTS, config, "experiment", "experiment")
+
+
+def _arguments(config, choice):
+    """The keys of ``config`` that its function reads: all but the common
+    ones and the ``choice`` key that picks the function."""
+    return {k: v for k, v in config.items()
+            if k not in _COMMON_KEYS and k != choice}
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (summary_dict, records_or_None, holds)
+# Command handlers: each takes (config, out_dir, threads) and returns
+# (summary_dict, records_or_None, holds)
 
-def _run_bound(config):
-    kind = config.get("bound")
-    emp = config.get("emp_risk", 0.0)
-    delta = config["delta"]
-    if kind == "vc":
-        rep = bnd.vc_bound(emp, config["n"], delta, d_vc=config.get("d_vc"),
-                           growth_2n=config.get("growth_2n"))
-    elif kind == "vc_relative":
-        rep = bnd.vc_relative_bound(emp, config["n"], delta,
-                                    d_vc=config.get("d_vc"),
-                                    growth_2n=config.get("growth_2n"),
-                                    stationary=config.get("stationary", False))
-    elif kind == "regression":
-        rep = bnd.regression_vc_bound(emp, config["n"], config["d_vc"], delta,
-                                      config["b"])
-    elif kind == "rademacher":
-        rep = bnd.rademacher_risk_bound(config["variant"], emp,
-                                        config["rad_terms"], config["b"],
-                                        config["n"], delta)
-    elif kind == "mixing":
-        rep = bnd.mixing_reference_bound(emp, config["rad_mu"], config["b"],
-                                         config["mu"], config["a"],
-                                         config["beta_a"], delta)
-        if rep is None:
-            return {"report": None, "applicable": False}, None, True
-    else:
-        raise ConfigError(f"unknown bound kind {kind!r}")
+def _run_bound(config, out_dir, threads):
+    rep = _from_dict(_bound_function(config),
+                     {"emp_risk": 0.0, **_arguments(config, "bound")}, "bound")
+    if rep is None:     # the mixing bound does not apply at this delta
+        return {"report": None, "applicable": False}, None, True
     return {"report": rep.to_dict()}, None, True
 
 
-def _run_plan(config):
-    method = config["method"]
-    eps, delta = config["epsilon"], config["delta"]
-    if method == "vc":
-        n = scn.plan_n_vc(eps, delta, config["d_vc"])
-        vb = scn.violation_bound("vc", n, delta, d_vc=config["d_vc"])
-    elif method == "margin":
-        n = scn.plan_n_margin(eps, delta, config["gamma"],
-                              config["tau_lambda_sum"])
-        vb = scn.violation_bound("margin", n, delta, gamma=config["gamma"],
-                                 tau_lambda_sum=config["tau_lambda_sum"])
-    else:
-        raise ConfigError(f"unknown planning method {method!r}")
-    return {"n": n, "violation_bound_at_n": vb, "method": method}, None, True
+def _run_plan(config, out_dir, threads):
+    args = _arguments(config, "method")
+    n = _from_dict(_planner(config), args, "plan")
+    capacity = {k: v for k, v in args.items() if k not in ("epsilon", "delta")}
+    vb = scn.violation_bound(config["method"], n, config["delta"], **capacity)
+    return {"n": n, "violation_bound_at_n": vb, "method": config["method"]}, \
+        None, True
 
 
-def _run_simulate(config, out_dir):
+def _run_simulate(config, out_dir, threads):
     spec = process_from_dict(config["process"])
     sample = simulate_sequence(spec, config["n"], config["seed"])
     path = out_dir / "sequence.csv"
@@ -163,41 +141,36 @@ def _run_simulate(config, out_dir):
     return summary, None, True
 
 
-def _run_rad(config):
+def _run_rad(config, out_dir, threads):
     cls = _from_kind_dict(_CLASSES, config["class"], "class")
     if "points" in config:
-        points = np.asarray(config["points"], dtype=float)
-    elif "process" in config:
+        points = config["points"]
+    else:
         spec = process_from_dict(config["process"])
         points = simulate_sequence(spec, config["n"], config["seed"]).x
-    else:
-        raise ConfigError("rad needs either points or a process")
     est = empirical_rademacher(cls, points, config.get("sign_draws", 256),
                                config["seed"])
     return {"estimate": est.to_dict()}, None, True
 
 
-def _run_validate(config, threads):
-    name = config["experiment"]
-    if name not in _EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {name!r}")
-    attr, threaded, keys = _EXPERIMENTS[name]
+def _run_validate(config, out_dir, threads):
+    attr, keys, *fixed = _experiment(config)
     parse = {
         "process": lambda: process_from_dict(config["process"]),
         "program": lambda: scn.ScenarioProgramSpec.from_dict(config["program"]),
-        "relative": lambda: (name == "relative_coverage"
-                             or config.get("relative", False)),
     }
     args = [parse[key]() if key in parse else config[key]
             for key in keys.split()]
-    kwargs = {"threads": threads} if threaded else {}
-    result = getattr(xp, attr)(*args, **kwargs)
+    function = getattr(xp, attr)
+    names, _ = _parameters(function)
+    result = function(*args, *fixed,
+                      **({"threads": threads} if "threads" in names else {}))
     summary = {"experiment": result.name, "holds": result.holds,
                **result.summary}
     return summary, result.records, result.holds
 
 
-def _run_scenario(config):
+def _run_scenario(config, out_dir, threads):
     program = scn.ScenarioProgramSpec.from_dict(config["program"])
     spec = process_from_dict(config["process"])
     cert = scn.certify(program, spec, config["epsilon"], config["delta"],
@@ -205,38 +178,61 @@ def _run_scenario(config):
     return {"certificate": cert.to_dict()}, None, True
 
 
+# command -> (the keys of a config that it reads besides the common ones,
+# its handler); rad reads a process and its length only without points
+_COMMANDS = {
+    "bound": (lambda c: {"bound", *_parameters(_bound_function(c))[0]},
+              _run_bound),
+    "plan": (lambda c: {"method", *_parameters(_planner(c))[0]}, _run_plan),
+    "simulate": (lambda c: {"process", "n"}, _run_simulate),
+    "rad": (lambda c: {"class", "sign_draws", *(
+        ("points",) if "points" in c else ("process", "n"))}, _run_rad),
+    "validate": (lambda c: {"experiment", *_experiment(c)[1].split()},
+                 _run_validate),
+    "scenario": (lambda c: {"program", "process", "epsilon", "delta",
+                            "method"}, _run_scenario),
+}
+
+
+def validate_config(config: dict) -> dict:
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+    keys, _ = _choice(_COMMANDS, config, "command", "command")
+    unknown = config.keys() - _COMMON_KEYS - keys(config)
+    if unknown:
+        raise ConfigError(f"unknown config fields {sorted(unknown)}")
+    if "seed" not in config:
+        raise ConfigError("config needs a seed")
+    _check("seed", config["seed"], integer=True)
+    _check("threads", config.get("threads", 1), 1, integer=True)
+    return config
+
+
+def _config_error(exc):
+    # a KeyError is a key that the command reads and the config lacks
+    message = f"{exc.args[0]} is missing" if isinstance(exc, KeyError) else exc
+    print(f"config error: {message}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def run(config: dict, out_dir, threads: int = 1) -> int:
     """Validate and execute one config; write outputs under ``out_dir``."""
     try:
         config = validate_config(config)
-    except (ConfigError, ValueError, KeyError, TypeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (ValueError, TypeError) as exc:
+        return _config_error(exc)
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    command = config["command"]
+    _, handler = _COMMANDS[config["command"]]
     try:
-        records = None
-        if command == "bound":
-            summary, records, holds = _run_bound(config)
-        elif command == "plan":
-            summary, records, holds = _run_plan(config)
-        elif command == "simulate":
-            summary, records, holds = _run_simulate(config, out_dir)
-        elif command == "rad":
-            summary, records, holds = _run_rad(config)
-        elif command == "validate":
-            summary, records, holds = _run_validate(config,
-                                                    config.get("threads", threads))
-        else:
-            summary, records, holds = _run_scenario(config)
-    except (ConfigError, ValueError, KeyError, TypeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        summary, records, holds = handler(config, out_dir,
+                                          config.get("threads", threads))
+    except (ValueError, KeyError, TypeError) as exc:
+        return _config_error(exc)
     payload = {"config": config, "summary": summary}
     try:
         _write_json(out_dir / "summary.json", payload)
@@ -277,13 +273,8 @@ RECORD_COLUMNS = ["replication", "seed", "statistic", "bound", "holds"]
 
 
 def write_records_csv(records, path):
-    columns = RECORD_COLUMNS if all(
-        set(r) == set(RECORD_COLUMNS) for r in records
-    ) else sorted({k for r in records for k in r})
-    if not records:
-        columns = RECORD_COLUMNS
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer = csv.DictWriter(fh, fieldnames=RECORD_COLUMNS)
         writer.writeheader()
         for rec in records:
             writer.writerow({k: _plain(v) for k, v in rec.items()})
@@ -392,10 +383,10 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.replications is not None and "replications" in config:
-        config["replications"] = args.replications
+    if isinstance(config, dict):    # run names any other value
+        config.update((key, value) for key, value in (
+            ("seed", args.seed), ("replications", args.replications))
+            if value is not None)
     return run(config, args.out, threads=args.threads)
 
 

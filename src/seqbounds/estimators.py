@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import special
 
-from .bounds import _check, _check_entries
+from .bounds import _as_floats, _check, _check_entries
 from .classes import (FunctionClassDescriptor, UnsupportedClassError,
                       evaluation_matrix, threshold_dichotomies,
                       PseudoMetricSample)
@@ -131,7 +131,7 @@ def empirical_rademacher(cls: FunctionClassDescriptor, points, sign_draws: int,
     symmetric cases such as singleton classes.
     """
     _check("sign_draws", sign_draws, 1, integer=True)
-    pts = np.asarray(points, dtype=float)
+    pts = _as_floats("points", points)
     sup = _sup_rows(cls, pts)
     rng = stream(seed, 0, "signs")
     # a (k, n) call yields the same signs as one n-vector call per draw, so
@@ -149,7 +149,7 @@ def empirical_rademacher(cls: FunctionClassDescriptor, points, sign_draws: int,
 def empirical_rademacher_exact(cls: FunctionClassDescriptor, points) -> float:
     """Exact sign expectation by enumerating all 2^n sign vectors (n <= 20),
     in blocks of rows; bit i of mask k gives the sign of point i."""
-    pts = np.asarray(points, dtype=float)
+    pts = _as_floats("points", points)
     if pts.ndim and pts.shape[0] > 20:
         raise ValueError("exact enumeration is limited to 20 points")
     sup = _sup_rows(cls, pts)

@@ -186,6 +186,7 @@ def margin_rad_coverage(spec: ProcessSpec, gamma: float, radius: float,
     if spec.kind != "ar1_threshold_labels":
         raise ValueError("margin coverage needs an ar1 process")
     _check("b_star", spec.b_star, 0, 0)
+    _check("n", n, 1, integer=True)     # before n sizes sum_sq_norm
     law = stationary_params(spec)
     sigma_x = math.sqrt(law.variance)
     rbar = bnd.class_rad_upper("margin_linear", n, radius=radius, gamma=gamma,

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _SCALE_MAX, _check, _from_kind_dict
+from .bounds import (_SCALE_MAX, _as_floats, _check, _from_kind_dict,
+                     _set_floats)
 
 _MASK64 = (1 << 64) - 1
 
@@ -53,10 +54,12 @@ class ProcessSpec:
         if self.kind == "iid_baseline" and self.dist not in ("normal", "uniform"):
             raise ValueError("iid_baseline dist must be 'normal' or 'uniform'")
         if self.kind == "ar_d_linear_system":
-            if not self.coefficients:
-                raise ValueError("ar_d needs at least one coefficient")
-            for c in self.coefficients:
+            coefficients = _as_floats("coefficients", self.coefficients)
+            if coefficients.ndim != 1 or not coefficients.size:
+                raise ValueError("coefficients must be a non-empty list")
+            for c in coefficients:
                 _check("coefficients", c, lo_open=True, hi_open=True)
+            object.__setattr__(self, "coefficients", tuple(coefficients.tolist()))
             if self.clip_radius is not None:
                 _check("clip_radius", self.clip_radius, 0, lo_open=True, hi_open=True)
             if _companion_spectral_radius(self.coefficients) >= 1 - 1e-9:
@@ -76,6 +79,7 @@ class ProcessSpec:
             _check("mean", self.mean, lo_open=True, hi_open=True)
             _check("b_star", self.b_star, lo_open=True, hi_open=True)
             _check("flip_p", self.flip_p, 0, 1, hi_open=True)
+        _set_floats(self)
 
     @property
     def order(self):
@@ -98,27 +102,24 @@ def _companion_spectral_radius(coefficients):
 
 
 def ar1_process(a, sigma, b_star=0.0, flip_p=0.0):
-    return ProcessSpec(kind="ar1_threshold_labels", a=float(a), sigma=float(sigma),
-                       b_star=float(b_star), flip_p=float(flip_p))
+    return ProcessSpec(kind="ar1_threshold_labels", a=a, sigma=sigma,
+                       b_star=b_star, flip_p=flip_p)
 
 
 def ar_process(coefficients, sigma, clip_radius=None):
-    return ProcessSpec(kind="ar_d_linear_system",
-                       coefficients=tuple(float(c) for c in coefficients),
-                       sigma=float(sigma),
-                       clip_radius=None if clip_radius is None else float(clip_radius))
+    return ProcessSpec(kind="ar_d_linear_system", coefficients=coefficients,
+                       sigma=sigma, clip_radius=clip_radius)
 
 
 def markov_binary_process(rho):
-    return ProcessSpec(kind="markov_binary", rho=float(rho))
+    return ProcessSpec(kind="markov_binary", rho=rho)
 
 
 def iid_process(dist="normal", mean=0.0, sigma=1.0, low=None, high=None,
                 b_star=0.0, flip_p=0.0):
-    return ProcessSpec(kind="iid_baseline", dist=dist, mean=float(mean),
-                       sigma=None if dist != "normal" else float(sigma),
-                       low=low, high=high, b_star=float(b_star),
-                       flip_p=float(flip_p))
+    return ProcessSpec(kind="iid_baseline", dist=dist, mean=mean,
+                       sigma=None if dist != "normal" else sigma,
+                       low=low, high=high, b_star=b_star, flip_p=flip_p)
 
 
 _BUILDERS = {"ar1_threshold_labels": ar1_process,

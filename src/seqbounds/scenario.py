@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (_SCALE_MAX, _check, _check_entries, _from_dict,
-                     _from_kind_dict)
+from .bounds import (_SCALE_MAX, _as_floats, _check, _check_entries,
+                     _from_dict, _from_kind_dict)
 from .processes import ProcessSpec, simulate_sequence
 
 _CEIL_GUARD = 1e-9
@@ -45,8 +45,8 @@ class AffineMap:
     offset: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", np.atleast_2d(np.asarray(self.matrix, float)))
-        object.__setattr__(self, "offset", np.asarray(self.offset, float).ravel())
+        object.__setattr__(self, "matrix", np.atleast_2d(_as_floats("matrix", self.matrix)))
+        object.__setattr__(self, "offset", _as_floats("offset", self.offset).ravel())
         _check_entries("matrix", self.matrix)
         _check_entries("offset", self.offset)
         if self.matrix.shape[0] != self.offset.shape[0]:
@@ -74,8 +74,8 @@ class Box:
     hi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", np.asarray(self.lo, float).ravel())
-        object.__setattr__(self, "hi", np.asarray(self.hi, float).ravel())
+        object.__setattr__(self, "lo", _as_floats("lo", self.lo).ravel())
+        object.__setattr__(self, "hi", _as_floats("hi", self.hi).ravel())
         _check_entries("lo", self.lo)
         _check_entries("hi", self.hi)
         if self.lo.shape != self.hi.shape or not np.all(self.lo <= self.hi):
@@ -149,6 +149,12 @@ _piece_from_dict = functools.partial(
     _from_dict, ConstraintPiece, psi=_affine_from_dict, eta=_affine_from_dict)
 
 
+def _pieces_from_list(pieces, key):
+    if not isinstance(pieces, (list, tuple)):
+        raise ValueError(f"{key} must be a list of objects")
+    return [_piece_from_dict(p, key) for p in pieces]
+
+
 @dataclass(frozen=True)
 class ScenarioProgramSpec:
     """min c.theta over Theta subject to max_k f_k(x, theta) <= 0 for all x."""
@@ -161,7 +167,7 @@ class ScenarioProgramSpec:
     indicator_vc_dim: int = None
 
     def __post_init__(self):
-        object.__setattr__(self, "objective", np.asarray(self.objective, float).ravel())
+        object.__setattr__(self, "objective", _as_floats("objective", self.objective).ravel())
         object.__setattr__(self, "pieces", tuple(self.pieces))
         if not self.pieces:
             raise ValueError("program needs at least one constraint piece")
@@ -212,7 +218,7 @@ class ScenarioProgramSpec:
     def from_dict(cls, d):
         return _from_dict(
             cls, d, "program", theta_set=_set_from_dict,
-            pieces=lambda ps, key: [_piece_from_dict(p, key) for p in ps],
+            pieces=_pieces_from_list,
             x_domain=lambda x, key: x if x is None else _set_from_dict(x, key))
 
     @classmethod

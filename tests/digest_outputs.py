@@ -3,11 +3,14 @@ acceptance configs of ``tests/test_acceptance.py``, plus ``regression_coverage``
 on an AR(2) system, and of the ``scenario`` runs on the acceptance 1-D box
 program, on a variant whose psi depends on x over an x domain box, on the 1-D
 program over a ball, on a two-piece 2-D box program on the AR(2) system and on
-that program over a 2-D ball of radius 10, one ``plan``, one ``bound``,
-``rad`` on a threshold, a linear-ball and a kernel-ball class (the last on a
-simulated path), and ``simulate`` runs of every process kind (an AR(2) path of
-100,000 rows, as the benchmark's coverage_mc workload writes it): every
-command whose output is deterministic, through every config object reader.
+that program over a 2-D ball of radius 10, ``plan`` by both methods, ``bound``
+of every kind (``vc`` by VC dimension and by growth value, ``rademacher`` of
+two variants, ``mixing`` where it applies and where it does not), ``rad`` on a
+threshold, a linear-ball and a kernel-ball class (the last on a simulated
+path), and ``simulate`` runs of every process kind (an AR(2) path of 100,000
+rows, as the benchmark's coverage_mc workload writes it): every command whose
+output is deterministic, through every config object reader and every
+dispatch table of the CLI.
 
 Two trees give the same outputs when this script prints the same lines with
 either tree's ``src`` on the path (``parent`` being, say, a ``git archive``
@@ -98,8 +101,35 @@ COMMAND_CONFIGS = {
                          "seed": 888},
     "plan": {"command": "plan", "method": "margin", "epsilon": 0.1,
              "delta": 0.05, "gamma": 1.0, "tau_lambda_sum": 1.0, "seed": 1},
+    "plan_vc": {"command": "plan", "method": "vc", "epsilon": 0.1,
+                "delta": 1e-6, "d_vc": 5, "seed": 1},
     "bound": {"command": "bound", "bound": "vc", "emp_risk": 0.02,
               "n": 100000, "delta": 0.05, "d_vc": 4, "seed": 1},
+    "bound_vc_growth": {"command": "bound", "bound": "vc", "emp_risk": 0.1,
+                        "n": 1000, "delta": 0.05, "growth_2n": 100.0,
+                        "seed": 1},
+    "bound_vc_relative": {"command": "bound", "bound": "vc_relative",
+                          "emp_risk": 0.1, "n": 1000, "delta": 0.05,
+                          "d_vc": 3, "stationary": True, "seed": 1},
+    "bound_regression": {"command": "bound", "bound": "regression",
+                         "emp_risk": 0.1, "n": 1000, "delta": 0.05,
+                         "d_vc": 6, "b": 4.0, "seed": 1},
+    "bound_rademacher_two_sided": {"command": "bound", "bound": "rademacher",
+                                   "variant": "two_sided", "emp_risk": 0.1,
+                                   "rad_terms": [0.1, 0.2], "b": 1.0,
+                                   "n": 1000, "delta": 0.05, "seed": 1},
+    "bound_rademacher_marginal": {"command": "bound", "bound": "rademacher",
+                                  "variant": "marginal", "emp_risk": 0.1,
+                                  "rad_terms": 0.1, "b": 1.0, "n": 1000,
+                                  "delta": 0.05, "seed": 1},
+    # delta above 4 (mu - 1) beta_a, and below it: no bound
+    "bound_mixing": {"command": "bound", "bound": "mixing", "emp_risk": 0.1,
+                     "rad_mu": 0.05, "b": 1.0, "mu": 100, "a": 2,
+                     "beta_a": 1e-4, "delta": 0.1, "seed": 1},
+    "bound_mixing_inapplicable": {"command": "bound", "bound": "mixing",
+                                  "emp_risk": 0.0, "rad_mu": 0.0, "b": 1.0,
+                                  "mu": 100, "a": 1, "beta_a": 1e-3,
+                                  "delta": 0.01, "seed": 3},
     "simulate": {"command": "simulate", "process": AR2_SYSTEM, "n": 100_000,
                  "seed": 1},
     "simulate_markov": {"command": "simulate", "n": 1000, "seed": 2,

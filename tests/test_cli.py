@@ -88,7 +88,7 @@ class TestRun:
     def test_mixing_bound_inapplicable(self, tmp_path):
         config = {"command": "bound", "bound": "mixing", "emp_risk": 0.0,
                   "rad_mu": 0.0, "b": 1.0, "mu": 100, "a": 1,
-                  "beta_a": 1e-3, "n": 200, "delta": 0.01, "seed": 3}
+                  "beta_a": 1e-3, "delta": 0.01, "seed": 3}
         assert run(config, tmp_path / "out") == 0
         assert read_summary(tmp_path / "out")["summary"]["applicable"] is False
 
@@ -177,12 +177,6 @@ AR1 = {"kind": "ar1_threshold_labels", "a": 0.8, "sigma": 0.6, "flip_p": 0.1}
 
 
 class TestValidateRegistry:
-    def test_accepted_keys(self):
-        assert cli._ALLOWED["validate"] == {
-            "command", "seed", "threads", "experiment", "process", "n",
-            "replications", "delta", "epsilon", "program", "instances",
-            "gamma", "radius", "m_clip", "relative"}
-
     def test_unknown_experiment_exit_2(self, tmp_path, capsys):
         config = {"command": "validate", "experiment": "vc_coverag",
                   "seed": 1}
@@ -462,7 +456,8 @@ def _all_finite(obj):
     return obj not in ("nan", "inf", "-inf")
 
 
-_FUZZ_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 1e308]
+# 10**400 is an int past the float range, and "abc" a number as text
+_FUZZ_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 1e308, 10 ** 400, "abc"]
 
 
 def _validate_base(name):
@@ -520,28 +515,10 @@ def test_out_of_range_value_named_or_finite(case, value):
 # int: n = 10**12 would allocate terabytes before any check could apply.
 _COMMAND_BASES = {
     "bound_vc": COMMAND_CONFIGS["bound"],
-    "bound_vc_growth": {"command": "bound", "bound": "vc", "emp_risk": 0.1,
-                        "n": 1000, "delta": 0.05, "growth_2n": 100.0,
-                        "seed": 1},
-    "bound_vc_relative": {"command": "bound", "bound": "vc_relative",
-                          "emp_risk": 0.1, "n": 1000, "delta": 0.05,
-                          "d_vc": 3, "stationary": True, "seed": 1},
-    "bound_regression": {"command": "bound", "bound": "regression",
-                         "emp_risk": 0.1, "n": 1000, "delta": 0.05,
-                         "d_vc": 6, "b": 4.0, "seed": 1},
-    "bound_rademacher_two_sided": {"command": "bound", "bound": "rademacher",
-                                   "variant": "two_sided", "emp_risk": 0.1,
-                                   "rad_terms": [0.1, 0.2], "b": 1.0,
-                                   "n": 1000, "delta": 0.05, "seed": 1},
-    "bound_rademacher_marginal": {"command": "bound", "bound": "rademacher",
-                                  "variant": "marginal", "emp_risk": 0.1,
-                                  "rad_terms": 0.1, "b": 1.0, "n": 1000,
-                                  "delta": 0.05, "seed": 1},
-    "bound_mixing": {"command": "bound", "bound": "mixing", "emp_risk": 0.1,
-                     "rad_mu": 0.05, "b": 1.0, "mu": 100, "a": 2,
-                     "beta_a": 1e-4, "delta": 0.1, "seed": 1},
-    "plan_vc": {"command": "plan", "method": "vc", "epsilon": 0.1,
-                "delta": 1e-6, "d_vc": 5, "seed": 1},
+    **{name: COMMAND_CONFIGS[name] for name in (
+        "bound_vc_growth", "bound_vc_relative", "bound_regression",
+        "bound_rademacher_two_sided", "bound_rademacher_marginal",
+        "bound_mixing", "plan_vc")},
     "plan_margin": COMMAND_CONFIGS["plan"],
     "simulate_ar1": {"command": "simulate", "process": AR1, "n": 200,
                      "seed": 3},
@@ -641,6 +618,20 @@ def test_non_object_exit_2_names_the_key(config, path, value):
      "points"),
     (dict(_COMMAND_BASES["rad_points"], **{"class": {"kind": "threshold1d"}}),
      "points"),
+    # program lists given as a number and as an object
+    (dict(COMMAND_CONFIGS["scenario_box"],
+          program=dict(COMMAND_CONFIGS["scenario_box"]["program"],
+                       pieces=1)), "pieces"),
+    (dict(COMMAND_CONFIGS["scenario_box"],
+          program=dict(COMMAND_CONFIGS["scenario_box"]["program"],
+                       objective={"a": 1})), "objective"),
+    # a key that the command reads and the config lacks
+    ({"command": "simulate", "process": AR1, "seed": 1}, "n is missing"),
+    ({k: v for k, v in _COMMAND_BASES["bound_mixing"].items()
+      if k != "beta_a"}, "beta_a is missing"),
+    ({"command": "validate", "experiment": "symmetrization", "process": AR1,
+      "n": 200, "replications": 3, "seed": 1}, "epsilon is missing"),
+    ({"command": "plan", "method": "vc", "seed": 1}, "epsilon is missing"),
 ])
 def test_exit_2_names_the_value(tmp_path, capsys, config, name):
     assert run(config, tmp_path / "out") == cli.EXIT_CONFIG
@@ -658,6 +649,113 @@ def test_unknown_fields_exit_2(tmp_path, capsys, config, what):
     assert run(config, tmp_path / "out") == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith(
         f"config error: unknown {what} fields [")
+
+
+# ---------------------------------------------------------------------------
+# Each command reads the keys of the bound kind, plan method or experiment
+# that it runs, besides command, seed and threads
+
+_OWN_KEYS = {
+    # a bound kind or a plan method reads its function's parameters
+    ("bound", "bound_vc"): "bound emp_risk n delta d_vc growth_2n",
+    ("bound", "bound_vc_relative"):
+        "bound emp_risk n delta d_vc growth_2n stationary",
+    ("bound", "bound_regression"): "bound emp_risk n d_vc delta b",
+    ("bound", "bound_rademacher_marginal"):
+        "bound variant emp_risk rad_terms b n delta",
+    ("bound", "bound_mixing"): "bound emp_risk rad_mu b mu a beta_a delta",
+    ("plan", "plan_vc"): "method epsilon delta d_vc",
+    ("plan", "plan_margin"): "method epsilon delta gamma tau_lambda_sum",
+    # rad reads a process and its length only when given no points
+    ("rad", "rad_points"): "class sign_draws points",
+    ("rad", "rad_process"): "class sign_draws process n",
+    ("simulate", "simulate_ar1"): "process n",
+    ("scenario", "scenario_box"): "program process epsilon delta method",
+    **{("validate", name): "experiment " + keys for name, keys in {
+        "vc_coverage": "process n replications delta",
+        "relative_coverage": "process n replications delta",
+        "margin_rad_coverage": "process gamma radius n replications delta",
+        "regression_coverage": "process m_clip radius n replications delta",
+        "symmetrization": "process n epsilon replications",
+        "scenario_coverage": "program process epsilon delta replications",
+        "kernel_rad_bound": "instances n radius m_clip",
+        "chaining_dominance": "instances",
+        "concentration_exactness": "",
+        "quarter_lemma": ""}.items()},
+}
+
+
+def _key_base(command, name):
+    return _validate_base(name) if command == "validate" else \
+        _COMMAND_BASES[name]
+
+
+def _other_keys(command, name):
+    """The keys that only the other choices of ``command`` read."""
+    return sorted({key for (c, other), keys in _OWN_KEYS.items()
+                   if c == command and other != name
+                   for key in keys.split()} - set(_OWN_KEYS[command, name]
+                                                   .split()))
+
+
+@pytest.mark.parametrize("command, name", _OWN_KEYS,
+                         ids=[name for _, name in _OWN_KEYS])
+def test_own_keys_accepted(command, name):
+    base = _key_base(command, name)
+    for key in _OWN_KEYS[command, name].split() + ["seed", "threads"]:
+        config = dict(base, **{key: base.get(key, 1)})
+        assert validate_config(config) is config
+
+
+# (points given to rad_process pick the points run, which reads neither the
+# process nor n: test_rad_points_and_process_exit_2)
+_OTHER_KEY_CASES = [(command, name, key) for command, name in _OWN_KEYS
+                    for key in _other_keys(command, name)
+                    if (name, key) != ("rad_process", "points")]
+
+
+@pytest.mark.parametrize("command, name, key", _OTHER_KEY_CASES,
+                         ids=[f"{name}-{key}"
+                              for _, name, key in _OTHER_KEY_CASES])
+def test_other_choice_key_exit_2(tmp_path, capsys, command, name, key):
+    config = dict(_key_base(command, name), **{key: 1})
+    assert run(config, tmp_path / "out") == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"config error: unknown config fields [{key!r}]\n"
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("experiment", ["vc_coverage", "relative_coverage"])
+def test_relative_key_exit_2(tmp_path, capsys, experiment):
+    # the experiment name alone picks the relative bound
+    config = dict(_validate_base(experiment), relative=False)
+    assert run(config, tmp_path / "out") == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "config error: unknown config fields ['relative']\n"
+
+
+def test_rad_points_and_process_exit_2(tmp_path, capsys):
+    config = dict(_COMMAND_BASES["rad_points"], process=AR1)
+    assert run(config, tmp_path / "out") == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "config error: unknown config fields ['process']\n"
+
+
+@pytest.mark.parametrize("config, code", [
+    (_validate_base("vc_coverage"), cli.EXIT_OK),
+    (_validate_base("kernel_rad_bound"), cli.EXIT_CONFIG),
+    (COMMAND_CONFIGS["plan"], cli.EXIT_CONFIG),
+], ids=["vc_coverage", "kernel_rad_bound", "plan"])
+def test_replications_option_is_a_config_key(tmp_path, capsys, config, code):
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out),
+                 "--replications", "2"]) == code
+    if code == cli.EXIT_OK:
+        assert read_summary(out)["config"]["replications"] == 2
+    else:
+        assert capsys.readouterr().err == \
+            "config error: unknown config fields ['replications']\n"
 
 
 # ---------------------------------------------------------------------------
