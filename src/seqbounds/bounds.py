@@ -7,6 +7,12 @@ precision.  Each calculator returns a RiskBoundReport whose value is the
 exact sum of its decomposed terms; the concentration term is the value
 the non-empirical part would take for a capacity of one (log capacity 0),
 and the complexity term is the capacity increment on top of it.
+
+``scipy.special`` is imported on first use: the module attribute
+``special`` (which a caller may replace) loads it the first time a binomial
+tail or a normal cdf is evaluated, here or in ``estimators`` and
+``experiments``.  Importing this module and the VC, Rademacher, mixing
+and chaining bounds load numpy alone.
 """
 from __future__ import annotations
 
@@ -14,10 +20,10 @@ import functools
 import inspect
 import math
 import operator
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import special
 
 # Largest accepted scale (noise level, radius, clip level): products of four
 # scales, summed over any path numpy can hold, stay finite in double precision.
@@ -203,9 +209,22 @@ def _binomial_tail(n, p, epsilon, strict):
     r = np.round(cut)
     cut = np.where(np.abs(cut - r) < 1e-9, r, cut)
     k0 = np.where(strict, np.floor(cut) + 1, np.ceil(cut))
-    # betainc is NaN for a parameter <= 0, which only k0 <= 0 or k0 > n give
-    tail = special.betainc(np.maximum(k0, 1), np.maximum(n - k0 + 1, 1), p)
+    # betainc is NaN for a parameter <= 0, which only k0 <= 0 or k0 > n give;
+    # it is read from the module attribute, as a caller sees it (see
+    # __getattr__)
+    betainc = sys.modules[__name__].special.betainc
+    tail = betainc(np.maximum(k0, 1), np.maximum(n - k0 + 1, 1), p)
     return np.where(k0 > n, 0.0, np.where(k0 <= 0, 1.0, tail))
+
+
+def __getattr__(name):
+    """``special`` is ``scipy.special``, imported on first access and then
+    bound as a module global (PEP 562)."""
+    global special
+    if name != "special":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy import special
+    return special
 
 
 def exact_binomial_mean_tail(n: int, p: float, epsilon: float,

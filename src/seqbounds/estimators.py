@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import special
 
+from . import bounds as bnd
 from .bounds import _as_floats, _check, _check_entries
 from .classes import (FunctionClassDescriptor, UnsupportedClassError,
                       evaluation_matrix, threshold_dichotomies,
@@ -239,11 +239,12 @@ def threshold_risk_oracle(spec: ProcessSpec) -> Callable:
         )
     scale = np.sqrt(law.variance)
     mu, bs, p = law.mean, spec.b_star, spec.flip_p
+    ndtr = bnd.special.ndtr
 
     def oracle(b):
         b = np.asarray(b, dtype=float)
-        hi = special.ndtr((np.maximum(b, bs) - mu) / scale)
-        lo = special.ndtr((np.minimum(b, bs) - mu) / scale)
+        hi = ndtr((np.maximum(b, bs) - mu) / scale)
+        lo = ndtr((np.minimum(b, bs) - mu) / scale)
         return p + (1.0 - 2.0 * p) * (hi - lo)
 
     return oracle

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy import special
 
 from . import bounds as bnd
 from .bounds import _SCALE_MAX, _check
@@ -33,11 +32,17 @@ class ExperimentResult:
 
 
 def _pmap(fn, items, threads=1):
+    """[fn(i) for i in items], each of ``threads`` workers mapping one
+    contiguous chunk of the items."""
     _check("threads", threads, 1, integer=True)
     if threads == 1:
         return [fn(i) for i in items]
+    items = list(items)
+    size = max(1, -(-len(items) // threads))
+    chunks = [items[k:k + size] for k in range(0, len(items), size)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        done = pool.map(lambda chunk: [fn(i) for i in chunk], chunks)
+        return [out for chunk in done for out in chunk]
 
 
 def _replicate(one, count, seed, threads, what="replications"):
@@ -138,7 +143,7 @@ def margin_linear_risk(w, sigma_x: float, flip_p: float, gamma: float):
         sp = s[pos]
         a = np.maximum((1.0 - gamma) / sp, 0.0)
         b = 1.0 / sp
-        cdf = lambda t: 2.0 * special.ndtr(t / sigma_x) - 1.0
+        cdf = lambda t: 2.0 * bnd.special.ndtr(t / sigma_x) - 1.0
         ehalf = lambda lo, hi: sigma_x * math.sqrt(2.0 / math.pi) * (
             np.exp(-lo ** 2 / (2 * sigma_x ** 2))
             - np.exp(-hi ** 2 / (2 * sigma_x ** 2)))
@@ -240,7 +245,7 @@ def clipped_linear_risk(w_rows, cov, theta, noise_sigma, m_clip):
     pos = s2 > 0
     s = np.sqrt(s2[pos])
     a = m_clip / s
-    cdf, pdf = special.ndtr(a), _norm_pdf(a)
+    cdf, pdf = bnd.special.ndtr(a), _norm_pdf(a)
     e_cu = s2[pos] * (2 * cdf - 1)
     e_c2 = (s2[pos] * (2 * cdf - 1 - 2 * a * pdf)
             + 2 * m_clip ** 2 * (1 - cdf))

@@ -1,14 +1,17 @@
-"""Time what a CLI user pays before any work: ``import seqbounds`` and a
-whole CLI run of a closed-form ``validate`` command, each in a fresh
-interpreter, and record the numbers in ``BENCH_import.json``.
+"""Time what a CLI user pays before any work: ``import seqbounds`` and
+whole CLI runs of two closed-form commands, each in a fresh interpreter, and
+record the numbers in ``BENCH_import.json``.
 
-Two timings, each the wall time of a new ``python`` process, best of five:
+Three timings, each the wall time of a new ``python`` process, best of five:
 
 - ``import_s``: ``python -c "import seqbounds"``;
-- ``cli_concentration_exactness_s``: ``python -m seqbounds.cli --config
-  <concentration_exactness config> --out <temporary directory>``.
+- ``cli_plan_s``: ``python -m seqbounds.cli --config <plan config> --out
+  <temporary directory>``, a ``plan`` by method ``vc``, which needs no scipy;
+- ``cli_concentration_exactness_s``: the same for the
+  ``concentration_exactness`` config, which loads ``scipy.special`` for its
+  binomial tails.
 
-Both include the interpreter's own start-up, timed alone as
+All include the interpreter's own start-up, timed alone as
 ``interpreter_s`` (``python -c pass``).  Each run is stored under its
 ``--label``, next to the labels already in the file, so one file holds a
 before and an after:
@@ -31,8 +34,13 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-CONFIG = {"command": "validate", "experiment": "concentration_exactness",
-          "seed": 0}
+CONFIGS = {
+    "plan": {"command": "plan", "method": "vc", "epsilon": 0.1,
+             "delta": 1e-6, "d_vc": 5, "seed": 1},
+    "concentration_exactness": {"command": "validate",
+                                "experiment": "concentration_exactness",
+                                "seed": 0},
+}
 REPEATS = 5
 
 
@@ -46,16 +54,16 @@ def best_of(argv):
 
 
 def measure():
+    times = {"interpreter_s": best_of([sys.executable, "-c", "pass"]),
+             "import_s": best_of([sys.executable, "-c", "import seqbounds"])}
     with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "config.json"
-        config.write_text(json.dumps(CONFIG))
-        return {
-            "interpreter_s": best_of([sys.executable, "-c", "pass"]),
-            "import_s": best_of([sys.executable, "-c", "import seqbounds"]),
-            "cli_concentration_exactness_s": best_of(
-                [sys.executable, "-m", "seqbounds.cli", "--config",
-                 str(config), "--out", str(Path(tmp) / "out")]),
-        }
+        for name, config in CONFIGS.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(config))
+            times[f"cli_{name}_s"] = best_of(
+                [sys.executable, "-m", "seqbounds.cli", "--config", str(path),
+                 "--out", str(Path(tmp) / name)])
+    return times
 
 
 def main():
@@ -66,7 +74,7 @@ def main():
                         / "BENCH_import.json")
     args = parser.parse_args()
     bench = (json.loads(args.out.read_text()) if args.out.exists()
-             else {"config": CONFIG, "repeats": REPEATS, "runs": {}})
+             else {"configs": CONFIGS, "repeats": REPEATS, "runs": {}})
     bench["runs"][args.label] = {
         **measure(),
         "cores": os.cpu_count(), "python": platform.python_version(),

@@ -793,14 +793,58 @@ def test_import_and_grid_validates_load_no_heavy_scipy(tmp_path):
                       "quarter_lemma": [cli.EXIT_OK]}
 
 
+NO_SCIPY_RUNS = [name for name, config in COMMAND_CONFIGS.items()
+                 if config["command"] in ("plan", "bound")]
+
+
+def test_import_plan_and_bound_load_no_scipy(tmp_path):
+    # the runs go one after another, so each is checked with the modules
+    # that the runs before it left behind
+    loaded = json.loads(fresh_python("""
+        import json, sys
+        runs = json.loads(sys.argv[2])
+        scipy = lambda: [m for m in sys.modules
+                         if m == "scipy" or m.startswith("scipy.")]
+        import seqbounds, seqbounds.cli
+        loaded = {"import": scipy()}
+        for name, config in runs.items():
+            code = seqbounds.cli.run(config, sys.argv[1] + "/" + name)
+            loaded[name] = [code] + scipy()
+        print(json.dumps(loaded))
+        """, tmp_path, json.dumps({name: COMMAND_CONFIGS[name]
+                                   for name in NO_SCIPY_RUNS})))
+    assert {"plan", "plan_vc", "bound", "bound_rademacher_two_sided",
+            "bound_mixing"} <= set(NO_SCIPY_RUNS)
+    assert loaded == {"import": [],
+                      **{name: [cli.EXIT_OK] for name in NO_SCIPY_RUNS}}
+
+
+def test_binomial_tail_grid_loads_scipy_special_alone(tmp_path):
+    loaded = json.loads(fresh_python("""
+        import json, sys
+        heavy = sys.argv[2:]
+        import seqbounds.cli
+        loaded = {"import": "scipy.special" in sys.modules}
+        config = {"command": "validate", "experiment":
+                  "concentration_exactness", "seed": 0}
+        code = seqbounds.cli.run(config, sys.argv[1])
+        loaded["run"] = [code, "scipy.special" in sys.modules] + [
+            m for m in heavy if m in sys.modules]
+        print(json.dumps(loaded))
+        """, tmp_path / "out", *HEAVY_SCIPY))
+    assert loaded == {"import": False, "run": [cli.EXIT_OK, True]}
+
+
 def test_first_import_in_two_worker_threads():
     # scipy.signal is first imported by the path simulations of both
-    # workers at once; the records match those of one thread
+    # workers at once (scipy.special by the risk oracle, before the
+    # workers start); the records match those of one thread
     records = pickle.loads(fresh_python("""
         import json, pickle, sys
         from seqbounds.experiments import vc_coverage
         from seqbounds.processes import process_from_dict
         assert "scipy.signal" not in sys.modules
+        assert "scipy.special" not in sys.modules
         spec = process_from_dict(json.loads(sys.argv[1]))
         result = vc_coverage(spec, 500, 16, 0.05, 12345, threads=2)
         sys.stdout.buffer.write(pickle.dumps(result.records))

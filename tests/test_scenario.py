@@ -84,6 +84,24 @@ class TestViolationBound:
                                           tau_lambda_sum=1.0)
                     assert got <= eps
 
+    # the planners are conservative, so only the plan's own epsilon is
+    # asserted, not that n - 1 misses it
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(eps=st.floats(1e-4, 0.999), delta=st.floats(1e-12, 0.999),
+           d=st.integers(1, 50))
+    def test_planned_vc_meets_its_epsilon(self, eps, delta, d):
+        n = plan_n_vc(eps, delta, d)
+        assert violation_bound("vc", n, delta, d_vc=d) <= eps
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(eps=st.floats(1e-4, 0.999), delta=st.floats(1e-12, 0.999),
+           gamma=st.floats(1e-3, 10.0), tau_lambda_sum=st.floats(1e-3, 100.0))
+    def test_planned_margin_meets_its_epsilon(self, eps, delta, gamma,
+                                              tau_lambda_sum):
+        n = plan_n_margin(eps, delta, gamma, tau_lambda_sum)
+        assert violation_bound("margin", n, delta, gamma=gamma,
+                               tau_lambda_sum=tau_lambda_sum) <= eps
+
     def test_method_validation(self):
         with pytest.raises(ValueError):
             violation_bound("vc", 100, 0.1)
