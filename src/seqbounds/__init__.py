@@ -6,21 +6,15 @@ from .bounds import (RiskBoundReport, binomial_quarter_lemma_holds,
                      class_rad_upper, concentration_tail,
                      exact_binomial_mean_tail, linear_system_induced_vc_dim,
                      mixing_reference_bound, rademacher_risk_bound,
-                     regression_vc_bound, spectral_log_covering, vc_bound,
-                     vc_relative_bound)
+                     regression_vc_bound, vc_bound, vc_relative_bound)
 from .classes import (FunctionClassDescriptor, PseudoMetricSample,
                       UnsupportedClassError, covering_number_exhaustive,
-                      covering_number_greedy, finite_class,
-                      growth_function_exact, kernel_ball_class,
-                      linear_ball_class, pseudo_metric, sauer_growth_bound,
-                      threshold_class, vc_dimension_exact)
+                      finite_class, kernel_ball_class, linear_ball_class,
+                      threshold_class)
 from .estimators import (MonteCarloEstimate, empirical_rademacher,
-                         empirical_rademacher_exact, empirical_risk, risk_mc,
-                         sup_deviation, threshold_classifier,
-                         threshold_risk_oracle, verify_symmetrization,
-                         violation_rate)
-from .losses import (LossSpec, clipped_squared_loss, eval_loss, margin_loss,
-                     vq_loss, zero_one_loss)
+                         empirical_rademacher_exact, sup_deviation,
+                         threshold_risk_oracle, violation_rate)
+from .losses import LossSpec, zero_one_loss
 from .processes import (MarginalLaw, ProcessSpec, SequenceSample, ar1_process,
                         ar_process, iid_process, markov_binary_process,
                         sample_marginal, sequence_to_csv, simulate_sequence,

@@ -454,18 +454,6 @@ def chaining_rad_upper_best(diameter: float, log_covering, n: int,
     return best_val, best_depth
 
 
-def spectral_log_covering(coefficient: float, sum_sq_norm: float):
-    """Log covering numbers of the spectrally-regularized network form
-    A * sum ||x_i||^2 / eps^2, as a function of the scale."""
-    _check("coefficient", coefficient, 0, hi_open=True)
-    _check("sum_sq_norm", sum_sq_norm, 0, hi_open=True)
-
-    def log_cov(eps):
-        return coefficient * sum_sq_norm / eps ** 2
-
-    return log_cov
-
-
 # ---------------------------------------------------------------------------
 # Mixing-coefficient reference bound
 

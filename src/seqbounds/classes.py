@@ -1,13 +1,10 @@
 """Hypothesis-class descriptors and their capacity quantities.
 
-Growth functions for enumerable classes, the Sauer cap, the empirical
-L2 pseudo-metric, and covering numbers of finite evaluated function sets
-(exact subset search for small sets, greedy estimator beyond).
+The threshold class's dichotomies, the empirical L2 pseudo-metric, and
+the exact covering number of a finite evaluated function set.
 """
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,53 +85,16 @@ def threshold_dichotomies(points):
 
     Returns ``(thresholds, labels)`` where row k of ``labels`` is the
     labeling produced by the k-th canonical threshold.  Canonical
-    thresholds are one below the minimum, the midpoints between
-    consecutive sorted points, and one above the maximum (n+1 in total
-    for distinct points).
+    thresholds are the distinct points in ascending order and +inf (n+1
+    in total for distinct points): b = u labels x >= u with +1, so no
+    arithmetic on the points can merge or lose a labeling.
     """
     pts = np.asarray(points, dtype=float).ravel()
     if pts.size == 0:
         raise ValueError("need at least one point")
-    srt = np.sort(pts)
-    mids = (srt[:-1] + srt[1:]) / 2.0
-    thresholds = np.concatenate(([srt[0] - 1.0], mids, [srt[-1] + 1.0]))
+    thresholds = np.append(np.unique(pts), np.inf)
     labels = np.where(pts[None, :] >= thresholds[:, None], 1.0, -1.0)
     return thresholds, labels
-
-
-def growth_function_exact(cls: FunctionClassDescriptor, points) -> int:
-    """Exact number of distinct label vectors the class realizes on ``points``.
-
-    Only enumerable kinds (finite, threshold1d) are supported.
-    """
-    if cls.kind == "threshold1d":
-        pts = np.asarray(points, dtype=float).ravel()
-        if np.unique(pts).size != pts.size:
-            raise ValueError("threshold1d growth needs pairwise distinct points")
-        _, labels = threshold_dichotomies(pts)
-        return len({tuple(row) for row in labels})
-    if cls.kind == "finite":
-        rows = set()
-        for f in cls.functions:
-            rows.add(tuple(float(f(p)) for p in points))
-        return len(rows)
-    raise UnsupportedClassError(
-        f"growth function enumeration not available for kind {cls.kind!r}"
-    )
-
-
-def sauer_growth_bound(d_vc: int, n: int) -> float:
-    """Growth-function cap min(2^n, (e*n/d)^d) for n >= d, and 2^n below d."""
-    _check("d_vc", d_vc, 1, integer=True)
-    _check("n", n, 1, integer=True)
-    two_n = float(2 ** n) if n < 1024 else math.inf
-    if n < d_vc:
-        return two_n
-    try:
-        poly = (math.e * n / d_vc) ** d_vc
-    except OverflowError:
-        poly = math.inf
-    return min(two_n, poly)
 
 
 @dataclass
@@ -168,12 +128,6 @@ class PseudoMetricSample:
                 raise ValueError("function evaluations must be finite")
             self._cache[key] = (f, vals)
         return self._cache[key][1]
-
-
-def pseudo_metric(f, f_prime, sample: PseudoMetricSample) -> float:
-    """Empirical L2 pseudo-distance sqrt(mean (f - f')^2) on the sample."""
-    rows = np.vstack([sample.evaluate(f), sample.evaluate(f_prime)])
-    return float(pseudo_metric_matrix(rows)[0, 1])
 
 
 def evaluation_matrix(functions, sample: PseudoMetricSample = None) -> np.ndarray:
@@ -212,24 +166,6 @@ def pseudo_metric_matrix(values: np.ndarray) -> np.ndarray:
     return dm
 
 
-def _greedy_net_size(dm: np.ndarray, epsilon: float) -> int:
-    """Farthest-point greedy sweep from each start; smallest net wins."""
-    m = dm.shape[0]
-    best = m
-    for start in range(m):
-        centers = 1
-        covered = dm[start] < epsilon
-        dmin = dm[start].copy()
-        while not covered.all() and centers < best:
-            cand = int(np.argmax(np.where(covered, -np.inf, dmin)))
-            centers += 1
-            covered |= dm[cand] < epsilon
-            dmin = np.minimum(dmin, dm[cand])
-        if covered.all():
-            best = min(best, centers)
-    return best
-
-
 # the size of each subset of up to 16 rows, indexed by its bitmask
 _SUBSET_SIZE = np.zeros(1 << 16, dtype=np.int8)
 for _i in range(16):
@@ -251,27 +187,6 @@ def _exhaustive_net_size(dm: np.ndarray, epsilon: float) -> int:
     return int(_SUBSET_SIZE[:1 << m][cover == (1 << m) - 1].min())
 
 
-_EXACT_CUTOFF = 12
-
-
-def covering_number_greedy(functions, epsilon: float,
-                           sample: PseudoMetricSample = None) -> int:
-    """Size of a proper epsilon-net (a function counts as covered when its
-    distance to the net is strictly below epsilon).
-
-    Sets of at most 12 functions get the exact value of the exhaustive
-    subset search.  Larger sets get the greedy farthest-point sweep
-    (repeated from every start, smallest net kept), an upper bound on the
-    true covering number, which is all the chaining bound needs.
-    """
-    _check("epsilon", epsilon, 0, lo_open=True)
-    values = evaluation_matrix(functions, sample)
-    dm = pseudo_metric_matrix(values)
-    if dm.shape[0] <= _EXACT_CUTOFF:
-        return _exhaustive_net_size(dm, epsilon)
-    return _greedy_net_size(dm, epsilon)
-
-
 def covering_number_exhaustive(functions, epsilon: float,
                                sample: PseudoMetricSample = None) -> int:
     """Minimal proper epsilon-net size by exhaustive subset search
@@ -283,23 +198,3 @@ def covering_number_exhaustive(functions, epsilon: float,
         raise ValueError("exhaustive covering search is limited to 16 functions")
     return _exhaustive_net_size(dm, epsilon)
 
-
-def vc_dimension_exact(cls: FunctionClassDescriptor, points) -> int:
-    """Largest subset of ``points`` shattered by an enumerable class."""
-    pts = list(points)
-    if len(pts) > 12:
-        raise ValueError("shattering enumeration is limited to 12 points")
-    if cls.kind == "threshold1d":
-        _, labels = threshold_dichotomies(pts)
-    elif cls.kind == "finite":
-        labels = np.array([[float(f(p)) for p in pts] for f in cls.functions])
-    else:
-        raise UnsupportedClassError(
-            f"VC enumeration not available for kind {cls.kind!r}"
-        )
-    for k in range(len(pts), 0, -1):
-        for idx in itertools.combinations(range(len(pts)), k):
-            realized = {tuple(row[list(idx)]) for row in labels}
-            if len(realized) == 2 ** k:
-                return k
-    return 0

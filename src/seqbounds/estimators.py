@@ -1,6 +1,7 @@
-"""Monte-Carlo and closed-form estimators: risk, empirical risk,
-Rademacher complexity, deviation suprema, violation rates, and the
-empirical check of the ghost-sample symmetrization inequality."""
+"""Monte-Carlo and closed-form estimators: Rademacher complexity, the
+threshold class's empirical risks and deviation supremum, its analytic
+risk, violation rates, and the empirical check of the ghost-sample
+symmetrization inequality."""
 from __future__ import annotations
 
 import json
@@ -15,7 +16,7 @@ from .bounds import _as_floats, _check, _check_entries
 from .classes import (FunctionClassDescriptor, UnsupportedClassError,
                       evaluation_matrix, threshold_dichotomies,
                       PseudoMetricSample)
-from .losses import LossSpec, batch_losses, batch_vq_losses
+from .losses import LossSpec
 from .processes import (ProcessSpec, SequenceSample, sample_marginal,
                         simulate_sequence, stationary_params, stream)
 
@@ -33,50 +34,6 @@ class MonteCarloEstimate:
 
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True)
-
-
-def empirical_risk(model, loss: LossSpec, sample: SequenceSample) -> float:
-    """Mean loss of the model on one realized sequence."""
-    if len(sample) == 0:
-        raise ValueError("empirical risk of an empty sample is undefined")
-    if loss.kind == "vq_nearest":
-        return float(np.mean(batch_vq_losses(model, sample.x)))
-    preds = _predictions(model, sample.x)
-    return float(np.mean(batch_losses(loss, preds, sample.y)))
-
-
-def _predictions(model, xs):
-    if not callable(model):
-        raise TypeError("model must be callable on input points")
-    preds = np.asarray(model(xs), dtype=float)
-    if preds.shape != (np.asarray(xs).shape[0],):
-        preds = np.array([float(model(x)) for x in xs])
-    return preds
-
-
-def threshold_classifier(b: float) -> Callable:
-    """sign(x - b) with sign(0) = +1."""
-    return lambda x: np.where(np.asarray(x, dtype=float) >= b, 1.0, -1.0)
-
-
-def risk_mc(model, loss: LossSpec, spec: ProcessSpec, n: int,
-            replications: int, seed: int) -> MonteCarloEstimate:
-    """Risk estimated by averaging the empirical risk over fresh paths.
-
-    Each replication draws an independent path, honoring the definition
-    of the risk as an average over sample paths rather than a time
-    average along a single one.
-    """
-    _check("replications", replications, 2, integer=True)
-    vals = np.empty(replications)
-    for r in range(replications):
-        sample = simulate_sequence(spec, n, seed, replication=r)
-        vals[r] = empirical_risk(model, loss, sample)
-    return MonteCarloEstimate(
-        value=float(np.mean(vals)),
-        std_error=float(np.std(vals, ddof=1) / np.sqrt(replications)),
-        replications=replications, seed=int(seed),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +121,10 @@ def empirical_rademacher_exact(cls: FunctionClassDescriptor, points) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Deviation suprema for enumerable classes
+# Deviation supremum of the threshold class
 
 class SupDeviation(NamedTuple):
-    argmax: object           # threshold value, or index into a finite class
+    argmax: float            # threshold value
     value: float
 
 
@@ -201,29 +158,20 @@ def threshold_empirical_risks(xs, ys):
 
 def sup_deviation(cls: FunctionClassDescriptor, loss: LossSpec,
                   sample: SequenceSample, risk_oracle: Callable) -> SupDeviation:
-    """Exact maximum of L(f) - Lhat(f) over the enumerated dichotomies.
+    """Exact maximum of L(f) - Lhat(f) of the zero-one loss over the
+    threshold class's canonical dichotomies.
 
-    ``risk_oracle`` maps a threshold array (threshold1d) or a single
-    callable (finite class) to the true risk.
+    ``risk_oracle`` maps a threshold array to the true risk.
     """
-    if loss.kind != "zero_one":
-        raise ValueError("deviation supremum is defined for the zero-one loss")
-    if cls.kind == "threshold1d":
-        thresholds, emps = threshold_empirical_risks(sample.x, sample.y)
-        risks = np.asarray(risk_oracle(thresholds), dtype=float)
-        devs = risks - emps
-        k = int(np.argmax(devs))
-        return SupDeviation(argmax=float(thresholds[k]), value=float(devs[k]))
-    if cls.kind == "finite":
-        devs = []
-        for f in cls.functions:
-            emp = empirical_risk(f, loss, sample)
-            devs.append(float(risk_oracle(f)) - emp)
-        k = int(np.argmax(devs))
-        return SupDeviation(argmax=k, value=float(devs[k]))
-    raise UnsupportedClassError(
-        f"deviation supremum needs an enumerable class, got {cls.kind!r}"
-    )
+    if cls.kind != "threshold1d":
+        raise UnsupportedClassError(
+            f"deviation supremum needs the threshold class, got {cls.kind!r}"
+        )
+    thresholds, emps = threshold_empirical_risks(sample.x, sample.y)
+    risks = np.asarray(risk_oracle(thresholds), dtype=float)
+    devs = risks - emps
+    k = int(np.argmax(devs))
+    return SupDeviation(argmax=float(thresholds[k]), value=float(devs[k]))
 
 
 def threshold_risk_oracle(spec: ProcessSpec) -> Callable:
@@ -298,15 +246,18 @@ def threshold_ghost_gap(train: SequenceSample, ghost: SequenceSample) -> float:
 
 def _symmetrization(cls: FunctionClassDescriptor, loss: LossSpec,
                     spec: ProcessSpec, n: int, epsilon: float,
-                    replications: int, seed: int, risk_oracle: Callable = None,
-                    pmap=map):
-    """The symmetrization check: the per-replication pairs (sup L - Lhat,
+                    replications: int, seed: int, pmap=map):
+    """Monte-Carlo check of P{sup L - Lhat >= eps} <= 2 P{sup Lhat' - Lhat >= eps/2}
+    for the threshold class: the per-replication pairs (sup L - Lhat,
     sup Lhat_ghost - Lhat), computed with ``pmap(fn, replications)``, and
-    the SymmetrizationResult of their event frequencies."""
-    if loss.kind != "zero_one":
-        raise ValueError("symmetrization check uses the zero-one loss")
-    if cls.kind not in ("threshold1d", "finite"):
-        raise UnsupportedClassError("symmetrization check needs an enumerable class")
+    the SymmetrizationResult of their event frequencies.
+
+    The left side uses the analytic risk of the process; the right side
+    uses independent ghost draws from the stationary marginal.  The check
+    passes when lhs <= 2*rhs + 3 combined standard errors.
+    """
+    if cls.kind != "threshold1d":
+        raise UnsupportedClassError("symmetrization check needs the threshold class")
     _check("replications", replications, 1, integer=True)
     _check("n", n, 1, integer=True)
     b = loss.range_b
@@ -317,24 +268,13 @@ def _symmetrization(cls: FunctionClassDescriptor, loss: LossSpec,
             f"symmetrization requires n*eps^2 >= 2*B^2 "
             f"(got n*eps^2 = {n * epsilon ** 2:g} < {2 * b ** 2:g})"
         )
-    if cls.kind == "threshold1d":
-        oracle = threshold_risk_oracle(spec)
-    elif risk_oracle is None:
-        raise ValueError("finite classes need an explicit risk_oracle")
-    else:
-        oracle = risk_oracle
+    oracle = threshold_risk_oracle(spec)
 
     def one(r):
         train = simulate_sequence(spec, n, seed, replication=r)
         ghost = sample_marginal(spec, n, seed, replication=r)
-        if cls.kind == "threshold1d":
-            return (sup_deviation(cls, loss, train, oracle).value,
-                    threshold_ghost_gap(train, ghost))
-        emp = np.array([empirical_risk(f, loss, train) for f in cls.functions])
-        emp_ghost = np.array([empirical_risk(f, loss, ghost)
-                              for f in cls.functions])
-        risks = np.array([float(oracle(f)) for f in cls.functions])
-        return float(np.max(risks - emp)), float(np.max(emp_ghost - emp))
+        return (sup_deviation(cls, loss, train, oracle).value,
+                threshold_ghost_gap(train, ghost))
 
     sups = list(pmap(one, range(replications)))
     lhs = sum(d >= epsilon for d, _ in sups) / replications
@@ -348,19 +288,3 @@ def _symmetrization(cls: FunctionClassDescriptor, loss: LossSpec,
         lhs_se=lhs_se, rhs_se=rhs_se, combined_se=combined,
         replications=replications,
     )
-
-
-def verify_symmetrization(cls: FunctionClassDescriptor, loss: LossSpec,
-                          spec: ProcessSpec, n: int, epsilon: float,
-                          replications: int, seed: int,
-                          risk_oracle: Callable = None) -> SymmetrizationResult:
-    """Monte-Carlo check of P{sup L - Lhat >= eps} <= 2 P{sup Lhat' - Lhat >= eps/2}.
-
-    The left side uses the analytic risk of the process (built in for the
-    threshold class; pass ``risk_oracle`` (f -> risk) for a finite class);
-    the right side uses independent ghost draws from the stationary
-    marginal.  The check passes when lhs <= 2*rhs + 3 combined standard
-    errors.
-    """
-    return _symmetrization(cls, loss, spec, n, epsilon, replications, seed,
-                           risk_oracle)[1]

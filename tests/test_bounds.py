@@ -14,11 +14,9 @@ from seqbounds.bounds import (_binomial_tail, _check,
                               exact_binomial_mean_tail,
                               linear_system_induced_vc_dim,
                               mixing_reference_bound, rademacher_risk_bound,
-                              regression_vc_bound, spectral_log_covering,
-                              vc_bound, vc_relative_bound)
-from seqbounds.classes import (covering_number_exhaustive,
-                               covering_number_greedy, kernel_ball_class)
-from seqbounds.losses import clipped_squared_loss, margin_loss, vq_loss
+                              regression_vc_bound, vc_bound,
+                              vc_relative_bound)
+from seqbounds.classes import covering_number_exhaustive, kernel_ball_class
 from seqbounds.processes import (ar1_process, ar_process, iid_process,
                                  markov_binary_process, sample_marginal,
                                  simulate_sequence)
@@ -372,7 +370,8 @@ class TestChaining:
         assert val == pytest.approx(0.5620911708577913, rel=1e-12)
 
     def test_best_depth_never_worse(self):
-        log_cov = spectral_log_covering(0.3, 50.0)
+        # the spectrally-regularized form A * sum ||x_i||^2 / eps^2
+        log_cov = lambda eps: 0.3 * 50.0 / eps ** 2
         best, depth = chaining_rad_upper_best(1.5, log_cov, 200)
         for n_depth in (1, 3, 10, 40):
             assert best <= chaining_rad_upper(1.5, n_depth, log_cov, 200) + 1e-15
@@ -450,8 +449,6 @@ _LOG2 = lambda e: math.log(2.0)
         1.0, 3, lambda e: math.nan, 100), id="chaining-log-covering-nan"),
     pytest.param("max_depth", lambda: chaining_rad_upper_best(
         1.0, _LOG2, 100, max_depth=0), id="chaining-best-max-depth-0"),
-    pytest.param("epsilon", lambda: covering_number_greedy(_VALUES, math.nan),
-                 id="greedy-epsilon-nan"),
     pytest.param("epsilon", lambda: covering_number_exhaustive(
         _VALUES, math.nan), id="exhaustive-epsilon-nan"),
     pytest.param("m_clip", lambda: class_rad_upper(
@@ -484,10 +481,6 @@ _LOG2 = lambda e: math.log(2.0)
     pytest.param("sum_kernel_diag", lambda: class_rad_upper(
         "kernel_gaussian", 100, m_clip=1.0, radius=1.0,
         sum_kernel_diag=math.nan), id="rad-upper-kernel-diag-nan"),
-    pytest.param("coefficient", lambda: spectral_log_covering(math.nan, 1.0),
-                 id="spectral-coefficient-nan"),
-    pytest.param("sum_sq_norm", lambda: spectral_log_covering(1.0, math.nan),
-                 id="spectral-sum-sq-norm-nan"),
     pytest.param("b", lambda: regression_vc_bound(0.0, 100, 4, 0.05, math.nan),
                  id="regression-b-nan"),
     pytest.param("b", lambda: mixing_reference_bound(
@@ -508,10 +501,6 @@ _LOG2 = lambda e: math.log(2.0)
                  id="plan-vc-count-overflow"),
     pytest.param("bandwidth", lambda: kernel_ball_class(1.0, bandwidth=1e308),
                  id="kernel-bandwidth-huge"),
-    pytest.param("gamma", lambda: margin_loss(math.nan), id="margin-loss"),
-    pytest.param("clip", lambda: clipped_squared_loss(math.nan),
-                 id="clipped-squared-loss"),
-    pytest.param("ball_radius", lambda: vq_loss(2, math.nan), id="vq-loss"),
     pytest.param("gamma", lambda: plan_n_margin(0.1, 0.1, math.nan, 1.0),
                  id="plan-gamma-nan"),
     pytest.param("tau_lambda_sum", lambda: plan_n_margin(

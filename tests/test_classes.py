@@ -2,18 +2,66 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from seqbounds.bounds import vc_bound
 from seqbounds.classes import (FunctionClassDescriptor, PseudoMetricSample,
                                UnsupportedClassError, _exhaustive_net_size,
-                               covering_number_exhaustive,
-                               covering_number_greedy, finite_class,
-                               growth_function_exact, kernel_ball_class,
-                               linear_ball_class, pseudo_metric,
-                               pseudo_metric_matrix, sauer_growth_bound,
-                               threshold_class, threshold_dichotomies,
-                               vc_dimension_exact)
+                               covering_number_exhaustive, finite_class,
+                               kernel_ball_class, linear_ball_class,
+                               pseudo_metric_matrix, threshold_class,
+                               threshold_dichotomies)
+from seqbounds.estimators import empirical_rademacher_exact
+
+
+def growth_function_exact(cls: FunctionClassDescriptor, points) -> int:
+    """Exact number of distinct label vectors the class realizes on ``points``.
+
+    Only enumerable kinds (finite, threshold1d) are supported.
+    """
+    if cls.kind == "threshold1d":
+        pts = np.asarray(points, dtype=float).ravel()
+        if np.unique(pts).size != pts.size:
+            raise ValueError("threshold1d growth needs pairwise distinct points")
+        _, labels = threshold_dichotomies(pts)
+        return len({tuple(row) for row in labels})
+    if cls.kind == "finite":
+        rows = set()
+        for f in cls.functions:
+            rows.add(tuple(float(f(p)) for p in points))
+        return len(rows)
+    raise UnsupportedClassError(
+        f"growth function enumeration not available for kind {cls.kind!r}"
+    )
+
+
+def vc_dimension_exact(cls: FunctionClassDescriptor, points) -> int:
+    """Largest subset of ``points`` shattered by an enumerable class."""
+    pts = list(points)
+    if len(pts) > 12:
+        raise ValueError("shattering enumeration is limited to 12 points")
+    if cls.kind == "threshold1d":
+        _, labels = threshold_dichotomies(pts)
+    elif cls.kind == "finite":
+        labels = np.array([[float(f(p)) for p in pts] for f in cls.functions])
+    else:
+        raise UnsupportedClassError(
+            f"VC enumeration not available for kind {cls.kind!r}"
+        )
+    for k in range(len(pts), 0, -1):
+        for idx in itertools.combinations(range(len(pts)), k):
+            realized = {tuple(row[list(idx)]) for row in labels}
+            if len(realized) == 2 ** k:
+                return k
+    return 0
+
+
+def pseudo_metric(f, f_prime, sample: PseudoMetricSample) -> float:
+    """Empirical L2 pseudo-distance of two functions, as the chaining check
+    measures it: the off-diagonal entry of ``pseudo_metric_matrix``."""
+    rows = np.vstack([sample.evaluate(f), sample.evaluate(f_prime)])
+    return float(pseudo_metric_matrix(rows)[0, 1])
 
 
 def all_sign_functions(n_points):
@@ -45,14 +93,19 @@ class TestGrowthFunction:
         assert growth_function_exact(threshold_class(), pts) == n + 1
 
     def test_growth_below_sauer_cap(self):
-        for n in range(1, 13):
-            pts = np.arange(n, dtype=float)
-            g = growth_function_exact(threshold_class(), pts)
-            assert g <= sauer_growth_bound(1, n) + 1e-12
-        cls = all_sign_functions(3)
-        d = vc_dimension_exact(cls, [0, 1, 2])
-        assert d == 3
-        assert growth_function_exact(cls, [0, 1, 2]) <= sauer_growth_bound(d, 3)
+        # vc_coverage and relative_coverage pass d_vc = 1 for the threshold
+        # class; vc_bound's Sauer form must cap the class's growth at 2n
+        # points
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 5, 50, 300):
+            pts = rng.permutation(np.arange(2 * n, dtype=float)) * 0.37 - 9.0
+            growth = growth_function_exact(threshold_class(), pts)
+            assert growth == 2 * n + 1
+            for delta in (0.5, 0.05, 1e-6):
+                by_dim = vc_bound(0.0, n, delta, d_vc=1).bound_value
+                by_growth = vc_bound(0.0, n, delta,
+                                     growth_2n=growth).bound_value
+                assert by_dim >= by_growth
 
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError):
@@ -61,28 +114,6 @@ class TestGrowthFunction:
     def test_non_enumerable_kind_rejected(self):
         with pytest.raises(UnsupportedClassError):
             growth_function_exact(linear_ball_class(2, 1.0), [0.0, 1.0])
-
-
-class TestSauerBound:
-    def test_cap_at_n_equal_d(self):
-        assert sauer_growth_bound(3, 3) == 8.0
-
-    def test_polynomial_regime(self):
-        # min(2^10, (e*10/2)^2)
-        assert sauer_growth_bound(2, 10) == pytest.approx(184.7264024732662, rel=1e-12)
-
-    def test_small_n_cap(self):
-        # the 2^n cap is active: min(4, 2e) = 4
-        assert sauer_growth_bound(1, 2) == 4.0
-
-    def test_below_d_returns_two_to_n(self):
-        assert sauer_growth_bound(5, 3) == 8.0
-
-    def test_precondition(self):
-        with pytest.raises(ValueError):
-            sauer_growth_bound(0, 5)
-        with pytest.raises(ValueError):
-            sauer_growth_bound(3, 0)
 
 
 class TestPseudoMetric:
@@ -157,12 +188,11 @@ class TestCoveringNumbers:
     def test_singleton(self):
         values = np.array([[1.0, 2.0, 3.0]])
         for eps in (0.01, 1.0, 100.0):
-            assert covering_number_greedy(values, eps) == 1
+            assert covering_number_exhaustive(values, eps) == 1
 
     def test_two_functions(self):
         values = np.array([[0.0, 0.0], [1.0, 1.0]])  # distance 1
-        assert covering_number_greedy(values, 1.5) == 1
-        assert covering_number_greedy(values, 0.5) == 2
+        assert covering_number_exhaustive(values, 1.5) == 1
         assert covering_number_exhaustive(values, 0.5) == 2
 
     @staticmethod
@@ -180,36 +210,26 @@ class TestCoveringNumbers:
                     return k
         return m
 
-    def test_greedy_matches_exhaustive_on_random_sets(self):
+    def test_exhaustive_matches_set_cover_on_random_sets(self):
         rng = np.random.default_rng(3)
         for trial in range(40):
             m = int(rng.integers(2, 13))
             values = rng.normal(size=(m, 5))
             dm_max = np.max(np.abs(values)) * 4 + 1
             for eps in (0.2, 0.7, 1.4, dm_max):
-                greedy = covering_number_greedy(values, eps)
                 exact = covering_number_exhaustive(values, eps)
-                oracle = self.set_cover_oracle(values, eps)
-                assert exact == oracle
-                assert greedy == oracle  # exact below the small-set cutoff
-
-    def test_greedy_upper_bounds_beyond_cutoff(self):
-        rng = np.random.default_rng(4)
-        values = rng.normal(size=(15, 4))  # above the exact cutoff
-        for eps in (0.3, 0.8, 1.5):
-            greedy = covering_number_greedy(values, eps)
-            assert greedy >= self.set_cover_oracle(values, eps)
+                assert exact == self.set_cover_oracle(values, eps)
 
     def test_monotone_in_epsilon(self):
         rng = np.random.default_rng(11)
         values = rng.normal(size=(10, 4))
         eps_grid = np.linspace(0.05, 4.0, 25)
-        counts = [covering_number_greedy(values, e) for e in eps_grid]
+        counts = [covering_number_exhaustive(values, e) for e in eps_grid]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_epsilon_positive(self):
         with pytest.raises(ValueError):
-            covering_number_greedy(np.zeros((2, 2)), 0.0)
+            covering_number_exhaustive(np.zeros((2, 2)), 0.0)
 
 
 def brute_force_net_size(dm, eps):
@@ -282,9 +302,14 @@ class TestDescriptors:
         assert linear_ball_class(4, 1.0, with_offset=True).vc_dim == 5
 
     def test_threshold_vc_dim_is_one(self):
+        # the d_vc = 1 that vc_coverage and relative_coverage pass
         cls = threshold_class()
         assert cls.vc_dim == 1
         assert vc_dimension_exact(cls, [0.0, 1.0, 2.0, 3.0]) == 1
+        rng = np.random.default_rng(1)
+        for n in range(1, 13):
+            pts = rng.choice(np.linspace(-1e6, 1e6, 4001), n, replace=False)
+            assert vc_dimension_exact(cls, pts) == 1
 
     def test_finite_vc_dim_matches_enumeration(self):
         cls = all_sign_functions(3)
@@ -306,3 +331,22 @@ class TestDescriptors:
         thresholds, labels = threshold_dichotomies([3.0, 1.0, 2.0])
         assert thresholds.shape == (4,)
         assert labels.shape == (4, 3)
+
+
+def ranks(points):
+    """0, 1, ... for the distinct points in ascending order; ties share one."""
+    return np.unique(points, return_inverse=True)[1].astype(float)
+
+
+class TestThresholdDichotomies:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(-1e50, 1e50), min_size=1, max_size=8))
+    @example([0.0, 1e16, 2e16])                    # + 1.0 lost above 2^53
+    @example([1e16, 1e16 + 2, 1e16 + 4, -1.0])     # midpoints round onto points
+    @example([1.0, float(np.nextafter(1.0, 2.0)), 3.0, -5.0])
+    def test_rademacher_depends_on_ranks_alone(self, points):
+        # sign(x - b) realizes the same labelings on any points of the same
+        # order, however large or close together they are
+        pts = np.array(points)
+        assert (empirical_rademacher_exact(threshold_class(), pts)
+                == empirical_rademacher_exact(threshold_class(), ranks(pts)))

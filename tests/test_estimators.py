@@ -8,11 +8,11 @@ from seqbounds import estimators
 from seqbounds.classes import (finite_class, kernel_ball_class,
                                linear_ball_class, threshold_class)
 from seqbounds.estimators import (empirical_rademacher,
-                                  empirical_rademacher_exact, empirical_risk,
-                                  risk_mc, sup_deviation, threshold_classifier,
+                                  empirical_rademacher_exact, sup_deviation,
                                   threshold_empirical_risks,
                                   threshold_ghost_gap, threshold_risk_oracle,
-                                  verify_symmetrization, violation_rate)
+                                  violation_rate)
+from seqbounds.experiments import symmetrization
 from seqbounds.losses import zero_one_loss
 from seqbounds.processes import (SequenceSample, ar1_process, iid_process,
                                  sample_marginal, simulate_sequence,
@@ -25,66 +25,14 @@ def make_sample(x, y):
                           seed=0, replication=0, process="manual")
 
 
-class TestEmpiricalRisk:
-    def test_perfect_classifier(self):
-        sample = make_sample([-1.0, 2.0, 0.5], [-1.0, 1.0, 1.0])
-        assert empirical_risk(threshold_classifier(0.0), zero_one_loss(), sample) == 0.0
-
-    def test_constant_wrong(self):
-        sample = make_sample([1.0, 2.0], [-1.0, -1.0])
-        model = lambda x: np.ones_like(np.asarray(x, float))
-        assert empirical_risk(model, zero_one_loss(), sample) == 1.0
-
-    def test_half_wrong(self):
-        sample = make_sample([-1.0, 1.0], [1.0, 1.0])
-        assert empirical_risk(threshold_classifier(0.0), zero_one_loss(), sample) == 0.5
-
-    def test_empty_sample_rejected(self):
-        sample = make_sample([], [])
-        with pytest.raises(ValueError):
-            empirical_risk(threshold_classifier(0.0), zero_one_loss(), sample)
-
-
-class TestRiskMc:
-    def test_noiseless_matching_threshold(self):
-        spec = ar1_process(0.6, 1.0, b_star=0.3, flip_p=0.0)
-        est = risk_mc(threshold_classifier(0.3), zero_one_loss(), spec,
-                      n=200, replications=20, seed=5)
-        assert est.value == 0.0 and est.std_error == 0.0
-
-    def test_bayes_risk_equals_flip_probability(self):
-        spec = ar1_process(0.6, 1.0, b_star=0.0, flip_p=0.1)
-        est = risk_mc(threshold_classifier(0.0), zero_one_loss(), spec,
-                      n=400, replications=60, seed=6)
-        assert abs(est.value - 0.1) <= 3 * est.std_error
-
-    def test_iid_baseline_analytic_risk(self):
-        spec = iid_process(dist="normal", sigma=1.0, b_star=0.0, flip_p=0.2)
-        oracle = threshold_risk_oracle(spec)
-        b = 0.7
-        est = risk_mc(threshold_classifier(b), zero_one_loss(), spec,
-                      n=500, replications=60, seed=7)
-        assert abs(est.value - oracle(np.array([b]))[0]) <= 3 * est.std_error
-
-    def test_range_and_preconditions(self):
-        spec = ar1_process(0.5, 1.0, flip_p=0.4)
-        est = risk_mc(threshold_classifier(1.0), zero_one_loss(), spec,
-                      n=100, replications=10, seed=8)
-        assert 0.0 <= est.value <= 1.0
-        with pytest.raises(ValueError):
-            risk_mc(threshold_classifier(0.0), zero_one_loss(), spec, 100, 1, 8)
-
+class TestEmpiricalRademacher:
     def test_estimate_json_record(self):
         import json
-        spec = ar1_process(0.5, 1.0)
-        est = risk_mc(threshold_classifier(0.0), zero_one_loss(), spec,
-                      n=50, replications=4, seed=9)
+        est = empirical_rademacher(threshold_class(), [0.0, 1.0, 2.0], 4, 9)
         payload = json.loads(est.to_json())
         assert set(payload) == {"value", "std_error", "replications", "seed"}
         assert payload["replications"] == 4
 
-
-class TestEmpiricalRademacher:
     def test_singleton_class_exactly_zero(self):
         cls = finite_class([lambda x: np.cos(np.asarray(x, float))])
         est = empirical_rademacher(cls, np.linspace(0, 1, 6), 50, 3)
@@ -310,23 +258,6 @@ class TestThresholdMachinery:
 
 
 class TestSupDeviation:
-    def test_single_function_class(self):
-        sample = make_sample([-1.0, 1.0], [1.0, 1.0])
-        f = threshold_classifier(0.0)
-        cls = finite_class([f])
-        result = sup_deviation(cls, zero_one_loss(), sample,
-                               risk_oracle=lambda fn: 0.75)
-        assert result.value == pytest.approx(0.75 - 0.5)
-
-    def test_zero_when_oracle_matches_empirical(self):
-        sample = make_sample([-1.0, 1.0], [-1.0, 1.0])
-        f = threshold_classifier(0.0)
-        cls = finite_class([f])
-        emp = empirical_risk(f, zero_one_loss(), sample)
-        result = sup_deviation(cls, zero_one_loss(), sample,
-                               risk_oracle=lambda fn: emp)
-        assert result.value == 0.0
-
     def test_threshold_class_value_vs_direct_scan(self):
         spec = ar1_process(0.7, 1.0, b_star=0.2, flip_p=0.1)
         oracle = threshold_risk_oracle(spec)
@@ -335,12 +266,6 @@ class TestSupDeviation:
         thresholds, emps = threshold_empirical_risks(path.x, path.y)
         direct = np.max(oracle(thresholds) - emps)
         assert res.value == pytest.approx(direct)
-
-    def test_loss_kind_checked(self):
-        from seqbounds.losses import margin_loss
-        path = simulate_sequence(ar1_process(0.5, 1.0), 10, 1)
-        with pytest.raises(ValueError):
-            sup_deviation(threshold_class(), margin_loss(0.5), path, lambda b: b)
 
 
 class TestThresholdRiskOracle:
@@ -384,32 +309,12 @@ class TestSymmetrization:
     def test_precondition_named(self):
         spec = ar1_process(0.8, 0.6, flip_p=0.1)
         with pytest.raises(ValueError, match="n\\*eps\\^2 >= 2\\*B\\^2"):
-            verify_symmetrization(threshold_class(), zero_one_loss(), spec,
-                                  n=10, epsilon=0.2, replications=5, seed=1)
+            symmetrization(spec, n=10, epsilon=0.2, replications=5, seed=1)
 
     def test_holds_on_ar1(self):
         spec = ar1_process(0.8, 0.6, flip_p=0.1)
-        result = verify_symmetrization(threshold_class(), zero_one_loss(),
-                                       spec, n=200, epsilon=0.2,
-                                       replications=120, seed=21)
+        result = symmetrization(spec, n=200, epsilon=0.2, replications=120,
+                                seed=21)
         assert result.holds
-        assert 0.0 <= result.lhs_freq <= 1.0
-        assert result.replications == 120
-
-    def test_singleton_class_holds(self):
-        # a single function: both sides are tails of one empirical average
-        spec = ar1_process(0.8, 0.6, flip_p=0.1)
-        oracle = threshold_risk_oracle(spec)
-        f = threshold_classifier(0.4)
-        cls = finite_class([f])
-        result = verify_symmetrization(cls, zero_one_loss(), spec, n=200,
-                                       epsilon=0.2, replications=100, seed=22,
-                                       risk_oracle=lambda fn: oracle(np.array([0.4]))[0])
-        assert result.holds
-
-    def test_finite_class_needs_oracle(self):
-        spec = ar1_process(0.8, 0.6)
-        cls = finite_class([threshold_classifier(0.0)])
-        with pytest.raises(ValueError, match="risk_oracle"):
-            verify_symmetrization(cls, zero_one_loss(), spec, n=200,
-                                  epsilon=0.2, replications=5, seed=1)
+        assert 0.0 <= result.summary["lhs_freq"] <= 1.0
+        assert len(result.records) == 120

@@ -12,9 +12,6 @@ from scipy import integrate, special, stats
 from seqbounds import bounds as bnd
 from seqbounds import classes
 from seqbounds import experiments as xp
-from seqbounds.estimators import verify_symmetrization
-from seqbounds.classes import threshold_class
-from seqbounds.losses import zero_one_loss
 from seqbounds.experiments import (_clipped_ray_risks, _linear_model_grid,
                                    _margin_empirical_risks,
                                    bound_vs_n_records, chaining_dominance,
@@ -162,17 +159,6 @@ class TestCoverageExperiments:
         spec = ar1_process(0.8, 0.6, b_star=0.3)
         with pytest.raises(ValueError):
             margin_rad_coverage(spec, 0.5, 1.0, 100, 5, 0.05, 1)
-
-    def test_symmetrization_consistent_with_estimator(self):
-        spec = ar1_process(0.8, 0.6, flip_p=0.1)
-        exp = symmetrization(spec, n=200, epsilon=0.2, replications=80,
-                             seed=3131)
-        est = verify_symmetrization(threshold_class(), zero_one_loss(), spec,
-                                    n=200, epsilon=0.2, replications=80,
-                                    seed=3131)
-        assert exp.summary["lhs_freq"] == est.lhs_freq
-        assert exp.summary["rhs_freq"] == est.rhs_freq
-        assert exp.holds == est.holds
 
     def test_scenario_coverage_small(self):
         prog = one_dim_threshold_program(theta_lo=-6.0, theta_hi=6.0,

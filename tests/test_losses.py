@@ -1,84 +1,38 @@
 import numpy as np
-import pytest
 
-from seqbounds.losses import (batch_losses, batch_vq_losses,
-                              clipped_squared_loss, eval_loss, margin_loss,
-                              vq_loss, zero_one_loss)
+from seqbounds.experiments import _clipped_ray_risks, _margin_empirical_risks
+from seqbounds.losses import zero_one_loss
 
 
-class TestEvalLoss:
-    def test_zero_one_match(self):
-        assert eval_loss(zero_one_loss(), 1.0, (0.3, 1.0)) == 0.0
-        assert eval_loss(zero_one_loss(), -1.0, (0.3, 1.0)) == 1.0
-
-    def test_margin_example(self):
-        # gamma=0.5, y=+1, g(x)=0.25 -> min(1, 0.75/0.5) = 1
-        spec = margin_loss(0.5)
-        assert eval_loss(spec, 0.25, (0.0, 1.0)) == 1.0
-
-    def test_clipped_boundary(self):
-        spec = clipped_squared_loss(1.0)
-        assert eval_loss(spec, 3.0, (0.0, 1.0)) == 0.0
-        assert eval_loss(spec, -3.0, (0.0, 1.0)) == 4.0
-
-    def test_vq_example(self):
-        spec = vq_loss(2, ball_radius=10.0)
-        assert eval_loss(spec, [[0.0], [10.0]], 1.0) == pytest.approx(1.0)
-
-    def test_callable_model(self):
-        spec = zero_one_loss()
-        model = lambda x: np.sign(x)
-        assert eval_loss(spec, model, (2.0, 1.0)) == 0.0
-
-    def test_incompatible_pairings(self):
-        with pytest.raises(TypeError):
-            eval_loss(vq_loss(2, 1.0), [[0.0]], 1.0)  # wrong codebook size
-        with pytest.raises(TypeError):
-            eval_loss(margin_loss(0.5), [1.0, 2.0], (0.0, 1.0))
-        with pytest.raises(TypeError):
-            eval_loss(zero_one_loss(), 1.0, 3.0)  # not an (x, y) pair
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            margin_loss(0.0)
-        with pytest.raises(ValueError):
-            clipped_squared_loss(-1.0)
-        with pytest.raises(ValueError):
-            vq_loss(0, 1.0)
+def margin_losses(gamma, scores, labels):
+    """Per-point margin losses phi(y g) of the margin check: the empirical
+    risks of the models w = y g on the single point s = 1."""
+    return _margin_empirical_risks(np.array([1.0]),
+                                   np.asarray(labels) * scores, gamma)
 
 
 class TestRangesAndSpecs:
     def test_declared_ranges(self):
         assert zero_one_loss().range_b == 1.0
-        assert margin_loss(0.25).range_b == 1.0
-        assert margin_loss(0.25).lipschitz_link == 4.0
-        assert clipped_squared_loss(2.0).range_b == 16.0
-        assert vq_loss(3, 0.5).range_b == 1.0
+        assert zero_one_loss().lipschitz_link == 1.0
 
     def test_values_stay_in_range(self):
+        # the margin check's losses lie in [0, 1]; the regression check's
+        # clipped squared losses in [0, 4 M^2] for targets within [-M, M]
         rng = np.random.default_rng(5)
-        specs = [zero_one_loss(), margin_loss(0.3), clipped_squared_loss(1.5)]
-        for spec in specs:
-            preds = rng.normal(scale=5.0, size=500)
-            ys = np.where(rng.random(500) < 0.5, 1.0, -1.0)
-            if spec.kind == "clipped_squared":
-                ys = rng.uniform(-spec.clip, spec.clip, 500)
-            vals = batch_losses(spec, preds, ys)
-            assert np.all(vals >= 0.0)
-            assert np.all(vals <= spec.range_b + 1e-12)
-
-    def test_vq_values_in_range(self):
-        rng = np.random.default_rng(6)
-        lam = 2.0
-        spec = vq_loss(3, lam)
-        for _ in range(30):
-            cb = rng.normal(size=(3, 2))
-            cb *= lam / np.maximum(np.linalg.norm(cb, axis=1, keepdims=True), lam)
-            x = rng.normal(size=(40, 2))
-            x *= lam / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), lam)
-            vals = batch_vq_losses(cb, x)
-            assert np.all(vals >= 0.0)
-            assert np.all(vals <= spec.range_b + 1e-12)
+        preds = rng.normal(scale=5.0, size=500)
+        ys = np.where(rng.random(500) < 0.5, 1.0, -1.0)
+        vals = margin_losses(0.3, preds, ys)
+        assert np.all(vals >= 0.0)
+        assert np.all(vals <= 1.0 + 1e-12)
+        m_clip = 1.5
+        ys = rng.uniform(-m_clip, m_clip, 500)
+        for p, y in zip(preds, ys):
+            # the model x -> 1 * x on the point (x, y) = (p, y)
+            val = _clipped_ray_risks(np.array([[p]]), np.array([y]),
+                                     np.array([[1.0]]), np.array([1.0]),
+                                     m_clip)[0, 0]
+            assert 0.0 <= val <= 4.0 * m_clip ** 2 + 1e-12
 
 
 class TestMarginProperties:
@@ -86,21 +40,19 @@ class TestMarginProperties:
         # misclassification (y g <= 0) forces margin loss 1 when gamma <= 1
         rng = np.random.default_rng(9)
         for gamma in (0.1, 0.5, 1.0):
-            spec = margin_loss(gamma)
             g = rng.normal(scale=2.0, size=1000)
             y = np.where(rng.random(1000) < 0.5, 1.0, -1.0)
-            margin_vals = batch_losses(spec, g, y)
+            margin_vals = margin_losses(gamma, g, y)
             indicator = (np.sign(g) != y) & (y * g <= 0)
             assert np.all(margin_vals[indicator] >= 1.0 - 1e-12)
             assert np.all(indicator.astype(float) <= margin_vals + 1e-12)
 
     def test_lipschitz_in_score(self):
         gamma = 0.4
-        spec = margin_loss(gamma)
         rng = np.random.default_rng(10)
         g = rng.normal(scale=3.0, size=2000)
         h = 1e-6
-        up = batch_losses(spec, g + h, np.ones_like(g))
-        down = batch_losses(spec, g - h, np.ones_like(g))
+        up = margin_losses(gamma, g + h, np.ones_like(g))
+        down = margin_losses(gamma, g - h, np.ones_like(g))
         deriv = np.abs(up - down) / (2 * h)
         assert np.all(deriv <= 1.0 / gamma + 1e-6)
