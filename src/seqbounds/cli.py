@@ -2,9 +2,10 @@
 
 Reads a JSON experiment config, runs the requested command and writes a
 deterministic ``summary.json`` (plus ``records.csv`` for experiments and a
-``meta.json`` with the timestamp).  Exit codes: 0 success, 2 invalid
-config or malformed records, 3 a validation experiment's acceptance
-property failed, 4 I/O failure.
+``meta.json`` with the timestamp).  Every ``validate`` check, the
+symmetrization check included, is one function of ``experiments``.
+Exit codes: 0 success, 2 invalid config, 3 a validation experiment's
+acceptance property failed, 4 I/O failure.
 """
 from __future__ import annotations
 
@@ -106,10 +107,10 @@ def _arguments(config, choice):
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each takes (config, out_dir, threads) and returns
+# Command handlers: each takes (config, out_dir) and returns
 # (summary_dict, records_or_None, holds)
 
-def _run_bound(config, out_dir, threads):
+def _run_bound(config, out_dir):
     rep = _from_dict(_bound_function(config),
                      {"emp_risk": 0.0, **_arguments(config, "bound")}, "bound")
     if rep is None:     # the mixing bound does not apply at this delta
@@ -117,7 +118,7 @@ def _run_bound(config, out_dir, threads):
     return {"report": rep.to_dict()}, None, True
 
 
-def _run_plan(config, out_dir, threads):
+def _run_plan(config, out_dir):
     args = _arguments(config, "method")
     n = _from_dict(_planner(config), args, "plan")
     capacity = {k: v for k, v in args.items() if k not in ("epsilon", "delta")}
@@ -126,7 +127,7 @@ def _run_plan(config, out_dir, threads):
         None, True
 
 
-def _run_simulate(config, out_dir, threads):
+def _run_simulate(config, out_dir):
     spec = process_from_dict(config["process"])
     sample = simulate_sequence(spec, config["n"], config["seed"])
     path = out_dir / "sequence.csv"
@@ -141,7 +142,7 @@ def _run_simulate(config, out_dir, threads):
     return summary, None, True
 
 
-def _run_rad(config, out_dir, threads):
+def _run_rad(config, out_dir):
     cls = _from_kind_dict(_CLASSES, config["class"], "class")
     if "points" in config:
         points = config["points"]
@@ -153,7 +154,7 @@ def _run_rad(config, out_dir, threads):
     return {"estimate": est.to_dict()}, None, True
 
 
-def _run_validate(config, out_dir, threads):
+def _run_validate(config, out_dir):
     attr, keys, *fixed = _experiment(config)
     parse = {
         "process": lambda: process_from_dict(config["process"]),
@@ -163,6 +164,7 @@ def _run_validate(config, out_dir, threads):
             for key in keys.split()]
     function = getattr(xp, attr)
     names, _ = _parameters(function)
+    threads = config.get("threads", 1)
     result = function(*args, *fixed,
                       **({"threads": threads} if "threads" in names else {}))
     summary = {"experiment": result.name, "holds": result.holds,
@@ -170,7 +172,7 @@ def _run_validate(config, out_dir, threads):
     return summary, result.records, result.holds
 
 
-def _run_scenario(config, out_dir, threads):
+def _run_scenario(config, out_dir):
     program = scn.ScenarioProgramSpec.from_dict(config["program"])
     spec = process_from_dict(config["process"])
     cert = scn.certify(program, spec, config["epsilon"], config["delta"],
@@ -215,7 +217,7 @@ def _config_error(exc):
     return EXIT_CONFIG
 
 
-def run(config: dict, out_dir, threads: int = 1) -> int:
+def run(config: dict, out_dir) -> int:
     """Validate and execute one config; write outputs under ``out_dir``."""
     try:
         config = validate_config(config)
@@ -229,8 +231,7 @@ def run(config: dict, out_dir, threads: int = 1) -> int:
         return EXIT_IO
     _, handler = _COMMANDS[config["command"]]
     try:
-        summary, records, holds = handler(config, out_dir,
-                                          config.get("threads", threads))
+        summary, records, holds = handler(config, out_dir)
     except (ValueError, KeyError, TypeError) as exc:
         return _config_error(exc)
     payload = {"config": config, "summary": summary}
@@ -280,63 +281,6 @@ def write_records_csv(records, path):
             writer.writerow({k: _plain(v) for k, v in rec.items()})
 
 
-def emit_plot_data(records, sweep: str, path):
-    """Plot-ready CSV: the input rows stably sorted by the sweep column.
-
-    Column layout: the sweep column first, then the remaining columns in
-    their original order.  Malformed records (missing the sweep column,
-    inconsistent keys, or sweep values that do not order, such as text and
-    numbers mixed) raise ConfigError.
-    """
-    records = list(records)
-    if not records:
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerow([sweep])
-        return
-    keys = list(records[0].keys())
-    for rec in records:
-        if list(rec.keys()) != keys:
-            raise ConfigError("records have inconsistent columns")
-    if sweep not in keys:
-        raise ConfigError(f"records lack the sweep column {sweep!r}")
-    columns = [sweep] + [k for k in keys if k != sweep]
-    try:
-        ordered = sorted(records, key=lambda r: r[sweep])
-    except TypeError:
-        raise ConfigError(f"sweep column {sweep!r} mixes values that do not "
-                          f"order") from None
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
-        writer.writeheader()
-        for rec in ordered:
-            writer.writerow({k: _plain(v) for k, v in rec.items()})
-
-
-def _read_records_csv(path):
-    """The rows of a records CSV; a row with more or fewer cells than the
-    header raises ConfigError (the reader files them under key or value
-    None)."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        records = []
-        for row in reader:
-            if None in row or None in row.values():
-                raise ConfigError(f"record on line {reader.line_num} does "
-                                  f"not have {len(reader.fieldnames)} cells")
-            records.append({k: _parse_cell(v) for k, v in row.items()})
-        return records
-
-
-def _parse_cell(v):
-    # int first, so "3" stays an int; float also reads "inf", "-inf", "nan"
-    for cast in (int, float):
-        try:
-            return cast(v)
-        except (ValueError, TypeError):
-            pass
-    return v
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="seqbounds",
@@ -350,44 +294,26 @@ def main(argv=None) -> int:
                         help=f"output directory (default ${ENV_OUT} or ./seqbounds_out)")
     parser.add_argument("--replications", type=int,
                         help="override the config replication count")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="replication fan-out width")
-    parser.add_argument("--plot-data", type=Path, dest="plot_data",
-                        help="turn a records CSV into plot-ready CSV")
-    parser.add_argument("--sweep", type=str, default="n",
-                        help="sweep column for --plot-data")
+    parser.add_argument("--threads", type=int,
+                        help="override the config replication fan-out width")
     args = parser.parse_args(argv)
 
-    if args.plot_data is not None:
-        try:
-            records = _read_records_csv(args.plot_data)
-            args.out.mkdir(parents=True, exist_ok=True)
-            emit_plot_data(records, args.sweep, args.out / "plot.csv")
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except OSError as exc:
-            print(f"i/o error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        return EXIT_OK
-
     if args.config is None:
-        print("config error: --config (or --plot-data) is required",
-              file=sys.stderr)
+        print("config error: --config is required", file=sys.stderr)
         return EXIT_CONFIG
     try:
         config = json.loads(args.config.read_text())
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:     # not UTF-8, or not JSON
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if isinstance(config, dict):    # run names any other value
         config.update((key, value) for key, value in (
-            ("seed", args.seed), ("replications", args.replications))
-            if value is not None)
-    return run(config, args.out, threads=args.threads)
+            ("seed", args.seed), ("replications", args.replications),
+            ("threads", args.threads)) if value is not None)
+    return run(config, args.out)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,9 @@
 """Monte-Carlo and closed-form estimators: Rademacher complexity, the
 threshold class's empirical risks and deviation supremum, its analytic
-risk, violation rates, and the empirical check of the ghost-sample
-symmetrization inequality."""
+risk, violation rates, and the ghost gap of the symmetrization check (the
+check itself is ``experiments.symmetrization``)."""
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -17,8 +15,7 @@ from .classes import (FunctionClassDescriptor, UnsupportedClassError,
                       evaluation_matrix, threshold_dichotomies,
                       PseudoMetricSample)
 from .losses import LossSpec
-from .processes import (ProcessSpec, SequenceSample, sample_marginal,
-                        simulate_sequence, stationary_params, stream)
+from .processes import ProcessSpec, SequenceSample, stationary_params, stream
 
 
 @dataclass(frozen=True)
@@ -31,9 +28,6 @@ class MonteCarloEstimate:
     def to_dict(self):
         return {"value": self.value, "std_error": self.std_error,
                 "replications": self.replications, "seed": self.seed}
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -212,79 +206,20 @@ def violation_rate(theta, program, draws) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Symmetrization check
-
-@dataclass(frozen=True)
-class SymmetrizationResult:
-    lhs_freq: float
-    rhs_freq: float
-    holds: bool
-    lhs_se: float
-    rhs_se: float
-    combined_se: float
-    replications: int
-
+# Ghost gap of the symmetrization check
 
 def threshold_ghost_gap(train: SequenceSample, ghost: SequenceSample) -> float:
     """sup over all thresholds of Lhat_ghost(b) - Lhat_train(b).
 
-    Exact: evaluated at the canonical dichotomies of the pooled points.
+    Exact: evaluated at every dichotomy ``x >= u`` of the pooled points, for
+    each distinct pooled point u and u = +inf, with no arithmetic on x.
     """
-    pooled = np.concatenate([np.sort(np.asarray(train.x, float)),
-                             np.sort(np.asarray(ghost.x, float))])
-    pooled = np.unique(pooled)
-    mids = (pooled[:-1] + pooled[1:]) / 2.0
-    cand = np.concatenate(([-np.inf], mids, [np.inf]))
+    cand = np.append(np.unique(np.concatenate([
+        np.asarray(train.x, float), np.asarray(ghost.x, float)])), np.inf)
 
-    def risks(sample):     # errors(b) = #{x >= b, y=-1} + #{x < b, y=+1}
+    def risks(sample):     # errors(u) = #{x >= u, y=-1} + #{x < u, y=+1}
         xs = np.asarray(sample.x, dtype=float)
         xs_sorted, errors = _threshold_errors(xs, np.asarray(sample.y, float))
         return errors[np.searchsorted(xs_sorted, cand, side="left")] / xs.size
 
     return float(np.max(risks(ghost) - risks(train)))
-
-
-def _symmetrization(cls: FunctionClassDescriptor, loss: LossSpec,
-                    spec: ProcessSpec, n: int, epsilon: float,
-                    replications: int, seed: int, pmap=map):
-    """Monte-Carlo check of P{sup L - Lhat >= eps} <= 2 P{sup Lhat' - Lhat >= eps/2}
-    for the threshold class: the per-replication pairs (sup L - Lhat,
-    sup Lhat_ghost - Lhat), computed with ``pmap(fn, replications)``, and
-    the SymmetrizationResult of their event frequencies.
-
-    The left side uses the analytic risk of the process; the right side
-    uses independent ghost draws from the stationary marginal.  The check
-    passes when lhs <= 2*rhs + 3 combined standard errors.
-    """
-    if cls.kind != "threshold1d":
-        raise UnsupportedClassError("symmetrization check needs the threshold class")
-    _check("replications", replications, 1, integer=True)
-    _check("n", n, 1, integer=True)
-    b = loss.range_b
-    # a deviation of the loss never exceeds its range B
-    _check("epsilon", epsilon, 0, b, lo_open=True)
-    if n * epsilon ** 2 < 2.0 * b ** 2:
-        raise ValueError(
-            f"symmetrization requires n*eps^2 >= 2*B^2 "
-            f"(got n*eps^2 = {n * epsilon ** 2:g} < {2 * b ** 2:g})"
-        )
-    oracle = threshold_risk_oracle(spec)
-
-    def one(r):
-        train = simulate_sequence(spec, n, seed, replication=r)
-        ghost = sample_marginal(spec, n, seed, replication=r)
-        return (sup_deviation(cls, loss, train, oracle).value,
-                threshold_ghost_gap(train, ghost))
-
-    sups = list(pmap(one, range(replications)))
-    lhs = sum(d >= epsilon for d, _ in sups) / replications
-    rhs = sum(g >= epsilon / 2.0 for _, g in sups) / replications
-    lhs_se = math.sqrt(lhs * (1 - lhs) / replications)
-    rhs_se = math.sqrt(rhs * (1 - rhs) / replications)
-    combined = math.sqrt(lhs_se ** 2 + 4.0 * rhs_se ** 2)
-    return sups, SymmetrizationResult(
-        lhs_freq=lhs, rhs_freq=rhs,
-        holds=lhs <= 2.0 * rhs + 3.0 * combined,
-        lhs_se=lhs_se, rhs_se=rhs_se, combined_se=combined,
-        replications=replications,
-    )

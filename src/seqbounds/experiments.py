@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -15,9 +14,9 @@ from .bounds import _SCALE_MAX, _check
 from . import scenario as scn
 from .classes import (_exhaustive_net_size, finite_class, kernel_ball_class,
                       pseudo_metric_matrix, threshold_class)
-from .estimators import (_symmetrization, empirical_rademacher,
-                         threshold_empirical_risks, threshold_risk_oracle,
-                         violation_rate)
+from .estimators import (empirical_rademacher, sup_deviation,
+                         threshold_empirical_risks, threshold_ghost_gap,
+                         threshold_risk_oracle, violation_rate)
 from .losses import zero_one_loss
 from .processes import (ProcessSpec, ar1_process, sample_marginal,
                         simulate_sequence, stationary_params, stream)
@@ -371,10 +370,38 @@ def symmetrization(spec: ProcessSpec, n: int, epsilon: float,
     ghost sample is n independent draws from the stationary marginal.
     Hypothesis: a stationary sequence and n eps^2 >= 2 B^2, the condition
     of the ghost-sample step; no mixing rate.
+
+    Each replication r gives the pair (sup L - Lhat, sup Lhat_ghost - Lhat)
+    of P{sup L - Lhat >= eps} <= 2 P{sup Lhat' - Lhat >= eps/2}: the left
+    side uses the analytic risk of the process, the right side the ghost
+    draws.  The check holds when the event frequencies satisfy
+    lhs <= 2*rhs + 3 combined standard errors.
     """
-    sups, verdict = _symmetrization(threshold_class(), zero_one_loss(), spec,
-                                    n, epsilon, replications, seed,
-                                    pmap=partial(_pmap, threads=threads))
+    cls, loss = threshold_class(), zero_one_loss()
+    _check("replications", replications, 1, integer=True)
+    _check("n", n, 1, integer=True)
+    b = loss.range_b
+    # a deviation of the loss never exceeds its range B
+    _check("epsilon", epsilon, 0, b, lo_open=True)
+    if n * epsilon ** 2 < 2.0 * b ** 2:
+        raise ValueError(
+            f"symmetrization requires n*eps^2 >= 2*B^2 "
+            f"(got n*eps^2 = {n * epsilon ** 2:g} < {2 * b ** 2:g})"
+        )
+    oracle = threshold_risk_oracle(spec)
+
+    def one(r):
+        train = simulate_sequence(spec, n, seed, replication=r)
+        ghost = sample_marginal(spec, n, seed, replication=r)
+        return (sup_deviation(cls, loss, train, oracle).value,
+                threshold_ghost_gap(train, ghost))
+
+    sups = _pmap(one, range(replications), threads)
+    lhs = sum(d >= epsilon for d, _ in sups) / replications
+    rhs = sum(g >= epsilon / 2.0 for _, g in sups) / replications
+    lhs_se = math.sqrt(lhs * (1 - lhs) / replications)
+    rhs_se = math.sqrt(rhs * (1 - rhs) / replications)
+    combined = math.sqrt(lhs_se ** 2 + 4.0 * rhs_se ** 2)
     records = [
         # a replication only counts against the inequality when the training
         # deviation event fires without the ghost-gap event
@@ -384,10 +411,9 @@ def symmetrization(spec: ProcessSpec, n: int, epsilon: float,
     ]
     return ExperimentResult(
         name="symmetrization", records=records,
-        summary={"lhs_freq": verdict.lhs_freq, "rhs_freq": verdict.rhs_freq,
-                 "combined_se": verdict.combined_se, "epsilon": epsilon,
-                 "n": n},
-        holds=verdict.holds,
+        summary={"lhs_freq": lhs, "rhs_freq": rhs, "combined_se": combined,
+                 "epsilon": epsilon, "n": n},
+        holds=lhs <= 2.0 * rhs + 3.0 * combined,
     )
 
 
@@ -609,16 +635,7 @@ def quarter_lemma_grid(m_max: int = 50, p_step: float = 0.01) -> ExperimentResul
 
 
 # ---------------------------------------------------------------------------
-# Deterministic sweeps for plot data
-
-def bound_vs_n_records(d_vc: int, delta: float, ns) -> list:
-    records = []
-    for n in ns:
-        rep = bnd.vc_bound(0.0, n, delta, d_vc=d_vc)
-        records.append({"n": n, "bound": rep.bound_value, "d_vc": d_vc,
-                        "delta": delta})
-    return records
-
+# Defaults
 
 def default_scenario_program(theta_lo=-10.0, theta_hi=10.0, margin=1.0):
     return scn.one_dim_threshold_program(theta_lo=theta_lo, theta_hi=theta_hi,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -62,10 +61,6 @@ class AffineMap:
 
     def to_dict(self):
         return {"matrix": self.matrix.tolist(), "offset": self.offset.tolist()}
-
-    @classmethod
-    def from_dict(cls, d):
-        return _from_dict(cls, d, "affine map")
 
 
 @dataclass(frozen=True)
@@ -140,10 +135,6 @@ class ConstraintPiece:
     def to_dict(self):
         return {"psi": self.psi.to_dict(), "eta": self.eta.to_dict()}
 
-    @classmethod
-    def from_dict(cls, d):
-        return _piece_from_dict(d, "constraint piece")
-
 
 _piece_from_dict = functools.partial(
     _from_dict, ConstraintPiece, psi=_affine_from_dict, eta=_affine_from_dict)
@@ -211,19 +202,12 @@ class ScenarioProgramSpec:
         }
         return d
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_dict(cls, d):
         return _from_dict(
             cls, d, "program", theta_set=_set_from_dict,
             pieces=_pieces_from_list,
             x_domain=lambda x, key: x if x is None else _set_from_dict(x, key))
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
 
 def one_dim_threshold_program(theta_lo=-5.0, theta_hi=5.0, margin=1.0,
@@ -626,9 +610,6 @@ class Certificate:
             "feasible": self.feasible,
             "seed": self.seed,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def certify(program: ScenarioProgramSpec, spec: ProcessSpec, epsilon: float,

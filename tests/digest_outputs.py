@@ -10,7 +10,9 @@ threshold, a linear-ball and a kernel-ball class (the last on a simulated
 path), and ``simulate`` runs of every process kind (an AR(2) path of 100,000
 rows, as the benchmark's coverage_mc workload writes it): every command whose
 output is deterministic, through every config object reader and every
-dispatch table of the CLI.
+dispatch table of the CLI.  One more ``validate`` run goes through the
+argument parser, ``cli.main``, from a config file with ``--seed`` and
+``--replications`` overrides.
 
 Two trees give the same outputs when this script prints the same lines with
 either tree's ``src`` on the path (``parent`` being, say, a ``git archive``
@@ -24,6 +26,7 @@ Only ``summary.json``, ``records.csv`` and ``sequence.csv`` (where the command
 writes them) are digested: ``meta.json`` holds the time of the run.  Not collected by pytest (no ``test_`` prefix).
 """
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -156,6 +159,13 @@ COMMAND_CONFIGS = {
 }
 
 
+def print_digests(name, out):
+    for fname in ("summary.json", "records.csv", "sequence.csv"):
+        if (out / fname).exists():
+            digest = hashlib.sha256((out / fname).read_bytes()).hexdigest()
+            print(f"{digest}  {name}/{fname}")
+
+
 def main():
     runs = {**{name: {"command": "validate", "experiment": name, **config}
                for name, config in CONFIGS.items()}, **COMMAND_CONFIGS}
@@ -165,10 +175,16 @@ def main():
             code = cli.run(config, out)
             if code != cli.EXIT_OK:
                 sys.exit(f"{name}: exit code {code}")
-            for fname in ("summary.json", "records.csv", "sequence.csv"):
-                if (out / fname).exists():
-                    digest = hashlib.sha256((out / fname).read_bytes()).hexdigest()
-                    print(f"{digest}  {name}/{fname}")
+            print_digests(name, out)
+        # the argument parser's path: a config file and two overrides
+        name = "main_symmetrization"
+        path, out = Path(tmp) / f"{name}.json", Path(tmp) / name
+        path.write_text(json.dumps(runs["symmetrization"]))
+        code = cli.main(["--config", str(path), "--out", str(out),
+                         "--seed", "99", "--replications", "100"])
+        if code != cli.EXIT_OK:
+            sys.exit(f"{name}: exit code {code}")
+        print_digests(name, out)
 
 
 if __name__ == "__main__":

@@ -18,10 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from digest_outputs import AR1, AR2_SYSTEM, COMMAND_CONFIGS, CONFIGS
 from seqbounds import cli
-from seqbounds.cli import (ConfigError, emit_plot_data, main, run,
-                           validate_config)
-from seqbounds.experiments import (bound_vs_n_records, default_ar1,
-                                   default_scenario_program)
+from seqbounds.cli import ConfigError, main, run, validate_config
+from seqbounds.experiments import default_ar1, default_scenario_program
 from seqbounds import experiments as xp
 from seqbounds.processes import (process_from_dict, sample_marginal,
                                  simulate_sequence)
@@ -200,8 +198,8 @@ class TestValidateRegistry:
         monkeypatch.setattr(experiments, "vc_coverage", patched)
         config = {"command": "validate", "experiment": experiment,
                   "process": AR1, "n": 100, "replications": 5, "delta": 0.05,
-                  "seed": 4}
-        assert run(config, tmp_path / "out", threads=2) == 0
+                  "seed": 4, "threads": 2}
+        assert run(config, tmp_path / "out") == 0
         assert calls == [("ar1_threshold_labels", 100, 5, 0.05, 4, relative,
                           2)]
 
@@ -305,44 +303,14 @@ class TestNonFiniteOutputs:
                    {"replication": 1, "seed": 1, "statistic": math.nan,
                     "bound": 0.25, "holds": False}]
         cli.write_records_csv(records, tmp_path / "records.csv")
-        back = cli._read_records_csv(tmp_path / "records.csv")
-        assert back[0]["statistic"] == -math.inf
-        assert back[0]["bound"] == math.inf
-        assert math.isnan(back[1]["statistic"])
-        assert back[1]["bound"] == 0.25
-        assert back[1]["replication"] == 1
+        with open(tmp_path / "records.csv", newline="") as fh:
+            back = list(csv.DictReader(fh))
+        assert float(back[0]["statistic"]) == -math.inf
+        assert float(back[0]["bound"]) == math.inf
+        assert math.isnan(float(back[1]["statistic"]))
+        assert float(back[1]["bound"]) == 0.25
+        assert back[1]["replication"] == "1"
         assert back[1]["holds"] == "False"
-
-
-class TestEmitPlotData:
-    def test_empty_records_header_only(self, tmp_path):
-        out = tmp_path / "plot.csv"
-        emit_plot_data([], "n", out)
-        assert out.read_text().strip() == "n"
-
-    def test_bound_vs_n_sorted_decreasing(self, tmp_path):
-        records = bound_vs_n_records(4, 0.05, [10_000, 1000, 100_000])
-        out = tmp_path / "plot.csv"
-        emit_plot_data(records, "n", out)
-        with open(out) as fh:
-            rows = list(csv.DictReader(fh))
-        ns = [int(r["n"]) for r in rows]
-        bounds = [float(r["bound"]) for r in rows]
-        assert ns == sorted(ns)
-        assert bounds[0] > bounds[1] > bounds[2]
-
-    def test_duplicates_preserved_stable(self, tmp_path):
-        records = [{"n": 5, "v": "first"}, {"n": 1, "v": "x"},
-                   {"n": 5, "v": "second"}]
-        out = tmp_path / "plot.csv"
-        emit_plot_data(records, "n", out)
-        with open(out) as fh:
-            rows = list(csv.DictReader(fh))
-        assert [r["v"] for r in rows] == ["x", "first", "second"]
-
-    def test_missing_sweep_column_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            emit_plot_data([{"m": 1}], "n", tmp_path / "plot.csv")
 
 
 class TestMain:
@@ -363,46 +331,31 @@ class TestMain:
         assert main(["--config", str(cfg), "--out", str(out), "--seed", "77"]) == 0
         assert read_summary(out)["config"]["seed"] == 77
 
-    def test_main_missing_config(self):
+    def test_main_missing_config(self, capsys):
         assert main([]) == 2
+        assert capsys.readouterr().err == "config error: --config is required\n"
 
     def test_main_bad_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
-    def test_main_plot_data(self, tmp_path):
-        records = bound_vs_n_records(3, 0.05, [100, 1000])
-        src = tmp_path / "records.csv"
-        with open(src, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(records[0]))
-            writer.writeheader()
-            writer.writerows(records)
+    def test_main_config_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff\xfe{"a":1}')
+        assert main(["--config", str(bad),
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_main_threads_override(self, tmp_path):
+        config = {"command": "validate", "experiment": "symmetrization",
+                  **CONFIGS["symmetrization"], "replications": 20,
+                  "threads": 1}
+        cfg = write_config(tmp_path, config)
         out = tmp_path / "out"
-        assert main(["--plot-data", str(src), "--sweep", "n",
-                     "--out", str(out)]) == 0
-        assert (out / "plot.csv").exists()
-
-    def test_main_plot_data_missing_sweep(self, tmp_path):
-        src = tmp_path / "records.csv"
-        src.write_text("a,b\n1,2\n")
-        assert main(["--plot-data", str(src), "--sweep", "n",
-                     "--out", str(tmp_path / "o")]) == 2
-
-    @pytest.mark.parametrize("text, message", [
-        ("n,bound\n1,0.5\nabc,0.2\n", "sweep column 'n'"),
-        ("n,bound\n1,0.5\n2\n", "record on line 3"),
-        ("n,bound\n1,0.5,7\n", "record on line 2"),
-    ], ids=["mixed-sweep", "short-row", "long-row"])
-    def test_main_plot_data_malformed_record(self, tmp_path, capsys, text,
-                                             message):
-        src = tmp_path / "records.csv"
-        src.write_text(text)
-        out = tmp_path / "o"
-        assert main(["--plot-data", str(src), "--sweep", "n",
-                     "--out", str(out)]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err.startswith(f"config error: {message}")
-        assert not (out / "plot.csv").exists()
+        assert main(["--config", str(cfg), "--out", str(out),
+                     "--threads", "2"]) == 0
+        assert read_summary(out)["config"]["threads"] == 2
 
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEQBOUNDS_OUT", str(tmp_path / "envout"))

@@ -1,7 +1,10 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from seqbounds import estimators
@@ -25,11 +28,36 @@ def make_sample(x, y):
                           seed=0, replication=0, process="manual")
 
 
+def brute_ghost_gap(train, ghost):
+    """The ghost gap by a direct scan of every dichotomy x >= u of the
+    pooled points, u = +inf included."""
+    pooled = np.concatenate([train.x, ghost.x])
+    return max(
+        np.mean(np.where(ghost.x >= u, 1.0, -1.0) != ghost.y)
+        - np.mean(np.where(train.x >= u, 1.0, -1.0) != train.y)
+        for u in np.append(np.unique(pooled), np.inf)
+    )
+
+
+@st.composite
+def two_samples(draw):
+    """(train, ghost) as lists of (x, y) on points within +-1e50, each point
+    drawn next to its adjacent float above."""
+    base = draw(st.lists(st.floats(-1e50, 1e50), min_size=1, max_size=4))
+    point = st.sampled_from(base + [float(np.nextafter(v, np.inf))
+                                    for v in base])
+    pair = st.tuples(point, st.sampled_from([-1.0, 1.0]))
+    return (draw(st.lists(pair, min_size=1, max_size=6)),
+            draw(st.lists(pair, min_size=1, max_size=6)))
+
+
+_UP = float(np.nextafter(1.0, 2.0))
+
+
 class TestEmpiricalRademacher:
     def test_estimate_json_record(self):
-        import json
         est = empirical_rademacher(threshold_class(), [0.0, 1.0, 2.0], 4, 9)
-        payload = json.loads(est.to_json())
+        payload = json.loads(json.dumps(est.to_dict()))
         assert set(payload) == {"value", "std_error", "replications", "seed"}
         assert payload["replications"] == 4
 
@@ -247,14 +275,24 @@ class TestThresholdMachinery:
             ghost = make_sample(rng.normal(size=m),
                                 np.where(rng.random(m) < 0.5, 1.0, -1.0))
             gap = threshold_ghost_gap(train, ghost)
-            cand = np.concatenate([train.x, ghost.x])
-            cand = np.concatenate([np.sort(cand) - 1e-9, [np.max(cand) + 1.0]])
-            brute = max(
-                np.mean(np.where(ghost.x >= b, 1.0, -1.0) != ghost.y)
-                - np.mean(np.where(train.x >= b, 1.0, -1.0) != train.y)
-                for b in cand
-            )
-            assert gap == pytest.approx(brute, abs=1e-12)
+            assert gap == pytest.approx(brute_ghost_gap(train, ghost),
+                                        abs=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(two_samples())
+    # a midpoint of the two points rounds onto one of them
+    @example(([(1.0, -1.0), (_UP, 1.0)], [(1.0, 1.0), (_UP, -1.0)]))
+    @example(([(1e16, -1.0), (1e16 + 2, 1.0)], [(1e16, 1.0), (1e16 + 2, -1.0)]))
+    def test_ghost_gap_keeps_every_dichotomy(self, samples):
+        train, ghost = (make_sample(*zip(*pairs)) for pairs in samples)
+        gap = threshold_ghost_gap(train, ghost)
+        assert gap == pytest.approx(brute_ghost_gap(train, ghost), abs=1e-12)
+        # the gap depends on the order of the pooled points alone
+        ranks = np.unique(np.concatenate([train.x, ghost.x]),
+                          return_inverse=True)[1].astype(float)
+        assert gap == threshold_ghost_gap(
+            make_sample(ranks[:len(train.x)], train.y),
+            make_sample(ranks[len(train.x):], ghost.y))
 
 
 class TestSupDeviation:
@@ -318,3 +356,12 @@ class TestSymmetrization:
         assert result.holds
         assert 0.0 <= result.summary["lhs_freq"] <= 1.0
         assert len(result.records) == 120
+        summary, records = result.summary, result.records
+        assert summary["lhs_freq"] == np.mean(
+            [rec["statistic"] >= 0.2 for rec in records])
+        assert summary["rhs_freq"] == np.mean(
+            [rec["bound"] >= 0.1 for rec in records])
+        assert result.holds == (summary["lhs_freq"] <= 2.0 * summary["rhs_freq"]
+                                + 3.0 * summary["combined_se"])
+        assert symmetrization(spec, n=200, epsilon=0.2, replications=120,
+                              seed=21, threads=2).records == records

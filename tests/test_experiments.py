@@ -13,8 +13,7 @@ from seqbounds import bounds as bnd
 from seqbounds import classes
 from seqbounds import experiments as xp
 from seqbounds.experiments import (_clipped_ray_risks, _linear_model_grid,
-                                   _margin_empirical_risks,
-                                   bound_vs_n_records, chaining_dominance,
+                                   _margin_empirical_risks, chaining_dominance,
                                    clipped_linear_risk,
                                    concentration_exactness, kernel_rad_bound,
                                    margin_linear_risk, margin_rad_coverage,
@@ -175,11 +174,6 @@ class TestCoverageExperiments:
                                   a_values=(1,))
         assert result.holds
         assert result.summary["cells"] == 2
-
-    def test_bound_vs_n_records(self):
-        records = bound_vs_n_records(4, 0.05, [1000, 100])
-        assert {r["n"] for r in records} == {100, 1000}
-        assert all(r["delta"] == 0.05 for r in records)
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -792,7 +792,8 @@ class TestCertify:
 class TestSerialization:
     def test_program_json_roundtrip(self):
         prog = two_dim_program()
-        back = ScenarioProgramSpec.from_json(prog.to_json())
+        back = ScenarioProgramSpec.from_dict(
+            json.loads(json.dumps(prog.to_dict())))
         assert np.array_equal(back.objective, prog.objective)
         assert back.margin == prog.margin
         xs = np.array([[0.5], [-1.0]])
@@ -817,7 +818,7 @@ class TestSerialization:
     def test_certificate_json(self):
         prog = one_dim_threshold_program(margin=1.0)
         cert = certify(prog, ar1_process(0.8, 0.6), 0.3, 0.2, "margin", seed=2)
-        payload = json.loads(cert.to_json())
+        payload = json.loads(json.dumps(cert.to_dict()))
         assert payload["feasible"] is True
         assert payload["method"] == "margin"
         assert payload["n_used"] == cert.n_used
