@@ -16,6 +16,7 @@ from .classes import (FunctionClassDescriptor, UnsupportedClassError,
                       PseudoMetricSample)
 from .losses import LossSpec
 from .processes import ProcessSpec, SequenceSample, stationary_params, stream
+from .scenario import _scenario_rows
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,10 @@ def _threshold_errors(xs, ys):
     """Sorted points and the zero-one error counts of sign(x - b) when the
     first k sorted points fall below b, for k = 0..n (whole numbers, exact
     as floats)."""
+    if ys.shape != xs.shape:
+        # a sample drawn with labels=False has y None, read as a 0-d NaN
+        raise ValueError(f"y must hold one label per x: shape {ys.shape}, "
+                         f"not {xs.shape}")
     order = np.argsort(xs, kind="stable")
     errors0 = float(np.sum(ys == -1.0))
     steps = np.where(ys[order] == 1.0, 1.0, -1.0)
@@ -196,11 +201,12 @@ def threshold_risk_oracle(spec: ProcessSpec) -> Callable:
 # Scenario violation rate
 
 def violation_rate(theta, program, draws) -> float:
-    """Fraction of draws whose constraint value f(x, theta) is positive."""
-    xs = draws.x if isinstance(draws, SequenceSample) else np.asarray(draws, float)
-    if np.asarray(xs).shape[0] == 0:
-        raise ValueError("violation rate of an empty draw set is undefined")
-    _check_entries("draws", xs)
+    """Fraction of draws whose constraint value f(x, theta) is positive.
+
+    ``draws`` (or their ``x``) hold at least one finite x of the program's
+    width ``dim_x``; anything else fails with a ValueError naming ``draws``.
+    """
+    xs = _scenario_rows(program, getattr(draws, "x", draws), "draws")
     vals = program.constraint_values(xs, np.asarray(theta, dtype=float))
     return float(np.mean(vals > 0.0))
 

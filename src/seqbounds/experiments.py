@@ -440,7 +440,8 @@ def scenario_pac_coverage(program: scn.ScenarioProgramSpec, spec: ProcessSpec,
                            replication=r)
         if not cert.feasible:
             return None
-        ghost = sample_marginal(spec, ghost_draws, seed, replication=r)
+        ghost = sample_marginal(spec, ghost_draws, seed, replication=r,
+                                labels=False)
         return violation_rate(np.asarray(cert.theta_hat), program, ghost)
 
     rates = _pmap(one, range(replications), threads)

@@ -130,7 +130,8 @@ _BUILDERS = {"ar1_threshold_labels": ar1_process,
 
 @dataclass(frozen=True)
 class SequenceSample:
-    """One simulated path: ordered pairs (x_i, y_i) plus its provenance."""
+    """One simulated path: ordered pairs (x_i, y_i) plus its provenance
+    (y is None when drawn with ``labels=False``)."""
 
     x: np.ndarray
     y: np.ndarray
@@ -202,31 +203,42 @@ def _threshold_labels(x, b_star, flip_p, rng):
 
 
 def simulate_sequence(spec: ProcessSpec, n: int, seed: int,
-                      replication: int = 0) -> SequenceSample:
-    """Length-n path started from the stationary law (bit-reproducible)."""
+                      replication: int = 0, *,
+                      labels: bool = True) -> SequenceSample:
+    """Length-n path started from the stationary law (bit-reproducible).
+
+    With ``labels=False`` no label is drawn and y is None.  Labels are drawn
+    after x from the same stream, so x keeps its bits either way.
+    """
     _check("n", n, 1, integer=True)
     rng = stream(seed, replication, "path")
+    y = None
     if spec.kind == "ar1_threshold_labels":
         from scipy import signal
         v = spec.sigma ** 2 / (1.0 - spec.a ** 2)
         x0 = rng.normal(0.0, np.sqrt(v))
         eps = rng.normal(0.0, spec.sigma, n)
         x, _ = signal.lfilter([1.0], [1.0, -spec.a], eps, zi=[spec.a * x0])
-        y = _threshold_labels(x, spec.b_star, spec.flip_p, rng)
+        if labels:
+            y = _threshold_labels(x, spec.b_star, spec.flip_p, rng)
     elif spec.kind == "ar_d_linear_system":
-        x, y = _simulate_ar_d(spec, n, rng)
+        x, ys = _simulate_ar_d(spec, n, rng)
+        if labels:
+            y = ys
     elif spec.kind == "markov_binary":
         s0 = 1.0 if rng.random() < 0.5 else -1.0
         switch = rng.random(n - 1) < (1.0 - spec.rho) / 2.0 if n > 1 else np.array([])
         steps = np.concatenate(([s0], np.where(switch, -1.0, 1.0)))
         x = np.cumprod(steps)
-        y = x.copy()
+        if labels:
+            y = x.copy()
     elif spec.kind == "iid_baseline":
         if spec.dist == "normal":
             x = rng.normal(spec.mean, spec.sigma, n)
         else:
             x = rng.uniform(spec.low, spec.high, n)
-        y = _threshold_labels(x, spec.b_star, spec.flip_p, rng)
+        if labels:
+            y = _threshold_labels(x, spec.b_star, spec.flip_p, rng)
     else:
         raise ValueError(f"cannot simulate kind {spec.kind!r}")
     return SequenceSample(x=x, y=y, seed=int(seed), replication=int(replication),
@@ -259,31 +271,39 @@ def _clip_rows(x, radius):
 
 
 def sample_marginal(spec: ProcessSpec, m: int, seed: int,
-                    replication: int = 0) -> SequenceSample:
+                    replication: int = 0, *,
+                    labels: bool = True) -> SequenceSample:
     """m mutually independent draws from the stationary marginal of (x, y).
 
     This is the ghost sample: entry i is distributed like z_i of a path
     but the draws are independent of each other and of every path stream.
+    With ``labels=False`` no label is drawn and y is None; labels are drawn
+    after x from the same stream, so x keeps its bits either way.
     """
     _check("m", m, 0, integer=True)
     rng = stream(seed, replication, "ghost")
+    y = None
     if spec.kind == "ar1_threshold_labels" or (
         spec.kind == "iid_baseline" and spec.dist == "normal"
     ):
         law = stationary_params(spec)
         x = rng.normal(law.mean, np.sqrt(law.variance), m)
-        y = _threshold_labels(x, spec.b_star, spec.flip_p, rng)
+        if labels:
+            y = _threshold_labels(x, spec.b_star, spec.flip_p, rng)
     elif spec.kind == "iid_baseline":
         x = rng.uniform(spec.low, spec.high, m)
-        y = _threshold_labels(x, spec.b_star, spec.flip_p, rng)
+        if labels:
+            y = _threshold_labels(x, spec.b_star, spec.flip_p, rng)
     elif spec.kind == "markov_binary":
         x = np.where(rng.random(m) < 0.5, 1.0, -1.0)
-        y = x.copy()
+        if labels:
+            y = x.copy()
     elif spec.kind == "ar_d_linear_system":
         theta = np.asarray(spec.coefficients, dtype=float)
         chol = _ar_cholesky(spec.coefficients, spec.sigma)
         g = rng.standard_normal((m, theta.size)) @ chol.T
-        y = g @ theta + rng.normal(0.0, spec.sigma, m)
+        if labels:
+            y = g @ theta + rng.normal(0.0, spec.sigma, m)
         x = _clip_rows(g, spec.clip_radius)
     else:
         raise ValueError(f"no marginal sampler for kind {spec.kind!r}")
@@ -306,6 +326,8 @@ def sequence_to_csv(sample: SequenceSample, path):
     are filled by index: the regressors of an autoregression are lags of y,
     so most values appear in several columns.
     """
+    if sample.y is None:
+        raise ValueError("sample has no labels: it was drawn with labels=False")
     x = np.atleast_2d(sample.x.T).T
     header = ["index"] + [f"x{j}" for j in range(x.shape[1])] + ["y"]
     with open(path, "w", newline="") as fh:

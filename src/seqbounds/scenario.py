@@ -4,8 +4,10 @@ violation bounds, a feasibility/optimization solver and PAC certificates.
 ``scipy.optimize`` and ``scipy.spatial`` are imported on first use: the
 LP solve of a coupled-row box or ball program loads ``optimize`` (the
 module attribute ``optimize``, which a caller may replace), and the hull
-of a scenario cloud in 2 to 4 dimensions loads ``spatial``.  Importing this
-module and the planners load neither.
+of a scenario cloud in 2 to 4 dimensions loads ``spatial``, only for a
+program with a piece whose psi depends on x: a constant psi collapses to
+one row before any hull.  Importing this module and the planners load
+neither.
 """
 from __future__ import annotations
 
@@ -51,12 +53,28 @@ class AffineMap:
         if self.matrix.shape[0] != self.offset.shape[0]:
             raise ValueError("matrix rows must match offset length")
 
+    @property
+    def constant(self):
+        """Whether the map ignores x: its matrix is zero."""
+        return not self.matrix.any()
+
     def __call__(self, x):
+        """The map at one x (a vector) or at each row of a batch.  A constant
+        map is its offset (a read-only row per x), and a one-column x is
+        multiplied by broadcasting: a matmul with one inner term costs far
+        more than the product it computes."""
         x = np.asarray(x, dtype=float)
-        if x.ndim <= 1 and self.matrix.shape[1] == 1:
+        d = self.matrix.shape[1]
+        if x.ndim <= 1 and d == 1:
             x = np.atleast_1d(x)[:, None] if x.ndim == 1 else x.reshape(1, 1)
+        if x.shape[-1:] != (d,):
+            raise ValueError(f"x must have {d} columns, not shape {x.shape}")
         if x.ndim == 1:
             return self.matrix @ x + self.offset
+        if self.constant:
+            return np.broadcast_to(self.offset, (x.shape[0], self.offset.size))
+        if d == 1:
+            return x * self.matrix[:, 0] + self.offset
         return x @ self.matrix.T + self.offset
 
     def to_dict(self):
@@ -173,23 +191,33 @@ class ScenarioProgramSpec:
         for piece in self.pieces:
             if piece.psi.matrix.shape[0] != p:
                 raise ValueError("psi output dimension must match theta dimension")
+        widths = {m.matrix.shape[1] for piece in self.pieces
+                  for m in (piece.psi, piece.eta)}
+        if len(widths) > 1:
+            raise ValueError(f"pieces read x of different widths {sorted(widths)}: "
+                             f"every psi and eta matrix needs as many columns")
+        if self.x_domain is not None and self.x_domain.dim != self.dim_x:
+            raise ValueError(f"x_domain has dimension {self.x_domain.dim}, "
+                             f"the pieces read x of width {self.dim_x}")
 
     @property
     def dim_theta(self):
         return self.objective.size
 
-    def piece_tables(self, xs):
-        """Per piece: (Psi, h) with rows psi_k(x_i) and values eta_k(x_i)."""
+    @property
+    def dim_x(self):
+        """The width of x: the column count of every psi and eta matrix."""
+        return self.pieces[0].psi.matrix.shape[1]
+
+    def constraint_values(self, xs, theta):
+        """f(x_i, theta) = max_k psi_k(x_i).theta + eta_k(x_i) per scenario;
+        a constant psi_k adds the one number psi_k.theta to every eta_k."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim == 1:
             xs = xs[:, None]
-        return [(piece.psi(xs), piece.eta(xs).ravel()) for piece in self.pieces]
-
-    def constraint_values(self, xs, theta):
-        """f(x_i, theta) = max_k psi_k(x_i).theta + eta_k(x_i) per scenario."""
-        tables = self.piece_tables(xs)
-        vals = np.stack([psi_t @ theta + h for psi_t, h in tables], axis=0)
-        return np.max(vals, axis=0)
+        vals = [(piece.psi.offset if piece.psi.constant else piece.psi(xs))
+                @ theta + piece.eta(xs)[:, 0] for piece in self.pieces]
+        return vals[0] if len(vals) == 1 else np.max(np.stack(vals), axis=0)
 
     def to_dict(self):
         d = {
@@ -301,7 +329,7 @@ def tau_lambda(program: ScenarioProgramSpec) -> TauLambdaReport:
     lambdas = tuple(lam for _ in program.pieces)
     taus = []
     for piece in program.pieces:
-        if not np.any(piece.psi.matrix):
+        if piece.psi.constant:
             taus.append(float(np.linalg.norm(piece.psi.offset)))
             continue
         if program.x_domain is None:
@@ -325,9 +353,12 @@ class SolveResult:
     feasible: bool
     objective: float
     max_violation: float      # max_i f(x_i, theta) + margin at the returned point
-    rows_solved: int          # scenario constraint rows handed to the solver
+    rows_solved: int          # constraint rows handed to the solver
     used_fallback: bool       # whether the min-slack program ran
     solver: str               # what gave theta: closed_form or highs
+    status: int               # HiGHS status of the LP that gave theta, None
+                              # for the closed form
+    cuts: int                 # Kelley cuts added on a ball, 0 on a box
 
 
 _TIGHTEN = 1e-9
@@ -362,18 +393,58 @@ def _extreme_scenarios(xs):
         return np.arange(n)
 
 
+def _scenario_rows(program, xs, name):
+    """``xs`` as an (n, d) float array of n >= 1 finite x of the width d
+    that the program reads (a 1-D array is n scalars when d is 1); a
+    mismatch fails with a ValueError that starts with ``name``."""
+    xs = _as_floats(name, xs)
+    d = program.dim_x
+    if xs.ndim == 1 and d == 1:
+        xs = xs[:, None]
+    if xs.ndim != 2 or xs.shape[1] != d:
+        raise ValueError(f"{name} must be x of width {d}, in an array of "
+                         f"shape (n, {d}){' or (n,)' if d == 1 else ''}, "
+                         f"not {xs.shape}")
+    if xs.shape[0] == 0:
+        raise ValueError(f"{name} must hold at least one x")
+    _check_entries(name, xs)
+    return xs
+
+
+def _binding_rows(program, xs):
+    """The constraint rows that can bind, stacked piece by piece: (Psi, h).
+
+    A piece whose psi is constant gives the one row (psi offset, largest
+    eta_k(x_i)); the others give their rows at the extreme scenarios, whose
+    hull is only computed when such a piece exists."""
+    extreme = None
+    psi_rows, h_rows = [], []
+    for piece in program.pieces:
+        if piece.psi.constant:
+            psi_rows.append(piece.psi.offset[None, :])
+            h_rows.append([np.max(piece.eta(xs))])
+            continue
+        if extreme is None:
+            extreme = xs[_extreme_scenarios(xs)]
+        psi_rows.append(piece.psi(extreme))
+        h_rows.append(piece.eta(extreme)[:, 0])
+    return np.vstack(psi_rows), np.concatenate(h_rows)
+
+
 def solve_margin_program(program: ScenarioProgramSpec, scenarios,
                          mode: str = "optimize", margin: float = None) -> SolveResult:
     """Solve min c.theta s.t. f(x_i, theta) <= -margin over the theta set.
 
-    The program is linear in theta.  Every piece psi_k(x).theta + eta_k(x)
-    is affine in x for fixed theta, so its maximum over the scenarios falls
-    on an extreme point of their convex hull: the solver only gets the rows
-    of those scenarios (min and max for 1-D x, the Qhull vertices
-    otherwise), which leaves the feasible set unchanged (Calafiore & Campi,
-    IEEE TAC 2006).  On a box, when every row bounds at most one theta
-    coordinate, the rows only narrow the box and the optimum is read off
-    in closed form; a row that couples coordinates sends the LP to HiGHS.
+    The program is linear in theta, and the solver only gets the rows that
+    can bind, which leaves the feasible set unchanged (Calafiore & Campi,
+    IEEE TAC 2006).  A piece whose psi is constant gives one row, psi_k.theta
+    + max_i eta_k(x_i) <= -margin, whatever the dimension of x.  Any other
+    piece psi_k(x).theta + eta_k(x) is affine in x for fixed theta, so its
+    maximum over the scenarios falls on an extreme point of their convex
+    hull: it gives the rows of those scenarios (min and max for 1-D x, the
+    Qhull vertices in 2 to 4 dimensions, every scenario above).  On a box,
+    when every row bounds at most one theta coordinate, the rows only
+    narrow the box and the optimum is read off in closed form; a row that couples coordinates sends the LP to HiGHS.
     A ball of radius r is the box [-r, r]^p cut by tangent planes, one per
     LP point outside the ball; an optimum on the sphere is put there in
     closed form from the rows that bind (see _solve_ball), and a 1-D ball
@@ -381,28 +452,25 @@ def solve_margin_program(program: ScenarioProgramSpec, scenarios,
     evaluation of the constraints at the returned point over all scenarios
     and from the theta set's own membership test, never from solver
     status.  In feasibility mode, or when the program is infeasible, the
-    minimal worst-case slack point is returned.
+    minimal worst-case slack point is returned.  ``scenarios`` (or their
+    ``x``) hold x of the program's width ``dim_x``: a mismatch fails with a
+    ValueError naming ``scenarios``.
     """
     if mode not in ("optimize", "feasibility"):
         raise ValueError(f"unknown mode {mode!r}")
     gamma = program.margin if margin is None else margin
     _check("margin", gamma, 0, _SCALE_MAX)
     gamma = float(gamma)
-    xs = np.asarray(getattr(scenarios, "x", scenarios), dtype=float)
-    if xs.shape[0] == 0:
-        raise ValueError("need at least one scenario")
-    _check_entries("scenarios", xs)
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    tables = program.piece_tables(xs[_extreme_scenarios(xs)])
-    psi_all = np.vstack([t[0] for t in tables])
-    h_all = np.concatenate([t[1] for t in tables])
+    xs = _scenario_rows(program, getattr(scenarios, "x", scenarios),
+                        "scenarios")
+    psi_all, h_all = _binding_rows(program, xs)
 
     if isinstance(program.theta_set, Box):
-        theta, used_fallback, solver = _solve_box(
+        theta, used_fallback, status = _solve_box(
             program.theta_set, program.objective, psi_all, h_all, gamma, mode)
+        cuts = 0
     else:
-        theta, used_fallback, solver = _solve_ball(
+        theta, used_fallback, status, cuts = _solve_ball(
             program.theta_set.radius, program.objective, psi_all, h_all,
             gamma, mode)
 
@@ -412,13 +480,16 @@ def solve_margin_program(program: ScenarioProgramSpec, scenarios,
     return SolveResult(theta=theta, feasible=bool(feasible),
                        objective=float(program.objective @ theta),
                        max_violation=resid, rows_solved=psi_all.shape[0],
-                       used_fallback=used_fallback, solver=solver)
+                       used_fallback=used_fallback,
+                       solver="closed_form" if status is None else "highs",
+                       status=status, cuts=cuts)
 
 
 def _solve_box(box, objective, psi_all, h_all, gamma, mode, cuts=None):
-    """theta, whether the min-slack program ran, and the engine that gave
-    theta, over the box cut by the hard rows cuts[:, :-1].theta <=
-    cuts[:, -1] (no slack in the min-slack program)."""
+    """theta, whether the min-slack program ran, and the HiGHS status of the
+    LP that gave theta (None for the closed form), over the box cut by the
+    hard rows cuts[:, :-1].theta <= cuts[:, -1] (no slack in the min-slack
+    program)."""
     cuts = np.empty((0, box.dim + 1)) if cuts is None else cuts
     b = -gamma - h_all - _TIGHTEN
     if mode == "optimize":
@@ -427,7 +498,7 @@ def _solve_box(box, objective, psi_all, h_all, gamma, mode, cuts=None):
         if np.all(np.count_nonzero(rows, axis=1) <= 1):
             theta = _bound_rows_optimum(box, objective, rows, b)
             if theta is not None:
-                return theta, False, "closed_form"
+                return theta, False, None
         else:
             # HiGHS reads a cost of 1e20 or more as infinite; scaling c by
             # its largest magnitude keeps the argmin
@@ -435,7 +506,7 @@ def _solve_box(box, objective, psi_all, h_all, gamma, mode, cuts=None):
             c = objective / scale if scale > 0 else objective
             status, theta = _box_linprog(box, c, rows, b)
             if status == 0:
-                return theta, False, "highs"
+                return theta, False, status
         # infeasible (or numerically stuck): fall through to the min-slack
         # point so the result can report the best residual
     # min s s.t. psi.theta + h + gamma <= s, with s shifted by gamma + max h
@@ -448,7 +519,7 @@ def _solve_box(box, objective, psi_all, h_all, gamma, mode, cuts=None):
         [np.max(h_all) - h_all, cuts[:, -1]]), free=1)
     if status != 0:
         raise RuntimeError(f"LP solver failed with status {status}")
-    return theta, True, "highs"
+    return theta, True, status
 
 
 def __getattr__(name):
@@ -544,16 +615,18 @@ def _solve_ball(radius, objective, psi_all, h_all, gamma, mode):
     |Pc|.  The LP's cost bounds the optimum from below, and along that set
     it rises from theta to the sphere by at most |c| sqrt(|theta|^2 - r^2):
     the point is kept when its cost is within that and every row holds at
-    it, else theta is scaled onto the sphere."""
+    it, else theta is scaled onto the sphere.  Returns theta, whether the
+    min-slack program ran, the status of the last box LP (see _solve_box)
+    and the number of cuts."""
     p = objective.size
     box = Box(-radius * np.ones(p), radius * np.ones(p))
     cuts, last = np.empty((0, p + 1)), None
     while True:
-        theta, slack, solver = _solve_box(box, objective, psi_all, h_all,
+        theta, slack, status = _solve_box(box, objective, psi_all, h_all,
                                           gamma, mode, cuts)
         norm = np.linalg.norm(theta)
         if norm <= radius:
-            return theta, slack, solver
+            return theta, slack, status, len(cuts)
         if (norm <= radius * (1.0 + _SPHERE_TOL) or len(cuts) == _MAX_CUTS
                 or np.array_equal(theta, last)):
             break
@@ -582,7 +655,8 @@ def _solve_ball(radius, objective, psi_all, h_all, gamma, mode):
     at = psi_all @ point + h_all
     holds = (np.max(at) <= reach if slack else objective @ point <= reach
              and np.all(at <= -gamma - _TIGHTEN + tol))
-    return (point if holds else theta * (radius / norm)), slack, solver
+    return ((point if holds else theta * (radius / norm)), slack, status,
+            len(cuts))
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +693,10 @@ def certify(program: ScenarioProgramSpec, spec: ProcessSpec, epsilon: float,
     the solution to its theorem-derived violation bound.
 
     An infeasible solve yields a certificate with feasible=False and no
-    violation claim.
+    violation claim.  The program never reads labels, so the path is drawn
+    without them; x_i of an AR(d) path holds its last d values, so the
+    program must read x of width ``spec.order`` (else a ValueError names
+    ``process``).
     """
     _check("epsilon", epsilon, 0, 1, lo_open=True, hi_open=True)
     _check("delta", delta, 0, 1, lo_open=True, hi_open=True)
@@ -639,7 +716,11 @@ def certify(program: ScenarioProgramSpec, spec: ProcessSpec, epsilon: float,
         gamma_solve = program.margin
     else:
         raise ValueError(f"unknown method {method!r}")
-    path = simulate_sequence(spec, n, seed, replication=replication)
+    if spec.order != program.dim_x:
+        raise ValueError(f"process draws x of width {spec.order}, the program "
+                         f"reads x of width {program.dim_x}")
+    path = simulate_sequence(spec, n, seed, replication=replication,
+                             labels=False)
     result = solve_margin_program(program, path.x, mode="optimize",
                                   margin=gamma_solve)
     vb = None

@@ -585,6 +585,8 @@ def test_non_object_exit_2_names_the_key(config, path, value):
     ({"command": "validate", "experiment": "symmetrization", "process": AR1,
       "n": 200, "replications": 3, "seed": 1}, "epsilon is missing"),
     ({"command": "plan", "method": "vc", "seed": 1}, "epsilon is missing"),
+    # a program of 2-D x certified on a path of scalar x
+    (dict(COMMAND_CONFIGS["scenario_box_2d"], process=AR1), "process"),
 ])
 def test_exit_2_names_the_value(tmp_path, capsys, config, name):
     assert run(config, tmp_path / "out") == cli.EXIT_CONFIG

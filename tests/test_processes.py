@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from seqbounds.classes import threshold_class
+from seqbounds.estimators import (sup_deviation, threshold_ghost_gap,
+                                  threshold_risk_oracle)
+from seqbounds.losses import zero_one_loss
 from seqbounds.processes import (_CSV_CHUNK_ROWS, SequenceSample,
                                  _ar_cholesky, ar1_process, ar_process,
                                  iid_process, markov_binary_process,
@@ -190,6 +194,46 @@ class TestArCholeskyCache:
             for got, want in zip(draw(self.SPECS[r % 2], r), fresh[r]):
                 assert np.array_equal(got.x, want.x)
                 assert np.array_equal(got.y, want.y)
+
+
+# every process kind, with label noise and clipping where the kind has them
+EVERY_KIND = [
+    ar1_process(0.8, 0.6, flip_p=0.1),
+    ar_process([0.5, 0.2], 1.0),
+    ar_process([0.5, 0.2, -0.1], 1.0, clip_radius=1.5),
+    markov_binary_process(0.7),
+    iid_process("normal", mean=0.3, sigma=2.0, b_star=0.1, flip_p=0.2),
+    iid_process("uniform", low=-1.0, high=2.0, flip_p=0.3),
+]
+
+
+class TestLabelsOff:
+    """labels=False skips the label draw and keeps x's bits."""
+
+    @pytest.mark.parametrize("draw", [simulate_sequence, sample_marginal])
+    @pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda s: s.kind)
+    def test_x_keeps_its_bits(self, draw, spec):
+        for n, replication in [(1, 0), (2, 3), (5000, 1)]:
+            full = draw(spec, n, 11, replication=replication)
+            bare = draw(spec, n, 11, replication=replication, labels=False)
+            assert bare.y is None and full.y is not None
+            assert bare.x.tobytes() == full.x.tobytes()
+            assert bare.x.shape == full.x.shape
+            assert (bare.seed, bare.replication, bare.process) == \
+                (full.seed, full.replication, full.process)
+
+    def test_label_readers_fail_by_name(self, tmp_path):
+        spec = EVERY_KIND[0]
+        bare = simulate_sequence(spec, 50, 3, labels=False)
+        full = sample_marginal(spec, 50, 3)
+        with pytest.raises(ValueError, match=r"^y\b"):
+            sup_deviation(threshold_class(), zero_one_loss(), bare,
+                          threshold_risk_oracle(spec))
+        with pytest.raises(ValueError, match=r"^y\b"):
+            threshold_ghost_gap(full, sample_marginal(spec, 50, 3,
+                                                      labels=False))
+        with pytest.raises(ValueError, match=r"^sample\b"):
+            sequence_to_csv(bare, tmp_path / "bare.csv")
 
 
 class TestValidationAndExport:

@@ -253,6 +253,10 @@ class TestSolver:
         ([math.nan, 1.0], None, "scenarios"),
         ([math.inf, 1.0], None, "scenarios"),
         ([0.0, -math.inf], None, "scenarios"),
+        # x of another width than the program reads
+        (np.zeros((5, 2)), None, "scenarios"),
+        (np.zeros((5, 1, 1)), None, "scenarios"),
+        (0.5, None, "scenarios"),
     ])
     def test_inputs_rejected_by_name(self, scenarios, margin, name):
         prog = one_dim_threshold_program(theta_lo=-10, theta_hi=10, margin=0.1)
@@ -265,9 +269,67 @@ class TestSolver:
         with pytest.raises(ValueError, match=r"^draws\b"):
             violation_rate(np.array([0.0]), prog, np.array([draw, 1.0]))
 
+    def test_violation_rate_draws_of_another_width(self):
+        prog = one_dim_threshold_program(theta_lo=-10, theta_hi=10)
+        with pytest.raises(ValueError, match=r"^draws\b"):
+            violation_rate(np.array([0.0]), prog, np.zeros((5, 2)))
+        with pytest.raises(ValueError, match=r"^draws\b"):
+            violation_rate(np.array([0.0, 0.0]),
+                           x_bounds_program(Box([-1.0] * 2, [1.0] * 2), 2),
+                           sample_marginal(ar1_process(0.5, 1.0), 5, 1))
+
+    def test_certified_process_of_another_width(self):
+        prog = x_bounds_program(Box([-10.0] * 2, [10.0] * 2), 2)
+        with pytest.raises(ValueError, match=r"^process\b"):
+            certify(prog, ar1_process(0.8, 0.6), 0.3, 0.1, "margin", seed=1)
+        with pytest.raises(ValueError, match=r"^process\b"):
+            certify(one_dim_threshold_program(), ar_process([0.5, 0.2], 1.0),
+                    0.3, 0.1, "margin", seed=1)
+
+    @pytest.mark.parametrize("psi_cols, eta_cols, domain, name", [
+        (2, 1, None, "pieces"),
+        (1, 2, None, "pieces"),
+        (1, 1, 2, "x_domain"),
+    ])
+    def test_program_widths_agree(self, psi_cols, eta_cols, domain, name):
+        piece = ConstraintPiece(psi=AffineMap(np.zeros((1, psi_cols)), [-1.0]),
+                                eta=AffineMap(np.ones((1, eta_cols)), [0.0]))
+        with pytest.raises(ValueError, match=rf"^{name}\b"):
+            ScenarioProgramSpec(
+                objective=[1.0], pieces=(piece,), theta_set=Box([-1.0], [1.0]),
+                margin=1.0,
+                x_domain=None if domain is None else Box([-1.0] * domain,
+                                                         [1.0] * domain))
+
+    @pytest.mark.parametrize("matrix, x", [
+        (np.zeros((1, 2)), np.zeros((4, 3))),     # constant: its offset
+        (np.ones((1, 1)), np.zeros((4, 2))),      # one column: broadcast
+        (np.ones((1, 2)), np.zeros((4, 3))),
+        (np.ones((1, 2)), np.zeros(3)),
+    ])
+    def test_affine_map_reads_its_width(self, matrix, x):
+        with pytest.raises(ValueError, match=r"^x\b"):
+            AffineMap(matrix, [0.0])(x)
+
     def test_coupled_rows_go_to_highs(self):
         res = solve_margin_program(two_dim_program(), np.array([1.0, -1.0]))
         assert res.solver == "highs" and not res.used_fallback
+        assert res.status == 0 and res.cuts == 0
+
+    def test_result_says_how_theta_was_reached(self):
+        # closed form on a box: no LP status and no cut
+        res = solve_margin_program(one_dim_threshold_program(margin=0.1),
+                                   np.array([0.2, 0.5]))
+        assert (res.solver, res.status, res.cuts) == ("closed_form", None, 0)
+        # the min-slack LP gave theta
+        up = ConstraintPiece(psi=AffineMap([[0.0]], [-1.0]),
+                             eta=AffineMap([[1.0]], [0.0]))
+        down = ConstraintPiece(psi=AffineMap([[0.0]], [1.0]),
+                               eta=AffineMap([[-1.0]], [0.0]))
+        prog = ScenarioProgramSpec(objective=[1.0], pieces=(up, down),
+                                   theta_set=Box([-10.0], [10.0]), margin=0.1)
+        res = solve_margin_program(prog, np.array([1.0]))
+        assert res.used_fallback and (res.solver, res.status) == ("highs", 0)
 
     def test_interior_ball_optimum_is_closed_form(self):
         # x_k - theta_k <= -1: the cut box's optimum max(x) + 1 lies inside
@@ -286,6 +348,7 @@ class TestSolver:
         res = solve_margin_program(prog, np.array([0.5]))
         assert res.solver == "highs" and res.feasible
         assert not res.used_fallback
+        assert res.status == 0 and res.cuts >= 1
         assert res.theta == pytest.approx(-3.0 / math.sqrt(2.0) * np.ones(2),
                                           rel=1e-12)
 
@@ -326,11 +389,17 @@ def full_row_solve(program, xs, mode):
     return used_fallback, float(program.objective @ theta), resid, feasible
 
 
+def every_row(program, xs):
+    """(Psi, h): the rows psi_k(x_i) and values eta_k(x_i) of every piece
+    at every scenario, stacked piece by piece."""
+    xs = np.asarray(xs, dtype=float).reshape(len(xs), -1)
+    return (np.vstack([piece.psi(xs) for piece in program.pieces]),
+            np.concatenate([piece.eta(xs)[:, 0] for piece in program.pieces]))
+
+
 def full_row_theta(program, xs, mode):
     """(used_fallback, theta) of HiGHS on every scenario row."""
-    tables = program.piece_tables(xs)
-    psi = np.vstack([t[0] for t in tables])
-    h = np.concatenate([t[1] for t in tables])
+    psi, h = every_row(program, xs)
     gamma, p = program.margin, program.dim_theta
     bounds = list(zip(program.theta_set.lo, program.theta_set.hi))
     res = None
@@ -499,13 +568,14 @@ class TestCoupledRowsInAHugeBox:
 
 
 class TestHullReduction:
-    def test_acceptance_program_solves_two_rows(self):
+    def test_acceptance_program_solves_one_row(self):
+        # psi is constant: the piece collapses to its largest eta
         prog = one_dim_threshold_program(theta_lo=-10, theta_hi=10, margin=1.0)
         n = plan_n_margin(0.15, 0.1, 1.0, 10.0)
         path = simulate_sequence(ar1_process(0.8, 0.6, flip_p=0.1), n, 888)
         res = solve_margin_program(prog, path.x)
         assert n == 20_578
-        assert res.rows_solved == 2
+        assert res.rows_solved == 1
         assert not res.used_fallback
         assert res.feasible
         assert res.theta[0] == pytest.approx(np.max(path.x) + 1.0 + 1e-9,
@@ -527,6 +597,38 @@ class TestHullReduction:
         prog = random_box_program(np.random.default_rng(3), xs.shape[1], 1,
                                   True)
         assert solve_margin_program(prog, xs).rows_solved == xs.shape[0]
+
+    @pytest.mark.parametrize("mode", ["optimize", "feasibility"])
+    def test_constant_psi_above_the_hull_dimension(self, mode):
+        # every scenario would reach the solver through the hull step
+        rng = np.random.default_rng(4)
+        prog = random_box_program(rng, _HULL_MAX_DIM + 1, 3, False)
+        xs = rng.normal(size=(500, _HULL_MAX_DIM + 1))
+        res = solve_margin_program(prog, xs, mode=mode)
+        assert res.rows_solved == len(prog.pieces)
+        used_fallback, objective, resid, feasible = full_row_solve(prog, xs,
+                                                                   mode)
+        assert (res.used_fallback, res.feasible) == (used_fallback, feasible)
+        assert res.max_violation == pytest.approx(resid, abs=1e-7)
+        if not used_fallback:
+            assert res.objective == pytest.approx(objective, abs=1e-7)
+
+    def test_constant_psi_never_builds_a_hull(self, monkeypatch):
+        from scipy import spatial
+
+        def no_hull(*args, **kwargs):
+            raise AssertionError("a hull was built")
+
+        monkeypatch.setattr(spatial, "ConvexHull", no_hull)
+        xs = simulate_sequence(ar_process([0.5, 0.2], 1.0), 2000, 5).x
+        prog = x_bounds_program(Box([-10.0] * 2, [10.0] * 2), 2)
+        res = solve_margin_program(prog, xs)
+        assert res.rows_solved == 2 and res.feasible
+        assert np.array_equal(res.theta, np.max(xs, axis=0) + 1.0 + 1e-9)
+        # a psi that reads x still needs the hull
+        with pytest.raises(AssertionError, match="a hull was built"):
+            solve_margin_program(
+                random_box_program(np.random.default_rng(5), 2, 1, True), xs)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -674,9 +776,7 @@ def ball_kkt_residual(program, xs, res):
     mu theta = 0 in min-slack mode, with S the rows tied at the largest
     value; lam, mu >= 0, and mu = 0 unless theta is on the sphere.  The
     residual is relative to the size of c (optimize) or of the rows."""
-    tables = program.piece_tables(xs)
-    a = np.vstack([t[0] for t in tables])
-    h = np.concatenate([t[1] for t in tables])
+    a, h = every_row(program, xs)
     theta, radius = res.theta, program.theta_set.radius
     values = a @ theta + h
     tol = 1e-9 * (radius * np.abs(a).sum(axis=1) + np.abs(h) + program.margin)
