@@ -4,6 +4,7 @@ CLI ``validate`` command and the acceptance suite."""
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -44,16 +45,28 @@ def _pmap(fn, items, threads=1):
         return [out for chunk in done for out in chunk]
 
 
-def _replicate(one, count, seed, threads, what="replications"):
+def _replicate(one, count, seed, threads, what="replications",
+               holds=operator.le):
     """Run ``one(r) -> (statistic, bound)`` for r < count into records that
-    hold when statistic <= bound; returns (records, holds fraction)."""
+    hold when ``holds(statistic, bound)``; returns (records, holds
+    fraction)."""
     _check(what, count, 1, integer=True)
     records = [
         {"replication": r, "seed": seed, "statistic": s, "bound": b,
-         "holds": s <= b}
+         "holds": holds(s, b)}
         for r, (s, b) in enumerate(_pmap(one, range(count), threads))
     ]
     return records, float(np.mean([rec["holds"] for rec in records]))
+
+
+def _coverage(name, records, frac, delta, summary):
+    """A coverage check's result: it holds when at least 1 - delta of the
+    replications hold."""
+    return ExperimentResult(
+        name=name, records=records,
+        summary={"holds_fraction": frac, "target": 1.0 - delta, **summary},
+        holds=frac >= 1.0 - delta,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -90,13 +103,9 @@ def vc_coverage(spec: ProcessSpec, n: int, replications: int, delta: float,
         return stat, slack
 
     records, frac = _replicate(one, replications, seed, threads)
-    name = "relative_coverage" if relative else "vc_coverage"
-    return ExperimentResult(
-        name=name, records=records,
-        summary={"holds_fraction": frac, "target": 1.0 - delta,
-                 "n": n, "delta": delta, "slack": slack},
-        holds=frac >= 1.0 - delta,
-    )
+    return _coverage("relative_coverage" if relative else "vc_coverage",
+                     records, frac, delta,
+                     {"n": n, "delta": delta, "slack": slack})
 
 
 def relative_rate_scaling(ns, delta: float, tolerance: float = 0.2) -> ExperimentResult:
@@ -206,12 +215,8 @@ def margin_rad_coverage(spec: ProcessSpec, gamma: float, radius: float,
         return float(np.max(risks - emp)), slack
 
     records, frac = _replicate(one, replications, seed, threads)
-    return ExperimentResult(
-        name="margin_rad_coverage", records=records,
-        summary={"holds_fraction": frac, "target": 1.0 - delta,
-                 "slack": slack, "rad_upper": rbar, "n": n},
-        holds=frac >= 1.0 - delta,
-    )
+    return _coverage("margin_rad_coverage", records, frac, delta,
+                     {"slack": slack, "rad_upper": rbar, "n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +355,8 @@ def regression_coverage(spec: ProcessSpec, m_clip: float, radius: float,
                    float(np.max(risks - emp))), slack
 
     records, frac = _replicate(one, replications, seed, threads)
-    return ExperimentResult(
-        name="regression_coverage", records=records,
-        summary={"holds_fraction": frac, "target": 1.0 - delta,
-                 "slack": slack, "loss_range": b, "n": n},
-        holds=frac >= 1.0 - delta,
-    )
+    return _coverage("regression_coverage", records, frac, delta,
+                     {"slack": slack, "loss_range": b, "n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +379,6 @@ def symmetrization(spec: ProcessSpec, n: int, epsilon: float,
     lhs <= 2*rhs + 3 combined standard errors.
     """
     cls, loss = threshold_class(), zero_one_loss()
-    _check("replications", replications, 1, integer=True)
     _check("n", n, 1, integer=True)
     b = loss.range_b
     # a deviation of the loss never exceeds its range B
@@ -396,19 +396,16 @@ def symmetrization(spec: ProcessSpec, n: int, epsilon: float,
         return (sup_deviation(cls, loss, train, oracle).value,
                 threshold_ghost_gap(train, ghost))
 
-    sups = _pmap(one, range(replications), threads)
-    lhs = sum(d >= epsilon for d, _ in sups) / replications
-    rhs = sum(g >= epsilon / 2.0 for _, g in sups) / replications
+    # a replication only counts against the inequality when the training
+    # deviation event fires without the ghost-gap event
+    records, _ = _replicate(
+        one, replications, seed, threads,
+        holds=lambda d, g: not (d >= epsilon and g < epsilon / 2.0))
+    lhs = sum(rec["statistic"] >= epsilon for rec in records) / replications
+    rhs = sum(rec["bound"] >= epsilon / 2.0 for rec in records) / replications
     lhs_se = math.sqrt(lhs * (1 - lhs) / replications)
     rhs_se = math.sqrt(rhs * (1 - rhs) / replications)
     combined = math.sqrt(lhs_se ** 2 + 4.0 * rhs_se ** 2)
-    records = [
-        # a replication only counts against the inequality when the training
-        # deviation event fires without the ghost-gap event
-        {"replication": r, "seed": seed, "statistic": d, "bound": g,
-         "holds": not (d >= epsilon and g < epsilon / 2.0)}
-        for r, (d, g) in enumerate(sups)
-    ]
     return ExperimentResult(
         name="symmetrization", records=records,
         summary={"lhs_freq": lhs, "rhs_freq": rhs, "combined_se": combined,
@@ -433,24 +430,20 @@ def scenario_pac_coverage(program: scn.ScenarioProgramSpec, spec: ProcessSpec,
     stationary scenario sequence, with the margin-method sample size
     planned from tau and Lambda; no mixing rate.
     """
-    _check("replications", replications, 1, integer=True)
-
     def one(r):
         cert = scn.certify(program, spec, epsilon, delta, "margin", seed,
                            replication=r)
         if not cert.feasible:
-            return None
+            return -1.0, epsilon
         ghost = sample_marginal(spec, ghost_draws, seed, replication=r,
                                 labels=False)
-        return violation_rate(np.asarray(cert.theta_hat), program, ghost)
+        return violation_rate(np.asarray(cert.theta_hat), program,
+                              ghost), epsilon
 
-    rates = _pmap(one, range(replications), threads)
-    # an infeasible replication (rate None) carries no guarantee
-    records = [{"replication": r, "seed": seed,
-                "statistic": -1.0 if vr is None else vr, "bound": epsilon,
-                "holds": vr is not None and not vr > epsilon}
-               for r, vr in enumerate(rates)]
-    infeasible = rates.count(None)
+    # an infeasible replication (rate -1) carries no guarantee
+    records, _ = _replicate(one, replications, seed, threads,
+                            holds=lambda vr, eps: 0 <= vr <= eps)
+    infeasible = sum(rec["statistic"] < 0 for rec in records)
     freq = sum(not rec["holds"] for rec in records) / replications
     threshold = delta + 3.0 * math.sqrt(delta * (1 - delta) / replications)
     return ExperimentResult(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (_SCALE_MAX, _as_floats, _check, _check_entries,
-                     _from_dict, _from_kind_dict)
+                     _from_dict, _from_kind_dict, _log_capacity)
 from .processes import ProcessSpec, simulate_sequence
 
 _CEIL_GUARD = 1e-9
@@ -285,16 +285,16 @@ def violation_bound(method: str, n: int, delta: float, *, d_vc: int = None,
                     gamma: float = None, tau_lambda_sum: float = None) -> float:
     """Violation-probability bound of a feasible point at sample size n.
 
-    vc: (4 d log(2en/d) + log(4/delta)) / n (zero-error form); margin:
-    (2/gamma) sum tau_k Lambda_k / sqrt(n) + sqrt(log(1/delta) / 2n).
+    vc: (4 d log(2en/d) + log(4/delta)) / n for n >= d (zero-error form);
+    margin: (2/gamma) sum tau_k Lambda_k / sqrt(n)
+    + sqrt(log(1/delta) / 2n).
     The caller asserts feasibility (with margin, where required).
     """
     _check("delta", delta, 0, 1, lo_open=True, hi_open=True)
     _check("n", n, 1, integer=True)
     if method == "vc":
         _check("d_vc", d_vc, 1, integer=True)
-        return (4.0 * d_vc * math.log(2.0 * math.e * n / d_vc)
-                + math.log(4.0 / delta)) / n
+        return (4.0 * _log_capacity(n, d_vc) + math.log(4.0 / delta)) / n
     if method == "margin":
         _check("gamma", gamma, 0, _SCALE_MAX, lo_open=True)
         _check("tau_lambda_sum", tau_lambda_sum, 0, lo_open=True, hi_open=True)

@@ -1,0 +1,229 @@
+"""Time one benchmark suite of seqbounds and record the numbers in
+``BENCH_<suite>.json`` at the repo root.
+
+    PYTHONPATH=<parent checkout>/src python tests/bench.py SUITE --label parent
+    PYTHONPATH=src python tests/bench.py SUITE --label change
+
+Each run is stored under its ``--label`` next to the labels already in the
+file, so one file holds a before and an after; the header (the suite's
+config and ``repeats``) is written only when the file is new.  Every timing
+is the best of ``REPEATS``; every run records the cores and the Python,
+numpy and scipy versions.  The suites:
+
+- ``import``: what a CLI user pays before any work, each the wall time of a
+  new ``python`` process: ``import_s`` (``python -c "import seqbounds"``),
+  ``cli_plan_s`` (a ``plan`` by method ``vc``, which needs no scipy) and
+  ``cli_concentration_exactness_s`` (which loads ``scipy.special`` for its
+  binomial tails).  All include the interpreter's start-up, timed alone as
+  ``interpreter_s`` (``python -c pass``).
+- ``threads``: whole ``cli.run`` calls of the five cheap replicated
+  ``validate`` experiments at the configs of ``tests/digest_outputs.py``,
+  at one and at two threads (``scenario_coverage`` is left out: its LP
+  solves take seconds).  Each runs once untimed, so first imports fall
+  outside the timings.
+- ``scenario``: the mean time per call, at one thread, of library
+  ``certify`` (margin method) of the 1-D box program on AR(1) paths
+  (epsilon 0.15, 20,578 scenarios), of the two-piece 2-D box program on
+  AR(2) paths (epsilon 0.3, 37,489 scenarios) and of the 1-D program over a
+  ball of radius 10 (epsilon 0.15); ``scenario_pac_coverage`` of the 1-D
+  box program; and ``solve_margin_program`` of a five-piece program whose
+  psi is constant, with the rows it handed to the solver.
+- ``regression_sweep``: at one thread, ``_clipped_ray_risks`` on the
+  config's AR(2) paths (simulated once, untimed) and ``regression_coverage``.
+
+Not collected by pytest (no ``test_`` prefix).
+"""
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+from digest_outputs import CONFIGS as DIGEST_CONFIGS
+from seqbounds import cli
+from seqbounds.experiments import (_clipped_ray_risks, _linear_model_grid,
+                                   regression_coverage, scenario_pac_coverage)
+from seqbounds.processes import ar1_process, ar_process, simulate_sequence
+from seqbounds.scenario import (AffineMap, Ball, Box, ConstraintPiece,
+                                ScenarioProgramSpec, certify,
+                                solve_margin_program)
+
+REPEATS = 5
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def best_of(run, number=1):
+    """The least mean time per call of ``number`` calls of ``run``, over
+    ``REPEATS`` repeats."""
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for _ in range(number):
+            run()
+        times.append((time.perf_counter() - start) / number)
+    return min(times)
+
+
+IMPORT_CONFIGS = {
+    "plan": {"command": "plan", "method": "vc", "epsilon": 0.1,
+             "delta": 1e-6, "d_vc": 5, "seed": 1},
+    "concentration_exactness": {"command": "validate",
+                                "experiment": "concentration_exactness",
+                                "seed": 0},
+}
+
+
+def measure_import():
+    def process(*argv):
+        return best_of(lambda: subprocess.run(
+            [sys.executable, *argv], check=True, stdout=subprocess.DEVNULL))
+
+    times = {"interpreter_s": process("-c", "pass"),
+             "import_s": process("-c", "import seqbounds")}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, config in IMPORT_CONFIGS.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(config))
+            times[f"cli_{name}_s"] = process(
+                "-m", "seqbounds.cli", "--config", str(path),
+                "--out", str(Path(tmp) / name))
+    return times
+
+
+THREADS_EXPERIMENTS = ("vc_coverage", "relative_coverage",
+                       "margin_rad_coverage", "regression_coverage",
+                       "symmetrization")
+
+
+def measure_threads():
+    times = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in THREADS_EXPERIMENTS:
+            for threads in (1, 2):
+                config = dict(DIGEST_CONFIGS[name], command="validate",
+                              experiment=name, threads=threads)
+                out = Path(tmp) / f"{name}_{threads}"
+
+                def run():
+                    if cli.run(config, out) != cli.EXIT_OK:
+                        raise SystemExit(f"{name}: run failed")
+
+                run()
+                times[f"{name}_threads{threads}_s"] = best_of(run)
+    return times
+
+
+SCENARIO_CONFIG = {"ar1": {"a": 0.8, "sigma": 0.6, "flip_p": 0.1},
+                   "ar2": {"coefficients": [0.5, 0.2], "sigma": 1.0},
+                   "delta": 0.1, "seed": 17, "calls": 20, "replications": 40,
+                   "constant_psi_scenarios": 20_000}
+
+
+def x_bounds_program(theta_set, dim):
+    """x_k - theta_k <= -1 for each coordinate k of x (margin 1)."""
+    pieces = tuple(ConstraintPiece(psi=AffineMap(np.zeros((dim, dim)),
+                                                 -np.eye(dim)[k]),
+                                   eta=AffineMap(np.eye(dim)[k:k + 1], [0.0]))
+                   for k in range(dim))
+    return ScenarioProgramSpec(objective=np.ones(dim), pieces=pieces,
+                               theta_set=theta_set, margin=1.0)
+
+
+def measure_scenario():
+    c = SCENARIO_CONFIG
+    ar1 = ar1_process(**c["ar1"])
+    ar2 = ar_process(**c["ar2"])
+    box_1d = x_bounds_program(Box([-10.0], [10.0]), 1)
+    certificates = {
+        "certify_1d_ms": (box_1d, ar1, 0.15),
+        "certify_2d_ms": (x_bounds_program(Box([-10.0] * 2, [10.0] * 2), 2),
+                          ar2, 0.3),
+        "certify_ball_ms": (x_bounds_program(Ball(10.0), 1), ar1, 0.15),
+    }
+    out = {}
+    for name, (program, spec, epsilon) in certificates.items():
+        def run(program=program, spec=spec, epsilon=epsilon):
+            certify(program, spec, epsilon, c["delta"], "margin", c["seed"])
+        run()
+        out[name] = 1e3 * best_of(run, c["calls"])
+
+    def coverage():
+        scenario_pac_coverage(box_1d, ar1, 0.15, c["delta"],
+                              c["replications"], c["seed"])
+
+    coverage()
+    out["scenario_pac_coverage_s"] = best_of(coverage)
+
+    program = x_bounds_program(Box([-10.0] * 5, [10.0] * 5), 5)
+    xs = np.random.default_rng(c["seed"]).normal(
+        size=(c["constant_psi_scenarios"], 5))
+    out["constant_psi_5d_rows"] = solve_margin_program(program, xs).rows_solved
+    out["constant_psi_5d_ms"] = 1e3 * best_of(
+        lambda: solve_margin_program(program, xs), c["calls"])
+    return out
+
+
+SWEEP_CONFIG = {"coefficients": [0.5, 0.2], "sigma": 1.0, "m_clip": 4.0,
+                "radius": 2.0, "n": 2000, "replications": 200, "delta": 0.05,
+                "seed": 909}
+
+
+def measure_regression_sweep():
+    c = SWEEP_CONFIG
+    spec = ar_process(c["coefficients"], c["sigma"])
+    directions, radii = _linear_model_grid(len(c["coefficients"]), c["radius"])
+    paths = [simulate_sequence(spec, c["n"], c["seed"], replication=r)
+             for r in range(c["replications"])]
+
+    def sweep():
+        for path in paths:
+            _clipped_ray_risks(path.x, path.y, directions, radii, c["m_clip"])
+
+    def experiment():
+        regression_coverage(spec, c["m_clip"], c["radius"], c["n"],
+                            c["replications"], c["delta"], c["seed"])
+
+    return {"ray_risks_s": best_of(sweep),
+            "regression_coverage_s": best_of(experiment)}
+
+
+# suite -> (the header of its file, less "repeats" and "runs"; its timings)
+SUITES = {
+    "import": ({"configs": IMPORT_CONFIGS}, measure_import),
+    "threads": ({"configs": {name: DIGEST_CONFIGS[name]
+                             for name in THREADS_EXPERIMENTS}},
+                measure_threads),
+    "scenario": ({"config": SCENARIO_CONFIG}, measure_scenario),
+    "regression_sweep": ({"config": SWEEP_CONFIG}, measure_regression_sweep),
+}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("suite", choices=SUITES)
+    parser.add_argument("--label", default="change")
+    parser.add_argument("--out", type=Path,
+                        help="default: BENCH_<suite>.json at the repo root")
+    args = parser.parse_args()
+    header, measure = SUITES[args.suite]
+    out = args.out or ROOT / f"BENCH_{args.suite}.json"
+    bench = (json.loads(out.read_text()) if out.exists()
+             else {**header, "repeats": REPEATS, "runs": {}})
+    bench["runs"][args.label] = {
+        **measure(),
+        "cores": os.cpu_count(), "python": platform.python_version(),
+        "numpy": np.__version__, "scipy": scipy.__version__,
+    }
+    out.write_text(json.dumps(bench, indent=2) + "\n")
+    print(json.dumps(bench["runs"][args.label], indent=2))
+
+
+if __name__ == "__main__":
+    main()

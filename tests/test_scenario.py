@@ -102,8 +102,32 @@ class TestViolationBound:
         assert violation_bound("margin", n, delta, gamma=gamma,
                                tau_lambda_sum=tau_lambda_sum) <= eps
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(d=st.integers(1, 50), n_extra=st.integers(0, 10 ** 9),
+           n_step=st.integers(0, 10 ** 6),
+           delta=st.floats(0, 1, exclude_min=True, exclude_max=True),
+           delta_up=st.floats(0, 1), gamma=st.floats(1e-300, 1e50),
+           tau_lambda_sum=st.floats(1e-300, 1e300))
+    def test_nonnegative_and_nonincreasing_in_n_and_delta(
+            self, d, n_extra, n_step, delta, delta_up, gamma, tau_lambda_sum):
+        n = d + n_extra             # the vc form needs n >= d
+        delta_2 = delta + (1.0 - delta) * delta_up
+        assume(delta_2 < 1.0)
+        margin = {"gamma": gamma, "tau_lambda_sum": tau_lambda_sum}
+        for method, capacity in (("vc", {"d_vc": d}), ("margin", margin)):
+            got = violation_bound(method, n, delta, **capacity)
+            assert got >= 0.0
+            assert violation_bound(method, n + n_step, delta,
+                                   **capacity) <= got
+            assert violation_bound(method, n, delta_2, **capacity) <= got
+
+    def test_vc_rejects_n_below_d_vc(self):
+        with pytest.raises(ValueError, match="^n must"):
+            violation_bound("vc", 1, 0.1, d_vc=100)
+        assert violation_bound("vc", 100, 0.1, d_vc=100) > 0.0
+
     def test_method_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="d_vc"):
             violation_bound("vc", 100, 0.1)
         with pytest.raises(ValueError):
             violation_bound("other", 100, 0.1, d_vc=1)
