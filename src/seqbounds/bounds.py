@@ -420,22 +420,41 @@ def class_rad_upper(family: str, n: int, *, m_clip: float = None,
 # ---------------------------------------------------------------------------
 # Chaining
 
-def chaining_rad_upper(diameter: float, depth: int, log_covering, n: int,
-                       lipschitz: float = 1.0) -> float:
-    """Multi-scale (dyadic) covering-number bound on the Rademacher
-    complexity: L * (D/2^N + 6 D sum_j 2^-j sqrt(log N(D 2^-j) / n))."""
+def _chaining_terms(diameter, depth, log_covering, n, lipschitz):
+    """Check the chaining arguments and return the terms
+    6 D 2^-j sqrt(log N(D 2^-j) / n) for j = 1..depth, evaluating and
+    checking each scale's log covering number once, coarsest first (none
+    at D = 0, where the bound is 0 at every depth)."""
     _check("diameter", diameter, 0, hi_open=True)
     _check("depth", depth, 1, integer=True)
     _check("n", n, 1, integer=True)
     _check("lipschitz", lipschitz, 0, hi_open=True)
     if diameter == 0.0:
-        return 0.0
-    total = diameter / 2.0 ** depth
+        return []
+    terms = []
     for j in range(1, depth + 1):
         lognj = float(log_covering(diameter * 2.0 ** -j))
         _check("log_covering", lognj, 0)
-        total += 6.0 * diameter * 2.0 ** -j * math.sqrt(lognj / n)
+        terms.append(6.0 * diameter * 2.0 ** -j * math.sqrt(lognj / n))
+    return terms
+
+
+def _chaining_at(diameter, depth, terms, lipschitz):
+    """L (D/2^N + the first N terms, added left to right)."""
+    if diameter == 0.0:
+        return 0.0
+    total = diameter / 2.0 ** depth
+    for term in terms[:depth]:
+        total += term
     return lipschitz * total
+
+
+def chaining_rad_upper(diameter: float, depth: int, log_covering, n: int,
+                       lipschitz: float = 1.0) -> float:
+    """Multi-scale (dyadic) covering-number bound on the Rademacher
+    complexity: L * (D/2^N + 6 D sum_j 2^-j sqrt(log N(D 2^-j) / n))."""
+    terms = _chaining_terms(diameter, depth, log_covering, n, lipschitz)
+    return _chaining_at(diameter, depth, terms, lipschitz)
 
 
 def chaining_rad_upper_best(diameter: float, log_covering, n: int,
@@ -443,12 +462,15 @@ def chaining_rad_upper_best(diameter: float, log_covering, n: int,
     """Minimize the chaining bound over the depth N in [1, max_depth].
 
     Returns (value, depth); sound because the bound holds at every depth.
+    The arguments are checked once and each scale's log covering number is
+    evaluated and checked once; every depth's value has the bits that
+    chaining_rad_upper gives it.
     """
     _check("max_depth", max_depth, 1, integer=True)
-    log_covering = functools.cache(log_covering)    # each scale once
+    terms = _chaining_terms(diameter, max_depth, log_covering, n, lipschitz)
     best_val, best_depth = math.inf, 1
     for depth in range(1, max_depth + 1):
-        val = chaining_rad_upper(diameter, depth, log_covering, n, lipschitz)
+        val = _chaining_at(diameter, depth, terms, lipschitz)
         if val < best_val:
             best_val, best_depth = val, depth
     return best_val, best_depth

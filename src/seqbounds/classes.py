@@ -176,10 +176,15 @@ def _exhaustive_net_size(dm: np.ndarray, epsilon: float) -> int:
     """Smallest number of rows whose open epsilon-balls cover every row.
 
     Exact: a table over all 2^m subsets, built one row at a time, holds each
-    subset's covered rows (as a bitmask); _SUBSET_SIZE gives its size.
+    subset's covered rows (as a bitmask); _SUBSET_SIZE gives its size.  When
+    every ball holds only its own row, only that row covers it, so the net
+    is all m rows and no table is built.
     """
     m = dm.shape[0]
-    balls = (dm < epsilon) @ (1 << np.arange(m, dtype=np.int64))
+    inside = dm < epsilon
+    if np.count_nonzero(inside) == m:       # the diagonal: 0 < epsilon
+        return m
+    balls = inside @ (1 << np.arange(m, dtype=np.int64))
     cover = np.zeros(1 << m, dtype=np.int64)
     for i, ball in enumerate(balls):
         # the subsets that contain row i are those without it, plus row i

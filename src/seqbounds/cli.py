@@ -275,10 +275,10 @@ RECORD_COLUMNS = ["replication", "seed", "statistic", "bound", "holds"]
 
 def write_records_csv(records, path):
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RECORD_COLUMNS)
-        writer.writeheader()
-        for rec in records:
-            writer.writerow({k: _plain(v) for k, v in rec.items()})
+        writer = csv.writer(fh)
+        writer.writerow(RECORD_COLUMNS)
+        writer.writerows([_plain(rec[k]) for k in RECORD_COLUMNS]
+                         for rec in records)
 
 
 def main(argv=None) -> int:

@@ -110,8 +110,8 @@ def empirical_rademacher_exact(cls: FunctionClassDescriptor, points) -> float:
     for lo in range(0, 1 << n, _SIGN_BLOCK):
         masks = np.arange(lo, min(lo + _SIGN_BLOCK, 1 << n))
         signs = ((masks[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
-        for v in sup(signs).tolist():   # summed left to right, mask by mask
-            total += v
+        # summed left to right, mask by mask: accumulate adds in order
+        total = float(np.add.accumulate(np.append(total, sup(signs)))[-1])
     return total / (1 << n)
 
 

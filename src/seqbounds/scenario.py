@@ -281,6 +281,12 @@ def plan_n_margin(epsilon: float, delta: float, gamma: float,
                          f"{gamma:g} and epsilon = {epsilon:g}")
 
 
+def _log_over(c, delta):
+    """log(c / delta), also where c / delta overflows (delta subnormal)."""
+    ratio = c / delta
+    return math.log(ratio) if ratio < math.inf else math.log(c) - math.log(delta)
+
+
 def violation_bound(method: str, n: int, delta: float, *, d_vc: int = None,
                     gamma: float = None, tau_lambda_sum: float = None) -> float:
     """Violation-probability bound of a feasible point at sample size n.
@@ -288,18 +294,26 @@ def violation_bound(method: str, n: int, delta: float, *, d_vc: int = None,
     vc: (4 d log(2en/d) + log(4/delta)) / n for n >= d (zero-error form);
     margin: (2/gamma) sum tau_k Lambda_k / sqrt(n)
     + sqrt(log(1/delta) / 2n).
-    The caller asserts feasibility (with margin, where required).
+    The caller asserts feasibility (with margin, where required).  The value
+    is finite for every accepted input: a margin capacity term past the
+    float range (a vacuous bound) is reported as the largest float.
     """
     _check("delta", delta, 0, 1, lo_open=True, hi_open=True)
     _check("n", n, 1, integer=True)
     if method == "vc":
         _check("d_vc", d_vc, 1, integer=True)
-        return (4.0 * _log_capacity(n, d_vc) + math.log(4.0 / delta)) / n
+        return (4.0 * _log_capacity(n, d_vc) + _log_over(4.0, delta)) / n
     if method == "margin":
         _check("gamma", gamma, 0, _SCALE_MAX, lo_open=True)
         _check("tau_lambda_sum", tau_lambda_sum, 0, lo_open=True, hi_open=True)
-        return ((2.0 / gamma) * tau_lambda_sum / math.sqrt(n)
-                + math.sqrt(math.log(1.0 / delta) / (2.0 * n)))
+        capacity = (2.0 / gamma) * tau_lambda_sum / math.sqrt(n)
+        if capacity == math.inf:
+            # 2 / gamma or its product overflowed.  In this order only a
+            # term past the float range can, and such a bound is vacuous
+            # (as is any above 1): it is reported as the largest float
+            capacity = min(tau_lambda_sum / math.sqrt(n) / gamma * 2.0,
+                           sys.float_info.max)
+        return capacity + math.sqrt(_log_over(1.0, delta) / (2.0 * n))
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -30,6 +30,10 @@ numpy and scipy versions.  The suites:
   psi is constant, with the rows it handed to the solver.
 - ``regression_sweep``: at one thread, ``_clipped_ray_risks`` on the
   config's AR(2) paths (simulated once, untimed) and ``regression_coverage``.
+- ``capacity``: the mean time per call, at one thread, of
+  ``chaining_dominance`` at its ``tests/digest_outputs.py`` config,
+  ``empirical_rademacher_exact`` of a 3-D linear ball on 16 normal points
+  and ``concentration_exactness`` at its defaults.
 
 Not collected by pytest (no ``test_`` prefix).
 """
@@ -48,7 +52,10 @@ import scipy
 
 from digest_outputs import CONFIGS as DIGEST_CONFIGS
 from seqbounds import cli
+from seqbounds.classes import linear_ball_class
+from seqbounds.estimators import empirical_rademacher_exact
 from seqbounds.experiments import (_clipped_ray_risks, _linear_model_grid,
+                                   chaining_dominance, concentration_exactness,
                                    regression_coverage, scenario_pac_coverage)
 from seqbounds.processes import ar1_process, ar_process, simulate_sequence
 from seqbounds.scenario import (AffineMap, Ball, Box, ConstraintPiece,
@@ -194,6 +201,30 @@ def measure_regression_sweep():
             "regression_coverage_s": best_of(experiment)}
 
 
+CAPACITY_CONFIG = {"chaining_dominance": DIGEST_CONFIGS["chaining_dominance"],
+                   "rademacher_points": 16, "rademacher_dim": 3,
+                   "seed": 16, "calls": 5}
+
+
+def measure_capacity():
+    c = CAPACITY_CONFIG
+    points = np.random.default_rng(c["seed"]).standard_normal(
+        (c["rademacher_points"], c["rademacher_dim"]))
+    ball = linear_ball_class(c["rademacher_dim"], 1.0)
+    runs = {
+        "chaining_dominance_ms": lambda: chaining_dominance(
+            **c["chaining_dominance"]),
+        "rademacher_exact_ms": lambda: empirical_rademacher_exact(ball,
+                                                                  points),
+        "concentration_exactness_ms": concentration_exactness,
+    }
+    out = {}
+    for name, run in runs.items():
+        run()
+        out[name] = 1e3 * best_of(run, c["calls"])
+    return out
+
+
 # suite -> (the header of its file, less "repeats" and "runs"; its timings)
 SUITES = {
     "import": ({"configs": IMPORT_CONFIGS}, measure_import),
@@ -202,6 +233,7 @@ SUITES = {
                 measure_threads),
     "scenario": ({"config": SCENARIO_CONFIG}, measure_scenario),
     "regression_sweep": ({"config": SWEEP_CONFIG}, measure_regression_sweep),
+    "capacity": ({"config": CAPACITY_CONFIG}, measure_capacity),
 }
 
 

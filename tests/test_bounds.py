@@ -178,6 +178,22 @@ class TestOracleProperties:
                 for depth in range(1, 13)]
         assert got == min(loop, key=lambda vd: vd[0])
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(diameter=st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+           logs=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=40),
+           n=st.integers(1, 10 ** 6), lipschitz=st.floats(0.0, 100.0),
+           max_depth=st.integers(1, 40))
+    def test_chaining_best_is_the_exact_minimum(self, diameter, logs, n,
+                                                lipschitz, max_depth):
+        def log_cov(eps):       # scale D 2^-j reads entry j - 1, cyclically
+            return logs[(round(math.log2(diameter / eps)) - 1) % len(logs)]
+
+        got = chaining_rad_upper_best(diameter, log_cov, n, lipschitz,
+                                      max_depth)
+        loop = [(chaining_rad_upper(diameter, depth, log_cov, n, lipschitz),
+                 depth) for depth in range(1, max_depth + 1)]
+        assert got == min(loop, key=lambda vd: vd[0])
+
 
 class TestVcBound:
     def test_frozen_value(self):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,6 +295,21 @@ class TestExhaustiveNetSize:
         assert covering_number_exhaustive(values, eps) == size
         if how == "below":
             assert size == 14
+
+
+def test_net_of_singleton_balls_builds_no_subset_table():
+    # a table over the 2^16 subsets would take 512 KiB
+    values = np.arange(16.0)[:, None] * np.ones(4)
+    dm = pseudo_metric_matrix(values)
+    eps = float(np.min(dm[dm > 0])) / 2
+    tracemalloc.start()
+    try:
+        size = _exhaustive_net_size(dm, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 16
+    assert peak < 64 * 1024
 
 
 class TestDescriptors:

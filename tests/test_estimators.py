@@ -141,6 +141,38 @@ class TestEmpiricalRademacher:
             empirical_rademacher_exact(cls, pts)
 
 
+def _exact_by_python_loop(cls, pts):
+    """The exact sign expectation with the sum over the 2^n masks added one
+    float at a time, left to right."""
+    n = pts.shape[0]
+    sup = estimators._sup_rows(cls, pts)
+    total = 0.0
+    for lo in range(0, 1 << n, estimators._SIGN_BLOCK):
+        masks = np.arange(lo, min(lo + estimators._SIGN_BLOCK, 1 << n))
+        signs = ((masks[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
+        for v in sup(signs).tolist():
+            total += v
+    return total / (1 << n)
+
+
+_TABLE = np.random.default_rng(31).normal(size=(6, 14))
+
+
+@pytest.mark.parametrize("cls, points", [
+    (linear_ball_class(3, 1.0),
+     np.random.default_rng(32).normal(size=(14, 3))),
+    (linear_ball_class(2, 1.5, with_offset=True),
+     np.random.default_rng(33).normal(size=(14, 2))),
+    (threshold_class(), np.random.default_rng(34).normal(size=14)),
+    (finite_class([(lambda row: (lambda x: row[np.asarray(x, int)]))(row)
+                   for row in _TABLE]), np.arange(14.0)),
+], ids=["ball", "ball-offset", "threshold", "finite"])
+def test_exact_rademacher_is_the_left_to_right_sum(cls, points):
+    for n in range(1, 15):
+        assert empirical_rademacher_exact(cls, points[:n]) == \
+            _exact_by_python_loop(cls, points[:n])
+
+
 def _sign_case(kind, n, seed):
     """A class, its points and sup(sigma) for one sign vector, written
     directly from the definition of each class's supremum."""

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -125,6 +126,26 @@ class TestViolationBound:
         with pytest.raises(ValueError, match="^n must"):
             violation_bound("vc", 1, 0.1, d_vc=100)
         assert violation_bound("vc", 100, 0.1, d_vc=100) > 0.0
+
+    def test_finite_at_extreme_delta_gamma_and_tau_lambda_sum(self):
+        # 4 / delta, 1 / delta and (2 / gamma) tau_lambda_sum overflow here
+        got = violation_bound("vc", 10, 1e-310, d_vc=1)
+        assert got == pytest.approx(
+            (4.0 * math.log(2.0 * math.e * 10) + math.log(4.0)
+             - math.log(1e-310)) / 10, rel=1e-14)
+        got = violation_bound("margin", 10, 1e-310, gamma=1.0,
+                              tau_lambda_sum=1.0)
+        assert got == pytest.approx(
+            2.0 / math.sqrt(10) + math.sqrt(-math.log(1e-310) / 20), rel=1e-14)
+        for delta, gamma in ((1e-310, 1e-300), (0.1, 1e-50)):
+            got = violation_bound("margin", 10, delta, gamma=gamma,
+                                  tau_lambda_sum=1e300)
+            assert got == sys.float_info.max
+        # a term inside the float range keeps its value when 2 / gamma
+        # overflows
+        got = violation_bound("margin", 10, 0.1, gamma=1e-315,
+                              tau_lambda_sum=1e-10)
+        assert got == pytest.approx(2e-10 / 1e-315 / math.sqrt(10), rel=1e-12)
 
     def test_method_validation(self):
         with pytest.raises(ValueError, match="d_vc"):
