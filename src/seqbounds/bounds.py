@@ -6,7 +6,11 @@ All logarithms are natural and everything is evaluated in double
 precision.  Each calculator returns a RiskBoundReport whose value is the
 exact sum of its decomposed terms; the concentration term is the value
 the non-empirical part would take for a capacity of one (log capacity 0),
-and the complexity term is the capacity increment on top of it.
+and the complexity term is the capacity increment on top of it.  Each
+formula has one home: ``_log_over`` is the confidence term log(c/delta)
+of every bound and planner, finite for every accepted delta; ``_split``
+makes this split for each VC bound; and ``_mcdiarmid`` is the
+bounded-difference deviation B sqrt(log(1/delta) / 2n).
 
 ``scipy.special`` is imported on first use: the module attribute
 ``special`` (which a caller may replace) loads it the first time a binomial
@@ -21,7 +25,7 @@ import inspect
 import math
 import operator
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -147,15 +151,7 @@ class RiskBoundReport:
             raise ValueError("bound value must equal the sum of its terms")
 
     def to_dict(self):
-        return {
-            "bound_value": self.bound_value,
-            "empirical_risk_term": self.empirical_risk_term,
-            "complexity_term": self.complexity_term,
-            "concentration_term": self.concentration_term,
-            "delta": self.delta,
-            "theorem_tag": self.theorem_tag,
-            "n": self.n,
-        }
+        return asdict(self)
 
 
 def _report(emp, complexity, concentration, delta, tag, n):
@@ -164,6 +160,26 @@ def _report(emp, complexity, concentration, delta, tag, n):
         empirical_risk_term=emp, complexity_term=complexity,
         concentration_term=concentration, delta=delta, theorem_tag=tag, n=n,
     )
+
+
+def _log_over(c, delta):
+    """log(c / delta), also where c / delta overflows (delta subnormal)."""
+    ratio = c / delta
+    return math.log(ratio) if ratio < math.inf else math.log(c) - math.log(delta)
+
+
+def _split(emp, form, cap, conf, delta, tag, n):
+    """The report of emp + form(cap + conf) for log capacity ``cap`` and
+    confidence term ``conf``: form(conf) is its concentration term, and the
+    rest its complexity term."""
+    conc = form(conf)
+    return _report(emp, form(cap + conf) - conc, conc, delta, tag, n)
+
+
+def _mcdiarmid(b, delta, n):
+    """B sqrt(log(1/delta) / 2n): the deviation of a function of n
+    coordinates, each moving it by at most B/n, at confidence 1 - delta."""
+    return b * math.sqrt(_log_over(1.0, delta) / (2.0 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +295,9 @@ def vc_bound(emp_risk: float, n: int, delta: float, *, d_vc: int = None,
     """
     _check("delta", delta, 0, 1, lo_open=True, hi_open=True)
     _check("emp_risk", emp_risk, 0, hi_open=True)
-    cap = _log_capacity(n, d_vc, growth_2n)
-    joint = 2.0 * math.sqrt(2.0 * (cap + math.log(2.0 / delta)) / n)
-    conc = 2.0 * math.sqrt(2.0 * math.log(2.0 / delta) / n)
-    return _report(emp_risk, joint - conc, conc, delta, "vc-basic-dependent", n)
+    return _split(emp_risk, lambda t: 2.0 * math.sqrt(2.0 * t / n),
+                  _log_capacity(n, d_vc, growth_2n), _log_over(2.0, delta),
+                  delta, "vc-basic-dependent", n)
 
 
 def vc_relative_bound(emp_risk: float, n: int, delta: float, *,
@@ -301,12 +316,10 @@ def vc_relative_bound(emp_risk: float, n: int, delta: float, *,
         )
     _check("delta", delta, 0, 1, lo_open=True, hi_open=True)
     _check("emp_risk", emp_risk, 0, hi_open=True)
-    cap = _log_capacity(n, d_vc, growth_2n)
-    c = (cap + math.log(4.0 / delta)) / n
-    c0 = math.log(4.0 / delta) / n
-    joint = 2.0 * math.sqrt(emp_risk * c) + 4.0 * c
-    conc = 2.0 * math.sqrt(emp_risk * c0) + 4.0 * c0
-    return _report(emp_risk, joint - conc, conc, delta, "vc-relative-dependent", n)
+    return _split(emp_risk,
+                  lambda t: 2.0 * math.sqrt(emp_risk * (t / n)) + 4.0 * (t / n),
+                  _log_capacity(n, d_vc, growth_2n), _log_over(4.0, delta),
+                  delta, "vc-relative-dependent", n)
 
 
 def linear_system_induced_vc_dim(d: int) -> int:
@@ -323,11 +336,9 @@ def regression_vc_bound(emp_risk: float, n: int, d_vc: int,
     _check("delta", delta, 0, 1, lo_open=True, hi_open=True)
     _check("b", b, 0, _RANGE_MAX, lo_open=True)
     _check("emp_risk", emp_risk, 0, hi_open=True)
-    cap = _log_capacity(n, d_vc, None)
-    joint = 2.0 * b * math.sqrt(2.0 * (cap + math.log(2.0 / delta)) / n)
-    conc = 2.0 * b * math.sqrt(2.0 * math.log(2.0 / delta) / n)
-    return _report(emp_risk, joint - conc, conc, delta,
-                   "vc-regression-reduction", n)
+    return _split(emp_risk, lambda t: 2.0 * b * math.sqrt(2.0 * t / n),
+                  _log_capacity(n, d_vc, None), _log_over(2.0, delta),
+                  delta, "vc-regression-reduction", n)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +379,7 @@ def rademacher_risk_bound(variant: str, emp_risk: float, rad_terms, b: float,
         if terms.size != 1:
             raise ValueError(f"{variant} needs a single Rademacher term")
         complexity = 2.0 * float(terms[0])
-    conc = b * math.sqrt(math.log(1.0 / delta) / (2.0 * n))
-    return _report(emp_risk, complexity, conc, delta,
+    return _report(emp_risk, complexity, _mcdiarmid(b, delta, n), delta,
                    f"rademacher-{variant.replace('_', '-')}", n)
 
 
@@ -433,9 +443,9 @@ def _chaining_terms(diameter, depth, log_covering, n, lipschitz):
         return []
     terms = []
     for j in range(1, depth + 1):
-        lognj = float(log_covering(diameter * 2.0 ** -j))
+        lognj = float(log_covering(math.ldexp(diameter, -j)))
         _check("log_covering", lognj, 0)
-        terms.append(6.0 * diameter * 2.0 ** -j * math.sqrt(lognj / n))
+        terms.append(math.ldexp(6.0 * diameter, -j) * math.sqrt(lognj / n))
     return terms
 
 
@@ -443,7 +453,7 @@ def _chaining_at(diameter, depth, terms, lipschitz):
     """L (D/2^N + the first N terms, added left to right)."""
     if diameter == 0.0:
         return 0.0
-    total = diameter / 2.0 ** depth
+    total = math.ldexp(diameter, -depth)
     for term in terms[:depth]:
         total += term
     return lipschitz * total
@@ -497,6 +507,5 @@ def mixing_reference_bound(emp_risk: float, rad_mu: float, b: float, mu: int,
     slack = delta - 4.0 * (mu - 1) * beta_a
     if slack <= 0:
         return None
-    conc = b * math.sqrt(math.log(1.0 / slack) / (2.0 * mu))
-    return _report(emp_risk, 2.0 * rad_mu, conc, delta,
+    return _report(emp_risk, 2.0 * rad_mu, _mcdiarmid(b, slack, mu), delta,
                    f"mixing-reference[a={a}]", mu)

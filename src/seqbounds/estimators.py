@@ -4,7 +4,7 @@ risk, violation rates, and the ghost gap of the symmetrization check (the
 check itself is ``experiments.symmetrization``)."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -27,8 +27,7 @@ class MonteCarloEstimate:
     seed: int
 
     def to_dict(self):
-        return {"value": self.value, "std_error": self.std_error,
-                "replications": self.replications, "seed": self.seed}
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

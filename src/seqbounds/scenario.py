@@ -15,12 +15,13 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .bounds import (_SCALE_MAX, _as_floats, _check, _check_entries,
-                     _from_dict, _from_kind_dict, _log_capacity)
+                     _from_dict, _from_kind_dict, _log_capacity, _log_over,
+                     _mcdiarmid)
 from .processes import ProcessSpec, simulate_sequence
 
 _CEIL_GUARD = 1e-9
@@ -262,7 +263,7 @@ def plan_n_vc(epsilon: float, delta: float, d_vc: int) -> int:
     _check("delta", delta, 0, 1, lo_open=True, hi_open=True)
     _check("d_vc", d_vc, 1, integer=True)
     val = (5.0 / epsilon) * (d_vc * math.log(40.0 / epsilon)
-                             + math.log(4.0 / delta))
+                             + _log_over(4.0, delta))
     return _planned(val, f"epsilon = {epsilon:g} and d_vc = {d_vc}")
 
 
@@ -274,17 +275,11 @@ def plan_n_margin(epsilon: float, delta: float, gamma: float,
     _check("delta", delta, 0, 1, lo_open=True, hi_open=True)
     _check("gamma", gamma, 0, _SCALE_MAX, lo_open=True)
     _check("tau_lambda_sum", tau_lambda_sum, 0, lo_open=True, hi_open=True)
-    root = (2.0 / gamma) * tau_lambda_sum + math.sqrt(math.log(1.0 / delta))
+    root = (2.0 / gamma) * tau_lambda_sum + math.sqrt(_log_over(1.0, delta))
     # beyond 1e150 the float squares below would overflow or divide by zero
     val = root ** 2 / epsilon ** 2 if root / epsilon <= 1e150 else math.inf
     return _planned(val, f"tau_lambda_sum = {tau_lambda_sum:g}, gamma = "
                          f"{gamma:g} and epsilon = {epsilon:g}")
-
-
-def _log_over(c, delta):
-    """log(c / delta), also where c / delta overflows (delta subnormal)."""
-    ratio = c / delta
-    return math.log(ratio) if ratio < math.inf else math.log(c) - math.log(delta)
 
 
 def violation_bound(method: str, n: int, delta: float, *, d_vc: int = None,
@@ -313,7 +308,7 @@ def violation_bound(method: str, n: int, delta: float, *, d_vc: int = None,
             # (as is any above 1): it is reported as the largest float
             capacity = min(tau_lambda_sum / math.sqrt(n) / gamma * 2.0,
                            sys.float_info.max)
-        return capacity + math.sqrt(_log_over(1.0, delta) / (2.0 * n))
+        return capacity + _mcdiarmid(1.0, delta, n)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -688,16 +683,7 @@ class Certificate:
     seed: int
 
     def to_dict(self):
-        return {
-            "theta_hat": list(self.theta_hat),
-            "n_used": self.n_used,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "method": self.method,
-            "violation_bound": self.violation_bound,
-            "feasible": self.feasible,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "theta_hat": list(self.theta_hat)}
 
 
 def certify(program: ScenarioProgramSpec, spec: ProcessSpec, epsilon: float,
@@ -719,14 +705,16 @@ def certify(program: ScenarioProgramSpec, spec: ProcessSpec, epsilon: float,
             raise ValueError(
                 "vc method needs the indicator-class VC dimension on the program"
             )
-        n = plan_n_vc(epsilon, delta, program.indicator_vc_dim)
+        capacity = {"d_vc": program.indicator_vc_dim}
+        n = plan_n_vc(epsilon, delta, **capacity)
         gamma_solve = 0.0
     elif method == "margin":
-        tl = tau_lambda(program)
-        if tl.sum == 0:
+        tl_sum = tau_lambda(program).sum
+        if tl_sum == 0:
             raise ValueError("offset and matrix of every psi map are zero, or "
                              "theta_set is {0}: tau_lambda_sum is 0")
-        n = plan_n_margin(epsilon, delta, program.margin, tl.sum)
+        capacity = {"gamma": program.margin, "tau_lambda_sum": tl_sum}
+        n = plan_n_margin(epsilon, delta, **capacity)
         gamma_solve = program.margin
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -737,13 +725,8 @@ def certify(program: ScenarioProgramSpec, spec: ProcessSpec, epsilon: float,
                              labels=False)
     result = solve_margin_program(program, path.x, mode="optimize",
                                   margin=gamma_solve)
-    vb = None
-    if result.feasible:
-        if method == "vc":
-            vb = violation_bound("vc", n, delta, d_vc=program.indicator_vc_dim)
-        else:
-            vb = violation_bound("margin", n, delta, gamma=program.margin,
-                                 tau_lambda_sum=tl.sum)
+    vb = (violation_bound(method, n, delta, **capacity) if result.feasible
+          else None)
     return Certificate(
         theta_hat=tuple(float(t) for t in result.theta), n_used=n,
         epsilon=epsilon, delta=delta, method=method, violation_bound=vb,

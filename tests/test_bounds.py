@@ -240,13 +240,15 @@ class TestVcBound:
 
 
 EMP_RISK_CALCULATORS = {
-    "vc": lambda e: vc_bound(e, 100, 0.05, d_vc=2),
-    "vc_relative": lambda e: vc_relative_bound(e, 100, 0.05, d_vc=2,
-                                               stationary=True),
-    "regression": lambda e: regression_vc_bound(e, 100, 8, 0.05, 4.0),
-    "rademacher": lambda e: rademacher_risk_bound("marginal", e, [0.01], 1.0,
-                                                  100, 0.05),
-    "mixing": lambda e: mixing_reference_bound(e, 0.01, 1.0, 50, 1, 0.0, 0.05),
+    "vc": lambda e, delta=0.05: vc_bound(e, 100, delta, d_vc=2),
+    "vc_relative": lambda e, delta=0.05: vc_relative_bound(
+        e, 100, delta, d_vc=2, stationary=True),
+    "regression": lambda e, delta=0.05: regression_vc_bound(e, 100, 8, delta,
+                                                            4.0),
+    "rademacher": lambda e, delta=0.05: rademacher_risk_bound(
+        "marginal", e, [0.01], 1.0, 100, delta),
+    "mixing": lambda e, delta=0.05: mixing_reference_bound(e, 0.01, 1.0, 50, 1,
+                                                           0.0, delta),
 }
 
 
@@ -255,6 +257,42 @@ EMP_RISK_CALCULATORS = {
 def test_rejects_bad_emp_risk(calculator, emp_risk):
     with pytest.raises(ValueError, match="emp_risk"):
         EMP_RISK_CALCULATORS[calculator](emp_risk)
+
+
+# (c, the concentration term of EMP_RISK_CALCULATORS at emp 0.1 as a
+# function of its confidence term t = log(c / delta))
+_CONCENTRATION_FORMS = {
+    "vc": (2.0, lambda t: 2.0 * math.sqrt(2.0 * t / 100)),
+    "vc_relative": (4.0, lambda t: 2.0 * math.sqrt(0.1 * (t / 100))
+                    + 4.0 * (t / 100)),
+    "regression": (2.0, lambda t: 2.0 * 4.0 * math.sqrt(2.0 * t / 100)),
+    "rademacher": (1.0, lambda t: 1.0 * math.sqrt(t / (2.0 * 100))),
+    "mixing": (1.0, lambda t: 1.0 * math.sqrt(t / (2.0 * 50))),
+}
+
+# (a planner at delta, c, its plan as a function of t = log(c / delta))
+_PLANNERS = {
+    "plan_n_vc": (lambda delta: plan_n_vc(0.1, delta, 5), 4.0,
+                  lambda t: (5.0 / 0.1) * (5 * math.log(40.0 / 0.1) + t)),
+    "plan_n_margin": (lambda delta: plan_n_margin(0.1, delta, 1.0, 1.0), 1.0,
+                      lambda t: ((2.0 / 1.0) * 1.0 + math.sqrt(t)) ** 2
+                      / 0.1 ** 2),
+}
+
+
+@pytest.mark.parametrize("delta", [1e-310, 5e-324])
+@pytest.mark.parametrize("name", [*sorted(EMP_RISK_CALCULATORS),
+                                  *sorted(_PLANNERS)])
+def test_subnormal_delta_gives_a_finite_bound(name, delta):
+    # c / delta overflows here, so log(c / delta) is log c - log delta
+    if name in _PLANNERS:
+        plan, c, form = _PLANNERS[name]
+        assert plan(delta) == math.ceil(form(math.log(c) - math.log(delta)))
+        return
+    c, form = _CONCENTRATION_FORMS[name]
+    rep = EMP_RISK_CALCULATORS[name](0.1, delta)
+    assert math.isfinite(rep.bound_value)
+    assert rep.concentration_term == form(math.log(c) - math.log(delta))
 
 
 class TestVcRelativeBound:
@@ -396,6 +434,16 @@ class TestChaining:
     def test_negative_log_covering_rejected(self):
         with pytest.raises(ValueError):
             chaining_rad_upper(1.0, 2, lambda e: -0.5, 100)
+
+    def test_finite_past_depth_1023(self):
+        # 2.0 ** depth overflows from depth 1024 on
+        log_cov = lambda eps: math.log(2.0)
+        assert math.isfinite(chaining_rad_upper(1.0, 1024, log_cov, 10))
+        best = chaining_rad_upper_best(1.0, log_cov, 10, max_depth=1100)
+        assert math.isfinite(best[0])
+        loop = [(chaining_rad_upper(1.0, depth, log_cov, 10), depth)
+                for depth in range(1, 1101)]
+        assert best == min(loop, key=lambda vd: vd[0])
 
 
 class TestMixingReference:

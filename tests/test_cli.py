@@ -593,6 +593,16 @@ def test_exit_2_names_the_value(tmp_path, capsys, config, name):
     assert capsys.readouterr().err.startswith(f"config error: {name}")
 
 
+@pytest.mark.parametrize("config", [
+    dict(COMMAND_CONFIGS["bound"], delta=1e-310),
+    dict(COMMAND_CONFIGS["plan_vc"], delta=1e-310),
+], ids=["bound_vc", "plan_vc"])
+def test_subnormal_delta_exit_0(tmp_path, config):
+    # 2 / delta and 4 / delta overflow; the bound and the plan stay finite
+    assert run(config, tmp_path / "out") == cli.EXIT_OK
+    assert _all_finite(read_summary(tmp_path / "out")["summary"])
+
+
 @pytest.mark.parametrize("config, what", [
     ({"command": "rad", "sign_draws": 8, "seed": 7, "points": [1.0, 2.0],
       "class": {"kind": "linear_ball", "dim": 1, "radius": 1.0,

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from seqbounds import scenario
+from seqbounds.bounds import (chaining_rad_upper, mixing_reference_bound,
+                              rademacher_risk_bound, regression_vc_bound,
+                              vc_bound, vc_relative_bound)
 from seqbounds.estimators import violation_rate
 from seqbounds.processes import (ar1_process, ar_process, sample_marginal,
                                  simulate_sequence)
@@ -121,6 +124,122 @@ class TestViolationBound:
             assert violation_bound(method, n + n_step, delta,
                                    **capacity) <= got
             assert violation_bound(method, n, delta_2, **capacity) <= got
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(d=st.integers(1, 50), n_extra=st.integers(0, 10 ** 9),
+           n_step=st.integers(0, 10 ** 6),
+           delta=st.floats(0, 1, exclude_min=True, exclude_max=True),
+           delta_up=st.floats(0, 1), emp=st.floats(0, 1e6),
+           b=st.floats(1e-300, 1e100), rad=st.floats(0, 1e100),
+           growth=st.floats(1, 1e300), beta_share=st.floats(0, 1),
+           eps=st.floats(1e-4, 0.999), gamma=st.floats(1e-3, 10.0),
+           tau_lambda_sum=st.floats(1e-3, 100.0),
+           diameter=st.floats(0, 1e300), depth=st.integers(1, 1023),
+           log_cov=st.floats(0, 1e6))
+    def test_bounds_keep_the_bits_of_their_written_out_forms(
+            self, d, n_extra, n_step, delta, delta_up, emp, b, rad, growth,
+            beta_share, eps, gamma, tau_lambda_sum, diameter, depth, log_cov):
+        """Every bound, planner and chaining value equals, bit for bit, its
+        formula written out by hand wherever c / delta is finite; a risk
+        bound is the sum of its terms in the report's order, and every
+        bound is nonincreasing in n and in delta (to a relative 1e-12)."""
+        n = d + n_extra             # the VC forms need n >= d
+        delta_2 = delta + (1.0 - delta) * delta_up
+        assume(delta_2 < 1.0)
+        finite = {c: c / delta < math.inf for c in (1.0, 2.0, 4.0)}
+        sauer = d * math.log(2.0 * math.e * n / d)
+        beta_a = beta_share * delta / (4.0 * n)
+        slack = delta - 4.0 * (n - 1) * beta_a
+
+        def vc_terms(cap, scale):
+            joint = scale * math.sqrt(2.0 * (cap + math.log(2.0 / delta)) / n)
+            conc = scale * math.sqrt(2.0 * math.log(2.0 / delta) / n)
+            return joint - conc, conc
+
+        def relative_terms():
+            c = (sauer + math.log(4.0 / delta)) / n
+            c0 = math.log(4.0 / delta) / n
+            conc = 2.0 * math.sqrt(emp * c0) + 4.0 * c0
+            return 2.0 * math.sqrt(emp * c) + 4.0 * c - conc, conc
+
+        # name -> (the bound at (n, delta), its written-out (complexity,
+        # concentration) terms where c / delta is finite)
+        risk_bounds = {
+            "vc": (lambda n, delta: vc_bound(emp, n, delta, d_vc=d),
+                   finite[2.0] and (lambda: vc_terms(sauer, 2.0))),
+            "vc_growth": (
+                lambda n, delta: vc_bound(emp, n, delta, growth_2n=growth),
+                finite[2.0] and (lambda: vc_terms(math.log(growth), 2.0))),
+            "vc_relative": (
+                lambda n, delta: vc_relative_bound(emp, n, delta, d_vc=d,
+                                                   stationary=True),
+                finite[4.0] and relative_terms),
+            "regression": (
+                lambda n, delta: regression_vc_bound(emp, n, d, delta, b),
+                finite[2.0] and (lambda: vc_terms(sauer, 2.0 * b))),
+            "rademacher": (
+                lambda n, delta: rademacher_risk_bound("marginal", emp, rad,
+                                                       b, n, delta),
+                finite[1.0] and (lambda: (2.0 * rad, b * math.sqrt(
+                    math.log(1.0 / delta) / (2.0 * n))))),
+            "mixing": (
+                lambda n, delta: mixing_reference_bound(emp, rad, b, n, 1,
+                                                        beta_a, delta),
+                slack > 0 and 1.0 / slack < math.inf and (lambda: (
+                    2.0 * rad, b * math.sqrt(
+                        math.log(1.0 / slack) / (2.0 * n))))),
+        }
+        for name, (bound, written_out) in risk_bounds.items():
+            rep = bound(n, delta)
+            if rep is None:         # the mixing bound below its delta floor
+                assert name == "mixing" and slack <= 0
+                continue
+            assert rep.bound_value == (rep.empirical_risk_term
+                                       + rep.complexity_term
+                                       + rep.concentration_term)
+            if written_out:
+                assert (rep.complexity_term,
+                        rep.concentration_term) == written_out(), name
+            top = rep.bound_value * (1.0 + 1e-12)
+            later = bound(n, delta_2)
+            assert later is None or later.bound_value <= top, name
+            if name != "mixing" or beta_a == 0.0:
+                assert bound(n + n_step, delta).bound_value <= top, name
+
+        def planned(val):
+            return int(math.ceil(val - 1e-9 * max(1.0, abs(val))))
+
+        plans = {
+            "vc": (lambda delta: plan_n_vc(eps, delta, d),
+                   finite[4.0] and (lambda: planned((5.0 / eps) * (
+                       d * math.log(40.0 / eps) + math.log(4.0 / delta))))),
+            "margin": (
+                lambda delta: plan_n_margin(eps, delta, gamma, tau_lambda_sum),
+                finite[1.0] and (lambda: planned(
+                    ((2.0 / gamma) * tau_lambda_sum
+                     + math.sqrt(math.log(1.0 / delta))) ** 2 / eps ** 2))),
+        }
+        for name, (plan, written_out) in plans.items():
+            got = plan(delta)
+            if written_out:
+                assert got == written_out(), name
+            assert plan(delta_2) <= got, name
+
+        if finite[4.0]:
+            assert violation_bound("vc", n, delta, d_vc=d) == (
+                4.0 * sauer + math.log(4.0 / delta)) / n
+        if finite[1.0]:
+            assert violation_bound(
+                "margin", n, delta, gamma=gamma,
+                tau_lambda_sum=tau_lambda_sum) == (
+                (2.0 / gamma) * tau_lambda_sum / math.sqrt(n)
+                + math.sqrt(math.log(1.0 / delta) / (2.0 * n)))
+
+        total = diameter / 2.0 ** depth
+        for j in range(1, depth + 1):
+            total += 6.0 * diameter * 2.0 ** -j * math.sqrt(log_cov / n)
+        assert chaining_rad_upper(diameter, depth, lambda eps: log_cov,
+                                  n) == (1.0 * total if diameter else 0.0)
 
     def test_vc_rejects_n_below_d_vc(self):
         with pytest.raises(ValueError, match="^n must"):
