@@ -1,14 +1,21 @@
 """Stationary dependent data generators with seeded, splittable streams
 and closed-form marginal (ghost) samplers.
 
-``scipy.signal`` and ``scipy.linalg`` are imported in the functions that
-call them (the path simulators and the AR(d) stationary covariance), so
-importing this module loads neither."""
+Importing this module loads no scipy.  The path simulators run scipy's
+compiled linear filter (the routine behind ``scipy.signal.lfilter``),
+loaded from its file on the first draw, so ``scipy.signal`` and the
+subpackages it imports stay unloaded; the AR(d) stationary covariance
+imports ``scipy.linalg``, the one scipy subpackage imported here."""
 from __future__ import annotations
 
 import functools
+import importlib
+import importlib.machinery
+import importlib.util
+import threading
 import zlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -71,12 +78,12 @@ class ProcessSpec:
         if self.kind == "markov_binary":
             _check("rho", self.rho, 0, 1, hi_open=True)
         elif self.dist == "uniform":
-            _check("low", self.low, lo_open=True, hi_open=True)
-            _check("high", self.high, self.low, lo_open=True, hi_open=True)
+            _check("low", self.low, -_SCALE_MAX, _SCALE_MAX)
+            _check("high", self.high, self.low, _SCALE_MAX, lo_open=True)
         else:
             _check("sigma", self.sigma, 0, _SCALE_MAX, lo_open=True)
         if self.kind in ("ar1_threshold_labels", "iid_baseline"):
-            _check("mean", self.mean, lo_open=True, hi_open=True)
+            _check("mean", self.mean, -_SCALE_MAX, _SCALE_MAX)
             _check("b_star", self.b_star, lo_open=True, hi_open=True)
             _check("flip_p", self.flip_p, 0, 1, hi_open=True)
         _set_floats(self)
@@ -194,6 +201,59 @@ def _ar_cholesky(coefficients, sigma):
     return chol
 
 
+def _sigtools_file():
+    """The compiled module of ``scipy.signal``'s linear filter, found next
+    to ``scipy/__init__``, or None if it is not there."""
+    import scipy
+    folder = Path(scipy.__file__).parent / "signal"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_sigtools{suffix}"
+        if path.is_file():
+            return path
+    return None
+
+
+def _load_sigtools():
+    """``scipy.signal._sigtools`` loaded from its file, which skips
+    ``scipy.signal/__init__`` and the subpackages that imports; if the file
+    is missing or does not load, through the package."""
+    path = _sigtools_file()
+    if path is not None:
+        spec = importlib.util.spec_from_file_location("scipy.signal._sigtools",
+                                                      path)
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+        except ImportError:
+            pass
+    return importlib.import_module("scipy.signal._sigtools")
+
+
+_SIGTOOLS = None
+_SIGTOOLS_LOCK = threading.Lock()
+
+
+def _sigtools():
+    """``scipy.signal._sigtools``, loaded on the first call only: the lock
+    makes threads that draw their first paths at once load it once."""
+    global _SIGTOOLS
+    with _SIGTOOLS_LOCK:
+        if _SIGTOOLS is None:
+            _SIGTOOLS = _load_sigtools()
+    return _SIGTOOLS
+
+
+def _filter(a, x, zi):
+    """y_t = x_t - a_1 y_{t-1} - ... - a_N y_{t-N} (a_0 = 1) continued from
+    the filter state zi: the first output of ``scipy.signal.lfilter([1.0],
+    a, x, zi=zi)``, computed by the routine that call runs, with the
+    arguments it passes."""
+    y, _ = _sigtools()._linear_filter(np.atleast_1d([1.0]), np.atleast_1d(a),
+                                      np.asarray(x), -1, np.asarray(zi))
+    return y
+
+
 def _threshold_labels(x, b_star, flip_p, rng):
     signs = np.where(x >= b_star, 1.0, -1.0)
     if flip_p > 0:
@@ -214,11 +274,10 @@ def simulate_sequence(spec: ProcessSpec, n: int, seed: int,
     rng = stream(seed, replication, "path")
     y = None
     if spec.kind == "ar1_threshold_labels":
-        from scipy import signal
         v = spec.sigma ** 2 / (1.0 - spec.a ** 2)
         x0 = rng.normal(0.0, np.sqrt(v))
         eps = rng.normal(0.0, spec.sigma, n)
-        x, _ = signal.lfilter([1.0], [1.0, -spec.a], eps, zi=[spec.a * x0])
+        x = _filter([1.0, -spec.a], eps, [spec.a * x0])
         if labels:
             y = _threshold_labels(x, spec.b_star, spec.flip_p, rng)
     elif spec.kind == "ar_d_linear_system":
@@ -252,9 +311,13 @@ def _simulate_ar_d(spec, n, rng):
     state0 = chol @ rng.standard_normal(d)          # (y_0, y_-1, ..., y_{-d+1})
     noise = rng.normal(0.0, spec.sigma, n)
     a_poly = np.concatenate(([1.0], -theta))
-    from scipy import signal
-    zi = signal.lfiltic([1.0], a_poly, state0)
-    ys, _ = signal.lfilter([1.0], a_poly, noise, zi=zi)
+    # the filter state that continues the recursion from state0, as
+    # scipy.signal.lfiltic([1.0], a_poly, state0) computes it: each entry is
+    # subtracted from 0.0, which keeps the sign of a zero
+    zi = np.zeros(d)
+    for m in range(d):
+        zi[m] -= np.sum(a_poly[m + 1:] * state0[:d - m])
+    ys = _filter(a_poly, noise, zi)
     full = np.concatenate((state0[::-1], ys))       # y_{-d+1} .. y_n
     windows = np.lib.stride_tricks.sliding_window_view(full, d)[:n]
     x = windows[:, ::-1].copy()                     # x_i = (y_{i-1}, ..., y_{i-d})

@@ -12,9 +12,12 @@ numpy and scipy versions.  The suites:
 
 - ``import``: what a CLI user pays before any work, each the wall time of a
   new ``python`` process: ``import_s`` (``python -c "import seqbounds"``),
-  ``cli_plan_s`` (a ``plan`` by method ``vc``, which needs no scipy) and
+  ``cli_plan_s`` (a ``plan`` by method ``vc``, which needs no scipy),
   ``cli_concentration_exactness_s`` (which loads ``scipy.special`` for its
-  binomial tails).  All include the interpreter's start-up, timed alone as
+  binomial tails), ``cli_vc_coverage_s`` (``validate vc_coverage`` at its
+  acceptance config) and ``cli_simulate_ar1_s``/``cli_simulate_ar2_s`` (a
+  ``simulate`` of 100 steps of an AR(1) and an AR(2) process, which load the
+  path filter).  All include the interpreter's start-up, timed alone as
   ``interpreter_s`` (``python -c pass``).
 - ``threads``: whole ``cli.run`` calls of the five cheap replicated
   ``validate`` experiments at the configs of ``tests/digest_outputs.py``,
@@ -50,7 +53,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from digest_outputs import CONFIGS as DIGEST_CONFIGS
+from digest_outputs import AR1, AR2_SYSTEM, CONFIGS as DIGEST_CONFIGS
 from seqbounds import cli
 from seqbounds.classes import linear_ball_class
 from seqbounds.estimators import empirical_rademacher_exact
@@ -84,6 +87,12 @@ IMPORT_CONFIGS = {
     "concentration_exactness": {"command": "validate",
                                 "experiment": "concentration_exactness",
                                 "seed": 0},
+    "vc_coverage": {"command": "validate", "experiment": "vc_coverage",
+                    **DIGEST_CONFIGS["vc_coverage"]},
+    "simulate_ar1": {"command": "simulate", "process": AR1, "n": 100,
+                     "seed": 1},
+    "simulate_ar2": {"command": "simulate", "process": AR2_SYSTEM, "n": 100,
+                     "seed": 1},
 }
 
 

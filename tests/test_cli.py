@@ -477,6 +477,8 @@ _COMMAND_BASES = {
                      "seed": 3},
     "simulate_ar2": {"command": "simulate", "process": AR2_SYSTEM, "n": 200,
                      "seed": 3},
+    **{name: dict(COMMAND_CONFIGS[name], n=200) for name in (
+        "simulate_iid_normal", "simulate_iid_uniform")},
     "rad_points": {"command": "rad", "sign_draws": 32, "seed": 7,
                    "class": {"kind": "linear_ball", "dim": 2, "radius": 1.5},
                    "points": [[3.0, 4.0], [1.0, -2.0], [0.5, 0.1]]},
@@ -587,6 +589,14 @@ def test_non_object_exit_2_names_the_key(config, path, value):
     ({"command": "plan", "method": "vc", "seed": 1}, "epsilon is missing"),
     # a program of 2-D x certified on a path of scalar x
     (dict(COMMAND_CONFIGS["scenario_box_2d"], process=AR1), "process"),
+    # i.i.d. locations whose draws or variance overflow
+    *((dict(_COMMAND_BASES[f"simulate_iid_{dist}"], process={
+        "kind": "iid_baseline", "dist": dist, **process}), name)
+      for dist, process, name in [
+          ("uniform", {"low": -1e308, "high": 1e308}, "low"),
+          ("uniform", {"low": -1.0, "high": 1e308}, "high"),
+          ("uniform", {"low": -1e200, "high": 1e200}, "low"),
+          ("normal", {"mean": 1e300}, "mean")]),
 ])
 def test_exit_2_names_the_value(tmp_path, capsys, config, name):
     assert run(config, tmp_path / "out") == cli.EXIT_CONFIG
@@ -758,6 +768,26 @@ def test_import_and_grid_validates_load_no_heavy_scipy(tmp_path):
                       "quarter_lemma": [cli.EXIT_OK]}
 
 
+def test_path_draws_load_no_heavy_scipy(tmp_path):
+    # the runs go one after another in one interpreter; scipy.linalg is
+    # left out of the list, since an AR(2) draw needs its covariance
+    runs = {"simulate_ar1": _COMMAND_BASES["simulate_ar1"],
+            "simulate_ar2": _COMMAND_BASES["simulate_ar2"],
+            "vc_coverage": _validate_base("vc_coverage")}
+    loaded = json.loads(fresh_python("""
+        import json, sys
+        runs, heavy = json.loads(sys.argv[2]), sys.argv[3:]
+        import seqbounds.cli
+        loaded = {}
+        for name, config in runs.items():
+            code = seqbounds.cli.run(config, sys.argv[1] + "/" + name)
+            loaded[name] = [code] + [m for m in heavy if m in sys.modules]
+        print(json.dumps(loaded))
+        """, tmp_path, json.dumps(runs), "scipy.signal", "scipy.stats",
+        "scipy.optimize", "scipy.spatial", "scipy.interpolate"))
+    assert loaded == {name: [cli.EXIT_OK] for name in runs}
+
+
 NO_SCIPY_RUNS = [name for name, config in COMMAND_CONFIGS.items()
                  if config["command"] in ("plan", "bound")]
 
@@ -801,9 +831,10 @@ def test_binomial_tail_grid_loads_scipy_special_alone(tmp_path):
 
 
 def test_first_import_in_two_worker_threads():
-    # scipy.signal is first imported by the path simulations of both
-    # workers at once (scipy.special by the risk oracle, before the
-    # workers start); the records match those of one thread
+    # scipy's compiled linear filter is first loaded by the path
+    # simulations of both workers at once (scipy.special by the risk
+    # oracle, before the workers start); the records match those of one
+    # thread
     records = pickle.loads(fresh_python("""
         import json, pickle, sys
         from seqbounds.experiments import vc_coverage

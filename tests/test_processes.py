@@ -1,12 +1,15 @@
 import csv
+import importlib
+import importlib.machinery
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import signal, stats
 
 from seqbounds.classes import threshold_class
 from seqbounds.estimators import (sup_deviation, threshold_ghost_gap,
                                   threshold_risk_oracle)
+from seqbounds import processes
 from seqbounds.losses import zero_one_loss
 from seqbounds.processes import (_CSV_CHUNK_ROWS, SequenceSample,
                                  _ar_cholesky, ar1_process, ar_process,
@@ -194,6 +197,60 @@ class TestArCholeskyCache:
             for got, want in zip(draw(self.SPECS[r % 2], r), fresh[r]):
                 assert np.array_equal(got.x, want.x)
                 assert np.array_equal(got.y, want.y)
+
+
+@pytest.fixture(params=["file", "missing", "broken"])
+def filter_loads(request, monkeypatch, tmp_path):
+    """The next draw loads scipy's linear filter afresh: from its file, or
+    through the package when the file is missing or is no extension
+    module.  Returns the modules then imported by name."""
+    monkeypatch.setattr(processes, "_SIGTOOLS", None)
+    if request.param == "missing":
+        monkeypatch.setattr(processes, "_sigtools_file", lambda: None)
+    elif request.param == "broken":
+        broken = tmp_path / f"_sigtools{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+        broken.write_bytes(b"not a shared object")
+        monkeypatch.setattr(processes, "_sigtools_file", lambda: broken)
+    imported, import_module = [], importlib.import_module
+    monkeypatch.setattr(importlib, "import_module",
+                        lambda name, *args: imported.append(name)
+                        or import_module(name, *args))
+    yield imported
+    assert ("scipy.signal._sigtools" in imported) == (request.param != "file")
+
+
+class TestLinearFilter:
+    """Paths are bit-identical to scipy.signal.lfilter (and lfiltic for an
+    AR(d) system) called on the same draws, however the filter was loaded."""
+
+    @pytest.mark.parametrize("a", [-0.99, 0.0, 0.8, 0.999])
+    def test_ar1_matches_lfilter(self, filter_loads, a):
+        spec = ar1_process(a, 0.6)
+        for n, replication in [(1, 0), (7, 1), (100_000, 2)]:
+            rng = stream(5, replication, "path")
+            x0 = rng.normal(0.0, np.sqrt(stationary_params(spec).variance))
+            eps = rng.normal(0.0, 0.6, n)
+            want, _ = signal.lfilter([1.0], [1.0, -a], eps, zi=[a * x0])
+            got = simulate_sequence(spec, n, 5, replication=replication)
+            assert got.x.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("coefficients", [
+        [0.6], [0.5, 0.2], [0.3, -0.1, 0.2], [0.4, 0.1, -0.2, 0.1]])
+    def test_ar_d_matches_lfiltic_and_lfilter(self, filter_loads, coefficients):
+        spec = ar_process(coefficients, 1.0)
+        d = len(coefficients)
+        a_poly = np.concatenate(([1.0], -np.asarray(coefficients)))
+        chol = _ar_cholesky(spec.coefficients, spec.sigma)
+        for n, replication in [(1, 0), (50, 1), (100_000, 2)]:
+            rng = stream(5, replication, "path")
+            state0 = chol @ rng.standard_normal(d)
+            noise = rng.normal(0.0, 1.0, n)
+            zi = signal.lfiltic([1.0], a_poly, state0)
+            want, _ = signal.lfilter([1.0], a_poly, noise, zi=zi)
+            got = simulate_sequence(spec, n, 5, replication=replication)
+            assert got.y.tobytes() == want.tobytes()
+            assert got.x[0].tobytes() == state0.tobytes()
+            assert got.x[1:, 0].tobytes() == want[:-1].tobytes()
 
 
 # every process kind, with label noise and clipping where the kind has them
