@@ -34,7 +34,6 @@ class FunctionClassDescriptor:
     with_offset: bool = False      # linear_ball: include an intercept term
     bandwidth: float = None        # kernel_ball: gaussian kernel width
     vc_dim: int = None
-    output_range: tuple = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -56,16 +55,14 @@ class FunctionClassDescriptor:
         _set_floats(self)
 
 
-def finite_class(functions, vc_dim=None, output_range=None):
+def finite_class(functions, vc_dim=None):
     return FunctionClassDescriptor(
-        kind="finite", functions=tuple(functions), vc_dim=vc_dim,
-        output_range=output_range,
-    )
+        kind="finite", functions=tuple(functions), vc_dim=vc_dim)
 
 
 def threshold_class():
     """1-D thresholds x -> sign(x - b) with sign(0) = +1 (fixed orientation)."""
-    return FunctionClassDescriptor(kind="threshold1d", output_range=(-1.0, 1.0))
+    return FunctionClassDescriptor(kind="threshold1d")
 
 
 def linear_ball_class(dim, radius, with_offset=False):

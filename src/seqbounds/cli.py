@@ -3,7 +3,8 @@
 Reads a JSON experiment config, runs the requested command and writes a
 deterministic ``summary.json`` (plus ``records.csv`` for experiments and a
 ``meta.json`` with the timestamp).  Every ``validate`` check, the
-symmetrization check included, is one function of ``experiments``.
+symmetrization check included, is one function of ``experiments``, and
+its config keys are that function's parameters.
 Exit codes: 0 success, 2 invalid config, 3 a validation experiment's
 acceptance property failed, 4 I/O failure.
 """
@@ -39,7 +40,9 @@ ENV_OUT = "SEQBOUNDS_OUT"
 _COMMON_KEYS = {"command", "seed", "threads"}
 
 # bound kind -> function in ``bounds``, plan method -> planner in
-# ``scenario``: the config keys of either are its function's parameters.
+# ``scenario``, validate experiment -> (function in ``experiments``, the
+# arguments its entry fixes): the config keys of each are its function's
+# parameters, less the fixed ones and the common ``seed`` and ``threads``.
 # Every function is looked up by name at call time, so a patched module
 # attribute is the one that runs.
 _BOUNDS = {"vc": "vc_bound", "vc_relative": "vc_relative_bound",
@@ -47,26 +50,22 @@ _BOUNDS = {"vc": "vc_bound", "vc_relative": "vc_relative_bound",
            "rademacher": "rademacher_risk_bound",
            "mixing": "mixing_reference_bound"}
 _PLANNERS = {"vc": "plan_n_vc", "margin": "plan_n_margin"}
-
-# validate experiment -> (function in ``experiments``, the config keys it
-# reads, passed positionally, then any fixed arguments)
-_COVERAGE_KEYS = "process n replications delta seed"
 _EXPERIMENTS = {
-    "vc_coverage": ("vc_coverage", _COVERAGE_KEYS, False),
-    "relative_coverage": ("vc_coverage", _COVERAGE_KEYS, True),
-    "margin_rad_coverage": ("margin_rad_coverage",
-                            "process gamma radius n replications delta seed"),
-    "regression_coverage": ("regression_coverage",
-                            "process m_clip radius n replications delta seed"),
-    "symmetrization": ("symmetrization",
-                       "process n epsilon replications seed"),
-    "scenario_coverage": ("scenario_pac_coverage",
-                          "program process epsilon delta replications seed"),
-    "kernel_rad_bound": ("kernel_rad_bound", "instances n radius m_clip seed"),
-    "chaining_dominance": ("chaining_dominance", "instances seed"),
-    "concentration_exactness": ("concentration_exactness", ""),
-    "quarter_lemma": ("quarter_lemma_grid", ""),
+    "vc_coverage": ("vc_coverage", {"relative": False}),
+    "relative_coverage": ("vc_coverage", {"relative": True}),
+    "margin_rad_coverage": ("margin_rad_coverage", {}),
+    "regression_coverage": ("regression_coverage", {}),
+    "symmetrization": ("symmetrization", {}),
+    "scenario_coverage": ("scenario_pac_coverage", {}),
+    "kernel_rad_bound": ("kernel_rad_bound", {}),
+    "chaining_dominance": ("chaining_dominance", {}),
+    "concentration_exactness": ("concentration_exactness", {}),
+    "quarter_lemma": ("quarter_lemma_grid", {}),
 }
+
+# readers of the config objects that a validate experiment takes
+_READERS = {"process": lambda d, key: process_from_dict(d),
+            "program": lambda d, key: scn.ScenarioProgramSpec.from_dict(d)}
 
 _CLASSES = {"threshold1d": threshold_class, "linear_ball": linear_ball_class,
             "kernel_ball": kernel_ball_class}
@@ -96,7 +95,11 @@ def _planner(config):
 
 
 def _experiment(config):
-    return _choice(_EXPERIMENTS, config, "experiment", "experiment")
+    """The experiment function that ``config`` names, the arguments its
+    entry fixes, and its other parameters: the keys that it reads."""
+    attr, fixed = _choice(_EXPERIMENTS, config, "experiment", "experiment")
+    function = getattr(xp, attr)
+    return function, fixed, _parameters(function)[0].difference(fixed)
 
 
 def _arguments(config, choice):
@@ -155,18 +158,9 @@ def _run_rad(config, out_dir):
 
 
 def _run_validate(config, out_dir):
-    attr, keys, *fixed = _experiment(config)
-    parse = {
-        "process": lambda: process_from_dict(config["process"]),
-        "program": lambda: scn.ScenarioProgramSpec.from_dict(config["program"]),
-    }
-    args = [parse[key]() if key in parse else config[key]
-            for key in keys.split()]
-    function = getattr(xp, attr)
-    names, _ = _parameters(function)
-    threads = config.get("threads", 1)
-    result = function(*args, *fixed,
-                      **({"threads": threads} if "threads" in names else {}))
+    function, fixed, keys = _experiment(config)
+    args = {k: v for k, v in config.items() if k in keys}
+    result = _from_dict(function, {**args, **fixed}, "experiment", **_READERS)
     summary = {"experiment": result.name, "holds": result.holds,
                **result.summary}
     return summary, result.records, result.holds
@@ -189,7 +183,7 @@ _COMMANDS = {
     "simulate": (lambda c: {"process", "n"}, _run_simulate),
     "rad": (lambda c: {"class", "sign_draws", *(
         ("points",) if "points" in c else ("process", "n"))}, _run_rad),
-    "validate": (lambda c: {"experiment", *_experiment(c)[1].split()},
+    "validate": (lambda c: {"experiment", *_experiment(c)[2]},
                  _run_validate),
     "scenario": (lambda c: {"program", "process", "epsilon", "delta",
                             "method"}, _run_scenario),
@@ -232,7 +226,8 @@ def run(config: dict, out_dir) -> int:
     _, handler = _COMMANDS[config["command"]]
     try:
         summary, records, holds = handler(config, out_dir)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, MemoryError) as exc:
+        # a MemoryError is a config whose arrays no machine holds
         return _config_error(exc)
     payload = {"config": config, "summary": summary}
     try:

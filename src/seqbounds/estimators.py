@@ -181,7 +181,7 @@ def threshold_risk_oracle(spec: ProcessSpec) -> Callable:
     law = stationary_params(spec)
     if law.kind != "normal":
         raise UnsupportedClassError(
-            f"no analytic threshold risk for process kind {spec.kind!r}"
+            f"process kind {spec.kind!r} has no analytic threshold risk"
         )
     scale = np.sqrt(law.variance)
     mu, bs, p = law.mean, spec.b_star, spec.flip_p

@@ -72,7 +72,7 @@ def _coverage(name, records, frac, delta, summary):
 # ---------------------------------------------------------------------------
 # VC coverage on the threshold class
 
-def vc_coverage(spec: ProcessSpec, n: int, replications: int, delta: float,
+def vc_coverage(process: ProcessSpec, n: int, replications: int, delta: float,
                 seed: int, relative: bool = False, threads: int = 1) -> ExperimentResult:
     """Fraction of replications where the deviation supremum stays below
     the VC bound slack (additive bound) or the relative-deviation residual
@@ -84,7 +84,7 @@ def vc_coverage(spec: ProcessSpec, n: int, replications: int, delta: float,
     the two coincide.  Hypothesis: a stationary sequence, with no mixing
     rate; the relative bound is only proved under stationarity.
     """
-    oracle = threshold_risk_oracle(spec)
+    oracle = threshold_risk_oracle(process)
     if relative:
         slack = bnd.vc_relative_bound(0.0, n, delta, d_vc=1,
                                       stationary=True).bound_value
@@ -93,7 +93,7 @@ def vc_coverage(spec: ProcessSpec, n: int, replications: int, delta: float,
         slack = bnd.vc_bound(0.0, n, delta, d_vc=1).bound_value
 
     def one(r):
-        path = simulate_sequence(spec, n, seed, replication=r)
+        path = simulate_sequence(process, n, seed, replication=r)
         thresholds, emps = threshold_empirical_risks(path.x, path.y)
         risks = oracle(thresholds)
         if relative:
@@ -108,9 +108,15 @@ def vc_coverage(spec: ProcessSpec, n: int, replications: int, delta: float,
                      {"n": n, "delta": delta, "slack": slack})
 
 
-def relative_rate_scaling(ns, delta: float, tolerance: float = 0.2) -> ExperimentResult:
+def relative_rate_scaling(ns, delta: float) -> ExperimentResult:
     """Zero-error fast-rate bound follows the log(n)/n law across sample
-    sizes: pairwise bound ratios within ``tolerance`` of the law ratios."""
+    sizes: pairwise bound ratios within 0.2 of the law ratios.  ``ns``
+    needs at least two distinct sizes, each at least 2 (log(1)/1 = 0)."""
+    for n in ns:
+        _check("ns", n, 2, integer=True)
+    if len(set(ns)) < 2:
+        raise ValueError(f"ns must hold two distinct sizes, got {list(ns)}")
+    tolerance = 0.2
     slack = {n: bnd.vc_relative_bound(0.0, n, delta, d_vc=1,
                                       stationary=True).bound_value
              for n in ns}
@@ -183,7 +189,7 @@ def _margin_empirical_risks(s, w, gamma):
     return out
 
 
-def margin_rad_coverage(spec: ProcessSpec, gamma: float, radius: float,
+def margin_rad_coverage(process: ProcessSpec, gamma: float, radius: float,
                         n: int, replications: int, delta: float, seed: int,
                         threads: int = 1) -> ExperimentResult:
     """Marginal Rademacher risk-bound coverage for the linear margin class
@@ -196,21 +202,22 @@ def margin_rad_coverage(spec: ProcessSpec, gamma: float, radius: float,
     that one closed-form complexity of the marginal law bounds the
     training and the ghost sample alike; no mixing rate.
     """
-    if spec.kind != "ar1_threshold_labels":
-        raise ValueError("margin coverage needs an ar1 process")
-    _check("b_star", spec.b_star, 0, 0)
+    if process.kind != "ar1_threshold_labels":
+        raise ValueError(f"process must be of kind ar1_threshold_labels for "
+                         f"margin coverage, got {process.kind!r}")
+    _check("b_star", process.b_star, 0, 0)
     _check("n", n, 1, integer=True)     # before n sizes sum_sq_norm
-    law = stationary_params(spec)
+    law = stationary_params(process)
     sigma_x = math.sqrt(law.variance)
     rbar = bnd.class_rad_upper("margin_linear", n, radius=radius, gamma=gamma,
                                sum_sq_norm=n * law.variance)
     slack = bnd.rademacher_risk_bound("marginal", 0.0, rbar, 1.0, n,
                                       delta).bound_value
     grid = np.linspace(-radius, radius, 401)
-    risks = margin_linear_risk(grid, sigma_x, spec.flip_p, gamma)
+    risks = margin_linear_risk(grid, sigma_x, process.flip_p, gamma)
 
     def one(r):
-        path = simulate_sequence(spec, n, seed, replication=r)
+        path = simulate_sequence(process, n, seed, replication=r)
         emp = _margin_empirical_risks(path.y * path.x, grid, gamma)
         return float(np.max(risks - emp)), slack
 
@@ -270,7 +277,8 @@ def _linear_model_grid(dim, radius, resolution=25):
         # row j averages the polar directions at phi_j and -(phi_j + pi),
         # so it and its negation are each within an ulp of theirs
         return (unit[:resolution] - unit[resolution:]) / 2, radii
-    raise ValueError("model grid implemented for 1- and 2-D systems")
+    raise ValueError(f"process must have order 1 or 2, the dimensions of "
+                     f"the model grid, got order {dim}")
 
 
 def _clipped_ray_risks(x, y, directions, radii, m_clip):
@@ -316,7 +324,7 @@ def _clipped_ray_risks(x, y, directions, radii, m_clip):
     return total / len(y)
 
 
-def regression_coverage(spec: ProcessSpec, m_clip: float, radius: float,
+def regression_coverage(process: ProcessSpec, m_clip: float, radius: float,
                         n: int, replications: int, delta: float, seed: int,
                         threads: int = 1) -> ExperimentResult:
     """Coverage of the bounded-regression VC bound for linear models of the
@@ -328,28 +336,29 @@ def regression_coverage(spec: ProcessSpec, m_clip: float, radius: float,
     stationary sequence and a loss bounded by 4 M^2, which the clip at M
     gives; no mixing rate.
     """
-    if spec.kind != "ar_d_linear_system" or spec.clip_radius is not None:
+    if process.kind != "ar_d_linear_system" or process.clip_radius is not None:
         raise ValueError(
-            "regression coverage needs an unclipped ar_d_linear_system "
-            "(the analytic risk assumes Gaussian regressors)"
+            "process must be an unclipped ar_d_linear_system for regression "
+            "coverage (the analytic risk assumes Gaussian regressors)"
         )
     _check("m_clip", m_clip, 0, _SCALE_MAX, lo_open=True)
     _check("radius", radius, 0, _SCALE_MAX, lo_open=True)
-    d = spec.order
-    cov = stationary_params(spec).covariance
+    d = process.order
+    cov = stationary_params(process).covariance
     directions, radii = _linear_model_grid(d, radius)
     signed = np.vstack([directions, -directions])
     rays = (signed[:, None, :] * radii[None, :, None]).reshape(-1, d)
-    risks = clipped_linear_risk(rays, cov, spec.coefficients, spec.sigma,
+    risks = clipped_linear_risk(rays, cov, process.coefficients, process.sigma,
                                 m_clip).reshape(len(signed), radii.size)
-    risk_origin = clipped_linear_risk(np.zeros((1, d)), cov, spec.coefficients,
-                                      spec.sigma, m_clip)[0]
+    risk_origin = clipped_linear_risk(np.zeros((1, d)), cov,
+                                      process.coefficients, process.sigma,
+                                      m_clip)[0]
     b = 4.0 * m_clip ** 2
     d_ind = bnd.linear_system_induced_vc_dim(d)
     slack = bnd.regression_vc_bound(0.0, n, d_ind, delta, b).bound_value
 
     def one(r):
-        path = simulate_sequence(spec, n, seed, replication=r)
+        path = simulate_sequence(process, n, seed, replication=r)
         emp = _clipped_ray_risks(path.x, path.y, directions, radii, m_clip)
         return max(float(risk_origin - np.mean(path.y ** 2)),
                    float(np.max(risks - emp))), slack
@@ -362,7 +371,7 @@ def regression_coverage(spec: ProcessSpec, m_clip: float, radius: float,
 # ---------------------------------------------------------------------------
 # Symmetrization
 
-def symmetrization(spec: ProcessSpec, n: int, epsilon: float,
+def symmetrization(process: ProcessSpec, n: int, epsilon: float,
                    replications: int, seed: int, threads: int = 1) -> ExperimentResult:
     """Empirical check of the ghost-sample symmetrization inequality for
     the threshold class, with per-replication supremum records.
@@ -388,11 +397,11 @@ def symmetrization(spec: ProcessSpec, n: int, epsilon: float,
             f"symmetrization requires n*eps^2 >= 2*B^2 "
             f"(got n*eps^2 = {n * epsilon ** 2:g} < {2 * b ** 2:g})"
         )
-    oracle = threshold_risk_oracle(spec)
+    oracle = threshold_risk_oracle(process)
 
     def one(r):
-        train = simulate_sequence(spec, n, seed, replication=r)
-        ghost = sample_marginal(spec, n, seed, replication=r)
+        train = simulate_sequence(process, n, seed, replication=r)
+        ghost = sample_marginal(process, n, seed, replication=r)
         return (sup_deviation(cls, loss, train, oracle).value,
                 threshold_ghost_gap(train, ghost))
 
@@ -417,25 +426,25 @@ def symmetrization(spec: ProcessSpec, n: int, epsilon: float,
 # ---------------------------------------------------------------------------
 # Scenario PAC coverage
 
-def scenario_pac_coverage(program: scn.ScenarioProgramSpec, spec: ProcessSpec,
-                          epsilon: float, delta: float, replications: int,
-                          seed: int, ghost_draws: int = 10_000,
+def scenario_pac_coverage(program: scn.ScenarioProgramSpec,
+                          process: ProcessSpec, epsilon: float, delta: float,
+                          replications: int, seed: int,
                           threads: int = 1) -> ExperimentResult:
     """Frequency of replications whose certified solution violates a fresh
     marginal draw with probability above epsilon; should not exceed delta
     (plus Monte-Carlo slack).
 
     Risk: the violation probability under the stationary marginal,
-    estimated on ``ghost_draws`` independent draws from it.  Hypothesis: a
+    estimated on 10,000 independent draws from it.  Hypothesis: a
     stationary scenario sequence, with the margin-method sample size
     planned from tau and Lambda; no mixing rate.
     """
     def one(r):
-        cert = scn.certify(program, spec, epsilon, delta, "margin", seed,
+        cert = scn.certify(program, process, epsilon, delta, "margin", seed,
                            replication=r)
         if not cert.feasible:
             return -1.0, epsilon
-        ghost = sample_marginal(spec, ghost_draws, seed, replication=r,
+        ghost = sample_marginal(process, 10_000, seed, replication=r,
                                 labels=False)
         return violation_rate(np.asarray(cert.theta_hat), program,
                               ghost), epsilon
@@ -520,7 +529,12 @@ def mixing_tightness(mus, deltas, betas, a_values) -> ExperimentResult:
     the full sample is strictly smaller; at delta = 1e-9 the mixing bound
     is inapplicable on the whole grid.  Both bounds use the closed-form
     complexity of the linear class with clip level 1, radius 1 and unit
-    second moment, and a loss range of 1."""
+    second moment, and a loss range of 1.  Each grid needs at least one
+    value."""
+    for name, grid in (("mus", mus), ("deltas", deltas), ("betas", betas),
+                       ("a_values", a_values)):
+        if not len(grid):
+            raise ValueError(f"{name} must hold at least one value")
     records = []
     ok = True
     tiny_delta_applicable = 0
@@ -564,20 +578,15 @@ def mixing_tightness(mus, deltas, betas, a_values) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # Concentration oracles
 
-def concentration_exactness(n_max: int = 30, eps_step: float = 0.01,
-                            ps=(0.1, 0.3, 0.5, 0.7, 0.9)) -> ExperimentResult:
+def concentration_exactness() -> ExperimentResult:
     """Hoeffding tail bound dominates the exact binomial tail on the whole
-    (n, p, epsilon) grid, evaluated as one array.  Cell i is the flat index
+    grid of n = 1, ..., 30, p in {0.1, 0.3, 0.5, 0.7, 0.9} and epsilon =
+    0.01, 0.02, ..., 0.99, evaluated as one array.  Cell i is the flat index
     in (n, p, epsilon) order; records keep the two end epsilons of each
     (n, p) row and every cell that fails."""
-    _check("n_max", n_max, 1, integer=True)
-    _check("eps_step", eps_step, 0, 1, lo_open=True, hi_open=True)
-    p_grid = np.asarray(ps, dtype=float).ravel()
-    if not p_grid.size:
-        raise ValueError("ps must hold at least one p")
-    for p in p_grid:
-        _check("ps", p, 0, 1)
-    eps_grid = np.arange(eps_step, 1.0, eps_step)
+    n_max = 30
+    p_grid = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+    eps_grid = np.arange(0.01, 1.0, 0.01)
     ns = np.arange(1, n_max + 1)
     # the bound does not depend on p; math.exp, not np.exp, keeps its bits
     bound = np.array([[bnd.concentration_tail("hoeffding", 1.0, eps, n)
@@ -601,19 +610,15 @@ def concentration_exactness(n_max: int = 30, eps_step: float = 0.01,
     )
 
 
-def quarter_lemma_grid(m_max: int = 50, p_step: float = 0.01) -> ExperimentResult:
+def quarter_lemma_grid() -> ExperimentResult:
     """The exact binomial upper tail at the mean exceeds 1/4 whenever
-    p > 1/m, over the whole grid, evaluated as one array.  Cell i is the
-    i-th (m, p) pair with p > 1/m in (m, p) order; records keep every cell
-    that fails."""
-    _check("m_max", m_max, 1, integer=True)
-    _check("p_step", p_step, 0, 1, lo_open=True, hi_open=True)
+    p > 1/m, over the whole grid of m = 1, ..., 50 and p = 0.01, 0.02, ...,
+    0.99, evaluated as one array.  Cell i is the i-th (m, p) pair with
+    p > 1/m in (m, p) order; records keep every cell that fails."""
+    m_max = 50
     ms = np.arange(1, m_max + 1)
-    p_grid = np.arange(1, int(round(1.0 / p_step))) * p_step
+    p_grid = np.arange(1, 100) * 0.01
     rows, cols = np.nonzero(p_grid[None, :] > 1.0 / ms[:, None])
-    if not rows.size:
-        raise ValueError(f"m_max={m_max} and p_step={p_step} leave no cell "
-                         "with p > 1/m")
     ps = p_grid[cols]
     holds = bnd._binomial_tail(ms[rows], ps, 0.0, False) > 0.25
     cells = np.flatnonzero(~holds)

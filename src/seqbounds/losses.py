@@ -9,11 +9,10 @@ LOSS_KINDS = ("zero_one",)
 
 @dataclass(frozen=True)
 class LossSpec:
-    """A bounded loss with its range B and scalar-link Lipschitz constant."""
+    """A bounded loss with its range B."""
 
     kind: str
     range_b: float = None
-    lipschitz_link: float = None
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
@@ -21,4 +20,4 @@ class LossSpec:
 
 
 def zero_one_loss():
-    return LossSpec(kind="zero_one", range_b=1.0, lipschitz_link=1.0)
+    return LossSpec(kind="zero_one", range_b=1.0)

@@ -319,7 +319,6 @@ def violation_bound(method: str, n: int, delta: float, *, d_vc: int = None,
 class TauLambdaReport:
     taus: tuple
     lambdas: tuple
-    method: str              # "closed_form"
 
     @property
     def sum(self):
@@ -346,11 +345,11 @@ def tau_lambda(program: ScenarioProgramSpec) -> TauLambdaReport:
                              "a bounded x_domain")
         dom = program.x_domain
         if dom.dim > 16:
-            raise ValueError("vertex enumeration is limited to 16 dimensions")
+            raise ValueError(f"x_domain has dimension {dom.dim}; vertex "
+                             f"enumeration is limited to 16")
         vals = np.linalg.norm(piece.psi(dom.vertices()), axis=1)
         taus.append(float(np.max(vals)))
-    return TauLambdaReport(taus=tuple(taus), lambdas=lambdas,
-                           method="closed_form")
+    return TauLambdaReport(taus=tuple(taus), lambdas=lambdas)
 
 
 # ---------------------------------------------------------------------------

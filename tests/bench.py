@@ -36,7 +36,7 @@ numpy and scipy versions.  The suites:
 - ``capacity``: the mean time per call, at one thread, of
   ``chaining_dominance`` at its ``tests/digest_outputs.py`` config,
   ``empirical_rademacher_exact`` of a 3-D linear ball on 16 normal points
-  and ``concentration_exactness`` at its defaults.
+  and ``concentration_exactness`` over its fixed grid.
 
 Not collected by pytest (no ``test_`` prefix).
 """

@@ -48,7 +48,7 @@ def test_03_fast_rate_coverage_and_scaling():
     spec = ar1_process(0.8, 0.6, b_star=0.0, flip_p=0.0)
     cover = vc_coverage(spec, n=2000, replications=200, delta=0.05, seed=777,
                         relative=True)
-    scaling = relative_rate_scaling((500, 2000, 8000), 0.05, tolerance=0.2)
+    scaling = relative_rate_scaling((500, 2000, 8000), 0.05)
     ok = cover.holds and scaling.holds
     worst = max(abs(r["statistic"] - 1.0) for r in scaling.records)
     assert report(3, "fast-rate coverage and log(n)/n scaling", ok,
@@ -107,8 +107,8 @@ def test_04c_marginal_rademacher_coverage():
 
 
 def test_05_concentration_oracles():
-    hoeff = concentration_exactness(n_max=30, eps_step=0.01)
-    quarter = quarter_lemma_grid(m_max=50, p_step=0.01)
+    hoeff = concentration_exactness()
+    quarter = quarter_lemma_grid()
     ok = hoeff.holds and quarter.holds
     assert report(5, "Hoeffding dominance and quarter lemma", ok,
                   f"{hoeff.summary['cells']} tail cells, "

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import inspect
 import io
 import json
 import math
@@ -126,7 +127,8 @@ class TestRun:
     def test_validate_property_failure_exit_3(self, tmp_path, monkeypatch):
         from seqbounds.experiments import ExperimentResult
 
-        def failing(*args, **kwargs):
+        def failing(process, n, replications, delta, seed, relative,
+                    threads=1):
             return ExperimentResult(name="vc_coverage",
                                     records=[{"replication": 0, "seed": 1,
                                               "statistic": 1.0, "bound": 0.5,
@@ -175,6 +177,15 @@ AR1 = {"kind": "ar1_threshold_labels", "a": 0.8, "sigma": 0.6, "flip_p": 0.1}
 
 
 class TestValidateRegistry:
+    @pytest.mark.parametrize("experiment", cli._EXPERIMENTS)
+    def test_every_option_is_fixed_or_threads(self, experiment):
+        # a check's config keys are its parameters: an option with a default
+        # that its entry does not fix would be a key no config needs to set
+        attr, fixed = cli._EXPERIMENTS[experiment]
+        params = inspect.signature(getattr(xp, attr)).parameters.values()
+        assert {p.name for p in params if p.default is not p.empty} <= \
+            {*fixed, "threads"}
+
     def test_unknown_experiment_exit_2(self, tmp_path, capsys):
         config = {"command": "validate", "experiment": "vc_coverag",
                   "seed": 1}
@@ -190,9 +201,10 @@ class TestValidateRegistry:
         from seqbounds import experiments
         calls = []
 
-        def patched(spec, n, replications, delta, seed, relative, threads):
-            calls.append((spec.kind, n, replications, delta, seed, relative,
-                          threads))
+        def patched(process, n, replications, delta, seed, relative,
+                    threads=1):
+            calls.append((process.kind, n, replications, delta, seed,
+                          relative, threads))
             return experiments.ExperimentResult(name=experiment)
 
         monkeypatch.setattr(experiments, "vc_coverage", patched)
@@ -545,6 +557,14 @@ def test_non_object_exit_2_names_the_key(config, path, value):
     assert err.getvalue().startswith(f"config error: {name} must be an object")
 
 
+# a program of one theta read through psi(x) = (1, ..., 1) . x on 17-D x
+_WIDE_DOMAIN_PROGRAM = dict(
+    COMMAND_CONFIGS["scenario_box"]["program"],
+    x_domain={"kind": "box", "lo": [-1.0] * 17, "hi": [1.0] * 17},
+    pieces=[{"psi": {"matrix": [[1.0] * 17], "offset": [-1.0]},
+             "eta": {"matrix": [[0.0] * 17], "offset": [0.0]}}])
+
+
 @pytest.mark.parametrize("config, name", [
     ({"command": "scenario", "method": "margin", "epsilon": 0.5,
       "delta": 0.1, "process": AR1, "seed": 1,
@@ -597,10 +617,38 @@ def test_non_object_exit_2_names_the_key(config, path, value):
           ("uniform", {"low": -1.0, "high": 1e308}, "high"),
           ("uniform", {"low": -1e200, "high": 1e200}, "low"),
           ("normal", {"mean": 1e300}, "mean")]),
+    # a process or x domain that the command cannot score: an AR(3) model
+    # grid, margin coverage off AR(1), no threshold risk oracle, a clipped
+    # system, and vertex enumeration past 16 dimensions
+    (dict(_validate_base("regression_coverage"), process=dict(
+        AR2_SYSTEM, coefficients=[0.3, 0.2, 0.1])), "process "),
+    (dict(_validate_base("margin_rad_coverage"), process=AR2_SYSTEM),
+     "process "),
+    (dict(_validate_base("vc_coverage"),
+          process={"kind": "markov_binary", "rho": 0.6}), "process "),
+    (dict(_validate_base("regression_coverage"),
+          process=dict(AR2_SYSTEM, clip_radius=5.0)), "process "),
+    (dict(COMMAND_CONFIGS["scenario_box"], program=_WIDE_DOMAIN_PROGRAM),
+     "x_domain "),
 ])
 def test_exit_2_names_the_value(tmp_path, capsys, config, name):
     assert run(config, tmp_path / "out") == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: {name}")
+
+
+@pytest.mark.parametrize("config", [
+    # 46,299,966,981 planned scenarios: 345 GiB of path
+    dict(COMMAND_CONFIGS["scenario_box"], epsilon=1e-4),
+    dict(_COMMAND_BASES["simulate_ar1"], n=10 ** 12),
+    dict(_COMMAND_BASES["rad_points"], sign_draws=10 ** 12),
+], ids=["scenario", "simulate", "rad"])
+def test_out_of_memory_config_exit_2(tmp_path, capsys, config):
+    # each asks for far more memory than a machine holds (345 GiB to
+    # 7.3 TiB), so numpy refuses it at once
+    assert run(config, tmp_path / "out") == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: Unable to allocate ")
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 @pytest.mark.parametrize("config", [

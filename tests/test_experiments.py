@@ -12,6 +12,7 @@ from scipy import integrate, special, stats
 from seqbounds import bounds as bnd
 from seqbounds import classes
 from seqbounds import experiments as xp
+from seqbounds.classes import FunctionClassDescriptor, finite_class
 from seqbounds.estimators import violation_rate
 from seqbounds.experiments import (_clipped_ray_risks, _linear_model_grid,
                                    _margin_empirical_risks, chaining_dominance,
@@ -23,6 +24,7 @@ from seqbounds.experiments import (_clipped_ray_risks, _linear_model_grid,
                                    regression_coverage, relative_rate_scaling,
                                    scenario_pac_coverage, symmetrization,
                                    vc_coverage)
+from seqbounds.losses import LossSpec
 from seqbounds.processes import (ar1_process, ar_process, sample_marginal,
                                  simulate_sequence, stationary_params, stream)
 from seqbounds.scenario import (TauLambdaReport, certify,
@@ -147,7 +149,7 @@ class TestCoverageExperiments:
                 partial(symmetrization, spec, n=200, epsilon=0.2,
                         replications=6, seed=5),
                 partial(scenario_pac_coverage, program, spec, epsilon=0.3,
-                        delta=0.2, replications=6, seed=5, ghost_draws=500)):
+                        delta=0.2, replications=6, seed=5)):
             one, two = run(threads=1), run(threads=2)
             assert repr(one.records) == repr(two.records)
             assert repr(one.summary) == repr(two.summary)
@@ -167,10 +169,27 @@ class TestCoverageExperiments:
                                          margin=1.0)
         spec = ar1_process(0.8, 0.6)
         result = scenario_pac_coverage(prog, spec, epsilon=0.3, delta=0.2,
-                                       replications=20, seed=606,
-                                       ghost_draws=2000)
+                                       replications=20, seed=606)
         assert result.holds
         assert result.summary["infeasible"] == 0
+
+    @pytest.mark.parametrize("call, args, name", [
+        (relative_rate_scaling, ((1, 10), 0.05), "ns"),
+        (relative_rate_scaling, ((), 0.05), "ns"),
+        (relative_rate_scaling, ((500,), 0.05), "ns"),
+        (relative_rate_scaling, ((500, 500), 0.05), "ns"),
+        (relative_rate_scaling, ((500, 2000.0), 0.05), "ns"),
+        (mixing_tightness, ((), (0.1,), (1e-4,), (1,)), "mus"),
+        (mixing_tightness, ((10,), (), (1e-4,), (1,)), "deltas"),
+        (mixing_tightness, ((10,), (0.1,), (), (1,)), "betas"),
+        (mixing_tightness, ((10,), (0.1,), (1e-4,), ()), "a_values"),
+    ], ids=["ns_one", "ns_empty", "ns_single", "ns_repeated", "ns_float",
+            "mus", "deltas", "betas", "a_values"])
+    def test_degenerate_grid_fails_by_name(self, call, args, name):
+        # a size of 1 divides by log(1) = 0, and an empty or one-size grid
+        # would pass with no cell checked
+        with pytest.raises(ValueError, match=f"^{name} "):
+            call(*args)
 
     def test_mixing_grid_shape(self):
         result = mixing_tightness(mus=(10, 50), deltas=(0.1,), betas=(1e-4,),
@@ -455,11 +474,7 @@ class TestConcentrationGrids:
     @pytest.mark.parametrize("failing", [False, True])
     @pytest.mark.parametrize("grid, per_cell, kwargs, failing_scale", [
         (concentration_exactness, per_cell_concentration_exactness, {}, 40.0),
-        (concentration_exactness, per_cell_concentration_exactness,
-         {"n_max": 7, "eps_step": 0.037, "ps": (0.0, 0.25, 1.0)}, 40.0),
         (quarter_lemma_grid, per_cell_quarter_lemma_grid, {}, 0.6),
-        (quarter_lemma_grid, per_cell_quarter_lemma_grid,
-         {"m_max": 13, "p_step": 0.07}, 0.6),
     ])
     def test_matches_per_cell_loop(self, grid, per_cell, kwargs,
                                    failing_scale, failing, monkeypatch):
@@ -474,24 +489,6 @@ class TestConcentrationGrids:
         assert repr(result.summary) == repr(summary)
         assert result.holds is holds
         assert holds is not failing
-
-    @pytest.mark.parametrize("call, name", [
-        (lambda: concentration_exactness(eps_step=1.5), "eps_step"),
-        (lambda: concentration_exactness(eps_step=0.0), "eps_step"),
-        (lambda: concentration_exactness(n_max=0), "n_max"),
-        (lambda: concentration_exactness(n_max=2.5), "n_max"),
-        (lambda: concentration_exactness(ps=()), "ps"),
-        (lambda: concentration_exactness(ps=(0.5, 1.5)), "ps"),
-        (lambda: concentration_exactness(ps=(math.nan,)), "ps"),
-        (lambda: quarter_lemma_grid(p_step=1.0), "p_step"),
-        (lambda: quarter_lemma_grid(p_step=math.nan), "p_step"),
-        (lambda: quarter_lemma_grid(m_max=0), "m_max"),
-        (lambda: quarter_lemma_grid(m_max=1), "m_max"),
-        (lambda: quarter_lemma_grid(p_step=0.7), "m_max=50 and p_step=0.7"),
-    ])
-    def test_empty_grid_fails_by_name(self, call, name):
-        with pytest.raises(ValueError, match=f"^{name}"):
-            call()
 
 
 def test_chaining_dominance_one_distance_matrix_per_instance(monkeypatch):
@@ -525,7 +522,17 @@ def test_chaining_dominance_one_distance_matrix_per_instance(monkeypatch):
     (mixing_tightness, {"seed", "radius", "m_clip", "variance"}),
     (solve_margin_program, {"slack_target"}),
     (TauLambdaReport, {"grid_resolution"}),
+    (scenario_pac_coverage, {"ghost_draws"}),
+    (concentration_exactness, {"n_max", "eps_step", "ps"}),
+    (quarter_lemma_grid, {"m_max", "p_step"}),
+    (relative_rate_scaling, {"tolerance"}),
+    # fields that nothing reads
+    (FunctionClassDescriptor, {"output_range"}),
+    (finite_class, {"output_range"}),
+    (LossSpec, {"lipschitz_link"}),
+    (TauLambdaReport, {"method"}),
 ])
 def test_options_no_caller_sets_are_gone(call, removed):
-    # each took one value from every caller; its literal is in the body now
+    # each took one value from every caller (its literal is in the body
+    # now), or was a field that nothing read
     assert not removed & set(inspect.signature(call).parameters)

@@ -14,7 +14,6 @@ def margin_losses(gamma, scores, labels):
 class TestRangesAndSpecs:
     def test_declared_ranges(self):
         assert zero_one_loss().range_b == 1.0
-        assert zero_one_loss().lipschitz_link == 1.0
 
     def test_values_stay_in_range(self):
         # the margin check's losses lie in [0, 1]; the regression check's

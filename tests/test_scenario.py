@@ -278,7 +278,6 @@ class TestTauLambda:
         prog = one_dim_threshold_program()
         report = tau_lambda(prog)
         assert report.taus == (1.0,)
-        assert report.method == "closed_form"
 
     def test_ball_lambda(self):
         prog = ScenarioProgramSpec(
