@@ -61,6 +61,8 @@ _EXPERIMENTS = {
     "chaining_dominance": ("chaining_dominance", {}),
     "concentration_exactness": ("concentration_exactness", {}),
     "quarter_lemma": ("quarter_lemma_grid", {}),
+    "relative_rate_scaling": ("relative_rate_scaling", {}),
+    "mixing_tightness": ("mixing_tightness", {}),
 }
 
 # readers of the config objects that a validate experiment takes

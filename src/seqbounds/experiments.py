@@ -1,12 +1,14 @@
 """Seeded validation experiments: Monte-Carlo coverage checks for every
-implemented inequality, plus deterministic grid checks.  These back the
-CLI ``validate`` command and the acceptance suite."""
+implemented inequality, plus deterministic checks over fixed grids.  Each
+check is one CLI ``validate`` experiment, and the acceptance suite runs
+them all."""
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,28 +47,45 @@ def _pmap(fn, items, threads=1):
         return [out for chunk in done for out in chunk]
 
 
-def _replicate(one, count, seed, threads, what="replications",
-               holds=operator.le):
-    """Run ``one(r) -> (statistic, bound)`` for r < count into records that
-    hold when ``holds(statistic, bound)``; returns (records, holds
-    fraction)."""
-    _check(what, count, 1, integer=True)
+def _result(name, statistics, bounds, holds, summary, keep=None, seed=0):
+    """The result of a check over cells: cell i is entry i, in flat order,
+    of the arrays ``statistics``, ``bounds`` and ``holds`` (broadcast to the
+    shape of ``holds``).  Each cell, or each where the mask ``keep`` is
+    true, gets a record; the check holds when every cell holds."""
+    holds = np.asarray(holds)
+    statistics, bounds = (np.broadcast_to(a, holds.shape).ravel()
+                          for a in (statistics, bounds))
+    holds = holds.ravel()
+    cells = np.arange(holds.size) if keep is None else np.flatnonzero(keep)
     records = [
-        {"replication": r, "seed": seed, "statistic": s, "bound": b,
-         "holds": holds(s, b)}
-        for r, (s, b) in enumerate(_pmap(one, range(count), threads))
+        {"replication": i, "seed": seed, "statistic": s, "bound": b,
+         "holds": h}
+        for i, s, b, h in zip(cells.tolist(), statistics[cells].tolist(),
+                              bounds[cells].tolist(), holds[cells].tolist())
     ]
-    return records, float(np.mean([rec["holds"] for rec in records]))
+    return ExperimentResult(name, records, summary, bool(holds.all()))
 
 
-def _coverage(name, records, frac, delta, summary):
+def _replicate(name, one, count, seed, threads, what="replications",
+               holds=operator.le):
+    """The result of ``one(r) -> (statistic, bound)`` for r < count, with an
+    empty summary: replication r holds when ``holds(statistic, bound)``,
+    which compares the arrays of all replications."""
+    _check(what, count, 1, integer=True)
+    statistics, bounds = np.array(_pmap(one, range(count), threads),
+                                  dtype=float).T
+    return _result(name, statistics, bounds, holds(statistics, bounds), {},
+                   seed=seed)
+
+
+def _coverage(result, delta, summary):
     """A coverage check's result: it holds when at least 1 - delta of the
     replications hold."""
-    return ExperimentResult(
-        name=name, records=records,
+    frac = float(np.mean([rec["holds"] for rec in result.records]))
+    return replace(
+        result,
         summary={"holds_fraction": frac, "target": 1.0 - delta, **summary},
-        holds=frac >= 1.0 - delta,
-    )
+        holds=frac >= 1.0 - delta)
 
 
 # ---------------------------------------------------------------------------
@@ -102,40 +121,26 @@ def vc_coverage(process: ProcessSpec, n: int, replications: int, delta: float,
             stat = float(np.max(risks - emps))
         return stat, slack
 
-    records, frac = _replicate(one, replications, seed, threads)
-    return _coverage("relative_coverage" if relative else "vc_coverage",
-                     records, frac, delta,
-                     {"n": n, "delta": delta, "slack": slack})
+    name = "relative_coverage" if relative else "vc_coverage"
+    return _coverage(_replicate(name, one, replications, seed, threads),
+                     delta, {"n": n, "delta": delta, "slack": slack})
 
 
-def relative_rate_scaling(ns, delta: float) -> ExperimentResult:
-    """Zero-error fast-rate bound follows the log(n)/n law across sample
-    sizes: pairwise bound ratios within 0.2 of the law ratios.  ``ns``
-    needs at least two distinct sizes, each at least 2 (log(1)/1 = 0)."""
-    for n in ns:
-        _check("ns", n, 2, integer=True)
-    if len(set(ns)) < 2:
-        raise ValueError(f"ns must hold two distinct sizes, got {list(ns)}")
-    tolerance = 0.2
-    slack = {n: bnd.vc_relative_bound(0.0, n, delta, d_vc=1,
-                                      stationary=True).bound_value
-             for n in ns}
-    law = {n: math.log(n) / n for n in ns}
-    records = []
-    ok = True
-    for i, n1 in enumerate(ns):
-        for n2 in ns[i + 1:]:
-            ratio = (slack[n1] / slack[n2]) / (law[n1] / law[n2])
-            holds = abs(ratio - 1.0) <= tolerance
-            ok &= holds
-            records.append({"replication": len(records), "seed": 0,
-                            "statistic": ratio, "bound": 1.0 + tolerance,
-                            "holds": holds})
-    return ExperimentResult(
-        name="relative_rate_scaling", records=records,
-        summary={"ns": list(ns), "delta": delta, "tolerance": tolerance},
-        holds=ok,
-    )
+def relative_rate_scaling() -> ExperimentResult:
+    """The zero-error fast-rate bound at delta = 0.05 follows the log(n)/n
+    law over n in {500, 2000, 8000}: for each pair of sizes, in the order
+    (500, 2000), (500, 8000), (2000, 8000), the ratio of the bounds is
+    within 0.2 of the ratio of the law."""
+    ns, delta, tolerance = (500, 2000, 8000), 0.05, 0.2
+    slack = np.array([bnd.vc_relative_bound(0.0, n, delta, d_vc=1,
+                                            stationary=True).bound_value
+                      for n in ns])
+    law = np.array([math.log(n) / n for n in ns])
+    i, j = np.triu_indices(len(ns), 1)
+    ratio = (slack[i] / slack[j]) / (law[i] / law[j])
+    return _result("relative_rate_scaling", ratio, 1.0 + tolerance,
+                   np.abs(ratio - 1.0) <= tolerance,
+                   {"ns": list(ns), "delta": delta, "tolerance": tolerance})
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +226,9 @@ def margin_rad_coverage(process: ProcessSpec, gamma: float, radius: float,
         emp = _margin_empirical_risks(path.y * path.x, grid, gamma)
         return float(np.max(risks - emp)), slack
 
-    records, frac = _replicate(one, replications, seed, threads)
-    return _coverage("margin_rad_coverage", records, frac, delta,
-                     {"slack": slack, "rad_upper": rbar, "n": n})
+    return _coverage(_replicate("margin_rad_coverage", one, replications,
+                                seed, threads),
+                     delta, {"slack": slack, "rad_upper": rbar, "n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +368,9 @@ def regression_coverage(process: ProcessSpec, m_clip: float, radius: float,
         return max(float(risk_origin - np.mean(path.y ** 2)),
                    float(np.max(risks - emp))), slack
 
-    records, frac = _replicate(one, replications, seed, threads)
-    return _coverage("regression_coverage", records, frac, delta,
-                     {"slack": slack, "loss_range": b, "n": n})
+    return _coverage(_replicate("regression_coverage", one, replications,
+                                seed, threads),
+                     delta, {"slack": slack, "loss_range": b, "n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -407,20 +412,20 @@ def symmetrization(process: ProcessSpec, n: int, epsilon: float,
 
     # a replication only counts against the inequality when the training
     # deviation event fires without the ghost-gap event
-    records, _ = _replicate(
-        one, replications, seed, threads,
-        holds=lambda d, g: not (d >= epsilon and g < epsilon / 2.0))
+    result = _replicate(
+        "symmetrization", one, replications, seed, threads,
+        holds=lambda d, g: ~((d >= epsilon) & (g < epsilon / 2.0)))
+    records = result.records
     lhs = sum(rec["statistic"] >= epsilon for rec in records) / replications
     rhs = sum(rec["bound"] >= epsilon / 2.0 for rec in records) / replications
     lhs_se = math.sqrt(lhs * (1 - lhs) / replications)
     rhs_se = math.sqrt(rhs * (1 - rhs) / replications)
     combined = math.sqrt(lhs_se ** 2 + 4.0 * rhs_se ** 2)
-    return ExperimentResult(
-        name="symmetrization", records=records,
+    return replace(
+        result,
         summary={"lhs_freq": lhs, "rhs_freq": rhs, "combined_se": combined,
                  "epsilon": epsilon, "n": n},
-        holds=lhs <= 2.0 * rhs + 3.0 * combined,
-    )
+        holds=lhs <= 2.0 * rhs + 3.0 * combined)
 
 
 # ---------------------------------------------------------------------------
@@ -450,17 +455,17 @@ def scenario_pac_coverage(program: scn.ScenarioProgramSpec,
                               ghost), epsilon
 
     # an infeasible replication (rate -1) carries no guarantee
-    records, _ = _replicate(one, replications, seed, threads,
-                            holds=lambda vr, eps: 0 <= vr <= eps)
+    result = _replicate("scenario_coverage", one, replications, seed,
+                        threads, holds=lambda vr, eps: (0 <= vr) & (vr <= eps))
+    records = result.records
     infeasible = sum(rec["statistic"] < 0 for rec in records)
     freq = sum(not rec["holds"] for rec in records) / replications
     threshold = delta + 3.0 * math.sqrt(delta * (1 - delta) / replications)
-    return ExperimentResult(
-        name="scenario_coverage", records=records,
+    return replace(
+        result,
         summary={"exceed_frequency": freq, "threshold": threshold,
                  "infeasible": infeasible, "epsilon": epsilon, "delta": delta},
-        holds=freq <= threshold,
-    )
+        holds=freq <= threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -480,13 +485,10 @@ def kernel_rad_bound(instances: int, n: int, radius: float, m_clip: float,
         est = empirical_rademacher(cls, pts, 128, seed + i)
         return est.value, cap
 
-    records, frac = _replicate(one, instances, seed, threads, "instances")
-    top = max(rec["statistic"] for rec in records)
-    return ExperimentResult(
-        name="kernel_rad_bound", records=records,
-        summary={"bound": cap, "max_estimate": top, "n": n},
-        holds=frac == 1.0,
-    )
+    result = _replicate("kernel_rad_bound", one, instances, seed, threads,
+                        "instances")
+    top = max(rec["statistic"] for rec in result.records)
+    return replace(result, summary={"bound": cap, "max_estimate": top, "n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -513,66 +515,42 @@ def chaining_dominance(instances: int, seed: int,
         est = empirical_rademacher(finite_class(fns), pts, 300, seed + i)
         return est.value - 3.0 * est.std_error, chain
 
-    records, frac = _replicate(one, instances, seed, threads, "instances")
-    return ExperimentResult(
-        name="chaining_dominance", records=records,
-        summary={"instances": instances, "n_points": n_points},
-        holds=frac == 1.0,
-    )
+    return replace(
+        _replicate("chaining_dominance", one, instances, seed, threads,
+                   "instances"),
+        summary={"instances": instances, "n_points": n_points})
 
 
 # ---------------------------------------------------------------------------
 # Mixing-bound comparison grid
 
-def mixing_tightness(mus, deltas, betas, a_values) -> ExperimentResult:
+def mixing_tightness() -> ExperimentResult:
     """Wherever the mixing reference bound applies, the marginal bound on
-    the full sample is strictly smaller; at delta = 1e-9 the mixing bound
-    is inapplicable on the whole grid.  Both bounds use the closed-form
-    complexity of the linear class with clip level 1, radius 1 and unit
-    second moment, and a loss range of 1.  Each grid needs at least one
-    value."""
-    for name, grid in (("mus", mus), ("deltas", deltas), ("betas", betas),
-                       ("a_values", a_values)):
-        if not len(grid):
-            raise ValueError(f"{name} must hold at least one value")
-    records = []
-    ok = True
-    tiny_delta_applicable = 0
-    i = 0
-    for mu in mus:
-        for a in a_values:
-            n = 2 * a * mu
-            for delta in deltas:
-                for beta in betas:
-                    rad_n = bnd.class_rad_upper("linear", n, m_clip=1.0,
-                                                radius=1.0, sum_sq_norm=float(n))
-                    rad_mu = bnd.class_rad_upper("linear", mu, m_clip=1.0,
-                                                 radius=1.0, sum_sq_norm=float(mu))
-                    marginal = bnd.rademacher_risk_bound(
-                        "marginal", 0.0, [rad_n], 1.0, n, delta).bound_value
-                    mix = bnd.mixing_reference_bound(0.0, rad_mu, 1.0, mu, a,
-                                                     beta, delta)
-                    if mix is None:
-                        holds = True
-                        mix_val = math.inf
-                    else:
-                        mix_val = mix.bound_value
-                        holds = marginal < mix_val
-                    tiny = bnd.mixing_reference_bound(0.0, rad_mu, 1.0, mu, a,
-                                                      beta, 1e-9)
-                    if tiny is not None:
-                        tiny_delta_applicable += 1
-                    ok &= holds
-                    records.append({"replication": i, "seed": 0,
-                                    "statistic": marginal, "bound": mix_val,
-                                    "holds": holds})
-                    i += 1
-    ok &= tiny_delta_applicable == 0
-    return ExperimentResult(
-        name="mixing_tightness", records=records,
-        summary={"cells": i, "tiny_delta_applicable": tiny_delta_applicable},
-        holds=ok,
-    )
+    the full sample of n = 2 a mu points is strictly smaller, over the grid
+    of mu in {10, 25, 50, 100, 250}, a in {1, 2}, delta in {0.05, 0.1, 0.2}
+    and beta_a in {1e-3, 1e-4} (cell i in that order; a cell where the
+    mixing bound does not apply records it as inf); at delta = 1e-9 the
+    mixing bound is inapplicable on the whole grid.  Both bounds use the
+    closed-form complexity of the linear class with clip level 1, radius 1
+    and unit second moment, and a loss range of 1."""
+    marginal, mixing, tiny = [], [], 0
+    for mu, a, delta, beta in itertools.product(
+            (10, 25, 50, 100, 250), (1, 2), (0.05, 0.1, 0.2), (1e-3, 1e-4)):
+        n = 2 * a * mu
+        rad_n = bnd.class_rad_upper("linear", n, m_clip=1.0, radius=1.0,
+                                    sum_sq_norm=float(n))
+        rad_mu = bnd.class_rad_upper("linear", mu, m_clip=1.0, radius=1.0,
+                                     sum_sq_norm=float(mu))
+        marginal.append(bnd.rademacher_risk_bound(
+            "marginal", 0.0, [rad_n], 1.0, n, delta).bound_value)
+        mix = bnd.mixing_reference_bound(0.0, rad_mu, 1.0, mu, a, beta, delta)
+        mixing.append(math.inf if mix is None else mix.bound_value)
+        tiny += bnd.mixing_reference_bound(0.0, rad_mu, 1.0, mu, a, beta,
+                                           1e-9) is not None
+    marginal, mixing = np.array(marginal), np.array(mixing)
+    result = _result("mixing_tightness", marginal, mixing, marginal < mixing,
+                     {"cells": marginal.size, "tiny_delta_applicable": tiny})
+    return replace(result, holds=result.holds and tiny == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -597,17 +575,8 @@ def concentration_exactness() -> ExperimentResult:
     holds = bound >= tail - 1e-15
     keep = ~holds
     keep[..., [0, -1]] = True
-    cells = np.flatnonzero(keep)
-    records = [
-        {"replication": i, "seed": 0, "statistic": t, "bound": b, "holds": h}
-        for i, t, b, h in zip(cells.tolist(), tail.ravel()[cells].tolist(),
-                              bound.ravel()[cells].tolist(),
-                              holds.ravel()[cells].tolist())
-    ]
-    return ExperimentResult(
-        name="concentration_exactness", records=records,
-        summary={"cells": tail.size, "n_max": n_max}, holds=bool(holds.all()),
-    )
+    return _result("concentration_exactness", tail, bound, holds,
+                   {"cells": tail.size, "n_max": n_max}, keep)
 
 
 def quarter_lemma_grid() -> ExperimentResult:
@@ -621,16 +590,8 @@ def quarter_lemma_grid() -> ExperimentResult:
     rows, cols = np.nonzero(p_grid[None, :] > 1.0 / ms[:, None])
     ps = p_grid[cols]
     holds = bnd._binomial_tail(ms[rows], ps, 0.0, False) > 0.25
-    cells = np.flatnonzero(~holds)
-    records = [
-        {"replication": i, "seed": 0, "statistic": p, "bound": 0.25,
-         "holds": False}
-        for i, p in zip(cells.tolist(), ps[cells].tolist())
-    ]
-    return ExperimentResult(
-        name="quarter_lemma_grid", records=records,
-        summary={"cells": rows.size, "m_max": m_max}, holds=bool(holds.all()),
-    )
+    return _result("quarter_lemma_grid", ps, 0.25, holds,
+                   {"cells": rows.size, "m_max": m_max}, ~holds)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ def test_03_fast_rate_coverage_and_scaling():
     spec = ar1_process(0.8, 0.6, b_star=0.0, flip_p=0.0)
     cover = vc_coverage(spec, n=2000, replications=200, delta=0.05, seed=777,
                         relative=True)
-    scaling = relative_rate_scaling((500, 2000, 8000), 0.05)
+    scaling = relative_rate_scaling()
     ok = cover.holds and scaling.holds
     worst = max(abs(r["statistic"] - 1.0) for r in scaling.records)
     assert report(3, "fast-rate coverage and log(n)/n scaling", ok,
@@ -151,9 +151,7 @@ def test_08_scenario_pac_coverage():
 
 
 def test_09_marginal_tighter_than_mixing():
-    result = mixing_tightness(mus=(10, 25, 50, 100, 250),
-                              deltas=(0.05, 0.1, 0.2), betas=(1e-3, 1e-4),
-                              a_values=(1, 2))
+    result = mixing_tightness()
     s = result.summary
     assert report(9, "marginal bound vs mixing reference", result.holds,
                   f"{s['cells']} grid cells, delta=1e-9 applicable in "

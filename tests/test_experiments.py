@@ -155,7 +155,7 @@ class TestCoverageExperiments:
             assert repr(one.summary) == repr(two.summary)
 
     def test_rate_scaling_records(self):
-        result = relative_rate_scaling((500, 2000, 8000), 0.05)
+        result = relative_rate_scaling()
         assert result.holds
         assert len(result.records) == 3  # one per pair
 
@@ -173,29 +173,10 @@ class TestCoverageExperiments:
         assert result.holds
         assert result.summary["infeasible"] == 0
 
-    @pytest.mark.parametrize("call, args, name", [
-        (relative_rate_scaling, ((1, 10), 0.05), "ns"),
-        (relative_rate_scaling, ((), 0.05), "ns"),
-        (relative_rate_scaling, ((500,), 0.05), "ns"),
-        (relative_rate_scaling, ((500, 500), 0.05), "ns"),
-        (relative_rate_scaling, ((500, 2000.0), 0.05), "ns"),
-        (mixing_tightness, ((), (0.1,), (1e-4,), (1,)), "mus"),
-        (mixing_tightness, ((10,), (), (1e-4,), (1,)), "deltas"),
-        (mixing_tightness, ((10,), (0.1,), (), (1,)), "betas"),
-        (mixing_tightness, ((10,), (0.1,), (1e-4,), ()), "a_values"),
-    ], ids=["ns_one", "ns_empty", "ns_single", "ns_repeated", "ns_float",
-            "mus", "deltas", "betas", "a_values"])
-    def test_degenerate_grid_fails_by_name(self, call, args, name):
-        # a size of 1 divides by log(1) = 0, and an empty or one-size grid
-        # would pass with no cell checked
-        with pytest.raises(ValueError, match=f"^{name} "):
-            call(*args)
-
     def test_mixing_grid_shape(self):
-        result = mixing_tightness(mus=(10, 50), deltas=(0.1,), betas=(1e-4,),
-                                  a_values=(1,))
+        result = mixing_tightness()
         assert result.holds
-        assert result.summary["cells"] == 2
+        assert result.summary["cells"] == len(result.records) == 60
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -519,13 +500,14 @@ def test_chaining_dominance_one_distance_matrix_per_instance(monkeypatch):
     (margin_rad_coverage, {"grid_size"}),
     (kernel_rad_bound, {"sign_draws", "dim", "bandwidth"}),
     (chaining_dominance, {"n_points", "max_functions", "sign_draws"}),
-    (mixing_tightness, {"seed", "radius", "m_clip", "variance"}),
+    (mixing_tightness, {"seed", "radius", "m_clip", "variance", "mus",
+                        "deltas", "betas", "a_values"}),
     (solve_margin_program, {"slack_target"}),
     (TauLambdaReport, {"grid_resolution"}),
     (scenario_pac_coverage, {"ghost_draws"}),
     (concentration_exactness, {"n_max", "eps_step", "ps"}),
     (quarter_lemma_grid, {"m_max", "p_step"}),
-    (relative_rate_scaling, {"tolerance"}),
+    (relative_rate_scaling, {"tolerance", "ns", "delta"}),
     # fields that nothing reads
     (FunctionClassDescriptor, {"output_range"}),
     (finite_class, {"output_range"}),
