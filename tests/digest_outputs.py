@@ -61,6 +61,8 @@ CONFIGS = {
     "regression_coverage": {"process": AR2_SYSTEM, "m_clip": 4.0,
                             "radius": 2.0, "n": 2000, "replications": 200,
                             "delta": 0.05, "seed": 909},
+    "relative_rate_scaling": {"seed": 0},
+    "mixing_tightness": {"seed": 0},
 }
 
 # full configs of the other deterministic commands

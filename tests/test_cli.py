@@ -186,6 +186,11 @@ class TestValidateRegistry:
         assert {p.name for p in params if p.default is not p.empty} <= \
             {*fixed, "threads"}
 
+    def test_every_experiment_has_a_digest_config(self):
+        # the digest is the equivalence gate: a check without a config there
+        # could change its outputs unseen
+        assert set(cli._EXPERIMENTS) == set(CONFIGS)
+
     def test_unknown_experiment_exit_2(self, tmp_path, capsys):
         config = {"command": "validate", "experiment": "vc_coverag",
                   "seed": 1}
@@ -704,7 +709,9 @@ _OWN_KEYS = {
         "kernel_rad_bound": "instances n radius m_clip",
         "chaining_dominance": "instances",
         "concentration_exactness": "",
-        "quarter_lemma": ""}.items()},
+        "quarter_lemma": "",
+        "relative_rate_scaling": "",
+        "mixing_tightness": ""}.items()},
 }
 
 
