@@ -158,6 +158,10 @@ COMMAND_CONFIGS = {
                         "class": {"kind": "kernel_ball", "radius": 2.0,
                                   "bandwidth": 0.8},
                         "process": AR1, "n": 300},
+    # the VC-planned certificate: 310 scenarios
+    "scenario_box_vc": {"command": "scenario", "method": "vc",
+                        "epsilon": 0.15, "delta": 0.1, "program": BOX_PROGRAM,
+                        "process": AR1, "seed": 888},
 }
 
 
