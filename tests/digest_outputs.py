@@ -85,6 +85,14 @@ BOX_2D_PROGRAM = {
 }
 BALL_2D_PROGRAM = dict(BOX_2D_PROGRAM,
                        theta_set={"kind": "ball", "radius": 10.0})
+# x - theta_1 - theta_2 <= -1 over theta in [-10, 10]^2 on 1-D x: a row that
+# couples both coordinates, so HiGHS solves the LP
+COUPLED_PROGRAM = {
+    "objective": [1.0, 0.5], "margin": 1.0,
+    "theta_set": {"kind": "box", "lo": [-10.0, -10.0], "hi": [10.0, 10.0]},
+    "pieces": [{"psi": {"matrix": [[0.0], [0.0]], "offset": [-1.0, -1.0]},
+                "eta": {"matrix": [[1.0]], "offset": [0.0]}}],
+}
 COMMAND_CONFIGS = {
     "scenario_box": {"command": "scenario", "method": "margin",
                      "epsilon": 0.15, "delta": 0.1, "program": BOX_PROGRAM,
@@ -162,6 +170,10 @@ COMMAND_CONFIGS = {
     "scenario_box_vc": {"command": "scenario", "method": "vc",
                         "epsilon": 0.15, "delta": 0.1, "program": BOX_PROGRAM,
                         "process": AR1, "seed": 888},
+    "scenario_coupled": {"command": "scenario", "method": "margin",
+                         "epsilon": 0.3, "delta": 0.1,
+                         "program": COUPLED_PROGRAM, "process": AR1,
+                         "seed": 888},
 }
 
 
