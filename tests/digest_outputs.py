@@ -93,6 +93,11 @@ COUPLED_PROGRAM = {
     "pieces": [{"psi": {"matrix": [[0.0], [0.0]], "offset": [-1.0, -1.0]},
                 "eta": {"matrix": [[1.0]], "offset": [0.0]}}],
 }
+# ... and theta_1 + theta_2 - x - 1 <= -1 as well: no theta meets both rows
+# on a path, so the solver falls back to the min-slack LP
+INFEASIBLE_PROGRAM = dict(COUPLED_PROGRAM, pieces=COUPLED_PROGRAM["pieces"] + [
+    {"psi": {"matrix": [[0.0], [0.0]], "offset": [1.0, 1.0]},
+     "eta": {"matrix": [[-1.0]], "offset": [-1.0]}}])
 COMMAND_CONFIGS = {
     "scenario_box": {"command": "scenario", "method": "margin",
                      "epsilon": 0.15, "delta": 0.1, "program": BOX_PROGRAM,
@@ -174,6 +179,10 @@ COMMAND_CONFIGS = {
                          "epsilon": 0.3, "delta": 0.1,
                          "program": COUPLED_PROGRAM, "process": AR1,
                          "seed": 888},
+    "scenario_infeasible": {"command": "scenario", "method": "margin",
+                            "epsilon": 0.3, "delta": 0.1,
+                            "program": INFEASIBLE_PROGRAM, "process": AR1,
+                            "seed": 888},
 }
 
 
