@@ -98,6 +98,12 @@ COUPLED_PROGRAM = {
 INFEASIBLE_PROGRAM = dict(COUPLED_PROGRAM, pieces=COUPLED_PROGRAM["pieces"] + [
     {"psi": {"matrix": [[0.0], [0.0]], "offset": [1.0, 1.0]},
      "eta": {"matrix": [[-1.0]], "offset": [-1.0]}}])
+# x - theta_1 / 2 - theta_2 <= -0.2 over the ball of radius 4: the box
+# optimum lies outside the ball, so the solver cuts (3 LPs, 2 cuts)
+BALL_CUTS_PROGRAM = dict(
+    COUPLED_PROGRAM, margin=0.2, theta_set={"kind": "ball", "radius": 4.0},
+    pieces=[{"psi": {"matrix": [[0.0], [0.0]], "offset": [-0.5, -1.0]},
+             "eta": {"matrix": [[1.0]], "offset": [0.0]}}])
 COMMAND_CONFIGS = {
     "scenario_box": {"command": "scenario", "method": "margin",
                      "epsilon": 0.15, "delta": 0.1, "program": BOX_PROGRAM,
@@ -183,6 +189,10 @@ COMMAND_CONFIGS = {
                             "epsilon": 0.3, "delta": 0.1,
                             "program": INFEASIBLE_PROGRAM, "process": AR1,
                             "seed": 888},
+    "scenario_ball_cuts": {"command": "scenario", "method": "margin",
+                           "epsilon": 0.3, "delta": 0.1,
+                           "program": BALL_CUTS_PROGRAM, "process": AR1,
+                           "seed": 888},
 }
 
 
