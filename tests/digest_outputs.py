@@ -104,6 +104,14 @@ BALL_CUTS_PROGRAM = dict(
     COUPLED_PROGRAM, margin=0.2, theta_set={"kind": "ball", "radius": 4.0},
     pieces=[{"psi": {"matrix": [[0.0], [0.0]], "offset": [-0.5, -1.0]},
              "eta": {"matrix": [[1.0]], "offset": [0.0]}}])
+# (0.05 x - 1) . theta + x_1 + x_2 / 2 <= -1 on the AR(2) system: psi depends
+# on 2-D x, so the solver gets the rows of the path's hull vertices
+HULL_PROGRAM = dict(
+    COUPLED_PROGRAM, x_domain={"kind": "box", "lo": [-6.0, -6.0],
+                               "hi": [6.0, 6.0]},
+    pieces=[{"psi": {"matrix": [[0.05, 0.0], [0.0, 0.05]],
+                     "offset": [-1.0, -1.0]},
+             "eta": {"matrix": [[1.0, 0.5]], "offset": [0.0]}}])
 COMMAND_CONFIGS = {
     "scenario_box": {"command": "scenario", "method": "margin",
                      "epsilon": 0.15, "delta": 0.1, "program": BOX_PROGRAM,
@@ -193,6 +201,9 @@ COMMAND_CONFIGS = {
                            "epsilon": 0.3, "delta": 0.1,
                            "program": BALL_CUTS_PROGRAM, "process": AR1,
                            "seed": 888},
+    "scenario_hull": {"command": "scenario", "method": "margin",
+                      "epsilon": 0.3, "delta": 0.1, "program": HULL_PROGRAM,
+                      "process": AR2_SYSTEM, "seed": 888},
 }
 
 
