@@ -204,6 +204,10 @@ COMMAND_CONFIGS = {
     "scenario_hull": {"command": "scenario", "method": "margin",
                       "epsilon": 0.3, "delta": 0.1, "program": HULL_PROGRAM,
                       "process": AR2_SYSTEM, "seed": 888},
+    # its records.csv must equal that of the one-thread run
+    "vc_coverage_threads_2": {"command": "validate",
+                              "experiment": "vc_coverage",
+                              **CONFIGS["vc_coverage"], "threads": 2},
 }
 
 
@@ -224,6 +228,9 @@ def main():
             if code != cli.EXIT_OK:
                 sys.exit(f"{name}: exit code {code}")
             print_digests(name, out)
+        if ((Path(tmp) / "vc_coverage_threads_2" / "records.csv").read_bytes()
+                != (Path(tmp) / "vc_coverage" / "records.csv").read_bytes()):
+            sys.exit("vc_coverage_threads_2: records differ from one thread's")
         # the argument parser's path: a config file and two overrides
         name = "main_symmetrization"
         path, out = Path(tmp) / f"{name}.json", Path(tmp) / name
