@@ -208,6 +208,8 @@ COMMAND_CONFIGS = {
     "vc_coverage_threads_2": {"command": "validate",
                               "experiment": "vc_coverage",
                               **CONFIGS["vc_coverage"], "threads": 2},
+    "simulate_clipped": {"command": "simulate", "n": 1000, "seed": 8,
+                         "process": dict(AR2_SYSTEM, clip_radius=1.5)},
 }
 
 
