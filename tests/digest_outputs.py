@@ -1,18 +1,23 @@
 """Print the SHA-256 of every output file of the CLI ``validate`` runs at the
-acceptance configs of ``tests/test_acceptance.py``, plus ``regression_coverage``
-on an AR(2) system, and of the ``scenario`` runs on the acceptance 1-D box
-program, on a variant whose psi depends on x over an x domain box, on the 1-D
-program over a ball, on a two-piece 2-D box program on the AR(2) system and on
-that program over a 2-D ball of radius 10, ``plan`` by both methods, ``bound``
-of every kind (``vc`` by VC dimension and by growth value, ``rademacher`` of
-two variants, ``mixing`` where it applies and where it does not), ``rad`` on a
-threshold, a linear-ball and a kernel-ball class (the last on a simulated
-path), and ``simulate`` runs of every process kind (an AR(2) path of 100,000
-rows, as the benchmark's coverage_mc workload writes it): every command whose
-output is deterministic, through every config object reader and every
-dispatch table of the CLI.  One more ``validate`` run goes through the
-argument parser, ``cli.main``, from a config file with ``--seed`` and
-``--replications`` overrides.
+acceptance configs of ``tests/test_acceptance.py``, one per experiment
+(``CONFIGS``), plus ``regression_coverage`` on an AR(2) system and
+``vc_coverage`` on two threads (whose ``records.csv`` must equal the
+one-thread run's, or the script stops), and of the ``scenario`` runs on the
+acceptance 1-D box program by both planning methods, on a variant whose psi
+depends on x over an x domain box, on the 1-D program over a ball, on a
+two-piece 2-D box program on the AR(2) system and on that program over a 2-D
+ball of radius 10, on programs that reach each solver path (a coupled row
+that HiGHS solves, an infeasible pair that falls back to the min-slack LP, a
+ball solve that makes cuts, and a 2-D hull of the path), ``plan`` by both
+methods, ``bound`` of every kind (``vc`` by VC dimension and by growth value,
+``rademacher`` of two variants, ``mixing`` where it applies and where it does
+not), ``rad`` on a threshold, a linear-ball and a kernel-ball class (the last
+on a simulated path), and ``simulate`` runs of every process kind (an AR(2)
+path of 100,000 rows, as the benchmark's coverage_mc workload writes it, and
+a clipped AR(2) path): every command whose output is deterministic, through
+every config object reader and every dispatch table of the CLI.  One more
+``validate`` run goes through the argument parser, ``cli.main``, from a
+config file with ``--seed`` and ``--replications`` overrides.
 
 Two trees give the same outputs when this script prints the same lines with
 either tree's ``src`` on the path (``parent`` being, say, a ``git archive``
