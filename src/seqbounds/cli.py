@@ -104,6 +104,16 @@ def _experiment(config):
     return function, fixed, _parameters(function)[0].difference(fixed)
 
 
+def _sized(key, call, *args):
+    """``call(*args)``, where the config value at ``key`` sizes the arrays:
+    a MemoryError is reported as a ValueError that starts with ``key``."""
+    try:
+        return call(*args)
+    except MemoryError as exc:
+        raise ValueError(f"{key} sizes arrays that memory cannot hold "
+                         f"({exc})") from None
+
+
 def _arguments(config, choice):
     """The keys of ``config`` that its function reads: all but the common
     ones and the ``choice`` key that picks the function."""
@@ -134,7 +144,7 @@ def _run_plan(config, out_dir):
 
 def _run_simulate(config, out_dir):
     spec = process_from_dict(config["process"])
-    sample = simulate_sequence(spec, config["n"], config["seed"])
+    sample = _sized("n", simulate_sequence, spec, config["n"], config["seed"])
     path = out_dir / "sequence.csv"
     sequence_to_csv(sample, path)
     x = np.asarray(sample.x, dtype=float)
@@ -153,9 +163,10 @@ def _run_rad(config, out_dir):
         points = config["points"]
     else:
         spec = process_from_dict(config["process"])
-        points = simulate_sequence(spec, config["n"], config["seed"]).x
-    est = empirical_rademacher(cls, points, config.get("sign_draws", 256),
-                               config["seed"])
+        points = _sized("n", simulate_sequence, spec, config["n"],
+                        config["seed"]).x
+    est = _sized("sign_draws", empirical_rademacher, cls, points,
+                 config.get("sign_draws", 256), config["seed"])
     return {"estimate": est.to_dict()}, None, True
 
 
@@ -171,8 +182,9 @@ def _run_validate(config, out_dir):
 def _run_scenario(config, out_dir):
     program = scn.ScenarioProgramSpec.from_dict(config["program"])
     spec = process_from_dict(config["process"])
-    cert = scn.certify(program, spec, config["epsilon"], config["delta"],
-                       config["method"], config["seed"])
+    # epsilon sets the planned scenario count, which sizes the path
+    cert = _sized("epsilon", scn.certify, program, spec, config["epsilon"],
+                  config["delta"], config["method"], config["seed"])
     return {"certificate": cert.to_dict()}, None, True
 
 
@@ -229,7 +241,8 @@ def run(config: dict, out_dir) -> int:
     try:
         summary, records, holds = handler(config, out_dir)
     except (ValueError, KeyError, TypeError, MemoryError) as exc:
-        # a MemoryError is a config whose arrays no machine holds
+        # a MemoryError is a config whose arrays no machine holds; the
+        # commands that know which key sized them say so (_sized)
         return _config_error(exc)
     payload = {"config": config, "summary": summary}
     try:

@@ -641,18 +641,20 @@ def test_exit_2_names_the_value(tmp_path, capsys, config, name):
     assert capsys.readouterr().err.startswith(f"config error: {name}")
 
 
-@pytest.mark.parametrize("config", [
+@pytest.mark.parametrize("config, key", [
     # 46,299,966,981 planned scenarios: 345 GiB of path
-    dict(COMMAND_CONFIGS["scenario_box"], epsilon=1e-4),
-    dict(_COMMAND_BASES["simulate_ar1"], n=10 ** 12),
-    dict(_COMMAND_BASES["rad_points"], sign_draws=10 ** 12),
+    (dict(COMMAND_CONFIGS["scenario_box"], epsilon=1e-4), "epsilon"),
+    (dict(_COMMAND_BASES["simulate_ar1"], n=10 ** 12), "n"),
+    (dict(_COMMAND_BASES["rad_points"], sign_draws=10 ** 12), "sign_draws"),
 ], ids=["scenario", "simulate", "rad"])
-def test_out_of_memory_config_exit_2(tmp_path, capsys, config):
+def test_out_of_memory_config_exit_2(tmp_path, capsys, config, key):
     # each asks for far more memory than a machine holds (345 GiB to
-    # 7.3 TiB), so numpy refuses it at once
+    # 7.3 TiB), so numpy refuses it at once; the message starts with the
+    # key that sized the arrays
     assert run(config, tmp_path / "out") == cli.EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(
-        "config error: Unable to allocate ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} sizes arrays ")
+    assert "Unable to allocate " in err
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
