@@ -13,12 +13,14 @@ from seqbounds import bounds as bnd
 from seqbounds import classes
 from seqbounds import experiments as xp
 from seqbounds.classes import FunctionClassDescriptor, finite_class
-from seqbounds.estimators import violation_rate
+from seqbounds.estimators import (threshold_empirical_risks,
+                                  threshold_risk_oracle, violation_rate)
 from seqbounds.experiments import (_clipped_ray_risks, _linear_model_grid,
                                    _margin_empirical_risks, chaining_dominance,
                                    clipped_linear_risk,
                                    concentration_exactness,
-                                   default_scenario_program, kernel_rad_bound,
+                                   default_ar1, default_scenario_program,
+                                   kernel_rad_bound,
                                    margin_linear_risk, margin_rad_coverage,
                                    mixing_tightness, quarter_lemma_grid,
                                    regression_coverage, relative_rate_scaling,
@@ -187,6 +189,25 @@ def test_vc_coverage_near_unit_root():
     spec = ar1_process(0.999, 0.6, b_star=0.0, flip_p=0.1)
     assert vc_coverage(spec, n=2000, replications=200, delta=0.05,
                        seed=12345).holds
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the statistic reads each dichotomy at the midpoint of its cell, so it "
+    "understates sup_b L(b) - Lhat(b) (by 4.3e-4 on this path, against a "
+    "slack of 0.228); a fix shows up as a pass"))
+def test_vc_statistic_is_the_supremum_over_each_cell():
+    # Lhat is constant on each cell between sorted points, and L is
+    # continuous and monotone on each side of b_star, so the supremum over
+    # a cell is the larger of L at its two ends (-inf and +inf outside)
+    spec = default_ar1()
+    result = vc_coverage(spec, n=2000, replications=1, delta=0.05,
+                         seed=12345)
+    path = simulate_sequence(spec, 2000, 12345, replication=0)
+    _, emps = threshold_empirical_risks(path.x, path.y)
+    ends = np.concatenate(([-np.inf], np.sort(path.x), [np.inf]))
+    risks = threshold_risk_oracle(spec)(ends)
+    sup = np.max(np.maximum(risks[:-1], risks[1:]) - emps)
+    assert result.records[0]["statistic"] == pytest.approx(sup, abs=1e-12)
 
 
 @pytest.mark.parametrize("a", [0.8, pytest.param(0.999, marks=pytest.mark.xfail(
