@@ -2,9 +2,9 @@
 
 Reads a JSON experiment config, runs the requested command and writes a
 deterministic ``summary.json`` (plus ``records.csv`` for experiments and a
-``meta.json`` with the timestamp).  Every ``validate`` check, the
-symmetrization check included, is one function of ``experiments``, and
-its config keys are that function's parameters.
+``meta.json`` with the timestamp).  Every check of ``experiments``, the
+fixed-grid ones included, is one ``validate`` experiment, and its config
+keys are that function's parameters.
 Exit codes: 0 success, 2 invalid config, 3 a validation experiment's
 acceptance property failed, 4 I/O failure.
 """
