@@ -241,8 +241,7 @@ def run(config: dict, out_dir) -> int:
     try:
         summary, records, holds = handler(config, out_dir)
     except (ValueError, KeyError, TypeError, MemoryError) as exc:
-        # a MemoryError is a config whose arrays no machine holds; the
-        # commands that know which key sized them say so (_sized)
+        # a MemoryError is a config whose arrays no machine holds (_sized)
         return _config_error(exc)
     payload = {"config": config, "summary": summary}
     try:

@@ -49,13 +49,11 @@ def _pmap(fn, items, threads=1):
 
 def _result(name, statistics, bounds, holds, summary, keep=None, seed=0):
     """The result of a check over cells: cell i is entry i, in flat order,
-    of the arrays ``statistics``, ``bounds`` and ``holds`` (broadcast to the
-    shape of ``holds``).  Each cell, or each where the mask ``keep`` is
+    of the arrays ``statistics``, ``bounds`` and ``holds`` (broadcast
+    together).  Each cell, or each where the mask ``keep`` is
     true, gets a record; the check holds when every cell holds."""
-    holds = np.asarray(holds)
-    statistics, bounds = (np.broadcast_to(a, holds.shape).ravel()
-                          for a in (statistics, bounds))
-    holds = holds.ravel()
+    statistics, bounds, holds = (
+        a.ravel() for a in np.broadcast_arrays(statistics, bounds, holds))
     cells = np.arange(holds.size) if keep is None else np.flatnonzero(keep)
     records = [
         {"replication": i, "seed": seed, "statistic": s, "bound": b,
@@ -132,12 +130,11 @@ def relative_rate_scaling() -> ExperimentResult:
     (500, 2000), (500, 8000), (2000, 8000), the ratio of the bounds is
     within 0.2 of the ratio of the law."""
     ns, delta, tolerance = (500, 2000, 8000), 0.05, 0.2
-    slack = np.array([bnd.vc_relative_bound(0.0, n, delta, d_vc=1,
-                                            stationary=True).bound_value
-                      for n in ns])
-    law = np.array([math.log(n) / n for n in ns])
-    i, j = np.triu_indices(len(ns), 1)
-    ratio = (slack[i] / slack[j]) / (law[i] / law[j])
+    slack = [bnd.vc_relative_bound(0.0, n, delta, d_vc=1,
+                                   stationary=True).bound_value for n in ns]
+    law = [math.log(n) / n for n in ns]
+    ratio = np.array([(s1 / s2) / (l1 / l2) for (s1, l1), (s2, l2)
+                      in itertools.combinations(zip(slack, law), 2)])
     return _result("relative_rate_scaling", ratio, 1.0 + tolerance,
                    np.abs(ratio - 1.0) <= tolerance,
                    {"ns": list(ns), "delta": delta, "tolerance": tolerance})
