@@ -50,8 +50,8 @@ def _pmap(fn, items, threads=1):
 def _result(name, statistics, bounds, holds, summary, keep=None, seed=0):
     """The result of a check over cells: cell i is entry i, in flat order,
     of the arrays ``statistics``, ``bounds`` and ``holds`` (broadcast
-    together).  Each cell, or each where the mask ``keep`` is
-    true, gets a record; the check holds when every cell holds."""
+    together).  Each cell, or each where the mask ``keep`` is true, gets a
+    record; the check holds when every cell holds."""
     statistics, bounds, holds = (
         a.ravel() for a in np.broadcast_arrays(statistics, bounds, holds))
     cells = np.arange(holds.size) if keep is None else np.flatnonzero(keep)
