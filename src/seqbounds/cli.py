@@ -2,9 +2,13 @@
 
 Reads a JSON experiment config, runs the requested command and writes a
 deterministic ``summary.json`` (plus ``records.csv`` for experiments and a
-``meta.json`` with the timestamp).  Every check of ``experiments``, the
-fixed-grid ones included, is one ``validate`` experiment, and its config
-keys are that function's parameters.
+``meta.json`` with the timestamp).  Output files are rewritten in place
+and then cut to their length, so a rerun into the same directory leaves
+no stale bytes; the JSON files and ``records.csv`` take one write each.
+As with any rewrite, a crash during a write can leave a partial file.
+Every check of ``experiments``, the fixed-grid ones included, is one
+``validate`` experiment, and its config keys are that function's
+parameters.
 Exit codes: 0 success, 2 invalid config, 3 a validation experiment's
 acceptance property failed, 4 I/O failure.
 """
@@ -13,6 +17,8 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
+import io
 import json
 import math
 import os
@@ -27,7 +33,8 @@ from . import scenario as scn
 from .bounds import _check, _from_dict, _from_kind_dict, _parameters
 from .classes import kernel_ball_class, linear_ball_class, threshold_class
 from .estimators import empirical_rademacher
-from .processes import (process_from_dict, sequence_to_csv, simulate_sequence)
+from .processes import (_write_text, process_from_dict, sequence_to_csv,
+                         simulate_sequence)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -173,7 +180,10 @@ def _run_rad(config, out_dir):
 def _run_validate(config, out_dir):
     function, fixed, keys = _experiment(config)
     args = {k: v for k, v in config.items() if k in keys}
-    result = _from_dict(function, {**args, **fixed}, "experiment", **_READERS)
+    experiment = functools.partial(_from_dict, function, {**args, **fixed},
+                                   "experiment", **_READERS)
+    # a check that takes n draws paths or points of that length
+    result = _sized("n", experiment) if "n" in keys else experiment()
     summary = {"experiment": result.name, "holds": result.holds,
                **result.summary}
     return summary, result.records, result.holds
@@ -258,9 +268,8 @@ def run(config: dict, out_dir) -> int:
 
 
 def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(_plain(payload), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_text(path, [json.dumps(_plain(payload), sort_keys=True, indent=2)
+                       + "\n"])
 
 
 def _plain(obj):
@@ -283,11 +292,12 @@ RECORD_COLUMNS = ["replication", "seed", "statistic", "bound", "holds"]
 
 
 def write_records_csv(records, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
-        writer.writerows([_plain(rec[k]) for k in RECORD_COLUMNS]
-                         for rec in records)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(RECORD_COLUMNS)
+    writer.writerows([_plain(rec[k]) for k in RECORD_COLUMNS]
+                     for rec in records)
+    _write_text(path, [text.getvalue()])
 
 
 def main(argv=None) -> int:

@@ -130,7 +130,9 @@ def _threshold_errors(xs, ys):
         # a sample drawn with labels=False has y None, read as a 0-d NaN
         raise ValueError(f"y must hold one label per x: shape {ys.shape}, "
                          f"not {xs.shape}")
-    order = np.argsort(xs, kind="stable")
+    # tied x may come out in any order: a count inside a group of ties is
+    # no dichotomy, and no caller reads one
+    order = np.argsort(xs)
     errors0 = float(np.sum(ys == -1.0))
     steps = np.where(ys[order] == 1.0, 1.0, -1.0)
     return xs[order], np.concatenate(([errors0], errors0 + np.cumsum(steps)))

@@ -12,6 +12,8 @@ import functools
 import importlib
 import importlib.machinery
 import importlib.util
+import os
+import stat
 import threading
 import zlib
 from dataclasses import dataclass
@@ -374,6 +376,32 @@ def sample_marginal(spec: ProcessSpec, m: int, seed: int,
                           process=spec.kind + ":ghost")
 
 
+def _write_text(path, chunks):
+    """Write the text chunks to ``path`` in place.
+
+    The file is opened without truncation, so rewriting an existing file
+    reuses its blocks instead of freeing them all; a regular file that was
+    longer is then cut to the written length, and a device or a pipe
+    (``/dev/null``, a FIFO) is left as it is.  The mode of a new file is
+    what ``open(path, "w")`` gives.  A write that fails part way leaves a
+    partial file, as a truncating rewrite does.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
+                 0o666)
+    try:
+        size = 0
+        for chunk in chunks:
+            data = memoryview(chunk.encode())
+            while data:
+                written = os.write(fd, data)
+                data, size = data[written:], size + written
+        status = os.fstat(fd)
+        if stat.S_ISREG(status.st_mode) and status.st_size > size:
+            os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
+
+
 # rows per write: a chunk's text, the repr of each of its distinct floats
 # included, is held at once
 _CSV_CHUNK_ROWS = 2048
@@ -383,18 +411,19 @@ def sequence_to_csv(sample: SequenceSample, path):
     """Write the sample as CSV with columns index, x components, y.
 
     The text is what ``csv.writer`` writes for the same rows (float repr,
-    ``\\r\\n`` line ends), written in chunks of rows so that the whole file
-    is never held in memory.  Each distinct float of a chunk is formatted
-    once (distinct by bit pattern, so -0.0 keeps its sign) and the cells
-    are filled by index: the regressors of an autoregression are lags of y,
-    so most values appear in several columns.
+    ``\\r\\n`` line ends), written in place (``_write_text``) in chunks of
+    rows so that the whole file is never held in memory.  Each distinct
+    float of a chunk is formatted once (distinct by bit pattern, so -0.0
+    keeps its sign) and the cells are filled by index: the regressors of an
+    autoregression are lags of y, so most values appear in several columns.
     """
     if sample.y is None:
         raise ValueError("sample has no labels: it was drawn with labels=False")
     x = np.atleast_2d(sample.x.T).T
     header = ["index"] + [f"x{j}" for j in range(x.shape[1])] + ["y"]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+
+    def chunks():
+        yield ",".join(header) + "\r\n"
         for start in range(0, len(sample), _CSV_CHUNK_ROWS):
             stop = min(start + _CSV_CHUNK_ROWS, len(sample))
             block = np.column_stack((x[start:stop], sample.y[start:stop]))
@@ -404,7 +433,9 @@ def sequence_to_csv(sample: SequenceSample, path):
                             dtype=object)
             columns = text[index.reshape(block.shape)].T.tolist()
             rows = zip(map(str, range(start, stop)), *columns)
-            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+            yield "\r\n".join(map(",".join, rows)) + "\r\n"
+
+    _write_text(path, chunks())
 
 
 def process_from_dict(d: dict) -> ProcessSpec:

@@ -37,10 +37,17 @@ numpy and scipy versions.  The suites:
   ``chaining_dominance`` at its ``tests/digest_outputs.py`` config,
   ``empirical_rademacher_exact`` of a 3-D linear ball on 16 normal points
   and ``concentration_exactness`` over its fixed grid.
+- ``cli``: what a ``cli.run`` adds to the work it wraps, as the mean time
+  per call at one thread: the ``scenario`` run of the 1-D box certificate
+  at its ``tests/digest_outputs.py`` config rerun into one directory (the
+  output files are rewritten) and run into a new directory each call, the
+  library ``certify`` call that the run makes, alone, and ``validate
+  vc_coverage`` at its acceptance config, rerun into one directory.
 
 Not collected by pytest (no ``test_`` prefix).
 """
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -53,14 +60,16 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from digest_outputs import AR1, AR2_SYSTEM, CONFIGS as DIGEST_CONFIGS
+from digest_outputs import (AR1, AR2_SYSTEM, COMMAND_CONFIGS,
+                            CONFIGS as DIGEST_CONFIGS)
 from seqbounds import cli
 from seqbounds.classes import linear_ball_class
 from seqbounds.estimators import empirical_rademacher_exact
 from seqbounds.experiments import (_clipped_ray_risks, _linear_model_grid,
                                    chaining_dominance, concentration_exactness,
                                    regression_coverage, scenario_pac_coverage)
-from seqbounds.processes import ar1_process, ar_process, simulate_sequence
+from seqbounds.processes import (ar1_process, ar_process, process_from_dict,
+                                 simulate_sequence)
 from seqbounds.scenario import (AffineMap, Ball, Box, ConstraintPiece,
                                 ScenarioProgramSpec, certify,
                                 solve_margin_program)
@@ -234,6 +243,41 @@ def measure_capacity():
     return out
 
 
+CLI_CONFIG = {"certificate": COMMAND_CONFIGS["scenario_box"],
+              "vc_coverage": IMPORT_CONFIGS["vc_coverage"],
+              "certificate_calls": 200, "vc_coverage_calls": 5}
+
+
+def measure_cli():
+    c = CLI_CONFIG
+    cert = c["certificate"]
+    program = ScenarioProgramSpec.from_dict(cert["program"])
+    spec = process_from_dict(cert["process"])
+    fresh = itertools.count()
+    with tempfile.TemporaryDirectory() as tmp:
+        def run(config, out):
+            if cli.run(config, Path(tmp) / out) != cli.EXIT_OK:
+                raise SystemExit(f"{out}: run failed")
+
+        runs = {
+            "certificate_rerun_ms": (lambda: run(cert, "rerun"),
+                                     c["certificate_calls"]),
+            "certificate_fresh_dir_ms": (
+                lambda: run(cert, f"fresh{next(fresh)}"),
+                c["certificate_calls"]),
+            "certify_ms": (lambda: certify(
+                program, spec, cert["epsilon"], cert["delta"],
+                cert["method"], cert["seed"]), c["certificate_calls"]),
+            "validate_vc_coverage_ms": (lambda: run(c["vc_coverage"], "vc"),
+                                        c["vc_coverage_calls"]),
+        }
+        out = {}
+        for name, (call, number) in runs.items():
+            call()
+            out[name] = 1e3 * best_of(call, number)
+    return out
+
+
 # suite -> (the header of its file, less "repeats" and "runs"; its timings)
 SUITES = {
     "import": ({"configs": IMPORT_CONFIGS}, measure_import),
@@ -243,6 +287,7 @@ SUITES = {
     "scenario": ({"config": SCENARIO_CONFIG}, measure_scenario),
     "regression_sweep": ({"config": SWEEP_CONFIG}, measure_regression_sweep),
     "capacity": ({"config": CAPACITY_CONFIG}, measure_capacity),
+    "cli": ({"config": CLI_CONFIG}, measure_cli),
 }
 
 

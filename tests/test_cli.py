@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -390,6 +391,65 @@ class TestMain:
         assert run(config, blocker / "out") == 4
 
 
+class TestOutputFiles:
+    """Output files are rewritten in place and cut to the written length."""
+
+    def test_shorter_payload_leaves_no_stale_tail(self, tmp_path):
+        path = tmp_path / "summary.json"
+        cli._write_json(path, {"values": list(range(500))})
+        short = {"values": [1.5, math.inf], "name": "short"}
+        cli._write_json(path, short)
+        assert path.read_bytes() == (json.dumps(
+            cli._plain(short), sort_keys=True, indent=2) + "\n").encode()
+
+    def test_records_rewrite_leaves_no_stale_tail(self, tmp_path):
+        record = {"replication": 0, "seed": 1, "statistic": 0.25,
+                  "bound": np.float64(0.5), "holds": np.bool_(True)}
+        path = tmp_path / "records.csv"
+        cli.write_records_csv([record] * 300, path)
+        cli.write_records_csv([record], path)
+        assert path.read_bytes() == (
+            b"replication,seed,statistic,bound,holds\r\n"
+            b"0,1,0.25,0.5,True\r\n")
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_new_file_mode_is_that_of_open_w(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "reference", "w"):
+                pass
+            cli._write_json(tmp_path / "written", {})
+        finally:
+            os.umask(old)
+        assert (tmp_path / "written").stat().st_mode == \
+            (tmp_path / "reference").stat().st_mode
+
+    def test_devnull_accepts_the_write(self):
+        cli._write_json(os.devnull, {"a": 1})
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_fifo_receives_the_text(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        cli._write_json(fifo, {"a": 1})
+        reader.join(10)
+        assert not reader.is_alive()
+        assert received == [b'{\n  "a": 1\n}\n']
+
+    def test_rerun_into_one_directory_writes_the_same_files(self, tmp_path):
+        config = dict(_validate_base("symmetrization"), replications=20)
+        out = tmp_path / "out"
+        files = ("summary.json", "records.csv")
+        assert run(config, out) == cli.EXIT_OK
+        first = [(out / name).read_bytes() for name in files]
+        assert run(config, out) == cli.EXIT_OK
+        assert [(out / name).read_bytes() for name in files] == first
+
+
 # ---------------------------------------------------------------------------
 # Fuzz: one numeric value of a config replaced by an out-of-range value
 
@@ -646,10 +706,14 @@ def test_exit_2_names_the_value(tmp_path, capsys, config, name):
     (dict(COMMAND_CONFIGS["scenario_box"], epsilon=1e-4), "epsilon"),
     (dict(_COMMAND_BASES["simulate_ar1"], n=10 ** 12), "n"),
     (dict(_COMMAND_BASES["rad_points"], sign_draws=10 ** 12), "sign_draws"),
-], ids=["scenario", "simulate", "rad"])
+    (dict(_validate_base("vc_coverage"), n=10 ** 12), "n"),
+    # a 10**7 x 10**7 x 2 array of point differences
+    (dict(_validate_base("kernel_rad_bound"), n=10 ** 7), "n"),
+], ids=["scenario", "simulate", "rad", "validate_vc_coverage",
+        "validate_kernel_rad_bound"])
 def test_out_of_memory_config_exit_2(tmp_path, capsys, config, key):
     # each asks for far more memory than a machine holds (345 GiB to
-    # 7.3 TiB), so numpy refuses it at once; the message starts with the
+    # 1.4 PiB), so numpy refuses it at once; the message starts with the
     # key that sized the arrays
     assert run(config, tmp_path / "out") == cli.EXIT_CONFIG
     err = capsys.readouterr().err

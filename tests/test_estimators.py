@@ -18,8 +18,8 @@ from seqbounds.estimators import (empirical_rademacher,
 from seqbounds.experiments import symmetrization
 from seqbounds.losses import zero_one_loss
 from seqbounds.processes import (SequenceSample, ar1_process, iid_process,
-                                 sample_marginal, simulate_sequence,
-                                 stationary_params, stream)
+                                 markov_binary_process, sample_marginal,
+                                 simulate_sequence, stationary_params, stream)
 from seqbounds.scenario import one_dim_threshold_program
 
 
@@ -325,6 +325,46 @@ class TestThresholdMachinery:
         assert gap == threshold_ghost_gap(
             make_sample(ranks[:len(train.x)], train.y),
             make_sample(ranks[len(train.x):], ghost.y))
+
+
+    @staticmethod
+    def _stable_threshold_errors(xs, ys):
+        # the counts with tied x kept in their input order
+        order = np.argsort(xs, kind="stable")
+        errors0 = float(np.sum(ys == -1.0))
+        steps = np.where(ys[order] == 1.0, 1.0, -1.0)
+        return xs[order], np.concatenate(([errors0],
+                                          errors0 + np.cumsum(steps)))
+
+    @pytest.mark.parametrize("source", ["integers", "markov_binary"])
+    def test_tie_order_reaches_no_output(self, monkeypatch, source):
+        # the sort may put tied x in any order: the empirical risks mask the
+        # dichotomies inside a tie and the ghost gap reads group starts only
+        rng = np.random.default_rng(23)
+        cases = []
+        for r in range(20):
+            if source == "integers":
+                x, x_ghost = rng.integers(-5, 6, (2, 2000)).astype(float)
+            else:
+                spec = markov_binary_process(0.9)
+                x = simulate_sequence(spec, 2000, 23, replication=r).x
+                x_ghost = simulate_sequence(spec, 2000, 24, replication=r).x
+            y, y_ghost = np.where(rng.random((2, 2000)) < 0.5, 1.0, -1.0)
+            cases.append((make_sample(x, y), make_sample(x_ghost, y_ghost)))
+
+        def outputs():
+            return [(threshold_empirical_risks(train.x, train.y),
+                     threshold_ghost_gap(train, ghost))
+                    for train, ghost in cases]
+
+        got = outputs()
+        monkeypatch.setattr(estimators, "_threshold_errors",
+                            self._stable_threshold_errors)
+        for ((thresholds, risks), gap), ((ref_t, ref_r), ref_gap) in zip(
+                got, outputs()):
+            assert np.array_equal(thresholds, ref_t)
+            assert np.array_equal(risks, ref_r)
+            assert gap == ref_gap
 
 
 class TestSupDeviation:

@@ -318,6 +318,16 @@ class TestValidationAndExport:
         assert rows[0] == ["index", "x0", "x1", "y"]
         assert len(rows) == 11
 
+    def test_csv_rewrite_leaves_no_stale_tail(self, tmp_path):
+        # the file is rewritten in place, chunk by chunk, and cut once
+        spec = ar_process([0.5, 0.2], 1.0)
+        out, fresh = tmp_path / "seq.csv", tmp_path / "fresh.csv"
+        sequence_to_csv(simulate_sequence(spec, 5000, 4), out)
+        short = simulate_sequence(spec, 3, 5)
+        sequence_to_csv(short, out)
+        sequence_to_csv(short, fresh)
+        assert out.read_bytes() == fresh.read_bytes()
+
     @pytest.mark.parametrize("x, y", [
         (np.array([-0.0, 1e-05, 1e16, 0.1 + 0.2, -3.0]),
          np.array([1.0, -1.0, -0.0, 1e-05, 1e16])),
