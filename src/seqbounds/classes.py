@@ -1,7 +1,8 @@
 """Hypothesis-class descriptors and their capacity quantities.
 
-The threshold class's dichotomies, the empirical L2 pseudo-metric, and
-the exact covering number of a finite evaluated function set.
+The empirical L2 pseudo-metric and the exact covering number of a finite
+evaluated function set.  The threshold class's dichotomies are swept in
+``estimators``.
 """
 from __future__ import annotations
 
@@ -75,23 +76,6 @@ def kernel_ball_class(radius, bandwidth=1.0):
     return FunctionClassDescriptor(
         kind="kernel_ball", radius=radius, bandwidth=bandwidth
     )
-
-
-def threshold_dichotomies(points):
-    """All labelings sign(x - b) realized on ``points``.
-
-    Returns ``(thresholds, labels)`` where row k of ``labels`` is the
-    labeling produced by the k-th canonical threshold.  Canonical
-    thresholds are the distinct points in ascending order and +inf (n+1
-    in total for distinct points): b = u labels x >= u with +1, so no
-    arithmetic on the points can merge or lose a labeling.
-    """
-    pts = np.asarray(points, dtype=float).ravel()
-    if pts.size == 0:
-        raise ValueError("need at least one point")
-    thresholds = np.append(np.unique(pts), np.inf)
-    labels = np.where(pts[None, :] >= thresholds[:, None], 1.0, -1.0)
-    return thresholds, labels
 
 
 @dataclass

@@ -30,9 +30,10 @@ import numpy as np
 from . import bounds as bnd
 from . import experiments as xp
 from . import scenario as scn
-from .bounds import _check, _from_dict, _from_kind_dict, _parameters
+from .bounds import (_as_floats, _check, _from_dict, _from_kind_dict,
+                     _parameters)
 from .classes import kernel_ball_class, linear_ball_class, threshold_class
-from .estimators import empirical_rademacher
+from .estimators import _sign_average, _sup_rows
 from .processes import (_write_text, process_from_dict, sequence_to_csv,
                          simulate_sequence)
 
@@ -113,11 +114,15 @@ def _experiment(config):
 
 def _sized(key, call, *args):
     """``call(*args)``, where the config value at ``key`` sizes the arrays:
-    a MemoryError is reported as a ValueError that starts with ``key``."""
+    a MemoryError, or numpy's ValueError for a shape past its index range,
+    is reported as a ValueError that starts with ``key``."""
     try:
         return call(*args)
-    except MemoryError as exc:
-        raise ValueError(f"{key} sizes arrays that memory cannot hold "
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith(
+                ("Maximum allowed dimension exceeded", "array is too big")):
+            raise
+        raise ValueError(f"{key} sizes arrays that numpy cannot make "
                          f"({exc})") from None
 
 
@@ -167,12 +172,15 @@ def _run_simulate(config, out_dir):
 def _run_rad(config, out_dir):
     cls = _from_kind_dict(_CLASSES, config["class"], "class")
     if "points" in config:
-        points = config["points"]
+        key, points = "points", _as_floats("points", config["points"])
     else:
         spec = process_from_dict(config["process"])
-        points = _sized("n", simulate_sequence, spec, config["n"],
-                        config["seed"]).x
-    est = _sized("sign_draws", empirical_rademacher, cls, points,
+        key, points = "n", _sized("n", simulate_sequence, spec, config["n"],
+                                  config["seed"]).x
+    # empirical_rademacher in two steps: the point count sizes the class's
+    # arrays on the points, and sign_draws the estimate's
+    sup = _sized(key, _sup_rows, cls, points)
+    est = _sized("sign_draws", _sign_average, sup, len(points),
                  config.get("sign_draws", 256), config["seed"])
     return {"estimate": est.to_dict()}, None, True
 

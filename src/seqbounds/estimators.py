@@ -1,20 +1,18 @@
 """Monte-Carlo and closed-form estimators: Rademacher complexity, the
-threshold class's empirical risks and deviation supremum, its analytic
-risk, violation rates, and the ghost gap of the symmetrization check (the
-check itself is ``experiments.symmetrization``)."""
+threshold class's empirical risks, deviation supremum and Rademacher
+supremum (all from one sorted sweep, ``_threshold_errors``), its analytic
+risk, violation rates, and the ghost gap of the symmetrization check."""
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from . import bounds as bnd
 from .bounds import _as_floats, _check, _check_entries
 from .classes import (FunctionClassDescriptor, UnsupportedClassError,
-                      evaluation_matrix, threshold_dichotomies,
-                      PseudoMetricSample)
-from .losses import LossSpec
+                      evaluation_matrix, PseudoMetricSample)
 from .processes import ProcessSpec, SequenceSample, stationary_params, stream
 from .scenario import _scenario_rows
 
@@ -46,13 +44,13 @@ def _sup_rows(cls: FunctionClassDescriptor, pts: np.ndarray):
     if dim is not None and x.shape[1:] != (dim,):
         raise ValueError(f"points must lie in R^{dim} for a {cls.kind} "
                          f"class, got shape {pts.shape}")
-    if cls.kind in ("finite", "threshold1d"):
-        if cls.kind == "finite":
-            sample = PseudoMetricSample(pts)
-            values = evaluation_matrix(cls, sample)
-        else:
-            _, values = threshold_dichotomies(pts)
+    if cls.kind == "finite":
+        values = evaluation_matrix(cls, PseudoMetricSample(pts))
         return lambda s: np.max(s @ values.T, axis=1) / n
+    if cls.kind == "threshold1d":
+        # sum_i s_i f(t_i) = n - 2 * (the errors of f on the labels s)
+        return lambda s: (n - 2.0 * np.min(
+            _threshold_errors(x[:, 0], s)[1], axis=1)) / n
     if cls.kind == "linear_ball":
         if cls.with_offset:
             x = np.hstack([x, np.ones((n, 1))])
@@ -81,16 +79,20 @@ def empirical_rademacher(cls: FunctionClassDescriptor, points, sign_draws: int,
     unbiased estimate of the sign expectation and is exactly zero for
     symmetric cases such as singleton classes.
     """
-    _check("sign_draws", sign_draws, 1, integer=True)
     pts = _as_floats("points", points)
-    sup = _sup_rows(cls, pts)
+    return _sign_average(_sup_rows(cls, pts), len(pts), sign_draws, seed)
+
+
+def _sign_average(sup, n: int, sign_draws: int, seed: int) -> MonteCarloEstimate:
+    """``empirical_rademacher`` from ``sup = _sup_rows(cls, points)``."""
+    _check("sign_draws", sign_draws, 1, integer=True)
     rng = stream(seed, 0, "signs")
     # a (k, n) call yields the same signs as one n-vector call per draw, so
     # drawing in blocks of rows keeps the stream and bounds the memory
     vals = np.empty(sign_draws)
     for lo in range(0, sign_draws, _SIGN_BLOCK):
         rows = min(_SIGN_BLOCK, sign_draws - lo)
-        signs = rng.integers(0, 2, (rows, pts.shape[0])) * 2.0 - 1.0
+        signs = rng.integers(0, 2, (rows, n)) * 2.0 - 1.0
         vals[lo:lo + rows] = 0.5 * (sup(signs) + sup(-signs))
     se = float(np.std(vals, ddof=1) / np.sqrt(sign_draws)) if sign_draws > 1 else 0.0
     return MonteCarloEstimate(value=float(np.mean(vals)), std_error=se,
@@ -117,61 +119,51 @@ def empirical_rademacher_exact(cls: FunctionClassDescriptor, points) -> float:
 # ---------------------------------------------------------------------------
 # Deviation supremum of the threshold class
 
-class SupDeviation(NamedTuple):
-    argmax: float            # threshold value
-    value: float
-
-
 def _threshold_errors(xs, ys):
-    """Sorted points and the zero-one error counts of sign(x - b) when the
-    first k sorted points fall below b, for k = 0..n (whole numbers, exact
-    as floats)."""
-    if ys.shape != xs.shape:
+    """The distinct points u in ascending order, and the zero-one errors of
+    sign(x - b) on the labels ``ys`` (along their last axis) at b = each u,
+    then b = +inf: the threshold class's dichotomies, with no arithmetic on
+    x (b = u labels x >= u with +1); whole numbers, exact as floats."""
+    if ys.shape[-1:] != xs.shape:
         # a sample drawn with labels=False has y None, read as a 0-d NaN
         raise ValueError(f"y must hold one label per x: shape {ys.shape}, "
                          f"not {xs.shape}")
-    # tied x may come out in any order: a count inside a group of ties is
-    # no dichotomy, and no caller reads one
     order = np.argsort(xs)
-    errors0 = float(np.sum(ys == -1.0))
-    steps = np.where(ys[order] == 1.0, 1.0, -1.0)
-    return xs[order], np.concatenate(([errors0], errors0 + np.cumsum(steps)))
+    xs_sorted = xs[order]
+    errors = np.concatenate((
+        (ys == -1.0).sum(axis=-1, keepdims=True),
+        np.where(ys.take(order, axis=-1) == 1.0, 1.0, -1.0)),
+        axis=-1).cumsum(axis=-1)
+    # the errors with the first k sorted points below b, for k = 0..n, are
+    # kept where k starts a group of tied x (their order is arbitrary) or is n
+    starts = xs_sorted[1:] != xs_sorted[:-1]
+    if not starts.all():
+        xs_sorted = xs_sorted[np.append(True, starts)]
+        errors = errors[..., np.concatenate(([True], starts, [True]))]
+    return xs_sorted, errors
 
 
 def threshold_empirical_risks(xs, ys):
-    """Zero-one empirical risk of sign(x - b) at the n+1 canonical dichotomies.
+    """Zero-one empirical risk of sign(x - b) at the canonical dichotomies.
 
-    Returns (thresholds, risks); the two boundary dichotomies are
+    Returns (thresholds, risks): each dichotomy is read at the midpoint of
+    its cell between distinct points, and the two boundary dichotomies are
     represented by -inf and +inf (predict all +1 / all -1).
     """
     xs = np.asarray(xs, dtype=float)
-    xs_sorted, errors = _threshold_errors(xs, np.asarray(ys, dtype=float))
-    errors = errors / xs.size
-    mids = (xs_sorted[:-1] + xs_sorted[1:]) / 2.0
-    thresholds = np.concatenate(([-np.inf], mids, [np.inf]))
-    # duplicate points make some interior dichotomies unrealizable; mask them
-    if mids.size and np.any(xs_sorted[:-1] == xs_sorted[1:]):
-        keep = np.concatenate(([True], xs_sorted[:-1] != xs_sorted[1:], [True]))
-        thresholds, errors = thresholds[keep], errors[keep]
-    return thresholds, errors
+    distinct, errors = _threshold_errors(xs, np.asarray(ys, dtype=float))
+    mids = (distinct[:-1] + distinct[1:]) / 2.0
+    return np.concatenate(([-np.inf], mids, [np.inf])), errors / xs.size
 
 
-def sup_deviation(cls: FunctionClassDescriptor, loss: LossSpec,
-                  sample: SequenceSample, risk_oracle: Callable) -> SupDeviation:
-    """Exact maximum of L(f) - Lhat(f) of the zero-one loss over the
-    threshold class's canonical dichotomies.
+def sup_deviation(sample: SequenceSample, risk_oracle: Callable) -> float:
+    """Maximum of L(b) - Lhat(b) of the zero-one loss over the threshold
+    class's canonical dichotomies (``threshold_empirical_risks``).
 
     ``risk_oracle`` maps a threshold array to the true risk.
     """
-    if cls.kind != "threshold1d":
-        raise UnsupportedClassError(
-            f"deviation supremum needs the threshold class, got {cls.kind!r}"
-        )
     thresholds, emps = threshold_empirical_risks(sample.x, sample.y)
-    risks = np.asarray(risk_oracle(thresholds), dtype=float)
-    devs = risks - emps
-    k = int(np.argmax(devs))
-    return SupDeviation(argmax=float(thresholds[k]), value=float(devs[k]))
+    return float(np.max(risk_oracle(thresholds) - emps))
 
 
 def threshold_risk_oracle(spec: ProcessSpec) -> Callable:
@@ -226,7 +218,7 @@ def threshold_ghost_gap(train: SequenceSample, ghost: SequenceSample) -> float:
 
     def risks(sample):     # errors(u) = #{x >= u, y=-1} + #{x < u, y=+1}
         xs = np.asarray(sample.x, dtype=float)
-        xs_sorted, errors = _threshold_errors(xs, np.asarray(sample.y, float))
-        return errors[np.searchsorted(xs_sorted, cand, side="left")] / xs.size
+        distinct, errors = _threshold_errors(xs, np.asarray(sample.y, float))
+        return errors[np.searchsorted(distinct, cand, side="left")] / xs.size
 
     return float(np.max(risks(ghost) - risks(train)))

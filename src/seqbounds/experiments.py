@@ -16,7 +16,7 @@ from . import bounds as bnd
 from .bounds import _SCALE_MAX, _check
 from . import scenario as scn
 from .classes import (_exhaustive_net_size, finite_class, kernel_ball_class,
-                      pseudo_metric_matrix, threshold_class)
+                      pseudo_metric_matrix)
 from .estimators import (empirical_rademacher, sup_deviation,
                          threshold_empirical_risks, threshold_ghost_gap,
                          threshold_risk_oracle, violation_rate)
@@ -111,13 +111,11 @@ def vc_coverage(process: ProcessSpec, n: int, replications: int, delta: float,
 
     def one(r):
         path = simulate_sequence(process, n, seed, replication=r)
+        if not relative:
+            return sup_deviation(path, oracle), slack
         thresholds, emps = threshold_empirical_risks(path.x, path.y)
         risks = oracle(thresholds)
-        if relative:
-            stat = float(np.max(risks - emps - 2.0 * np.sqrt(emps * c)))
-        else:
-            stat = float(np.max(risks - emps))
-        return stat, slack
+        return float(np.max(risks - emps - 2.0 * np.sqrt(emps * c))), slack
 
     name = "relative_coverage" if relative else "vc_coverage"
     return _coverage(_replicate(name, one, replications, seed, threads),
@@ -389,9 +387,8 @@ def symmetrization(process: ProcessSpec, n: int, epsilon: float,
     draws.  The check holds when the event frequencies satisfy
     lhs <= 2*rhs + 3 combined standard errors.
     """
-    cls, loss = threshold_class(), zero_one_loss()
     _check("n", n, 1, integer=True)
-    b = loss.range_b
+    b = zero_one_loss().range_b
     # a deviation of the loss never exceeds its range B
     _check("epsilon", epsilon, 0, b, lo_open=True)
     if n * epsilon ** 2 < 2.0 * b ** 2:
@@ -404,8 +401,7 @@ def symmetrization(process: ProcessSpec, n: int, epsilon: float,
     def one(r):
         train = simulate_sequence(process, n, seed, replication=r)
         ghost = sample_marginal(process, n, seed, replication=r)
-        return (sup_deviation(cls, loss, train, oracle).value,
-                threshold_ghost_gap(train, ghost))
+        return sup_deviation(train, oracle), threshold_ghost_gap(train, ghost)
 
     # a replication only counts against the inequality when the training
     # deviation event fires without the ghost-gap event

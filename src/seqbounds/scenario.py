@@ -11,10 +11,13 @@ neither.
 """
 from __future__ import annotations
 
+import ctypes
 import functools
 import itertools
 import math
+import os
 import sys
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -540,6 +543,45 @@ def __getattr__(name):
     return optimize
 
 
+class _NullStdout:
+    """File descriptor 1 points at the null device while any thread is
+    inside, as HiGHS prints some status lines with C's printf whatever its
+    options say.  The first thread in and the last one out switch it, under
+    a lock, so that solves on two threads overlap; Python's and C's buffered
+    stdout are flushed at each switch."""
+
+    lock, inside, saved, libc = threading.Lock(), 0, None, None
+
+    def _switch(self, fd):
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        if self.libc is None:
+            self.libc = ctypes.CDLL(None)
+        self.libc.fflush(None)
+        os.dup2(fd, 1)
+        os.close(fd)
+
+    def __enter__(self):
+        with self.lock:
+            if not self.inside:
+                try:
+                    self.saved = os.dup(1)
+                except OSError:     # no file descriptor 1 to keep clean
+                    self.saved = None
+                else:
+                    self._switch(os.open(os.devnull, os.O_WRONLY))
+            self.inside += 1
+
+    def __exit__(self, *exc):
+        with self.lock:
+            self.inside -= 1
+            if not self.inside and self.saved is not None:
+                self._switch(self.saved)
+
+
+_NULL_STDOUT = _NullStdout()
+
+
 def _box_linprog(box, c, a_ub, b_ub, free=0):
     """HiGHS on min c.z s.t. a_ub z <= b_ub over z = (theta in the box,
     ``free`` unbounded variables): the solver status and theta (None unless
@@ -561,8 +603,10 @@ def _box_linprog(box, c, a_ub, b_ub, free=0):
 
     def solve(unit):
         bounds = list(zip(box.lo / unit, box.hi / unit))
-        return linprog(c=c, A_ub=a_ub, b_ub=b_ub / unit,
-                       bounds=bounds + [(None, None)] * free, method="highs")
+        with _NULL_STDOUT:
+            return linprog(c=c, A_ub=a_ub, b_ub=b_ub / unit,
+                           bounds=bounds + [(None, None)] * free,
+                           method="highs")
 
     p = box.dim
     res = solve(1.0)

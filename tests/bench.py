@@ -43,6 +43,12 @@ numpy and scipy versions.  The suites:
   output files are rewritten) and run into a new directory each call, the
   library ``certify`` call that the run makes, alone, and ``validate
   vc_coverage`` at its acceptance config, rerun into one directory.
+- ``rad``: the Rademacher estimate of the threshold class on an AR(1) path
+  of 8,000 points with 256 sign draws: the whole ``cli.run`` of its config
+  (``cli_rad_s``), the library ``empirical_rademacher`` call on that path,
+  simulated once untimed (``empirical_rademacher_s``), and the most memory
+  that call holds at once, as ``tracemalloc`` counts it
+  (``empirical_rademacher_peak_mib``).
 
 Not collected by pytest (no ``test_`` prefix).
 """
@@ -55,6 +61,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -63,8 +70,9 @@ import scipy
 from digest_outputs import (AR1, AR2_SYSTEM, COMMAND_CONFIGS,
                             CONFIGS as DIGEST_CONFIGS)
 from seqbounds import cli
-from seqbounds.classes import linear_ball_class
-from seqbounds.estimators import empirical_rademacher_exact
+from seqbounds.classes import linear_ball_class, threshold_class
+from seqbounds.estimators import (empirical_rademacher,
+                                  empirical_rademacher_exact)
 from seqbounds.experiments import (_clipped_ray_risks, _linear_model_grid,
                                    chaining_dominance, concentration_exactness,
                                    regression_coverage, scenario_pac_coverage)
@@ -278,6 +286,36 @@ def measure_cli():
     return out
 
 
+RAD_CONFIG = {"command": "rad", "class": {"kind": "threshold1d"},
+              "process": AR1, "n": 8000, "sign_draws": 256, "seed": 5}
+
+
+def measure_rad():
+    c = RAD_CONFIG
+    points = simulate_sequence(process_from_dict(c["process"]), c["n"],
+                               c["seed"]).x
+
+    def estimate():
+        empirical_rademacher(threshold_class(), points, c["sign_draws"],
+                             c["seed"])
+
+    with tempfile.TemporaryDirectory() as tmp:
+        def run():
+            if cli.run(c, Path(tmp) / "rad") != cli.EXIT_OK:
+                raise SystemExit("rad: run failed")
+
+        run()
+        out = {"cli_rad_s": best_of(run)}
+    estimate()
+    out["empirical_rademacher_s"] = best_of(estimate)
+    tracemalloc.start()
+    estimate()
+    out["empirical_rademacher_peak_mib"] = \
+        tracemalloc.get_traced_memory()[1] / 2 ** 20
+    tracemalloc.stop()
+    return out
+
+
 # suite -> (the header of its file, less "repeats" and "runs"; its timings)
 SUITES = {
     "import": ({"configs": IMPORT_CONFIGS}, measure_import),
@@ -288,6 +326,7 @@ SUITES = {
     "regression_sweep": ({"config": SWEEP_CONFIG}, measure_regression_sweep),
     "capacity": ({"config": CAPACITY_CONFIG}, measure_capacity),
     "cli": ({"config": CLI_CONFIG}, measure_cli),
+    "rad": ({"config": RAD_CONFIG}, measure_rad),
 }
 
 

@@ -11,9 +11,17 @@ from seqbounds.classes import (FunctionClassDescriptor, PseudoMetricSample,
                                UnsupportedClassError, _exhaustive_net_size,
                                covering_number_exhaustive, finite_class,
                                kernel_ball_class, linear_ball_class,
-                               pseudo_metric_matrix, threshold_class,
-                               threshold_dichotomies)
-from seqbounds.estimators import empirical_rademacher_exact
+                               pseudo_metric_matrix, threshold_class)
+from seqbounds.estimators import _threshold_errors, empirical_rademacher_exact
+
+
+def threshold_labels(points):
+    """Row k: the labels sign(x - b) of the k-th canonical threshold b, the
+    distinct points in ascending order and then +inf (b = u labels x >= u
+    with +1)."""
+    pts = np.asarray(points, dtype=float).ravel()
+    cuts = np.append(np.unique(pts), np.inf)
+    return np.where(pts[None, :] >= cuts[:, None], 1.0, -1.0)
 
 
 def growth_function_exact(cls: FunctionClassDescriptor, points) -> int:
@@ -25,8 +33,7 @@ def growth_function_exact(cls: FunctionClassDescriptor, points) -> int:
         pts = np.asarray(points, dtype=float).ravel()
         if np.unique(pts).size != pts.size:
             raise ValueError("threshold1d growth needs pairwise distinct points")
-        _, labels = threshold_dichotomies(pts)
-        return len({tuple(row) for row in labels})
+        return len({tuple(row) for row in threshold_labels(pts)})
     if cls.kind == "finite":
         rows = set()
         for f in cls.functions:
@@ -43,7 +50,7 @@ def vc_dimension_exact(cls: FunctionClassDescriptor, points) -> int:
     if len(pts) > 12:
         raise ValueError("shattering enumeration is limited to 12 points")
     if cls.kind == "threshold1d":
-        _, labels = threshold_dichotomies(pts)
+        labels = threshold_labels(pts)
     elif cls.kind == "finite":
         labels = np.array([[float(f(p)) for p in pts] for f in cls.functions])
     else:
@@ -344,9 +351,12 @@ class TestDescriptors:
             FunctionClassDescriptor(kind="mystery")
 
     def test_dichotomy_count(self):
-        thresholds, labels = threshold_dichotomies([3.0, 1.0, 2.0])
-        assert thresholds.shape == (4,)
-        assert labels.shape == (4, 3)
+        # 3 distinct points give 4 dichotomies; a tie removes one
+        for points, count in (([3.0, 1.0, 2.0], 4), ([3.0, 1.0, 3.0], 3)):
+            points = np.array(points)
+            distinct, errors = _threshold_errors(points, np.ones(3))
+            assert distinct.shape == (count - 1,)
+            assert errors.shape == (count,)
 
 
 def ranks(points):

@@ -709,8 +709,10 @@ def test_exit_2_names_the_value(tmp_path, capsys, config, name):
     (dict(_validate_base("vc_coverage"), n=10 ** 12), "n"),
     # a 10**7 x 10**7 x 2 array of point differences
     (dict(_validate_base("kernel_rad_bound"), n=10 ** 7), "n"),
+    # a 10**6 x 10**6 x 1 array of path point differences: n sized it
+    (dict(_COMMAND_BASES["rad_process"], n=10 ** 6, sign_draws=4), "n"),
 ], ids=["scenario", "simulate", "rad", "validate_vc_coverage",
-        "validate_kernel_rad_bound"])
+        "validate_kernel_rad_bound", "rad_kernel_process"])
 def test_out_of_memory_config_exit_2(tmp_path, capsys, config, key):
     # each asks for far more memory than a machine holds (345 GiB to
     # 1.4 PiB), so numpy refuses it at once; the message starts with the
@@ -720,6 +722,39 @@ def test_out_of_memory_config_exit_2(tmp_path, capsys, config, key):
     assert err.startswith(f"config error: {key} sizes arrays ")
     assert "Unable to allocate " in err
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("config, key", [
+    (dict(_COMMAND_BASES["simulate_ar1"], n=10 ** 19), "n"),
+    (dict(_validate_base("vc_coverage"), n=10 ** 19), "n"),
+    (dict(_COMMAND_BASES["rad_process"], n=10 ** 19), "n"),
+    (dict(_COMMAND_BASES["rad_points"], sign_draws=10 ** 19), "sign_draws"),
+    # about 1.6e25 planned scenarios
+    ({"command": "scenario", "method": "margin", "epsilon": 0.5,
+      "delta": 0.1, "seed": 1,
+      "process": {"kind": "ar1_threshold_labels", "a": 0.5, "sigma": 1.0},
+      "program": dict(COMMAND_CONFIGS["scenario_box"]["program"],
+                      theta_set={"kind": "box", "lo": [-1e12],
+                                 "hi": [1e12]})}, "epsilon"),
+], ids=["simulate", "validate_vc_coverage", "rad_process", "rad_points",
+        "scenario"])
+def test_past_index_range_config_exit_2(tmp_path, capsys, config, key):
+    # numpy cannot index an array of 10**19 entries, and says so at once
+    # with a ValueError; the message starts with the key that sized it
+    assert run(config, tmp_path / "out") == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} sizes arrays that numpy "
+                          f"cannot make (")
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_threshold_rad_on_a_long_path(tmp_path):
+    # the threshold supremum sweeps the sorted points: no (n+1) x n matrix
+    config = {"command": "rad", "sign_draws": 4, "seed": 7,
+              "class": {"kind": "threshold1d"}, "process": AR1, "n": 200_000}
+    assert run(config, tmp_path / "out") == cli.EXIT_OK
+    estimate = read_summary(tmp_path / "out")["summary"]["estimate"]
+    assert 0.0 < estimate["value"] < 1.0
 
 
 @pytest.mark.parametrize("config", [

@@ -16,7 +16,6 @@ from seqbounds.estimators import (empirical_rademacher,
                                   threshold_ghost_gap, threshold_risk_oracle,
                                   violation_rate)
 from seqbounds.experiments import symmetrization
-from seqbounds.losses import zero_one_loss
 from seqbounds.processes import (SequenceSample, ar1_process, iid_process,
                                  markov_binary_process, sample_marginal,
                                  simulate_sequence, stationary_params, stream)
@@ -255,6 +254,21 @@ class TestSignScoring:
         assert est.value == float(np.mean(vals))
         assert est.std_error == float(np.std(vals, ddof=1) / np.sqrt(draws))
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 12), draws=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_threshold_supremum_is_the_dense_one(self, n, draws, seed):
+        # points from a few integers, so most cases have ties; the dense
+        # reference scores every canonical threshold's labels at once
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(-3, 4, n).astype(float)
+        signs = rng.integers(0, 2, (draws, n)) * 2.0 - 1.0
+        labels = np.where(pts >= np.append(np.unique(pts), np.inf)[:, None],
+                          1.0, -1.0)
+        sup = estimators._sup_rows(threshold_class(), pts)
+        assert np.array_equal(sup(signs),
+                              np.max(signs @ labels.T, axis=1) / n)
+
     @pytest.mark.parametrize("n", [1, 3, 7, 15, 16, 17, 33])
     def test_sign_matrix_is_the_per_draw_stream(self, n):
         for draws in (1, 2, 5, 300):
@@ -329,17 +343,19 @@ class TestThresholdMachinery:
 
     @staticmethod
     def _stable_threshold_errors(xs, ys):
-        # the counts with tied x kept in their input order
+        # the counts with tied x kept in their input order, at each distinct
+        # point (the first of its ties) and +inf
         order = np.argsort(xs, kind="stable")
         errors0 = float(np.sum(ys == -1.0))
         steps = np.where(ys[order] == 1.0, 1.0, -1.0)
-        return xs[order], np.concatenate(([errors0],
-                                          errors0 + np.cumsum(steps)))
+        errors = np.concatenate(([errors0], errors0 + np.cumsum(steps)))
+        distinct, starts = np.unique(xs[order], return_index=True)
+        return distinct, errors[np.append(starts, xs.size)]
 
     @pytest.mark.parametrize("source", ["integers", "markov_binary"])
     def test_tie_order_reaches_no_output(self, monkeypatch, source):
-        # the sort may put tied x in any order: the empirical risks mask the
-        # dichotomies inside a tie and the ghost gap reads group starts only
+        # the sort may put tied x in any order: the sweep keeps the counts at
+        # the starts of tie groups only
         rng = np.random.default_rng(23)
         cases = []
         for r in range(20):
@@ -372,10 +388,9 @@ class TestSupDeviation:
         spec = ar1_process(0.7, 1.0, b_star=0.2, flip_p=0.1)
         oracle = threshold_risk_oracle(spec)
         path = simulate_sequence(spec, 300, 44)
-        res = sup_deviation(threshold_class(), zero_one_loss(), path, oracle)
         thresholds, emps = threshold_empirical_risks(path.x, path.y)
         direct = np.max(oracle(thresholds) - emps)
-        assert res.value == pytest.approx(direct)
+        assert sup_deviation(path, oracle) == direct
 
 
 class TestThresholdRiskOracle:

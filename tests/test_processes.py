@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 from scipy import signal, stats
 
-from seqbounds.classes import threshold_class
 from seqbounds.estimators import (sup_deviation, threshold_ghost_gap,
                                   threshold_risk_oracle)
 from seqbounds import processes
-from seqbounds.losses import zero_one_loss
 from seqbounds.processes import (_CSV_CHUNK_ROWS, SequenceSample,
                                  _ar_cholesky, ar1_process, ar_process,
                                  iid_process, markov_binary_process,
@@ -284,8 +282,7 @@ class TestLabelsOff:
         bare = simulate_sequence(spec, 50, 3, labels=False)
         full = sample_marginal(spec, 50, 3)
         with pytest.raises(ValueError, match=r"^y\b"):
-            sup_deviation(threshold_class(), zero_one_loss(), bare,
-                          threshold_risk_oracle(spec))
+            sup_deviation(bare, threshold_risk_oracle(spec))
         with pytest.raises(ValueError, match=r"^y\b"):
             threshold_ghost_gap(full, sample_marginal(spec, 50, 3,
                                                       labels=False))

@@ -1,5 +1,7 @@
+import ctypes
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from seqbounds import scenario
+from seqbounds import cli, scenario
 from seqbounds.bounds import (chaining_rad_upper, mixing_reference_bound,
                               rademacher_risk_bound, regression_vc_bound,
                               vc_bound, vc_relative_bound)
@@ -677,14 +679,12 @@ class TestCoupledRowsInAHugeBox:
             assert prog.theta_set.contains(res.theta, tol=0.0)
             assert res.max_violation <= 0.1 + 1e-7 * bound
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2 ** 32 - 1),
-           sides=st.sampled_from(["both", "positive", "negative"]))
-    def test_theta_stays_in_a_wide_box(self, seed, sides):
-        # each coordinate has its own box, with ends from 10 to 1e50 apart,
-        # so one unit cannot resolve every coordinate; rows and offsets are
-        # random, so most programs are infeasible
-        rng = np.random.default_rng(seed)
+    @staticmethod
+    def wide_box_program(rng, sides):
+        """Coupled rows over a box whose coordinates each have their own
+        ends, from 10 to 1e50 apart, so one unit cannot resolve every
+        coordinate; rows and offsets are random, so most programs are
+        infeasible."""
         p, k = int(rng.integers(2, 4)), int(rng.integers(1, 4))
         ends = np.sort(10.0 ** rng.uniform(1.0, 50.0, (p, 2)), axis=1)
         lo, hi = {"both": (-ends[:, 1], ends[:, 1]),
@@ -696,13 +696,57 @@ class TestCoupledRowsInAHugeBox:
         pieces = [ConstraintPiece(psi=AffineMap(np.zeros((p, 1)), row),
                                   eta=AffineMap([[1.0]], [offset]))
                   for row, offset in zip(rows, offsets)]
-        prog = ScenarioProgramSpec(objective=rng.normal(size=p),
+        return ScenarioProgramSpec(objective=rng.normal(size=p),
                                    pieces=pieces, theta_set=Box(lo, hi),
                                    margin=1.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           sides=st.sampled_from(["both", "positive", "negative"]))
+    def test_theta_stays_in_a_wide_box(self, seed, sides):
+        rng = np.random.default_rng(seed)
+        prog = self.wide_box_program(rng, sides)
         for mode in ("optimize", "feasibility"):
             res = solve_margin_program(prog, rng.uniform(0.0, 2.0, 3),
                                        mode=mode)
             assert prog.theta_set.contains(res.theta, tol=0.0)
+
+    def test_highs_writes_nothing_to_stdout(self, capfd):
+        # HiGHS prints "Highs::returnFromOptimizeModel: ..." with C's printf
+        # on this optimize solve; C's buffer is flushed before reading
+        rng = np.random.default_rng(0)
+        prog = self.wide_box_program(rng, "both")
+        res = solve_margin_program(prog, rng.uniform(0.0, 2.0, 3))
+        assert res.solver == "highs"
+        print("after", flush=True)
+        ctypes.CDLL(None).fflush(None)
+        assert capfd.readouterr().out == "after\n"
+
+    def test_solves_with_file_descriptor_1_closed(self, capfd):
+        # with no file descriptor 1 there is nothing to point elsewhere
+        rng = np.random.default_rng(0)
+        prog = self.wide_box_program(rng, "both")
+        saved = os.dup(1)
+        os.close(1)
+        try:
+            res = solve_margin_program(prog, rng.uniform(0.0, 2.0, 3))
+        finally:
+            os.dup2(saved, 1)
+            os.close(saved)
+        assert res.solver == "highs"
+
+    def test_cli_run_writes_nothing_to_stdout(self, capfd, tmp_path):
+        # the VC-planned certificate of the same program, whose LP makes
+        # HiGHS print through C's stdout
+        program = self.wide_box_program(np.random.default_rng(0), "both")
+        config = {"command": "scenario", "method": "vc", "epsilon": 0.3,
+                  "delta": 0.1, "seed": 1,
+                  "program": {**program.to_dict(), "indicator_vc_dim": 3},
+                  "process": {"kind": "ar1_threshold_labels", "a": 0.8,
+                              "sigma": 0.6, "flip_p": 0.1}}
+        assert cli.run(config, tmp_path / "out") == cli.EXIT_OK
+        ctypes.CDLL(None).fflush(None)
+        assert capfd.readouterr().out == ""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1))
