@@ -211,10 +211,21 @@ def concentration_tail(kind: str, c_or_ranges, epsilon: float, n: int = None) ->
     if not positive:
         raise ValueError("c_or_ranges must be positive (ranges/sensitivities)")
     if kind == "hoeffding":
-        return min(1.0, math.exp(-2.0 * size ** 2 * epsilon ** 2 / ssq))
+        return _exp_tail(size, epsilon ** 2, ssq)
     if kind == "bounded_difference":
-        return min(1.0, math.exp(-2.0 * epsilon ** 2 / ssq))
+        return _exp_tail(1, epsilon ** 2, ssq)
     raise ValueError(f"unknown concentration kind {kind!r}")
+
+
+def _exp_tail(size, eps_sq, ssq):
+    """min(1, exp(-2 size^2 eps_sq / ssq)), unchecked, on scalars or, cell
+    by cell, on broadcast arrays: the exponent is one expression, and
+    math.exp (whose bits np.exp does not keep) is taken of each cell."""
+    exponent = -2.0 * size ** 2 * eps_sq / ssq
+    if np.ndim(exponent) == 0:
+        return min(1.0, math.exp(exponent))
+    return np.minimum(1.0, [math.exp(v) for v in exponent.ravel().tolist()]
+                      ).reshape(exponent.shape)
 
 
 def _binomial_tail(n, p, epsilon, strict):

@@ -190,8 +190,10 @@ def _run_validate(config, out_dir):
     args = {k: v for k, v in config.items() if k in keys}
     experiment = functools.partial(_from_dict, function, {**args, **fixed},
                                    "experiment", **_READERS)
-    # a check that takes n draws paths or points of that length
-    result = _sized("n", experiment) if "n" in keys else experiment()
+    # a check that takes n draws paths or points of that length; without n,
+    # epsilon plans the path length (scenario_pac_coverage)
+    key = "n" if "n" in keys else "epsilon" if "epsilon" in keys else None
+    result = experiment() if key is None else _sized(key, experiment)
     summary = {"experiment": result.name, "holds": result.holds,
                **result.summary}
     return summary, result.records, result.holds
@@ -299,12 +301,21 @@ def _plain(obj):
 RECORD_COLUMNS = ["replication", "seed", "statistic", "bound", "holds"]
 
 
+# csv writes these as _plain would have them written
+_PLAIN_TYPES = {int, float, bool}
+
+
 def write_records_csv(records, path):
+    columns = []
+    for k in RECORD_COLUMNS:
+        column = [rec[k] for rec in records]
+        if not _PLAIN_TYPES.issuperset(map(type, column)):
+            column = [_plain(v) for v in column]
+        columns.append(column)
     text = io.StringIO()
     writer = csv.writer(text)
     writer.writerow(RECORD_COLUMNS)
-    writer.writerows([_plain(rec[k]) for k in RECORD_COLUMNS]
-                     for rec in records)
+    writer.writerows(zip(*columns))
     _write_text(path, [text.getvalue()])
 
 

@@ -45,8 +45,7 @@ def _sup_rows(cls: FunctionClassDescriptor, pts: np.ndarray):
         raise ValueError(f"points must lie in R^{dim} for a {cls.kind} "
                          f"class, got shape {pts.shape}")
     if cls.kind == "finite":
-        values = evaluation_matrix(cls, PseudoMetricSample(pts))
-        return lambda s: np.max(s @ values.T, axis=1) / n
+        return _finite_sup(evaluation_matrix(cls, PseudoMetricSample(pts)))
     if cls.kind == "threshold1d":
         # sum_i s_i f(t_i) = n - 2 * (the errors of f on the labels s)
         return lambda s: (n - 2.0 * np.min(
@@ -69,6 +68,13 @@ def _sup_rows(cls: FunctionClassDescriptor, pts: np.ndarray):
     raise UnsupportedClassError(
         f"no supremum routine for class kind {cls.kind!r}"
     )
+
+
+def _finite_sup(values: np.ndarray):
+    """``_sup_rows`` of a finite class whose (m, n) matrix of values on the
+    points is ``values``."""
+    n = values.shape[1]
+    return lambda s: np.max(s @ values.T, axis=1) / n
 
 
 def empirical_rademacher(cls: FunctionClassDescriptor, points, sign_draws: int,
@@ -107,10 +113,13 @@ def empirical_rademacher_exact(cls: FunctionClassDescriptor, points) -> float:
         raise ValueError("exact enumeration is limited to 20 points")
     sup = _sup_rows(cls, pts)
     n = pts.shape[0]
+    # a block's masks share their bits from ``low`` up, which are those of
+    # its first mask; the bits below run through every value in each block
+    low = min(n, _SIGN_BLOCK.bit_length() - 1)
+    signs = ((np.arange(1 << low)[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
     total = 0.0
-    for lo in range(0, 1 << n, _SIGN_BLOCK):
-        masks = np.arange(lo, min(lo + _SIGN_BLOCK, 1 << n))
-        signs = ((masks[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
+    for lo in range(0, 1 << n, 1 << low):
+        signs[:, low:] = ((lo >> np.arange(low, n)) & 1) * 2.0 - 1.0
         # summed left to right, mask by mask: accumulate adds in order
         total = float(np.add.accumulate(np.append(total, sup(signs)))[-1])
     return total / (1 << n)

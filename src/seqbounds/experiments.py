@@ -15,11 +15,12 @@ import numpy as np
 from . import bounds as bnd
 from .bounds import _SCALE_MAX, _check
 from . import scenario as scn
-from .classes import (_exhaustive_net_size, finite_class, kernel_ball_class,
+from .classes import (_exhaustive_net_size, kernel_ball_class,
                       pseudo_metric_matrix)
-from .estimators import (empirical_rademacher, sup_deviation,
-                         threshold_empirical_risks, threshold_ghost_gap,
-                         threshold_risk_oracle, violation_rate)
+from .estimators import (_finite_sup, _sign_average, empirical_rademacher,
+                         sup_deviation, threshold_empirical_risks,
+                         threshold_ghost_gap, threshold_risk_oracle,
+                         violation_rate)
 from .losses import zero_one_loss
 from .processes import (ProcessSpec, ar1_process, sample_marginal,
                         simulate_sequence, stationary_params, stream)
@@ -502,10 +503,7 @@ def chaining_dominance(instances: int, seed: int,
         chain, _ = bnd.chaining_rad_upper_best(
             float(np.max(dm)), lambda eps: math.log(_exhaustive_net_size(dm, eps)),
             n_points, max_depth=12)
-        pts = np.arange(n_points, dtype=float)
-        fns = [(lambda row: (lambda x: row[np.asarray(x, int)]))(values[j])
-               for j in range(m)]
-        est = empirical_rademacher(finite_class(fns), pts, 300, seed + i)
+        est = _sign_average(_finite_sup(values), n_points, 300, seed + i)
         return est.value - 3.0 * est.std_error, chain
 
     return replace(
@@ -559,9 +557,10 @@ def concentration_exactness() -> ExperimentResult:
     p_grid = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
     eps_grid = np.arange(0.01, 1.0, 0.01)
     ns = np.arange(1, n_max + 1)
-    # the bound does not depend on p; math.exp, not np.exp, keeps its bits
-    bound = np.array([[bnd.concentration_tail("hoeffding", 1.0, eps, n)
-                       for eps in eps_grid] for n in range(1, n_max + 1)])
+    # concentration_tail("hoeffding", 1.0, eps, n), which does not depend
+    # on p, with eps ** 2 squared per float as that call squares it
+    bound = bnd._exp_tail(ns[:, None], [eps ** 2 for eps in eps_grid],
+                          ns[:, None] * 1.0)
     tail = bnd._binomial_tail(ns[:, None, None], p_grid[None, :, None],
                               eps_grid, True)
     bound = np.broadcast_to(bound[:, None, :], tail.shape)

@@ -192,6 +192,15 @@ class TestValidateRegistry:
         # could change its outputs unseen
         assert set(cli._EXPERIMENTS) == set(CONFIGS)
 
+    @pytest.mark.parametrize("experiment", cli._EXPERIMENTS)
+    def test_records_hold_python_scalars(self, experiment, tmp_path):
+        # the records writer passes such columns to csv as they are (a
+        # passing quarter_lemma keeps no record)
+        _, records, _ = cli._run_validate(_validate_base(experiment),
+                                          tmp_path)
+        assert {type(v) for rec in records for v in rec.values()} <= \
+            {int, float, bool}
+
     def test_unknown_experiment_exit_2(self, tmp_path, capsys):
         config = {"command": "validate", "experiment": "vc_coverag",
                   "seed": 1}
@@ -711,8 +720,11 @@ def test_exit_2_names_the_value(tmp_path, capsys, config, name):
     (dict(_validate_base("kernel_rad_bound"), n=10 ** 7), "n"),
     # a 10**6 x 10**6 x 1 array of path point differences: n sized it
     (dict(_COMMAND_BASES["rad_process"], n=10 ** 6, sign_draws=4), "n"),
+    # the 345 GiB path of the scenario case, planned for each replication
+    (dict(_validate_base("scenario_coverage"), epsilon=1e-4), "epsilon"),
 ], ids=["scenario", "simulate", "rad", "validate_vc_coverage",
-        "validate_kernel_rad_bound", "rad_kernel_process"])
+        "validate_kernel_rad_bound", "rad_kernel_process",
+        "validate_scenario_coverage"])
 def test_out_of_memory_config_exit_2(tmp_path, capsys, config, key):
     # each asks for far more memory than a machine holds (345 GiB to
     # 1.4 PiB), so numpy refuses it at once; the message starts with the

@@ -154,20 +154,23 @@ def _exact_by_python_loop(cls, pts):
     return total / (1 << n)
 
 
-_TABLE = np.random.default_rng(31).normal(size=(6, 14))
+_TABLE = np.random.default_rng(31).normal(size=(6, 16))
 
 
 @pytest.mark.parametrize("cls, points", [
     (linear_ball_class(3, 1.0),
-     np.random.default_rng(32).normal(size=(14, 3))),
+     np.random.default_rng(32).normal(size=(16, 3))),
     (linear_ball_class(2, 1.5, with_offset=True),
-     np.random.default_rng(33).normal(size=(14, 2))),
-    (threshold_class(), np.random.default_rng(34).normal(size=14)),
+     np.random.default_rng(33).normal(size=(16, 2))),
+    (threshold_class(), np.random.default_rng(34).normal(size=16)),
     (finite_class([(lambda row: (lambda x: row[np.asarray(x, int)]))(row)
-                   for row in _TABLE]), np.arange(14.0)),
-], ids=["ball", "ball-offset", "threshold", "finite"])
+                   for row in _TABLE]), np.arange(16.0)),
+    (kernel_ball_class(1.5, bandwidth=0.7),
+     np.random.default_rng(35).normal(size=(16, 2))),
+], ids=["ball", "ball-offset", "threshold", "finite", "kernel"])
 def test_exact_rademacher_is_the_left_to_right_sum(cls, points):
-    for n in range(1, 15):
+    # one block of sign rows up to n = 12, two or more from n = 13
+    for n in (*range(1, 15), 16):
         assert empirical_rademacher_exact(cls, points[:n]) == \
             _exact_by_python_loop(cls, points[:n])
 

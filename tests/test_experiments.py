@@ -13,7 +13,8 @@ from seqbounds import bounds as bnd
 from seqbounds import classes
 from seqbounds import experiments as xp
 from seqbounds.classes import FunctionClassDescriptor, finite_class
-from seqbounds.estimators import (threshold_empirical_risks,
+from seqbounds.estimators import (empirical_rademacher,
+                                  threshold_empirical_risks,
                                   threshold_risk_oracle, violation_rate)
 from seqbounds.experiments import (_clipped_ray_risks, _linear_model_grid,
                                    _margin_empirical_risks, chaining_dominance,
@@ -493,6 +494,33 @@ class TestConcentrationGrids:
         assert holds is not failing
 
 
+def test_hoeffding_grid_is_the_scalar_bound(monkeypatch):
+    # a binomial tail above 1 fails every cell, so every cell's bound is kept
+    monkeypatch.setattr(bnd, "_binomial_tail",
+                        lambda n, p, eps, strict: np.full(
+                            np.broadcast_shapes(np.shape(n), np.shape(p),
+                                                np.shape(eps)), 2.0))
+    records = concentration_exactness().records
+    assert len(records) == 30 * 5 * 99
+    eps_grid = np.arange(0.01, 1.0, 0.01)
+    for rec in records:
+        n, eps = rec["replication"] // (5 * 99) + 1, rec["replication"] % 99
+        assert rec["bound"] == bnd.concentration_tail(
+            "hoeffding", 1.0, eps_grid[eps], n)
+
+
+def test_hoeffding_cells_are_the_scalar_bound():
+    rng = np.random.default_rng(29)
+    ns = rng.integers(1, 10 ** 6, 500, endpoint=True)
+    eps = rng.uniform(0.0, 1.0, 500)
+    # tails that underflow to 0, and ones near 1
+    eps[:250] *= 3.0 / np.sqrt(ns[:250])
+    bound = bnd._exp_tail(ns, [e ** 2 for e in eps], ns * 1.0)
+    assert 0.0 < bound.max() and bound.min() == 0.0
+    assert bound.tolist() == [bnd.concentration_tail("hoeffding", 1.0, e, n)
+                              for n, e in zip(ns.tolist(), eps)]
+
+
 def test_chaining_dominance_one_distance_matrix_per_instance(monkeypatch):
     calls = []
     original = classes.pseudo_metric_matrix
@@ -515,6 +543,12 @@ def test_chaining_dominance_one_distance_matrix_per_instance(monkeypatch):
                 classes.covering_number_exhaustive(values, eps)),
             16, max_depth=12)
         assert rec["bound"] == chain
+        # the estimate of the finite class of the rows, as callables
+        fns = [(lambda row: (lambda x: row[np.asarray(x, int)]))(row)
+               for row in values]
+        est = empirical_rademacher(finite_class(fns), np.arange(16.0), 300,
+                                   17 + i)
+        assert rec["statistic"] == est.value - 3.0 * est.std_error
 
 
 @pytest.mark.parametrize("call, removed", [
