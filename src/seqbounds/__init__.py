@@ -7,10 +7,9 @@ from .bounds import (RiskBoundReport, binomial_quarter_lemma_holds,
                      exact_binomial_mean_tail, linear_system_induced_vc_dim,
                      mixing_reference_bound, rademacher_risk_bound,
                      regression_vc_bound, vc_bound, vc_relative_bound)
-from .classes import (FunctionClassDescriptor, PseudoMetricSample,
-                      UnsupportedClassError, covering_number_exhaustive,
-                      finite_class, kernel_ball_class, linear_ball_class,
-                      threshold_class)
+from .classes import (FunctionClassDescriptor, UnsupportedClassError,
+                      covering_number_exhaustive, kernel_ball_class,
+                      linear_ball_class, threshold_class)
 from .estimators import (MonteCarloEstimate, empirical_rademacher,
                          empirical_rademacher_exact, sup_deviation,
                          threshold_risk_oracle, violation_rate)

@@ -193,23 +193,25 @@ def concentration_tail(kind: str, c_or_ranges, epsilon: float, n: int = None) ->
     bounded_difference: exp(-2 eps^2 / sum c_i^2) for a function of a
     dependent sequence with coordinate-wise sensitivities c_i.
 
-    A scalar ``c_or_ranges`` stands for n equal entries.
+    A scalar ``c_or_ranges`` stands for n equal entries.  n <= 2^53, eps and
+    entries <= _RANGE_MAX, entries >= 1 / _RANGE_MAX: every square is normal.
     """
-    _check("epsilon", epsilon, 0)
+    _check("epsilon", epsilon, 0, _RANGE_MAX)
     if np.isscalar(c_or_ranges):
-        _check("n", n, 1, integer=True)
-        c = float(c_or_ranges)
-        # c * c is inf where c ** 2 would raise
-        size, ssq, positive = n, n * (c * c), c > 0
+        _check("n", n, 1, 2 ** 53, integer=True)
+        size = reps = operator.index(n)     # n ** 2 of a numpy int wraps
+        cs = _as_floats("c_or_ranges", [c_or_ranges])
     else:
-        cs = np.asarray(c_or_ranges, dtype=float)
+        cs = _as_floats("c_or_ranges", c_or_ranges)
         if cs.size < 1:
             raise ValueError("c_or_ranges must be non-empty")
         if n is not None and cs.size != n:
             raise ValueError("len(c_or_ranges) must equal n")
-        size, ssq, positive = cs.size, float(np.sum(cs ** 2)), np.all(cs > 0)
-    if not positive:
-        raise ValueError("c_or_ranges must be positive (ranges/sensitivities)")
+        size, reps = cs.size, 1
+    if not np.all((cs >= 1.0 / _RANGE_MAX) & (cs <= _RANGE_MAX)):
+        raise ValueError("c_or_ranges must be positive (ranges/sensitivities)"
+                         f" in [{1.0 / _RANGE_MAX}, {_RANGE_MAX}]")
+    ssq = reps * float(np.sum(cs ** 2))     # n * (c * c) for a scalar c
     if kind == "hoeffding":
         return _exp_tail(size, epsilon ** 2, ssq)
     if kind == "bounded_difference":
@@ -411,7 +413,6 @@ def class_rad_upper(family: str, n: int, *, m_clip: float = None,
     _check("n", n, 1, integer=True)
     need = _FAMILY_NEEDS[family]
     for name, v, hi in (("m_clip", m_clip, _SCALE_MAX), ("radius", radius, _SCALE_MAX),
-                        ("n_codepoints", n_codepoints, math.inf),
                         ("sum_sq_norm", sum_sq_norm, math.inf),
                         ("sup_norm", sup_norm, math.inf),
                         ("sum_kernel_diag", sum_kernel_diag, math.inf)):
@@ -419,6 +420,8 @@ def class_rad_upper(family: str, n: int, *, m_clip: float = None,
             _check(name, v, 0, hi, hi_open=hi == math.inf)
     if gamma is not None or "gamma" in need:
         _check("gamma", gamma, 0, _SCALE_MAX, lo_open=True)
+    if n_codepoints is not None or "n_codepoints" in need:
+        _check("n_codepoints", n_codepoints, 1, integer=True)
     if family == "linear":
         if sum_sq_norm is not None:
             return 4.0 * m_clip * radius * math.sqrt(sum_sq_norm) / n

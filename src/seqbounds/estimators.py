@@ -11,8 +11,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .bounds import _as_floats, _check, _check_entries
-from .classes import (FunctionClassDescriptor, UnsupportedClassError,
-                      evaluation_matrix, PseudoMetricSample)
+from .classes import FunctionClassDescriptor, UnsupportedClassError
 from .processes import ProcessSpec, SequenceSample, stationary_params, stream
 from .scenario import _scenario_rows
 
@@ -44,8 +43,6 @@ def _sup_rows(cls: FunctionClassDescriptor, pts: np.ndarray):
     if dim is not None and x.shape[1:] != (dim,):
         raise ValueError(f"points must lie in R^{dim} for a {cls.kind} "
                          f"class, got shape {pts.shape}")
-    if cls.kind == "finite":
-        return _finite_sup(evaluation_matrix(cls, PseudoMetricSample(pts)))
     if cls.kind == "threshold1d":
         # sum_i s_i f(t_i) = n - 2 * (the errors of f on the labels s)
         return lambda s: (n - 2.0 * np.min(
@@ -55,19 +52,15 @@ def _sup_rows(cls: FunctionClassDescriptor, pts: np.ndarray):
             x = np.hstack([x, np.ones((n, 1))])
         lam = cls.radius
         return lambda s: lam * np.linalg.norm(s @ x, axis=1) / n
-    if cls.kind == "kernel_ball":
-        sq = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
-        bw = cls.bandwidth
-        # bw ** 2 underflows for a tiny width; the overflow of sq / bw / bw
-        # gives the identity Gram that the limit bw -> 0 has
-        with np.errstate(over="ignore"):
-            gram = np.exp(-sq / bw / bw / 2.0)
-        lam = cls.radius
-        return lambda s: lam * np.sqrt(
-            np.maximum(np.einsum("ki,ki->k", s @ gram, s), 0.0)) / n
-    raise UnsupportedClassError(
-        f"no supremum routine for class kind {cls.kind!r}"
-    )
+    sq = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)   # kernel_ball
+    bw = cls.bandwidth
+    # bw ** 2 underflows for a tiny width; the overflow of sq / bw / bw
+    # gives the identity Gram that the limit bw -> 0 has
+    with np.errstate(over="ignore"):
+        gram = np.exp(-sq / bw / bw / 2.0)
+    lam = cls.radius
+    return lambda s: lam * np.sqrt(
+        np.maximum(np.einsum("ki,ki->k", s @ gram, s), 0.0)) / n
 
 
 def _finite_sup(values: np.ndarray):

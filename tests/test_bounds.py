@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from seqbounds.bounds import (_binomial_tail, _check,
+from seqbounds.bounds import (_RANGE_MAX, _binomial_tail, _check,
                               binomial_quarter_lemma_holds,
                               chaining_rad_upper, chaining_rad_upper_best,
                               class_rad_upper, concentration_tail,
@@ -39,6 +39,24 @@ class TestConcentrationTail:
         b, n, eps = 0.7, 57, 0.13
         got = concentration_tail("bounded_difference", b / n, eps, n)
         assert got == pytest.approx(math.exp(-2 * n * eps ** 2 / b ** 2), rel=1e-12)
+
+    @pytest.mark.parametrize("kind, c, eps, n, want", [
+        ("hoeffding", 1.0 / _RANGE_MAX, _RANGE_MAX, 2 ** 53, 0.0),
+        ("bounded_difference", 1.0 / _RANGE_MAX, _RANGE_MAX, 2 ** 53, 0.0),
+        ("hoeffding", _RANGE_MAX, 5e-324, 2 ** 53, 1.0),
+        ("bounded_difference", [_RANGE_MAX] * 3, 1e-300, None, 1.0),
+        ("hoeffding", [1.0 / _RANGE_MAX] * 3, _RANGE_MAX, None, 0.0),
+    ], ids=["hoeffding-0", "bounded-difference-0", "hoeffding-1",
+            "bounded-difference-1", "ranges-0"])
+    def test_extremes_of_the_domain(self, kind, c, eps, n, want):
+        # no square in the exponent overflows, underflows or divides by 0
+        assert concentration_tail(kind, c, eps, n) == want
+
+    def test_numpy_integer_n_does_not_wrap(self):
+        # n ** 2 of an int64 of 4e9 wrapped, which gave a tail of 1.0
+        for kind in ("hoeffding", "bounded_difference"):
+            assert concentration_tail(kind, 1.0, 1e-6, np.int64(4 * 10 ** 9)) \
+                == concentration_tail(kind, 1.0, 1e-6, 4 * 10 ** 9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -159,7 +177,7 @@ class TestOracleProperties:
         assert concentration_tail(kind, c, eps, n) == pytest.approx(
             concentration_tail(kind, np.full(n, c), eps), rel=1e-12, abs=1e-300)
 
-    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, -math.inf])
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, -math.inf, math.inf])
     def test_scalar_and_array_reject_alike(self, c):
         for ranges in (c, [c] * 4):
             with pytest.raises(ValueError, match="^c_or_ranges must be positive"):
@@ -489,6 +507,23 @@ _LOG2 = lambda e: math.log(2.0)
         "hoeffding", 1.0, 0.1, 0), id="tail-n-0"),
     pytest.param("c_or_ranges", lambda: concentration_tail(
         "bounded_difference", [math.nan, 1.0], 0.1), id="tail-ranges-nan"),
+    # each raised OverflowError or ZeroDivisionError, or warned of an
+    # overflow in the square
+    pytest.param("n", lambda: concentration_tail(
+        "hoeffding", 1.0, 0.3, 10 ** 200), id="tail-n-1e200"),
+    pytest.param("epsilon", lambda: concentration_tail(
+        "hoeffding", 1.0, 1e200, 10), id="tail-epsilon-1e200"),
+    pytest.param("c_or_ranges", lambda: concentration_tail(
+        "hoeffding", 1e-200, 0.1, 10), id="tail-c-1e-200"),
+    pytest.param("c_or_ranges", lambda: concentration_tail(
+        "bounded_difference", 1e-200, 0.1, 10), id="tail-bd-c-1e-200"),
+    pytest.param("c_or_ranges", lambda: concentration_tail(
+        "hoeffding", 1e-200, 0.0, 10), id="tail-c-1e-200-epsilon-0"),
+    pytest.param("c_or_ranges", lambda: concentration_tail(
+        "bounded_difference", 1e-200, 0.0, 10),
+        id="tail-bd-c-1e-200-epsilon-0"),
+    pytest.param("c_or_ranges", lambda: concentration_tail(
+        "hoeffding", [1e200, 1.0], 0.1), id="tail-ranges-1e200"),
     pytest.param("p", lambda: exact_binomial_mean_tail(10, 1.5, 0.1),
                  id="binomial-p-1.5"),
     pytest.param("p", lambda: exact_binomial_mean_tail(10, math.nan, 0.1),
@@ -536,6 +571,12 @@ _LOG2 = lambda e: math.log(2.0)
     pytest.param("n_codepoints", lambda: class_rad_upper(
         "vq", 100, n_codepoints=-2, radius=1.0, sum_sq_norm=10.0),
         id="rad-upper-codepoints-negative"),
+    pytest.param("n_codepoints", lambda: class_rad_upper(
+        "vq", 100, n_codepoints=2.5, radius=1.0, sum_sq_norm=10.0),
+        id="rad-upper-codepoints-fraction"),
+    pytest.param("n_codepoints", lambda: class_rad_upper(
+        "vq", 100, n_codepoints=0, radius=1.0, sum_sq_norm=10.0),
+        id="rad-upper-codepoints-0"),
     pytest.param("sum_sq_norm", lambda: class_rad_upper(
         "linear", 100, m_clip=1.0, radius=1.0, sum_sq_norm=math.nan),
         id="rad-upper-sum-sq-norm-nan"),

@@ -7,11 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqbounds.bounds import vc_bound
-from seqbounds.classes import (FunctionClassDescriptor, PseudoMetricSample,
-                               UnsupportedClassError, _exhaustive_net_size,
-                               covering_number_exhaustive, finite_class,
-                               kernel_ball_class, linear_ball_class,
-                               pseudo_metric_matrix, threshold_class)
+from seqbounds.classes import (FunctionClassDescriptor, UnsupportedClassError,
+                               _exhaustive_net_size,
+                               covering_number_exhaustive, kernel_ball_class,
+                               linear_ball_class, pseudo_metric_matrix,
+                               threshold_class)
 from seqbounds.estimators import _threshold_errors, empirical_rademacher_exact
 
 
@@ -24,35 +24,34 @@ def threshold_labels(points):
     return np.where(pts[None, :] >= cuts[:, None], 1.0, -1.0)
 
 
-def growth_function_exact(cls: FunctionClassDescriptor, points) -> int:
+def growth_function_exact(cls, points) -> int:
     """Exact number of distinct label vectors the class realizes on ``points``.
 
-    Only enumerable kinds (finite, threshold1d) are supported.
+    Only enumerable classes are supported: threshold1d, and a finite class
+    given as its (m, n) array of labels on the n points.
     """
+    if isinstance(cls, np.ndarray):
+        return len({tuple(row) for row in cls})
     if cls.kind == "threshold1d":
         pts = np.asarray(points, dtype=float).ravel()
         if np.unique(pts).size != pts.size:
             raise ValueError("threshold1d growth needs pairwise distinct points")
         return len({tuple(row) for row in threshold_labels(pts)})
-    if cls.kind == "finite":
-        rows = set()
-        for f in cls.functions:
-            rows.add(tuple(float(f(p)) for p in points))
-        return len(rows)
     raise UnsupportedClassError(
         f"growth function enumeration not available for kind {cls.kind!r}"
     )
 
 
-def vc_dimension_exact(cls: FunctionClassDescriptor, points) -> int:
-    """Largest subset of ``points`` shattered by an enumerable class."""
+def vc_dimension_exact(cls, points) -> int:
+    """Largest subset of ``points`` shattered by an enumerable class (as in
+    ``growth_function_exact``)."""
     pts = list(points)
     if len(pts) > 12:
         raise ValueError("shattering enumeration is limited to 12 points")
-    if cls.kind == "threshold1d":
+    if isinstance(cls, np.ndarray):
+        labels = cls
+    elif cls.kind == "threshold1d":
         labels = threshold_labels(pts)
-    elif cls.kind == "finite":
-        labels = np.array([[float(f(p)) for p in pts] for f in cls.functions])
     else:
         raise UnsupportedClassError(
             f"VC enumeration not available for kind {cls.kind!r}"
@@ -65,19 +64,16 @@ def vc_dimension_exact(cls: FunctionClassDescriptor, points) -> int:
     return 0
 
 
-def pseudo_metric(f, f_prime, sample: PseudoMetricSample) -> float:
-    """Empirical L2 pseudo-distance of two functions, as the chaining check
-    measures it: the off-diagonal entry of ``pseudo_metric_matrix``."""
-    rows = np.vstack([sample.evaluate(f), sample.evaluate(f_prime)])
-    return float(pseudo_metric_matrix(rows)[0, 1])
+def pseudo_metric(f, f_prime) -> float:
+    """Empirical L2 pseudo-distance of two functions given by their values
+    on the sample, as the chaining check measures it: the off-diagonal
+    entry of ``pseudo_metric_matrix``."""
+    return float(pseudo_metric_matrix(np.vstack([f, f_prime]))[0, 1])
 
 
-def all_sign_functions(n_points):
-    """Finite class realizing every +-1 labeling of the first n integers."""
-    fns = []
-    for labels in itertools.product((-1.0, 1.0), repeat=n_points):
-        fns.append((lambda lab: (lambda x: lab[int(x)]))(labels))
-    return finite_class(fns)
+def all_sign_labels(n_points):
+    """The finite class realizing every +-1 labeling of n points."""
+    return np.array(list(itertools.product((-1.0, 1.0), repeat=n_points)))
 
 
 class TestGrowthFunction:
@@ -85,12 +81,10 @@ class TestGrowthFunction:
         assert growth_function_exact(threshold_class(), [0.0, 1.0, 2.0]) == 4
 
     def test_singleton_finite(self):
-        cls = finite_class([lambda x: 1.0])
-        assert growth_function_exact(cls, [0.0, 5.0, -3.0]) == 1
+        assert growth_function_exact(np.ones((1, 3)), [0.0, 5.0, -3.0]) == 1
 
     def test_full_shattering_class(self):
-        cls = all_sign_functions(3)
-        assert growth_function_exact(cls, [0, 1, 2]) == 8
+        assert growth_function_exact(all_sign_labels(3), [0, 1, 2]) == 8
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_threshold_growth_is_n_plus_one(self, n):
@@ -126,60 +120,52 @@ class TestGrowthFunction:
 
 class TestPseudoMetric:
     def test_identity_is_zero(self):
-        sample = PseudoMetricSample(np.array([0.0, 1.0, 2.0]))
-        f = lambda t: np.sin(t)
-        assert pseudo_metric(f, f, sample) == 0.0
+        f = np.sin(np.array([0.0, 1.0, 2.0]))
+        assert pseudo_metric(f, f) == 0.0
 
     def test_constant_difference(self):
-        sample = PseudoMetricSample(np.linspace(-3, 3, 7))
-        one = lambda t: np.ones_like(np.asarray(t, dtype=float))
-        zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-        assert pseudo_metric(one, zero, sample) == pytest.approx(1.0)
+        assert pseudo_metric(np.ones(7), np.zeros(7)) == pytest.approx(1.0)
 
     def test_linear_pair(self):
-        sample = PseudoMetricSample(np.array([1.0, 2.0]))
-        f = lambda t: np.asarray(t, dtype=float)
-        g = lambda t: -np.asarray(t, dtype=float)
-        assert pseudo_metric(f, g, sample) == pytest.approx(
+        t = np.array([1.0, 2.0])
+        assert pseudo_metric(t, -t) == pytest.approx(
             3.1622776601683795, abs=1e-12)
 
     def test_symmetry_and_triangle_on_random_triples(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            sample = PseudoMetricSample(rng.normal(size=6))
             vals = rng.normal(size=(3, 6))
-            fns = [(lambda v: (lambda t: np.interp(t, np.sort(sample.points),
-                                                   v)))(v) for v in vals]
-            d01 = pseudo_metric(fns[0], fns[1], sample)
-            d10 = pseudo_metric(fns[1], fns[0], sample)
-            d02 = pseudo_metric(fns[0], fns[2], sample)
-            d12 = pseudo_metric(fns[1], fns[2], sample)
+            d01 = pseudo_metric(vals[0], vals[1])
+            d10 = pseudo_metric(vals[1], vals[0])
+            d02 = pseudo_metric(vals[0], vals[2])
+            d12 = pseudo_metric(vals[1], vals[2])
             assert d01 == pytest.approx(d10, abs=1e-12)
             assert d02 <= d01 + d12 + 1e-12
 
-    def test_transient_functions_never_get_stale_values(self):
-        # a function built and dropped in each round may reuse the id of an
-        # earlier, garbage-collected one; each must see its own values
-        sample = PseudoMetricSample(np.array([0.0, 1.0]))
-        for c in range(200):
-            got = sample.evaluate(lambda t, c=c: np.full(2, float(c)))
-            assert got.tolist() == [float(c), float(c)]
-
     def test_nonfinite_rejected(self):
-        sample = PseudoMetricSample(np.array([0.0, 1.0]))
-        bad = lambda t: np.full(2, np.nan)
-        with pytest.raises(ValueError):
-            pseudo_metric(bad, bad, sample)
+        # NaN used to end in numpy's "zero-size array to reduction
+        # operation minimum", and inf in an invalid-value warning
+        for bad in (np.nan, np.inf, -np.inf):
+            values = np.zeros((3, 2))
+            values[1, 0] = bad
+            with pytest.raises(ValueError, match="^values"):
+                covering_number_exhaustive(values, 1.0)
+
+    @pytest.mark.parametrize("values", [np.zeros(3), np.zeros((2, 2, 1)),
+                                        np.zeros((0, 2)), np.zeros((2, 0)),
+                                        [["a", "b"]]],
+                             ids=["1-d", "3-d", "no-rows", "no-points",
+                                  "text"])
+    def test_values_not_a_matrix_rejected(self, values):
+        with pytest.raises(ValueError, match="^values"):
+            covering_number_exhaustive(values, 1.0)
 
     def test_tiny_difference_does_not_underflow(self):
         # (1e-170)^2 underflows to 0, which made the two rows one
         values = np.array([[0.0], [1e-170]])
         assert pseudo_metric_matrix(values)[0, 1] == 1e-170
         assert covering_number_exhaustive(values, 1e-171) == 2
-        sample = PseudoMetricSample(np.array([0.0, 1.0]))
-        f = lambda t: np.full(2, 1e-170)
-        g = lambda t: np.zeros(2)
-        assert pseudo_metric(f, g, sample) == 1e-170
+        assert pseudo_metric(np.full(2, 1e-170), np.zeros(2)) == 1e-170
 
     def test_huge_difference_does_not_overflow(self):
         # (2e200)^2 overflowed to inf, with a RuntimeWarning
@@ -320,14 +306,9 @@ def test_net_of_singleton_balls_builds_no_subset_table():
 
 
 class TestDescriptors:
-    def test_linear_ball_vc_dim(self):
-        assert linear_ball_class(4, 1.0).vc_dim == 4
-        assert linear_ball_class(4, 1.0, with_offset=True).vc_dim == 5
-
     def test_threshold_vc_dim_is_one(self):
         # the d_vc = 1 that vc_coverage and relative_coverage pass
         cls = threshold_class()
-        assert cls.vc_dim == 1
         assert vc_dimension_exact(cls, [0.0, 1.0, 2.0, 3.0]) == 1
         rng = np.random.default_rng(1)
         for n in range(1, 13):
@@ -335,8 +316,7 @@ class TestDescriptors:
             assert vc_dimension_exact(cls, pts) == 1
 
     def test_finite_vc_dim_matches_enumeration(self):
-        cls = all_sign_functions(3)
-        assert vc_dimension_exact(cls, [0, 1, 2]) == 3
+        assert vc_dimension_exact(all_sign_labels(3), [0, 1, 2]) == 3
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -345,10 +325,9 @@ class TestDescriptors:
             linear_ball_class(2, -1.0)
         with pytest.raises(ValueError):
             kernel_ball_class(0.0)
-        with pytest.raises(ValueError):
-            finite_class([])
-        with pytest.raises(UnsupportedClassError):
-            FunctionClassDescriptor(kind="mystery")
+        for kind in ("mystery", "finite"):     # a finite class is its values
+            with pytest.raises(UnsupportedClassError):
+                FunctionClassDescriptor(kind=kind)
 
     def test_dichotomy_count(self):
         # 3 distinct points give 4 dichotomies; a tie removes one

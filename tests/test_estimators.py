@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from seqbounds import estimators
-from seqbounds.classes import (finite_class, kernel_ball_class,
-                               linear_ball_class, threshold_class)
+from seqbounds.classes import (kernel_ball_class, linear_ball_class,
+                               threshold_class)
 from seqbounds.estimators import (empirical_rademacher,
                                   empirical_rademacher_exact, sup_deviation,
                                   threshold_empirical_risks,
@@ -61,8 +61,8 @@ class TestEmpiricalRademacher:
         assert payload["replications"] == 4
 
     def test_singleton_class_exactly_zero(self):
-        cls = finite_class([lambda x: np.cos(np.asarray(x, float))])
-        est = empirical_rademacher(cls, np.linspace(0, 1, 6), 50, 3)
+        values = np.cos(np.linspace(0, 1, 6))[None, :]
+        est = estimators._sign_average(estimators._finite_sup(values), 6, 50, 3)
         assert est.value == 0.0 and est.std_error == 0.0
 
     def test_linear_ball_single_point(self):
@@ -75,18 +75,13 @@ class TestEmpiricalRademacher:
         rng = np.random.default_rng(12)
         n, m = 8, 5
         values = rng.normal(size=(m, n))
-        pts = np.arange(n, dtype=float)
-        fns = [(lambda row: (lambda x: row[np.asarray(x, int)]))(values[j])
-               for j in range(m)]
-        cls = finite_class(fns)
         # independent brute force over all 2^8 sign vectors
         total = 0.0
         for signs in itertools.product((-1.0, 1.0), repeat=n):
             sg = np.array(signs)
             total += max(float(np.dot(row, sg)) / n for row in values)
         exact = total / 2 ** n
-        assert empirical_rademacher_exact(cls, pts) == pytest.approx(exact, abs=1e-12)
-        est = empirical_rademacher(cls, pts, 400, 13)
+        est = estimators._sign_average(estimators._finite_sup(values), n, 400, 13)
         assert abs(est.value - exact) <= 3 * est.std_error
 
     def test_threshold_class_nonnegative(self):
@@ -154,20 +149,15 @@ def _exact_by_python_loop(cls, pts):
     return total / (1 << n)
 
 
-_TABLE = np.random.default_rng(31).normal(size=(6, 16))
-
-
 @pytest.mark.parametrize("cls, points", [
     (linear_ball_class(3, 1.0),
      np.random.default_rng(32).normal(size=(16, 3))),
     (linear_ball_class(2, 1.5, with_offset=True),
      np.random.default_rng(33).normal(size=(16, 2))),
     (threshold_class(), np.random.default_rng(34).normal(size=16)),
-    (finite_class([(lambda row: (lambda x: row[np.asarray(x, int)]))(row)
-                   for row in _TABLE]), np.arange(16.0)),
     (kernel_ball_class(1.5, bandwidth=0.7),
      np.random.default_rng(35).normal(size=(16, 2))),
-], ids=["ball", "ball-offset", "threshold", "finite", "kernel"])
+], ids=["ball", "ball-offset", "threshold", "kernel"])
 def test_exact_rademacher_is_the_left_to_right_sum(cls, points):
     # one block of sign rows up to n = 12, two or more from n = 13
     for n in (*range(1, 15), 16):
@@ -176,15 +166,29 @@ def test_exact_rademacher_is_the_left_to_right_sum(cls, points):
 
 
 def _sign_case(kind, n, seed):
-    """A class, its points and sup(sigma) for one sign vector, written
-    directly from the definition of each class's supremum."""
+    """The Monte-Carlo estimate (draws, seed) -> estimate, the exact sign
+    expectation () -> value and the supremum routine S -> sup per row, as
+    the estimators take them, and sup(sigma) for one sign vector, written
+    directly from the definition of each class's supremum.  A finite class
+    is its (5, n) matrix of values; the expectation over all 2^n sign
+    vectors is taken of its routine here."""
     rng = np.random.default_rng(seed)
     if kind == "finite":
         values = rng.normal(size=(5, n))
-        pts = np.arange(n, dtype=float)
-        fns = [(lambda row: (lambda x: row[np.asarray(x, int)]))(values[j])
-               for j in range(5)]
-        return finite_class(fns), pts, lambda sg: max(values @ sg) / n
+        sup_rows = estimators._finite_sup(values)
+        every = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
+        return (lambda draws, seed: estimators._sign_average(
+                    sup_rows, n, draws, seed),
+                lambda: float(np.mean(sup_rows(every))), sup_rows,
+                lambda sg: max(values @ sg) / n)
+    cls, pts, sup = _class_case(kind, n, rng)
+    return (lambda draws, seed: empirical_rademacher(cls, pts, draws, seed),
+            lambda: empirical_rademacher_exact(cls, pts),
+            estimators._sup_rows(cls, np.asarray(pts, dtype=float)), sup)
+
+
+def _class_case(kind, n, rng):
+    """A class, its points and sup(sigma) for one sign vector."""
     if kind == "threshold1d":
         pts = rng.normal(size=n)
         pts[n // 2] = pts[0]                    # duplicate points
@@ -213,24 +217,23 @@ class TestSignScoring:
     @pytest.mark.parametrize("kind", SIGN_KINDS)
     def test_exact_matches_per_sign_loop(self, kind):
         n = 9
-        cls, pts, sup = _sign_case(kind, n, 21)
+        _, exact, _, sup = _sign_case(kind, n, 21)
         total = 0.0
         for signs in itertools.product((-1.0, 1.0), repeat=n):
             total += sup(np.array(signs))
-        assert empirical_rademacher_exact(cls, pts) == pytest.approx(
-            total / 2 ** n, rel=1e-12)
+        assert exact() == pytest.approx(total / 2 ** n, rel=1e-12)
 
     @pytest.mark.parametrize("kind", SIGN_KINDS)
     @pytest.mark.parametrize("n", [7, 16])
     def test_monte_carlo_matches_per_draw_loop(self, kind, n):
-        cls, pts, sup = _sign_case(kind, n, 22)
+        estimate, _, _, sup = _sign_case(kind, n, 22)
         draws, seed = 40, 9
         rng = stream(seed, 0, "signs")
         vals = []
         for _ in range(draws):
             sg = rng.integers(0, 2, n) * 2.0 - 1.0
             vals.append(0.5 * (sup(sg) + sup(-sg)))
-        est = empirical_rademacher(cls, pts, draws, seed)
+        est = estimate(draws, seed)
         assert est.value == pytest.approx(np.mean(vals), abs=1e-15)
         assert est.std_error == pytest.approx(
             np.std(vals, ddof=1) / np.sqrt(draws), abs=1e-15)
@@ -238,21 +241,20 @@ class TestSignScoring:
     @pytest.mark.parametrize("kind", SIGN_KINDS)
     def test_monte_carlo_scores_signs_in_row_blocks(self, kind, monkeypatch):
         # 23 draws in blocks of 5 give the bits of one (23, n) sign matrix
-        cls, pts, _ = _sign_case(kind, 7, 23)
+        estimate, _, sup, _ = _sign_case(kind, 7, 23)
         draws, seed = 23, 9
         signs = stream(seed, 0, "signs").integers(0, 2, (draws, 7)) * 2.0 - 1.0
-        sup_rows = estimators._sup_rows
-        sup = sup_rows(cls, np.asarray(pts, dtype=float))
         vals = 0.5 * (sup(signs) + sup(-signs))
         rows = []
+        sign_average = estimators._sign_average
 
-        def recording_sup_rows(*args):
-            inner = sup_rows(*args)
-            return lambda s: (rows.append(s.shape[0]), inner(s))[1]
+        def recording_sign_average(inner, *args):
+            return sign_average(
+                lambda s: (rows.append(s.shape[0]), inner(s))[1], *args)
 
         monkeypatch.setattr(estimators, "_SIGN_BLOCK", 5)
-        monkeypatch.setattr(estimators, "_sup_rows", recording_sup_rows)
-        est = empirical_rademacher(cls, pts, draws, seed)
+        monkeypatch.setattr(estimators, "_sign_average", recording_sign_average)
+        est = estimate(draws, seed)
         assert max(rows) == 5 and sum(rows) == 2 * draws
         assert est.value == float(np.mean(vals))
         assert est.std_error == float(np.std(vals, ddof=1) / np.sqrt(draws))

@@ -12,9 +12,8 @@ from scipy import integrate, special, stats
 from seqbounds import bounds as bnd
 from seqbounds import classes
 from seqbounds import experiments as xp
-from seqbounds.classes import FunctionClassDescriptor, finite_class
-from seqbounds.estimators import (empirical_rademacher,
-                                  threshold_empirical_risks,
+from seqbounds.classes import FunctionClassDescriptor
+from seqbounds.estimators import (threshold_empirical_risks,
                                   threshold_risk_oracle, violation_rate)
 from seqbounds.experiments import (_clipped_ray_risks, _linear_model_grid,
                                    _margin_empirical_risks, chaining_dominance,
@@ -543,12 +542,20 @@ def test_chaining_dominance_one_distance_matrix_per_instance(monkeypatch):
                 classes.covering_number_exhaustive(values, eps)),
             16, max_depth=12)
         assert rec["bound"] == chain
-        # the estimate of the finite class of the rows, as callables
-        fns = [(lambda row: (lambda x: row[np.asarray(x, int)]))(row)
-               for row in values]
-        est = empirical_rademacher(finite_class(fns), np.arange(16.0), 300,
-                                   17 + i)
-        assert rec["statistic"] == est.value - 3.0 * est.std_error
+        # the antithetic estimate of the rows' class from the per-draw sign
+        # stream; BLAS sums a block of rows in another order than one row,
+        # so the bits need the rows' sums as one product, as the check takes
+        draws = stream(17 + i, 0, "signs")
+        signs = np.array([draws.integers(0, 2, 16) * 2.0 - 1.0
+                          for _ in range(300)])
+        per_draw = [max(values @ sg) / 16 for sg in signs]
+        sums = signs @ values.T
+        assert np.allclose(np.max(sums, axis=1) / 16, per_draw,
+                           rtol=0, atol=1e-15)
+        vals = 0.5 * (np.max(sums, axis=1) / 16 + np.max(-sums, axis=1) / 16)
+        value = float(np.mean(vals))
+        se = float(np.std(vals, ddof=1) / np.sqrt(300))
+        assert rec["statistic"] == value - 3.0 * se
 
 
 @pytest.mark.parametrize("call, removed", [
@@ -565,9 +572,10 @@ def test_chaining_dominance_one_distance_matrix_per_instance(monkeypatch):
     (relative_rate_scaling, {"tolerance", "ns", "delta"}),
     # fields that nothing reads
     (FunctionClassDescriptor, {"output_range"}),
-    (finite_class, {"output_range"}),
+    (classes.covering_number_exhaustive, {"sample"}),
     (LossSpec, {"lipschitz_link"}),
     (TauLambdaReport, {"method"}),
+    (FunctionClassDescriptor, {"functions", "vc_dim"}),
 ])
 def test_options_no_caller_sets_are_gone(call, removed):
     # each took one value from every caller (its literal is in the body
