@@ -1,23 +1,22 @@
 """Pseudo-linear random programs with margin: sample-size planners,
 violation bounds, a feasibility/optimization solver and PAC certificates.
 
-``scipy.optimize`` and ``scipy.spatial`` are imported on first use: the
-LP solve of a coupled-row box or ball program loads ``optimize`` (the
-module attribute ``optimize``, which a caller may replace), and the hull
-of a scenario cloud in 2 to 4 dimensions loads ``spatial``, only for a
-program with a piece whose psi depends on x: a constant psi collapses to
+The solver is exact up to rounding and needs no LP package: a box whose
+rows each bound one coordinate is solved in closed form, and any other box
+or ball program by Seidel's incremental LP, in numpy.  No solve loads
+``scipy.optimize``; the module attribute ``optimize`` imports it on first
+access, for callers that read or wrap it.  ``scipy.spatial`` is imported on
+first use, for the hull of a scenario cloud in 2 to 4 dimensions, only for
+a program with a piece whose psi depends on x: a constant psi collapses to
 one row before any hull.  Importing this module and the planners load
 neither.
 """
 from __future__ import annotations
 
-import ctypes
 import functools
 import itertools
 import math
-import os
 import sys
-import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -360,29 +359,30 @@ def tau_lambda(program: ScenarioProgramSpec) -> TauLambdaReport:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A solve of solve_margin_program.  ``feasible`` and ``max_violation``
+    are computed at theta over every scenario, whatever the solver found.
+    A point with ``used_fallback`` False is the optimize program's: every
+    row holds at it to within _FEASIBLE_TOL of its scale, so its
+    ``max_violation`` exceeds 0 only by rounding at theta's own scale."""
+
     theta: np.ndarray
     feasible: bool
     objective: float
     max_violation: float      # max_i f(x_i, theta) + margin at the returned point
     rows_solved: int          # constraint rows handed to the solver
-    used_fallback: bool       # whether the min-slack program ran
-    solver: str               # what gave theta: closed_form or highs
-    status: int               # HiGHS status of the LP that gave theta, None
-                              # for the closed form
-    cuts: int                 # Kelley cuts added on a ball, 0 on a box
+    used_fallback: bool       # whether the min-slack program gave theta
+    solver: str               # what gave theta: closed_form (per-coordinate
+                              # bounds) or seidel (the incremental LP)
 
 
 _TIGHTEN = 1e-9
-# A ball's cut LP point within this relative distance of the sphere is put
-# on it, after at most _MAX_CUTS cuts, by the rows that bind there within
-# _BIND_TOL of their scale: an LP vertex holds its rows to rounding (see
-# _solve_ball)
-_SPHERE_TOL = 1e-7
-_MAX_CUTS = 100
-_BIND_TOL = 1e-9
-# A box LP that fails is solved again in a unit that brings the box within
-# 2**_UNIT_BITS (see _box_linprog)
-_UNIT_BITS = 30
+# The incremental LP takes a row a.z <= b as met at z when a.z - b is at
+# most _ROW_TOL times the row's rounding scale (see _seidel)
+_ROW_TOL = 1e-12
+# A point of the optimize program is kept when each row psi.theta + h +
+# margin is at most _FEASIBLE_TOL times its scale |psi|.|theta| + |h| +
+# margin; otherwise the min-slack point is returned
+_FEASIBLE_TOL = 1e-9
 # Qhull's cost grows steeply with dimension (20,000 Gaussian points on one
 # 2-core x86 VM core: 12 ms in 4-D, 70 ms in 5-D, 0.9 s in 6-D); above this
 # dimension the solver gets every row.
@@ -455,17 +455,22 @@ def solve_margin_program(program: ScenarioProgramSpec, scenarios,
     hull: it gives the rows of those scenarios (min and max for 1-D x, the
     Qhull vertices in 2 to 4 dimensions, every scenario above).  On a box,
     when every row bounds at most one theta coordinate, the rows only
-    narrow the box and the optimum is read off in closed form; a row that couples coordinates sends the LP to HiGHS.
-    A ball of radius r is the box [-r, r]^p cut by tangent planes, one per
-    LP point outside the ball; an optimum on the sphere is put there in
-    closed form from the rows that bind (see _solve_ball), and a 1-D ball
-    is just the box.  The feasible flag always comes from an exact post-hoc
-    evaluation of the constraints at the returned point over all scenarios
-    and from the theta set's own membership test, never from solver
-    status.  In feasibility mode, or when the program is infeasible, the
-    minimal worst-case slack point is returned.  ``scenarios`` (or their
-    ``x``) hold x of the program's width ``dim_x``: a mismatch fails with a
-    ValueError naming ``scenarios``.
+    narrow the box and the optimum is read off in closed form (``solver``
+    "closed_form"); on a ball, that optimum of the box [-r, r]^p is kept
+    when it lies in the ball, and a 1-D ball is the box [-r, r].  Any other
+    program, and the min-slack program, is solved by Seidel's incremental
+    LP (``solver`` "seidel", see _solve and _seidel), exact up to rounding;
+    no solve loads ``scipy.optimize``.  The rows count as feasible when the
+    min-slack point meets them, and the optimize point is then kept
+    (``used_fallback`` False) when every row holds at it to within
+    _FEASIBLE_TOL of the row's scale |psi|.|theta| + |h| + margin, so that
+    ``max_violation`` can exceed 0 only by rounding at that scale.
+    Otherwise, or in feasibility mode, the minimal worst-case slack point
+    is returned.  The feasible flag always comes from an exact
+    post-hoc evaluation of the constraints at the returned point over all
+    scenarios and from the theta set's own membership test.  ``scenarios``
+    (or their ``x``) hold x of the program's width ``dim_x``: a mismatch
+    fails with a ValueError naming ``scenarios``.
     """
     if mode not in ("optimize", "feasibility"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -475,67 +480,68 @@ def solve_margin_program(program: ScenarioProgramSpec, scenarios,
     xs = _scenario_rows(program, getattr(scenarios, "x", scenarios),
                         "scenarios")
     psi_all, h_all = _binding_rows(program, xs)
-
-    if isinstance(program.theta_set, Box):
-        theta, used_fallback, status = _solve_box(
-            program.theta_set, program.objective, psi_all, h_all, gamma, mode)
-        cuts = 0
-    else:
-        theta, used_fallback, status, cuts = _solve_ball(
-            program.theta_set.radius, program.objective, psi_all, h_all,
-            gamma, mode)
-
-    theta = np.asarray(theta, dtype=float)
+    theta_set = program.theta_set
+    if isinstance(theta_set, Ball) and program.dim_theta == 1:
+        theta_set = Box([-theta_set.radius], [theta_set.radius])
+    theta, used_fallback, solver = _solve(theta_set, program.objective,
+                                          psi_all, h_all, gamma, mode)
     resid = float(np.max(program.constraint_values(xs, theta)) + gamma)
     feasible = resid <= 0 and program.theta_set.contains(theta)
     return SolveResult(theta=theta, feasible=bool(feasible),
                        objective=float(program.objective @ theta),
                        max_violation=resid, rows_solved=psi_all.shape[0],
-                       used_fallback=used_fallback,
-                       solver="closed_form" if status is None else "highs",
-                       status=status, cuts=cuts)
+                       used_fallback=used_fallback, solver=solver)
 
 
-def _solve_box(box, objective, psi_all, h_all, gamma, mode, cuts=None):
-    """theta, whether the min-slack program ran, and the HiGHS status of the
-    LP that gave theta (None for the closed form), over the box cut by the
-    hard rows cuts[:, :-1].theta <= cuts[:, -1] (no slack in the min-slack
-    program)."""
-    cuts = np.empty((0, box.dim + 1)) if cuts is None else cuts
+def _solve(theta_set, objective, psi_all, h_all, gamma, mode):
+    """theta, whether the min-slack program ran, and what gave theta
+    (closed_form or seidel) over a box or a ball of dimension >= 2.
+
+    The min-slack program is min t s.t. psi.theta - t <= -h over the theta
+    set, whose t lies within +-S, S the largest |psi|.sup|theta| + |h|.  t
+    is taken in a power-of-two unit M > max |psi|, so that each row's t
+    coefficient is its largest: the incremental LP then eliminates t first,
+    and theta is not solved through a t that rounding may have lost.  It
+    runs first, unless the closed form applies: the optimize LP runs only
+    when the min-slack point meets its rows, as a point far out in a large
+    set can meet rows that no point meets by less than its own rounding."""
+    p = objective.size
+    if isinstance(theta_set, Box):
+        q, radius, lo, hi = 0, 0.0, theta_set.lo, theta_set.hi
+    else:
+        q, radius, lo, hi = p, theta_set.radius, np.empty(0), np.empty(0)
     b = -gamma - h_all - _TIGHTEN
-    if mode == "optimize":
-        rows = np.vstack([psi_all, cuts[:, :-1]])
-        b = np.concatenate([b, cuts[:, -1]])
-        if np.all(np.count_nonzero(rows, axis=1) <= 1):
-            theta = _bound_rows_optimum(box, objective, rows, b)
-            if theta is not None:
-                return theta, False, None
-        else:
-            # HiGHS reads a cost of 1e20 or more as infinite; scaling c by
-            # its largest magnitude keeps the argmin
-            scale = np.max(np.abs(objective))
-            c = objective / scale if scale > 0 else objective
-            status, theta = _box_linprog(box, c, rows, b)
-            if status == 0:
-                return theta, False, status
-        # infeasible (or numerically stuck): fall through to the min-slack
-        # point so the result can report the best residual
-    # min s s.t. psi.theta + h + gamma <= s, with s shifted by gamma + max h
-    # so that no right-hand side reaches 1e20, which HiGHS reads as infinite
-    c = np.zeros(box.dim + 1)
-    c[-1] = 1.0
-    a = np.block([[psi_all, -np.ones((psi_all.shape[0], 1))],
-                  [cuts[:, :-1], np.zeros((cuts.shape[0], 1))]])
-    status, theta = _box_linprog(box, c, a, np.concatenate(
-        [np.max(h_all) - h_all, cuts[:, -1]]), free=1)
-    if status != 0:
-        raise RuntimeError(f"LP solver failed with status {status}")
-    return theta, True, status
+    if mode == "optimize" and np.all(np.count_nonzero(psi_all, axis=1) <= 1):
+        # the box [-r, r]^p holds the ball: an optimum inside it is the ball's
+        theta = _bound_rows_optimum(
+            theta_set if q == 0 else Box(-radius * np.ones(p),
+                                         radius * np.ones(p)),
+            objective, psi_all, b)
+        if theta is None:
+            mode = "feasibility"
+        elif q == 0 or np.linalg.norm(theta) <= radius:
+            return theta, False, "closed_form"
+    reach = (np.abs(psi_all) @ np.maximum(np.abs(lo), np.abs(hi)) if q == 0
+             else radius * np.linalg.norm(psi_all, axis=1))
+    unit = math.ldexp(1.0, math.frexp(np.max(np.abs(psi_all)))[1])
+    bound = float(np.max(reach + np.abs(h_all))) / unit
+    slack = _incremental_lp(
+        np.eye(p + 1)[-1],
+        np.hstack([psi_all, np.full((h_all.size, 1), -unit)]), -h_all,
+        np.append(lo, -bound), np.append(hi, bound), q, radius)[:p]
+    if mode == "optimize" and np.all(psi_all @ slack <= b):
+        theta = _incremental_lp(objective, psi_all, b, lo, hi, q, radius)
+        if theta is not None and np.all(
+                psi_all @ theta + h_all + gamma <= _FEASIBLE_TOL * (
+                    np.abs(psi_all) @ np.abs(theta) + np.abs(h_all) + gamma)):
+            return theta, False, "seidel"
+    return slack, True, "seidel"
 
 
 def __getattr__(name):
     """``optimize`` is ``scipy.optimize``, imported on first access and then
-    bound as a module global (PEP 562)."""
+    bound as a module global (PEP 562).  No solve calls it; it stays for the
+    callers that read or wrap it, as perfbench/tracer.py does."""
     global optimize
     if name != "optimize":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -543,99 +549,13 @@ def __getattr__(name):
     return optimize
 
 
-class _NullStdout:
-    """File descriptor 1 points at the null device while any thread is
-    inside, as HiGHS prints some status lines with C's printf whatever its
-    options say.  The first thread in and the last one out switch it, under
-    a lock, so that solves on two threads overlap; Python's and C's buffered
-    stdout are flushed at each switch."""
-
-    lock, inside, saved, libc = threading.Lock(), 0, None, None
-
-    def _switch(self, fd):
-        if sys.stdout is not None:
-            sys.stdout.flush()
-        if self.libc is None:
-            self.libc = ctypes.CDLL(None)
-        self.libc.fflush(None)
-        os.dup2(fd, 1)
-        os.close(fd)
-
-    def __enter__(self):
-        with self.lock:
-            if not self.inside:
-                try:
-                    self.saved = os.dup(1)
-                except OSError:     # no file descriptor 1 to keep clean
-                    self.saved = None
-                else:
-                    self._switch(os.open(os.devnull, os.O_WRONLY))
-            self.inside += 1
-
-    def __exit__(self, *exc):
-        with self.lock:
-            self.inside -= 1
-            if not self.inside and self.saved is not None:
-                self._switch(self.saved)
-
-
-_NULL_STDOUT = _NullStdout()
-
-
-def _box_linprog(box, c, a_ub, b_ub, free=0):
-    """HiGHS on min c.z s.t. a_ub z <= b_ub over z = (theta in the box,
-    ``free`` unbounded variables): the solver status and theta (None unless
-    the status is 0).
-
-    HiGHS reads a bound of 1e20 or more as infinite, which can leave the LP
-    unbounded or a side of the box empty, and it stalls on a box far larger
-    than the right-hand sides (status 4 on [-1e17, 1e17]^2 with the rows
-    theta_1 + theta_2 >= 1 and >= 2).  When the first solve fails on a box
-    beyond 2**_UNIT_BITS, z is solved again in the power-of-two unit that
-    brings the box within it, where the rounding of a coordinate stays near
-    the solver's 1e-7 tolerance; z and b_ub are divided by the unit
-    exactly.  A solve that succeeds keeps its bits, and so does a proof
-    that the rows are infeasible: in the unit, right-hand sides far below
-    the box fall within the solver's tolerance, so the proof would be
-    lost."""
-    # the module attribute, as a caller sees it (see __getattr__)
-    linprog = sys.modules[__name__].optimize.linprog
-
-    def solve(unit):
-        bounds = list(zip(box.lo / unit, box.hi / unit))
-        with _NULL_STDOUT:
-            return linprog(c=c, A_ub=a_ub, b_ub=b_ub / unit,
-                           bounds=bounds + [(None, None)] * free,
-                           method="highs")
-
-    p = box.dim
-    res = solve(1.0)
-    if res.status == 0:
-        return 0, res.x[:p]
-    excess = math.frexp(box.sup_norm())[1] - _UNIT_BITS
-    # a bound HiGHS reads as infinite only relaxes the LP, except a lower
-    # bound of 1e20 or more, an upper one of -1e20 or less, or such a
-    # right-hand side, which empty it
-    proven = (res.status == 2 and np.all(box.lo < 1e20)
-              and np.all(box.hi > -1e20) and np.all(b_ub > -1e20))
-    if not proven and excess > 0:
-        unit = math.ldexp(1.0, excess)
-        res = solve(unit)
-        if res.status == 0:
-            # a coordinate whose box lies far below the unit can come back
-            # outside it, by the solver's tolerance at the unit
-            return 0, np.clip(res.x[:p] * unit, box.lo, box.hi)
-    return res.status, None
-
-
 def _bound_rows_optimum(box, objective, psi_all, b):
     """argmin of objective.theta over the box cut by the rows psi.theta <= b,
     each with at most one non-zero coefficient, or None when the cut box is
     empty.  Each row a.theta_j <= b moves one end of [lo_j, hi_j] to b/a, so
     the LP separates by coordinate: theta_j sits at the end its cost points
-    to, and a zero cost takes the vertex HiGHS returns: the end of smaller
-    magnitude (the lower one on a tie), or the lower end when no row has a
-    non-zero coefficient."""
+    to, and a zero cost takes the end of smaller magnitude (the lower one on
+    a tie), or the lower end when no row has a non-zero coefficient."""
     rows, cols = np.nonzero(psi_all)
     constant = np.ones(b.size, dtype=bool)
     constant[rows] = False
@@ -653,62 +573,104 @@ def _bound_rows_optimum(box, objective, psi_all, b):
     return np.where(objective > 0, lo, np.where(objective < 0, hi, nearer))
 
 
-def _solve_ball(radius, objective, psi_all, h_all, gamma, mode):
-    """Kelley's cutting planes (J. SIAM 1960) on the box [-r, r]^p: each LP
-    point theta outside the ball adds the hard row u.theta <= r, u = theta /
-    |theta|, until theta lies in the ball (the optimum), within _SPHERE_TOL
-    of the sphere, or where a cut no longer moves it (HiGHS's tolerance
-    stalls the cuts near 2e-8 relative).  Then theta goes on the sphere.
-    The rows that bind at theta (within tolerance of -gamma, with cost c;
-    in min-slack mode, the rows tied at the largest value, each tie with
-    row j an equality (a_i - a_j).theta = h_j - h_i, with cost a_j) have
-    an affine set with least-norm point theta0 and null-space projector P,
-    whose least cost on the ball is at theta0 - sqrt(r^2 - |theta0|^2) Pc /
-    |Pc|.  The LP's cost bounds the optimum from below, and along that set
-    it rises from theta to the sphere by at most |c| sqrt(|theta|^2 - r^2):
-    the point is kept when its cost is within that and every row holds at
-    it, else theta is scaled onto the sphere.  Returns theta, whether the
-    min-slack program ran, the status of the last box LP (see _solve_box)
-    and the number of cuts."""
-    p = objective.size
-    box = Box(-radius * np.ones(p), radius * np.ones(p))
-    cuts, last = np.empty((0, p + 1)), None
+def _incremental_lp(c, a, b, lo, hi, q=0, radius=0.0):
+    """min c.z s.t. a z <= b over the z whose first q coordinates lie in the
+    ball of ``radius`` and whose others lie in the box [lo, hi]: z, or None
+    when no z meets the rows.  The rows are taken in a fixed random order
+    (seed 0), so a program always gives the same z, and z is put back into
+    its set where rounding left it by an ulp."""
+    order = np.append(0, np.random.default_rng(0).permutation(b.size) + 1)
+    rows, rhs = np.vstack([c, a])[order], np.append(0.0, b)[order]
+    z = _seidel(rows, rhs, np.abs(rows), np.abs(rhs), q, radius, lo, hi)
+    if z is not None:
+        z[q:] = np.clip(z[q:], lo, hi)
+        norm = np.linalg.norm(z[:q])
+        if norm > radius:
+            z[:q] *= radius / norm
+    return z
+
+
+def _seidel(a, b, sa, sb, q, radius, lo, hi):
+    """Seidel's randomized incremental LP (Discrete Comput. Geom. 1991) on
+    min a[0].z s.t. a[1:] z <= b[1:] over a ball of ``radius`` in z[:q]
+    times the box [lo, hi] in z[q:]: z, or None when no z meets the rows.
+
+    z starts at the set's own optimum; a zero cost takes the point nearest
+    the origin, which keeps z as small as the rows let it be.  One product
+    finds the next row that z violates; the optimum of the rows so far
+    then lies on that row's hyperplane, or there is none.  On the
+    hyperplane the row eliminates the box coordinate of largest
+    coefficient, whose two box ends become rows, or else cuts the ball in
+    a ball one dimension smaller (Matousek, Sharir & Welzl, Algorithmica
+    1996), and the earlier rows are solved there; a row with no non-zero
+    coefficient has no hyperplane.  sa and sb carry each
+    entry's rounding scale, the sum of the magnitudes it was computed from:
+    a row counts as violated when a.z - b exceeds _ROW_TOL (sa.|z| + sb)."""
+    if q == 1:
+        q, lo, hi = 0, np.append(-radius, lo), np.append(radius, hi)
+    c = a[0]
+    norm = np.linalg.norm(c[:q])
+    z = np.concatenate([
+        -radius / norm * c[:q] if norm > 0 else np.zeros(q),
+        np.where(c[q:] > 0, lo, np.where(c[q:] < 0, hi,
+                                         np.clip(0.0, lo, hi)))])
+    i = 1
     while True:
-        theta, slack, status = _solve_box(box, objective, psi_all, h_all,
-                                          gamma, mode, cuts)
-        norm = np.linalg.norm(theta)
-        if norm <= radius:
-            return theta, slack, status, len(cuts)
-        if (norm <= radius * (1.0 + _SPHERE_TOL) or len(cuts) == _MAX_CUTS
-                or np.array_equal(theta, last)):
-            break
-        # the cuts only shrink the LP: once infeasible, it stays so
-        mode = "feasibility" if slack else mode
-        cuts, last = np.vstack([cuts, np.append(theta / norm, radius)]), theta
-    values = psi_all @ theta + h_all
-    tol = _BIND_TOL * (radius * np.abs(psi_all).sum(axis=1)
-                       + np.abs(h_all) + gamma)
-    j = np.argmax(values)
-    if slack:
-        tied = values >= values[j] - tol
-        rows, rhs = psi_all[tied] - psi_all[j], h_all[j] - h_all[tied]
-        cost, bound = psi_all[j], values[j]
-    else:
-        tied = values >= -gamma - _TIGHTEN - tol
-        rows, rhs = psi_all[tied], -gamma - _TIGHTEN - h_all[tied]
-        cost, bound = objective, objective @ theta
-    pinv = np.linalg.pinv(rows)
-    theta0, pc = pinv @ rhs, cost - pinv @ (rows @ cost)
-    n0 = np.linalg.norm(theta0)
-    point = theta0 - (np.sqrt(max((radius - n0) * (radius + n0), 0.0)) * pc
-                      / max(np.linalg.norm(pc), np.finfo(float).tiny))
-    reach = bound + np.linalg.norm(cost) * np.sqrt((norm - radius)
-                                                   * (norm + radius))
-    at = psi_all @ point + h_all
-    holds = (np.max(at) <= reach if slack else objective @ point <= reach
-             and np.all(at <= -gamma - _TIGHTEN + tol))
-    return ((point if holds else theta * (radius / norm)), slack, status,
-            len(cuts))
+        over = (a[i:] @ z - b[i:]
+                > _ROW_TOL * (sa[i:] @ np.abs(z) + sb[i:]))
+        if not over.any():
+            return z
+        j = i + int(np.argmax(over))
+        z = _on_row(a, b, sa, sb, q, radius, lo, hi, j)
+        if z is None:
+            return None
+        i = j + 1
+
+
+def _on_row(a, b, sa, sb, q, radius, lo, hi, j):
+    """The optimum of _seidel's rows a[1:j] on the hyperplane a[j].z = b[j],
+    or None when there is none."""
+    aj, bj = a[j], b[j]
+    if np.any(aj[q:]):
+        k = q + int(np.argmax(np.abs(aj[q:])))
+        keep = np.arange(aj.size) != k
+        # z_k = beta - g.y over the other coordinates y
+        g, beta = aj[keep] / aj[k], bj / aj[k]
+        sg, sbeta = sa[j, keep] / abs(aj[k]), sb[j] / abs(aj[k])
+        end_lo, end_hi = lo[k - q], hi[k - q]
+        a2 = np.vstack([a[:j, keep] - np.outer(a[:j, k], g), -g, g])
+        b2 = np.append(b[:j] - a[:j, k] * beta,
+                       [end_hi - beta, beta - end_lo])
+        sa2 = np.vstack([sa[:j, keep] + np.outer(sa[:j, k], sg), sg, sg])
+        sb2 = np.append(sb[:j] + sa[:j, k] * sbeta,
+                        [abs(end_hi) + sbeta, abs(end_lo) + sbeta])
+        y = _seidel(a2, b2, sa2, sb2, q, radius, np.delete(lo, k - q),
+                    np.delete(hi, k - q))
+        return None if y is None else np.insert(y, k, beta - g @ y)
+    if not aj.any():
+        return None
+    # the hyperplane u.theta = bj meets the ball in the ball about
+    # theta0 = t u / |u| of radius sqrt(radius^2 - t^2), t = bj / |u|,
+    # spanned by the columns but k of the Householder reflection that takes
+    # u to the axis k
+    u = aj[:q]
+    norm = np.linalg.norm(u)
+    if bj < -radius * norm - _ROW_TOL * (radius * sa[j, :q].sum() + sb[j]):
+        return None
+    t = min(max(bj / norm, -radius), radius)
+    theta0 = t / norm * u
+    k = int(np.argmax(np.abs(u)))
+    v = u / norm
+    v[k] += 1.0 if v[k] >= 0 else -1.0
+    basis = np.delete(np.eye(q) - np.outer(v, v) / abs(v[k]), k, axis=1)
+    a2 = np.hstack([a[:j, :q] @ basis, a[:j, q:]])
+    b2 = b[:j] - a[:j, :q] @ theta0
+    sa2 = np.hstack([sa[:j, :q] @ np.abs(basis), sa[:j, q:]])
+    sb2 = sb[:j] + sa[:j, :q] @ (np.abs(u) * (sb[j] / norm ** 2))
+    y = _seidel(a2, b2, sa2, sb2, q - 1,
+                math.sqrt(max((radius - t) * (radius + t), 0.0)), lo, hi)
+    return None if y is None else np.concatenate([theta0 + basis @ y[:q - 1],
+                                                  y[q - 1:]])
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,17 @@ numpy and scipy versions.  The suites:
   (epsilon 0.15, 20,578 scenarios), of the two-piece 2-D box program on
   AR(2) paths (epsilon 0.3, 37,489 scenarios) and of the 1-D program over a
   ball of radius 10 (epsilon 0.15); ``scenario_pac_coverage`` of the 1-D
-  box program; and ``solve_margin_program`` of a five-piece program whose
-  psi is constant, with the rows it handed to the solver.
+  box program; ``solve_margin_program`` of a five-piece program whose
+  psi is constant, with the rows it handed to the solver; the LP calls
+  (``wide_box_lp_calls``) and their total time (``wide_box_lp_s``, one
+  pass) over the wide-box programs of ``tests/test_scenario.py`` (seeds 0
+  to 1,499, sides cycling, both modes); the mean time per solve of the
+  ball programs that ``TestBallPrograms`` draws, rebuilt from seeds 0 to
+  149 (``ball_solve_ms``); and the wall time of a ``pytest`` run of the
+  ``tests/test_scenario.py`` next to the ``seqbounds`` imported
+  (``test_scenario_s``), so that each tree runs its own tests.  The LP is
+  the scenario module's ``_incremental_lp``, or ``_box_linprog`` (HiGHS)
+  in a tree that has it.
 - ``regression_sweep``: at one thread, ``_clipped_ray_risks`` on the
   config's AR(2) paths (simulated once, untimed) and ``regression_coverage``.
 - ``capacity``: the mean time per call, at one thread, of
@@ -69,7 +78,7 @@ import scipy
 
 from digest_outputs import (AR1, AR2_SYSTEM, COMMAND_CONFIGS,
                             CONFIGS as DIGEST_CONFIGS)
-from seqbounds import cli
+from seqbounds import cli, scenario
 from seqbounds.classes import linear_ball_class, threshold_class
 from seqbounds.estimators import (empirical_rademacher,
                                   empirical_rademacher_exact)
@@ -156,7 +165,8 @@ def measure_threads():
 SCENARIO_CONFIG = {"ar1": {"a": 0.8, "sigma": 0.6, "flip_p": 0.1},
                    "ar2": {"coefficients": [0.5, 0.2], "sigma": 1.0},
                    "delta": 0.1, "seed": 17, "calls": 20, "replications": 40,
-                   "constant_psi_scenarios": 20_000}
+                   "constant_psi_scenarios": 20_000, "wide_box_seeds": 1500,
+                   "ball_programs": 150}
 
 
 def x_bounds_program(theta_set, dim):
@@ -200,7 +210,65 @@ def measure_scenario():
     out["constant_psi_5d_rows"] = solve_margin_program(program, xs).rows_solved
     out["constant_psi_5d_ms"] = 1e3 * best_of(
         lambda: solve_margin_program(program, xs), c["calls"])
+    out.update(measure_lp(c["wide_box_seeds"], c["ball_programs"]))
     return out
+
+
+def measure_lp(wide_box_seeds, ball_programs):
+    from test_scenario import (TestCoupledRowsInAHugeBox, random_box_program,
+                               random_cloud)
+    name = ("_box_linprog" if hasattr(scenario, "_box_linprog")
+            else "_incremental_lp")
+    lp = getattr(scenario, name)
+    calls, spent = 0, 0.0
+
+    def timed(*args, **kwargs):
+        nonlocal calls, spent
+        start = time.perf_counter()
+        try:
+            return lp(*args, **kwargs)
+        finally:
+            calls, spent = calls + 1, spent + time.perf_counter() - start
+
+    setattr(scenario, name, timed)
+    try:
+        for seed in range(wide_box_seeds):
+            rng = np.random.default_rng(seed)
+            program = TestCoupledRowsInAHugeBox.wide_box_program(
+                rng, ("both", "positive", "negative")[seed % 3])
+            xs = rng.uniform(0.0, 2.0, 3)
+            for mode in ("optimize", "feasibility"):
+                solve_margin_program(program, xs, mode=mode)
+    finally:
+        setattr(scenario, name, lp)
+    # the draws of TestBallPrograms.test_kkt_certificate, less p = 1
+    solves = []
+    for seed in range(ball_programs):
+        rng = np.random.default_rng(seed)
+        dim_x, n = int(rng.integers(1, 4)), int(rng.integers(1, 41))
+        boxed = random_box_program(rng, dim_x, int(rng.integers(1, 4)),
+                                   bool(rng.integers(0, 2)))
+        program = ScenarioProgramSpec(
+            objective=boxed.objective, pieces=boxed.pieces,
+            theta_set=Ball(10.0 ** rng.uniform(-6.0, 50.0)),
+            margin=boxed.margin)
+        xs = random_cloud(rng, n, dim_x, rng.choice(
+            ["general", "duplicates", "collinear"]))
+        if program.dim_theta >= 2:
+            solves.append((program, xs, rng.choice(["optimize",
+                                                    "feasibility"])))
+
+    def balls():
+        for program, xs, mode in solves:
+            solve_margin_program(program, xs, mode=mode)
+
+    tests = Path(scenario.__file__).resolve().parents[2] / "tests"
+    return {"wide_box_lp_calls": calls, "wide_box_lp_s": spent,
+            "ball_solve_ms": 1e3 * best_of(balls) / len(solves),
+            "test_scenario_s": best_of(lambda: subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-p",
+                 "no:cacheprovider", str(tests / "test_scenario.py")],
+                cwd=tests.parent, check=True, stdout=subprocess.DEVNULL))}
 
 
 SWEEP_CONFIG = {"coefficients": [0.5, 0.2], "sigma": 1.0, "m_clip": 4.0,

@@ -7,8 +7,9 @@ acceptance 1-D box program by both planning methods, on a variant whose psi
 depends on x over an x domain box, on the 1-D program over a ball, on a
 two-piece 2-D box program on the AR(2) system and on that program over a 2-D
 ball of radius 10, on programs that reach each solver path (a coupled row
-that HiGHS solves, an infeasible pair that falls back to the min-slack LP, a
-ball solve that makes cuts, and a 2-D hull of the path), ``plan`` by both
+that the incremental LP solves, an infeasible pair that falls back to the
+min-slack LP, a ball whose optimum lies on the sphere, and the hulls of a 2-D
+and of a 3-D path), ``plan`` by both
 methods, ``bound`` of every kind (``vc`` by VC dimension and by growth value,
 ``rademacher`` of two variants, ``mixing`` where it applies and where it does
 not), ``rad`` on a threshold, a linear-ball and a kernel-ball class (the last
@@ -43,6 +44,8 @@ AR1 = {"kind": "ar1_threshold_labels", "a": 0.8, "sigma": 0.6,
        "b_star": 0.0, "flip_p": 0.1}
 AR1_NOISELESS = dict(AR1, flip_p=0.0)
 AR2_SYSTEM = {"kind": "ar_d_linear_system", "coefficients": [0.5, 0.2],
+              "sigma": 1.0}
+AR3_SYSTEM = {"kind": "ar_d_linear_system", "coefficients": [0.4, 0.2, 0.1],
               "sigma": 1.0}
 
 CONFIGS = {
@@ -91,7 +94,7 @@ BOX_2D_PROGRAM = {
 BALL_2D_PROGRAM = dict(BOX_2D_PROGRAM,
                        theta_set={"kind": "ball", "radius": 10.0})
 # x - theta_1 - theta_2 <= -1 over theta in [-10, 10]^2 on 1-D x: a row that
-# couples both coordinates, so HiGHS solves the LP
+# couples both coordinates, so the incremental LP solves the program
 COUPLED_PROGRAM = {
     "objective": [1.0, 0.5], "margin": 1.0,
     "theta_set": {"kind": "box", "lo": [-10.0, -10.0], "hi": [10.0, 10.0]},
@@ -103,8 +106,8 @@ COUPLED_PROGRAM = {
 INFEASIBLE_PROGRAM = dict(COUPLED_PROGRAM, pieces=COUPLED_PROGRAM["pieces"] + [
     {"psi": {"matrix": [[0.0], [0.0]], "offset": [1.0, 1.0]},
      "eta": {"matrix": [[-1.0]], "offset": [-1.0]}}])
-# x - theta_1 / 2 - theta_2 <= -0.2 over the ball of radius 4: the box
-# optimum lies outside the ball, so the solver cuts (3 LPs, 2 cuts)
+# x - theta_1 / 2 - theta_2 <= -0.2 over the ball of radius 4: the optimum
+# lies on the sphere, where the row binds
 BALL_CUTS_PROGRAM = dict(
     COUPLED_PROGRAM, margin=0.2, theta_set={"kind": "ball", "radius": 4.0},
     pieces=[{"psi": {"matrix": [[0.0], [0.0]], "offset": [-0.5, -1.0]},
@@ -117,6 +120,17 @@ HULL_PROGRAM = dict(
     pieces=[{"psi": {"matrix": [[0.05, 0.0], [0.0, 0.05]],
                      "offset": [-1.0, -1.0]},
              "eta": {"matrix": [[1.0, 0.5]], "offset": [0.0]}}])
+# (0.05 x - 1) . theta + x_1 + x_2 / 2 + x_3 / 4 <= -1 on the AR(3) system:
+# psi reads 3-D x, so Qhull runs in 3-D, and the rows of the hull vertices
+# couple 3 theta coordinates
+HULL_3D_PROGRAM = {
+    "objective": [1.0, 0.5, 0.25], "margin": 1.0,
+    "theta_set": {"kind": "box", "lo": [-10.0] * 3, "hi": [10.0] * 3},
+    "x_domain": {"kind": "box", "lo": [-6.0] * 3, "hi": [6.0] * 3},
+    "pieces": [{"psi": {"matrix": [[0.05 * (j == k) for j in range(3)]
+                                   for k in range(3)],
+                        "offset": [-1.0] * 3},
+                "eta": {"matrix": [[1.0, 0.5, 0.25]], "offset": [0.0]}}]}
 COMMAND_CONFIGS = {
     "scenario_box": {"command": "scenario", "method": "margin",
                      "epsilon": 0.15, "delta": 0.1, "program": BOX_PROGRAM,
@@ -209,6 +223,10 @@ COMMAND_CONFIGS = {
     "scenario_hull": {"command": "scenario", "method": "margin",
                       "epsilon": 0.3, "delta": 0.1, "program": HULL_PROGRAM,
                       "process": AR2_SYSTEM, "seed": 888},
+    "scenario_hull_3d": {"command": "scenario", "method": "margin",
+                         "epsilon": 0.3, "delta": 0.1,
+                         "program": HULL_3D_PROGRAM, "process": AR3_SYSTEM,
+                         "seed": 888},
     # its records.csv must equal that of the one-thread run
     "vc_coverage_threads_2": {"command": "validate",
                               "experiment": "vc_coverage",

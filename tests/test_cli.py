@@ -982,6 +982,24 @@ def test_import_plan_and_bound_load_no_scipy(tmp_path):
                       **{name: [cli.EXIT_OK] for name in NO_SCIPY_RUNS}}
 
 
+def test_scenario_solves_load_no_scipy_optimize(tmp_path):
+    # every program of the digest whose solve goes past the closed form
+    runs = {name: COMMAND_CONFIGS[name] for name in (
+        "scenario_coupled", "scenario_infeasible", "scenario_ball_cuts",
+        "scenario_hull", "scenario_hull_3d")}
+    loaded = json.loads(fresh_python("""
+        import json, sys
+        runs = json.loads(sys.argv[2])
+        import seqbounds.cli
+        loaded = {}
+        for name, config in runs.items():
+            code = seqbounds.cli.run(config, sys.argv[1] + "/" + name)
+            loaded[name] = [code, "scipy.optimize" in sys.modules]
+        print(json.dumps(loaded))
+        """, tmp_path, json.dumps(runs)))
+    assert loaded == {name: [cli.EXIT_OK, False] for name in runs}
+
+
 def test_binomial_tail_grid_loads_scipy_special_alone(tmp_path):
     loaded = json.loads(fresh_python("""
         import json, sys

@@ -19,7 +19,7 @@ seqbounds.bounds.chaining_rad_upper
 seqbounds.classes.covering_number_exhaustive
 seqbounds.cli._config_error
 seqbounds.experiments.default_ar1
-seqbounds.scenario.ScenarioProgramSpec.dim_theta
+seqbounds.scenario.__getattr__
 """
 
 
