@@ -22,8 +22,8 @@ from .estimators import (_finite_sup, _sign_average, empirical_rademacher,
                          threshold_ghost_gap, threshold_risk_oracle,
                          violation_rate)
 from .losses import zero_one_loss
-from .processes import (ProcessSpec, ar1_process, sample_marginal,
-                        simulate_sequence, stationary_params, stream)
+from .processes import (ProcessSpec, sample_marginal, simulate_sequence,
+                        stationary_params, stream)
 
 
 @dataclass
@@ -294,17 +294,32 @@ def _clipped_ray_risks(x, y, directions, radii, m_clip):
     + r^2 S_in(p^2) - 2 M S_out(y sign p) + M^2 n_out) / n.  For -e the bins,
     p^2 and the counts are the same and both signed sums only change sign.
     The clip is continuous, so a point with r |p| = M may count as either.
+
+    A row with |x| max_e |e| R < M (1 - 1e-9), R the last radius, is
+    unclipped by every model: |p| <= |x| |e| by Cauchy-Schwarz, and the
+    1e-9 margin is far wider than the rounding of the norms, of p and of
+    m Delta against R, so floor(M / (Delta |p|)) >= m for every e and all
+    the row's entries land in bin m.  Only the y p and p^2 sums read bin m,
+    so these "inner" rows enter them in closed form, e.(X^T y) and
+    e.(X^T X) e over the inner rows, added once; only the other rows are
+    projected and binned.
     """
     k, m = directions.shape[0], radii.size
-    p = x @ directions.T                                    # (n, k)
+    max_e = np.sqrt(np.max(np.einsum("ij,ij->i", directions, directions)))
+    inner = (np.sqrt(np.einsum("ij,ij->i", x, x)) * (max_e * radii[-1])
+             < m_clip * (1.0 - 1e-9))
+    rows_in, rows_near = np.flatnonzero(inner), np.flatnonzero(~inner)
+    x_in, y_near = x.take(rows_in, axis=0), y.take(rows_near)[:, None]
+    p = x.take(rows_near, axis=0) @ directions.T            # (near rows, k)
     with np.errstate(divide="ignore", over="ignore"):
         reach = np.minimum(m_clip / (radii[0] * np.abs(p)), m).astype(np.intp)
     reach += (m + 1) * np.arange(k)
     bins = reach.ravel()
 
     def per_bin(weights=None):
-        return np.bincount(bins, weights=weights,
-                           minlength=k * (m + 1)).reshape(k, m + 1)
+        # float even with no row binned, where bincount gives int64 zeros
+        return np.bincount(bins, weights=weights, minlength=k * (m + 1)
+                           ).reshape(k, m + 1).astype(float, copy=False)
 
     def inside(c):      # points still unclipped at each radius
         return np.cumsum(c[:, ::-1], axis=1)[:, ::-1][:, 1:]
@@ -312,12 +327,17 @@ def _clipped_ray_risks(x, y, directions, radii, m_clip):
     def outside(c):     # points clipped at each radius
         return np.cumsum(c, axis=1)[:, :-1]
 
-    a = 2.0 * radii * inside(per_bin((y[:, None] * p).ravel()))
-    c = radii ** 2 * inside(per_bin((p * p).ravel()))
+    s_yp = per_bin((y_near * p).ravel())
+    s_pp = per_bin((p * p).ravel())
+    s_yp[:, m] += np.einsum("ij,j->i", directions, x_in.T @ y.take(rows_in))
+    s_pp[:, m] += np.einsum("ij,jl,il->i", directions, x_in.T @ x_in,
+                            directions)
+    a = 2.0 * radii * inside(s_yp)
+    c = radii ** 2 * inside(s_pp)
     # y sign(p) without the multiply: a point with p = 0 is never clipped,
     # so its weight lands in the last bin, which no outside() sum reads
     b = 2.0 * m_clip * outside(
-        per_bin(np.where(p < 0, -y[:, None], y[:, None]).ravel()))
+        per_bin(np.where(p < 0, -y_near, y_near).ravel()))
     d = m_clip ** 2 * outside(per_bin())
     yy = float(y @ y)
     # a and b are the signed sums, so -e flips them and keeps c and d
@@ -592,7 +612,3 @@ def quarter_lemma_grid() -> ExperimentResult:
 def default_scenario_program(theta_lo=-10.0, theta_hi=10.0, margin=1.0):
     return scn.one_dim_threshold_program(theta_lo=theta_lo, theta_hi=theta_hi,
                                          margin=margin)
-
-
-def default_ar1() -> ProcessSpec:
-    return ar1_process(a=0.8, sigma=0.6, b_star=0.0, flip_p=0.1)

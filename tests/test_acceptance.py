@@ -8,13 +8,15 @@ from seqbounds.bounds import vc_bound
 from seqbounds.classes import linear_ball_class
 from seqbounds.estimators import empirical_rademacher, empirical_rademacher_exact
 from seqbounds.experiments import (chaining_dominance, concentration_exactness,
-                                   default_ar1, default_scenario_program,
+                                   default_scenario_program,
                                    kernel_rad_bound, margin_rad_coverage,
                                    mixing_tightness, quarter_lemma_grid,
                                    relative_rate_scaling, scenario_pac_coverage,
                                    symmetrization, vc_coverage)
 from seqbounds.processes import ar1_process, stream
 from seqbounds.scenario import plan_n_margin, plan_n_vc, violation_bound
+
+AR1 = ar1_process(a=0.8, sigma=0.6, b_star=0.0, flip_p=0.1)
 
 
 def report(number, name, ok, detail):
@@ -37,7 +39,7 @@ def test_01_linear_classification_ceiling():
 
 
 def test_02_vc_coverage_on_dependent_paths():
-    result = vc_coverage(default_ar1(), n=2000, replications=200, delta=0.05,
+    result = vc_coverage(AR1, n=2000, replications=200, delta=0.05,
                          seed=12345)
     frac = result.summary["holds_fraction"]
     assert report(2, "VC bound coverage", result.holds,
@@ -99,7 +101,7 @@ def test_04b_kernel_ball_below_closed_form():
 
 
 def test_04c_marginal_rademacher_coverage():
-    result = margin_rad_coverage(default_ar1(), gamma=0.5, radius=1.0,
+    result = margin_rad_coverage(AR1, gamma=0.5, radius=1.0,
                                  n=2000, replications=200, delta=0.05,
                                  seed=555)
     assert report(4, "marginal Rademacher coverage (c)", result.holds,
@@ -116,7 +118,7 @@ def test_05_concentration_oracles():
 
 
 def test_06_symmetrization_inequality():
-    result = symmetrization(default_ar1(), n=200, epsilon=0.2,
+    result = symmetrization(AR1, n=200, epsilon=0.2,
                             replications=500, seed=2024)
     s = result.summary
     assert report(6, "ghost-sample symmetrization", result.holds,
@@ -141,7 +143,7 @@ def test_07_scenario_planners():
 
 
 def test_08_scenario_pac_coverage():
-    result = scenario_pac_coverage(default_scenario_program(), default_ar1(),
+    result = scenario_pac_coverage(default_scenario_program(), AR1,
                                    epsilon=0.15, delta=0.1, replications=200,
                                    seed=888)
     s = result.summary

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from digest_outputs import AR1, AR2_SYSTEM, COMMAND_CONFIGS, CONFIGS
 from seqbounds import cli
 from seqbounds.cli import ConfigError, main, run, validate_config
-from seqbounds.experiments import default_ar1, default_scenario_program
+from seqbounds.experiments import default_scenario_program
 from seqbounds import experiments as xp
 from seqbounds.processes import (process_from_dict, sample_marginal,
                                  simulate_sequence)
@@ -277,7 +277,7 @@ class TestScenarioAcceptanceConfig:
 
     def setup_method(self):
         self.program = default_scenario_program()
-        self.spec = default_ar1()
+        self.spec = process_from_dict(self.PROCESS)
         self.n = plan_n_margin(0.15, 0.1, 1.0, 10.0)
 
     def optimum(self, seed, replication=0):

@@ -19,7 +19,7 @@ from seqbounds.experiments import (_clipped_ray_risks, _linear_model_grid,
                                    _margin_empirical_risks, chaining_dominance,
                                    clipped_linear_risk,
                                    concentration_exactness,
-                                   default_ar1, default_scenario_program,
+                                   default_scenario_program,
                                    kernel_rad_bound,
                                    margin_linear_risk, margin_rad_coverage,
                                    mixing_tightness, quarter_lemma_grid,
@@ -199,7 +199,7 @@ def test_vc_statistic_is_the_supremum_over_each_cell():
     # Lhat is constant on each cell between sorted points, and L is
     # continuous and monotone on each side of b_star, so the supremum over
     # a cell is the larger of L at its two ends (-inf and +inf outside)
-    spec = default_ar1()
+    spec = ar1_process(0.8, 0.6, flip_p=0.1)
     result = vc_coverage(spec, n=2000, replications=1, delta=0.05,
                          seed=12345)
     path = simulate_sequence(spec, 2000, 12345, replication=0)
@@ -259,9 +259,14 @@ def dense_ray_risks(x, y, directions, radii, m_clip):
 
 def searchsorted_ray_risks(x, y, directions, radii, m_clip):
     """The per-direction sweep the paired one replaced: each row of
-    ``directions`` projected and binned on its own, by a search of radii."""
+    ``directions`` projected and binned on its own, by a search of radii.
+    Rows that no model clips add their moments to the last bin, as in the
+    paired sweep."""
     k, m = directions.shape[0], radii.size
-    p = x @ directions.T                                    # (n, k)
+    max_e = np.max(np.linalg.norm(directions, axis=1))
+    inner = (np.linalg.norm(x, axis=1) * (max_e * radii[-1])
+             < m_clip * (1 - 1e-9))
+    p = x[~inner] @ directions.T                            # (near rows, k)
     with np.errstate(divide="ignore"):
         reach = np.searchsorted(radii, m_clip / np.abs(p), side="right")
     reach += (m + 1) * np.arange(k)
@@ -277,9 +282,13 @@ def searchsorted_ray_risks(x, y, directions, radii, m_clip):
     def outside(c):     # points clipped at each radius
         return np.cumsum(c, axis=1)[:, :-1]
 
-    s_yp = inside(per_bin((y[:, None] * p).ravel()))
-    s_pp = inside(per_bin((p * p).ravel()))
-    s_ys = outside(per_bin(np.where(p < 0, -y[:, None], y[:, None]).ravel()))
+    x_in, y_near = x[inner], y[~inner][:, None]
+    bins_yp, bins_pp = per_bin((y_near * p).ravel()), per_bin((p * p).ravel())
+    bins_yp[:, m] += np.einsum("ij,j->i", directions, x_in.T @ y[inner])
+    bins_pp[:, m] += np.einsum("ij,jl,il->i", directions, x_in.T @ x_in,
+                               directions)
+    s_yp, s_pp = inside(bins_yp), inside(bins_pp)
+    s_ys = outside(per_bin(np.where(p < 0, -y_near, y_near).ravel()))
     n_out = outside(per_bin())
     total = (float(y @ y) - 2.0 * radii * s_yp + radii ** 2 * s_pp
              - 2.0 * m_clip * s_ys + m_clip ** 2 * n_out)
@@ -401,6 +410,45 @@ class TestGridSweeps:
         want = dense_ray_risks(x, y, np.vstack([directions, -directions]),
                                radii, m_clip)
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("grid", ["model_grid", "random_directions"])
+    @pytest.mark.parametrize("rows", ["both", "all_inner", "none_inner"])
+    def test_rows_at_the_inner_boundary(self, d, grid, rows):
+        # rows no model clips go in closed form when |x| max|e| R stays
+        # under M (1 - 1e-9); put rows a few ulp either side of that edge
+        # and of the clip edge M of the longest direction at the last
+        # radius, and near rows that the longest direction clips earlier
+        rng = np.random.default_rng([d, len(grid), len(rows)])
+        m_clip = 0.7
+        directions, radii = _linear_model_grid(d, 2.0, resolution=12)
+        if grid == "random_directions":
+            directions = rng.standard_normal((5, d))
+        norms = np.linalg.norm(directions, axis=1)
+        ulps = 1.0 + np.arange(-3, 4) * np.finfo(float).eps
+        edges = {"both": [1.0 - 1e-9, 1.0, 1.5, 4.0],
+                 "all_inner": [1.0 - 2e-9],
+                 "none_inner": [1.0 - 1e-9 + 1e-15, 1.0, 1.5, 4.0]}[rows]
+        lengths = np.outer(edges, ulps).ravel() * m_clip / (
+            norms.max() * radii[-1])
+        units = np.vstack([directions[np.argmax(norms)] / norms.max(),
+                           rng.standard_normal((3, d))])
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        x = np.vstack([np.outer(lengths, u)
+                       for u in np.vstack([units, -units])])
+        if rows == "all_inner":
+            x = np.vstack([x, np.zeros((1, d))])
+        y = rng.standard_normal(len(x))
+        inner = (np.linalg.norm(x, axis=1) * norms.max() * radii[-1]
+                 < m_clip * (1 - 1e-9))
+        assert {"both": 0 < inner.sum() < len(x), "all_inner": inner.all(),
+                "none_inner": not inner.any()}[rows]
+        got = _clipped_ray_risks(x, y, directions, radii, m_clip)
+        want = dense_ray_risks(x, y, np.vstack([directions, -directions]),
+                               radii, m_clip)
+        assert got.dtype == np.float64
+        assert got.shape == (2 * len(directions), radii.size)
+        assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_margin_coverage_statistics_match_dense(self):
         spec = ar1_process(0.8, 0.6, flip_p=0.1)

@@ -18,7 +18,6 @@ seqbounds.bounds.binomial_quarter_lemma_holds
 seqbounds.bounds.chaining_rad_upper
 seqbounds.classes.covering_number_exhaustive
 seqbounds.cli._config_error
-seqbounds.experiments.default_ar1
 seqbounds.scenario.__getattr__
 """
 
