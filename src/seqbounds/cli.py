@@ -44,13 +44,14 @@ EXIT_IO = 4
 
 ENV_OUT = "SEQBOUNDS_OUT"
 
-# every command reads these
+# every command reads these; ``threads`` is only checked and echoed (each
+# check runs its replications in order)
 _COMMON_KEYS = {"command", "seed", "threads"}
 
 # bound kind -> function in ``bounds``, plan method -> planner in
 # ``scenario``, validate experiment -> (function in ``experiments``, the
 # arguments its entry fixes): the config keys of each are its function's
-# parameters, less the fixed ones and the common ``seed`` and ``threads``.
+# parameters, less the fixed ones, plus the common keys.
 # Every function is looked up by name at call time, so a patched module
 # attribute is the one that runs.
 _BOUNDS = {"vc": "vc_bound", "vc_relative": "vc_relative_bound",
@@ -332,8 +333,6 @@ def main(argv=None) -> int:
                         help=f"output directory (default ${ENV_OUT} or ./seqbounds_out)")
     parser.add_argument("--replications", type=int,
                         help="override the config replication count")
-    parser.add_argument("--threads", type=int,
-                        help="override the config replication fan-out width")
     args = parser.parse_args(argv)
 
     if args.config is None:
@@ -349,8 +348,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     if isinstance(config, dict):    # run names any other value
         config.update((key, value) for key, value in (
-            ("seed", args.seed), ("replications", args.replications),
-            ("threads", args.threads)) if value is not None)
+            ("seed", args.seed), ("replications", args.replications))
+            if value is not None)
     return run(config, args.out)
 
 

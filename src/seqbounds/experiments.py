@@ -7,7 +7,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,20 +33,6 @@ class ExperimentResult:
     holds: bool = True
 
 
-def _pmap(fn, items, threads=1):
-    """[fn(i) for i in items], each of ``threads`` workers mapping one
-    contiguous chunk of the items."""
-    _check("threads", threads, 1, integer=True)
-    if threads == 1:
-        return [fn(i) for i in items]
-    items = list(items)
-    size = max(1, -(-len(items) // threads))
-    chunks = [items[k:k + size] for k in range(0, len(items), size)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        done = pool.map(lambda chunk: [fn(i) for i in chunk], chunks)
-        return [out for chunk in done for out in chunk]
-
-
 def _result(name, statistics, bounds, holds, summary, keep=None, seed=0):
     """The result of a check over cells: cell i is entry i, in flat order,
     of the arrays ``statistics``, ``bounds`` and ``holds`` (broadcast
@@ -65,13 +50,14 @@ def _result(name, statistics, bounds, holds, summary, keep=None, seed=0):
     return ExperimentResult(name, records, summary, bool(holds.all()))
 
 
-def _replicate(name, one, count, seed, threads, what="replications",
+def _replicate(name, one, count, seed, what="replications",
                holds=operator.le):
-    """The result of ``one(r) -> (statistic, bound)`` for r < count, with an
-    empty summary: replication r holds when ``holds(statistic, bound)``,
-    which compares the arrays of all replications."""
+    """The result of ``one(r) -> (statistic, bound)`` for r = 0, ..., count - 1
+    in order, with an empty summary: replication r holds when
+    ``holds(statistic, bound)``, which compares the arrays of all
+    replications."""
     _check(what, count, 1, integer=True)
-    statistics, bounds = np.array(_pmap(one, range(count), threads),
+    statistics, bounds = np.array([one(r) for r in range(count)],
                                   dtype=float).T
     return _result(name, statistics, bounds, holds(statistics, bounds), {},
                    seed=seed)
@@ -91,7 +77,7 @@ def _coverage(result, delta, summary):
 # VC coverage on the threshold class
 
 def vc_coverage(process: ProcessSpec, n: int, replications: int, delta: float,
-                seed: int, relative: bool = False, threads: int = 1) -> ExperimentResult:
+                seed: int, relative: bool = False) -> ExperimentResult:
     """Fraction of replications where the deviation supremum stays below
     the VC bound slack (additive bound) or the relative-deviation residual
     stays below its fast-rate term.
@@ -119,7 +105,7 @@ def vc_coverage(process: ProcessSpec, n: int, replications: int, delta: float,
         return float(np.max(risks - emps - 2.0 * np.sqrt(emps * c))), slack
 
     name = "relative_coverage" if relative else "vc_coverage"
-    return _coverage(_replicate(name, one, replications, seed, threads),
+    return _coverage(_replicate(name, one, replications, seed),
                      delta, {"n": n, "delta": delta, "slack": slack})
 
 
@@ -191,8 +177,8 @@ def _margin_empirical_risks(s, w, gamma):
 
 
 def margin_rad_coverage(process: ProcessSpec, gamma: float, radius: float,
-                        n: int, replications: int, delta: float, seed: int,
-                        threads: int = 1) -> ExperimentResult:
+                        n: int, replications: int, delta: float,
+                        seed: int) -> ExperimentResult:
     """Marginal Rademacher risk-bound coverage for the linear margin class
     {x -> w x, |w| <= radius} on 1-D threshold-labelled data, over 401
     models evenly spaced in [-radius, radius].
@@ -223,7 +209,7 @@ def margin_rad_coverage(process: ProcessSpec, gamma: float, radius: float,
         return float(np.max(risks - emp)), slack
 
     return _coverage(_replicate("margin_rad_coverage", one, replications,
-                                seed, threads),
+                                seed),
                      delta, {"slack": slack, "rad_upper": rbar, "n": n})
 
 
@@ -346,8 +332,8 @@ def _clipped_ray_risks(x, y, directions, radii, m_clip):
 
 
 def regression_coverage(process: ProcessSpec, m_clip: float, radius: float,
-                        n: int, replications: int, delta: float, seed: int,
-                        threads: int = 1) -> ExperimentResult:
+                        n: int, replications: int, delta: float,
+                        seed: int) -> ExperimentResult:
     """Coverage of the bounded-regression VC bound for linear models of the
     autoregressive system, checked over a grid of the coefficient ball.
 
@@ -385,7 +371,7 @@ def regression_coverage(process: ProcessSpec, m_clip: float, radius: float,
                    float(np.max(risks - emp))), slack
 
     return _coverage(_replicate("regression_coverage", one, replications,
-                                seed, threads),
+                                seed),
                      delta, {"slack": slack, "loss_range": b, "n": n})
 
 
@@ -393,7 +379,7 @@ def regression_coverage(process: ProcessSpec, m_clip: float, radius: float,
 # Symmetrization
 
 def symmetrization(process: ProcessSpec, n: int, epsilon: float,
-                   replications: int, seed: int, threads: int = 1) -> ExperimentResult:
+                   replications: int, seed: int) -> ExperimentResult:
     """Empirical check of the ghost-sample symmetrization inequality for
     the threshold class, with per-replication supremum records.
 
@@ -427,7 +413,7 @@ def symmetrization(process: ProcessSpec, n: int, epsilon: float,
     # a replication only counts against the inequality when the training
     # deviation event fires without the ghost-gap event
     result = _replicate(
-        "symmetrization", one, replications, seed, threads,
+        "symmetrization", one, replications, seed,
         holds=lambda d, g: ~((d >= epsilon) & (g < epsilon / 2.0)))
     records = result.records
     lhs = sum(rec["statistic"] >= epsilon for rec in records) / replications
@@ -447,8 +433,7 @@ def symmetrization(process: ProcessSpec, n: int, epsilon: float,
 
 def scenario_pac_coverage(program: scn.ScenarioProgramSpec,
                           process: ProcessSpec, epsilon: float, delta: float,
-                          replications: int, seed: int,
-                          threads: int = 1) -> ExperimentResult:
+                          replications: int, seed: int) -> ExperimentResult:
     """Frequency of replications whose certified solution violates a fresh
     marginal draw with probability above epsilon; should not exceed delta
     (plus Monte-Carlo slack).
@@ -470,7 +455,7 @@ def scenario_pac_coverage(program: scn.ScenarioProgramSpec,
 
     # an infeasible replication (rate -1) carries no guarantee
     result = _replicate("scenario_coverage", one, replications, seed,
-                        threads, holds=lambda vr, eps: (0 <= vr) & (vr <= eps))
+                        holds=lambda vr, eps: (0 <= vr) & (vr <= eps))
     records = result.records
     infeasible = sum(rec["statistic"] < 0 for rec in records)
     freq = sum(not rec["holds"] for rec in records) / replications
@@ -486,7 +471,7 @@ def scenario_pac_coverage(program: scn.ScenarioProgramSpec,
 # Kernel-ball Rademacher bound
 
 def kernel_rad_bound(instances: int, n: int, radius: float, m_clip: float,
-                     seed: int, threads: int = 1) -> ExperimentResult:
+                     seed: int) -> ExperimentResult:
     """Monte-Carlo kernel-ball Rademacher estimates (bandwidth 1, 128
     antithetic sign draws) stay below the worst-case closed form
     4 M radius / sqrt(n) on random standard normal 2-D point sets."""
@@ -499,8 +484,7 @@ def kernel_rad_bound(instances: int, n: int, radius: float, m_clip: float,
         est = empirical_rademacher(cls, pts, 128, seed + i)
         return est.value, cap
 
-    result = _replicate("kernel_rad_bound", one, instances, seed, threads,
-                        "instances")
+    result = _replicate("kernel_rad_bound", one, instances, seed, "instances")
     top = max(rec["statistic"] for rec in result.records)
     return replace(result, summary={"bound": cap, "max_estimate": top, "n": n})
 
@@ -508,8 +492,7 @@ def kernel_rad_bound(instances: int, n: int, radius: float, m_clip: float,
 # ---------------------------------------------------------------------------
 # Chaining dominance on small finite classes
 
-def chaining_dominance(instances: int, seed: int,
-                       threads: int = 1) -> ExperimentResult:
+def chaining_dominance(instances: int, seed: int) -> ExperimentResult:
     """Chaining with exhaustive covering numbers dominates the Monte-Carlo
     Rademacher estimate (minus 3 standard errors) on random finite classes
     of 2 to 12 functions on 16 points."""
@@ -527,8 +510,7 @@ def chaining_dominance(instances: int, seed: int,
         return est.value - 3.0 * est.std_error, chain
 
     return replace(
-        _replicate("chaining_dominance", one, instances, seed, threads,
-                   "instances"),
+        _replicate("chaining_dominance", one, instances, seed, "instances"),
         summary={"instances": instances, "n_points": n_points})
 
 

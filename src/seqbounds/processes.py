@@ -16,13 +16,13 @@ import os
 import stat
 import threading
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .bounds import (_SCALE_MAX, _as_floats, _check, _from_kind_dict,
-                     _set_floats)
+                     _parameters, _set_floats)
 
 _MASK64 = (1 << 64) - 1
 
@@ -35,6 +35,7 @@ def stream(seed: int, replication: int = 0, role: str = "path") -> np.random.Gen
     and sign vectors without sharing state.
     """
     _check("seed", seed, integer=True)
+    _check("replication", replication, 0, integer=True)
     key = (int(replication), zlib.crc32(role.encode("utf-8")))
     ss = np.random.SeedSequence(entropy=int(seed) & _MASK64, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
@@ -60,6 +61,15 @@ class ProcessSpec:
     def __post_init__(self):
         if self.kind not in _BUILDERS:
             raise ValueError(f"unknown process kind {self.kind!r}")
+        # a field set off its default must be a parameter of the kind's
+        # constructor: no other field reaches its path or its law
+        taken = _parameters(_BUILDERS[self.kind])[0] | {"kind"}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in taken and value is not f.default and \
+                    not np.array_equal(value, f.default):
+                raise ValueError(f"{f.name} is not a parameter of process "
+                                 f"kind {self.kind!r}")
         if self.kind == "iid_baseline" and self.dist not in ("normal", "uniform"):
             raise ValueError("iid_baseline dist must be 'normal' or 'uniform'")
         if self.kind == "ar_d_linear_system":

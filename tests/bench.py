@@ -19,12 +19,7 @@ numpy and scipy versions.  The suites:
   ``simulate`` of 100 steps of an AR(1) and an AR(2) process, which load the
   path filter).  All include the interpreter's start-up, timed alone as
   ``interpreter_s`` (``python -c pass``).
-- ``threads``: whole ``cli.run`` calls of the five cheap replicated
-  ``validate`` experiments at the configs of ``tests/digest_outputs.py``,
-  at one and at two threads (``scenario_coverage`` is left out: its LP
-  solves take seconds).  Each runs once untimed, so first imports fall
-  outside the timings.
-- ``scenario``: the mean time per call, at one thread, of library
+- ``scenario``: the mean time per call of library
   ``certify`` (margin method) of the 1-D box program on AR(1) paths
   (epsilon 0.15, 20,578 scenarios), of the two-piece 2-D box program on
   AR(2) paths (epsilon 0.3, 37,489 scenarios) and of the 1-D program over a
@@ -38,16 +33,15 @@ numpy and scipy versions.  The suites:
   149 (``ball_solve_ms``); and the wall time of a ``pytest`` run of the
   ``tests/test_scenario.py`` next to the ``seqbounds`` imported
   (``test_scenario_s``), so that each tree runs its own tests.  The LP is
-  the scenario module's ``_incremental_lp``, or ``_box_linprog`` (HiGHS)
-  in a tree that has it.
-- ``regression_sweep``: at one thread, ``_clipped_ray_risks`` on the
-  config's AR(2) paths (simulated once, untimed) and ``regression_coverage``.
-- ``capacity``: the mean time per call, at one thread, of
+  the scenario module's ``_incremental_lp``.
+- ``regression_sweep``: ``_clipped_ray_risks`` on the config's AR(2) paths
+  (simulated once, untimed) and ``regression_coverage``.
+- ``capacity``: the mean time per call of
   ``chaining_dominance`` at its ``tests/digest_outputs.py`` config,
   ``empirical_rademacher_exact`` of a 3-D linear ball on 16 normal points
   and ``concentration_exactness`` over its fixed grid.
 - ``cli``: what a ``cli.run`` adds to the work it wraps, as the mean time
-  per call at one thread: the ``scenario`` run of the 1-D box certificate
+  per call: the ``scenario`` run of the 1-D box certificate
   at its ``tests/digest_outputs.py`` config rerun into one directory (the
   output files are rewritten) and run into a new directory each call, the
   library ``certify`` call that the run makes, alone, and ``validate
@@ -139,29 +133,6 @@ def measure_import():
     return times
 
 
-THREADS_EXPERIMENTS = ("vc_coverage", "relative_coverage",
-                       "margin_rad_coverage", "regression_coverage",
-                       "symmetrization")
-
-
-def measure_threads():
-    times = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in THREADS_EXPERIMENTS:
-            for threads in (1, 2):
-                config = dict(DIGEST_CONFIGS[name], command="validate",
-                              experiment=name, threads=threads)
-                out = Path(tmp) / f"{name}_{threads}"
-
-                def run():
-                    if cli.run(config, out) != cli.EXIT_OK:
-                        raise SystemExit(f"{name}: run failed")
-
-                run()
-                times[f"{name}_threads{threads}_s"] = best_of(run)
-    return times
-
-
 SCENARIO_CONFIG = {"ar1": {"a": 0.8, "sigma": 0.6, "flip_p": 0.1},
                    "ar2": {"coefficients": [0.5, 0.2], "sigma": 1.0},
                    "delta": 0.1, "seed": 17, "calls": 20, "replications": 40,
@@ -217,9 +188,7 @@ def measure_scenario():
 def measure_lp(wide_box_seeds, ball_programs):
     from test_scenario import (TestCoupledRowsInAHugeBox, random_box_program,
                                random_cloud)
-    name = ("_box_linprog" if hasattr(scenario, "_box_linprog")
-            else "_incremental_lp")
-    lp = getattr(scenario, name)
+    lp = scenario._incremental_lp
     calls, spent = 0, 0.0
 
     def timed(*args, **kwargs):
@@ -230,7 +199,7 @@ def measure_lp(wide_box_seeds, ball_programs):
         finally:
             calls, spent = calls + 1, spent + time.perf_counter() - start
 
-    setattr(scenario, name, timed)
+    scenario._incremental_lp = timed
     try:
         for seed in range(wide_box_seeds):
             rng = np.random.default_rng(seed)
@@ -240,7 +209,7 @@ def measure_lp(wide_box_seeds, ball_programs):
             for mode in ("optimize", "feasibility"):
                 solve_margin_program(program, xs, mode=mode)
     finally:
-        setattr(scenario, name, lp)
+        scenario._incremental_lp = lp
     # the draws of TestBallPrograms.test_kkt_certificate, less p = 1
     solves = []
     for seed in range(ball_programs):
@@ -387,9 +356,6 @@ def measure_rad():
 # suite -> (the header of its file, less "repeats" and "runs"; its timings)
 SUITES = {
     "import": ({"configs": IMPORT_CONFIGS}, measure_import),
-    "threads": ({"configs": {name: DIGEST_CONFIGS[name]
-                             for name in THREADS_EXPERIMENTS}},
-                measure_threads),
     "scenario": ({"config": SCENARIO_CONFIG}, measure_scenario),
     "regression_sweep": ({"config": SWEEP_CONFIG}, measure_regression_sweep),
     "capacity": ({"config": CAPACITY_CONFIG}, measure_capacity),

@@ -1,8 +1,9 @@
 """Print the SHA-256 of every output file of the CLI ``validate`` runs at the
 acceptance configs of ``tests/test_acceptance.py``, one per experiment
 (``CONFIGS``), plus ``regression_coverage`` on an AR(2) system and
-``vc_coverage`` on two threads (whose ``records.csv`` must equal the
-one-thread run's, or the script stops), and of the ``scenario`` runs on the
+``vc_coverage`` with ``threads`` 2 in its config (an inert key: its
+``records.csv`` must equal the plain run's, or the script stops), and of the
+``scenario`` runs on the
 acceptance 1-D box program by both planning methods, on a variant whose psi
 depends on x over an x domain box, on the 1-D program over a ball, on a
 two-piece 2-D box program on the AR(2) system and on that program over a 2-D
@@ -227,7 +228,8 @@ COMMAND_CONFIGS = {
                          "epsilon": 0.3, "delta": 0.1,
                          "program": HULL_3D_PROGRAM, "process": AR3_SYSTEM,
                          "seed": 888},
-    # its records.csv must equal that of the one-thread run
+    # threads is checked and echoed only: its records.csv must equal that of
+    # the plain vc_coverage run
     "vc_coverage_threads_2": {"command": "validate",
                               "experiment": "vc_coverage",
                               **CONFIGS["vc_coverage"], "threads": 2},
@@ -255,7 +257,7 @@ def main():
             print_digests(name, out)
         if ((Path(tmp) / "vc_coverage_threads_2" / "records.csv").read_bytes()
                 != (Path(tmp) / "vc_coverage" / "records.csv").read_bytes()):
-            sys.exit("vc_coverage_threads_2: records differ from one thread's")
+            sys.exit("vc_coverage_threads_2: records differ from vc_coverage's")
         # the argument parser's path: a config file and two overrides
         name = "main_symmetrization"
         path, out = Path(tmp) / f"{name}.json", Path(tmp) / name

@@ -128,8 +128,7 @@ class TestRun:
     def test_validate_property_failure_exit_3(self, tmp_path, monkeypatch):
         from seqbounds.experiments import ExperimentResult
 
-        def failing(process, n, replications, delta, seed, relative,
-                    threads=1):
+        def failing(process, n, replications, delta, seed, relative):
             return ExperimentResult(name="vc_coverage",
                                     records=[{"replication": 0, "seed": 1,
                                               "statistic": 1.0, "bound": 0.5,
@@ -182,10 +181,11 @@ class TestValidateRegistry:
     def test_every_option_is_fixed_or_threads(self, experiment):
         # a check's config keys are its parameters: an option with a default
         # that its entry does not fix would be a key no config needs to set
+        # (so every option is fixed; no check takes threads)
         attr, fixed = cli._EXPERIMENTS[experiment]
         params = inspect.signature(getattr(xp, attr)).parameters.values()
         assert {p.name for p in params if p.default is not p.empty} <= \
-            {*fixed, "threads"}
+            set(fixed)
 
     def test_every_experiment_has_a_digest_config(self):
         # the digest is the equivalence gate: a check without a config there
@@ -212,14 +212,14 @@ class TestValidateRegistry:
     def test_calls_patched_experiment(self, tmp_path, monkeypatch,
                                       experiment, relative):
         # the tracer of perfbench patches module attributes, so the CLI must
-        # look the function up in ``experiments`` at call time
+        # look the function up in ``experiments`` at call time; a config's
+        # threads is checked and echoed, and not passed on
         from seqbounds import experiments
         calls = []
 
-        def patched(process, n, replications, delta, seed, relative,
-                    threads=1):
+        def patched(process, n, replications, delta, seed, relative):
             calls.append((process.kind, n, replications, delta, seed,
-                          relative, threads))
+                          relative))
             return experiments.ExperimentResult(name=experiment)
 
         monkeypatch.setattr(experiments, "vc_coverage", patched)
@@ -227,8 +227,8 @@ class TestValidateRegistry:
                   "process": AR1, "n": 100, "replications": 5, "delta": 0.05,
                   "seed": 4, "threads": 2}
         assert run(config, tmp_path / "out") == 0
-        assert calls == [("ar1_threshold_labels", 100, 5, 0.05, 4, relative,
-                          2)]
+        assert calls == [("ar1_threshold_labels", 100, 5, 0.05, 4, relative)]
+        assert read_summary(tmp_path / "out")["config"]["threads"] == 2
 
 
 _EMPTY_RUNS = [
@@ -374,16 +374,6 @@ class TestMain:
                      "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
 
-    def test_main_threads_override(self, tmp_path):
-        config = {"command": "validate", "experiment": "symmetrization",
-                  **CONFIGS["symmetrization"], "replications": 20,
-                  "threads": 1}
-        cfg = write_config(tmp_path, config)
-        out = tmp_path / "out"
-        assert main(["--config", str(cfg), "--out", str(out),
-                     "--threads", "2"]) == 0
-        assert read_summary(out)["config"]["threads"] == 2
-
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEQBOUNDS_OUT", str(tmp_path / "envout"))
         cfg = write_config(tmp_path, {"command": "plan", "method": "vc",
@@ -467,12 +457,10 @@ _SHRUNK = {"n": 200, "replications": 3, "instances": 3}
 
 def _numeric_paths(value, path=()):
     """Paths of the numeric leaves of a config, through nested objects and
-    lists; threads is left out so that no drawn value can ask for many
-    threads."""
+    lists."""
     if isinstance(value, dict):
         for key, v in value.items():
-            if key != "threads":
-                yield from _numeric_paths(v, path + (key,))
+            yield from _numeric_paths(v, path + (key,))
     elif isinstance(value, list):
         for i, v in enumerate(value):
             yield from _numeric_paths(v, path + (i,))
@@ -480,8 +468,9 @@ def _numeric_paths(value, path=()):
         yield path
 
 
+# every command also reads threads, which no base config sets
 _FUZZ_CASES = [(name, path) for name in CONFIGS
-               for path in _numeric_paths(CONFIGS[name])]
+               for path in [*_numeric_paths(CONFIGS[name]), ("threads",)]]
 
 
 def _all_finite(obj):
@@ -582,7 +571,7 @@ _COMMAND_BASES = {
 
 
 _COMMAND_CASES = [(name, path) for name, config in _COMMAND_BASES.items()
-                  for path in _numeric_paths(config)]
+                  for path in [*_numeric_paths(config), ("threads",)]]
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)
@@ -1017,20 +1006,29 @@ def test_binomial_tail_grid_loads_scipy_special_alone(tmp_path):
 
 
 def test_first_import_in_two_worker_threads():
-    # scipy's compiled linear filter is first loaded by the path
-    # simulations of both workers at once (scipy.special by the risk
-    # oracle, before the workers start); the records match those of one
-    # thread
-    records = pickle.loads(fresh_python("""
-        import json, pickle, sys
-        from seqbounds.experiments import vc_coverage
-        from seqbounds.processes import process_from_dict
-        assert "scipy.signal" not in sys.modules
-        assert "scipy.special" not in sys.modules
-        spec = process_from_dict(json.loads(sys.argv[1]))
-        result = vc_coverage(spec, 500, 16, 0.05, 12345, threads=2)
-        sys.stdout.buffer.write(pickle.dumps(result.records))
+    # two threads of a new interpreter draw their first AR(1) paths at once,
+    # so both ask for scipy's compiled linear filter before it is loaded;
+    # each path equals the one drawn on this thread
+    paths = pickle.loads(fresh_python("""
+        import json, pickle, sys, threading
+        from seqbounds import processes
+        assert processes._SIGTOOLS is None
+        spec = processes.process_from_dict(json.loads(sys.argv[1]))
+        start, paths = threading.Barrier(2), {}
+
+        def draw(r):
+            start.wait()
+            path = processes.simulate_sequence(spec, 500, 12345, r)
+            paths[r] = path.x, path.y
+
+        workers = [threading.Thread(target=draw, args=(r,)) for r in (0, 1)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        sys.stdout.buffer.write(pickle.dumps(paths))
         """, json.dumps(AR1)))
-    one = xp.vc_coverage(process_from_dict(AR1), 500, 16, 0.05, 12345,
-                         threads=1)
-    assert records == one.records
+    assert sorted(paths) == [0, 1]
+    for r, (x, y) in paths.items():
+        path = simulate_sequence(process_from_dict(AR1), 500, 12345, r)
+        assert np.array_equal(x, path.x) and np.array_equal(y, path.y)

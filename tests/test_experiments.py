@@ -1,6 +1,5 @@
 import inspect
 import math
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -131,30 +130,6 @@ class TestCoverageExperiments:
         assert result.holds
         assert result.summary["holds_fraction"] >= 0.95
         assert len(result.records) == 200
-
-    def test_threads_do_not_change_results(self):
-        spec = ar1_process(0.8, 0.6, flip_p=0.1)
-        a = vc_coverage(spec, n=300, replications=20, delta=0.05, seed=5,
-                        threads=1)
-        b = vc_coverage(spec, n=300, replications=20, delta=0.05, seed=5,
-                        threads=4)
-        assert [r["statistic"] for r in a.records] == \
-            [r["statistic"] for r in b.records]
-        ar2 = ar_process([0.5, 0.2], 1.0)
-        program = one_dim_threshold_program(theta_lo=-6.0, theta_hi=6.0,
-                                            margin=1.0)
-        for run in (
-                partial(regression_coverage, ar2, m_clip=1.0, radius=2.0,
-                        n=200, replications=6, delta=0.05, seed=5),
-                partial(margin_rad_coverage, spec, 0.5, 1.0, n=200,
-                        replications=6, delta=0.05, seed=5),
-                partial(symmetrization, spec, n=200, epsilon=0.2,
-                        replications=6, seed=5),
-                partial(scenario_pac_coverage, program, spec, epsilon=0.3,
-                        delta=0.2, replications=6, seed=5)):
-            one, two = run(threads=1), run(threads=2)
-            assert repr(one.records) == repr(two.records)
-            assert repr(one.summary) == repr(two.summary)
 
     def test_rate_scaling_records(self):
         result = relative_rate_scaling()
@@ -624,6 +599,11 @@ def test_chaining_dominance_one_distance_matrix_per_instance(monkeypatch):
     (LossSpec, {"lipschitz_link"}),
     (TauLambdaReport, {"method"}),
     (FunctionClassDescriptor, {"functions", "vc_dim"}),
+    # replications run in order: no check fans them out to threads
+    *((check, {"threads"}) for check in (
+        vc_coverage, margin_rad_coverage, regression_coverage,
+        symmetrization, scenario_pac_coverage, kernel_rad_bound,
+        chaining_dominance)),
 ])
 def test_options_no_caller_sets_are_gone(call, removed):
     # each took one value from every caller (its literal is in the body

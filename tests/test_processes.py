@@ -9,7 +9,7 @@ from scipy import signal, stats
 from seqbounds.estimators import (sup_deviation, threshold_ghost_gap,
                                   threshold_risk_oracle)
 from seqbounds import processes
-from seqbounds.processes import (_CSV_CHUNK_ROWS, SequenceSample,
+from seqbounds.processes import (_CSV_CHUNK_ROWS, ProcessSpec, SequenceSample,
                                  _ar_cholesky, ar1_process, ar_process,
                                  iid_process, markov_binary_process,
                                  process_from_dict, sample_marginal,
@@ -42,6 +42,17 @@ class TestSeeding:
     def test_stream_reproducible(self):
         assert np.array_equal(stream(9, 3, "signs").standard_normal(4),
                               stream(9, 3, "signs").standard_normal(4))
+
+    @pytest.mark.parametrize("replication", [1.7, "2", None, -1])
+    @pytest.mark.parametrize("draw", [
+        lambda r: stream(9, r),
+        lambda r: simulate_sequence(ar1_process(0.5, 1.0), 5, 9, r),
+        lambda r: sample_marginal(ar1_process(0.5, 1.0), 5, 9, r)],
+        ids=["stream", "simulate_sequence", "sample_marginal"])
+    def test_replication_is_checked_by_name(self, draw, replication):
+        # int() would turn 1.7 into replication 1 and "2" into 2
+        with pytest.raises(ValueError, match="^replication "):
+            draw(replication)
 
 
 class TestAr1:
@@ -353,6 +364,30 @@ class TestValidationAndExport:
         reference(sample, tmp_path / "ref.csv")
         assert (tmp_path / "fast.csv").read_bytes() == \
             (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("kind, fields, stray", [
+        ("ar1_threshold_labels", {"a": 0.5, "sigma": 1.0, "mean": 3.0,
+                                  "clip_radius": 0.1, "rho": 0.3},
+         "clip_radius"),
+        ("ar1_threshold_labels", {"a": 0.5, "sigma": 1.0, "mean": 3.0},
+         "mean"),
+        ("ar_d_linear_system", {"coefficients": (0.5,), "sigma": 1.0,
+                                "b_star": 0.2}, "b_star"),
+        ("markov_binary", {"rho": 0.3, "sigma": 1.0}, "sigma"),
+        ("markov_binary", {"rho": 0.3, "coefficients": [0.0, 0.0]},
+         "coefficients"),
+    ])
+    def test_field_off_its_kind_is_rejected_by_name(self, kind, fields,
+                                                    stray):
+        # the kind's constructor does not take it, so it would reach neither
+        # the path nor the law of the process
+        with pytest.raises(ValueError, match=f"^{stray} is not a parameter"):
+            ProcessSpec(kind=kind, **fields)
+
+    def test_fields_at_their_defaults_are_accepted(self):
+        spec = ProcessSpec(kind="ar1_threshold_labels", a=0.5, sigma=1.0,
+                           mean=0, coefficients=None)
+        assert spec == ar1_process(0.5, 1.0)
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError):
