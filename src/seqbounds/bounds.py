@@ -35,6 +35,8 @@ _SCALE_MAX = 1e50
 # Largest accepted loss range, and Rademacher term of a loss class: the range
 # of the squared loss clipped at the largest scale.
 _RANGE_MAX = 4.0 * _SCALE_MAX ** 2
+# JSON's true and false, which float() and operator.index() read as numbers
+_BOOL_TYPES = frozenset((bool, np.bool_))
 
 
 def _check(name, value, lo=-math.inf, hi=math.inf, *, lo_open=False,
@@ -46,10 +48,12 @@ def _check(name, value, lo=-math.inf, hi=math.inf, *, lo_open=False,
     float can hold, so that no float (1e308, say) ever sizes an array and
     no calculator overflows converting one.  Any value must be a real
     number that a float can hold, even where an end of the interval is
-    infinite."""
+    infinite, and not a bool, which JSON spells true or false."""
     if value is None:
         raise ValueError(f"{name} is missing")
     try:
+        if type(value) in _BOOL_TYPES:     # neither type can be subclassed
+            raise TypeError
         float(operator.index(value) if integer else value)
         if ((lo < value) if lo_open else (lo <= value)) and \
                 ((value < hi) if hi_open else (value <= hi)):

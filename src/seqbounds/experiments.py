@@ -6,8 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,11 +32,13 @@ class ExperimentResult:
     holds: bool = True
 
 
-def _result(name, statistics, bounds, holds, summary, keep=None, seed=0):
+def _result(name, statistics, bounds, holds, summary, passed=None,
+            keep=None, seed=0):
     """The result of a check over cells: cell i is entry i, in flat order,
     of the arrays ``statistics``, ``bounds`` and ``holds`` (broadcast
     together).  Each cell, or each where the mask ``keep`` is true, gets a
-    record; the check holds when every cell holds."""
+    record.  The check holds when ``passed``, or when every cell holds if
+    that is None."""
     statistics, bounds, holds = (
         a.ravel() for a in np.broadcast_arrays(statistics, bounds, holds))
     cells = np.arange(holds.size) if keep is None else np.flatnonzero(keep)
@@ -47,30 +48,25 @@ def _result(name, statistics, bounds, holds, summary, keep=None, seed=0):
         for i, s, b, h in zip(cells.tolist(), statistics[cells].tolist(),
                               bounds[cells].tolist(), holds[cells].tolist())
     ]
-    return ExperimentResult(name, records, summary, bool(holds.all()))
+    return ExperimentResult(name, records, summary,
+                            bool(holds.all() if passed is None else passed))
 
 
-def _replicate(name, one, count, seed, what="replications",
-               holds=operator.le):
-    """The result of ``one(r) -> (statistic, bound)`` for r = 0, ..., count - 1
-    in order, with an empty summary: replication r holds when
-    ``holds(statistic, bound)``, which compares the arrays of all
-    replications."""
+def _replicate(one, count, what="replications"):
+    """The statistics and the bounds of ``one(r) -> (statistic, bound)`` for
+    r = 0, ..., count - 1, run in order: two arrays of count floats."""
     _check(what, count, 1, integer=True)
-    statistics, bounds = np.array([one(r) for r in range(count)],
-                                  dtype=float).T
-    return _result(name, statistics, bounds, holds(statistics, bounds), {},
-                   seed=seed)
+    return np.array([one(r) for r in range(count)], dtype=float).T
 
 
-def _coverage(result, delta, summary):
-    """A coverage check's result: it holds when at least 1 - delta of the
-    replications hold."""
-    frac = float(np.mean([rec["holds"] for rec in result.records]))
-    return replace(
-        result,
-        summary={"holds_fraction": frac, "target": 1.0 - delta, **summary},
-        holds=frac >= 1.0 - delta)
+def _coverage(name, statistics, bounds, delta, seed, summary):
+    """A coverage check's result: replication r holds when its statistic is
+    at most its bound, and the check when at least 1 - delta of them do."""
+    holds = statistics <= bounds
+    frac = float(np.mean(holds))
+    return _result(name, statistics, bounds, holds,
+                   {"holds_fraction": frac, "target": 1.0 - delta, **summary},
+                   frac >= 1.0 - delta, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +101,8 @@ def vc_coverage(process: ProcessSpec, n: int, replications: int, delta: float,
         return float(np.max(risks - emps - 2.0 * np.sqrt(emps * c))), slack
 
     name = "relative_coverage" if relative else "vc_coverage"
-    return _coverage(_replicate(name, one, replications, seed),
-                     delta, {"n": n, "delta": delta, "slack": slack})
+    return _coverage(name, *_replicate(one, replications), delta, seed,
+                     {"n": n, "delta": delta, "slack": slack})
 
 
 def relative_rate_scaling() -> ExperimentResult:
@@ -208,9 +204,8 @@ def margin_rad_coverage(process: ProcessSpec, gamma: float, radius: float,
         emp = _margin_empirical_risks(path.y * path.x, grid, gamma)
         return float(np.max(risks - emp)), slack
 
-    return _coverage(_replicate("margin_rad_coverage", one, replications,
-                                seed),
-                     delta, {"slack": slack, "rad_upper": rbar, "n": n})
+    return _coverage("margin_rad_coverage", *_replicate(one, replications),
+                     delta, seed, {"slack": slack, "rad_upper": rbar, "n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +365,8 @@ def regression_coverage(process: ProcessSpec, m_clip: float, radius: float,
         return max(float(risk_origin - np.mean(path.y ** 2)),
                    float(np.max(risks - emp))), slack
 
-    return _coverage(_replicate("regression_coverage", one, replications,
-                                seed),
-                     delta, {"slack": slack, "loss_range": b, "n": n})
+    return _coverage("regression_coverage", *_replicate(one, replications),
+                     delta, seed, {"slack": slack, "loss_range": b, "n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -410,22 +404,20 @@ def symmetrization(process: ProcessSpec, n: int, epsilon: float,
         ghost = sample_marginal(process, n, seed, replication=r)
         return sup_deviation(train, oracle), threshold_ghost_gap(train, ghost)
 
-    # a replication only counts against the inequality when the training
-    # deviation event fires without the ghost-gap event
-    result = _replicate(
-        "symmetrization", one, replications, seed,
-        holds=lambda d, g: ~((d >= epsilon) & (g < epsilon / 2.0)))
-    records = result.records
-    lhs = sum(rec["statistic"] >= epsilon for rec in records) / replications
-    rhs = sum(rec["bound"] >= epsilon / 2.0 for rec in records) / replications
+    deviations, gaps = _replicate(one, replications)
+    lhs_events, rhs_events = deviations >= epsilon, gaps >= epsilon / 2.0
+    lhs = np.count_nonzero(lhs_events) / replications
+    rhs = np.count_nonzero(rhs_events) / replications
     lhs_se = math.sqrt(lhs * (1 - lhs) / replications)
     rhs_se = math.sqrt(rhs * (1 - rhs) / replications)
     combined = math.sqrt(lhs_se ** 2 + 4.0 * rhs_se ** 2)
-    return replace(
-        result,
-        summary={"lhs_freq": lhs, "rhs_freq": rhs, "combined_se": combined,
-                 "epsilon": epsilon, "n": n},
-        holds=lhs <= 2.0 * rhs + 3.0 * combined)
+    # a replication only counts against the inequality when the training
+    # deviation event fires without the ghost-gap event
+    return _result("symmetrization", deviations, gaps,
+                   ~lhs_events | rhs_events,
+                   {"lhs_freq": lhs, "rhs_freq": rhs, "combined_se": combined,
+                    "epsilon": epsilon, "n": n},
+                   lhs <= 2.0 * rhs + 3.0 * combined, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -453,18 +445,16 @@ def scenario_pac_coverage(program: scn.ScenarioProgramSpec,
         return violation_rate(np.asarray(cert.theta_hat), program,
                               ghost), epsilon
 
+    rates, bounds = _replicate(one, replications)
     # an infeasible replication (rate -1) carries no guarantee
-    result = _replicate("scenario_coverage", one, replications, seed,
-                        holds=lambda vr, eps: (0 <= vr) & (vr <= eps))
-    records = result.records
-    infeasible = sum(rec["statistic"] < 0 for rec in records)
-    freq = sum(not rec["holds"] for rec in records) / replications
+    holds = (0 <= rates) & (rates <= bounds)
+    freq = np.count_nonzero(~holds) / replications
     threshold = delta + 3.0 * math.sqrt(delta * (1 - delta) / replications)
-    return replace(
-        result,
-        summary={"exceed_frequency": freq, "threshold": threshold,
-                 "infeasible": infeasible, "epsilon": epsilon, "delta": delta},
-        holds=freq <= threshold)
+    return _result("scenario_coverage", rates, bounds, holds,
+                   {"exceed_frequency": freq, "threshold": threshold,
+                    "infeasible": np.count_nonzero(rates < 0),
+                    "epsilon": epsilon, "delta": delta},
+                   freq <= threshold, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +474,10 @@ def kernel_rad_bound(instances: int, n: int, radius: float, m_clip: float,
         est = empirical_rademacher(cls, pts, 128, seed + i)
         return est.value, cap
 
-    result = _replicate("kernel_rad_bound", one, instances, seed, "instances")
-    top = max(rec["statistic"] for rec in result.records)
-    return replace(result, summary={"bound": cap, "max_estimate": top, "n": n})
+    estimates, caps = _replicate(one, instances, "instances")
+    return _result("kernel_rad_bound", estimates, caps, estimates <= caps,
+                   {"bound": cap, "max_estimate": float(estimates.max()),
+                    "n": n}, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +500,10 @@ def chaining_dominance(instances: int, seed: int) -> ExperimentResult:
         est = _sign_average(_finite_sup(values), n_points, 300, seed + i)
         return est.value - 3.0 * est.std_error, chain
 
-    return replace(
-        _replicate("chaining_dominance", one, instances, seed, "instances"),
-        summary={"instances": instances, "n_points": n_points})
+    estimates, chains = _replicate(one, instances, "instances")
+    return _result("chaining_dominance", estimates, chains,
+                   estimates <= chains,
+                   {"instances": instances, "n_points": n_points}, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +533,10 @@ def mixing_tightness() -> ExperimentResult:
         tiny += bnd.mixing_reference_bound(0.0, rad_mu, 1.0, mu, a, beta,
                                            1e-9) is not None
     marginal, mixing = np.array(marginal), np.array(mixing)
-    result = _result("mixing_tightness", marginal, mixing, marginal < mixing,
-                     {"cells": marginal.size, "tiny_delta_applicable": tiny})
-    return replace(result, holds=result.holds and tiny == 0)
+    holds = marginal < mixing
+    return _result("mixing_tightness", marginal, mixing, holds,
+                   {"cells": marginal.size, "tiny_delta_applicable": tiny},
+                   holds.all() and tiny == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +563,7 @@ def concentration_exactness() -> ExperimentResult:
     keep = ~holds
     keep[..., [0, -1]] = True
     return _result("concentration_exactness", tail, bound, holds,
-                   {"cells": tail.size, "n_max": n_max}, keep)
+                   {"cells": tail.size, "n_max": n_max}, keep=keep)
 
 
 def quarter_lemma_grid() -> ExperimentResult:
@@ -585,7 +578,7 @@ def quarter_lemma_grid() -> ExperimentResult:
     ps = p_grid[cols]
     holds = bnd._binomial_tail(ms[rows], ps, 0.0, False) > 0.25
     return _result("quarter_lemma_grid", ps, 0.25, holds,
-                   {"cells": rows.size, "m_max": m_max}, ~holds)
+                   {"cells": rows.size, "m_max": m_max}, keep=~holds)
 
 
 # ---------------------------------------------------------------------------

@@ -86,14 +86,16 @@ class ProcessSpec:
         if self.kind == "ar1_threshold_labels":
             _check("a", self.a, -1, 1, lo_open=True, hi_open=True)
         # the spread of the marginal: rho for the binary chain, the support
-        # for the uniform baseline and the noise level sigma otherwise
+        # for the uniform baseline and the noise level sigma otherwise, at
+        # least 1e-50 (1 / _SCALE_MAX) so that sigma^2 and the stationary
+        # variance stay normal floats
         if self.kind == "markov_binary":
             _check("rho", self.rho, 0, 1, hi_open=True)
         elif self.dist == "uniform":
             _check("low", self.low, -_SCALE_MAX, _SCALE_MAX)
             _check("high", self.high, self.low, _SCALE_MAX, lo_open=True)
         else:
-            _check("sigma", self.sigma, 0, _SCALE_MAX, lo_open=True)
+            _check("sigma", self.sigma, 1e-50, _SCALE_MAX)
         if self.kind in ("ar1_threshold_labels", "iid_baseline"):
             _check("mean", self.mean, -_SCALE_MAX, _SCALE_MAX)
             _check("b_star", self.b_star, lo_open=True, hi_open=True)
@@ -149,14 +151,11 @@ _BUILDERS = {"ar1_threshold_labels": ar1_process,
 
 @dataclass(frozen=True)
 class SequenceSample:
-    """One simulated path: ordered pairs (x_i, y_i) plus its provenance
-    (y is None when drawn with ``labels=False``)."""
+    """Ordered pairs (x_i, y_i): a simulated path or a ghost sample (y is
+    None when drawn with ``labels=False``)."""
 
     x: np.ndarray
     y: np.ndarray
-    seed: int
-    replication: int
-    process: str
 
     def __len__(self):
         return self.x.shape[0]
@@ -176,21 +175,22 @@ class MarginalLaw:
 
 def stationary_params(spec: ProcessSpec) -> MarginalLaw:
     """Stationary marginal law of the x-component."""
-    if spec.kind == "ar1_threshold_labels":
-        v = spec.sigma ** 2 / (1.0 - spec.a ** 2)
-        return MarginalLaw(kind="normal", mean=0.0, variance=v)
     if spec.kind == "markov_binary":
         return MarginalLaw(kind="binary_uniform")
     if spec.kind == "ar_d_linear_system":
         cov = _lyapunov_covariance(spec.coefficients, spec.sigma)
         return MarginalLaw(kind="multivariate_normal", covariance=cov)
-    if spec.kind == "iid_baseline":
-        if spec.dist == "normal":
-            return MarginalLaw(kind="normal", mean=spec.mean,
-                               variance=spec.sigma ** 2)
+    if spec.dist == "uniform":
         return MarginalLaw(kind="uniform", low=spec.low, high=spec.high,
                            mean=(spec.low + spec.high) / 2.0)
-    raise ValueError(f"no stationary law for kind {spec.kind!r}")
+    return MarginalLaw(kind="normal", mean=spec.mean, variance=_variance(spec))
+
+
+def _variance(spec):
+    """Stationary variance of x for the AR(1) path and the normal baseline."""
+    if spec.kind == "ar1_threshold_labels":
+        return spec.sigma ** 2 / (1.0 - spec.a ** 2)
+    return spec.sigma ** 2
 
 
 def _lyapunov_covariance(coefficients, sigma):
@@ -266,12 +266,37 @@ def _filter(a, x, zi):
     return y
 
 
-def _threshold_labels(x, b_star, flip_p, rng):
-    signs = np.where(x >= b_star, 1.0, -1.0)
-    if flip_p > 0:
-        flips = rng.random(x.shape[0]) < flip_p
+def _threshold_labels(x, spec, rng):
+    signs = np.where(x >= spec.b_star, 1.0, -1.0)
+    if spec.flip_p > 0:
+        flips = rng.random(x.shape[0]) < spec.flip_p
         signs = signs * np.where(flips, -1.0, 1.0)
     return signs
+
+
+def _marginal_draws(spec, m, rng, labels):
+    """m independent draws of (x, y) from the stationary marginal of
+    ``spec``, taken from ``rng``: labels are drawn after x, and y is None
+    without them.  An AR(d) draw scales each row of x onto the clip ball
+    if it lies outside."""
+    y = None
+    if spec.kind == "markov_binary":
+        x = np.where(rng.random(m) < 0.5, 1.0, -1.0)
+        return x, (x.copy() if labels else None)
+    if spec.kind == "ar_d_linear_system":
+        theta = np.asarray(spec.coefficients, dtype=float)
+        chol = _ar_cholesky(spec.coefficients, spec.sigma)
+        g = rng.standard_normal((m, theta.size)) @ chol.T
+        if labels:
+            y = g @ theta + rng.normal(0.0, spec.sigma, m)
+        return _clip_rows(g, spec.clip_radius), y
+    if spec.dist == "uniform":
+        x = rng.uniform(spec.low, spec.high, m)
+    else:
+        x = rng.normal(spec.mean, np.sqrt(_variance(spec)), m)
+    if labels:
+        y = _threshold_labels(x, spec, rng)
+    return x, y
 
 
 def simulate_sequence(spec: ProcessSpec, n: int, seed: int,
@@ -279,41 +304,28 @@ def simulate_sequence(spec: ProcessSpec, n: int, seed: int,
                       labels: bool = True) -> SequenceSample:
     """Length-n path started from the stationary law (bit-reproducible).
 
-    With ``labels=False`` no label is drawn and y is None.  Labels are drawn
+    The path stream first draws from the stationary marginal, as the ghost
+    sampler does (``_marginal_draws``): the whole path of the i.i.d.
+    baseline, x_1 of the Markov path and the x_0 that the AR(1) recursion
+    continues.  An AR(d) path draws its unclipped start state itself.  With
+    ``labels=False`` no label is drawn and y is None.  Labels are drawn
     after x from the same stream, so x keeps its bits either way.
     """
     _check("n", n, 1, integer=True)
     rng = stream(seed, replication, "path")
-    y = None
-    if spec.kind == "ar1_threshold_labels":
-        v = spec.sigma ** 2 / (1.0 - spec.a ** 2)
-        x0 = rng.normal(0.0, np.sqrt(v))
-        eps = rng.normal(0.0, spec.sigma, n)
-        x = _filter([1.0, -spec.a], eps, [spec.a * x0])
-        if labels:
-            y = _threshold_labels(x, spec.b_star, spec.flip_p, rng)
-    elif spec.kind == "ar_d_linear_system":
-        x, ys = _simulate_ar_d(spec, n, rng)
-        if labels:
-            y = ys
-    elif spec.kind == "markov_binary":
-        s0 = 1.0 if rng.random() < 0.5 else -1.0
-        switch = rng.random(n - 1) < (1.0 - spec.rho) / 2.0 if n > 1 else np.array([])
-        steps = np.concatenate(([s0], np.where(switch, -1.0, 1.0)))
-        x = np.cumprod(steps)
-        if labels:
-            y = x.copy()
-    elif spec.kind == "iid_baseline":
-        if spec.dist == "normal":
-            x = rng.normal(spec.mean, spec.sigma, n)
-        else:
-            x = rng.uniform(spec.low, spec.high, n)
-        if labels:
-            y = _threshold_labels(x, spec.b_star, spec.flip_p, rng)
-    else:
-        raise ValueError(f"cannot simulate kind {spec.kind!r}")
-    return SequenceSample(x=x, y=y, seed=int(seed), replication=int(replication),
-                          process=spec.kind)
+    if spec.kind == "iid_baseline":
+        return SequenceSample(*_marginal_draws(spec, n, rng, labels))
+    if spec.kind == "ar_d_linear_system":
+        x, y = _simulate_ar_d(spec, n, rng)
+        return SequenceSample(x, y if labels else None)
+    x0, _ = _marginal_draws(spec, 1, rng, False)
+    if spec.kind == "markov_binary":
+        switch = rng.random(n - 1) < (1.0 - spec.rho) / 2.0
+        x = np.cumprod(np.concatenate((x0, np.where(switch, -1.0, 1.0))))
+        return SequenceSample(x, x.copy() if labels else None)
+    x = _filter([1.0, -spec.a], rng.normal(0.0, spec.sigma, n), spec.a * x0)
+    return SequenceSample(x, _threshold_labels(x, spec, rng) if labels
+                          else None)
 
 
 def _simulate_ar_d(spec, n, rng):
@@ -352,38 +364,14 @@ def sample_marginal(spec: ProcessSpec, m: int, seed: int,
 
     This is the ghost sample: entry i is distributed like z_i of a path
     but the draws are independent of each other and of every path stream.
-    With ``labels=False`` no label is drawn and y is None; labels are drawn
-    after x from the same stream, so x keeps its bits either way.
+    They come from the sampler that starts each path (``_marginal_draws``)
+    on the replication's ghost stream.  With ``labels=False`` no label is
+    drawn and y is None; labels are drawn after x from the same stream, so
+    x keeps its bits either way.
     """
     _check("m", m, 0, integer=True)
-    rng = stream(seed, replication, "ghost")
-    y = None
-    if spec.kind == "ar1_threshold_labels" or (
-        spec.kind == "iid_baseline" and spec.dist == "normal"
-    ):
-        law = stationary_params(spec)
-        x = rng.normal(law.mean, np.sqrt(law.variance), m)
-        if labels:
-            y = _threshold_labels(x, spec.b_star, spec.flip_p, rng)
-    elif spec.kind == "iid_baseline":
-        x = rng.uniform(spec.low, spec.high, m)
-        if labels:
-            y = _threshold_labels(x, spec.b_star, spec.flip_p, rng)
-    elif spec.kind == "markov_binary":
-        x = np.where(rng.random(m) < 0.5, 1.0, -1.0)
-        if labels:
-            y = x.copy()
-    elif spec.kind == "ar_d_linear_system":
-        theta = np.asarray(spec.coefficients, dtype=float)
-        chol = _ar_cholesky(spec.coefficients, spec.sigma)
-        g = rng.standard_normal((m, theta.size)) @ chol.T
-        if labels:
-            y = g @ theta + rng.normal(0.0, spec.sigma, m)
-        x = _clip_rows(g, spec.clip_radius)
-    else:
-        raise ValueError(f"no marginal sampler for kind {spec.kind!r}")
-    return SequenceSample(x=x, y=y, seed=int(seed), replication=int(replication),
-                          process=spec.kind + ":ghost")
+    return SequenceSample(*_marginal_draws(
+        spec, m, stream(seed, replication, "ghost"), labels))
 
 
 def _write_text(path, chunks):

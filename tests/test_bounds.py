@@ -667,4 +667,10 @@ class TestCheck:
 
     def test_integer_accepts_numpy_integers(self):
         _check("n", np.int64(5), 1, integer=True)
-        _check("n", True, 1, integer=True)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+    @pytest.mark.parametrize("integer", [True, False])
+    def test_bools_are_no_numbers(self, value, integer):
+        # a config's true is not 1: it would size an array or seed a stream
+        with pytest.raises(ValueError, match=r"^n must be .*got (True|False)$"):
+            _check("n", value, integer=integer)

@@ -484,8 +484,10 @@ def _all_finite(obj):
     return obj not in ("nan", "inf", "-inf")
 
 
-# 10**400 is an int past the float range, and "abc" a number as text
-_FUZZ_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 1e308, 10 ** 400, "abc"]
+# 10**400 is an int past the float range, "abc" a number as text and True a
+# bool, which Python would read as 1
+_FUZZ_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 1e308, 10 ** 400, "abc",
+                True]
 
 
 def _validate_base(name):

@@ -23,8 +23,7 @@ from seqbounds.scenario import one_dim_threshold_program
 
 
 def make_sample(x, y):
-    return SequenceSample(x=np.asarray(x, float), y=np.asarray(y, float),
-                          seed=0, replication=0, process="manual")
+    return SequenceSample(x=np.asarray(x, float), y=np.asarray(y, float))
 
 
 def brute_ghost_gap(train, ghost):

@@ -26,8 +26,9 @@ from seqbounds.experiments import (_clipped_ray_risks, _linear_model_grid,
                                    scenario_pac_coverage, symmetrization,
                                    vc_coverage)
 from seqbounds.losses import LossSpec
-from seqbounds.processes import (ar1_process, ar_process, sample_marginal,
-                                 simulate_sequence, stationary_params, stream)
+from seqbounds.processes import (SequenceSample, ar1_process, ar_process,
+                                 sample_marginal, simulate_sequence,
+                                 stationary_params, stream)
 from seqbounds.scenario import (TauLambdaReport, certify,
                                 one_dim_threshold_program,
                                 solve_margin_program)
@@ -604,6 +605,8 @@ def test_chaining_dominance_one_distance_matrix_per_instance(monkeypatch):
         vc_coverage, margin_rad_coverage, regression_coverage,
         symmetrization, scenario_pac_coverage, kernel_rad_bound,
         chaining_dominance)),
+    # a sample's provenance fields, which nothing read
+    (SequenceSample, {"seed", "replication", "process"}),
 ])
 def test_options_no_caller_sets_are_gone(call, removed):
     # each took one value from every caller (its literal is in the body

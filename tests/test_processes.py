@@ -273,6 +273,71 @@ EVERY_KIND = [
 ]
 
 
+class TestMarginalStart:
+    """A path's first draw on its stream is the ghost sampler's draw: the
+    whole i.i.d. path, and the start state of the AR(1) and Markov paths.
+    An AR(d) path draws its own unclipped start state."""
+
+    @pytest.mark.parametrize("spec", [
+        s for s in EVERY_KIND if s.kind != "ar_d_linear_system"],
+        ids=lambda s: s.dist or s.kind)
+    def test_length_one_path_is_a_marginal_draw(self, spec):
+        for replication, labels in [(0, True), (3, True), (1, False)]:
+            rng = stream(8, replication, "path")
+            if spec.kind != "ar1_threshold_labels":
+                x, y = processes._marginal_draws(spec, 1, rng, labels)
+            else:   # x_1 = a x_0 + eps_1 continues the stationary x_0
+                x0, _ = processes._marginal_draws(spec, 1, rng, False)
+                x = spec.a * x0 + rng.normal(0.0, spec.sigma, 1)
+                y = processes._threshold_labels(x, spec, rng) if labels \
+                    else None
+            path = simulate_sequence(spec, 1, 8, replication=replication,
+                                     labels=labels)
+            assert path.x.tobytes() == x.tobytes()
+            assert (path.y is None and y is None) or \
+                path.y.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        s for s in EVERY_KIND if s.kind == "iid_baseline"],
+        ids=lambda s: s.dist)
+    def test_iid_path_is_a_marginal_draw(self, spec):
+        x, y = processes._marginal_draws(spec, 500, stream(8, 2, "path"), True)
+        path = simulate_sequence(spec, 500, 8, replication=2)
+        assert path.x.tobytes() == x.tobytes()
+        assert path.y.tobytes() == y.tobytes()
+
+
+# every kind that takes sigma, built at a given sigma
+SIGMA_KINDS = {
+    "ar1": lambda sigma: ar1_process(0.5, sigma),
+    "ar_d": lambda sigma: ar_process([0.5, 0.2], sigma),
+    "iid_normal": lambda sigma: iid_process("normal", sigma=sigma),
+}
+
+
+class TestSigmaFloor:
+    """sigma is at least 1e-50, so the stationary variance stays a normal
+    float: below it sigma^2 underflows, the ghost draws collapse to
+    the mean and the risk oracle reads NaN."""
+
+    @pytest.mark.parametrize("build", SIGMA_KINDS.values(),
+                             ids=SIGMA_KINDS.keys())
+    def test_tiny_sigma_rejected_by_name(self, build):
+        with pytest.raises(ValueError, match=r"^sigma must be in \[1e-50, "):
+            build(1e-300)
+
+    @pytest.mark.parametrize("name", SIGMA_KINDS)
+    def test_smallest_sigma_spreads_the_draws(self, name):
+        spec = SIGMA_KINDS[name](1e-50)
+        ghost = sample_marginal(spec, 200, 3)
+        assert np.unique(ghost.x).size > 1
+        if name != "ar_d":
+            oracle = threshold_risk_oracle(spec)
+            risks = oracle(np.array([-1e-50, 0.0, 2e-50]))
+            assert np.all(np.isfinite(risks))
+            assert np.unique(risks).size == 3
+
+
 class TestLabelsOff:
     """labels=False skips the label draw and keeps x's bits."""
 
@@ -285,8 +350,6 @@ class TestLabelsOff:
             assert bare.y is None and full.y is not None
             assert bare.x.tobytes() == full.x.tobytes()
             assert bare.x.shape == full.x.shape
-            assert (bare.seed, bare.replication, bare.process) == \
-                (full.seed, full.replication, full.process)
 
     def test_label_readers_fail_by_name(self, tmp_path):
         spec = EVERY_KIND[0]
@@ -359,7 +422,7 @@ class TestValidationAndExport:
                 for i in range(len(sample)):
                     writer.writerow([i] + list(xs[i]) + [sample.y[i]])
 
-        sample = SequenceSample(x=x, y=y, seed=0, replication=0, process="t")
+        sample = SequenceSample(x=x, y=y)
         sequence_to_csv(sample, tmp_path / "fast.csv")
         reference(sample, tmp_path / "ref.csv")
         assert (tmp_path / "fast.csv").read_bytes() == \
