@@ -32,6 +32,8 @@ import numpy as np
 # Largest accepted scale (noise level, radius, clip level): products of four
 # scales, summed over any path numpy can hold, stay finite in double precision.
 _SCALE_MAX = 1e50
+# Smallest accepted noise level, margin and clip level: 1 / _SCALE_MAX.
+_SCALE_MIN = 1e-50
 # Largest accepted loss range, and Rademacher term of a loss class: the range
 # of the squared loss clipped at the largest scale.
 _RANGE_MAX = 4.0 * _SCALE_MAX ** 2
@@ -423,7 +425,7 @@ def class_rad_upper(family: str, n: int, *, m_clip: float = None,
         if v is not None or name in need:
             _check(name, v, 0, hi, hi_open=hi == math.inf)
     if gamma is not None or "gamma" in need:
-        _check("gamma", gamma, 0, _SCALE_MAX, lo_open=True)
+        _check("gamma", gamma, _SCALE_MIN, _SCALE_MAX)
     if n_codepoints is not None or "n_codepoints" in need:
         _check("n_codepoints", n_codepoints, 1, integer=True)
     if family == "linear":

@@ -49,31 +49,15 @@ ENV_OUT = "SEQBOUNDS_OUT"
 _COMMON_KEYS = {"command", "seed", "threads"}
 
 # bound kind -> function in ``bounds``, plan method -> planner in
-# ``scenario``, validate experiment -> (function in ``experiments``, the
-# arguments its entry fixes): the config keys of each are its function's
-# parameters, less the fixed ones, plus the common keys.
-# Every function is looked up by name at call time, so a patched module
-# attribute is the one that runs.
+# ``scenario``; a validate experiment is the function of its name in
+# ``experiments`` (``experiments.CHECKS``).  The config keys of each are its
+# function's parameters plus the common keys.  Every function is looked up
+# by name at call time, so a patched module attribute is the one that runs.
 _BOUNDS = {"vc": "vc_bound", "vc_relative": "vc_relative_bound",
            "regression": "regression_vc_bound",
            "rademacher": "rademacher_risk_bound",
            "mixing": "mixing_reference_bound"}
 _PLANNERS = {"vc": "plan_n_vc", "margin": "plan_n_margin"}
-_EXPERIMENTS = {
-    "vc_coverage": ("vc_coverage", {"relative": False}),
-    "relative_coverage": ("vc_coverage", {"relative": True}),
-    "margin_rad_coverage": ("margin_rad_coverage", {}),
-    "regression_coverage": ("regression_coverage", {}),
-    "symmetrization": ("symmetrization", {}),
-    "scenario_coverage": ("scenario_pac_coverage", {}),
-    "kernel_rad_bound": ("kernel_rad_bound", {}),
-    "chaining_dominance": ("chaining_dominance", {}),
-    "concentration_exactness": ("concentration_exactness", {}),
-    "quarter_lemma": ("quarter_lemma_grid", {}),
-    "relative_rate_scaling": ("relative_rate_scaling", {}),
-    "mixing_tightness": ("mixing_tightness", {}),
-}
-
 # readers of the config objects that a validate experiment takes
 _READERS = {"process": lambda d, key: process_from_dict(d),
             "program": lambda d, key: scn.ScenarioProgramSpec.from_dict(d)}
@@ -86,31 +70,32 @@ class ConfigError(ValueError):
     pass
 
 
-def _choice(table, config, key, what):
-    """The entry of ``table`` that ``config[key]`` names."""
+def _choice(names, config, key, what):
+    """``config[key]``, which must be one of ``names``."""
     choice = config.get(key)
     if choice is None:
         raise ConfigError(f"{key} is missing")
-    if not isinstance(choice, str) or choice not in table:
+    if not isinstance(choice, str) or choice not in names:
         raise ConfigError(f"unknown {what} {choice!r}")
-    return table[choice]
+    return choice
 
 
 def _bound_function(config):
-    return getattr(bnd, _choice(_BOUNDS, config, "bound", "bound kind"))
+    return getattr(bnd, _BOUNDS[_choice(_BOUNDS, config, "bound",
+                                        "bound kind")])
 
 
 def _planner(config):
-    return getattr(scn, _choice(_PLANNERS, config, "method",
-                                "planning method"))
+    return getattr(scn, _PLANNERS[_choice(_PLANNERS, config, "method",
+                                          "planning method")])
 
 
 def _experiment(config):
-    """The experiment function that ``config`` names, the arguments its
-    entry fixes, and its other parameters: the keys that it reads."""
-    attr, fixed = _choice(_EXPERIMENTS, config, "experiment", "experiment")
-    function = getattr(xp, attr)
-    return function, fixed, _parameters(function)[0].difference(fixed)
+    """The check that ``config`` names and its parameters: the keys that
+    it reads."""
+    function = getattr(xp, _choice(xp.CHECKS, config, "experiment",
+                                   "experiment"))
+    return function, _parameters(function)[0]
 
 
 def _sized(key, call, *args):
@@ -187,12 +172,12 @@ def _run_rad(config, out_dir):
 
 
 def _run_validate(config, out_dir):
-    function, fixed, keys = _experiment(config)
-    args = {k: v for k, v in config.items() if k in keys}
-    experiment = functools.partial(_from_dict, function, {**args, **fixed},
-                                   "experiment", **_READERS)
+    function, keys = _experiment(config)
+    experiment = functools.partial(
+        _from_dict, function, {k: v for k, v in config.items() if k in keys},
+        "experiment", **_READERS)
     # a check that takes n draws paths or points of that length; without n,
-    # epsilon plans the path length (scenario_pac_coverage)
+    # epsilon plans the path length (scenario_coverage)
     key = "n" if "n" in keys else "epsilon" if "epsilon" in keys else None
     result = experiment() if key is None else _sized(key, experiment)
     summary = {"experiment": result.name, "holds": result.holds,
@@ -218,7 +203,7 @@ _COMMANDS = {
     "simulate": (lambda c: {"process", "n"}, _run_simulate),
     "rad": (lambda c: {"class", "sign_draws", *(
         ("points",) if "points" in c else ("process", "n"))}, _run_rad),
-    "validate": (lambda c: {"experiment", *_experiment(c)[2]},
+    "validate": (lambda c: {"experiment", *_experiment(c)[1]},
                  _run_validate),
     "scenario": (lambda c: {"program", "process", "epsilon", "delta",
                             "method"}, _run_scenario),
@@ -228,7 +213,7 @@ _COMMANDS = {
 def validate_config(config: dict) -> dict:
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    keys, _ = _choice(_COMMANDS, config, "command", "command")
+    keys, _ = _COMMANDS[_choice(_COMMANDS, config, "command", "command")]
     unknown = config.keys() - _COMMON_KEYS - keys(config)
     if unknown:
         raise ConfigError(f"unknown config fields {sorted(unknown)}")
@@ -299,24 +284,12 @@ def _plain(obj):
     return obj
 
 
-RECORD_COLUMNS = ["replication", "seed", "statistic", "bound", "holds"]
-
-
-# csv writes these as _plain would have them written
-_PLAIN_TYPES = {int, float, bool}
-
-
 def write_records_csv(records, path):
-    columns = []
-    for k in RECORD_COLUMNS:
-        column = [rec[k] for rec in records]
-        if not _PLAIN_TYPES.issuperset(map(type, column)):
-            column = [_plain(v) for v in column]
-        columns.append(column)
+    """Write a check's ``records``, its columns of Python scalars, as CSV."""
     text = io.StringIO()
     writer = csv.writer(text)
-    writer.writerow(RECORD_COLUMNS)
-    writer.writerows(zip(*columns))
+    writer.writerow(xp.RECORD_COLUMNS)
+    writer.writerows(zip(*(records[k] for k in xp.RECORD_COLUMNS)))
     _write_text(path, [text.getvalue()])
 
 

@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bounds as bnd
-from .bounds import _SCALE_MAX, _check
+from .bounds import _SCALE_MAX, _SCALE_MIN, _check
 from . import scenario as scn
 from .classes import (_exhaustive_net_size, kernel_ball_class,
                       pseudo_metric_matrix)
@@ -24,12 +24,26 @@ from .processes import (ProcessSpec, sample_marginal, simulate_sequence,
                         stationary_params, stream)
 
 
-@dataclass
+# each check is the ``validate`` experiment of its name, looked up by name
+# when it runs (so a patched attribute is the one that runs); none calls
+# another
+CHECKS = ("vc_coverage", "relative_coverage", "margin_rad_coverage",
+          "regression_coverage", "symmetrization", "scenario_coverage",
+          "kernel_rad_bound", "chaining_dominance", "concentration_exactness",
+          "quarter_lemma", "relative_rate_scaling", "mixing_tightness")
+
+RECORD_COLUMNS = ("replication", "seed", "statistic", "bound", "holds")
+
+
+@dataclass(frozen=True)
 class ExperimentResult:
+    """A check's outcome.  ``records`` maps each of RECORD_COLUMNS, the
+    columns of its ``records.csv``, to a list of Python scalars."""
+
     name: str
-    records: list = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-    holds: bool = True
+    records: dict
+    summary: dict
+    holds: bool
 
 
 def _result(name, statistics, bounds, holds, summary, passed=None,
@@ -42,12 +56,9 @@ def _result(name, statistics, bounds, holds, summary, passed=None,
     statistics, bounds, holds = (
         a.ravel() for a in np.broadcast_arrays(statistics, bounds, holds))
     cells = np.arange(holds.size) if keep is None else np.flatnonzero(keep)
-    records = [
-        {"replication": i, "seed": seed, "statistic": s, "bound": b,
-         "holds": h}
-        for i, s, b, h in zip(cells.tolist(), statistics[cells].tolist(),
-                              bounds[cells].tolist(), holds[cells].tolist())
-    ]
+    records = dict(zip(RECORD_COLUMNS, (
+        cells.tolist(), [seed] * cells.size, statistics[cells].tolist(),
+        bounds[cells].tolist(), holds[cells].tolist())))
     return ExperimentResult(name, records, summary,
                             bool(holds.all() if passed is None else passed))
 
@@ -73,36 +84,47 @@ def _coverage(name, statistics, bounds, delta, seed, summary):
 # VC coverage on the threshold class
 
 def vc_coverage(process: ProcessSpec, n: int, replications: int, delta: float,
-                seed: int, relative: bool = False) -> ExperimentResult:
+                seed: int) -> ExperimentResult:
     """Fraction of replications where the deviation supremum stays below
-    the VC bound slack (additive bound) or the relative-deviation residual
-    stays below its fast-rate term.
+    the VC bound slack.
 
     Risk: the stationary marginal risk of each threshold
     (``threshold_risk_oracle``).  The bound's risk is the mean of the
     marginal risks of the n points; paths start in the stationary law, so
     the two coincide.  Hypothesis: a stationary sequence, with no mixing
-    rate; the relative bound is only proved under stationarity.
+    rate.
     """
     oracle = threshold_risk_oracle(process)
-    if relative:
-        slack = bnd.vc_relative_bound(0.0, n, delta, d_vc=1,
-                                      stationary=True).bound_value
-        c = slack / 4.0     # the bound at zero empirical risk is 4c
-    else:
-        slack = bnd.vc_bound(0.0, n, delta, d_vc=1).bound_value
+    slack = bnd.vc_bound(0.0, n, delta, d_vc=1).bound_value
 
     def one(r):
         path = simulate_sequence(process, n, seed, replication=r)
-        if not relative:
-            return sup_deviation(path, oracle), slack
+        return sup_deviation(path, oracle), slack
+
+    return _coverage("vc_coverage", *_replicate(one, replications), delta,
+                     seed, {"n": n, "delta": delta, "slack": slack})
+
+
+def relative_coverage(process: ProcessSpec, n: int, replications: int,
+                      delta: float, seed: int) -> ExperimentResult:
+    """Fraction of replications where the relative-deviation residual
+    sup_b L(b) - Lhat(b) - 2 sqrt(Lhat(b) c) stays below 4c, the fast-rate
+    term of the relative VC bound.  Risk and hypothesis as for
+    ``vc_coverage``; the relative bound is only proved under stationarity.
+    """
+    oracle = threshold_risk_oracle(process)
+    slack = bnd.vc_relative_bound(0.0, n, delta, d_vc=1,
+                                  stationary=True).bound_value
+    c = slack / 4.0     # the bound at zero empirical risk is 4c
+
+    def one(r):
+        path = simulate_sequence(process, n, seed, replication=r)
         thresholds, emps = threshold_empirical_risks(path.x, path.y)
         risks = oracle(thresholds)
         return float(np.max(risks - emps - 2.0 * np.sqrt(emps * c))), slack
 
-    name = "relative_coverage" if relative else "vc_coverage"
-    return _coverage(name, *_replicate(one, replications), delta, seed,
-                     {"n": n, "delta": delta, "slack": slack})
+    return _coverage("relative_coverage", *_replicate(one, replications),
+                     delta, seed, {"n": n, "delta": delta, "slack": slack})
 
 
 def relative_rate_scaling() -> ExperimentResult:
@@ -343,7 +365,7 @@ def regression_coverage(process: ProcessSpec, m_clip: float, radius: float,
             "process must be an unclipped ar_d_linear_system for regression "
             "coverage (the analytic risk assumes Gaussian regressors)"
         )
-    _check("m_clip", m_clip, 0, _SCALE_MAX, lo_open=True)
+    _check("m_clip", m_clip, _SCALE_MIN, _SCALE_MAX)
     _check("radius", radius, 0, _SCALE_MAX, lo_open=True)
     d = process.order
     cov = stationary_params(process).covariance
@@ -394,7 +416,7 @@ def symmetrization(process: ProcessSpec, n: int, epsilon: float,
     _check("epsilon", epsilon, 0, b, lo_open=True)
     if n * epsilon ** 2 < 2.0 * b ** 2:
         raise ValueError(
-            f"symmetrization requires n*eps^2 >= 2*B^2 "
+            f"epsilon must meet n*eps^2 >= 2*B^2 for symmetrization "
             f"(got n*eps^2 = {n * epsilon ** 2:g} < {2 * b ** 2:g})"
         )
     oracle = threshold_risk_oracle(process)
@@ -423,9 +445,9 @@ def symmetrization(process: ProcessSpec, n: int, epsilon: float,
 # ---------------------------------------------------------------------------
 # Scenario PAC coverage
 
-def scenario_pac_coverage(program: scn.ScenarioProgramSpec,
-                          process: ProcessSpec, epsilon: float, delta: float,
-                          replications: int, seed: int) -> ExperimentResult:
+def scenario_coverage(program: scn.ScenarioProgramSpec,
+                      process: ProcessSpec, epsilon: float, delta: float,
+                      replications: int, seed: int) -> ExperimentResult:
     """Frequency of replications whose certified solution violates a fresh
     marginal draw with probability above epsilon; should not exceed delta
     (plus Monte-Carlo slack).
@@ -566,7 +588,7 @@ def concentration_exactness() -> ExperimentResult:
                    {"cells": tail.size, "n_max": n_max}, keep=keep)
 
 
-def quarter_lemma_grid() -> ExperimentResult:
+def quarter_lemma() -> ExperimentResult:
     """The exact binomial upper tail at the mean exceeds 1/4 whenever
     p > 1/m, over the whole grid of m = 1, ..., 50 and p = 0.01, 0.02, ...,
     0.99, evaluated as one array.  Cell i is the i-th (m, p) pair with
@@ -579,11 +601,3 @@ def quarter_lemma_grid() -> ExperimentResult:
     holds = bnd._binomial_tail(ms[rows], ps, 0.0, False) > 0.25
     return _result("quarter_lemma_grid", ps, 0.25, holds,
                    {"cells": rows.size, "m_max": m_max}, keep=~holds)
-
-
-# ---------------------------------------------------------------------------
-# Defaults
-
-def default_scenario_program(theta_lo=-10.0, theta_hi=10.0, margin=1.0):
-    return scn.one_dim_threshold_program(theta_lo=theta_lo, theta_hi=theta_hi,
-                                         margin=margin)

@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (_SCALE_MAX, _as_floats, _check, _from_kind_dict,
-                     _parameters, _set_floats)
+from .bounds import (_SCALE_MAX, _SCALE_MIN, _as_floats, _check,
+                     _from_kind_dict, _parameters, _set_floats)
 
 _MASK64 = (1 << 64) - 1
 
@@ -61,17 +61,22 @@ class ProcessSpec:
     def __post_init__(self):
         if self.kind not in _BUILDERS:
             raise ValueError(f"unknown process kind {self.kind!r}")
+        if self.kind == "iid_baseline" and self.dist not in ("normal", "uniform"):
+            raise ValueError("iid_baseline dist must be 'normal' or 'uniform'")
         # a field set off its default must be a parameter of the kind's
-        # constructor: no other field reaches its path or its law
+        # constructor, and of the i.i.d. baseline one that its dist reads:
+        # no other field reaches its path or its law
         taken = _parameters(_BUILDERS[self.kind])[0] | {"kind"}
+        what = f"process kind {self.kind!r}"
+        if self.kind == "iid_baseline":
+            taken -= {"normal": {"low", "high"},
+                      "uniform": {"mean", "sigma"}}[self.dist]
+            what += f" with dist {self.dist!r}"
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name not in taken and value is not f.default and \
                     not np.array_equal(value, f.default):
-                raise ValueError(f"{f.name} is not a parameter of process "
-                                 f"kind {self.kind!r}")
-        if self.kind == "iid_baseline" and self.dist not in ("normal", "uniform"):
-            raise ValueError("iid_baseline dist must be 'normal' or 'uniform'")
+                raise ValueError(f"{f.name} is not a parameter of {what}")
         if self.kind == "ar_d_linear_system":
             coefficients = _as_floats("coefficients", self.coefficients)
             if coefficients.ndim != 1 or not coefficients.size:
@@ -87,15 +92,15 @@ class ProcessSpec:
             _check("a", self.a, -1, 1, lo_open=True, hi_open=True)
         # the spread of the marginal: rho for the binary chain, the support
         # for the uniform baseline and the noise level sigma otherwise, at
-        # least 1e-50 (1 / _SCALE_MAX) so that sigma^2 and the stationary
-        # variance stay normal floats
+        # least _SCALE_MIN so that sigma^2 and the stationary variance stay
+        # normal floats
         if self.kind == "markov_binary":
             _check("rho", self.rho, 0, 1, hi_open=True)
         elif self.dist == "uniform":
             _check("low", self.low, -_SCALE_MAX, _SCALE_MAX)
             _check("high", self.high, self.low, _SCALE_MAX, lo_open=True)
         else:
-            _check("sigma", self.sigma, 1e-50, _SCALE_MAX)
+            _check("sigma", self.sigma, _SCALE_MIN, _SCALE_MAX)
         if self.kind in ("ar1_threshold_labels", "iid_baseline"):
             _check("mean", self.mean, -_SCALE_MAX, _SCALE_MAX)
             _check("b_star", self.b_star, lo_open=True, hi_open=True)
@@ -136,10 +141,11 @@ def markov_binary_process(rho):
     return ProcessSpec(kind="markov_binary", rho=rho)
 
 
-def iid_process(dist="normal", mean=0.0, sigma=1.0, low=None, high=None,
+def iid_process(dist="normal", mean=0.0, sigma=None, low=None, high=None,
                 b_star=0.0, flip_p=0.0):
-    return ProcessSpec(kind="iid_baseline", dist=dist, mean=mean,
-                       sigma=None if dist != "normal" else sigma,
+    if sigma is None and dist == "normal":      # sigma 1 by default
+        sigma = 1.0
+    return ProcessSpec(kind="iid_baseline", dist=dist, mean=mean, sigma=sigma,
                        low=low, high=high, b_star=b_star, flip_p=flip_p)
 
 
@@ -206,9 +212,10 @@ def _lyapunov_covariance(coefficients, sigma):
 @functools.lru_cache(maxsize=64)
 def _ar_cholesky(coefficients, sigma):
     """Read-only Cholesky factor of the stationary state covariance of the
-    autoregression, shared by every path and ghost draw of that system."""
+    autoregression, shared by every path and ghost draw of that system; its
+    jitter 1e-15 sigma^2 I scales with the covariance, as sigma^2 does."""
     cov = _lyapunov_covariance(coefficients, sigma)
-    chol = np.linalg.cholesky(cov + 1e-15 * np.eye(len(coefficients)))
+    chol = np.linalg.cholesky(cov + 1e-15 * sigma ** 2 * np.eye(len(cov)))
     chol.flags.writeable = False
     return chol
 

@@ -21,9 +21,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import (_SCALE_MAX, _as_floats, _check, _check_entries,
-                     _from_dict, _from_kind_dict, _log_capacity, _log_over,
-                     _mcdiarmid)
+from .bounds import (_RANGE_MAX, _SCALE_MAX, _SCALE_MIN, _as_floats, _check,
+                     _check_entries, _from_dict, _from_kind_dict,
+                     _log_capacity, _log_over, _mcdiarmid)
 from .processes import ProcessSpec, simulate_sequence
 
 _CEIL_GUARD = 1e-9
@@ -184,7 +184,8 @@ class ScenarioProgramSpec:
         if not self.pieces:
             raise ValueError("program needs at least one constraint piece")
         _check_entries("objective", self.objective)
-        _check("margin", self.margin, 0, _SCALE_MAX, lo_open=True)
+        # rejected by name here, before a plan of more than 1e300 scenarios
+        _check("margin", self.margin, _SCALE_MIN, _SCALE_MAX)
         object.__setattr__(self, "margin", float(self.margin))
         if self.x_domain is not None and not isinstance(self.x_domain, Box):
             raise ValueError("x_domain must be a box")
@@ -275,13 +276,15 @@ def plan_n_margin(epsilon: float, delta: float, gamma: float,
     + sqrt(log(1/delta)))^2."""
     _check("epsilon", epsilon, 0, 1, lo_open=True, hi_open=True)
     _check("delta", delta, 0, 1, lo_open=True, hi_open=True)
-    _check("gamma", gamma, 0, _SCALE_MAX, lo_open=True)
-    _check("tau_lambda_sum", tau_lambda_sum, 0, lo_open=True, hi_open=True)
+    # in range, gamma or tau_lambda_sum alone plans at most 6.4e203 scenarios
+    # at epsilon 0.1: past 1e300 takes a tiny epsilon or two extreme values
+    _check("gamma", gamma, _SCALE_MIN, _SCALE_MAX)
+    _check("tau_lambda_sum", tau_lambda_sum, 0, _RANGE_MAX, lo_open=True)
     root = (2.0 / gamma) * tau_lambda_sum + math.sqrt(_log_over(1.0, delta))
     # beyond 1e150 the float squares below would overflow or divide by zero
     val = root ** 2 / epsilon ** 2 if root / epsilon <= 1e150 else math.inf
-    return _planned(val, f"tau_lambda_sum = {tau_lambda_sum:g}, gamma = "
-                         f"{gamma:g} and epsilon = {epsilon:g}")
+    return _planned(val, f"epsilon = {epsilon:g}, gamma = {gamma:g} and "
+                         f"tau_lambda_sum = {tau_lambda_sum:g}")
 
 
 def violation_bound(method: str, n: int, delta: float, *, d_vc: int = None,

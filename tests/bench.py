@@ -23,8 +23,8 @@ numpy and scipy versions.  The suites:
   ``certify`` (margin method) of the 1-D box program on AR(1) paths
   (epsilon 0.15, 20,578 scenarios), of the two-piece 2-D box program on
   AR(2) paths (epsilon 0.3, 37,489 scenarios) and of the 1-D program over a
-  ball of radius 10 (epsilon 0.15); ``scenario_pac_coverage`` of the 1-D
-  box program; ``solve_margin_program`` of a five-piece program whose
+  ball of radius 10 (epsilon 0.15); ``scenario_coverage`` of the 1-D
+  box program (``scenario_pac_coverage_s``, the check's former name); ``solve_margin_program`` of a five-piece program whose
   psi is constant, with the rows it handed to the solver; the LP calls
   (``wide_box_lp_calls``) and their total time (``wide_box_lp_s``, one
   pass) over the wide-box programs of ``tests/test_scenario.py`` (seeds 0
@@ -78,7 +78,7 @@ from seqbounds.estimators import (empirical_rademacher,
                                   empirical_rademacher_exact)
 from seqbounds.experiments import (_clipped_ray_risks, _linear_model_grid,
                                    chaining_dominance, concentration_exactness,
-                                   regression_coverage, scenario_pac_coverage)
+                                   regression_coverage, scenario_coverage)
 from seqbounds.processes import (ar1_process, ar_process, process_from_dict,
                                  simulate_sequence)
 from seqbounds.scenario import (AffineMap, Ball, Box, ConstraintPiece,
@@ -169,8 +169,8 @@ def measure_scenario():
         out[name] = 1e3 * best_of(run, c["calls"])
 
     def coverage():
-        scenario_pac_coverage(box_1d, ar1, 0.15, c["delta"],
-                              c["replications"], c["seed"])
+        scenario_coverage(box_1d, ar1, 0.15, c["delta"], c["replications"],
+                          c["seed"])
 
     coverage()
     out["scenario_pac_coverage_s"] = best_of(coverage)

@@ -38,8 +38,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from seqbounds import cli
-from seqbounds.experiments import default_scenario_program
+from seqbounds import cli, scenario
 
 AR1 = {"kind": "ar1_threshold_labels", "a": 0.8, "sigma": 0.6,
        "b_star": 0.0, "flip_p": 0.1}
@@ -48,6 +47,8 @@ AR2_SYSTEM = {"kind": "ar_d_linear_system", "coefficients": [0.5, 0.2],
               "sigma": 1.0}
 AR3_SYSTEM = {"kind": "ar_d_linear_system", "coefficients": [0.4, 0.2, 0.1],
               "sigma": 1.0}
+# the acceptance 1-D box program
+BOX_PROGRAM = scenario.one_dim_threshold_program(-10.0, 10.0).to_dict()
 
 CONFIGS = {
     "vc_coverage": {"process": AR1, "n": 2000, "replications": 200,
@@ -63,7 +64,7 @@ CONFIGS = {
     "quarter_lemma": {"seed": 0},
     "symmetrization": {"process": AR1, "n": 200, "epsilon": 0.2,
                        "replications": 500, "seed": 2024},
-    "scenario_coverage": {"program": default_scenario_program().to_dict(),
+    "scenario_coverage": {"program": BOX_PROGRAM,
                           "process": AR1, "epsilon": 0.15, "delta": 0.1,
                           "replications": 200, "seed": 888},
     "chaining_dominance": {"instances": 50, "seed": 17},
@@ -75,7 +76,6 @@ CONFIGS = {
 }
 
 # full configs of the other deterministic commands
-BOX_PROGRAM = default_scenario_program().to_dict()
 BALL_PROGRAM = dict(BOX_PROGRAM, theta_set={"kind": "ball", "radius": 10.0})
 # (0.05 x - 1) theta + x <= 0: psi depends on x, so tau is bounded over the
 # x domain box

@@ -1,13 +1,14 @@
-"""Print every function of ``src/seqbounds`` that neither the digest nor the
-benchmark runs.
+"""Print the digest's lines, then every function of ``src/seqbounds`` that
+neither the digest nor the benchmark runs.
 
 The script runs ``tests/digest_outputs.py`` (every deterministic CLI command
 at its acceptance config) and one pass of each workload of
-``perfbench/workloads.py`` under ``sys.setprofile``, then lists, one per line
-as ``module.qualname``, each function and method defined in a
-``seqbounds`` module whose code none of those calls entered.  Nested
-functions (closures) are not listed; a listed function may still be
-reached by a test alone.
+``perfbench/workloads.py`` under ``sys.setprofile``.  It prints the lines
+that the digest printed, a blank line, and then, one per line as
+``module.qualname``, each function and method defined in a ``seqbounds``
+module whose code none of those calls entered.  Nested functions
+(closures) are not listed; a listed function may still be reached by a
+test alone.
 
     PYTHONPATH=src python tests/reach_src.py
 
@@ -53,6 +54,7 @@ def defined_functions():
 
 def main():
     entered = set()
+    digest = io.StringIO()
 
     def profile(frame, event, arg):
         if event == "call":
@@ -64,7 +66,7 @@ def main():
         # imported here: both build configs when they load
         import digest_outputs
         import workloads
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(digest):
             digest_outputs.main()
         with tempfile.TemporaryDirectory() as tmp:
             for workload in workloads.BUILDERS:
@@ -76,6 +78,7 @@ def main():
     finally:
         sys.setprofile(None)
         threading.setprofile(None)
+    print(digest.getvalue())
     for name, code in defined_functions():
         if code not in entered:
             print(name)

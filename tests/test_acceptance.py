@@ -8,13 +8,14 @@ from seqbounds.bounds import vc_bound
 from seqbounds.classes import linear_ball_class
 from seqbounds.estimators import empirical_rademacher, empirical_rademacher_exact
 from seqbounds.experiments import (chaining_dominance, concentration_exactness,
-                                   default_scenario_program,
                                    kernel_rad_bound, margin_rad_coverage,
-                                   mixing_tightness, quarter_lemma_grid,
-                                   relative_rate_scaling, scenario_pac_coverage,
-                                   symmetrization, vc_coverage)
+                                   mixing_tightness, quarter_lemma,
+                                   relative_coverage, relative_rate_scaling,
+                                   scenario_coverage, symmetrization,
+                                   vc_coverage)
 from seqbounds.processes import ar1_process, stream
-from seqbounds.scenario import plan_n_margin, plan_n_vc, violation_bound
+from seqbounds.scenario import (one_dim_threshold_program, plan_n_margin,
+                                plan_n_vc, violation_bound)
 
 AR1 = ar1_process(a=0.8, sigma=0.6, b_star=0.0, flip_p=0.1)
 
@@ -48,11 +49,11 @@ def test_02_vc_coverage_on_dependent_paths():
 
 def test_03_fast_rate_coverage_and_scaling():
     spec = ar1_process(0.8, 0.6, b_star=0.0, flip_p=0.0)
-    cover = vc_coverage(spec, n=2000, replications=200, delta=0.05, seed=777,
-                        relative=True)
+    cover = relative_coverage(spec, n=2000, replications=200, delta=0.05,
+                              seed=777)
     scaling = relative_rate_scaling()
     ok = cover.holds and scaling.holds
-    worst = max(abs(r["statistic"] - 1.0) for r in scaling.records)
+    worst = max(abs(s - 1.0) for s in scaling.records["statistic"])
     assert report(3, "fast-rate coverage and log(n)/n scaling", ok,
                   f"coverage {cover.summary['holds_fraction']:.3f}, "
                   f"worst ratio deviation {worst:.3f} <= 0.2")
@@ -110,7 +111,7 @@ def test_04c_marginal_rademacher_coverage():
 
 def test_05_concentration_oracles():
     hoeff = concentration_exactness()
-    quarter = quarter_lemma_grid()
+    quarter = quarter_lemma()
     ok = hoeff.holds and quarter.holds
     assert report(5, "Hoeffding dominance and quarter lemma", ok,
                   f"{hoeff.summary['cells']} tail cells, "
@@ -143,9 +144,9 @@ def test_07_scenario_planners():
 
 
 def test_08_scenario_pac_coverage():
-    result = scenario_pac_coverage(default_scenario_program(), AR1,
-                                   epsilon=0.15, delta=0.1, replications=200,
-                                   seed=888)
+    result = scenario_coverage(one_dim_threshold_program(-10.0, 10.0), AR1,
+                               epsilon=0.15, delta=0.1, replications=200,
+                               seed=888)
     s = result.summary
     assert report(8, "scenario PAC coverage", result.holds,
                   f"exceed freq {s['exceed_frequency']:.3f} "
@@ -163,4 +164,5 @@ def test_09_marginal_tighter_than_mixing():
 def test_10_chaining_dominates_rademacher():
     result = chaining_dominance(instances=50, seed=17)
     assert report(10, "chaining dominance on finite classes", result.holds,
-                  f"{len(result.records)} instances, all dominated")
+                  f"{len(result.records['statistic'])} instances, all "
+                  f"dominated")

@@ -21,11 +21,10 @@ from hypothesis import given, settings, strategies as st
 from digest_outputs import AR1, AR2_SYSTEM, COMMAND_CONFIGS, CONFIGS
 from seqbounds import cli
 from seqbounds.cli import ConfigError, main, run, validate_config
-from seqbounds.experiments import default_scenario_program
 from seqbounds import experiments as xp
 from seqbounds.processes import (process_from_dict, sample_marginal,
                                  simulate_sequence)
-from seqbounds.scenario import plan_n_margin
+from seqbounds.scenario import one_dim_threshold_program, plan_n_margin
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -128,11 +127,12 @@ class TestRun:
     def test_validate_property_failure_exit_3(self, tmp_path, monkeypatch):
         from seqbounds.experiments import ExperimentResult
 
-        def failing(process, n, replications, delta, seed, relative):
+        def failing(process, n, replications, delta, seed):
             return ExperimentResult(name="vc_coverage",
-                                    records=[{"replication": 0, "seed": 1,
-                                              "statistic": 1.0, "bound": 0.5,
-                                              "holds": False}],
+                                    records={"replication": [0], "seed": [1],
+                                             "statistic": [1.0],
+                                             "bound": [0.5],
+                                             "holds": [False]},
                                     summary={"holds_fraction": 0.0},
                                     holds=False)
 
@@ -177,28 +177,29 @@ AR1 = {"kind": "ar1_threshold_labels", "a": 0.8, "sigma": 0.6, "flip_p": 0.1}
 
 
 class TestValidateRegistry:
-    @pytest.mark.parametrize("experiment", cli._EXPERIMENTS)
+    @pytest.mark.parametrize("experiment", xp.CHECKS)
     def test_every_option_is_fixed_or_threads(self, experiment):
         # a check's config keys are its parameters: an option with a default
-        # that its entry does not fix would be a key no config needs to set
-        # (so every option is fixed; no check takes threads)
-        attr, fixed = cli._EXPERIMENTS[experiment]
-        params = inspect.signature(getattr(xp, attr)).parameters.values()
-        assert {p.name for p in params if p.default is not p.empty} <= \
-            set(fixed)
+        # would be a key no config needs to set, so no check has one (and
+        # none takes threads); the name alone picks what runs
+        params = inspect.signature(getattr(xp, experiment)).parameters
+        assert all(p.default is p.empty for p in params.values())
+        assert "threads" not in params
 
     def test_every_experiment_has_a_digest_config(self):
         # the digest is the equivalence gate: a check without a config there
         # could change its outputs unseen
-        assert set(cli._EXPERIMENTS) == set(CONFIGS)
+        assert set(xp.CHECKS) == set(CONFIGS)
 
-    @pytest.mark.parametrize("experiment", cli._EXPERIMENTS)
+    @pytest.mark.parametrize("experiment", xp.CHECKS)
     def test_records_hold_python_scalars(self, experiment, tmp_path):
-        # the records writer passes such columns to csv as they are (a
-        # passing quarter_lemma keeps no record)
+        # the records writer passes the columns to csv as they are (a
+        # passing quarter_lemma keeps no record), one entry per record
         _, records, _ = cli._run_validate(_validate_base(experiment),
                                           tmp_path)
-        assert {type(v) for rec in records for v in rec.values()} <= \
+        assert tuple(records) == xp.RECORD_COLUMNS
+        assert len({len(column) for column in records.values()}) == 1
+        assert {type(v) for column in records.values() for v in column} <= \
             {int, float, bool}
 
     def test_unknown_experiment_exit_2(self, tmp_path, capsys):
@@ -207,27 +208,32 @@ class TestValidateRegistry:
         assert run(config, tmp_path / "out") == cli.EXIT_CONFIG
         assert "'vc_coverag'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("experiment, relative", [
-        ("vc_coverage", False), ("relative_coverage", True)])
+    @pytest.mark.parametrize("experiment", ["vc_coverage",
+                                            "relative_coverage"])
     def test_calls_patched_experiment(self, tmp_path, monkeypatch,
-                                      experiment, relative):
+                                      experiment):
         # the tracer of perfbench patches module attributes, so the CLI must
         # look the function up in ``experiments`` at call time; a config's
-        # threads is checked and echoed, and not passed on
-        from seqbounds import experiments
+        # threads is checked and echoed, and not passed on.  The two checks
+        # are two functions: each name runs its own
         calls = []
 
-        def patched(process, n, replications, delta, seed, relative):
-            calls.append((process.kind, n, replications, delta, seed,
-                          relative))
-            return experiments.ExperimentResult(name=experiment)
+        def patched(name):
+            def check(process, n, replications, delta, seed):
+                calls.append((name, process.kind, n, replications, delta,
+                              seed))
+                return xp.ExperimentResult(
+                    name, dict.fromkeys(xp.RECORD_COLUMNS, []), {}, True)
+            return check
 
-        monkeypatch.setattr(experiments, "vc_coverage", patched)
+        for name in ("vc_coverage", "relative_coverage"):
+            monkeypatch.setattr(xp, name, patched(name))
         config = {"command": "validate", "experiment": experiment,
                   "process": AR1, "n": 100, "replications": 5, "delta": 0.05,
                   "seed": 4, "threads": 2}
         assert run(config, tmp_path / "out") == 0
-        assert calls == [("ar1_threshold_labels", 100, 5, 0.05, 4, relative)]
+        assert calls == [(experiment, "ar1_threshold_labels", 100, 5, 0.05,
+                          4)]
         assert read_summary(tmp_path / "out")["config"]["threads"] == 2
 
 
@@ -249,8 +255,8 @@ _EMPTY_RUNS = [
     ("symmetrization", "replications", 0,
      {"process": AR1, "n": 200, "epsilon": 0.2}),
     ("scenario_coverage", "replications", 0,
-     {"program": default_scenario_program().to_dict(), "process": AR1,
-      "epsilon": 0.15, "delta": 0.1}),
+     {"program": one_dim_threshold_program(-10.0, 10.0).to_dict(),
+      "process": AR1, "epsilon": 0.15, "delta": 0.1}),
     ("kernel_rad_bound", "instances", 0,
      {"n": 16, "radius": 2.0, "m_clip": 1.0}),
     ("chaining_dominance", "instances", 0, {}),
@@ -276,7 +282,7 @@ class TestScenarioAcceptanceConfig:
                "flip_p": 0.1}
 
     def setup_method(self):
-        self.program = default_scenario_program()
+        self.program = one_dim_threshold_program(-10.0, 10.0)
         self.spec = process_from_dict(self.PROCESS)
         self.n = plan_n_margin(0.15, 0.1, 1.0, 10.0)
 
@@ -325,10 +331,9 @@ class TestNonFiniteOutputs:
                         "e": ["nan", 1.0], "f": 0.5}
 
     def test_records_round_trip(self, tmp_path):
-        records = [{"replication": 0, "seed": 1, "statistic": -math.inf,
-                    "bound": math.inf, "holds": True},
-                   {"replication": 1, "seed": 1, "statistic": math.nan,
-                    "bound": 0.25, "holds": False}]
+        records = {"replication": [0, 1], "seed": [1, 1],
+                   "statistic": [-math.inf, math.nan],
+                   "bound": [math.inf, 0.25], "holds": [True, False]}
         cli.write_records_csv(records, tmp_path / "records.csv")
         with open(tmp_path / "records.csv", newline="") as fh:
             back = list(csv.DictReader(fh))
@@ -402,11 +407,14 @@ class TestOutputFiles:
             cli._plain(short), sort_keys=True, indent=2) + "\n").encode()
 
     def test_records_rewrite_leaves_no_stale_tail(self, tmp_path):
-        record = {"replication": 0, "seed": 1, "statistic": 0.25,
-                  "bound": np.float64(0.5), "holds": np.bool_(True)}
+        def records(count):
+            return {"replication": [0] * count, "seed": [1] * count,
+                    "statistic": [0.25] * count, "bound": [0.5] * count,
+                    "holds": [True] * count}
+
         path = tmp_path / "records.csv"
-        cli.write_records_csv([record] * 300, path)
-        cli.write_records_csv([record], path)
+        cli.write_records_csv(records(300), path)
+        cli.write_records_csv(records(1), path)
         assert path.read_bytes() == (
             b"replication,seed,statistic,bound,holds\r\n"
             b"0,1,0.25,0.5,True\r\n")
@@ -484,10 +492,11 @@ def _all_finite(obj):
     return obj not in ("nan", "inf", "-inf")
 
 
-# 10**400 is an int past the float range, "abc" a number as text and True a
-# bool, which Python would read as 1
+# 10**400 is an int past the float range, "abc" a number as text, True a
+# bool, which Python would read as 1, and 1e-300 a scale whose square
+# underflows and whose inverse passes any bound
 _FUZZ_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 1e308, 10 ** 400, "abc",
-                True]
+                True, 1e-300]
 
 
 def _validate_base(name):
@@ -583,6 +592,35 @@ def test_command_out_of_range_value_named_or_finite(case, value):
     process, class, point and rad_terms numbers included."""
     name, path = case
     _check_case(_COMMAND_BASES[name], path, value)
+
+
+_TINY_CASES = {
+    "margin_rad_coverage-gamma": (_validate_base("margin_rad_coverage"),
+                                  ("gamma",)),
+    "regression_coverage-m_clip": (_validate_base("regression_coverage"),
+                                   ("m_clip",)),
+    "symmetrization-epsilon": (_validate_base("symmetrization"),
+                               ("epsilon",)),
+    "scenario_coverage-epsilon": (_validate_base("scenario_coverage"),
+                                  ("epsilon",)),
+    "scenario_coverage-margin": (_validate_base("scenario_coverage"),
+                                 ("program", "margin")),
+    "plan_margin-epsilon": (_COMMAND_BASES["plan_margin"], ("epsilon",)),
+    "plan_margin-gamma": (_COMMAND_BASES["plan_margin"], ("gamma",)),
+    "scenario_box-epsilon": (_COMMAND_BASES["scenario_box"], ("epsilon",)),
+    "scenario_box-margin": (_COMMAND_BASES["scenario_box"],
+                            ("program", "margin")),
+}
+
+
+@pytest.mark.parametrize("config, path", _TINY_CASES.values(),
+                         ids=_TINY_CASES.keys())
+def test_tiny_value_exit_2_names_its_key(tmp_path, capsys, config, path):
+    # each of these read 1e-300 as a valid value and then failed on another
+    # key: a loss range, a Rademacher term or the planned scenario count
+    config, name = _replaced(config, path, 1e-300)
+    assert run(config, tmp_path / "out") == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {name} ")
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +733,10 @@ _WIDE_DOMAIN_PROGRAM = dict(
           process=dict(AR2_SYSTEM, clip_radius=5.0)), "process "),
     (dict(COMMAND_CONFIGS["scenario_box"], program=_WIDE_DOMAIN_PROGRAM),
      "x_domain "),
+    # a field of the i.i.d. baseline that its dist does not read
+    (dict(COMMAND_CONFIGS["simulate_iid_uniform"], process={
+        "kind": "iid_baseline", "dist": "uniform", "low": 0, "high": 1,
+        "mean": 5}), "mean is not a parameter"),
 ])
 def test_exit_2_names_the_value(tmp_path, capsys, config, name):
     assert run(config, tmp_path / "out") == cli.EXIT_CONFIG

@@ -437,7 +437,8 @@ class TestViolationRate:
 class TestSymmetrization:
     def test_precondition_named(self):
         spec = ar1_process(0.8, 0.6, flip_p=0.1)
-        with pytest.raises(ValueError, match="n\\*eps\\^2 >= 2\\*B\\^2"):
+        with pytest.raises(ValueError, match=(
+                "^epsilon must meet n\\*eps\\^2 >= 2\\*B\\^2")):
             symmetrization(spec, n=10, epsilon=0.2, replications=5, seed=1)
 
     def test_holds_on_ar1(self):
@@ -446,11 +447,11 @@ class TestSymmetrization:
                                 seed=21)
         assert result.holds
         assert 0.0 <= result.summary["lhs_freq"] <= 1.0
-        assert len(result.records) == 120
         summary, records = result.summary, result.records
+        assert records["replication"] == list(range(120))
         assert summary["lhs_freq"] == np.mean(
-            [rec["statistic"] >= 0.2 for rec in records])
+            [statistic >= 0.2 for statistic in records["statistic"]])
         assert summary["rhs_freq"] == np.mean(
-            [rec["bound"] >= 0.1 for rec in records])
+            [bound >= 0.1 for bound in records["bound"]])
         assert result.holds == (summary["lhs_freq"] <= 2.0 * summary["rhs_freq"]
                                 + 3.0 * summary["combined_se"])

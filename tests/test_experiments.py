@@ -17,13 +17,11 @@ from seqbounds.estimators import (threshold_empirical_risks,
 from seqbounds.experiments import (_clipped_ray_risks, _linear_model_grid,
                                    _margin_empirical_risks, chaining_dominance,
                                    clipped_linear_risk,
-                                   concentration_exactness,
-                                   default_scenario_program,
-                                   kernel_rad_bound,
+                                   concentration_exactness, kernel_rad_bound,
                                    margin_linear_risk, margin_rad_coverage,
-                                   mixing_tightness, quarter_lemma_grid,
+                                   mixing_tightness, quarter_lemma,
                                    regression_coverage, relative_rate_scaling,
-                                   scenario_pac_coverage, symmetrization,
+                                   scenario_coverage, symmetrization,
                                    vc_coverage)
 from seqbounds.losses import LossSpec
 from seqbounds.processes import (SequenceSample, ar1_process, ar_process,
@@ -130,12 +128,12 @@ class TestCoverageExperiments:
                              seed=4242)
         assert result.holds
         assert result.summary["holds_fraction"] >= 0.95
-        assert len(result.records) == 200
+        assert result.records["replication"] == list(range(200))
 
     def test_rate_scaling_records(self):
         result = relative_rate_scaling()
         assert result.holds
-        assert len(result.records) == 3  # one per pair
+        assert len(result.records["statistic"]) == 3  # one per pair
 
     def test_margin_coverage_rejects_offset_threshold(self):
         spec = ar1_process(0.8, 0.6, b_star=0.3)
@@ -146,15 +144,15 @@ class TestCoverageExperiments:
         prog = one_dim_threshold_program(theta_lo=-6.0, theta_hi=6.0,
                                          margin=1.0)
         spec = ar1_process(0.8, 0.6)
-        result = scenario_pac_coverage(prog, spec, epsilon=0.3, delta=0.2,
-                                       replications=20, seed=606)
+        result = scenario_coverage(prog, spec, epsilon=0.3, delta=0.2,
+                                   replications=20, seed=606)
         assert result.holds
         assert result.summary["infeasible"] == 0
 
     def test_mixing_grid_shape(self):
         result = mixing_tightness()
         assert result.holds
-        assert result.summary["cells"] == len(result.records) == 60
+        assert result.summary["cells"] == len(result.records["bound"]) == 60
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -183,7 +181,7 @@ def test_vc_statistic_is_the_supremum_over_each_cell():
     ends = np.concatenate(([-np.inf], np.sort(path.x), [np.inf]))
     risks = threshold_risk_oracle(spec)(ends)
     sup = np.max(np.maximum(risks[:-1], risks[1:]) - emps)
-    assert result.records[0]["statistic"] == pytest.approx(sup, abs=1e-12)
+    assert result.records["statistic"][0] == pytest.approx(sup, abs=1e-12)
 
 
 @pytest.mark.parametrize("a", [0.8, pytest.param(0.999, marks=pytest.mark.xfail(
@@ -196,7 +194,7 @@ def test_vc_scenario_certificate_near_unit_root(a):
     # the box scales with the marginal sd, so that no certificate is
     # infeasible for want of room; an infeasible one counts as exceeding
     sigma_x = 0.6 / math.sqrt(1.0 - a * a)
-    program = default_scenario_program(-12.0 * sigma_x, 12.0 * sigma_x)
+    program = one_dim_threshold_program(-12.0 * sigma_x, 12.0 * sigma_x)
     spec = ar1_process(a, 0.6, 0.0, 0.1)
     exceed = 0
     for r in range(200):
@@ -432,11 +430,11 @@ class TestGridSweeps:
                                      delta=0.05, seed=11)
         grid = np.linspace(-1.0, 1.0, 401)
         risks = margin_linear_risk(grid, 1.0, 0.1, 0.5)
-        for rec in result.records:
-            path = simulate_sequence(spec, 300, 11, rec["replication"])
+        for r, statistic in zip(result.records["replication"],
+                                result.records["statistic"]):
+            path = simulate_sequence(spec, 300, 11, r)
             emp = dense_margin_risks(path.y * path.x, grid, 0.5)
-            assert rec["statistic"] == pytest.approx(np.max(risks - emp),
-                                                     abs=1e-12)
+            assert statistic == pytest.approx(np.max(risks - emp), abs=1e-12)
 
     def test_regression_coverage_statistics_match_dense(self):
         spec = ar_process([0.5, 0.2], 1.0)
@@ -445,12 +443,12 @@ class TestGridSweeps:
         w = polar_grid(2.0)
         cov = stationary_params(spec).covariance
         risks = clipped_linear_risk(w, cov, spec.coefficients, 1.0, 1.0)
-        for rec in result.records:
-            path = simulate_sequence(spec, 300, 12, rec["replication"])
+        for r, statistic in zip(result.records["replication"],
+                                result.records["statistic"]):
+            path = simulate_sequence(spec, 300, 12, r)
             preds = np.clip(path.x @ w.T, -1.0, 1.0)
             emp = np.mean((path.y[:, None] - preds) ** 2, axis=0)
-            assert rec["statistic"] == pytest.approx(np.max(risks - emp),
-                                                     abs=1e-12)
+            assert statistic == pytest.approx(np.max(risks - emp), abs=1e-12)
 
 
 def per_cell_concentration_exactness(n_max=30, eps_step=0.01,
@@ -475,7 +473,7 @@ def per_cell_concentration_exactness(n_max=30, eps_step=0.01,
     return records, {"cells": i, "n_max": n_max}, ok
 
 
-def per_cell_quarter_lemma_grid(m_max=50, p_step=0.01):
+def per_cell_quarter_lemma(m_max=50, p_step=0.01):
     records = []
     ok = True
     i = 0
@@ -495,12 +493,13 @@ def per_cell_quarter_lemma_grid(m_max=50, p_step=0.01):
 
 class TestConcentrationGrids:
     """The array grids against the per-cell loops: the same records, in
-    the same order, with the same Python types and float bits."""
+    the same order, with the same Python types and float bits (the loops
+    build one record per row, the grids one list per column)."""
 
     @pytest.mark.parametrize("failing", [False, True])
     @pytest.mark.parametrize("grid, per_cell, kwargs, failing_scale", [
         (concentration_exactness, per_cell_concentration_exactness, {}, 40.0),
-        (quarter_lemma_grid, per_cell_quarter_lemma_grid, {}, 0.6),
+        (quarter_lemma, per_cell_quarter_lemma, {}, 0.6),
     ])
     def test_matches_per_cell_loop(self, grid, per_cell, kwargs,
                                    failing_scale, failing, monkeypatch):
@@ -511,7 +510,8 @@ class TestConcentrationGrids:
             betainc=lambda a, b, p: special.betainc(a, b, p) * scale))
         result = grid(**kwargs)
         records, summary, holds = per_cell(**kwargs)
-        assert repr(result.records) == repr(records)
+        assert repr(result.records) == repr(
+            {k: [rec[k] for rec in records] for k in xp.RECORD_COLUMNS})
         assert repr(result.summary) == repr(summary)
         assert result.holds is holds
         assert holds is not failing
@@ -524,11 +524,11 @@ def test_hoeffding_grid_is_the_scalar_bound(monkeypatch):
                             np.broadcast_shapes(np.shape(n), np.shape(p),
                                                 np.shape(eps)), 2.0))
     records = concentration_exactness().records
-    assert len(records) == 30 * 5 * 99
+    assert records["replication"] == list(range(30 * 5 * 99))
     eps_grid = np.arange(0.01, 1.0, 0.01)
-    for rec in records:
-        n, eps = rec["replication"] // (5 * 99) + 1, rec["replication"] % 99
-        assert rec["bound"] == bnd.concentration_tail(
+    for i, bound in zip(records["replication"], records["bound"]):
+        n, eps = i // (5 * 99) + 1, i % 99
+        assert bound == bnd.concentration_tail(
             "hoeffding", 1.0, eps_grid[eps], n)
 
 
@@ -557,7 +557,9 @@ def test_chaining_dominance_one_distance_matrix_per_instance(monkeypatch):
     result = chaining_dominance(6, 17)
     assert len(calls) == 6
     monkeypatch.undo()
-    for i, rec in enumerate(result.records):
+    records = result.records
+    for i, (bound, statistic) in enumerate(zip(records["bound"],
+                                               records["statistic"])):
         rng = stream(17, i, "points")
         values = rng.standard_normal((int(rng.integers(2, 13)), 16))
         diameter = float(np.max(classes.pseudo_metric_matrix(values)))
@@ -565,7 +567,7 @@ def test_chaining_dominance_one_distance_matrix_per_instance(monkeypatch):
             diameter, lambda eps: math.log(
                 classes.covering_number_exhaustive(values, eps)),
             16, max_depth=12)
-        assert rec["bound"] == chain
+        assert bound == chain
         # the antithetic estimate of the rows' class from the per-draw sign
         # stream; BLAS sums a block of rows in another order than one row,
         # so the bits need the rows' sums as one product, as the check takes
@@ -579,7 +581,7 @@ def test_chaining_dominance_one_distance_matrix_per_instance(monkeypatch):
         vals = 0.5 * (np.max(sums, axis=1) / 16 + np.max(-sums, axis=1) / 16)
         value = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / np.sqrt(300))
-        assert rec["statistic"] == value - 3.0 * se
+        assert statistic == value - 3.0 * se
 
 
 @pytest.mark.parametrize("call, removed", [
@@ -590,9 +592,9 @@ def test_chaining_dominance_one_distance_matrix_per_instance(monkeypatch):
                         "deltas", "betas", "a_values"}),
     (solve_margin_program, {"slack_target"}),
     (TauLambdaReport, {"grid_resolution"}),
-    (scenario_pac_coverage, {"ghost_draws"}),
+    (scenario_coverage, {"ghost_draws"}),
     (concentration_exactness, {"n_max", "eps_step", "ps"}),
-    (quarter_lemma_grid, {"m_max", "p_step"}),
+    (quarter_lemma, {"m_max", "p_step"}),
     (relative_rate_scaling, {"tolerance", "ns", "delta"}),
     # fields that nothing reads
     (FunctionClassDescriptor, {"output_range"}),
@@ -603,10 +605,12 @@ def test_chaining_dominance_one_distance_matrix_per_instance(monkeypatch):
     # replications run in order: no check fans them out to threads
     *((check, {"threads"}) for check in (
         vc_coverage, margin_rad_coverage, regression_coverage,
-        symmetrization, scenario_pac_coverage, kernel_rad_bound,
+        symmetrization, scenario_coverage, kernel_rad_bound,
         chaining_dominance)),
     # a sample's provenance fields, which nothing read
     (SequenceSample, {"seed", "replication", "process"}),
+    # the check's name picks the relative bound: relative_coverage
+    (vc_coverage, {"relative"}),
 ])
 def test_options_no_caller_sets_are_gone(call, removed):
     # each took one value from every caller (its literal is in the body

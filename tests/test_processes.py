@@ -337,6 +337,18 @@ class TestSigmaFloor:
             assert np.all(np.isfinite(risks))
             assert np.unique(risks).size == 3
 
+    @pytest.mark.parametrize("sigma", [1e-50, 1e-6, 1.0])
+    def test_ar_ghost_covariance_is_the_law_at_any_sigma(self, sigma):
+        # the Cholesky jitter scales with sigma^2, as the covariance does:
+        # an absolute one swamps the law at small sigma
+        spec = ar_process([0.5, 0.2], sigma)
+        cov = stationary_params(spec).covariance
+        scale = np.max(np.abs(cov))
+        chol = _ar_cholesky(spec.coefficients, spec.sigma)
+        assert np.max(np.abs(chol @ chol.T - cov)) <= 1e-12 * scale
+        ghost = sample_marginal(spec, 20_000, 3, labels=False)
+        assert np.max(np.abs(np.cov(ghost.x.T) - cov)) <= 0.05 * scale
+
 
 class TestLabelsOff:
     """labels=False skips the label draw and keeps x's bits."""
@@ -446,6 +458,24 @@ class TestValidationAndExport:
         # the path nor the law of the process
         with pytest.raises(ValueError, match=f"^{stray} is not a parameter"):
             ProcessSpec(kind=kind, **fields)
+
+    @pytest.mark.parametrize("dist, fields, stray", [
+        ("uniform", {"low": 0.0, "high": 1.0, "mean": 5.0}, "mean"),
+        ("uniform", {"low": 0.0, "high": 1.0, "sigma": 7.0}, "sigma"),
+        ("normal", {"low": 0.0}, "low"),
+        ("normal", {"sigma": 2.0, "high": 1.0}, "high"),
+    ])
+    def test_field_off_its_dist_is_rejected_by_name(self, dist, fields,
+                                                    stray):
+        # the i.i.d. baseline takes both dists' fields, but each dist's law
+        # reads only its own, from the constructor and from a config alike
+        message = (f"^{stray} is not a parameter of process kind "
+                   f"'iid_baseline' with dist '{dist}'$")
+        with pytest.raises(ValueError, match=message):
+            iid_process(dist, **fields)
+        with pytest.raises(ValueError, match=message):
+            process_from_dict({"kind": "iid_baseline", "dist": dist,
+                               **fields})
 
     def test_fields_at_their_defaults_are_accepted(self):
         spec = ProcessSpec(kind="ar1_threshold_labels", a=0.5, sigma=1.0,

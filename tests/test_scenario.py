@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -783,6 +783,9 @@ class TestCoupledRowsInAHugeBox:
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1))
+    # derandomized draws move with the literals hypothesis mines from the
+    # code; this seed once built an offset past 1e50 in the generator
+    @example(seed=633772)
     def test_matches_the_rescaled_reference(self, seed):
         # the reference solves the same LP in the unit B, where the box is
         # [-1, 1]^p, and scales back; values are compared at the box scale
