@@ -127,6 +127,20 @@ def _check_entries(name, values):
            -_SCALE_MAX, _SCALE_MAX)
 
 
+def _sized(key, call, *args):
+    """``call(*args)``, where the value at ``key`` sizes the arrays: a
+    MemoryError, or numpy's ValueError for a shape past its index range,
+    is reported as a ValueError that starts with ``key``."""
+    try:
+        return call(*args)
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith(
+                ("Maximum allowed dimension exceeded", "array is too big")):
+            raise
+        raise ValueError(f"{key} sizes arrays that numpy cannot make "
+                         f"({exc})") from None
+
+
 def _set_floats(obj):
     """Store each field of the frozen dataclass ``obj`` that is annotated
     ``float`` and set as a float: called once the fields are checked, so

@@ -31,7 +31,7 @@ from . import bounds as bnd
 from . import experiments as xp
 from . import scenario as scn
 from .bounds import (_as_floats, _check, _from_dict, _from_kind_dict,
-                     _parameters)
+                     _parameters, _sized)
 from .classes import kernel_ball_class, linear_ball_class, threshold_class
 from .estimators import _sign_average, _sup_rows
 from .processes import (_write_text, process_from_dict, sequence_to_csv,
@@ -98,20 +98,6 @@ def _experiment(config):
     return function, _parameters(function)[0]
 
 
-def _sized(key, call, *args):
-    """``call(*args)``, where the config value at ``key`` sizes the arrays:
-    a MemoryError, or numpy's ValueError for a shape past its index range,
-    is reported as a ValueError that starts with ``key``."""
-    try:
-        return call(*args)
-    except (MemoryError, ValueError) as exc:
-        if isinstance(exc, ValueError) and not str(exc).startswith(
-                ("Maximum allowed dimension exceeded", "array is too big")):
-            raise
-        raise ValueError(f"{key} sizes arrays that numpy cannot make "
-                         f"({exc})") from None
-
-
 def _arguments(config, choice):
     """The keys of ``config`` that its function reads: all but the common
     ones and the ``choice`` key that picks the function."""
@@ -176,10 +162,9 @@ def _run_validate(config, out_dir):
     experiment = functools.partial(
         _from_dict, function, {k: v for k, v in config.items() if k in keys},
         "experiment", **_READERS)
-    # a check that takes n draws paths or points of that length; without n,
-    # epsilon plans the path length (scenario_coverage)
-    key = "n" if "n" in keys else "epsilon" if "epsilon" in keys else None
-    result = experiment() if key is None else _sized(key, experiment)
+    # a check that takes n draws paths or points of that length; certify
+    # names the key that sizes the path it plans (scenario_coverage)
+    result = _sized("n", experiment) if "n" in keys else experiment()
     summary = {"experiment": result.name, "holds": result.holds,
                **result.summary}
     return summary, result.records, result.holds
@@ -188,9 +173,8 @@ def _run_validate(config, out_dir):
 def _run_scenario(config, out_dir):
     program = scn.ScenarioProgramSpec.from_dict(config["program"])
     spec = process_from_dict(config["process"])
-    # epsilon sets the planned scenario count, which sizes the path
-    cert = _sized("epsilon", scn.certify, program, spec, config["epsilon"],
-                  config["delta"], config["method"], config["seed"])
+    cert = scn.certify(program, spec, config["epsilon"], config["delta"],
+                       config["method"], config["seed"])
     return {"certificate": cert.to_dict()}, None, True
 
 

@@ -166,7 +166,10 @@ def margin_linear_risk(w, sigma_x: float, flip_p: float, gamma: float):
         ehalf = lambda lo, hi: sigma_x * math.sqrt(2.0 / math.pi) * (
             np.exp(-lo ** 2 / (2 * sigma_x ** 2))
             - np.exp(-hi ** 2 / (2 * sigma_x ** 2)))
-        out[pos] = cdf(a) + (cdf(b) - cdf(a) - sp * ehalf(a, b)) / gamma
+        # below a slope of about 1e-154, b = 1 / s squares past the float
+        # range to inf, and exp(-inf) is the limit 0
+        with np.errstate(over="ignore"):
+            out[pos] = cdf(a) + (cdf(b) - cdf(a) - sp * ehalf(a, b)) / gamma
         return out
 
     return (1.0 - flip_p) * t_of(w) + flip_p * t_of(-w)
@@ -599,5 +602,5 @@ def quarter_lemma() -> ExperimentResult:
     rows, cols = np.nonzero(p_grid[None, :] > 1.0 / ms[:, None])
     ps = p_grid[cols]
     holds = bnd._binomial_tail(ms[rows], ps, 0.0, False) > 0.25
-    return _result("quarter_lemma_grid", ps, 0.25, holds,
+    return _result("quarter_lemma", ps, 0.25, holds,
                    {"cells": rows.size, "m_max": m_max}, keep=~holds)

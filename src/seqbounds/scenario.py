@@ -1,9 +1,9 @@
 """Pseudo-linear random programs with margin: sample-size planners,
 violation bounds, a feasibility/optimization solver and PAC certificates.
 
-The solver is exact up to rounding and needs no LP package: a box whose
-rows each bound one coordinate is solved in closed form, and any other box
-or ball program by Seidel's incremental LP, in numpy.  No solve loads
+The solver is exact up to rounding and needs no LP package: a box (or a
+1-D ball) whose rows each bound one coordinate is solved in closed form,
+and any other program by Seidel's incremental LP, in numpy.  No solve loads
 ``scipy.optimize``; the module attribute ``optimize`` imports it on first
 access, for callers that read or wrap it.  ``scipy.spatial`` is imported on
 first use, for the hull of a scenario cloud in 2 to 4 dimensions, only for
@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import (_RANGE_MAX, _SCALE_MAX, _SCALE_MIN, _as_floats, _check,
                      _check_entries, _from_dict, _from_kind_dict,
-                     _log_capacity, _log_over, _mcdiarmid)
+                     _log_capacity, _log_over, _mcdiarmid, _sized)
 from .processes import ProcessSpec, simulate_sequence
 
 _CEIL_GUARD = 1e-9
@@ -205,10 +205,6 @@ class ScenarioProgramSpec:
                              f"the pieces read x of width {self.dim_x}")
 
     @property
-    def dim_theta(self):
-        return self.objective.size
-
-    @property
     def dim_x(self):
         """The width of x: the column count of every psi and eta matrix."""
         return self.pieces[0].psi.matrix.shape[1]
@@ -374,8 +370,8 @@ class SolveResult:
     max_violation: float      # max_i f(x_i, theta) + margin at the returned point
     rows_solved: int          # constraint rows handed to the solver
     used_fallback: bool       # whether the min-slack program gave theta
-    solver: str               # what gave theta: closed_form (per-coordinate
-                              # bounds) or seidel (the incremental LP)
+    solver: str               # what gave theta: closed_form (bounds on a box
+                              # or 1-D ball) or seidel (the incremental LP)
 
 
 _TIGHTEN = 1e-9
@@ -456,24 +452,23 @@ def solve_margin_program(program: ScenarioProgramSpec, scenarios,
     piece psi_k(x).theta + eta_k(x) is affine in x for fixed theta, so its
     maximum over the scenarios falls on an extreme point of their convex
     hull: it gives the rows of those scenarios (min and max for 1-D x, the
-    Qhull vertices in 2 to 4 dimensions, every scenario above).  On a box,
-    when every row bounds at most one theta coordinate, the rows only
-    narrow the box and the optimum is read off in closed form (``solver``
-    "closed_form"); on a ball, that optimum of the box [-r, r]^p is kept
-    when it lies in the ball, and a 1-D ball is the box [-r, r].  Any other
-    program, and the min-slack program, is solved by Seidel's incremental
-    LP (``solver`` "seidel", see _solve and _seidel), exact up to rounding;
-    no solve loads ``scipy.optimize``.  The rows count as feasible when the
-    min-slack point meets them, and the optimize point is then kept
-    (``used_fallback`` False) when every row holds at it to within
-    _FEASIBLE_TOL of the row's scale |psi|.|theta| + |h| + margin, so that
-    ``max_violation`` can exceed 0 only by rounding at that scale.
+    Qhull vertices in 2 to 4 dimensions, every scenario above).  On a box
+    or a 1-D ball, when every row bounds at most one theta coordinate, the
+    rows only narrow the box and the optimum is read off in closed form
+    (``solver`` "closed_form").  Any other program, and the min-slack
+    program, is solved by Seidel's incremental LP (``solver`` "seidel", see
+    _solve), exact up to rounding; no solve loads ``scipy.optimize``.  In
+    both, a zero cost takes the point nearest the origin.  The rows count
+    as feasible when the min-slack point meets them, and the optimize point
+    is then kept (``used_fallback`` False) when every row holds at it to
+    within _FEASIBLE_TOL of the row's scale |psi|.|theta| + |h| + margin,
+    so that ``max_violation`` can exceed 0 only by rounding at that scale.
     Otherwise, or in feasibility mode, the minimal worst-case slack point
-    is returned.  The feasible flag always comes from an exact
-    post-hoc evaluation of the constraints at the returned point over all
-    scenarios and from the theta set's own membership test.  ``scenarios``
-    (or their ``x``) hold x of the program's width ``dim_x``: a mismatch
-    fails with a ValueError naming ``scenarios``.
+    is returned.  The feasible flag always comes from an exact post-hoc
+    evaluation of the constraints at the returned point over all scenarios
+    and from the theta set's own membership test.  ``scenarios`` (or their
+    ``x``) hold x of the program's width ``dim_x``: a mismatch fails with a
+    ValueError naming ``scenarios``.
     """
     if mode not in ("optimize", "feasibility"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -483,11 +478,9 @@ def solve_margin_program(program: ScenarioProgramSpec, scenarios,
     xs = _scenario_rows(program, getattr(scenarios, "x", scenarios),
                         "scenarios")
     psi_all, h_all = _binding_rows(program, xs)
-    theta_set = program.theta_set
-    if isinstance(theta_set, Ball) and program.dim_theta == 1:
-        theta_set = Box([-theta_set.radius], [theta_set.radius])
-    theta, used_fallback, solver = _solve(theta_set, program.objective,
-                                          psi_all, h_all, gamma, mode)
+    theta, used_fallback, solver = _solve(program.theta_set,
+                                          program.objective, psi_all, h_all,
+                                          gamma, mode)
     resid = float(np.max(program.constraint_values(xs, theta)) + gamma)
     feasible = resid <= 0 and program.theta_set.contains(theta)
     return SolveResult(theta=theta, feasible=bool(feasible),
@@ -498,7 +491,8 @@ def solve_margin_program(program: ScenarioProgramSpec, scenarios,
 
 def _solve(theta_set, objective, psi_all, h_all, gamma, mode):
     """theta, whether the min-slack program ran, and what gave theta
-    (closed_form or seidel) over a box or a ball of dimension >= 2.
+    (closed_form or seidel).  A box, or a 1-D ball as [-r, r], is the box
+    [lo, hi] of the closed form and the LP; a larger ball is the LP's ball.
 
     The min-slack program is min t s.t. psi.theta - t <= -h over the theta
     set, whose t lies within +-S, S the largest |psi|.sup|theta| + |h|.  t
@@ -511,19 +505,18 @@ def _solve(theta_set, objective, psi_all, h_all, gamma, mode):
     p = objective.size
     if isinstance(theta_set, Box):
         q, radius, lo, hi = 0, 0.0, theta_set.lo, theta_set.hi
+    elif p == 1:
+        q, radius, hi = 0, 0.0, np.array([theta_set.radius])
+        lo = -hi
     else:
         q, radius, lo, hi = p, theta_set.radius, np.empty(0), np.empty(0)
     b = -gamma - h_all - _TIGHTEN
-    if mode == "optimize" and np.all(np.count_nonzero(psi_all, axis=1) <= 1):
-        # the box [-r, r]^p holds the ball: an optimum inside it is the ball's
-        theta = _bound_rows_optimum(
-            theta_set if q == 0 else Box(-radius * np.ones(p),
-                                         radius * np.ones(p)),
-            objective, psi_all, b)
-        if theta is None:
-            mode = "feasibility"
-        elif q == 0 or np.linalg.norm(theta) <= radius:
+    if (q == 0 and mode == "optimize"
+            and np.all(np.count_nonzero(psi_all, axis=1) <= 1)):
+        theta = _bound_rows_optimum(lo, hi, objective, psi_all, b)
+        if theta is not None:
             return theta, False, "closed_form"
+        mode = "feasibility"
     reach = (np.abs(psi_all) @ np.maximum(np.abs(lo), np.abs(hi)) if q == 0
              else radius * np.linalg.norm(psi_all, axis=1))
     unit = math.ldexp(1.0, math.frexp(np.max(np.abs(psi_all)))[1])
@@ -552,13 +545,16 @@ def __getattr__(name):
     return optimize
 
 
-def _bound_rows_optimum(box, objective, psi_all, b):
-    """argmin of objective.theta over the box cut by the rows psi.theta <= b,
-    each with at most one non-zero coefficient, or None when the cut box is
-    empty.  Each row a.theta_j <= b moves one end of [lo_j, hi_j] to b/a, so
-    the LP separates by coordinate: theta_j sits at the end its cost points
-    to, and a zero cost takes the end of smaller magnitude (the lower one on
-    a tie), or the lower end when no row has a non-zero coefficient."""
+def _box_argmin(c, lo, hi):
+    """argmin of c.z over [lo, hi]; a zero cost takes the point nearest 0."""
+    return np.where(c > 0, lo, np.where(c < 0, hi, np.clip(0.0, lo, hi)))
+
+
+def _bound_rows_optimum(lo, hi, objective, psi_all, b):
+    """argmin of objective.theta over the box [lo, hi] cut by the rows
+    psi.theta <= b, each with at most one non-zero coefficient, or None when
+    the cut box is empty.  Each row a.theta_j <= b moves one end of
+    [lo_j, hi_j] to b/a, so the LP separates by coordinate."""
     rows, cols = np.nonzero(psi_all)
     constant = np.ones(b.size, dtype=bool)
     constant[rows] = False
@@ -567,13 +563,12 @@ def _bound_rows_optimum(box, objective, psi_all, b):
     a = psi_all[rows, cols]
     with np.errstate(over="ignore"):
         cut = b[rows] / a
-    lo, hi = box.lo.copy(), box.hi.copy()
+    lo, hi = lo.copy(), hi.copy()
     np.maximum.at(lo, cols[a < 0], cut[a < 0])
     np.minimum.at(hi, cols[a > 0], cut[a > 0])
     if not np.all(lo <= hi):
         return None
-    nearer = np.where(np.abs(lo) <= np.abs(hi), lo, hi) if rows.size else lo
-    return np.where(objective > 0, lo, np.where(objective < 0, hi, nearer))
+    return _box_argmin(objective, lo, hi)
 
 
 def _incremental_lp(c, a, b, lo, hi, q=0, radius=0.0):
@@ -613,10 +608,8 @@ def _seidel(a, b, sa, sb, q, radius, lo, hi):
         q, lo, hi = 0, np.append(-radius, lo), np.append(radius, hi)
     c = a[0]
     norm = np.linalg.norm(c[:q])
-    z = np.concatenate([
-        -radius / norm * c[:q] if norm > 0 else np.zeros(q),
-        np.where(c[q:] > 0, lo, np.where(c[q:] < 0, hi,
-                                         np.clip(0.0, lo, hi)))])
+    z = np.concatenate([-radius / norm * c[:q] if norm > 0 else np.zeros(q),
+                        _box_argmin(c[q:], lo, hi)])
     i = 1
     while True:
         over = (a[i:] @ z - b[i:]
@@ -704,7 +697,10 @@ def certify(program: ScenarioProgramSpec, spec: ProcessSpec, epsilon: float,
     violation claim.  The program never reads labels, so the path is drawn
     without them; x_i of an AR(d) path holds its last d values, so the
     program must read x of width ``spec.order`` (else a ValueError names
-    ``process``).
+    ``process``).  A path that numpy cannot make fails with a ValueError
+    that names epsilon, or margin when the margin plan's factor 2 / margin
+    is larger than epsilon's 1 / epsilon: that plan grows as
+    ((2 / margin) sum_k tau_k Lambda_k / epsilon)^2.
     """
     _check("epsilon", epsilon, 0, 1, lo_open=True, hi_open=True)
     _check("delta", delta, 0, 1, lo_open=True, hi_open=True)
@@ -729,10 +725,12 @@ def certify(program: ScenarioProgramSpec, spec: ProcessSpec, epsilon: float,
     if spec.order != program.dim_x:
         raise ValueError(f"process draws x of width {spec.order}, the program "
                          f"reads x of width {program.dim_x}")
-    path = simulate_sequence(spec, n, seed, replication=replication,
-                             labels=False)
-    result = solve_margin_program(program, path.x, mode="optimize",
-                                  margin=gamma_solve)
+    key = ("margin" if method == "margin" and program.margin < 2.0 * epsilon
+           else "epsilon")
+    result = _sized(key, lambda: solve_margin_program(
+        program, simulate_sequence(spec, n, seed, replication=replication,
+                                   labels=False).x,
+        mode="optimize", margin=gamma_solve))
     vb = (violation_bound(method, n, delta, **capacity) if result.feasible
           else None)
     return Certificate(

@@ -223,7 +223,7 @@ def measure_lp(wide_box_seeds, ball_programs):
             margin=boxed.margin)
         xs = random_cloud(rng, n, dim_x, rng.choice(
             ["general", "duplicates", "collinear"]))
-        if program.dim_theta >= 2:
+        if program.objective.size >= 2:
             solves.append((program, xs, rng.choice(["optimize",
                                                     "feasibility"])))
 

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from digest_outputs import AR1, AR2_SYSTEM, COMMAND_CONFIGS, CONFIGS
 from seqbounds import cli
@@ -201,6 +200,13 @@ class TestValidateRegistry:
         assert len({len(column) for column in records.values()}) == 1
         assert {type(v) for column in records.values() for v in column} <= \
             {int, float, bool}
+
+    @pytest.mark.parametrize("experiment", xp.CHECKS)
+    def test_result_is_named_after_its_check(self, experiment, tmp_path):
+        # summary.json's "experiment" is the ExperimentResult's name
+        summary, _, _ = cli._run_validate(_validate_base(experiment),
+                                          tmp_path)
+        assert summary["experiment"] == experiment
 
     def test_unknown_experiment_exit_2(self, tmp_path, capsys):
         config = {"command": "validate", "experiment": "vc_coverag",
@@ -493,10 +499,11 @@ def _all_finite(obj):
 
 
 # 10**400 is an int past the float range, "abc" a number as text, True a
-# bool, which Python would read as 1, and 1e-300 a scale whose square
-# underflows and whose inverse passes any bound
+# bool, which Python would read as 1, 1e-300 a scale whose square
+# underflows and whose inverse passes any bound, and 1e-50 the least scale
+# that passes the range checks
 _FUZZ_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 1e308, 10 ** 400, "abc",
-                True, 1e-300]
+                True, 1e-300, 1e-50]
 
 
 def _validate_base(name):
@@ -538,14 +545,22 @@ def _check_case(config, path, value):
         assert _all_finite(json.loads(text, parse_constant=reject))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(case=st.sampled_from(_FUZZ_CASES), value=st.sampled_from(_FUZZ_VALUES))
-def test_out_of_range_value_named_or_finite(case, value):
+def _check_every_case(base, cases):
+    """_check_case at every fuzz value of every case (a few seconds for
+    all), in a fixed order; a failure names its case and value."""
+    for name, path in cases:
+        for value in _FUZZ_VALUES:
+            try:
+                _check_case(base(name), path, value)
+            except AssertionError as exc:
+                raise AssertionError(f"{name} {path} = {value!r}") from exc
+
+
+def test_out_of_range_value_named_or_finite():
     """Every numeric config value is range-checked: the run either stops
     with exit 2 and a message that starts with the key, or writes a strict
     JSON summary with only finite numbers in it."""
-    name, path = case
-    _check_case(_validate_base(name), path, value)
+    _check_every_case(_validate_base, _FUZZ_CASES)
 
 
 # The other commands: every bound kind, both planners, simulate, rad on
@@ -585,13 +600,10 @@ _COMMAND_CASES = [(name, path) for name, config in _COMMAND_BASES.items()
                   for path in [*_numeric_paths(config), ("threads",)]]
 
 
-@settings(max_examples=600, deadline=None, derandomize=True)
-@given(case=st.sampled_from(_COMMAND_CASES), value=st.sampled_from(_FUZZ_VALUES))
-def test_command_out_of_range_value_named_or_finite(case, value):
+def test_command_out_of_range_value_named_or_finite():
     """The validate fuzz above for every other command, nested program,
     process, class, point and rad_terms numbers included."""
-    name, path = case
-    _check_case(_COMMAND_BASES[name], path, value)
+    _check_every_case(_COMMAND_BASES.__getitem__, _COMMAND_CASES)
 
 
 _TINY_CASES = {
@@ -621,6 +633,29 @@ def test_tiny_value_exit_2_names_its_key(tmp_path, capsys, config, path):
     config, name = _replaced(config, path, 1e-300)
     assert run(config, tmp_path / "out") == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: {name} ")
+
+
+_PLAN_CASES = {
+    **{f"{name}-margin": (_COMMAND_BASES[name], ("program", "margin"))
+       for name in ("scenario_box", "scenario_ball", "scenario_box_domain")},
+    "scenario_coverage-margin": (_validate_base("scenario_coverage"),
+                                 ("program", "margin")),
+    **{f"{name}-epsilon": (_COMMAND_BASES[name], ("epsilon",))
+       for name in ("scenario_box", "scenario_box_vc")},
+    "scenario_coverage-epsilon": (_validate_base("scenario_coverage"),
+                                  ("epsilon",)),
+}
+
+
+@pytest.mark.parametrize("config, path", _PLAN_CASES.values(),
+                         ids=_PLAN_CASES.keys())
+def test_oversized_plan_names_its_key(tmp_path, capsys, config, path):
+    # a margin or an epsilon of 1e-50 passes its range check and plans a
+    # path past numpy's index range; the key that did it is named
+    config, name = _replaced(config, path, 1e-50)
+    assert run(config, tmp_path / "out") == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"config error: {name} sizes arrays that numpy cannot make")
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,12 @@ class TestMarginRiskOracle:
         big = margin_linear_risk(np.array([50.0]), 1.0, 0.1, 0.5)[0]
         assert big == pytest.approx(0.1, abs=0.02)
 
+    def test_tiny_slope_scores_nothing(self):
+        # 1 / 1e-300 squares past the float range; the risk is still the
+        # limit 1 of w -> 0, without an overflow warning (an error here)
+        risks = margin_linear_risk(np.array([1e-300, -1e-300]), 1.0, 0.1, 0.5)
+        assert np.array_equal(risks, [1.0, 1.0])
+
 
 class TestClippedLinearRiskOracle:
     spec = ar_process([0.5, 0.2], 1.0)

@@ -494,12 +494,12 @@ class TestSolver:
         res = solve_margin_program(prog, np.array([1.0]))
         assert res.used_fallback and res.solver == "seidel"
 
-    def test_interior_ball_optimum_is_closed_form(self):
-        # x_k - theta_k <= -1: the optimum max(x) + 1 of the box [-r, r]^p
-        # lies inside the ball, so it is kept
+    def test_interior_ball_optimum_is_exact(self):
+        # x_k - theta_k <= -1: the optimum max(x) + 1 lies inside the ball,
+        # and the incremental LP gives its bits
         xs = np.array([[0.5, -0.2], [0.1, 0.3]])
         res = solve_margin_program(x_bounds_program(Ball(10.0), 2), xs)
-        assert res.solver == "closed_form" and res.feasible
+        assert res.solver == "seidel" and res.feasible
         assert np.array_equal(res.theta, np.max(xs, axis=0) + 1.0 + 1e-9)
 
     def test_ball_optimum_on_the_sphere(self):
@@ -562,7 +562,7 @@ def every_row(program, xs):
 def full_row_theta(program, xs, mode):
     """(used_fallback, theta) of HiGHS on every scenario row."""
     psi, h = every_row(program, xs)
-    gamma, p = program.margin, program.dim_theta
+    gamma, p = program.margin, program.objective.size
     bounds = list(zip(program.theta_set.lo, program.theta_set.hi))
     res = None
     if mode == "optimize":
@@ -633,11 +633,25 @@ def random_lp_program(rng):
                                margin=margin)
 
 
+def each_seed(seeds, check):
+    """check(seed) for every seed in turn: a fixed list of examples, which
+    no constant mined by hypothesis or run scope moves.  A failure names
+    its seed."""
+    for seed in seeds:
+        try:
+            check(seed)
+        except AssertionError as exc:
+            raise AssertionError(f"fails at seed {seed}") from exc
+
+
 class TestIncrementalLP:
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2 ** 32 - 1),
-           mode=st.sampled_from(["optimize", "feasibility"]))
-    def test_matches_linprog(self, seed, mode):
+    def test_matches_linprog(self):
+        # seeds alternate between the modes
+        each_seed(range(300), lambda seed: self.check_against_linprog(
+            seed, ("optimize", "feasibility")[seed % 2]))
+
+    @staticmethod
+    def check_against_linprog(seed, mode):
         # linprog (HiGHS) is the reference: the same verdict, the same
         # optimum or least worst-case value to 1e-7 relative
         prog = random_lp_program(np.random.default_rng(seed))
@@ -976,27 +990,48 @@ class TestClosedForm:
         if not feasible:
             assert res.max_violation == 2.1
 
-    @pytest.mark.parametrize("lo, hi", [(-4.0, 4.0), (-4.0, 3.0), (-3.0, 4.0)])
-    @pytest.mark.parametrize("psi", [0.0, -1.0])
-    def test_zero_cost_takes_the_highs_vertex(self, lo, hi, psi):
-        # x - 10 - psi.theta <= -gamma holds on the whole box, so only the
-        # tie-break decides theta
-        piece = ConstraintPiece(psi=AffineMap([[0.0]], [psi]),
-                                eta=AffineMap([[1.0]], [-10.0]))
-        prog = ScenarioProgramSpec(objective=[0.0], pieces=(piece,),
-                                   theta_set=Box([lo], [hi]), margin=0.1)
-        xs = np.array([-1.0, 1.0])
-        res = solve_margin_program(prog, xs)
-        assert res.solver == "closed_form"
-        assert np.array_equal(res.theta,
-                              full_row_theta(prog, xs[:, None], "optimize")[1])
+    @pytest.mark.parametrize("lo, hi", [(-4.0, 3.0), (1.0, 4.0),
+                                        (-4.0, -2.0)])
+    @pytest.mark.parametrize("rows, solver", [("bounds", "closed_form"),
+                                              ("coupled", "seidel")])
+    def test_zero_cost_takes_the_point_nearest_the_origin(self, lo, hi, rows,
+                                                         solver):
+        # minimize theta_1 (+ theta_2) s.t. x - theta_1 (- theta_2) <= -0.5:
+        # the last coordinate has no cost and no row, so only the tie rule
+        # decides it, by the closed form or by the incremental LP
+        p = 2 if rows == "bounds" else 3
+        psi = -np.ones(p)
+        psi[-1] = 0.0
+        piece = ConstraintPiece(psi=AffineMap(np.zeros((p, 1)), psi),
+                                eta=AffineMap([[1.0]], [0.0]))
+        prog = ScenarioProgramSpec(
+            objective=-psi, pieces=(piece,),
+            theta_set=Box(np.append(-4.0 * np.ones(p - 1), lo),
+                          np.append(4.0 * np.ones(p - 1), hi)), margin=0.5)
+        res = solve_margin_program(prog, np.array([-1.0, 1.0]))
+        assert res.solver == solver and not res.used_fallback
+        assert res.theta[-1] == np.clip(0.0, lo, hi)
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40))
-    def test_matches_linprog(self, seed, n):
+    def test_zero_cost_on_a_ball_takes_the_point_nearest_the_origin(self):
+        # minimize theta_1 s.t. x - theta_1 <= -0.5 over a ball: theta_2 may
+        # lie anywhere on the chord theta_1 = 1.5, and takes its middle
+        piece = ConstraintPiece(psi=AffineMap(np.zeros((2, 1)), [-1.0, 0.0]),
+                                eta=AffineMap([[1.0]], [0.0]))
+        prog = ScenarioProgramSpec(objective=[1.0, 0.0], pieces=(piece,),
+                                   theta_set=Ball(4.0), margin=0.5)
+        res = solve_margin_program(prog, np.array([-1.0, 1.0]))
+        assert res.solver == "seidel" and not res.used_fallback
+        assert res.theta[0] == pytest.approx(1.5 + 1e-9, rel=1e-15)
+        assert res.theta[1] == 0.0
+
+    def test_matches_linprog(self):
+        each_seed(range(300), self.check_against_linprog)
+
+    @staticmethod
+    def check_against_linprog(seed):
         rng = np.random.default_rng(seed)
         prog = random_bound_program(rng)
-        xs = rng.normal(size=n)
+        xs = rng.normal(size=int(rng.integers(1, 41)))
         res = solve_margin_program(prog, xs)
         used_fallback, objective, resid, feasible = full_row_solve(
             prog, xs[:, None], "optimize")
@@ -1005,11 +1040,29 @@ class TestClosedForm:
         if used_fallback:
             assert res.max_violation == pytest.approx(resid, abs=1e-9)
         else:
-            # a zero cost leaves theta_j free: HiGHS's vertex is matched too
+            # HiGHS's vertex fixes each coordinate with a cost; a zero cost
+            # takes the point nearest the origin of its cut interval
             _, theta = full_row_theta(prog, xs[:, None], "optimize")
+            free = prog.objective == 0.0
             assert res.solver == "closed_form"
             assert res.objective == pytest.approx(objective, abs=1e-9)
-            assert res.theta == pytest.approx(theta, abs=1e-9)
+            assert res.theta[~free] == pytest.approx(theta[~free], abs=1e-9)
+            assert res.theta[free] == pytest.approx(
+                np.clip(0.0, *cut_box(prog, xs[:, None]))[free], abs=1e-9)
+
+
+def cut_box(program, xs):
+    """(lo, hi): the box of theta cut by every scenario row, each of which
+    bounds at most one coordinate."""
+    psi, h = every_row(program, xs)
+    lo, hi = program.theta_set.lo.copy(), program.theta_set.hi.copy()
+    for row, b in zip(psi, -program.margin - h - 1e-9):
+        for j in np.flatnonzero(row):
+            if row[j] > 0:
+                hi[j] = min(hi[j], b / row[j])
+            else:
+                lo[j] = max(lo[j], b / row[j])
+    return lo, hi
 
 
 def ball_kkt_residual(program, xs, res):
@@ -1039,8 +1092,7 @@ def ball_kkt_residual(program, xs, res):
 
 
 class TestBallPrograms:
-    """Balls of dim theta >= 2, solved by the incremental LP unless the
-    box [-r, r]^p's optimum lies in the ball."""
+    """Balls of dim theta >= 2, solved by the incremental LP."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1), dim_x=st.sampled_from([1, 2, 3]),
@@ -1052,7 +1104,7 @@ class TestBallPrograms:
                              log_radius, mode, cloud):
         rng = np.random.default_rng(seed)
         boxed = random_box_program(rng, dim_x, pieces, x_dependent)
-        assume(boxed.dim_theta >= 2)
+        assume(boxed.objective.size >= 2)
         radius = 10.0 ** log_radius
         prog = ScenarioProgramSpec(objective=boxed.objective,
                                    pieces=boxed.pieces,
@@ -1060,7 +1112,7 @@ class TestBallPrograms:
                                    margin=boxed.margin)
         xs = random_cloud(rng, n, dim_x, cloud)
         res = solve_margin_program(prog, xs, mode=mode)
-        assert res.solver in ("closed_form", "seidel")
+        assert res.solver == "seidel"
         assert np.linalg.norm(res.theta) <= radius * (1.0 + 1e-12)
         assert ball_kkt_residual(prog, xs, res) <= 1e-9
 
@@ -1079,7 +1131,7 @@ class TestBallPrograms:
                                    margin=boxed.margin)
         xs = random_cloud(rng, int(rng.integers(5, 201)), dim_x, "general")
         res = solve_margin_program(prog, xs)
-        assert prog.dim_theta >= 2
+        assert prog.objective.size >= 2
         assert res.feasible and not res.used_fallback
         assert ball_kkt_residual(prog, xs, res) <= 1e-9
 
