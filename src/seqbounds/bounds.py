@@ -123,7 +123,7 @@ def _check_entries(name, values):
     """_check on the largest magnitude of an array: an entry that is NaN or
     beyond +-_SCALE_MAX fails, and an empty or 0-d array is missing."""
     a = _as_floats(name, values)
-    _check(name, float(np.max(np.abs(a))) if a.ndim and a.size else None,
+    _check(name, float(np.abs(a).max()) if a.ndim and a.size else None,
            -_SCALE_MAX, _SCALE_MAX)
 
 

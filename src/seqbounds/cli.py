@@ -248,24 +248,75 @@ def run(config: dict, out_dir) -> int:
 
 
 def _write_json(path, payload):
-    _write_text(path, [json.dumps(_plain(payload), sort_keys=True, indent=2)
-                       + "\n"])
+    """Write what ``json.dumps(payload, sort_keys=True, indent=2)`` and a
+    newline would, once numpy scalars and arrays are Python numbers and
+    lists, an np.bool_ a bool, and a float that is not finite its text
+    ("inf", "-inf" or "nan": strict JSON has no such numbers).  It is one
+    walk: ``json.dumps`` with an indent runs the pure-Python encoder (the C
+    one does not indent), and would need a plain copy of the payload first.
+    A value that JSON cannot encode raises its TypeError."""
+    out = []
+    _encode(payload, out, "\n")
+    out.append("\n")
+    _write_text(path, ["".join(out)])
 
 
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
-    if isinstance(obj, np.ndarray):
-        return _plain(obj.tolist())
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return str(obj)     # "inf", "-inf" or "nan": strict JSON has no such numbers
-    return obj
+def _encode(obj, out, newline):
+    """Append the JSON text of ``obj`` to ``out``; ``newline`` begins each
+    line inside it, indented as ``json.dumps`` does."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, float):    # np.float64 too, whose repr is a float's
+        out.append(float.__repr__(obj) if math.isfinite(obj)
+                   else _quote(str(obj)))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner, start = newline + "  ", "["
+        for value in obj:
+            out.append(start + inner)
+            _encode(value, out, inner)
+            start = ","
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner, start = newline + "  ", "{"
+        for key, value in sorted(obj.items()):
+            out.append(f"{start}{inner}{_quote(_key(key))}: ")
+            _encode(value, out, inner)
+            start = ","
+        out.append(newline + "}")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif (isinstance(obj, (np.floating, np.integer, np.ndarray))
+          and type(plain := obj.tolist()) is not type(obj)):
+        # Python numbers and lists; an np.longdouble stays itself
+        _encode(plain, out, newline)
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} "
+                        f"is not JSON serializable")
+
+
+# the escaper of json.dumps at its default ensure_ascii
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _key(key):
+    """A dict key as json.dumps writes it: a number, bool or None by its
+    JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
 
 
 def write_records_csv(records, path):

@@ -17,7 +17,7 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,7 +109,8 @@ class Box:
         return np.array(list(itertools.product(*cols)))
 
     def contains(self, theta, tol=1e-9):
-        return bool(np.all(theta >= self.lo - tol) and np.all(theta <= self.hi + tol))
+        return bool((theta >= self.lo - tol).all()
+                    and (theta <= self.hi + tol).all())
 
     def to_dict(self):
         return {"kind": "box", "lo": self.lo.tolist(), "hi": self.hi.tolist()}
@@ -152,6 +153,12 @@ class ConstraintPiece:
     def __post_init__(self):
         if self.eta.matrix.shape[0] != 1:
             raise ValueError("eta must map into R")
+
+    def values(self, xs, theta):
+        """f_k(x_i, theta) per row x_i of ``xs``; a constant psi_k adds the
+        one number psi_k.theta to every eta_k(x_i)."""
+        return ((self.psi.offset if self.psi.constant else self.psi(xs))
+                @ theta + self.eta(xs)[:, 0])
 
     def to_dict(self):
         return {"psi": self.psi.to_dict(), "eta": self.eta.to_dict()}
@@ -210,13 +217,11 @@ class ScenarioProgramSpec:
         return self.pieces[0].psi.matrix.shape[1]
 
     def constraint_values(self, xs, theta):
-        """f(x_i, theta) = max_k psi_k(x_i).theta + eta_k(x_i) per scenario;
-        a constant psi_k adds the one number psi_k.theta to every eta_k."""
+        """f(x_i, theta) = max_k psi_k(x_i).theta + eta_k(x_i) per scenario."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim == 1:
             xs = xs[:, None]
-        vals = [(piece.psi.offset if piece.psi.constant else piece.psi(xs))
-                @ theta + piece.eta(xs)[:, 0] for piece in self.pieces]
+        vals = [piece.values(xs, theta) for piece in self.pieces]
         return vals[0] if len(vals) == 1 else np.max(np.stack(vals), axis=0)
 
     def to_dict(self):
@@ -422,23 +427,28 @@ def _scenario_rows(program, xs, name):
 
 
 def _binding_rows(program, xs):
-    """The constraint rows that can bind, stacked piece by piece: (Psi, h).
+    """The constraint rows that can bind, stacked piece by piece, and each
+    piece's largest eta: (Psi, h, tops).
 
     A piece whose psi is constant gives the one row (psi offset, largest
-    eta_k(x_i)); the others give their rows at the extreme scenarios, whose
-    hull is only computed when such a piece exists."""
+    eta_k(x_i)), and that largest eta is its entry of ``tops``; the others
+    give their rows at the extreme scenarios, whose hull is only computed
+    when such a piece exists, and None."""
     extreme = None
-    psi_rows, h_rows = [], []
+    psi_rows, h_rows, tops = [], [], []
     for piece in program.pieces:
         if piece.psi.constant:
+            top = np.max(piece.eta(xs))
             psi_rows.append(piece.psi.offset[None, :])
-            h_rows.append([np.max(piece.eta(xs))])
+            h_rows.append([top])
+            tops.append(top)
             continue
         if extreme is None:
             extreme = xs[_extreme_scenarios(xs)]
         psi_rows.append(piece.psi(extreme))
         h_rows.append(piece.eta(extreme)[:, 0])
-    return np.vstack(psi_rows), np.concatenate(h_rows)
+        tops.append(None)
+    return np.vstack(psi_rows), np.concatenate(h_rows), tops
 
 
 def solve_margin_program(program: ScenarioProgramSpec, scenarios,
@@ -466,7 +476,12 @@ def solve_margin_program(program: ScenarioProgramSpec, scenarios,
     Otherwise, or in feasibility mode, the minimal worst-case slack point
     is returned.  The feasible flag always comes from an exact post-hoc
     evaluation of the constraints at the returned point over all scenarios
-    and from the theta set's own membership test.  ``scenarios`` (or their
+    and from the theta set's own membership test.  A piece whose psi is
+    constant is evaluated through its one row, as psi_k.theta + max_i
+    eta_k(x_i): rounding is monotone, so max_i fl(c + eta_k(x_i)) equals
+    fl(c + max_i eta_k(x_i)) bit for bit (every value is finite, as
+    entries are at most 1e50 in magnitude); only the other pieces are
+    evaluated at every scenario.  ``scenarios`` (or their
     ``x``) hold x of the program's width ``dim_x``: a mismatch fails with a
     ValueError naming ``scenarios``.
     """
@@ -477,11 +492,15 @@ def solve_margin_program(program: ScenarioProgramSpec, scenarios,
     gamma = float(gamma)
     xs = _scenario_rows(program, getattr(scenarios, "x", scenarios),
                         "scenarios")
-    psi_all, h_all = _binding_rows(program, xs)
+    psi_all, h_all, tops = _binding_rows(program, xs)
     theta, used_fallback, solver = _solve(program.theta_set,
                                           program.objective, psi_all, h_all,
                                           gamma, mode)
-    resid = float(np.max(program.constraint_values(xs, theta)) + gamma)
+    # a constant psi_k takes its largest value at its row (see above)
+    worst = max(np.max(piece.values(xs, theta)) if top is None
+                else piece.psi.offset @ theta + top
+                for piece, top in zip(program.pieces, tops))
+    resid = float(worst + gamma)
     feasible = resid <= 0 and program.theta_set.contains(theta)
     return SolveResult(theta=theta, feasible=bool(feasible),
                        objective=float(program.objective @ theta),
@@ -511,12 +530,15 @@ def _solve(theta_set, objective, psi_all, h_all, gamma, mode):
     else:
         q, radius, lo, hi = p, theta_set.radius, np.empty(0), np.empty(0)
     b = -gamma - h_all - _TIGHTEN
-    if (q == 0 and mode == "optimize"
-            and np.all(np.count_nonzero(psi_all, axis=1) <= 1)):
-        theta = _bound_rows_optimum(lo, hi, objective, psi_all, b)
-        if theta is not None:
-            return theta, False, "closed_form"
-        mode = "feasibility"
+    if q == 0 and mode == "optimize":
+        # np.nonzero lists the coefficients row by row: a row with two repeats
+        rows = np.nonzero(psi_all)[0]
+        if not (rows[1:] == rows[:-1]).any():
+            theta = _bound_rows_optimum(lo, hi, objective, psi_all, b,
+                                        rows.size < b.size)
+            if theta is not None:
+                return theta, False, "closed_form"
+            mode = "feasibility"
     reach = (np.abs(psi_all) @ np.maximum(np.abs(lo), np.abs(hi)) if q == 0
              else radius * np.linalg.norm(psi_all, axis=1))
     unit = math.ldexp(1.0, math.frexp(np.max(np.abs(psi_all)))[1])
@@ -550,23 +572,26 @@ def _box_argmin(c, lo, hi):
     return np.where(c > 0, lo, np.where(c < 0, hi, np.clip(0.0, lo, hi)))
 
 
-def _bound_rows_optimum(lo, hi, objective, psi_all, b):
+def _bound_rows_optimum(lo, hi, objective, psi_all, b, blank):
     """argmin of objective.theta over the box [lo, hi] cut by the rows
     psi.theta <= b, each with at most one non-zero coefficient, or None when
-    the cut box is empty.  Each row a.theta_j <= b moves one end of
-    [lo_j, hi_j] to b/a, so the LP separates by coordinate."""
-    rows, cols = np.nonzero(psi_all)
-    constant = np.ones(b.size, dtype=bool)
-    constant[rows] = False
-    if np.any(b[constant] < 0):
+    the cut box is empty; ``blank`` tells whether a row has none.  Each row
+    a.theta_j <= b moves one end of [lo_j, hi_j] to b/a, so the LP
+    separates by coordinate.
+
+    b = -gamma - h - _TIGHTEN is never -0.0, and not below 1e-25 in
+    magnitude otherwise, so the zero ends b/a of one side of a column all
+    have one sign and its tightest end is one float; a tie with the box
+    end goes to the cut."""
+    if blank and (b[~psi_all.any(axis=1)] < 0).any():
         return None
-    a = psi_all[rows, cols]
-    with np.errstate(over="ignore"):
-        cut = b[rows] / a
-    lo, hi = lo.copy(), hi.copy()
-    np.maximum.at(lo, cols[a < 0], cut[a < 0])
-    np.minimum.at(hi, cols[a > 0], cut[a > 0])
-    if not np.all(lo <= hi):
+    with np.errstate(all="ignore"):     # 0 / 0 and x / 0 are masked below
+        cut = b[:, None] / psi_all
+    low = cut.max(axis=0, where=psi_all < 0, initial=-np.inf)
+    high = cut.min(axis=0, where=psi_all > 0, initial=np.inf)
+    lo = np.where(low >= lo, low, lo)
+    hi = np.where(high <= hi, high, hi)
+    if not (lo <= hi).all():
         return None
     return _box_argmin(objective, lo, hi)
 
@@ -684,7 +709,8 @@ class Certificate:
     seed: int
 
     def to_dict(self):
-        return {**asdict(self), "theta_hat": list(self.theta_hat)}
+        # every field is a scalar but theta_hat: no deep copy is needed
+        return {**vars(self), "theta_hat": list(self.theta_hat)}
 
 
 def certify(program: ScenarioProgramSpec, spec: ProcessSpec, epsilon: float,

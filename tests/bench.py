@@ -4,11 +4,15 @@
     PYTHONPATH=<parent checkout>/src python tests/bench.py SUITE --label parent
     PYTHONPATH=src python tests/bench.py SUITE --label change
 
-Each run is stored under its ``--label`` next to the labels already in the
-file, so one file holds a before and an after; the header (the suite's
-config and ``repeats``) is written only when the file is new.  Every timing
-is the best of ``REPEATS``; every run records the cores and the Python,
-numpy and scipy versions.  The suites:
+Each invocation appends its run to the runs under its ``--label`` (in
+``each``), next to the labels already in the file, so one file holds a
+before and an after; the label's metrics are the medians over its runs, as
+one run carries the machine's drift and a per-process slow mode.  Alternate
+the labels' invocations, five or more each.  A label written before runs
+were kept starts afresh.  The header (the suite's config and ``repeats``)
+is written only when the file is new.  Every timing is the best of
+``REPEATS``; every run records the cores and the Python, numpy and scipy
+versions.  The suites:
 
 - ``import``: what a CLI user pays before any work, each the wall time of a
   new ``python`` process: ``import_s`` (``python -c "import seqbounds"``),
@@ -60,6 +64,7 @@ import itertools
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -186,8 +191,7 @@ def measure_scenario():
 
 
 def measure_lp(wide_box_seeds, ball_programs):
-    from test_scenario import (TestCoupledRowsInAHugeBox, random_box_program,
-                               random_cloud)
+    from test_scenario import TestBallPrograms, TestCoupledRowsInAHugeBox
     lp = scenario._incremental_lp
     calls, spent = 0, 0.0
 
@@ -211,21 +215,8 @@ def measure_lp(wide_box_seeds, ball_programs):
     finally:
         scenario._incremental_lp = lp
     # the draws of TestBallPrograms.test_kkt_certificate, less p = 1
-    solves = []
-    for seed in range(ball_programs):
-        rng = np.random.default_rng(seed)
-        dim_x, n = int(rng.integers(1, 4)), int(rng.integers(1, 41))
-        boxed = random_box_program(rng, dim_x, int(rng.integers(1, 4)),
-                                   bool(rng.integers(0, 2)))
-        program = ScenarioProgramSpec(
-            objective=boxed.objective, pieces=boxed.pieces,
-            theta_set=Ball(10.0 ** rng.uniform(-6.0, 50.0)),
-            margin=boxed.margin)
-        xs = random_cloud(rng, n, dim_x, rng.choice(
-            ["general", "duplicates", "collinear"]))
-        if program.objective.size >= 2:
-            solves.append((program, xs, rng.choice(["optimize",
-                                                    "feasibility"])))
+    solves = [draw for draw in map(TestBallPrograms.draw,
+                                   range(ball_programs)) if draw]
 
     def balls():
         for program, xs, mode in solves:
@@ -364,6 +355,21 @@ SUITES = {
 }
 
 
+SYSTEM = {"cores": os.cpu_count(), "python": platform.python_version(),
+          "numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def add_run(bench, label, run):
+    """Append ``run`` to the runs of ``label`` in ``bench`` and set each of
+    the label's metrics to its median over them; the system fields are the
+    latest run's."""
+    each = bench["runs"].get(label, {}).get("each", []) + [run]
+    bench["runs"][label] = {
+        **{k: statistics.median(r[k] for r in each if k in r)
+           for k in run if k not in SYSTEM},
+        **{k: run[k] for k in SYSTEM}, "each": each}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("suite", choices=SUITES)
@@ -375,13 +381,10 @@ def main():
     out = args.out or ROOT / f"BENCH_{args.suite}.json"
     bench = (json.loads(out.read_text()) if out.exists()
              else {**header, "repeats": REPEATS, "runs": {}})
-    bench["runs"][args.label] = {
-        **measure(),
-        "cores": os.cpu_count(), "python": platform.python_version(),
-        "numpy": np.__version__, "scipy": scipy.__version__,
-    }
+    run = {**measure(), **SYSTEM}
+    add_run(bench, args.label, run)
     out.write_text(json.dumps(bench, indent=2) + "\n")
-    print(json.dumps(bench["runs"][args.label], indent=2))
+    print(json.dumps(run, indent=2))
 
 
 if __name__ == "__main__":

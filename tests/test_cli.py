@@ -351,6 +351,58 @@ class TestNonFiniteOutputs:
         assert back[1]["holds"] == "False"
 
 
+# (payload, the plain Python value whose json.dumps the writer must match)
+_JSON_PAYLOADS = [
+    ({}, {}),
+    ([], []),
+    ({"b": {"c": [1, (2, 3), []], "a": {}}, "a": ((), [{}])},
+     {"b": {"c": [1, [2, 3], []], "a": {}}, "a": [[], [{}]]}),
+    ({"Z": 1, "a": 2, "_": 3, "é": 4, "": 5},
+     {"Z": 1, "a": 2, "_": 3, "é": 4, "": 5}),
+    ([np.float64(2.5), np.float32(0.1), np.int64(-7), np.uint8(200),
+      np.bool_(True), np.bool_(False), np.float64(-np.inf)],
+     [2.5, float(np.float32(0.1)), -7, 200, True, False, "-inf"]),
+    ({"m": np.array([[1, 2], [3, 4]]), "v": np.array([1.0, np.nan, -0.0]),
+      "b": np.array([True, False]), "s": np.array(3.5), "e": np.array([])},
+     {"m": [[1, 2], [3, 4]], "v": [1.0, "nan", -0.0], "b": [True, False],
+      "s": 3.5, "e": []}),
+    ([math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+      0.1, 2 ** 53 + 1, -2 ** 70, 10 ** 400, True, False, None],
+     ["inf", "-inf", "nan", -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1,
+      2 ** 53 + 1, -2 ** 70, 10 ** 400, True, False, None]),
+    (["é", "\x00\x1f\x7f", '"\\/', "\u2028", "\U0001f600", "tab\tnew\n"],
+     ["é", "\x00\x1f\x7f", '"\\/', "\u2028", "\U0001f600", "tab\tnew\n"]),
+    ({"ключ": {"\n": "\ud800"}}, {"ключ": {"\n": "\ud800"}}),
+    # keys that json.dumps writes by their JSON text
+    ({2: "b", 1.5: np.int64(1), -1: None, True: [], 0: {}},
+     {2: "b", 1.5: 1, -1: None, True: [], 0: {}}),
+    ({None: 1}, {None: 1}),
+    ({np.float64(0.1): 2, 3: 1}, {0.1: 2, 3: 1}),
+]
+
+
+class TestJsonWriter:
+    """_write_json writes what json.dumps writes, after numpy values are
+    Python values and non-finite floats their text."""
+
+    @pytest.mark.parametrize("payload, plain", _JSON_PAYLOADS)
+    def test_bytes_are_those_of_json_dumps(self, tmp_path, payload, plain):
+        cli._write_json(tmp_path / "out.json", payload)
+        assert (tmp_path / "out.json").read_bytes() == (
+            json.dumps(plain, sort_keys=True, indent=2) + "\n").encode()
+
+    @pytest.mark.parametrize("payload", [
+        object(), {"a": {1, 2}}, [np.complex128(1.0)],
+        [np.datetime64("2020-01-01")], {(1, 2): 3}, {"a": 1, 2: 3}])
+    def test_what_json_cannot_encode_raises_type_error(self, tmp_path,
+                                                       payload):
+        with pytest.raises(TypeError):
+            json.dumps(payload, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            cli._write_json(tmp_path / "out.json", payload)
+        assert not (tmp_path / "out.json").exists()
+
+
 class TestMain:
     def test_main_plan(self, tmp_path):
         cfg = write_config(tmp_path, {"command": "plan", "method": "margin",
@@ -409,8 +461,9 @@ class TestOutputFiles:
         cli._write_json(path, {"values": list(range(500))})
         short = {"values": [1.5, math.inf], "name": "short"}
         cli._write_json(path, short)
-        assert path.read_bytes() == (json.dumps(
-            cli._plain(short), sort_keys=True, indent=2) + "\n").encode()
+        assert path.read_bytes() == (
+            b'{\n  "name": "short",\n  "values": [\n    1.5,\n    "inf"\n'
+            b'  ]\n}\n')
 
     def test_records_rewrite_leaves_no_stale_tail(self, tmp_path):
         def records(count):
