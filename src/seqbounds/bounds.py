@@ -67,6 +67,14 @@ def _check(name, value, lo=-math.inf, hi=math.inf, *, lo_open=False,
     raise ValueError(f"{name} must be {kind}in {interval}, got {value}")
 
 
+def _check_flag(name, value):
+    """Raise a ValueError that starts with ``name`` unless ``value`` is a
+    bool or an np.bool_ (JSON's true or false): a string such as "false",
+    a number or a list is not read as a flag."""
+    if type(value) not in _BOOL_TYPES:
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
 @functools.lru_cache(maxsize=None)
 def _parameters(build):
     """The parameter names of ``build``, and those without a default (the
@@ -342,10 +350,11 @@ def vc_relative_bound(emp_risk: float, n: int, delta: float, *,
     Requires the caller to assert stationarity of the training sequence;
     the fast O(1/n) rate at zero empirical risk is only proved under it.
     """
+    _check_flag("stationary", stationary)
     if not stationary:
         raise ValueError(
-            "the relative-deviation bound assumes a stationary sequence; "
-            "pass stationary=True only when that holds"
+            "stationary must be true: the relative-deviation bound assumes "
+            "a stationary sequence; pass stationary=True only when that holds"
         )
     _check("delta", delta, 0, 1, lo_open=True, hi_open=True)
     _check("emp_risk", emp_risk, 0, hi_open=True)

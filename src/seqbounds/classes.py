@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _SCALE_MAX, _as_floats, _check, _set_floats
+from .bounds import _SCALE_MAX, _as_floats, _check, _check_flag, _set_floats
 
 KINDS = ("threshold1d", "linear_ball", "kernel_ball")
 
@@ -37,6 +37,7 @@ class FunctionClassDescriptor:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise UnsupportedClassError(f"unknown class kind {self.kind!r}")
+        _check_flag("with_offset", self.with_offset)
         if self.kind == "linear_ball":
             _check("dim", self.dim, 1, integer=True)
             _check("radius", self.radius, 0, _SCALE_MAX, lo_open=True)

@@ -254,7 +254,8 @@ def _write_json(path, payload):
     ("inf", "-inf" or "nan": strict JSON has no such numbers).  It is one
     walk: ``json.dumps`` with an indent runs the pure-Python encoder (the C
     one does not indent), and would need a plain copy of the payload first.
-    A value that JSON cannot encode raises its TypeError."""
+    Every key is a string (config keys are checked by name); another key,
+    or a value that JSON cannot encode, raises a TypeError before writing."""
     out = []
     _encode(payload, out, "\n")
     out.append("\n")
@@ -285,7 +286,7 @@ def _encode(obj, out, newline):
             return
         inner, start = newline + "  ", "{"
         for key, value in sorted(obj.items()):
-            out.append(f"{start}{inner}{_quote(_key(key))}: ")
+            out.append(f"{start}{inner}{_quote(key)}: ")
             _encode(value, out, inner)
             start = ","
         out.append(newline + "}")
@@ -306,17 +307,6 @@ def _encode(obj, out, newline):
 
 # the escaper of json.dumps at its default ensure_ascii
 _quote = json.encoder.encode_basestring_ascii
-
-
-def _key(key):
-    """A dict key as json.dumps writes it: a number, bool or None by its
-    JSON text."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return json.dumps(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
 
 
 def write_records_csv(records, path):

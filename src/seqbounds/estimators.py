@@ -200,9 +200,11 @@ def violation_rate(theta, program, draws) -> float:
 
     ``draws`` (or their ``x``) hold at least one finite x of the program's
     width ``dim_x``; anything else fails with a ValueError naming ``draws``.
+    ``theta`` is checked by ``constraint_values``: one entry per objective
+    coordinate, each at most 1e50 in magnitude, or a ValueError names it.
     """
     xs = _scenario_rows(program, getattr(draws, "x", draws), "draws")
-    vals = program.constraint_values(xs, np.asarray(theta, dtype=float))
+    vals = program.constraint_values(xs, theta)
     return float(np.mean(vals > 0.0))
 
 

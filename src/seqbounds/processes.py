@@ -3,9 +3,10 @@ and closed-form marginal (ghost) samplers.
 
 Importing this module loads no scipy.  The path simulators run scipy's
 compiled linear filter (the routine behind ``scipy.signal.lfilter``),
-loaded from its file on the first draw, so ``scipy.signal`` and the
-subpackages it imports stay unloaded; the AR(d) stationary covariance
-imports ``scipy.linalg``, the one scipy subpackage imported here."""
+which the import system finds and loads from its file on the first draw,
+so ``scipy.signal`` and the subpackages it imports stay unloaded; the
+AR(d) stationary covariance imports ``scipy.linalg``, the one scipy
+subpackage imported here."""
 from __future__ import annotations
 
 import functools
@@ -220,26 +221,15 @@ def _ar_cholesky(coefficients, sigma):
     return chol
 
 
-def _sigtools_file():
-    """The compiled module of ``scipy.signal``'s linear filter, found next
-    to ``scipy/__init__``, or None if it is not there."""
-    import scipy
-    folder = Path(scipy.__file__).parent / "signal"
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = folder / f"_sigtools{suffix}"
-        if path.is_file():
-            return path
-    return None
-
-
 def _load_sigtools():
     """``scipy.signal._sigtools`` loaded from its file, which skips
-    ``scipy.signal/__init__`` and the subpackages that imports; if the file
-    is missing or does not load, through the package."""
-    path = _sigtools_file()
-    if path is not None:
-        spec = importlib.util.spec_from_file_location("scipy.signal._sigtools",
-                                                      path)
+    ``scipy.signal/__init__`` and the subpackages that imports; the import
+    system finds the file next to ``scipy/__init__``.  If the file is
+    missing or does not load, it is imported through the package."""
+    import scipy
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.signal._sigtools", [str(Path(scipy.__file__).parent / "signal")])
+    if spec is not None:
         try:
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)

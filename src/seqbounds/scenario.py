@@ -43,7 +43,7 @@ def _planned(value: float, arguments: str) -> int:
 
 @dataclass(frozen=True)
 class AffineMap:
-    """x -> matrix @ x + offset, broadcasting over rows of a batch."""
+    """x -> matrix @ x + offset, applied to each row of a batch."""
 
     matrix: np.ndarray
     offset: np.ndarray
@@ -62,20 +62,13 @@ class AffineMap:
         return not self.matrix.any()
 
     def __call__(self, x):
-        """The map at one x (a vector) or at each row of a batch.  A constant
-        map is its offset (a read-only row per x), and a one-column x is
+        """The map at each row of an (n, d) batch.  A one-column x is
         multiplied by broadcasting: a matmul with one inner term costs far
         more than the product it computes."""
         x = np.asarray(x, dtype=float)
         d = self.matrix.shape[1]
-        if x.ndim <= 1 and d == 1:
-            x = np.atleast_1d(x)[:, None] if x.ndim == 1 else x.reshape(1, 1)
-        if x.shape[-1:] != (d,):
-            raise ValueError(f"x must have {d} columns, not shape {x.shape}")
-        if x.ndim == 1:
-            return self.matrix @ x + self.offset
-        if self.constant:
-            return np.broadcast_to(self.offset, (x.shape[0], self.offset.size))
+        if x.ndim != 2 or x.shape[1] != d:
+            raise ValueError(f"x must be an (n, {d}) batch, not shape {x.shape}")
         if d == 1:
             return x * self.matrix[:, 0] + self.offset
         return x @ self.matrix.T + self.offset
@@ -217,7 +210,17 @@ class ScenarioProgramSpec:
         return self.pieces[0].psi.matrix.shape[1]
 
     def constraint_values(self, xs, theta):
-        """f(x_i, theta) = max_k psi_k(x_i).theta + eta_k(x_i) per scenario."""
+        """f(x_i, theta) = max_k psi_k(x_i).theta + eta_k(x_i) per scenario.
+        ``theta`` holds one entry per objective coordinate, each at most
+        1e50 in magnitude as every entry of the program is; anything else
+        (NaN, an infinity, another shape) fails with a ValueError naming
+        theta."""
+        theta = _as_floats("theta", theta)
+        if theta.shape != self.objective.shape:
+            raise ValueError(f"theta must hold {self.objective.size} entries, "
+                             f"one per objective coordinate, not shape "
+                             f"{theta.shape}")
+        _check_entries("theta", theta)
         xs = np.asarray(xs, dtype=float)
         if xs.ndim == 1:
             xs = xs[:, None]
@@ -483,7 +486,8 @@ def solve_margin_program(program: ScenarioProgramSpec, scenarios,
     entries are at most 1e50 in magnitude); only the other pieces are
     evaluated at every scenario.  ``scenarios`` (or their
     ``x``) hold x of the program's width ``dim_x``: a mismatch fails with a
-    ValueError naming ``scenarios``.
+    ValueError naming ``scenarios``, as do rows whose scales lie so far
+    apart that rounding loses the min-slack point (see _solve).
     """
     if mode not in ("optimize", "feasibility"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -520,7 +524,10 @@ def _solve(theta_set, objective, psi_all, h_all, gamma, mode):
     and theta is not solved through a t that rounding may have lost.  It
     runs first, unless the closed form applies: the optimize LP runs only
     when the min-slack point meets its rows, as a point far out in a large
-    set can meet rows that no point meets by less than its own rounding."""
+    set can meet rows that no point meets by less than its own rounding.
+    The min-slack program always has a point; where the big rows fix theta
+    only to more than a small row's scale, rounding can still lose it
+    (see _on_row), and a ValueError naming scenarios is raised."""
     p = objective.size
     if isinstance(theta_set, Box):
         q, radius, lo, hi = 0, 0.0, theta_set.lo, theta_set.hi
@@ -546,7 +553,11 @@ def _solve(theta_set, objective, psi_all, h_all, gamma, mode):
     slack = _incremental_lp(
         np.eye(p + 1)[-1],
         np.hstack([psi_all, np.full((h_all.size, 1), -unit)]), -h_all,
-        np.append(lo, -bound), np.append(hi, bound), q, radius)[:p]
+        np.append(lo, -bound), np.append(hi, bound), q, radius)
+    if slack is None:
+        raise ValueError("scenarios give constraint rows whose scales lie "
+                         "too far apart for the min-slack program")
+    slack = slack[:p]
     if mode == "optimize" and np.all(psi_all @ slack <= b):
         theta = _incremental_lp(objective, psi_all, b, lo, hi, q, radius)
         if theta is not None and np.all(
@@ -637,8 +648,7 @@ def _seidel(a, b, sa, sb, q, radius, lo, hi):
                         _box_argmin(c[q:], lo, hi)])
     i = 1
     while True:
-        over = (a[i:] @ z - b[i:]
-                > _ROW_TOL * (sa[i:] @ np.abs(z) + sb[i:]))
+        over = _missed(a[i:], b[i:], sa[i:], sb[i:], z)
         if not over.any():
             return z
         j = i + int(np.argmax(over))
@@ -646,6 +656,12 @@ def _seidel(a, b, sa, sb, q, radius, lo, hi):
         if z is None:
             return None
         i = j + 1
+
+
+def _missed(a, b, sa, sb, z):
+    """Which rows a z <= b the point z misses by more than _ROW_TOL of
+    their rounding scale sa.|z| + sb."""
+    return a @ z - b > _ROW_TOL * (sa @ np.abs(z) + sb)
 
 
 def _on_row(a, b, sa, sb, q, radius, lo, hi, j):
@@ -667,7 +683,23 @@ def _on_row(a, b, sa, sb, q, radius, lo, hi, j):
                         [abs(end_hi) + sbeta, abs(end_lo) + sbeta])
         y = _seidel(a2, b2, sa2, sb2, q, radius, np.delete(lo, k - q),
                     np.delete(hi, k - q))
-        return None if y is None else np.insert(y, k, beta - g @ y)
+        if y is None:
+            return None
+        z = np.insert(y, k, beta - g @ y)
+        # beta - g.y is exact to its own rounding, which can exceed the
+        # scale of an earlier row far smaller than row j.  z_k then moves
+        # onto the rows that it misses, each solved for z_k at y, when they
+        # all bound it from one side and every row up to j holds there
+        miss = _missed(a[1:j], b[1:j], sa[1:j], sb[1:j], z)
+        col = a[1:j][miss, k]
+        if miss.any() and ((col < 0).all() or (col > 0).all()):
+            ends = (b[1:j][miss] - a[1:j][miss][:, keep] @ y) / col
+            moved = np.insert(y, k, ends.max() if col[0] < 0 else ends.min())
+            if lo[k - q] <= moved[k] <= hi[k - q] and not _missed(
+                    a[1:j + 1], b[1:j + 1], sa[1:j + 1], sb[1:j + 1],
+                    moved).any():
+                return moved
+        return z
     if not aj.any():
         return None
     # the hyperplane u.theta = bj meets the ball in the ball about
@@ -726,10 +758,9 @@ def certify(program: ScenarioProgramSpec, spec: ProcessSpec, epsilon: float,
     ``process``).  A path that numpy cannot make fails with a ValueError
     that names epsilon, or margin when the margin plan's factor 2 / margin
     is larger than epsilon's 1 / epsilon: that plan grows as
-    ((2 / margin) sum_k tau_k Lambda_k / epsilon)^2.
+    ((2 / margin) sum_k tau_k Lambda_k / epsilon)^2.  The planner checks
+    epsilon and delta, before any path is drawn.
     """
-    _check("epsilon", epsilon, 0, 1, lo_open=True, hi_open=True)
-    _check("delta", delta, 0, 1, lo_open=True, hi_open=True)
     if method == "vc":
         if program.indicator_vc_dim is None:
             raise ValueError(

@@ -1,22 +1,28 @@
-"""Print the digest's lines, then every function of ``src/seqbounds`` that
-neither the digest nor the benchmark runs.
+"""Print the digest's lines, then every statement of a ``src/seqbounds``
+function that neither the digest nor the benchmark runs.
 
 The script runs ``tests/digest_outputs.py`` (every deterministic CLI command
 at its acceptance config) and one pass of each workload of
-``perfbench/workloads.py`` under ``sys.setprofile``.  It prints the lines
-that the digest printed, a blank line, and then, one per line as
-``module.qualname``, each function and method defined in a ``seqbounds``
-module whose code none of those calls entered.  Nested functions
-(closures) are not listed; a listed function may still be reached by a
-test alone.
+``perfbench/workloads.py`` under ``sys.settrace``, which traces the frames
+of ``seqbounds`` code alone.  It prints the lines that the digest printed,
+a blank line, and then, one per line as ``module.qualname: source text``,
+each statement inside a function (or method, or closure) of a
+``seqbounds`` module that none of those runs reached.  A compound
+statement (``if``, ``for``, ``with``, ...) counts by its header and is
+printed as that header; every other statement by all of its lines, which
+are printed joined into one.  ``raise`` statements are left out, and so
+are statements that compile to no code (a docstring, ``global``).  Module
+and class bodies count as run.  No line number is printed, so an edit
+elsewhere in a module does not move a line; a listed statement may still
+be reached by a test alone.
 
     PYTHONPATH=src python tests/reach_src.py
 
 Not collected by pytest (no ``test_`` prefix).
 """
+import ast
 import contextlib
 import importlib
-import inspect
 import io
 import pkgutil
 import sys
@@ -29,39 +35,89 @@ import seqbounds
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-def defined_functions():
-    """(name, code) of every function and method defined in a seqbounds
-    module, in source order."""
-    found = []
+
+def code_lines(code):
+    """The lines that hold bytecode in ``code`` and the code it nests."""
+    lines = {line for _, _, line in code.co_lines() if line is not None}
+    for const in code.co_consts:
+        if hasattr(const, "co_lines"):
+            lines |= code_lines(const)
+    return lines
+
+
+def own_lines(node):
+    """The lines that count for ``node``: the header of a compound
+    statement (up to its first body statement), and every line of any
+    other statement."""
+    first = min([node.lineno] + [d.lineno for d in
+                                 getattr(node, "decorator_list", [])])
+    body = getattr(node, "body", None)
+    if isinstance(body, list) and body:
+        return range(first, max(body[0].lineno, first + 1))
+    return range(first, node.end_lineno + 1)
+
+
+def statements(node, owner="", in_function=False):
+    """(qualname, statement) for each statement below ``node`` that lies
+    inside a function, in source order; ``owner`` is the qualname of the
+    function or class that ``node`` is."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, ast.stmt):
+            continue
+        if in_function:
+            yield owner, child
+        if isinstance(child, _SCOPES):
+            inner = ".".join(filter(None, [
+                owner, "<locals>" if in_function else "", child.name]))
+            yield from statements(child, inner, in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+        else:
+            yield from statements(child, owner, in_function)
+
+
+def unreached(run):
+    """``module.qualname: source text`` of each statement of a seqbounds
+    function whose lines with code are none of the ``run`` (file, line)
+    pairs."""
+    out = []
     for info in pkgutil.iter_modules(seqbounds.__path__):
         module = importlib.import_module(f"seqbounds.{info.name}")
-        owners = [module] + [v for v in vars(module).values()
-                             if inspect.isclass(v)
-                             and v.__module__ == module.__name__]
-        for owner in owners:
-            for value in vars(owner).values():
-                if isinstance(value, property):
-                    value = value.fget
-                value = getattr(value, "__func__", value)   # static/class
-                code = getattr(value, "__code__", None)
-                if code is not None and code.co_filename == module.__file__:
-                    found.append((f"{module.__name__}.{value.__qualname__}",
-                                  code))
-    return sorted(found, key=lambda item: (item[1].co_filename,
-                                           item[1].co_firstlineno))
+        path = module.__file__
+        source = Path(path).read_text()
+        lines = source.splitlines()
+        with_code = code_lines(compile(source, path, "exec"))
+        for qualname, stmt in statements(ast.parse(source)):
+            if isinstance(stmt, ast.Raise):
+                continue
+            mine = with_code.intersection(own_lines(stmt))
+            if not mine or any((path, line) in run for line in mine):
+                continue
+            text = " ".join(line for line in (
+                lines[i - 1].strip() for i in own_lines(stmt))
+                if line and not line.startswith("#"))
+            out.append(f"{module.__name__}.{qualname}: {text}")
+    return out
 
 
 def main():
-    entered = set()
+    folder = str(Path(seqbounds.__file__).parent)
+    run = set()
     digest = io.StringIO()
 
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add(frame.f_code)
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            run.add((frame.f_code.co_filename, frame.f_lineno))
+        return trace_lines
 
-    sys.setprofile(profile)
-    threading.setprofile(profile)
+    def trace(frame, event, arg):
+        # only seqbounds frames are traced line by line
+        return (trace_lines if frame.f_code.co_filename.startswith(folder)
+                else None)
+
+    sys.settrace(trace)
+    threading.settrace(trace)
     try:
         # imported here: both build configs when they load
         import digest_outputs
@@ -76,12 +132,11 @@ def main():
                     except op.fault:
                         pass
     finally:
-        sys.setprofile(None)
-        threading.setprofile(None)
+        sys.settrace(None)
+        threading.settrace(None)
     print(digest.getvalue())
-    for name, code in defined_functions():
-        if code not in entered:
-            print(name)
+    for line in unreached(run):
+        print(line)
 
 
 if __name__ == "__main__":

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from seeded import draw_float, draw_int, each_seed
 from seqbounds.bounds import (_RANGE_MAX, _binomial_tail, _check,
                               binomial_quarter_lemma_holds,
                               chaining_rad_upper, chaining_rad_upper_best,
@@ -97,14 +97,17 @@ class TestOracleProperties:
     """The single-path oracles: the incomplete-beta binomial tail, the
     array-free scalar Hoeffding form and the once-per-scale chaining."""
 
-    @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(n=st.integers(1, 80), j=st.integers(0, 20), k=st.integers(-3, 83),
-           shift=st.sampled_from([Fraction(-1, 2), Fraction(0), Fraction(1, 2)]),
-           at_mean=st.booleans(), strict=st.booleans())
-    def test_binomial_tail_matches_exact_sum(self, n, j, k, shift, at_mean,
-                                             strict):
+    def test_binomial_tail_matches_exact_sum(self):
+        each_seed(range(400), self.check_binomial_tail_sum)
+
+    @staticmethod
+    def check_binomial_tail_sum(seed):
         # p = j/20 includes 0 and 1; the cut n (p + eps) is either n p
         # (eps = 0) or k + shift, so eps is negative, zero or exactly on a cut
+        rng = np.random.default_rng(seed)
+        n, j, k = draw_int(rng, 1, 80), draw_int(rng, 0, 20), draw_int(rng, -3, 83)
+        shift = Fraction(int(rng.integers(-1, 2)), 2)
+        at_mean, strict = bool(rng.random() < 0.5), bool(rng.random() < 0.5)
         p = j / 20
         cut = n * Fraction(j, 20) if at_mean else k + shift
         eps = 0.0 if at_mean else float(cut / n - Fraction(j, 20))
@@ -129,13 +132,19 @@ class TestOracleProperties:
         assert exact_binomial_mean_tail(n, 0.5, 0.0) == pytest.approx(
             stats.binom.sf(n // 2, n, 0.5), rel=1e-12)
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(n=st.integers(1, 2 ** 53), p=st.floats(0.0, 1.0),
-           z=st.floats(-8.0, 8.0), strict=st.booleans())
-    def test_binomial_tail_matches_survival_up_to_2_53(self, n, p, z,
-                                                       strict):
+    def test_binomial_tail_matches_survival_up_to_2_53(self):
+        each_seed(range(300), self.check_binomial_tail_survival)
+
+    @staticmethod
+    def check_binomial_tail_survival(seed):
         # eps is z standard deviations of S/n, so the tail is neither 0 nor
-        # 1 for most draws; k0 follows the documented cut rule
+        # 1 for most draws; k0 follows the documented cut rule.  p is drawn
+        # over every scale down to the subnormals half the time
+        rng = np.random.default_rng(seed)
+        n = draw_int(rng, 1, 2 ** 53)
+        p = draw_float(rng, 0.0, 1.0, log=bool(rng.random() < 0.5))
+        z = draw_float(rng, -8.0, 8.0, log=False)
+        strict = bool(rng.random() < 0.5)
         eps = z * math.sqrt(p * (1.0 - p) / n)
         cut = n * (p + eps)
         if abs(cut - round(cut)) < 1e-9:
@@ -146,14 +155,15 @@ class TestOracleProperties:
         got = exact_binomial_mean_tail(n, p, eps, strict=strict)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 40),
-           strict=st.booleans())
-    def test_binomial_tail_array_matches_scalar_calls(self, seed, size,
-                                                      strict):
+    def test_binomial_tail_array_matches_scalar_calls(self):
+        each_seed(range(200), self.check_binomial_tail_array)
+
+    @staticmethod
+    def check_binomial_tail_array(seed):
         # each eps is normal, on an integer cut k/n - p, +-1e308, zero, or
         # past the top cut (k0 > n); p = 0 and p = 1 appear often
         rng = np.random.default_rng(seed)
+        size, strict = draw_int(rng, 1, 40), bool(rng.random() < 0.5)
         n = rng.integers(1, 120, size)
         p = np.where(rng.random(size) < 0.3, rng.integers(0, 2, size) * 1.0,
                      rng.random(size))
@@ -169,13 +179,17 @@ class TestOracleProperties:
         assert got.dtype == np.float64
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(kind=st.sampled_from(["hoeffding", "bounded_difference"]),
-           c=st.floats(1e-3, 1e3), eps=st.floats(0.0, 10.0),
-           n=st.integers(1, 500))
-    def test_scalar_and_array_hoeffding_agree(self, kind, c, eps, n):
-        assert concentration_tail(kind, c, eps, n) == pytest.approx(
-            concentration_tail(kind, np.full(n, c), eps), rel=1e-12, abs=1e-300)
+    def test_scalar_and_array_hoeffding_agree(self):
+        def check(seed):
+            rng = np.random.default_rng(seed)
+            kind = ("hoeffding", "bounded_difference")[seed % 2]
+            c, eps = draw_float(rng, 1e-3, 1e3), draw_float(rng, 0.0, 10.0)
+            n = draw_int(rng, 1, 500)
+            assert concentration_tail(kind, c, eps, n) == pytest.approx(
+                concentration_tail(kind, np.full(n, c), eps), rel=1e-12,
+                abs=1e-300)
+
+        each_seed(range(200), check)
 
     @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, -math.inf, math.inf])
     def test_scalar_and_array_reject_alike(self, c):
@@ -196,13 +210,19 @@ class TestOracleProperties:
                 for depth in range(1, 13)]
         assert got == min(loop, key=lambda vd: vd[0])
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(diameter=st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
-           logs=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=40),
-           n=st.integers(1, 10 ** 6), lipschitz=st.floats(0.0, 100.0),
-           max_depth=st.integers(1, 40))
-    def test_chaining_best_is_the_exact_minimum(self, diameter, logs, n,
-                                                lipschitz, max_depth):
+    def test_chaining_best_is_the_exact_minimum(self):
+        each_seed(range(200), self.check_chaining_best)
+
+    @staticmethod
+    def check_chaining_best(seed):
+        rng = np.random.default_rng(seed)
+        diameter = (0.0 if rng.random() < 1 / 8
+                    else draw_float(rng, 1e-6, 1e6))
+        logs = [draw_float(rng, 0.0, 50.0, log=False)
+                for _ in range(draw_int(rng, 1, 40))]
+        n, lipschitz = draw_int(rng, 1, 10 ** 6), draw_float(rng, 0.0, 100.0)
+        max_depth = draw_int(rng, 1, 40)
+
         def log_cov(eps):       # scale D 2^-j reads entry j - 1, cyclically
             return logs[(round(math.log2(diameter / eps)) - 1) % len(logs)]
 
@@ -357,6 +377,16 @@ class TestVcRelativeBound:
     def test_refuses_nonstationary(self):
         with pytest.raises(ValueError, match="stationary"):
             vc_relative_bound(0.0, 100, 0.05, d_vc=2, stationary=False)
+
+    @pytest.mark.parametrize("flag", ["false", "true", 1, [0], None])
+    def test_stationary_is_a_bool(self, flag):
+        with pytest.raises(ValueError, match="^stationary must be true or "
+                                             "false"):
+            vc_relative_bound(0.0, 100, 0.05, d_vc=2, stationary=flag)
+        rep = vc_relative_bound(0.0, 100, 0.05, d_vc=2,
+                                stationary=np.bool_(True))
+        assert rep == vc_relative_bound(0.0, 100, 0.05, d_vc=2,
+                                        stationary=True)
 
 
 class TestRegressionBound:

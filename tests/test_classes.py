@@ -3,9 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
+from seeded import draw_float, each_seed
 from seqbounds.bounds import vc_bound
 from seqbounds.classes import (FunctionClassDescriptor, UnsupportedClassError,
                                _exhaustive_net_size,
@@ -236,36 +235,40 @@ def brute_force_net_size(dm, eps):
                 return k
 
 
-@st.composite
-def net_instances(draw, m):
-    d = draw(st.integers(1, 3))
-    coarse = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
-    fine = st.floats(-2.0, 2.0, allow_nan=False)
-    entry = draw(st.sampled_from([coarse, fine]))  # coarse values tie distances
-    values = np.array(draw(st.lists(st.lists(entry, min_size=d, max_size=d),
-                                    min_size=m, max_size=m)))
-    for a, b in draw(st.lists(st.tuples(st.integers(0, m - 1),
-                                        st.integers(0, m - 1)), max_size=3)):
+def net_instance(seed):
+    """(values, dm, eps, how) of a seed: 1 to 12 functions on 1 to 3
+    points, with up to 3 duplicated rows, and an eps that is a distance
+    exactly, below or above every distance, or any."""
+    rng = np.random.default_rng(seed)
+    m, d = int(rng.integers(1, 13)), int(rng.integers(1, 4))
+    if rng.random() < 0.5:          # coarse values tie distances
+        values = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0], (m, d))
+    else:
+        values = rng.uniform(-2.0, 2.0, (m, d))
+    for _ in range(int(rng.integers(0, 4))):
+        a, b = rng.integers(0, m, 2)
         values[a] = values[b]                           # duplicate rows
     dm = pseudo_metric_matrix(values)
     positive = sorted(set(dm[dm > 0].tolist()))
-    how = draw(st.sampled_from(["pairwise", "below", "above", "any"]))
+    how = str(rng.choice(["pairwise", "below", "above", "any"]))
     if how == "pairwise" and positive:
-        eps = draw(st.sampled_from(positive))           # a distance exactly
+        eps = positive[int(rng.integers(len(positive)))]    # a distance
     elif how == "below":
         eps = positive[0] / 2 if positive else 0.5
     elif how == "above":
         eps = float(dm.max()) + 1.0
     else:
-        eps = draw(st.floats(1e-3, 5.0))
+        eps = draw_float(rng, 1e-3, 5.0)
     return values, dm, eps, how
 
 
 class TestExhaustiveNetSize:
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.integers(1, 12).flatmap(net_instances))
-    def test_matches_brute_force(self, instance):
-        values, dm, eps, how = instance
+    def test_matches_brute_force(self):
+        each_seed(range(300), self.check_against_brute_force)
+
+    @staticmethod
+    def check_against_brute_force(seed):
+        values, dm, eps, how = net_instance(seed)
         size = _exhaustive_net_size(dm, eps)
         assert size == brute_force_net_size(dm, eps)
         if how == "below":
@@ -329,6 +332,14 @@ class TestDescriptors:
             with pytest.raises(UnsupportedClassError):
                 FunctionClassDescriptor(kind=kind)
 
+    @pytest.mark.parametrize("flag", ["false", 0, 1.0, [0], None])
+    def test_with_offset_is_a_bool(self, flag):
+        # a truthy "false" gave the class its intercept column
+        with pytest.raises(ValueError, match="^with_offset must be true or "
+                                             "false"):
+            linear_ball_class(2, 1.0, with_offset=flag)
+        assert linear_ball_class(2, 1.0, with_offset=np.bool_(True)).with_offset
+
     def test_dichotomy_count(self):
         # 3 distinct points give 4 dichotomies; a tie removes one
         for points, count in (([3.0, 1.0, 2.0], 4), ([3.0, 1.0, 3.0], 3)):
@@ -344,12 +355,35 @@ def ranks(points):
 
 
 class TestThresholdDichotomies:
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.lists(st.floats(-1e50, 1e50), min_size=1, max_size=8))
-    @example([0.0, 1e16, 2e16])                    # + 1.0 lost above 2^53
-    @example([1e16, 1e16 + 2, 1e16 + 4, -1.0])     # midpoints round onto points
-    @example([1.0, float(np.nextafter(1.0, 2.0)), 3.0, -5.0])
-    def test_rademacher_depends_on_ranks_alone(self, points):
+    def test_rademacher_depends_on_ranks_alone(self):
+        # 1 to 8 points within +-1e50, of every scale, with ties and
+        # adjacent floats
+        def check(seed):
+            rng = np.random.default_rng(seed)
+            points = []
+            for _ in range(int(rng.integers(1, 9))):
+                u = rng.random()
+                if points and u < 1 / 8:            # a tie
+                    points.append(points[int(rng.integers(len(points)))])
+                elif points and u < 1 / 4:          # an adjacent float
+                    points.append(float(np.nextafter(
+                        points[-1], rng.choice([-1e50, 1e50]))))
+                else:
+                    points.append(float(rng.choice([-1.0, 1.0]))
+                                  * draw_float(rng, 0.0, 1e50))
+            self.check_ranks(points)
+
+        each_seed(range(300), check)
+
+    @pytest.mark.parametrize("points", [
+        [0.0, 1e16, 2e16],                      # + 1.0 lost above 2^53
+        [1e16, 1e16 + 2, 1e16 + 4, -1.0],       # midpoints round onto points
+        [1.0, float(np.nextafter(1.0, 2.0)), 3.0, -5.0]])
+    def test_rademacher_depends_on_ranks_alone_at(self, points):
+        self.check_ranks(points)
+
+    @staticmethod
+    def check_ranks(points):
         # sign(x - b) realizes the same labelings on any points of the same
         # order, however large or close together they are
         pts = np.array(points)

@@ -373,17 +373,12 @@ _JSON_PAYLOADS = [
     (["é", "\x00\x1f\x7f", '"\\/', "\u2028", "\U0001f600", "tab\tnew\n"],
      ["é", "\x00\x1f\x7f", '"\\/', "\u2028", "\U0001f600", "tab\tnew\n"]),
     ({"ключ": {"\n": "\ud800"}}, {"ключ": {"\n": "\ud800"}}),
-    # keys that json.dumps writes by their JSON text
-    ({2: "b", 1.5: np.int64(1), -1: None, True: [], 0: {}},
-     {2: "b", 1.5: 1, -1: None, True: [], 0: {}}),
-    ({None: 1}, {None: 1}),
-    ({np.float64(0.1): 2, 3: 1}, {0.1: 2, 3: 1}),
 ]
 
 
 class TestJsonWriter:
     """_write_json writes what json.dumps writes, after numpy values are
-    Python values and non-finite floats their text."""
+    Python values and non-finite floats their text; its keys are strings."""
 
     @pytest.mark.parametrize("payload, plain", _JSON_PAYLOADS)
     def test_bytes_are_those_of_json_dumps(self, tmp_path, payload, plain):
@@ -391,13 +386,20 @@ class TestJsonWriter:
         assert (tmp_path / "out.json").read_bytes() == (
             json.dumps(plain, sort_keys=True, indent=2) + "\n").encode()
 
-    @pytest.mark.parametrize("payload", [
-        object(), {"a": {1, 2}}, [np.complex128(1.0)],
-        [np.datetime64("2020-01-01")], {(1, 2): 3}, {"a": 1, 2: 3}])
+    @pytest.mark.parametrize("payload, dumps_fails", [
+        (object(), True), ({"a": {1, 2}}, True), ([np.complex128(1.0)], True),
+        ([np.datetime64("2020-01-01")], True), ({(1, 2): 3}, True),
+        ({"a": 1, 2: 3}, True),
+        # keys that json.dumps writes by their JSON text: every key that
+        # reaches the writer is a string, and any other is refused
+        ({2: "b", 1.5: np.int64(1), -1: None, True: [], 0: {}}, False),
+        ({None: 1}, False), ({np.float64(0.1): 2, 3: 1}, False)],
+        ids=[f"payload{i}" for i in range(9)])
     def test_what_json_cannot_encode_raises_type_error(self, tmp_path,
-                                                       payload):
-        with pytest.raises(TypeError):
-            json.dumps(payload, sort_keys=True, indent=2)
+                                                       payload, dumps_fails):
+        if dumps_fails:
+            with pytest.raises(TypeError):
+                json.dumps(payload, sort_keys=True, indent=2)
         with pytest.raises(TypeError):
             cli._write_json(tmp_path / "out.json", payload)
         assert not (tmp_path / "out.json").exists()
@@ -829,6 +831,33 @@ _WIDE_DOMAIN_PROGRAM = dict(
 def test_exit_2_names_the_value(tmp_path, capsys, config, name):
     assert run(config, tmp_path / "out") == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: {name}")
+
+
+@pytest.mark.parametrize("value", ["false", "true", 1, 0, [0], {"a": 0}])
+@pytest.mark.parametrize("config, path", [
+    (COMMAND_CONFIGS["bound_vc_relative"], ("stationary",)),
+    (COMMAND_CONFIGS["rad_linear_ball"], ("class", "with_offset")),
+], ids=["stationary", "with_offset"])
+def test_flag_key_takes_only_true_or_false(tmp_path, capsys, config, path,
+                                           value):
+    # a flag was read by its truth value: "false" reported the relative
+    # bound, which is only proved under stationarity, and gave a linear
+    # class its intercept column
+    config, name = _replaced(config, path, value)
+    cfg = write_config(tmp_path, config)
+    assert main(["--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"config error: {name} must be true or false, got {value!r}")
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_relative_bound_needs_stationary_true(tmp_path, capsys):
+    config, _ = _replaced(COMMAND_CONFIGS["bound_vc_relative"],
+                          ("stationary",), False)
+    assert run(config, tmp_path / "out") == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: stationary must be true:")
 
 
 @pytest.mark.parametrize("config, key", [

@@ -3,10 +3,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 from scipy import stats
 
+from seeded import draw_float, each_seed
 from seqbounds import estimators
 from seqbounds.classes import (kernel_ball_class, linear_ball_class,
                                threshold_class)
@@ -37,16 +36,21 @@ def brute_ghost_gap(train, ghost):
     )
 
 
-@st.composite
-def two_samples(draw):
-    """(train, ghost) as lists of (x, y) on points within +-1e50, each point
-    drawn next to its adjacent float above."""
-    base = draw(st.lists(st.floats(-1e50, 1e50), min_size=1, max_size=4))
-    point = st.sampled_from(base + [float(np.nextafter(v, np.inf))
-                                    for v in base])
-    pair = st.tuples(point, st.sampled_from([-1.0, 1.0]))
-    return (draw(st.lists(pair, min_size=1, max_size=6)),
-            draw(st.lists(pair, min_size=1, max_size=6)))
+def two_samples(seed):
+    """(train, ghost) of a seed as lists of (x, y) on points within +-1e50:
+    1 to 4 base points of every scale, each drawn next to its adjacent
+    float above, and 1 to 6 pairs in each sample."""
+    rng = np.random.default_rng(seed)
+    base = [float(rng.choice([-1.0, 1.0])) * draw_float(rng, 0.0, 1e50)
+            for _ in range(int(rng.integers(1, 5)))]
+    points = base + [float(np.nextafter(v, np.inf)) for v in base]
+
+    def pairs():
+        return [(points[int(rng.integers(len(points)))],
+                 float(rng.choice([-1.0, 1.0])))
+                for _ in range(int(rng.integers(1, 7)))]
+
+    return pairs(), pairs()
 
 
 _UP = float(np.nextafter(1.0, 2.0))
@@ -258,20 +262,21 @@ class TestSignScoring:
         assert est.value == float(np.mean(vals))
         assert est.std_error == float(np.std(vals, ddof=1) / np.sqrt(draws))
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(n=st.integers(1, 12), draws=st.integers(1, 6),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_threshold_supremum_is_the_dense_one(self, n, draws, seed):
+    def test_threshold_supremum_is_the_dense_one(self):
         # points from a few integers, so most cases have ties; the dense
         # reference scores every canonical threshold's labels at once
-        rng = np.random.default_rng(seed)
-        pts = rng.integers(-3, 4, n).astype(float)
-        signs = rng.integers(0, 2, (draws, n)) * 2.0 - 1.0
-        labels = np.where(pts >= np.append(np.unique(pts), np.inf)[:, None],
-                          1.0, -1.0)
-        sup = estimators._sup_rows(threshold_class(), pts)
-        assert np.array_equal(sup(signs),
-                              np.max(signs @ labels.T, axis=1) / n)
+        def check(seed):
+            rng = np.random.default_rng(seed)
+            n, draws = int(rng.integers(1, 13)), int(rng.integers(1, 7))
+            pts = rng.integers(-3, 4, n).astype(float)
+            signs = rng.integers(0, 2, (draws, n)) * 2.0 - 1.0
+            labels = np.where(
+                pts >= np.append(np.unique(pts), np.inf)[:, None], 1.0, -1.0)
+            sup = estimators._sup_rows(threshold_class(), pts)
+            assert np.array_equal(sup(signs),
+                                  np.max(signs @ labels.T, axis=1) / n)
+
+        each_seed(range(200), check)
 
     @pytest.mark.parametrize("n", [1, 3, 7, 15, 16, 17, 33])
     def test_sign_matrix_is_the_per_draw_stream(self, n):
@@ -328,12 +333,19 @@ class TestThresholdMachinery:
             assert gap == pytest.approx(brute_ghost_gap(train, ghost),
                                         abs=1e-12)
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(two_samples())
+    def test_ghost_gap_keeps_every_dichotomy(self):
+        each_seed(range(300), lambda seed: self.check_every_dichotomy(
+            two_samples(seed)))
+
     # a midpoint of the two points rounds onto one of them
-    @example(([(1.0, -1.0), (_UP, 1.0)], [(1.0, 1.0), (_UP, -1.0)]))
-    @example(([(1e16, -1.0), (1e16 + 2, 1.0)], [(1e16, 1.0), (1e16 + 2, -1.0)]))
-    def test_ghost_gap_keeps_every_dichotomy(self, samples):
+    @pytest.mark.parametrize("samples", [
+        ([(1.0, -1.0), (_UP, 1.0)], [(1.0, 1.0), (_UP, -1.0)]),
+        ([(1e16, -1.0), (1e16 + 2, 1.0)], [(1e16, 1.0), (1e16 + 2, -1.0)])])
+    def test_ghost_gap_keeps_every_dichotomy_at(self, samples):
+        self.check_every_dichotomy(samples)
+
+    @staticmethod
+    def check_every_dichotomy(samples):
         train, ghost = (make_sample(*zip(*pairs)) for pairs in samples)
         gap = threshold_ghost_gap(train, ghost)
         assert gap == pytest.approx(brute_ghost_gap(train, ghost), abs=1e-12)

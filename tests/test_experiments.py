@@ -4,10 +4,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from seeded import draw_float, draw_int, each_seed
 from seqbounds import bounds as bnd
 from seqbounds import classes
 from seqbounds import experiments as xp
@@ -211,15 +210,19 @@ def test_vc_scenario_certificate_near_unit_root(a):
     assert exceed / 200 <= 0.1 + 3.0 * math.sqrt(0.09 / 200)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(n=st.integers(1, 10**7), delta=st.floats(1e-12, 1.0),
-       rbar=st.floats(0.0, 1e6))
-def test_margin_slack_is_the_marginal_rademacher_bound(n, delta, rbar):
+def test_margin_slack_is_the_marginal_rademacher_bound():
     # the slack margin_rad_coverage takes from the calculator is the
     # hand-written 2 Rbar + sqrt(log(1/delta) / 2n), float for float
-    slack = bnd.rademacher_risk_bound("marginal", 0.0, rbar, 1.0, n,
-                                      delta).bound_value
-    assert slack == 2.0 * rbar + math.sqrt(math.log(1.0 / delta) / (2.0 * n))
+    def check(seed):
+        rng = np.random.default_rng(seed)
+        n, delta = draw_int(rng, 1, 10 ** 7), draw_float(rng, 1e-12, 1.0)
+        rbar = draw_float(rng, 0.0, 1e6)
+        slack = bnd.rademacher_risk_bound("marginal", 0.0, rbar, 1.0, n,
+                                          delta).bound_value
+        assert slack == 2.0 * rbar + math.sqrt(math.log(1.0 / delta)
+                                               / (2.0 * n))
+
+    each_seed(range(300), check)
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +296,14 @@ def random_values(rng, n, kind, scale):
 
 
 class TestGridSweeps:
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 60),
-           gamma=st.floats(1e-3, 2.0),
-           kind=st.sampled_from(["general", "repeated", "zeros"]))
-    def test_margin_sweep_matches_dense(self, seed, n, gamma, kind):
+    def test_margin_sweep_matches_dense(self):
+        each_seed(range(300), self.check_margin_sweep)
+
+    @staticmethod
+    def check_margin_sweep(seed):
         rng = np.random.default_rng(seed)
+        n, gamma = int(rng.integers(1, 61)), draw_float(rng, 1e-3, 2.0)
+        kind = str(rng.choice(["general", "repeated", "zeros"]))
         s = random_values(rng, n, kind, rng.uniform(0.1, 3.0))
         nonzero = s[s != 0.0]
         # models whose zone edges fall exactly on data points, plus w = 0
@@ -308,15 +313,17 @@ class TestGridSweeps:
         got = _margin_empirical_risks(s, w, gamma)
         assert np.max(np.abs(got - dense_margin_risks(s, w, gamma))) <= 1e-10
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 60),
-           d=st.sampled_from([1, 2]), resolution=st.integers(1, 12),
-           clip=st.sampled_from(["none_clipped", "all_clipped", "some"]),
-           kind=st.sampled_from(["general", "repeated", "zeros"]),
-           grid=st.sampled_from(["model_grid", "random_directions"]))
-    def test_regression_sweep_matches_dense(self, seed, n, d, resolution,
-                                            clip, kind, grid):
+    def test_regression_sweep_matches_dense(self):
+        each_seed(range(300), self.check_regression_sweep)
+
+    @staticmethod
+    def check_regression_sweep(seed):
         rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(1, 61)), int(rng.integers(1, 3))
+        resolution = int(rng.integers(1, 13))
+        clip = str(rng.choice(["none_clipped", "all_clipped", "some"]))
+        kind = str(rng.choice(["general", "repeated", "zeros"]))
+        grid = str(rng.choice(["model_grid", "random_directions"]))
         x = random_values(rng, n * d, kind, rng.uniform(0.1, 3.0)).reshape(n, d)
         y = x @ rng.uniform(-1.0, 1.0, d) + rng.standard_normal(n)
         directions, radii = _linear_model_grid(d, rng.uniform(0.1, 3.0),

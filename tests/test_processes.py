@@ -4,6 +4,7 @@ import importlib.machinery
 
 import numpy as np
 import pytest
+import scipy
 from scipy import signal, stats
 
 from seqbounds.estimators import (sup_deviation, threshold_ghost_gap,
@@ -214,12 +215,15 @@ def filter_loads(request, monkeypatch, tmp_path):
     through the package when the file is missing or is no extension
     module.  Returns the modules then imported by name."""
     monkeypatch.setattr(processes, "_SIGTOOLS", None)
-    if request.param == "missing":
-        monkeypatch.setattr(processes, "_sigtools_file", lambda: None)
-    elif request.param == "broken":
-        broken = tmp_path / f"_sigtools{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+    if request.param != "file":
+        # the loader looks for the file next to scipy/__init__: point that
+        # at an empty folder, or at one whose filter file is no extension
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    if request.param == "broken":
+        (tmp_path / "signal").mkdir()
+        broken = tmp_path / "signal" / \
+            f"_sigtools{importlib.machinery.EXTENSION_SUFFIXES[0]}"
         broken.write_bytes(b"not a shared object")
-        monkeypatch.setattr(processes, "_sigtools_file", lambda: broken)
     imported, import_module = [], importlib.import_module
     monkeypatch.setattr(importlib, "import_module",
                         lambda name, *args: imported.append(name)

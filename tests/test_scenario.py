@@ -1,12 +1,16 @@
 import ctypes
+import itertools
 import json
 import math
+import operator
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import optimize
 
+from seeded import draw_float, draw_int, each_seed
 from seqbounds import cli, scenario
 from seqbounds.bounds import (chaining_rad_upper, mixing_reference_bound,
                               rademacher_risk_bound, regression_vc_bound,
@@ -59,33 +63,6 @@ class TestPlanners:
             plan_n_margin(0.1, 0.1, 0.0, 1.0)
         with pytest.raises(ValueError):
             plan_n_margin(0.1, 0.1, 1.0, 0.0)
-
-
-def draw_float(rng, lo, hi, log=True):
-    """A float in [lo, hi]: lo one draw in sixteen, hi another, and
-    otherwise log-uniform over [max(lo, 5e-324), hi] (so that every scale
-    of a wide range is drawn), or uniform when ``log`` is False."""
-    u = rng.random()
-    if u < 1 / 16:
-        return lo
-    if u < 1 / 8:
-        return hi
-    if not log:
-        return float(rng.uniform(lo, hi))
-    value = math.exp(rng.uniform(math.log(max(lo, 5e-324)), math.log(hi)))
-    return min(max(value, lo), hi)
-
-
-def draw_int(rng, lo, hi):
-    """An int in [lo, hi]: an end one draw in eight, and otherwise lo plus
-    a log-uniform offset, so that small and large values are both drawn."""
-    u = rng.random()
-    if u < 1 / 16:
-        return lo
-    if u < 1 / 8:
-        return hi
-    return min(lo + int(math.exp(rng.uniform(0.0, math.log(hi - lo + 1))))
-               - 1, hi)
 
 
 # delta in (0, 1): both ends are excluded, the subnormals are not
@@ -476,6 +453,20 @@ class TestSolver:
         with pytest.raises(ValueError, match=r"^draws\b"):
             violation_rate(np.array([0.0]), prog, np.array([draw, 1.0]))
 
+    @pytest.mark.parametrize("theta", [
+        [math.nan], [math.inf], [-math.inf], [1e51], [0.0, 1.0], [[0.0]], 0.0,
+        ["a"]])
+    def test_violation_rate_theta_rejected_by_name(self, theta):
+        # NaN read as "never violated", +-inf as 0 and 1, and a (1, 1)
+        # theta as a vector
+        prog = one_dim_threshold_program()
+        draws = np.linspace(-1.0, 1.0, 11)
+        with pytest.raises(ValueError, match=r"^theta\b"):
+            violation_rate(theta, prog, draws)
+        with pytest.raises(ValueError, match=r"^theta\b"):
+            prog.constraint_values(draws, theta)
+        assert violation_rate([0.0], prog, draws) == 5 / 11
+
     def test_violation_rate_draws_of_another_width(self):
         prog = one_dim_threshold_program(theta_lo=-10, theta_hi=10)
         with pytest.raises(ValueError, match=r"^draws\b"):
@@ -509,10 +500,11 @@ class TestSolver:
                                                          [1.0] * domain))
 
     @pytest.mark.parametrize("matrix, x", [
-        (np.zeros((1, 2)), np.zeros((4, 3))),     # constant: its offset
+        (np.zeros((1, 2)), np.zeros((4, 3))),
         (np.ones((1, 1)), np.zeros((4, 2))),      # one column: broadcast
         (np.ones((1, 2)), np.zeros((4, 3))),
         (np.ones((1, 2)), np.zeros(3)),
+        (np.ones((1, 1)), np.zeros(4)),           # a batch is 2-D
     ])
     def test_affine_map_reads_its_width(self, matrix, x):
         with pytest.raises(ValueError, match=r"^x\b"):
@@ -674,17 +666,6 @@ def random_lp_program(rng):
     return ScenarioProgramSpec(objective=rng.normal(size=p), pieces=pieces,
                                theta_set=Box(ends[:, 0], ends[:, 1]),
                                margin=margin)
-
-
-def each_seed(seeds, check):
-    """check(seed) for every seed in turn: a fixed list of examples, which
-    no constant mined by hypothesis or run scope moves.  A failure names
-    its seed."""
-    for seed in seeds:
-        try:
-            check(seed)
-        except AssertionError as exc:
-            raise AssertionError(f"fails at seed {seed}") from exc
 
 
 class TestIncrementalLP:
@@ -909,11 +890,41 @@ def tied_cloud(rng, program):
     return xs[:, 0] if width == 1 and rng.random() < 0.5 else xs
 
 
-# seeds of TestPostHocCheck whose min-slack LP returns no point: on a row
-# whose scale is far below the largest row's, the slack t is lost to
-# rounding, a later subproblem reads as infeasible, and the solve raises a
-# TypeError (see test_min_slack_lp_at_spread_scales)
-_MIN_SLACK_FAULTS = (148, 270, 331, 376)
+def exact_min_slack(psi, h, lo, hi):
+    """min over theta in the box [lo, hi] of max_i psi_i.theta + h_i, in
+    exact rational arithmetic: the least t over the vertices of the
+    polyhedron psi.theta - t <= -h in (theta, t) times the box."""
+    p = psi.shape[1]
+    rows = [([Fraction(v) for v in row[:p]] + [Fraction(-1)], Fraction(-row[p]))
+            for row in np.unique(np.column_stack([psi, h]), axis=0).tolist()]
+    for j in range(p):
+        unit = [Fraction(int(i == j)) for i in range(p + 1)]
+        rows += [(unit, Fraction(hi[j])), ([-u for u in unit],
+                                           Fraction(-lo[j]))]
+    best = None
+    for chosen in itertools.combinations(rows, p + 1):
+        z = solve_exactly([a for a, _ in chosen], [b for _, b in chosen])
+        if z is not None and (best is None or z[p] < best) and all(
+                sum(map(operator.mul, a, z)) <= b for a, b in rows):
+            best = z[p]
+    return best
+
+
+def solve_exactly(a, b):
+    """z with a z = b for a square matrix of Fractions, or None when a is
+    singular: Gauss-Jordan elimination."""
+    m = [row + [c] for row, c in zip(a, b)]
+    n = len(m)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col] / m[col][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [m[i][n] / m[i][i] for i in range(n)]
 
 
 class TestPostHocCheck:
@@ -934,8 +945,6 @@ class TestPostHocCheck:
         constant = []
 
         def check(seed):
-            if seed in _MIN_SLACK_FAULTS:
-                return
             program, xs, mode, margin = self.draw(seed)
             res = solve_margin_program(program, xs, mode=mode, margin=margin)
             full = np.max(program.constraint_values(xs, res.theta)) + (
@@ -949,13 +958,32 @@ class TestPostHocCheck:
         # both kinds of piece were checked, many times over
         assert 300 < sum(constant) < len(constant) - 300
 
-    @pytest.mark.xfail(strict=True, raises=TypeError,
-                       reason="the min-slack LP loses its slack to rounding")
-    def test_min_slack_lp_at_spread_scales(self):
-        # a 1-D ball of radius 1.2e22; rows of scale 1.8e45 and 2.6e11
-        program, xs, mode, margin = self.draw(_MIN_SLACK_FAULTS[0])
+    @pytest.mark.parametrize("seed", [148, 270, 331, 376, pytest.param(
+        5050, marks=pytest.mark.xfail(strict=True, raises=ValueError, reason=(
+            "rows of scale 1e44 in a ball of radius 1e22 fix theta only to "
+            "1e54, and a row of scale 1 then reads as missed by that much; "
+            "the solve raises a ValueError naming scenarios")))])
+    def test_min_slack_lp_at_spread_scales(self, seed):
+        # rows whose scales lie 1e11 to 1e45 apart (seed 148: a 1-D ball of
+        # radius 1.2e22, rows of scale 1.8e45 and 2.6e11).  The slack t of
+        # a large row, read back from that row's hyperplane, was lost to
+        # rounding on the small rows, a later subproblem read as infeasible
+        # and the solve raised a TypeError.  The min-slack point is the
+        # exact one to within 1e-9 of the rows' scale at it
+        program, xs, mode, margin = self.draw(seed)
         res = solve_margin_program(program, xs, mode=mode, margin=margin)
-        assert res.used_fallback
+        assert res.used_fallback and res.solver == "seidel"
+        assert program.theta_set.contains(res.theta)
+        psi, h = every_row(program, xs)
+        theta = [Fraction(t) for t in res.theta.tolist()]
+        at = max(sum(map(operator.mul, map(Fraction, row), theta)) + Fraction(c)
+                 for row, c in zip(psi.tolist(), h.tolist()))
+        if isinstance(program.theta_set, Box) or len(theta) == 1:
+            lo, hi = ((program.theta_set.lo, program.theta_set.hi)
+                      if isinstance(program.theta_set, Box) else
+                      ([-program.theta_set.radius], [program.theta_set.radius]))
+            scale = np.max(np.abs(psi) @ np.abs(res.theta) + np.abs(h))
+            assert at - exact_min_slack(psi, h, lo, hi) <= 1e-9 * scale
 
 
 class TestHullReduction:
